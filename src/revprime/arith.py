@@ -13,11 +13,12 @@ from __future__ import annotations
 import math
 import os
 import struct
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+
+from .fileio import atomic_write
 
 __all__ = [
     "SieveBudgetError",
@@ -222,18 +223,10 @@ def _load_cache(limit: int, cache_dir: str) -> np.ndarray | None:
 
 
 def _store_cache(limit: int, cache_dir: str, spf: np.ndarray) -> None:
-    os.makedirs(cache_dir, exist_ok=True)
-    path = _cache_path(limit, cache_dir)
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, limit))
-            fh.write(spf.astype("<u4").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(
+        _cache_path(limit, cache_dir),
+        [_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, limit), spf.astype("<u4")],
+    )
 
 
 def build_table(

@@ -4,13 +4,17 @@ Exact integer digit decomposition, digit-string length, full and
 window-relative digit reversal, plus the small numeric helpers (unit
 circle map, distance to the nearest integer, floor) that the rest of
 the package shares.  Everything here is integer arithmetic; no float
-logarithms are used to make digit-length decisions.
+logarithms are used to make digit-length decisions.  reverse_array is
+the vectorized form of both reversals; the scalar functions are the
+oracles it is tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 __all__ = [
     "BaseContext",
@@ -19,6 +23,7 @@ __all__ = [
     "digit_length",
     "reverse",
     "reverse_relative",
+    "reverse_array",
     "e",
     "dist",
     "floor_part",
@@ -145,6 +150,63 @@ def reverse_relative(n: int, L: int, ctx: BaseContext) -> int:
         n, d = divmod(n, g)
         out = out * g + d
     return out
+
+
+_INT64_MAX = 2**63 - 1
+
+
+def reverse_array(values, g: int, L: int | None = None) -> np.ndarray:
+    """Digit reversal of every entry of values, as an int64 array.
+
+    With L this is reverse_relative(n, L) for each n: exactly L divmod
+    steps, digits at positions >= L ignored.  Without L it is the
+    absolute reverse(n): the loop runs while any entry is nonzero and
+    drops entries from the working set as they run out of digits.
+    Raises ValueError on negative entries, and whenever a result could
+    exceed int64: g^L > 2^63 - 1, or without L, g^(digit length of the
+    largest entry) > 2^63 - 1.
+    """
+    if not isinstance(g, int) or g < 2:
+        raise ValueError(f"base must be an integer >= 2, got {g!r}")
+    if L is not None and L < 0:
+        raise ValueError("window length must be nonnegative")
+    arr = np.asarray(values)
+    if arr.size == 0:
+        return np.zeros(arr.shape, dtype=np.int64)
+    if arr.dtype.kind not in "iuO":
+        raise TypeError(f"integer values required, got dtype {arr.dtype}")
+    if arr.min() < 0:
+        raise ValueError("reverse is defined for nonnegative integers")
+    if L is not None:
+        if g**L > _INT64_MAX:
+            raise ValueError(f"{g}^{L} overflows int64")
+        if not np.can_cast(arr.dtype, np.int64):
+            # uint64 or Python integers: digits >= L are ignored anyway,
+            # and the residues mod g^L convert to int64 exactly
+            arr = arr % g**L
+        n = arr.astype(np.int64)
+        out = np.zeros_like(n)
+        for _ in range(L):
+            n, d = np.divmod(n, g)
+            out *= g
+            out += d
+        return out
+    top = int(arr.max())
+    if g ** digit_length(top, BaseContext(g)) > _INT64_MAX:
+        raise ValueError(f"reverse of {top} in base {g} overflows int64")
+    flat = arr.astype(np.int64).ravel()
+    out = np.zeros_like(flat)
+    live = np.flatnonzero(flat)
+    n, acc = flat[live], np.zeros(live.size, dtype=np.int64)
+    while live.size:
+        n, d = np.divmod(n, g)
+        acc = acc * g + d
+        done = n == 0
+        if done.any():
+            out[live[done]] = acc[done]
+            keep = ~done
+            live, n, acc = live[keep], n[keep], acc[keep]
+    return out.reshape(arr.shape)
 
 
 def e(x: float) -> complex:

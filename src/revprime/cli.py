@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -23,8 +22,9 @@ import numpy as np
 from .arith import build_table
 from .config import RunConfig, load_config, merge_overrides
 from .expsum import BoundReport
+from .fileio import atomic_write
 from .revcount import CensusRecord, census_grid, exceptional_cap
-from .verify import SuiteOptions, UsageError, calibrate, run_suite
+from .verify import CALIBRATED, SuiteOptions, UsageError, calibrate, run_suite
 
 CENSUS_COLUMNS = (
     "g", "L", "a", "q", "observed", "main_term",
@@ -63,13 +63,8 @@ def _json_default(obj):
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
-        return
-    tmp = out + ".tmp"
-    directory = os.path.dirname(os.path.abspath(out))
-    os.makedirs(directory, exist_ok=True)
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, out)
+    else:
+        atomic_write(out, text)
 
 
 def _load_run_config(args) -> RunConfig:
@@ -174,7 +169,6 @@ def _suite_options(args) -> SuiteOptions:
         g=args.g,
         lambda_max=args.lambda_max,
         limit=args.limit,
-        x=args.x,
         cases=args.cases,
         seed_family=args.seed_family,
     )
@@ -207,7 +201,7 @@ def cmd_calibrate(args) -> int:
     try:
         cfg = _load_run_config(args)
         opts = _suite_options(args)
-        names = args.suite or ["type-i", "type-ii", "prime-exp-sum", "hybrid", "truncation"]
+        names = args.suite or CALIBRATED
         # the measured constants never depend on previously stored ones,
         # so the artifact records the hash of the stripped config
         bare = replace(cfg, c_cal={})
@@ -252,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--g", type=int, default=None)
     ver.add_argument("--lambda-max", type=int, default=None, dest="lambda_max")
     ver.add_argument("--limit", type=int, default=None)
-    ver.add_argument("--x", type=float, default=None)
     ver.add_argument("--cases", type=int, default=None)
     ver.add_argument("--seed-family", default=None, dest="seed_family")
     _add_common(ver)
@@ -263,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--g", type=int, default=None)
     cal.add_argument("--lambda-max", type=int, default=None, dest="lambda_max")
     cal.add_argument("--limit", type=int, default=None)
-    cal.add_argument("--x", type=float, default=None)
     cal.add_argument("--cases", type=int, default=None)
     cal.add_argument("--seed-family", default=None, dest="seed_family")
     _add_common(cal)

@@ -17,7 +17,9 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import PrimeTable
-from .basedigits import BaseContext, ilog, reverse, reverse_relative
+# reverse is not called here; it stays importable as revcount.reverse,
+# the name perfbench counts reversal calls through
+from .basedigits import ilog, reverse, reverse_array  # noqa: F401
 from .expsum import BoundReport, expsum_context, gamma_coefficient, make_report, sigma
 from .seeds import reverse_seed
 
@@ -118,17 +120,31 @@ class CensusRecord:
 
 
 def _window_reverses(g: int, L: int, pt: PrimeTable) -> np.ndarray:
-    """Digit reverses of every prime in [g^(L-1), g^L), one sieve scan."""
-    ctx = BaseContext(g)
-    lo, hi = g ** (L - 1), g**L
+    """Digit reverses of every prime in [g^(L-1), g^L), one sieve scan.
+
+    Every such prime has exactly L digits, so the window-relative
+    reverse is the plain one.
+    """
     primes = pt.primes
-    first = int(np.searchsorted(primes, lo, side="left"))
-    last = int(np.searchsorted(primes, hi, side="left"))
-    return np.fromiter(
-        (reverse(int(p), ctx) for p in primes[first:last]),
-        dtype=np.int64,
-        count=last - first,
-    )
+    first, last = np.searchsorted(primes, (g ** (L - 1), g**L))
+    return reverse_array(primes[first:last], g, L)
+
+
+def _class_counter(revs: np.ndarray):
+    """count(a, m): entries of revs that are a mod m, one bincount per m.
+
+    The bins stop at the largest residue present, so their size is
+    bounded by the window, not by m.
+    """
+    bins: dict[int, np.ndarray] = {}
+
+    def count(a: int, m: int) -> int:
+        if m not in bins:
+            bins[m] = np.bincount(revs % m)
+        r = a % m
+        return int(bins[m][r]) if r < bins[m].size else 0
+
+    return count
 
 
 def census_grid(
@@ -136,25 +152,22 @@ def census_grid(
 ) -> list[CensusRecord]:
     """CensusRecords for many (a, q) cells from one pass over the window.
 
-    Reversal dominates the per-prime cost, so the reverses are computed
-    once and every requested cell is binned against the same array.
+    The reverses are computed once, each distinct modulus is binned once,
+    and every requested cell is read from those bins.
     """
     if L < 1:
         raise ValueError("window length must be at least 1")
     if g**L > pt.limit:
         raise ValueError(f"window end {g}^{L} beyond sieve limit {pt.limit}")
-    revs = _window_reverses(g, L, pt)
+    count = _class_counter(_window_reverses(g, L, pt))
     wheel = g * g - 1
     scale = g**L / (L * math.log(g))
     records = []
     for a, q in pairs:
         if q < 1:
             raise ValueError("modulus must be positive")
-        observed = int(np.count_nonzero(revs % q == a % q))
+        observed = count(a, q)
         modulus_sharp = math.gcd(q, g**L * wheel)
-        sharp_observed = int(
-            np.count_nonzero(revs % modulus_sharp == a % modulus_sharp)
-        )
         main_term = float(rho(g, a, q) / q) * scale
         if main_term > 0.0:
             relative_dev = observed / main_term - 1.0
@@ -163,7 +176,7 @@ def census_grid(
         records.append(
             CensusRecord(
                 g, L, a, q, observed, main_term, relative_dev,
-                sharp_observed, modulus_sharp,
+                count(a, modulus_sharp), modulus_sharp,
             )
         )
     return records
@@ -191,16 +204,10 @@ def census_sharp(
         raise ValueError(f"window end {g}^{L} beyond sieve limit {pt.limit}")
     if q < 1:
         raise ValueError("modulus must be positive")
-    ctx = BaseContext(g)
     modulus = math.gcd(q, g**L * (g * g - 1))
-    target = a % modulus
-    primes = pt.primes
-    last = int(np.searchsorted(primes, math.floor(x), side="right"))
-    count = 0
-    for p in primes[:last]:
-        if reverse_relative(int(p), L, ctx) % modulus == target:
-            count += 1
-    return count
+    primes = pt.primes[: pt.prime_count(x)]
+    revs = reverse_array(primes, g, L)
+    return int(np.count_nonzero(revs % modulus == a % modulus))
 
 
 def psi_theta_pi(
@@ -217,7 +224,8 @@ def psi_theta_pi(
 
     kind selects the weight: "psi" sums Lambda over all integers, "theta"
     sums log p over primes, "pi" counts primes.  With sharp the modulus
-    drops to gcd(q, g^L (g^2-1)).
+    drops to gcd(q, g^L (g^2-1)).  Log weights are summed with fsum, so
+    the total does not depend on the order of the terms.
     """
     if kind not in ("psi", "theta", "pi"):
         raise ValueError(f"unknown kind {kind!r}")
@@ -227,25 +235,21 @@ def psi_theta_pi(
         raise ValueError("x must lie in [1, g^L]")
     if g**L > pt.limit:
         raise ValueError(f"window end {g}^{L} beyond sieve limit {pt.limit}")
-    ctx = BaseContext(g)
     modulus = math.gcd(q, g**L * (g * g - 1)) if sharp else q
-    target = a % modulus
     top = math.floor(x)
-    primes = pt.primes
-    last = int(np.searchsorted(primes, top, side="right"))
-    total = 0.0
-    for p in primes[:last]:
-        p = int(p)
-        if kind == "psi":
-            logp = math.log(p)
-            v = p
-            while v <= top:
-                if reverse_relative(v, L, ctx) % modulus == target:
-                    total += logp
-                v *= p
-        elif reverse_relative(p, L, ctx) % modulus == target:
-            total += math.log(p) if kind == "theta" else 1.0
-    return total
+    primes = pt.primes[: pt.prime_count(x)]
+    values, bases = [primes], [primes]
+    if kind == "psi":
+        # prime powers p^k <= x, one level of k at a time
+        while values[-1].size:
+            keep = values[-1] <= top // bases[-1]
+            bases.append(bases[-1][keep])
+            values.append(values[-1][keep] * bases[-1])
+    values, bases = np.concatenate(values), np.concatenate(bases)
+    hits = reverse_array(values, g, L) % modulus == a % modulus
+    if kind == "pi":
+        return float(np.count_nonzero(hits))
+    return math.fsum(np.log(bases[hits]).tolist())
 
 
 def sharp_factor_deviation(
@@ -262,17 +266,11 @@ def sharp_factor_deviation(
         raise ValueError(f"x beyond sieve limit {pt.limit}")
     if q < 1:
         raise ValueError("modulus must be positive")
-    ctx = BaseContext(g)
     L = ilog(x, g) + 1
     modulus = math.gcd(q, g**L * (g * g - 1))
-    primes = pt.primes
-    last = int(np.searchsorted(primes, math.floor(x), side="right"))
-    plain = 0
-    sharp = 0
-    for p in primes[:last]:
-        r = reverse(int(p), ctx)
-        plain += r % q == a % q
-        sharp += r % modulus == a % modulus
+    revs = reverse_array(pt.primes[: pt.prime_count(x)], g)
+    plain = int(np.count_nonzero(revs % q == a % q))
+    sharp = int(np.count_nonzero(revs % modulus == a % modulus))
     return abs(plain - (modulus / q) * sharp) / x
 
 

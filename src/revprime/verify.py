@@ -71,7 +71,6 @@ class SuiteOptions:
     g: Optional[int] = None
     lambda_max: Optional[int] = None
     limit: Optional[int] = None
-    x: Optional[float] = None
     cases: Optional[int] = None
     seed_family: Optional[str] = None
 

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from revprime.basedigits import (
     floor_part,
     ilog,
     reverse,
+    reverse_array,
     reverse_relative,
 )
 
@@ -143,6 +145,88 @@ class TestReverseRelative:
             step = max(1, (hi - lo) // 200)
             for n in range(lo, hi, step):
                 assert reverse_relative(n, L, ctx) == reverse(n, ctx)
+
+
+class TestReverseArray:
+    @given(
+        st.lists(st.integers(0, 2**40 - 1), max_size=40),
+        st.integers(2, 36),
+        st.integers(0, 12),
+    )
+    def test_matches_scalar_oracles(self, ns, g, L):
+        ctx = base(g)
+        absolute = reverse_array(ns, g)
+        relative = reverse_array(ns, g, L)
+        assert absolute.dtype == relative.dtype == np.int64
+        assert absolute.tolist() == [reverse(n, ctx) for n in ns]
+        assert relative.tolist() == [reverse_relative(n, L, ctx) for n in ns]
+
+    def test_edge_values(self):
+        # zero, trailing zeros, and a window shorter than the digit length
+        ns = [0, 1200, 1000, 7, 123456]
+        assert reverse_array(ns, 10).tolist() == [0, 21, 1, 7, 654321]
+        assert reverse_array(ns, 10, 3).tolist() == [0, 2, 0, 700, 654]
+        assert reverse_array(ns, 10, 0).tolist() == [0] * 5
+
+    def test_empty_input(self):
+        for L in (None, 0, 5):
+            out = reverse_array([], 3, L)
+            assert out.dtype == np.int64 and out.shape == (0,)
+
+    def test_input_dtypes_agree(self):
+        ns = [0, 1, 2, 40, 2**31 + 5, 2**32 - 1]
+        want_abs = [reverse(n, base(7)) for n in ns]
+        want_rel = [reverse_relative(n, 9, base(7)) for n in ns]
+        for values in (ns, np.array(ns, dtype=np.uint32),
+                       np.array(ns, dtype=np.int64), np.array(ns, dtype=np.uint64)):
+            assert reverse_array(values, 7).tolist() == want_abs
+            assert reverse_array(values, 7, 9).tolist() == want_rel
+
+    def test_shape_preserved(self):
+        grid = np.arange(12).reshape(3, 4)
+        assert reverse_array(grid, 2).shape == (3, 4)
+        assert reverse_array(grid, 2, 5).shape == (3, 4)
+
+    def test_relative_form_ignores_digits_beyond_int64(self):
+        big = [2**64 - 1, 2**70 + 6]
+        ctx = base(2)
+        assert reverse_array(np.array(big[:1], dtype=np.uint64), 2, 8).tolist() == [255]
+        assert reverse_array(big, 2, 8).tolist() == [
+            reverse_relative(n, 8, ctx) for n in big
+        ]
+
+    def test_negative_rejected(self):
+        for L in (None, 4):
+            with pytest.raises(ValueError):
+                reverse_array([3, -1], 10, L)
+            with pytest.raises(ValueError):
+                reverse_array(np.array([-5], dtype=np.int64), 2, L)
+
+    def test_window_overflow_rejected(self):
+        assert reverse_array([1], 2, 62).tolist() == [2**61]
+        with pytest.raises(ValueError):
+            reverse_array([1], 2, 63)
+        with pytest.raises(ValueError):
+            reverse_array([1], 10, 19)
+        assert reverse_array([1], 10, 18).tolist() == [10**17]
+
+    def test_absolute_overflow_rejected(self):
+        # 2^62 has 63 binary digits and 2^63 > 2^63 - 1
+        assert reverse_array([2**62 - 1], 2).tolist() == [2**62 - 1]
+        with pytest.raises(ValueError):
+            reverse_array([5, 2**62], 2)
+        with pytest.raises(ValueError):
+            reverse_array(np.array([2**63], dtype=np.uint64), 2)
+        with pytest.raises(ValueError):
+            reverse_array([10**18], 10)
+
+    def test_rejects_bad_base_and_window(self):
+        with pytest.raises(ValueError):
+            reverse_array([1], 1)
+        with pytest.raises(ValueError):
+            reverse_array([1], 10, -1)
+        with pytest.raises(TypeError):
+            reverse_array([1.5], 10)
 
 
 class TestNumericHelpers:

@@ -1,10 +1,12 @@
 import json
 import os
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from revprime import cli
 from revprime.cli import main
 from revprime.config import (
     DEFAULT_C_CAL,
@@ -13,6 +15,8 @@ from revprime.config import (
     make_rng,
     merge_overrides,
 )
+from revprime.fileio import atomic_write
+from revprime.verify import CALIBRATED
 
 
 class TestRunConfig:
@@ -215,9 +219,64 @@ class TestCalibrateCommand:
         assert main(["calibrate", "linf"]) == 1
         assert "not a calibrated verifier" in capsys.readouterr().err
 
+    def test_default_suites_are_the_calibrated_ones(self, monkeypatch, tmp_path):
+        seen = []
+
+        def fake(names, cfg, opts):
+            seen.extend(names)
+            return {name: 1.0 for name in names}
+
+        monkeypatch.setattr(cli, "calibrate", fake)
+        assert main(["calibrate", "--out", str(tmp_path / "c.json")]) == 0
+        assert tuple(seen) == CALIBRATED
+
+    def test_x_flag_removed(self):
+        assert main(["calibrate", "type-i", "--x", "100"]) == 1
+        assert main(["verify", "vdc", "--x", "100"]) == 1
+
     def test_committed_table_matches_defaults(self):
         here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         with open(os.path.join(here, "configs", "calibration.json")) as fh:
             table = json.load(fh)
         assert table["constants"] == DEFAULT_C_CAL
         assert table["rng_seed"] == RunConfig().rng_seed
+
+
+class TestAtomicWrite:
+    def test_concurrent_writers_to_one_path(self, tmp_path):
+        # two runs sharing --out: each must land whole, and no temp file
+        # of either may survive
+        out = tmp_path / "report.txt"
+        texts = ["a" * 300_000 + "\n", "b" * 200_000 + "\n"]
+        errors = []
+
+        def writer(text):
+            try:
+                for _ in range(25):
+                    cli._emit(text, str(out))
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(t,)) for t in texts]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert errors == []
+        assert out.read_text() in texts
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.txt"]
+
+    def test_failure_leaves_old_file_and_no_temp(self, tmp_path):
+        out = tmp_path / "cache.bin"
+        atomic_write(str(out), b"old")
+        with pytest.raises(TypeError):
+            atomic_write(str(out), [b"new", object()])
+        assert out.read_bytes() == b"old"
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_chunks_and_text(self, tmp_path):
+        out = tmp_path / "sub" / "f"
+        atomic_write(str(out), [b"ab", np.array([1], dtype="<u4")])
+        assert out.read_bytes() == b"ab\x01\x00\x00\x00"
+        atomic_write(str(out), "\u00e9")
+        assert out.read_bytes() == "\u00e9".encode("utf-8")

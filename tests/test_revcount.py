@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revprime.arith import build_table
-from revprime.basedigits import BaseContext, reverse
+from revprime.basedigits import BaseContext, reverse, reverse_relative
 from revprime.expsum import expsum_context, gamma_coefficient, sigma
 from revprime.revcount import (
     CensusRecord,
@@ -315,6 +315,92 @@ class TestSharpFactorDeviation:
             sharp_factor_deviation(10, 10**6, 0, 7, table)
         with pytest.raises(ValueError):
             sharp_factor_deviation(10, 0.5, 0, 7, table)
+
+
+@st.composite
+def small_windows(draw):
+    """(g, L, limit) with g^L <= limit <= 20000, so each example sieves fast."""
+    g = draw(st.integers(2, 12))
+    L = draw(st.integers(1, ilog_floor(20_000, g)))
+    limit = draw(st.integers(g**L, 20_000))
+    return g, L, limit
+
+
+def ilog_floor(x, g):
+    k = 0
+    while g ** (k + 1) <= x:
+        k += 1
+    return k
+
+
+def scalar_primes(limit):
+    return [n for n in range(2, limit + 1) if all(n % d for d in range(2, math.isqrt(n) + 1))]
+
+
+class TestLayerAgainstScalarRecount:
+    """The array census layer against per-prime loops over the scalar oracles."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_windows(), st.lists(st.tuples(st.integers(0, 80), st.integers(1, 60)),
+                                     min_size=1, max_size=8))
+    def test_census_grid(self, window, pairs):
+        g, L, limit = window
+        ctx = BaseContext(g)
+        revs = [reverse(p, ctx) for p in scalar_primes(g**L - 1) if p >= g ** (L - 1)]
+        for (a, q), rec in zip(pairs, census_grid(g, L, pairs, build_table(limit))):
+            m = math.gcd(q, g**L * (g * g - 1))
+            assert rec.modulus_sharp == m
+            assert rec.observed == sum(r % q == a % q for r in revs)
+            assert rec.sharp_observed == sum(r % m == a % m for r in revs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_windows(), st.integers(0, 80), st.integers(1, 60), st.floats(0, 1))
+    def test_census_sharp(self, window, a, q, frac):
+        g, L, limit = window
+        x = 1 + frac * (g**L - 1)
+        ctx = BaseContext(g)
+        m = math.gcd(q, g**L * (g * g - 1))
+        want = sum(
+            reverse_relative(p, L, ctx) % m == a % m
+            for p in scalar_primes(math.floor(x))
+        )
+        assert census_sharp(g, L, a, q, build_table(limit), x=x) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_windows(), st.integers(0, 80), st.integers(1, 60),
+           st.floats(0, 1), st.booleans())
+    def test_psi_theta_pi(self, window, a, q, frac, sharp):
+        g, L, limit = window
+        x = 1 + frac * (g**L - 1)
+        ctx = BaseContext(g)
+        m = math.gcd(q, g**L * (g * g - 1)) if sharp else q
+        table = build_table(limit)
+        hit = lambda n: reverse_relative(n, L, ctx) % m == a % m
+        primes = scalar_primes(math.floor(x))
+        powers = [(p, p**k) for p in primes for k in range(1, 40) if p**k <= x]
+        want = {
+            "pi": float(sum(hit(p) for p in primes)),
+            "theta": math.fsum(math.log(p) for p in primes if hit(p)),
+            "psi": math.fsum(math.log(p) for p, v in powers if hit(v)),
+        }
+        got = {kind: psi_theta_pi(g, L, x, a, q, table, kind, sharp=sharp) for kind in want}
+        assert got["pi"] == want["pi"]
+        assert got["theta"] == pytest.approx(want["theta"], rel=1e-12, abs=0)
+        assert got["psi"] == pytest.approx(want["psi"], rel=1e-12, abs=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 12), st.integers(2, 20_000), st.integers(0, 80),
+           st.integers(1, 60), st.floats(0, 1))
+    def test_sharp_factor_deviation(self, g, limit, a, q, frac):
+        x = 1 + frac * (limit - 1)
+        ctx = BaseContext(g)
+        L = ilog_floor(x, g) + 1
+        m = math.gcd(q, g**L * (g * g - 1))
+        revs = [reverse(p, ctx) for p in scalar_primes(math.floor(x))]
+        plain = sum(r % q == a % q for r in revs)
+        sharp = sum(r % m == a % m for r in revs)
+        want = abs(plain - (m / q) * sharp) / x
+        assert sharp_factor_deviation(g, x, a, q, build_table(limit)) == want
 
 
 class TestLanding:
