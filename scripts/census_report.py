@@ -34,7 +34,6 @@ def main(argv=None) -> int:
                         help="residues to show (default: every residue mod q)")
     parser.add_argument("--sieve-limit", type=int, default=None,
                         help="sieve size (default: g**max(L))")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--summary", action="store_true",
                         help="append the max |relative_dev| per (L, q)")
     args = parser.parse_args(argv)
@@ -42,7 +41,7 @@ def main(argv=None) -> int:
     if args.g < 2 or not args.L or not args.q or min(args.q) < 1:
         parser.error("need --g >= 2, at least one window length, and positive moduli")
     limit = args.sieve_limit or args.g ** max(args.L)
-    pt = build_table(limit, threads=args.threads)
+    pt = build_table(limit)
 
     header = f"{'g':>3} {'L':>3} {'q':>4} {'a':>4} {'observed':>9} {'main_term':>12} {'rel_dev':>8}"
     print(header)

@@ -2,10 +2,12 @@
 
 A smallest-prime-factor table answers Lambda, mu, tau, phi and primality
 queries in O(log n) each after one linear-memory sieve pass.  The table
-persists to a small versioned binary cache so repeated runs skip the
-build.  vaughan_terms splits Lambda(n) into the classical four pieces
-controlled by a threshold z (Vaughan's identity), with every divisor sum
-evaluated by factor enumeration from the table.
+persists to a small versioned, checksummed binary cache so repeated runs
+skip the build.  vaughan_terms splits Lambda(n) into the classical four
+pieces controlled by a threshold z (Vaughan's identity), with every
+divisor sum evaluated by factor enumeration from the table; it and its
+two coefficient sums are the reference oracles for vaughan_arrays, which
+builds every piece for all n up to a bound in one sieve-order pass.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +26,14 @@ __all__ = [
     "SieveBudgetError",
     "PrimeTable",
     "VaughanTerms",
+    "VaughanArrays",
     "build_table",
     "vaughan_terms",
+    "vaughan_arrays",
     "mangoldt_tail",
     "mobius_mangoldt_window",
+    "mangoldt_array",
+    "mobius_values",
     "DEFAULT_MAX_LIMIT",
 ]
 
@@ -35,8 +41,8 @@ __all__ = [
 DEFAULT_MAX_LIMIT = 1 << 26
 
 _CACHE_MAGIC = b"RVSPF"
-_CACHE_VERSION = 1
-_HEADER = struct.Struct("<5sHQ")  # magic, version, limit
+_CACHE_VERSION = 2
+_HEADER = struct.Struct("<5sHQI")  # magic, version, limit, CRC-32 of the payload
 
 
 class SieveBudgetError(RuntimeError):
@@ -56,45 +62,6 @@ def _sieve_spf(limit: int) -> np.ndarray:
     # whatever is still unmarked above 1 has no factor <= sqrt(limit)
     rest = np.flatnonzero(spf[3:] == 0) + 3
     spf[rest] = rest
-    return spf
-
-
-def _mark_segment(spf: np.ndarray, lo: int, hi: int, primes: np.ndarray) -> None:
-    """Fill spf[lo:hi] (global indices) assuming the slice starts all-zero."""
-    view = spf[lo:hi]
-    for p in primes:
-        p = int(p)
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        if start >= hi:
-            continue
-        seg = view[start - lo :: p]
-        seg[seg == 0] = p
-    fix = np.flatnonzero(view == 0)
-    if lo < 2:
-        fix = fix[fix >= 2 - lo]
-    view[fix] = fix + lo
-
-
-def _sieve_spf_parallel(limit: int, threads: int) -> np.ndarray:
-    """Segmented sieve; identical output to :func:`_sieve_spf` by construction.
-
-    Each segment is filled independently from the base primes, so thread
-    scheduling cannot reorder any write that matters.
-    """
-    root = math.isqrt(limit)
-    base = _sieve_spf(max(root, 2))
-    idx = np.arange(base.size, dtype=np.uint32)
-    base_primes = np.flatnonzero(base == idx)[1:]  # drop index 0
-    spf = np.zeros(limit + 1, dtype=np.uint32)
-    step = max(root + 1, (limit + 1 + threads - 1) // threads, 1 << 16)
-    bounds = list(range(0, limit + 1, step)) + [limit + 1]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        jobs = [
-            pool.submit(_mark_segment, spf, lo, hi, base_primes)
-            for lo, hi in zip(bounds, bounds[1:])
-        ]
-        for job in jobs:
-            job.result()
     return spf
 
 
@@ -209,7 +176,7 @@ def _load_cache(limit: int, cache_dir: str) -> np.ndarray | None:
             header = fh.read(_HEADER.size)
             if len(header) != _HEADER.size:
                 return None
-            magic, version, cached_limit = _HEADER.unpack(header)
+            magic, version, cached_limit, checksum = _HEADER.unpack(header)
             if magic != _CACHE_MAGIC or version != _CACHE_VERSION:
                 return None
             if cached_limit != limit:
@@ -217,30 +184,27 @@ def _load_cache(limit: int, cache_dir: str) -> np.ndarray | None:
             raw = fh.read()
     except OSError:
         return None
-    if len(raw) != 4 * (limit + 1):
+    if len(raw) != 4 * (limit + 1) or zlib.crc32(raw) != checksum:
         return None
     return np.frombuffer(raw, dtype="<u4").astype(np.uint32)
 
 
 def _store_cache(limit: int, cache_dir: str, spf: np.ndarray) -> None:
-    atomic_write(
-        _cache_path(limit, cache_dir),
-        [_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, limit), spf.astype("<u4")],
-    )
+    payload = spf.astype("<u4")
+    header = _HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, limit, zlib.crc32(payload))
+    atomic_write(_cache_path(limit, cache_dir), [header, payload])
 
 
 def build_table(
     limit: int,
     cache_dir: str | None = None,
-    threads: int = 1,
     max_limit: int = DEFAULT_MAX_LIMIT,
 ) -> PrimeTable:
     """Sieve (or load from cache) a PrimeTable covering [2, limit].
 
     cache_dir falls back to the REVPRIME_CACHE_DIR environment variable;
     with neither set, nothing is persisted.  A cache file whose header
-    does not match is regenerated silently.  The parallel build path is
-    byte-identical to the single-threaded one.
+    or payload checksum does not match is regenerated silently.
     """
     if limit < 2:
         raise ValueError("sieve limit must be at least 2")
@@ -254,10 +218,7 @@ def build_table(
         cached = _load_cache(limit, cache_dir)
         if cached is not None:
             return PrimeTable(limit, cached)
-    if threads > 1:
-        spf = _sieve_spf_parallel(limit, threads)
-    else:
-        spf = _sieve_spf(limit)
+    spf = _sieve_spf(limit)
     if cache_dir is not None:
         _store_cache(limit, cache_dir, spf)
     return PrimeTable(limit, spf)
@@ -337,3 +298,135 @@ def vaughan_terms(n: int, z: float, pt: PrimeTable) -> VaughanTerms:
             a3 -= mobius_mangoldt_window(d, z, pt)
     a4 = pt.mangoldt(n) if n <= z else 0.0
     return VaughanTerms(n, z, a1, a2, a3, a4)
+
+
+def mobius_values(pt: PrimeTable, n: np.ndarray) -> np.ndarray:
+    """mu(v) for every entry v of the 1-d integer array n, as int8.
+
+    One vectorized chase of the smallest-prime-factor table: each round
+    divides every live entry by its smallest prime factor, zeroes the
+    entries that factor divides twice and flips the sign of the rest.
+    Entries must lie in [1, limit].
+    """
+    n = np.asarray(n, dtype=np.int64)
+    if n.size and (n.min() < 1 or n.max() > pt.limit):
+        raise ValueError(f"mobius query outside table range [1, {pt.limit}]")
+    mu = np.ones(n.shape, dtype=np.int8)
+    idx = np.flatnonzero(n > 1)
+    rest = n[idx]
+    spf = pt.smallest_prime_factor
+    while idx.size:
+        p = spf[rest].astype(np.int64)
+        rest = rest // p
+        square = rest % p == 0
+        mu[idx[square]] = 0
+        mu[idx[~square]] *= -1
+        keep = ~square & (rest > 1)
+        idx, rest = idx[keep], rest[keep]
+    return mu
+
+
+def _log_table(top: int) -> np.ndarray:
+    # math.log, not np.log, because the oracles use math.log: np.log can
+    # differ in the last bit (for 54 integers up to 10^6 with numpy 2.4
+    # on x86-64, the first being 9170)
+    log = np.zeros(top + 1, dtype=np.float64)
+    log[1:] = np.fromiter(map(math.log, range(1, top + 1)), np.float64, count=top)
+    return log
+
+
+def _mangoldt_table(pt: PrimeTable, top: int, log: np.ndarray) -> np.ndarray:
+    lam = np.zeros(top + 1, dtype=np.float64)
+    p = np.flatnonzero(pt.smallest_prime_factor[: top + 1] == np.arange(top + 1))
+    p = p[p >= 2]
+    q = p
+    while p.size:
+        lam[q] = log[p]
+        keep = q <= top // p
+        p, q = p[keep], q[keep] * p[keep]
+    return lam
+
+
+def mangoldt_array(pt: PrimeTable, top: int) -> np.ndarray:
+    """Lambda(n) for 0 <= n <= top (index 0 holds 0), equal to pt.mangoldt."""
+    if not 1 <= top <= pt.limit:
+        raise ValueError(f"top = {top} outside table range [1, {pt.limit}]")
+    return _mangoldt_table(pt, top, _log_table(top))
+
+
+def _floor_at_most(x: float, top: int) -> int:
+    """The largest integer d <= x, capped at top."""
+    return top if x >= top else math.floor(x)
+
+
+@dataclass(frozen=True)
+class VaughanArrays:
+    """Every threshold-z Vaughan piece for all n <= top, indexed by n.
+
+    Index 0 is padding and holds 0.  Entry n of a1..a4 equals the field
+    of vaughan_terms(n, z, pt), entry n of mangoldt_tail and
+    mobius_mangoldt_window equals the function of that name, and log,
+    mobius and mangoldt hold math.log(n), pt.mobius(n) and
+    pt.mangoldt(n); every entry is bit-identical to its oracle.
+    """
+
+    z: float
+    log: np.ndarray
+    mobius: np.ndarray
+    mangoldt: np.ndarray
+    mangoldt_tail: np.ndarray
+    mobius_mangoldt_window: np.ndarray
+    a1: np.ndarray
+    a2: np.ndarray
+    a3: np.ndarray
+    a4: np.ndarray
+
+    @property
+    def total(self) -> np.ndarray:
+        return self.a1 + self.a2 + self.a3 + self.a4
+
+
+def vaughan_arrays(pt: PrimeTable, z: float, top: int) -> VaughanArrays:
+    """The four Vaughan pieces and their two coefficient sums for n <= top.
+
+    Each divisor sum is built by sieve-order accumulation: for each d in
+    ascending order the term for d is added to every multiple of d.  The
+    per-n oracles add their terms in that same ascending order, so each
+    entry comes out bit-identical.  A d whose coefficient is 0 is
+    skipped, since adding +-0.0 to a sum that started at +0.0 never
+    changes it.  Costs O(top log top) array work.
+    """
+    if not 1 <= top <= pt.limit:
+        raise ValueError(f"top = {top} outside table range [1, {pt.limit}]")
+    if not z > 0:
+        raise ValueError("threshold z must be positive")
+    zf = _floor_at_most(z, top)
+    zsqf = _floor_at_most(z * z, top)
+    n = np.arange(top + 1, dtype=np.int64)
+    log = _log_table(top)
+    mobius = np.zeros(top + 1, dtype=np.float64)
+    mobius[1:] = mobius_values(pt, n[1:])
+    mangoldt = _mangoldt_table(pt, top, log)
+
+    tail = np.zeros(top + 1, dtype=np.float64)
+    for d in np.flatnonzero(mangoldt[zf + 1 :]) + zf + 1:
+        tail[d::d] += mangoldt[d]
+    window = np.zeros(top + 1, dtype=np.float64)
+    short = np.flatnonzero(mobius[1 : zf + 1]) + 1
+    for d in short:
+        ms = n[1 : min(zf, top // d) + 1]
+        window[d * ms] += mobius[d] * mangoldt[ms]
+
+    a1 = np.zeros(top + 1, dtype=np.float64)
+    for d in short:
+        a1[d::d] += mobius[d] * log[1 : top // d + 1]
+    a2 = np.zeros(top + 1, dtype=np.float64)
+    for d in np.flatnonzero(mobius[zf + 1 : top // (zf + 1) + 1]) + zf + 1:
+        ms = n[zf + 1 : top // d + 1]
+        a2[d * ms] += mobius[d] * tail[ms]
+    a3 = np.zeros(top + 1, dtype=np.float64)
+    for d in np.flatnonzero(window[1 : zsqf + 1]) + 1:
+        a3[d::d] -= window[d]
+    a4 = np.zeros(top + 1, dtype=np.float64)
+    a4[: zf + 1] = mangoldt[: zf + 1]
+    return VaughanArrays(z, log, mobius, mangoldt, tail, window, a1, a2, a3, a4)

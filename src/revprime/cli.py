@@ -13,12 +13,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
+from . import __version__
 from .arith import build_table
 from .config import RunConfig, load_config, merge_overrides
 from .expsum import BoundReport
@@ -79,7 +80,7 @@ def _load_run_config(args) -> RunConfig:
 
 
 def _census_rows(cfg: RunConfig, args) -> list[CensusRecord]:
-    pt = build_table(cfg.sieve_limit, threads=cfg.threads)
+    pt = build_table(cfg.sieve_limit)
     rows = []
     for L in args.L:
         pairs = []
@@ -149,11 +150,15 @@ def cmd_census(args) -> int:
     return 0
 
 
-def _format_reports(cfg: RunConfig, suite: str, reports: list[BoundReport]) -> str:
+def _format_reports(
+    cfg: RunConfig, opts: SuiteOptions, suite: str, reports: list[BoundReport]
+) -> str:
     header = {
         "suite": suite,
         "config_hash": cfg.config_hash(),
         "rng_seed": cfg.rng_seed,
+        "options": asdict(opts),
+        "version": __version__,
         "reports": len(reports),
     }
     lines = [json.dumps(header, sort_keys=True, default=_json_default)]
@@ -182,7 +187,9 @@ def cmd_verify(args) -> int:
     except (UsageError, ValueError, OSError) as exc:
         sys.stderr.write(f"verify: error: {exc}\n")
         return 1
-    text = "".join(_format_reports(cfg, name, reports) for name, reports in chunks)
+    text = "".join(
+        _format_reports(cfg, opts, name, reports) for name, reports in chunks
+    )
     _emit(text, args.out)
     failed = [
         (name, r) for name, reports in chunks for r in reports if not r.passed

@@ -414,7 +414,13 @@ def _validate_l1(g: int, lam: int, k: int, delta: int) -> None:
 def l1_moment(
     es: ExpSumContext, lam: int, j: int, k: int, delta: int, a: int, beta: float
 ) -> float:
-    """Sum of |F((h + beta)/g^lam)| over h = a mod k*g^delta in [0, g^lam)."""
+    """Sum of |F((h + beta)/g^lam)| over h = a mod k*g^delta in [0, g^lam).
+
+    Position i depends only on h mod m with m = g^(lam-i), which along
+    the progression repeats with period m / gcd(step, m); that period
+    divides the point count, so each level is evaluated on one period
+    and tiled, as in F_grid_full.
+    """
     g = es.ctx.g
     _validate_l1(g, lam, k, delta)
     step = k * g**delta
@@ -425,8 +431,9 @@ def l1_moment(
     acc = np.ones(len(h), dtype=np.float64)
     for i in range(lam):
         m = g ** (lam - i)
-        u = np.mod(((h % m).astype(np.float64) + beta) / m, 1.0)
-        acc *= _phi_vec(tab[i], u) / g
+        period = m // math.gcd(step, m)
+        u = np.mod(((h[:period] % m).astype(np.float64) + beta) / m, 1.0)
+        acc *= np.tile(_phi_vec(tab[i], u) / g, len(h) // period)
     return float(acc.sum())
 
 

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .arith import PrimeTable, mangoldt_tail, mobius_mangoldt_window
+from .arith import PrimeTable, mangoldt_array, mobius_values, vaughan_arrays
 from .basedigits import dist, ilog
 from .expsum import BoundReport, CostBudgetError, ExpSumContext, make_report, sigma
 
@@ -218,19 +218,32 @@ def type_ii_bound_shape(es: ExpSumContext, p: TypeIIParams) -> float:
 
 def mobius_coefficients(pt: PrimeTable) -> Coefficients:
     def gen(n: np.ndarray) -> np.ndarray:
-        return np.array([pt.mobius(int(v)) for v in n], dtype=np.complex128)
+        return mobius_values(pt, n).astype(np.complex128)
 
     return gen
 
 
 def mangoldt_tail_coefficients(pt: PrimeTable, z: float, x: float) -> Coefficients:
-    """Above-threshold von Mangoldt tail scaled by 1/log x; bounded by 1 on [1, x]."""
+    """Above-threshold von Mangoldt tail scaled by 1/log x; bounded by 1 on [1, x].
+
+    The tail is tabulated up to the largest n asked for so far (a
+    prefix of the table over [1, x] is the table over a shorter range);
+    entries outside [1, x] raise.
+    """
+    top = math.floor(x)
     scale = 1.0 / math.log(x)
+    values = np.zeros(1, dtype=np.float64)
 
     def gen(n: np.ndarray) -> np.ndarray:
-        return np.array(
-            [mangoldt_tail(int(v), z, pt) * scale for v in n], dtype=np.complex128
-        )
+        nonlocal values
+        n = np.asarray(n, dtype=np.int64)
+        if n.size == 0:
+            return np.zeros(0, dtype=np.complex128)
+        if n.min() < 1 or n.max() > top:
+            raise ValueError(f"tail coefficients cover [1, {top}] only")
+        if n.max() >= values.size:
+            values = vaughan_arrays(pt, z, int(n.max())).mangoldt_tail * scale
+        return values[n].astype(np.complex128)
 
     return gen
 
@@ -384,21 +397,6 @@ class PrimeSumResult:
     ratio: float
 
 
-def _mangoldt_array(pt: PrimeTable, top: int) -> np.ndarray:
-    """Lambda(n) for 0 <= n <= top, filled from the prime list."""
-    lam = np.zeros(top + 1, dtype=np.float64)
-    for p in pt.primes:
-        p = int(p)
-        if p > top:
-            break
-        logp = math.log(p)
-        q = p
-        while q <= top:
-            lam[q] = logp
-            q *= p
-    return lam
-
-
 def _vaughan_route(
     es: ExpSumContext, L: int, x: float, z: float, pt: PrimeTable
 ) -> complex:
@@ -408,8 +406,8 @@ def _vaughan_route(
     a vectorized inner range, mirroring how the pieces are estimated.
     """
     top = math.floor(x)
-    lam = _mangoldt_array(pt, top)
-    mu = np.array([0, 1] + [pt.mobius(n) for n in range(2, top + 1)], dtype=np.float64)
+    va = vaughan_arrays(pt, z, top)
+    lam, mu, c2 = va.mangoldt, va.mobius, va.mangoldt_tail
     zsq = z * z
 
     def inner_phase(m: int, hi: int) -> np.ndarray:
@@ -424,9 +422,6 @@ def _vaughan_route(
         n = np.arange(1, hi + 1, dtype=np.int64)
         s1 += mu[m] * complex(np.sum(np.log(n) * inner_phase(m, hi)))
 
-    c2 = np.zeros(top + 1, dtype=np.float64)
-    for n in range(max(2, math.floor(z) + 1), top + 1):
-        c2[n] = mangoldt_tail(n, z, pt)
     s2 = 0j
     for m in range(math.floor(z) + 1, top + 1):
         if mu[m] == 0:
@@ -440,7 +435,7 @@ def _vaughan_route(
 
     s3 = 0j
     for m in range(1, min(math.floor(zsq), top) + 1):
-        w = mobius_mangoldt_window(m, z, pt)
+        w = va.mobius_mangoldt_window[m]
         if w == 0.0:
             continue
         hi = math.floor(x / m)
@@ -473,7 +468,7 @@ def prime_exp_sum(
     if x > X_BUDGET:
         raise CostBudgetError(f"x = {x} beyond enumeration budget {X_BUDGET}")
     top = math.floor(x)
-    lam = _mangoldt_array(pt, top)
+    lam = mangoldt_array(pt, top)
     n = np.arange(2, top + 1, dtype=np.int64)
     S = complex(np.sum(lam[n] * np.exp(2j * np.pi * _phases(es, L, n))))
     xi = ilog(x, g) // 4

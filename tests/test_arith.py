@@ -18,8 +18,11 @@ from revprime.arith import (
     PrimeTable,
     SieveBudgetError,
     build_table,
+    mangoldt_array,
     mangoldt_tail,
     mobius_mangoldt_window,
+    mobius_values,
+    vaughan_arrays,
     vaughan_terms,
 )
 
@@ -137,12 +140,6 @@ class TestSieve:
         with pytest.raises(ValueError):
             table.prime_count(LIMIT + 0.5 + 1)
 
-    def test_parallel_build_identical(self):
-        limit = 3 * 10**5
-        seq = build_table(limit)
-        par = build_table(limit, threads=4)
-        assert seq.smallest_prime_factor.tobytes() == par.smallest_prime_factor.tobytes()
-
     def test_budget_error(self):
         with pytest.raises(SieveBudgetError):
             build_table(DEFAULT_MAX_LIMIT + 1)
@@ -184,6 +181,18 @@ class TestCache:
         raw[5] ^= 0xFF  # version field
         path.write_bytes(bytes(raw))
         rebuilt = build_table(5000, cache_dir=str(tmp_path))
+        assert rebuilt.prime_count(5000) == 669
+        assert path.read_bytes() == pristine
+
+    def test_corrupt_payload_regenerates(self, tmp_path):
+        build_table(5000, cache_dir=str(tmp_path))
+        path = tmp_path / "spf_5000.bin"
+        pristine = path.read_bytes()
+        raw = bytearray(pristine)
+        raw[-4 * 4000] ^= 0x01  # spf[1001] = 7 becomes 6; the size is unchanged
+        path.write_bytes(bytes(raw))
+        rebuilt = build_table(5000, cache_dir=str(tmp_path))
+        assert rebuilt.smallest_prime_factor.tobytes() == build_table(5000).smallest_prime_factor.tobytes()
         assert rebuilt.prime_count(5000) == 669
         assert path.read_bytes() == pristine
 
@@ -280,3 +289,63 @@ class TestVaughan:
             vaughan_terms(LIMIT + 1, 2.0, table)
         with pytest.raises(ValueError):
             vaughan_terms(10, 0.0, table)
+
+
+def bits(values):
+    """Raw float64 bytes: equal only when every entry, sign of zero included, is equal."""
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+# thresholds: non-integers, z < 1, z = 1, and z^2 beyond any top drawn
+thresholds = st.one_of(
+    st.sampled_from([0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 60.0, 3000.0]),
+    st.floats(min_value=0.01, max_value=120.0, allow_nan=False),
+)
+
+
+class TestVaughanArrays:
+    @settings(max_examples=30, deadline=None)
+    @given(top=st.integers(1, 3000), z=thresholds)
+    def test_arrays_equal_oracles(self, table, top, z):
+        va = vaughan_arrays(table, z, top)
+        ns = range(1, top + 1)
+        terms = [vaughan_terms(n, z, table) for n in ns]
+        for field in ("a1", "a2", "a3", "a4", "total"):
+            assert bits(getattr(va, field)[1:]) == bits([getattr(t, field) for t in terms]), field
+        assert bits(va.mangoldt_tail[1:]) == bits([mangoldt_tail(n, z, table) for n in ns])
+        assert bits(va.mobius_mangoldt_window[1:]) == bits(
+            [mobius_mangoldt_window(n, z, table) for n in ns]
+        )
+        assert bits(va.mobius[1:]) == bits([table.mobius(n) for n in ns])
+        assert bits(va.mangoldt[1:]) == bits([table.mangoldt(n) for n in ns])
+        assert bits(va.log[1:]) == bits([math.log(n) for n in ns])
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(1, LIMIT), max_size=200), st.integers(1, LIMIT))
+    def test_tables_equal_scalar_queries(self, table, values, top):
+        assert mobius_values(table, np.array(values, dtype=np.int64)).tolist() == [
+            table.mobius(n) for n in values
+        ]
+        lam = mangoldt_array(table, top)
+        picks = [0, 1, top] + [v for v in values if v <= top]
+        assert bits(lam[picks]) == bits([0.0] + [table.mangoldt(n) for n in picks[1:]])
+
+    def test_log_table_is_math_log(self, table):
+        # reaches past 9170, where np.log and math.log part in the last bit
+        top = 10**4
+        log = vaughan_arrays(table, 10.0, top).log
+        assert bits(log[1:]) == bits([math.log(n) for n in range(1, top + 1)])
+
+    def test_validation(self, table):
+        with pytest.raises(ValueError):
+            vaughan_arrays(table, 2.0, 0)
+        with pytest.raises(ValueError):
+            vaughan_arrays(table, 2.0, LIMIT + 1)
+        with pytest.raises(ValueError):
+            vaughan_arrays(table, 0.0, 10)
+        with pytest.raises(ValueError):
+            mobius_values(table, np.array([0, 5]))
+        with pytest.raises(ValueError):
+            mobius_values(table, np.array([LIMIT + 1]))
+        with pytest.raises(ValueError):
+            mangoldt_array(table, 0)

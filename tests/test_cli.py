@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import revprime
 from revprime import cli
 from revprime.cli import main
 from revprime.config import (
@@ -164,6 +165,37 @@ class TestVerifyCommand:
         assert all(r["pass"] for r in reports)
         zs = {r["params"]["z"] for r in reports}
         assert 2.0 in zs and 50.0 in zs
+
+    def test_vaughan_limit_one_reports_zeros(self, tmp_path):
+        out = tmp_path / "v1.jsonl"
+        assert main(["verify", "vaughan", "--limit", "1", "--out", str(out)]) == 0
+        reports = [json.loads(l) for l in out.read_text().splitlines()[1:]]
+        assert len(reports) == 8
+        assert [r["params"]["z"] for r in reports[::2]] == [2.0, 5.0, 50.0, 1.0]
+        for r in reports:
+            assert r["lhs"] == 0.0 and r["ratio"] == 0.0 and r["pass"] is True
+        assert all(r["params"]["worst_n"] == 1 for r in reports[::2])
+
+    @pytest.mark.parametrize("limit", ["0", "-5"])
+    def test_vaughan_limit_below_one_is_usage_error(self, tmp_path, capsys, limit):
+        out = tmp_path / "v.jsonl"
+        assert main(["verify", "vaughan", "--limit", limit, "--out", str(out)]) == 1
+        assert "--limit must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_header_records_suite_options(self, tmp_path):
+        headers = {}
+        for label, extra in (("default", []), ("cases", ["--cases", "10"])):
+            out = tmp_path / f"{label}.jsonl"
+            assert main(["verify", "vdc", *extra, "--out", str(out)]) == 0
+            headers[label] = json.loads(out.read_text().splitlines()[0])
+        assert headers["default"]["options"] == {
+            "g": None, "lambda_max": None, "limit": None, "cases": None, "seed_family": None,
+        }
+        assert headers["cases"]["options"]["cases"] == 10
+        for header in headers.values():
+            assert header["version"] == revprime.__version__
+        assert headers["default"]["config_hash"] == headers["cases"]["config_hash"]
 
     def test_unknown_suite(self, capsys):
         assert main(["verify", "laplace"]) == 1

@@ -25,6 +25,7 @@ from revprime.expsum import (
     F_direct,
     F_grid_full,
     _dyadic_ladder,
+    _phi_vec,
     eta_tilde,
     expsum_context,
     gamma_coefficient,
@@ -642,7 +643,45 @@ class TestSumCleanup:
                         assert np.all(lhs <= rhs * (1 + 1e-9) + 1e-12)
 
 
+def l1_moment_per_point(es, lam, j, k, delta, a, beta):
+    """Reference: every level evaluated at every point of the progression."""
+    g = es.ctx.g
+    step = k * g**delta
+    a %= step
+    beta = beta % 1.0
+    h = np.arange(a, g**lam, step, dtype=np.int64)
+    tab = es.seed.frac_rows(j, lam)
+    acc = np.ones(len(h), dtype=np.float64)
+    for i in range(lam):
+        m = g ** (lam - i)
+        u = np.mod(((h % m).astype(np.float64) + beta) / m, 1.0)
+        acc *= _phi_vec(tab[i], u) / g
+    return float(acc.sum())
+
+
 class TestL1Moment:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        g=st.integers(2, 10),
+        lam=st.integers(1, 5),
+        j=st.integers(0, 3),
+        family=st.integers(0, 5),
+        rows_seed=st.integers(0, 2**32 - 1),
+        a=st.integers(0, 10**6),
+        beta=st.floats(-4.0, 4.0, allow_nan=False),
+    )
+    def test_level_sharing_equals_per_point(self, g, lam, j, family, rows_seed, a, beta):
+        es = expsum_context(seed_pool(g, np.random.default_rng(rows_seed))[family])
+        cells = [
+            (k, delta)
+            for delta in range(lam + 1)
+            for k in divisors(g ** (lam - delta))
+            if k % g
+        ]
+        for k, delta in cells:
+            got = l1_moment(es, lam, j, k, delta, a, beta)
+            assert got == l1_moment_per_point(es, lam, j, k, delta, a, beta), (k, delta)
+
     def test_flat_mass_concentrates(self):
         for g in (2, 3, 10):
             es = expsum_context(zero_seed(g))

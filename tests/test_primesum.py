@@ -158,6 +158,34 @@ class TestTypeII:
                     want += c * phase_of(seed, 5, m * n)
             assert abs(got - want) < 1e-8
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        lo=st.integers(1, 9000),
+        width=st.integers(0, 1000),
+        z=st.floats(0.5, 60.0, allow_nan=False),
+    )
+    def test_coefficient_generators_equal_scalar_oracles(self, table, lo, width, z):
+        x = 10**4
+        n = np.arange(lo, min(lo + width, x) + 1, dtype=np.int64)
+        mobius = ps.mobius_coefficients(table)(n)
+        assert mobius.dtype == np.complex128
+        assert mobius.tolist() == [complex(table.mobius(int(v))) for v in n]
+        gen = ps.mangoldt_tail_coefficients(table, z, x)
+        scale = 1.0 / math.log(x)
+        want = np.array([mangoldt_tail(int(v), z, table) * scale for v in n], dtype=np.complex128)
+        # a short first call, then one that extends the table
+        half = len(n) // 2
+        assert gen(n[:half]).tobytes() == want[:half].tobytes()
+        assert gen(n).tobytes() == want.tobytes()
+
+    def test_tail_coefficients_cover_one_to_x(self, table):
+        gen = ps.mangoldt_tail_coefficients(table, 5.0, 1000.5)
+        assert gen(np.array([1, 1000])).shape == (2,)
+        assert gen(np.array([], dtype=np.int64)).shape == (0,)
+        for bad in ([0], [1001]):
+            with pytest.raises(ValueError):
+                gen(np.array(bad))
+
     def test_unimodular_coefficients_deterministic(self):
         gen = ps.unimodular_coefficients(salt=7)
         n = np.arange(1, 500, dtype=np.int64)

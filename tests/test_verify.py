@@ -1,6 +1,10 @@
+import math
+
 import pytest
 
+from revprime.arith import build_table, mangoldt_tail, mobius_mangoldt_window, vaughan_terms
 from revprime.config import RunConfig
+from revprime.expsum import make_report
 from revprime.verify import (
     CALIBRATED,
     SUITES,
@@ -93,3 +97,41 @@ class TestCalibrate:
         ), "a tiny ceiling must trip the regression gate"
         table = calibrate(["hybrid"], crushing, opts)
         assert table["hybrid"] > 0
+
+
+def vaughan_recount(limit, sieve_limit):
+    """The vaughan suite's reports, recounted one n at a time from the oracles."""
+    pt = build_table(sieve_limit)
+    out = []
+    for z in (2.0, 5.0, 50.0, float(limit) ** 0.25):
+        worst, worst_n, cap_ratio = 0.0, 1, 0.0
+        for n in range(1, limit + 1):
+            gap = abs(vaughan_terms(n, z, pt).total - pt.mangoldt(n))
+            if gap > worst:
+                worst, worst_n = gap, n
+            if n >= 2:
+                ln = math.log(n)
+                cap_ratio = max(
+                    cap_ratio,
+                    mangoldt_tail(n, z, pt) / ln,
+                    abs(mobius_mangoldt_window(n, z, pt)) / ln,
+                )
+        out.append(make_report(worst, 1e-9, {"z": z, "limit": limit, "worst_n": worst_n}))
+        out.append(
+            make_report(cap_ratio, 1.0, {"z": z, "limit": limit, "form": "coefficient-cap"})
+        )
+    return out
+
+
+class TestVaughanSuite:
+    @pytest.mark.parametrize("limit", [1, 2, 2000])
+    def test_equals_scalar_recount(self, limit):
+        cfg = RunConfig()
+        got = run_suite("vaughan", cfg, SuiteOptions(limit=limit))
+        want = vaughan_recount(limit, cfg.sieve_limit)
+        assert [repr(r.to_dict()) for r in got] == [repr(r.to_dict()) for r in want]
+
+    @pytest.mark.parametrize("limit", [0, -5])
+    def test_limit_below_one_is_usage_error(self, limit):
+        with pytest.raises(UsageError, match="at least 1"):
+            run_suite("vaughan", RunConfig(), SuiteOptions(limit=limit))
