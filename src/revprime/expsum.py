@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -44,7 +43,6 @@ __all__ = [
     "phi",
     "F_direct",
     "F_abs_product",
-    "F_abs_grid",
     "F_grid_full",
     "gamma_i",
     "gamma_coefficient",
@@ -180,22 +178,20 @@ def make_report(lhs: float, rhs: float, params: dict | None = None) -> BoundRepo
     return BoundReport(lhs, rhs, ratio, dict(params or {}), passed)
 
 
-def _phi_row(row: np.ndarray, t: float) -> float:
-    """Magnitude of sum_d e(row[d] - t*d) for one weight row."""
-    g = len(row)
-    total = 0j
-    for d in range(g):
-        arg = TWO_PI * (row[d] - t * d)
-        total += complex(math.cos(arg), math.sin(arg))
-    return abs(total)
+def _phi_sums(rows: np.ndarray, t: float | np.ndarray) -> np.ndarray:
+    """Complex sums sum_d e(rows[..., d] - t*d), rows broadcast against t.
 
-
-def _phi_vec(row: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Vectorized _phi_row over an array of arguments."""
-    total = np.zeros(t.shape, dtype=np.complex128)
-    for d, w in enumerate(row):
-        total += np.exp(2j * np.pi * (w - t * d))
-    return np.abs(total)
+    The sums equal a scalar cos/sin loop bit for bit, but the magnitudes
+    do not: abs(complex) agrees with np.hypot, while np.abs rounds about
+    a third of them differently.  phi and F_abs_product take the hypot
+    magnitude and psi and the progression moments np.abs, because the
+    frozen reports and calibration constants pin each choice.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    total = np.zeros(np.broadcast_shapes(rows.shape[:-1], t.shape), dtype=np.complex128)
+    for d in range(rows.shape[-1]):
+        total += np.exp(2j * np.pi * (rows[..., d] - t * d))
+    return total
 
 
 def phi(es: ExpSumContext, i: int, j: int, beta: float) -> float:
@@ -206,7 +202,7 @@ def phi(es: ExpSumContext, i: int, j: int, beta: float) -> float:
     if i < 0 or j < 0:
         raise ValueError("position and shift must be nonnegative")
     row = es.seed.frac_rows(i + j, 1)[0]
-    return _phi_row(row, beta % 1.0)
+    return abs(complex(_phi_sums(row, beta % 1.0)))
 
 
 def _split26(x: float) -> tuple[float, float]:
@@ -216,6 +212,16 @@ def _split26(x: float) -> tuple[float, float]:
     t = c * x
     hi = t - (t - x)
     return hi, x - hi
+
+
+def _digit_phases(tab: np.ndarray, n: np.ndarray, g: int) -> np.ndarray:
+    """sum_i tab[i][digit i of n] for each entry of n; higher digits are ignored."""
+    rem = np.asarray(n, dtype=np.int64)
+    phase = np.zeros(rem.shape, dtype=np.float64)
+    for row in tab:
+        rem, d = np.divmod(rem, g)
+        phase += row[d]
+    return phase
 
 
 def F_direct(
@@ -240,86 +246,82 @@ def F_direct(
     bhi, blo = _split26(beta)
     total = 0.0 + 0.0j
     for start in range(0, n_total, _CHUNK):
-        stop = min(start + _CHUNK, n_total)
-        n = np.arange(start, stop, dtype=np.int64)
-        phase = np.zeros(stop - start, dtype=np.float64)
-        rem = n.copy()
-        for i in range(lam):
-            phase += tab[i][rem % g]
-            rem //= g
+        n = np.arange(start, min(start + _CHUNK, n_total), dtype=np.int64)
+        phase = _digit_phases(tab, n, g)
         nf = n.astype(np.float64)
         phase -= np.mod(bhi * nf, 1.0) + blo * nf
         total += complex(np.exp(2j * np.pi * phase).sum())
     return total / n_total
 
 
-def _dyadic_ladder(beta: float, count: int, g: int):
+def _dyadic_ladder(beta: float, count: int, g: int) -> np.ndarray:
     """Exact fractional parts of beta * g^i for i = 0..count-1.
 
     beta is a double, hence a dyadic rational; multiplying its numerator
-    by g modulo the denominator walks the ladder without precision loss.
+    by g modulo the denominator walks the ladder without precision loss,
+    and the int division rounds each rung once.
     """
-    num, den = Fraction(beta % 1.0).as_integer_ratio()
+    num, den = (beta % 1.0).as_integer_ratio()
     out = np.empty(count, dtype=np.float64)
     for i in range(count):
-        out[i] = float(Fraction(num, den))
+        out[i] = num / den
         num = (num * g) % den
     return out
 
 
-def F_abs_product(es: ExpSumContext, lam: int, j: int, beta: float) -> float:
+def F_abs_product(
+    es: ExpSumContext, lam: int, j: int, beta: float | np.ndarray
+) -> float | np.ndarray:
     """|F| via the position-product identity: one row sum per position.
 
-    Cost is lam*g regardless of g^lam, so windows of length 10^5 are fine.
+    Cost is lam*g per argument regardless of g^lam, so windows of length
+    10^5 are fine.  beta may be a scalar or an array (one |F| per entry).
     """
     if lam < 0 or j < 0:
         raise ValueError("window and shift must be nonnegative")
     g = es.ctx.g
     tab = es.seed.frac_rows(j, lam)
-    args = _dyadic_ladder(beta, lam, g)
-    acc = 1.0
-    for i in range(lam):
-        acc *= _phi_row(tab[i], args[i]) / g
-    return acc
+    betas = np.asarray(beta, dtype=np.float64)
+    args = np.empty((lam, betas.size), dtype=np.float64)
+    for col, b in enumerate(betas.ravel().tolist()):
+        args[:, col] = _dyadic_ladder(b, lam, g)
+    sums = _phi_sums(tab[:, None, :], args)
+    factors = np.hypot(sums.real, sums.imag) / g
+    acc = np.ones(betas.size, dtype=np.float64)
+    for row in factors:
+        acc *= row
+    if betas.ndim == 0:
+        return float(acc[0])
+    return acc.reshape(betas.shape)
 
 
-def F_abs_grid(es: ExpSumContext, lam: int, j: int, betas: np.ndarray) -> np.ndarray:
-    """Product-form |F| over an array of arguments.
+def _progression_abs(
+    es: ExpSumContext, lam: int, j: int, step: int, a: int, beta: float
+) -> np.ndarray:
+    """|F((h + beta)/g^lam)| for h = a, a + step, ... below g^lam.
 
-    Fast float path: arguments are scaled by g^i before reduction, so it
-    is meant for the moderate windows the sweep drivers use (g^lam well
-    inside the exact range of a double).
+    Position i depends only on h mod m with m = g^(lam-i), which along
+    the progression repeats with period m / gcd(step, m); that period
+    divides the point count, so each level is evaluated on one period
+    and tiled.  Offsets stay exact because the integer part is removed
+    with integer mods before any division.
     """
     g = es.ctx.g
+    beta = beta % 1.0
+    h = np.arange(a, g**lam, step, dtype=np.int64)
     tab = es.seed.frac_rows(j, lam)
-    betas = np.mod(np.asarray(betas, dtype=np.float64), 1.0)
-    acc = np.ones(betas.shape, dtype=np.float64)
-    scale = 1.0
+    acc = np.ones(len(h), dtype=np.float64)
     for i in range(lam):
-        acc *= _phi_vec(tab[i], np.mod(betas * scale, 1.0)) / g
-        scale *= g
+        m = g ** (lam - i)
+        period = m // math.gcd(step, m)
+        u = np.mod(((h[:period] % m).astype(np.float64) + beta) / m, 1.0)
+        acc *= np.tile(np.abs(_phi_sums(tab[i], u)) / g, len(h) // period)
     return acc
 
 
 def F_grid_full(es: ExpSumContext, lam: int, j: int, beta: float) -> np.ndarray:
-    """|F((h + beta)/g^lam)| for every h in [0, g^lam), in one pass.
-
-    Shares per-position factor arrays across all grid points: position i
-    only depends on h mod g^(lam-i), so each level is computed once and
-    tiled.  Offsets stay exact because the integer part is removed with
-    integer mods before any division.
-    """
-    g = es.ctx.g
-    n_total = g**lam
-    tab = es.seed.frac_rows(j, lam)
-    beta = beta % 1.0
-    res = np.ones(n_total, dtype=np.float64)
-    for i in range(lam):
-        m = g ** (lam - i)
-        u = np.mod((np.arange(m, dtype=np.float64) + beta) / m, 1.0)
-        level = _phi_vec(tab[i], u) / g
-        res *= np.tile(level, n_total // m)
-    return res
+    """|F((h + beta)/g^lam)| for every h in [0, g^lam), in one pass."""
+    return _progression_abs(es, lam, j, 1, 0, beta)
 
 
 def gamma_i(es: ExpSumContext, i: int, j: int) -> float:
@@ -392,8 +394,8 @@ def psi(es: ExpSumContext, i: int, t, R: int, S: int):
         u = (tarr + r) / (R * S)
         inner = np.zeros(tarr.shape, dtype=np.float64)
         for s in range(S):
-            inner += _phi_vec(rows[0], np.mod(u + s / S, 1.0))
-        total += _phi_vec(rows[1], np.mod(g * u, 1.0)) * inner
+            inner += np.abs(_phi_sums(rows[0], np.mod(u + s / S, 1.0)))
+        total += np.abs(_phi_sums(rows[1], np.mod(g * u, 1.0))) * inner
     total /= g * g
     if tarr.ndim == 0:
         return float(total)
@@ -414,27 +416,11 @@ def _validate_l1(g: int, lam: int, k: int, delta: int) -> None:
 def l1_moment(
     es: ExpSumContext, lam: int, j: int, k: int, delta: int, a: int, beta: float
 ) -> float:
-    """Sum of |F((h + beta)/g^lam)| over h = a mod k*g^delta in [0, g^lam).
-
-    Position i depends only on h mod m with m = g^(lam-i), which along
-    the progression repeats with period m / gcd(step, m); that period
-    divides the point count, so each level is evaluated on one period
-    and tiled, as in F_grid_full.
-    """
+    """Sum of |F((h + beta)/g^lam)| over h = a mod k*g^delta in [0, g^lam)."""
     g = es.ctx.g
     _validate_l1(g, lam, k, delta)
     step = k * g**delta
-    a %= step
-    beta = beta % 1.0
-    h = np.arange(a, g**lam, step, dtype=np.int64)
-    tab = es.seed.frac_rows(j, lam)
-    acc = np.ones(len(h), dtype=np.float64)
-    for i in range(lam):
-        m = g ** (lam - i)
-        period = m // math.gcd(step, m)
-        u = np.mod(((h[:period] % m).astype(np.float64) + beta) / m, 1.0)
-        acc *= np.tile(_phi_vec(tab[i], u) / g, len(h) // period)
-    return float(acc.sum())
+    return float(_progression_abs(es, lam, j, step, a % step, beta).sum())
 
 
 def l1_moment_bound(
@@ -456,9 +442,9 @@ def hybrid_sum(es: ExpSumContext, lam: int, j: int, M: float) -> float:
         raise ValueError("M must be at least 1")
     total = 0.0
     for m in range(math.ceil(M), math.ceil(2 * M)):
-        for k in range(m):
-            if math.gcd(k, m) == 1:
-                total += F_abs_product(es, lam, j, k / m)
+        ks = np.array([k for k in range(m) if math.gcd(k, m) == 1], dtype=np.int64)
+        for v in F_abs_product(es, lam, j, ks / m).tolist():
+            total += v
     return total
 
 

@@ -20,7 +20,14 @@ import numpy as np
 
 from .arith import PrimeTable, mangoldt_array, mobius_values, vaughan_arrays
 from .basedigits import dist, ilog
-from .expsum import BoundReport, CostBudgetError, ExpSumContext, make_report, sigma
+from .expsum import (
+    BoundReport,
+    CostBudgetError,
+    ExpSumContext,
+    _digit_phases,
+    make_report,
+    sigma,
+)
 
 __all__ = [
     "X_BUDGET",
@@ -56,19 +63,7 @@ def _phases(es: ExpSumContext, L: int, n: np.ndarray) -> np.ndarray:
     Entries are allowed to have more than L digits; the excess digits are
     ignored, matching the finite window of the phase function.
     """
-    g = es.ctx.g
-    rows = es.seed.frac_rows(0, L)
-    # weight of an all-zero digit tail starting at each level
-    zero_tail = np.concatenate([np.cumsum(rows[::-1, 0])[::-1], [0.0]])
-    m = np.asarray(n, dtype=np.int64)
-    vals = np.zeros(m.shape, dtype=np.float64)
-    for i in range(L):
-        if not m.any():
-            vals += zero_tail[i]
-            break
-        m, d = np.divmod(m, g)
-        vals += rows[i][d]
-    return vals
+    return _digit_phases(es.seed.frac_rows(0, L), n, es.ctx.g)
 
 
 @dataclass(frozen=True)

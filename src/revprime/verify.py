@@ -71,7 +71,8 @@ __all__ = [
 
 
 class UsageError(ValueError):
-    """Bad suite name or an option combination that empties the grid."""
+    """Bad suite name, an option below its minimum, or an option
+    combination that empties the grid."""
 
 
 @dataclass(frozen=True)
@@ -81,6 +82,17 @@ class SuiteOptions:
     limit: Optional[int] = None
     cases: Optional[int] = None
     seed_family: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        for name in ("lambda_max", "limit", "cases"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                flag = name.replace("_", "-")
+                raise UsageError(f"--{flag} must be at least 1, got {value}")
+
+
+def _or_default(value: Optional[int], default: int) -> int:
+    return default if value is None else value
 
 
 _STREAMS = {
@@ -147,11 +159,11 @@ def _direct_cap(g: int, lam_cap: int) -> int:
 
 def _suite_product_formula(cfg: RunConfig, opts: SuiteOptions) -> list[BoundReport]:
     gs = _pick_gs(opts, (2, 3, 10))
-    per_cell = opts.cases or 4
+    per_cell = _or_default(opts.cases, 4)
 
     def cell(g: int) -> list[BoundReport]:
         rng = make_rng(cfg, _STREAMS["product-formula"], g)
-        lam_max = _direct_cap(g, opts.lambda_max or 10)
+        lam_max = _direct_cap(g, _or_default(opts.lambda_max, 10))
         out = []
         for name, seed in _seed_pool(g, lam_max, rng, opts.seed_family):
             es = expsum_context(seed)
@@ -173,11 +185,11 @@ def _suite_product_formula(cfg: RunConfig, opts: SuiteOptions) -> list[BoundRepo
 
 def _suite_linf(cfg: RunConfig, opts: SuiteOptions) -> list[BoundReport]:
     gs = _pick_gs(opts, (2, 3, 10))
-    per_cell = opts.cases or 6
+    per_cell = _or_default(opts.cases, 6)
 
     def cell(g: int) -> list[BoundReport]:
         rng = make_rng(cfg, _STREAMS["linf"], g)
-        lam_max = opts.lambda_max or 10
+        lam_max = _or_default(opts.lambda_max, 10)
         out = []
         for name, seed in _seed_pool(g, lam_max, rng, opts.seed_family):
             es = expsum_context(seed)
@@ -210,11 +222,11 @@ def _valid_l1_cells(g: int, lam: int) -> list[tuple[int, int]]:
 
 def _suite_l1_moment(cfg: RunConfig, opts: SuiteOptions) -> list[BoundReport]:
     gs = _pick_gs(opts, (2, 6))
-    per_cell = opts.cases or 3
+    per_cell = _or_default(opts.cases, 3)
 
     def cell(g: int) -> list[BoundReport]:
         rng = make_rng(cfg, _STREAMS["l1-moment"], g)
-        lam_max = opts.lambda_max or 6
+        lam_max = _or_default(opts.lambda_max, 6)
         out = []
         for name, seed in _seed_pool(g, lam_max, rng, opts.seed_family):
             es = expsum_context(seed)
@@ -254,7 +266,7 @@ def _divisors_of(g: int) -> list[int]:
 
 def _suite_psi(cfg: RunConfig, opts: SuiteOptions) -> list[BoundReport]:
     gs = _pick_gs(opts, (2, 6, 10, 12))
-    per_cell = opts.cases or 100
+    per_cell = _or_default(opts.cases, 100)
 
     def cell(g: int) -> list[BoundReport]:
         rng = make_rng(cfg, _STREAMS["psi"], g)
@@ -300,7 +312,7 @@ def _suite_psi(cfg: RunConfig, opts: SuiteOptions) -> list[BoundReport]:
 
 
 def _suite_vdc(cfg: RunConfig, opts: SuiteOptions) -> list[BoundReport]:
-    total = opts.cases or 1000
+    total = _or_default(opts.cases, 1000)
     blocks = list(range(8))
 
     def cell(b: int) -> list[BoundReport]:
@@ -319,7 +331,7 @@ def _suite_vdc(cfg: RunConfig, opts: SuiteOptions) -> list[BoundReport]:
 
 
 def _suite_sin_sum(cfg: RunConfig, opts: SuiteOptions) -> list[BoundReport]:
-    total = opts.cases or 1000
+    total = _or_default(opts.cases, 1000)
     blocks = list(range(8))
 
     def cell(b: int) -> list[BoundReport]:
@@ -374,9 +386,7 @@ def _suite_truncation(cfg: RunConfig, opts: SuiteOptions) -> list[BoundReport]:
 
 
 def _suite_vaughan(cfg: RunConfig, opts: SuiteOptions) -> list[BoundReport]:
-    limit = 10_000 if opts.limit is None else opts.limit
-    if limit < 1:
-        raise UsageError(f"--limit must be at least 1, got {limit}")
+    limit = _or_default(opts.limit, 10_000)
     if limit > cfg.sieve_limit:
         raise UsageError(f"--limit {limit} exceeds sieve_limit {cfg.sieve_limit}")
     pt = build_table(cfg.sieve_limit)
@@ -405,7 +415,7 @@ def _suite_monotonicity(cfg: RunConfig, opts: SuiteOptions) -> list[BoundReport]
 
     def cell(g: int) -> list[BoundReport]:
         rng = make_rng(cfg, _STREAMS["monotonicity"], g)
-        lam_max = opts.lambda_max or 12
+        lam_max = _or_default(opts.lambda_max, 12)
         cap = gamma_upper_bound(g)
         out = []
         for name, seed in _seed_pool(g, lam_max, rng, opts.seed_family):

@@ -183,6 +183,21 @@ class TestVerifyCommand:
         assert "--limit must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["vdc", "--cases", "0"],
+            ["vdc", "--cases", "-3"],
+            ["linf", "--g", "2", "--lambda-max", "0"],
+        ],
+    )
+    def test_count_options_below_one_are_usage_errors(self, tmp_path, capsys, argv):
+        # 0 is a value, not "absent": it must not fall back to the default
+        out = tmp_path / "r.jsonl"
+        assert main(["verify", *argv, "--out", str(out)]) == 1
+        assert f"{argv[-2]} must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_header_records_suite_options(self, tmp_path):
         headers = {}
         for label, extra in (("default", []), ("cases", ["--cases", "10"])):

@@ -20,12 +20,13 @@ from revprime.expsum import (
     CostBudgetError,
     ExplicitConstants,
     ExpSumContext,
-    F_abs_grid,
     F_abs_product,
     F_direct,
     F_grid_full,
+    _digit_phases,
     _dyadic_ladder,
-    _phi_vec,
+    _phi_sums,
+    _split26,
     eta_tilde,
     expsum_context,
     gamma_coefficient,
@@ -282,11 +283,11 @@ class TestProductFormula:
         for g in (2, 3, 10):
             for s in seed_pool(g, rng):
                 es = expsum_context(s)
-                betas = rng.random(40)
-                grid = F_abs_grid(es, 6, 1, betas)
-                for b, v in zip(betas, grid):
-                    want = F_abs_product(es, 6, 1, float(b))
-                    assert v == pytest.approx(want, rel=1e-8, abs=1e-8)
+                betas = rng.random((5, 8))
+                grid = F_abs_product(es, 6, 1, betas)
+                assert grid.shape == betas.shape
+                for b, v in zip(betas.ravel(), grid.ravel()):
+                    assert v == F_abs_product(es, 6, 1, float(b))
 
     def test_full_grid_matches_direct(self):
         rng = np.random.default_rng(4)
@@ -655,7 +656,7 @@ def l1_moment_per_point(es, lam, j, k, delta, a, beta):
     for i in range(lam):
         m = g ** (lam - i)
         u = np.mod(((h % m).astype(np.float64) + beta) / m, 1.0)
-        acc *= _phi_vec(tab[i], u) / g
+        acc *= np.abs(_phi_sums(tab[i], u)) / g
     return float(acc.sum())
 
 
@@ -805,6 +806,111 @@ class TestHybrid:
             hybrid_sum(es, 3, 0, 0.5)
         with pytest.raises(ValueError):
             hybrid_bound_shape(es, 3, 0, 0.5)
+
+
+def bits(values):
+    """Raw float64 bytes: equal only when every entry is bit-identical."""
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def product_oracle(es, lam, j, beta):
+    """Scalar |F|: a Fraction ladder and a cos/sin sum at each position."""
+    g = es.ctx.g
+    tab = es.seed.frac_rows(j, lam)
+    num, den = Fraction(beta % 1.0).as_integer_ratio()
+    acc = 1.0
+    for i in range(lam):
+        t = float(Fraction(num, den))
+        total = 0j
+        for d in range(g):
+            arg = 2.0 * math.pi * (tab[i][d] - t * d)
+            total += complex(math.cos(arg), math.sin(arg))
+        acc *= abs(total) / g
+        num = (num * g) % den
+    return acc
+
+
+def hybrid_oracle(es, lam, j, M):
+    """One scalar product per Farey point k/m, m in [M, 2M), added in order."""
+    total = 0.0
+    for m in range(math.ceil(M), math.ceil(2 * M)):
+        for k in range(m):
+            if math.gcd(k, m) == 1:
+                total += product_oracle(es, lam, j, k / m)
+    return total
+
+
+def digit_phase_oracle(tab, values, g):
+    """Per-integer loop over the rows of tab, one digit per row."""
+    out = []
+    for v in values:
+        total = 0.0
+        for row in tab:
+            v, d = divmod(v, g)
+            total += row[d]
+        out.append(total)
+    return out
+
+
+def direct_oracle(es, lam, j, beta):
+    """F_direct for one chunk, its phases taken from the per-integer loop."""
+    g = es.ctx.g
+    n = np.arange(g**lam, dtype=np.int64)
+    phase = np.array(digit_phase_oracle(es.seed.frac_rows(j, lam), n.tolist(), g))
+    bhi, blo = _split26(beta % 1.0)
+    nf = n.astype(np.float64)
+    phase -= np.mod(bhi * nf, 1.0) + blo * nf
+    return (0.0 + 0.0j + complex(np.exp(2j * np.pi * phase).sum())) / g**lam
+
+
+pool_case = dict(
+    g=st.integers(2, 10),
+    j=st.integers(0, 3),
+    family=st.integers(0, 5),
+    rows_seed=st.integers(0, 2**32 - 1),
+)
+
+
+def pool_context(g, family, rows_seed):
+    return expsum_context(seed_pool(g, np.random.default_rng(rows_seed))[family])
+
+
+class TestScalarOracles:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lam=st.integers(0, 8),
+        betas=st.lists(st.floats(-4.0, 4.0, allow_nan=False), max_size=6),
+        **pool_case,
+    )
+    def test_product_array_equals_scalar_calls(self, g, lam, j, family, rows_seed, betas):
+        es = pool_context(g, family, rows_seed)
+        got = F_abs_product(es, lam, j, np.array(betas, dtype=np.float64))
+        each = [F_abs_product(es, lam, j, b) for b in betas]
+        want = [product_oracle(es, lam, j, b) for b in betas]
+        assert bits(got) == bits(each) == bits(want)
+        single = [product_oracle(es, 1, j, b) for b in betas]
+        assert bits([phi(es, 0, j, b) / g for b in betas]) == bits(single)
+
+    @settings(max_examples=30, deadline=None)
+    @given(lam=st.integers(0, 6), M=st.floats(1.0, 12.0), **pool_case)
+    def test_hybrid_equals_farey_loop(self, g, lam, j, family, rows_seed, M):
+        es = pool_context(g, family, rows_seed)
+        assert bits(hybrid_sum(es, lam, j, M)) == bits(hybrid_oracle(es, lam, j, M))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lam=st.integers(0, 4),
+        beta=st.floats(-4.0, 4.0, allow_nan=False),
+        **pool_case,
+    )
+    def test_digit_phases_equal_digit_loop(self, g, lam, j, family, rows_seed, beta):
+        es = pool_context(g, family, rows_seed)
+        tab = es.seed.frac_rows(j, lam)
+        # past g^lam the entries carry digits the window ignores
+        n = np.arange(g**lam + 3 * g)
+        assert bits(_digit_phases(tab, n, g)) == bits(digit_phase_oracle(tab, n.tolist(), g))
+        got = np.complex128(F_direct(es, lam, j, beta))
+        assert got.tobytes() == np.complex128(direct_oracle(es, lam, j, beta)).tobytes()
 
 
 class TestSpacedPoints:

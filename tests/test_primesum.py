@@ -51,6 +51,35 @@ def brute_type_i(seed, L, x, M):
     return total
 
 
+def digit_loop_phases(seed, L, values):
+    """Per-integer loop over the reduced weight rows, one digit per row."""
+    rows = seed.frac_rows(0, L)
+    out = []
+    for v in values:
+        total = 0.0
+        for row in rows:
+            v, d = divmod(v, seed.base)
+            total += row[d]
+        out.append(total)
+    return np.array(out)
+
+
+def zero_tail_phases(seed, L, values):
+    """The loop with an early exit: once every entry runs out of digits,
+    the digit-0 weights of the remaining rows are added as one suffix sum."""
+    rows = seed.frac_rows(0, L)
+    zero_tail = np.concatenate([np.cumsum(rows[::-1, 0])[::-1], [0.0]])
+    m = np.asarray(values, dtype=np.int64)
+    vals = np.zeros(m.shape, dtype=np.float64)
+    for i in range(L):
+        if not m.any():
+            vals += zero_tail[i]
+            break
+        m, d = np.divmod(m, seed.base)
+        vals += rows[i][d]
+    return vals
+
+
 class TestPhases:
     @settings(max_examples=120, deadline=None)
     @given(
@@ -62,6 +91,29 @@ class TestPhases:
             es = expsum_context(seed)
             got = np.exp(2j * np.pi * ps._phases(es, 9, np.array([n])))[0]
             assert abs(got - phase_of(seed, 9, n)) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 10]),
+        st.integers(min_value=1, max_value=16),
+        # short entries: every one runs out of digits inside the window
+        st.lists(st.integers(min_value=0, max_value=10**4), max_size=8),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_equals_digit_loop(self, g, L, values, rows_seed):
+        rng = np.random.default_rng(rows_seed)
+        table = table_seed(g, rng.random((3, g)))
+        assert table.frac_rows(0, L)[:, 0].any()
+        n = np.array(values, dtype=np.int64)
+        for seed in (zero_seed(g), sod_seed(g, 0.37), reverse_seed(g, 9, 0.73), table):
+            got = ps._phases(expsum_context(seed), L, n)
+            assert got.tobytes() == digit_loop_phases(seed, L, values).tobytes()
+            early = zero_tail_phases(seed, L, n)
+            if seed.frac_rows(0, L)[:, 0].any():
+                # the suffix sum adds the same weights in another order
+                assert np.allclose(got, early, rtol=0, atol=1e-12)
+            else:
+                assert got.tobytes() == early.tobytes()
 
     def test_short_window_ignores_high_digits(self):
         es = expsum_context(sod_seed(10, 0.25))
