@@ -234,6 +234,16 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sieve-limit", type=int, default=None, help="sieve table size")
 
 
+def _add_suite_options(p: argparse.ArgumentParser) -> None:
+    """The SuiteOptions flags, then the common ones."""
+    p.add_argument("--g", type=int, default=None)
+    p.add_argument("--lambda-max", type=int, default=None, dest="lambda_max")
+    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--cases", type=int, default=None)
+    p.add_argument("--seed-family", default=None, dest="seed_family")
+    _add_common(p)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="revprime", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -250,22 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run inequality verifier suites")
     ver.add_argument("suite", nargs="+", help="suite names")
-    ver.add_argument("--g", type=int, default=None)
-    ver.add_argument("--lambda-max", type=int, default=None, dest="lambda_max")
-    ver.add_argument("--limit", type=int, default=None)
-    ver.add_argument("--cases", type=int, default=None)
-    ver.add_argument("--seed-family", default=None, dest="seed_family")
-    _add_common(ver)
+    _add_suite_options(ver)
     ver.set_defaults(func=cmd_verify)
 
     cal = sub.add_parser("calibrate", help="measure implicit-constant ratios")
     cal.add_argument("suite", nargs="*", help="calibrated suite names (default: all)")
-    cal.add_argument("--g", type=int, default=None)
-    cal.add_argument("--lambda-max", type=int, default=None, dest="lambda_max")
-    cal.add_argument("--limit", type=int, default=None)
-    cal.add_argument("--cases", type=int, default=None)
-    cal.add_argument("--seed-family", default=None, dest="seed_family")
-    _add_common(cal)
+    _add_suite_options(cal)
     cal.set_defaults(func=cmd_calibrate)
 
     return parser

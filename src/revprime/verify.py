@@ -1,8 +1,11 @@
 """Verifier suites: replayable inequality sweeps over declared grids.
 
-Each suite draws its randomness from a stream keyed by (rng_seed, suite
-id, cell index), so reports come out byte-identical no matter how cells
-are spread over threads.  Suites with an implicit constant additionally
+SUITES registers each suite as its RNG stream id, a cells() that returns
+its declared grid after the options' filters, and a cell() that returns
+one cell's reports; run_suite alone maps the cells over threads.  Each
+cell draws its randomness from a stream keyed by (rng_seed, suite id,
+cell key), so reports come out byte-identical no matter how cells are
+spread over threads.  Suites with an implicit constant additionally
 tag every report with a dimensionless cal_ratio; calibrate() collects
 the maxima, and later runs with a stored ceiling in RunConfig.c_cal
 check the ratios against it as a regression gate.
@@ -13,7 +16,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -63,6 +66,7 @@ from .seeds import Seed, reverse_seed, sod_seed, table_seed, zero_seed
 __all__ = [
     "UsageError",
     "SuiteOptions",
+    "Suite",
     "SUITES",
     "CALIBRATED",
     "run_suite",
@@ -95,31 +99,47 @@ def _or_default(value: Optional[int], default: int) -> int:
     return default if value is None else value
 
 
-_STREAMS = {
-    "product-formula": 1,
-    "linf": 2,
-    "l1-moment": 3,
-    "psi": 4,
-    "vdc": 5,
-    "sin-sum": 6,
-    "truncation": 7,
-    "vaughan": 8,
-    "monotonicity": 9,
-    "type-i": 10,
-    "type-ii": 11,
-    "prime-exp-sum": 12,
-    "hybrid": 13,
-}
+def _grid(grid: tuple) -> Callable[[RunConfig, SuiteOptions], dict]:
+    """cells() of a declared grid whose cells are bases or tuples led by one.
 
-_FAMILY_NAMES = ("zero", "sod", "reverse", "table")
+    The cells are keyed by base, which is also their RNG key, and cut to
+    --g when it is given.
+    """
+
+    def cells(cfg: RunConfig, opts: SuiteOptions) -> dict:
+        picked = {c if isinstance(c, int) else c[0]: c for c in grid}
+        if opts.g is None:
+            return picked
+        if opts.g not in picked:
+            raise UsageError(f"--g {opts.g} is outside the declared grid {tuple(picked)}")
+        return {opts.g: picked[opts.g]}
+
+    return cells
 
 
-def _pick_gs(opts: SuiteOptions, default: tuple[int, ...]) -> list[int]:
-    if opts.g is None:
-        return list(default)
-    if opts.g not in default:
-        raise UsageError(f"--g {opts.g} is outside the declared grid {default}")
-    return [opts.g]
+def _sieved(cells: Callable[[RunConfig, SuiteOptions], dict]) -> Callable:
+    """cells() that builds the suite's one sieve table, after the grid's
+    checks pass, and hands it to every cell as (table, cell)."""
+
+    def sieved(cfg: RunConfig, opts: SuiteOptions) -> dict:
+        picked = cells(cfg, opts)
+        pt = build_table(cfg.sieve_limit)
+        return {key: (pt, cell) for key, cell in picked.items()}
+
+    return sieved
+
+
+def _pick_seeds(pool: list[tuple[str, Any]], which: Optional[str]) -> list[tuple[str, Any]]:
+    """The (family, seed) entries of family `which`; all of them when None."""
+    if which is None:
+        return pool
+    picked = [p for p in pool if p[0] == which]
+    if not picked:
+        names = ", ".join(dict.fromkeys(name for name, _ in pool))
+        raise UsageError(
+            f"seed family {which!r} empties the declared grid; this suite draws {names}"
+        )
+    return picked
 
 
 def _seed_pool(
@@ -132,11 +152,13 @@ def _seed_pool(
         ("reverse", reverse_seed(g, max(window, 2), 0.73)),
         ("table", table_seed(g, rows)),
     ]
-    if which is None:
-        return pool
-    if which not in _FAMILY_NAMES:
-        raise UsageError(f"unknown seed family {which!r}")
-    return [p for p in pool if p[0] == which]
+    return _pick_seeds(pool, which)
+
+
+def _blocks(cfg: RunConfig, opts: SuiteOptions) -> dict[int, int]:
+    """--cases (default 1000) split over eight blocks, the first ones one larger."""
+    total = _or_default(opts.cases, 1000)
+    return {b: total // 8 + (b < total % 8) for b in range(8)}
 
 
 def _map_cells(fn: Callable, cells: list, threads: int) -> list:
@@ -146,10 +168,6 @@ def _map_cells(fn: Callable, cells: list, threads: int) -> list:
         return list(pool.map(fn, cells))
 
 
-def _flatten(chunks: list[list[BoundReport]]) -> list[BoundReport]:
-    return [r for chunk in chunks for r in chunk]
-
-
 def _direct_cap(g: int, lam_cap: int) -> int:
     lam = 1
     while lam < lam_cap and g ** (lam + 1) <= (1 << 20):
@@ -157,56 +175,44 @@ def _direct_cap(g: int, lam_cap: int) -> int:
     return lam
 
 
-def _suite_product_formula(cfg: RunConfig, opts: SuiteOptions) -> list[BoundReport]:
-    gs = _pick_gs(opts, (2, 3, 10))
+def _product_formula(cfg: RunConfig, opts: SuiteOptions, rng, g: int) -> list[BoundReport]:
     per_cell = _or_default(opts.cases, 4)
+    lam_max = _direct_cap(g, _or_default(opts.lambda_max, 10))
+    out = []
+    for name, seed in _seed_pool(g, lam_max, rng, opts.seed_family):
+        es = expsum_context(seed)
+        for lam in range(1, lam_max + 1):
+            for beta in rng.random(per_cell):
+                direct = abs(F_direct(es, lam, 0, float(beta)))
+                prod = F_abs_product(es, lam, 0, float(beta))
+                out.append(
+                    make_report(
+                        abs(direct - prod),
+                        1e-10,
+                        {"g": g, "family": name, "lam": lam, "beta": float(beta)},
+                    )
+                )
+    return out
 
-    def cell(g: int) -> list[BoundReport]:
-        rng = make_rng(cfg, _STREAMS["product-formula"], g)
-        lam_max = _direct_cap(g, _or_default(opts.lambda_max, 10))
-        out = []
-        for name, seed in _seed_pool(g, lam_max, rng, opts.seed_family):
-            es = expsum_context(seed)
-            for lam in range(1, lam_max + 1):
+
+def _linf(cfg: RunConfig, opts: SuiteOptions, rng, g: int) -> list[BoundReport]:
+    per_cell = _or_default(opts.cases, 6)
+    lam_max = _or_default(opts.lambda_max, 10)
+    out = []
+    for name, seed in _seed_pool(g, lam_max, rng, opts.seed_family):
+        es = expsum_context(seed)
+        for lam in range(1, lam_max + 1):
+            for j in (0, 2):
+                ceiling = g ** (1 / 20) * g ** -sigma(es, lam, j)
                 for beta in rng.random(per_cell):
-                    direct = abs(F_direct(es, lam, 0, float(beta)))
-                    prod = F_abs_product(es, lam, 0, float(beta))
                     out.append(
                         make_report(
-                            abs(direct - prod),
-                            1e-10,
-                            {"g": g, "family": name, "lam": lam, "beta": float(beta)},
+                            F_abs_product(es, lam, j, float(beta)),
+                            ceiling,
+                            {"g": g, "family": name, "lam": lam, "j": j},
                         )
                     )
-        return out
-
-    return _flatten(_map_cells(cell, gs, cfg.threads))
-
-
-def _suite_linf(cfg: RunConfig, opts: SuiteOptions) -> list[BoundReport]:
-    gs = _pick_gs(opts, (2, 3, 10))
-    per_cell = _or_default(opts.cases, 6)
-
-    def cell(g: int) -> list[BoundReport]:
-        rng = make_rng(cfg, _STREAMS["linf"], g)
-        lam_max = _or_default(opts.lambda_max, 10)
-        out = []
-        for name, seed in _seed_pool(g, lam_max, rng, opts.seed_family):
-            es = expsum_context(seed)
-            for lam in range(1, lam_max + 1):
-                for j in (0, 2):
-                    ceiling = g ** (1 / 20) * g ** -sigma(es, lam, j)
-                    for beta in rng.random(per_cell):
-                        out.append(
-                            make_report(
-                                F_abs_product(es, lam, j, float(beta)),
-                                ceiling,
-                                {"g": g, "family": name, "lam": lam, "j": j},
-                            )
-                        )
-        return out
-
-    return _flatten(_map_cells(cell, gs, cfg.threads))
+    return out
 
 
 def _valid_l1_cells(g: int, lam: int) -> list[tuple[int, int]]:
@@ -220,243 +226,209 @@ def _valid_l1_cells(g: int, lam: int) -> list[tuple[int, int]]:
     return cells
 
 
-def _suite_l1_moment(cfg: RunConfig, opts: SuiteOptions) -> list[BoundReport]:
-    gs = _pick_gs(opts, (2, 6))
+def _l1_moment(cfg: RunConfig, opts: SuiteOptions, rng, g: int) -> list[BoundReport]:
     per_cell = _or_default(opts.cases, 3)
-
-    def cell(g: int) -> list[BoundReport]:
-        rng = make_rng(cfg, _STREAMS["l1-moment"], g)
-        lam_max = _or_default(opts.lambda_max, 6)
-        out = []
-        for name, seed in _seed_pool(g, lam_max, rng, opts.seed_family):
-            es = expsum_context(seed)
-            eta = es.constants.eta_tilde
-            for lam in range(1, lam_max + 1):
-                pure = l1_moment(es, lam, 0, 1, 0, 0, 0.0)
-                out.append(
-                    make_report(
-                        pure,
-                        g ** (eta * lam + 1),
-                        {"g": g, "family": name, "lam": lam, "form": "pure"},
-                    )
+    lam_max = _or_default(opts.lambda_max, 6)
+    out = []
+    for name, seed in _seed_pool(g, lam_max, rng, opts.seed_family):
+        es = expsum_context(seed)
+        eta = es.constants.eta_tilde
+        for lam in range(1, lam_max + 1):
+            pure = l1_moment(es, lam, 0, 1, 0, 0, 0.0)
+            out.append(
+                make_report(
+                    pure,
+                    g ** (eta * lam + 1),
+                    {"g": g, "family": name, "lam": lam, "form": "pure"},
                 )
-                for k, delta in _valid_l1_cells(g, lam):
-                    a = int(rng.integers(0, k * g**delta))
-                    for beta in rng.random(per_cell):
-                        lhs = l1_moment(es, lam, 0, k, delta, a, float(beta))
-                        rhs = l1_moment_bound(es, lam, 0, k, delta, a, float(beta))
-                        out.append(
-                            make_report(
-                                lhs,
-                                rhs,
-                                {
-                                    "g": g, "family": name, "lam": lam,
-                                    "k": k, "delta": delta, "form": "progression",
-                                },
-                            )
+            )
+            for k, delta in _valid_l1_cells(g, lam):
+                a = int(rng.integers(0, k * g**delta))
+                for beta in rng.random(per_cell):
+                    lhs = l1_moment(es, lam, 0, k, delta, a, float(beta))
+                    rhs = l1_moment_bound(es, lam, 0, k, delta, a, float(beta))
+                    out.append(
+                        make_report(
+                            lhs,
+                            rhs,
+                            {
+                                "g": g, "family": name, "lam": lam,
+                                "k": k, "delta": delta, "form": "progression",
+                            },
                         )
-        return out
-
-    return _flatten(_map_cells(cell, gs, cfg.threads))
+                    )
+    return out
 
 
 def _divisors_of(g: int) -> list[int]:
     return [d for d in range(1, g + 1) if g % d == 0]
 
 
-def _suite_psi(cfg: RunConfig, opts: SuiteOptions) -> list[BoundReport]:
-    gs = _pick_gs(opts, (2, 6, 10, 12))
+def _psi(cfg: RunConfig, opts: SuiteOptions, rng, g: int) -> list[BoundReport]:
     per_cell = _or_default(opts.cases, 100)
-
-    def cell(g: int) -> list[BoundReport]:
-        rng = make_rng(cfg, _STREAMS["psi"], g)
-        eta = eta_tilde(g)
-        out = []
-        for name, seed in _seed_pool(g, 8, rng, opts.seed_family):
-            es = expsum_context(seed)
-            for i in (0, 1):
-                ts = rng.random(per_cell) * 3
-                for R in _divisors_of(g):
-                    if R < 2:
-                        continue
-                    for S in _divisors_of(g):
-                        tag = {"g": g, "family": name, "i": i, "R": R, "S": S}
-                        vals = psi(es, i, ts, R, S)
-                        if S != g and math.gcd(R, g // S) == 1:
-                            out.append(
-                                make_report(
-                                    float(np.max(vals**2)),
-                                    (2 / 3) * R * S,
-                                    dict(tag, form="partial-depth"),
-                                )
+    eta = eta_tilde(g)
+    out = []
+    for name, seed in _seed_pool(g, 8, rng, opts.seed_family):
+        es = expsum_context(seed)
+        for i in (0, 1):
+            ts = rng.random(per_cell) * 3
+            for R in _divisors_of(g):
+                if R < 2:
+                    continue
+                for S in _divisors_of(g):
+                    tag = {"g": g, "family": name, "i": i, "R": R, "S": S}
+                    vals = psi(es, i, ts, R, S)
+                    if S != g and math.gcd(R, g // S) == 1:
+                        out.append(
+                            make_report(
+                                float(np.max(vals**2)),
+                                (2 / 3) * R * S,
+                                dict(tag, form="partial-depth"),
                             )
-                        if S == g:
-                            out.append(
-                                make_report(
-                                    float(np.max(vals**2)),
-                                    R * g * (1 - theta_i(es, i)),
-                                    dict(tag, form="full-depth"),
-                                )
+                        )
+                    if S == g:
+                        out.append(
+                            make_report(
+                                float(np.max(vals**2)),
+                                R * g * (1 - theta_i(es, i)),
+                                dict(tag, form="full-depth"),
                             )
-                        if math.gcd(R, g // S) == 1:
-                            out.append(
-                                make_report(
-                                    float(np.max(vals)),
-                                    (R * S) ** eta,
-                                    dict(tag, form="eta-power"),
-                                )
+                        )
+                    if math.gcd(R, g // S) == 1:
+                        out.append(
+                            make_report(
+                                float(np.max(vals)),
+                                (R * S) ** eta,
+                                dict(tag, form="eta-power"),
                             )
-        return out
-
-    return _flatten(_map_cells(cell, gs, cfg.threads))
-
-
-def _suite_vdc(cfg: RunConfig, opts: SuiteOptions) -> list[BoundReport]:
-    total = _or_default(opts.cases, 1000)
-    blocks = list(range(8))
-
-    def cell(b: int) -> list[BoundReport]:
-        rng = make_rng(cfg, _STREAMS["vdc"], b)
-        out = []
-        count = total // len(blocks) + (b < total % len(blocks))
-        for _ in range(count):
-            n = int(rng.integers(1, 201))
-            r = int(rng.integers(1, 21))
-            z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            lhs, rhs = vdc_lhs_rhs(z, r)
-            out.append(make_report(lhs, rhs, {"N": n, "R": r}))
-        return out
-
-    return _flatten(_map_cells(cell, blocks, cfg.threads))
+                        )
+    return out
 
 
-def _suite_sin_sum(cfg: RunConfig, opts: SuiteOptions) -> list[BoundReport]:
-    total = _or_default(opts.cases, 1000)
-    blocks = list(range(8))
+def _vdc(cfg: RunConfig, opts: SuiteOptions, rng, count: int) -> list[BoundReport]:
+    out = []
+    for _ in range(count):
+        n = int(rng.integers(1, 201))
+        r = int(rng.integers(1, 21))
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        lhs, rhs = vdc_lhs_rhs(z, r)
+        out.append(make_report(lhs, rhs, {"N": n, "R": r}))
+    return out
 
-    def cell(b: int) -> list[BoundReport]:
-        rng = make_rng(cfg, _STREAMS["sin-sum"], b)
-        out = []
-        count = total // len(blocks) + (b < total % len(blocks))
-        for _ in range(count):
-            a = int(rng.integers(-1000, 1001))
-            m = int(rng.integers(1, 501))
-            b_shift = float(rng.uniform(-3, 3))
-            cap = float(rng.uniform(0.1, 1000))
-            out.append(sin_sum_check(a, m, b_shift, cap))
-        return out
 
-    return _flatten(_map_cells(cell, blocks, cfg.threads))
+def _sin_sum(cfg: RunConfig, opts: SuiteOptions, rng, count: int) -> list[BoundReport]:
+    out = []
+    for _ in range(count):
+        a = int(rng.integers(-1000, 1001))
+        m = int(rng.integers(1, 501))
+        b_shift = float(rng.uniform(-3, 3))
+        cap = float(rng.uniform(0.1, 1000))
+        out.append(sin_sum_check(a, m, b_shift, cap))
+    return out
 
 
 _TRUNCATION_BOXES = ((16.0, 4.0), (64.0, 4.0), (64.0, 8.0), (128.0, 8.0))
 
 
-def _suite_truncation(cfg: RunConfig, opts: SuiteOptions) -> list[BoundReport]:
+def _truncation_cells(cfg: RunConfig, opts: SuiteOptions) -> dict:
     if opts.g not in (None, 2):
         raise UsageError("truncation grid is declared for g = 2 only")
+    boxes = [(m, n, r2) for m in (1.0, 2.0, 4.0, 8.0, 16.0) for n, r2 in _TRUNCATION_BOXES]
+    return dict(enumerate(boxes))
+
+
+def _truncation(cfg: RunConfig, opts: SuiteOptions, rng, box: tuple) -> list[BoundReport]:
+    M, N, R = box
     g = 2
     ceiling = cfg.c_cal.get("truncation")
-    cells = [(m, n, r2) for m in (1.0, 2.0, 4.0, 8.0, 16.0) for n, r2 in _TRUNCATION_BOXES]
-
-    def cell(args: tuple[float, float, float]) -> list[BoundReport]:
-        M, N, R = args
-        lam = 0
-        while g ** (lam + 1) <= M * R * R:
-            lam += 1
+    lam = 0
+    while g ** (lam + 1) <= M * R * R:
         lam += 1
-        L = lam + 6
-        es = expsum_context(reverse_seed(g, L, 0.73))
-        out = []
-        for r in range(int(R) + 1):
-            members, superset = truncation_set_size(es, M, N, R, r, L, lam)
-            ratio = members * R / (M * N)
-            params = {
-                "M": M, "N": N, "R": R, "r": r, "lam": lam,
-                "superset": superset, "cal_ratio": ratio,
-            }
-            out.append(make_report(float(members), float(superset), params))
-            if ceiling is not None:
-                out.append(
-                    make_report(ratio, ceiling, dict(params, form="regression"))
-                )
-        return out
+    lam += 1
+    L = lam + 6
+    es = expsum_context(reverse_seed(g, L, 0.73))
+    out = []
+    for r in range(int(R) + 1):
+        members, superset = truncation_set_size(es, M, N, R, r, L, lam)
+        ratio = members * R / (M * N)
+        params = {
+            "M": M, "N": N, "R": R, "r": r, "lam": lam,
+            "superset": superset, "cal_ratio": ratio,
+        }
+        out.append(make_report(float(members), float(superset), params))
+        if ceiling is not None:
+            out.append(
+                make_report(ratio, ceiling, dict(params, form="regression"))
+            )
+    return out
 
-    return _flatten(_map_cells(cell, cells, cfg.threads))
 
-
-def _suite_vaughan(cfg: RunConfig, opts: SuiteOptions) -> list[BoundReport]:
+def _vaughan_cells(cfg: RunConfig, opts: SuiteOptions) -> dict:
     limit = _or_default(opts.limit, 10_000)
     if limit > cfg.sieve_limit:
         raise UsageError(f"--limit {limit} exceeds sieve_limit {cfg.sieve_limit}")
-    pt = build_table(cfg.sieve_limit)
     zs = (2.0, 5.0, 50.0, float(limit) ** 0.25)
-
-    def cell(z: float) -> list[BoundReport]:
-        va = vaughan_arrays(pt, z, limit)
-        gap = np.abs(va.total[1:] - va.mangoldt[1:])
-        at = int(np.argmax(gap))
-        worst, worst_n = (float(gap[at]), at + 1) if gap[at] > 0.0 else (0.0, 1)
-        log = va.log[2:]
-        cap_ratio = max(
-            float(np.max(va.mangoldt_tail[2:] / log, initial=0.0)),
-            float(np.max(np.abs(va.mobius_mangoldt_window[2:]) / log, initial=0.0)),
-        )
-        return [
-            make_report(worst, 1e-9, {"z": z, "limit": limit, "worst_n": worst_n}),
-            make_report(cap_ratio, 1.0, {"z": z, "limit": limit, "form": "coefficient-cap"}),
-        ]
-
-    return _flatten(_map_cells(cell, list(zs), cfg.threads))
+    return {i: (limit, z) for i, z in enumerate(zs)}
 
 
-def _suite_monotonicity(cfg: RunConfig, opts: SuiteOptions) -> list[BoundReport]:
-    gs = _pick_gs(opts, (2, 3, 10))
+def _vaughan(cfg: RunConfig, opts: SuiteOptions, rng, cell: tuple) -> list[BoundReport]:
+    pt, (limit, z) = cell
+    va = vaughan_arrays(pt, z, limit)
+    gap = np.abs(va.total[1:] - va.mangoldt[1:])
+    at = int(np.argmax(gap))
+    worst, worst_n = (float(gap[at]), at + 1) if gap[at] > 0.0 else (0.0, 1)
+    log = va.log[2:]
+    cap_ratio = max(
+        float(np.max(va.mangoldt_tail[2:] / log, initial=0.0)),
+        float(np.max(np.abs(va.mobius_mangoldt_window[2:]) / log, initial=0.0)),
+    )
+    return [
+        make_report(worst, 1e-9, {"z": z, "limit": limit, "worst_n": worst_n}),
+        make_report(cap_ratio, 1.0, {"z": z, "limit": limit, "form": "coefficient-cap"}),
+    ]
 
-    def cell(g: int) -> list[BoundReport]:
-        rng = make_rng(cfg, _STREAMS["monotonicity"], g)
-        lam_max = _or_default(opts.lambda_max, 12)
-        cap = gamma_upper_bound(g)
-        out = []
-        for name, seed in _seed_pool(g, lam_max, rng, opts.seed_family):
-            es = expsum_context(seed)
-            tag = {"g": g, "family": name}
-            for lam in range(1, lam_max + 1):
-                for j in (0, 3):
-                    full = sigma(es, lam, j)
-                    short = sigma(es, lam - 1, j + 1)
-                    out.append(
-                        make_report(short, full, dict(tag, lam=lam, j=j, form="window-shift"))
-                    )
-                    out.append(
-                        make_report(
-                            max(0.0, full - cap),
-                            short,
-                            dict(tag, lam=lam, j=j, form="shift-gap-cap"),
-                        )
-                    )
-            coeff = 2 * math.log(2) / math.log(g) * (0.5 - eta_tilde(g))
-            for lam, j in ((8, 0), (12, 2)):
-                vals = [coeff * mu + sigma(es, lam - mu, j + mu) for mu in range(lam + 1)]
-                worst = max(max(a - b for a, b in zip(vals, vals[1:])), 0.0)
+
+def _monotonicity(cfg: RunConfig, opts: SuiteOptions, rng, g: int) -> list[BoundReport]:
+    lam_max = _or_default(opts.lambda_max, 12)
+    cap = gamma_upper_bound(g)
+    out = []
+    for name, seed in _seed_pool(g, lam_max, rng, opts.seed_family):
+        es = expsum_context(seed)
+        tag = {"g": g, "family": name}
+        for lam in range(1, lam_max + 1):
+            for j in (0, 3):
+                full = sigma(es, lam, j)
+                short = sigma(es, lam - 1, j + 1)
                 out.append(
-                    make_report(worst, 1e-12, dict(tag, lam=lam, j=j, form="scale-tradeoff"))
+                    make_report(short, full, dict(tag, lam=lam, j=j, form="window-shift"))
                 )
-            for j in (0, 2):
-                vals = [cap * lam - sigma(es, lam, j) for lam in range(lam_max + 1)]
-                worst = max(max(a - b for a, b in zip(vals, vals[1:])), 0.0)
-                out.append(
-                    make_report(worst, 1e-12, dict(tag, j=j, form="linear-slack"))
-                )
-            for xi in (4, 8, 12):
                 out.append(
                     make_report(
-                        sigma(es, xi, 0) / 10, xi / 20, dict(tag, xi=xi, form="decay-cap")
+                        max(0.0, full - cap),
+                        short,
+                        dict(tag, lam=lam, j=j, form="shift-gap-cap"),
                     )
                 )
-        return out
-
-    return _flatten(_map_cells(cell, gs, cfg.threads))
+        coeff = 2 * math.log(2) / math.log(g) * (0.5 - eta_tilde(g))
+        for lam, j in ((8, 0), (12, 2)):
+            vals = [coeff * mu + sigma(es, lam - mu, j + mu) for mu in range(lam + 1)]
+            worst = max(max(a - b for a, b in zip(vals, vals[1:])), 0.0)
+            out.append(
+                make_report(worst, 1e-12, dict(tag, lam=lam, j=j, form="scale-tradeoff"))
+            )
+        for j in (0, 2):
+            vals = [cap * lam - sigma(es, lam, j) for lam in range(lam_max + 1)]
+            worst = max(max(a - b for a, b in zip(vals, vals[1:])), 0.0)
+            out.append(
+                make_report(worst, 1e-12, dict(tag, j=j, form="linear-slack"))
+            )
+        for xi in (4, 8, 12):
+            out.append(
+                make_report(
+                    sigma(es, xi, 0) / 10, xi / 20, dict(tag, xi=xi, form="decay-cap")
+                )
+            )
+    return out
 
 
 _TYPE_I_CELLS = (
@@ -482,37 +454,28 @@ def _ratio_report(
     return make_report(lhs, ceiling * shape, dict(params, form="regression"))
 
 
-def _suite_type_i(cfg: RunConfig, opts: SuiteOptions) -> list[BoundReport]:
-    cells = [c for c in _TYPE_I_CELLS if opts.g is None or c[0] == opts.g]
-    if not cells:
-        raise UsageError(f"--g {opts.g} empties the declared grid")
-
-    def cell(args) -> list[BoundReport]:
-        g, L, x, ms = args
-        out = []
-        seeds = [
-            ("sod", sod_seed(g, 0.37)),
-            ("reverse", reverse_seed(g, L, 0.73)),
-            ("reverse-rational", reverse_seed(g, L, 3 / 7)),
-        ]
-        if opts.seed_family is not None:
-            seeds = [s for s in seeds if s[0] == opts.seed_family]
-        for name, seed in seeds:
-            es = expsum_context(seed)
-            for M in ms:
-                p = type_i_params(es, L, float(x), M)
-                lhs = type_i_sum(es, p)
-                shape = type_i_bound_shape(es, p)
-                out.append(
-                    _ratio_report(
-                        "type-i", cfg, lhs, shape,
-                        {"g": g, "family": name, "L": L, "x": x, "M": M,
-                         "kappa": p.kappa_I},
-                    )
+def _type_i(cfg: RunConfig, opts: SuiteOptions, rng, cell: tuple) -> list[BoundReport]:
+    g, L, x, ms = cell
+    out = []
+    pool = [
+        ("sod", sod_seed(g, 0.37)),
+        ("reverse", reverse_seed(g, L, 0.73)),
+        ("reverse-rational", reverse_seed(g, L, 3 / 7)),
+    ]
+    for name, seed in _pick_seeds(pool, opts.seed_family):
+        es = expsum_context(seed)
+        for M in ms:
+            p = type_i_params(es, L, float(x), M)
+            lhs = type_i_sum(es, p)
+            shape = type_i_bound_shape(es, p)
+            out.append(
+                _ratio_report(
+                    "type-i", cfg, lhs, shape,
+                    {"g": g, "family": name, "L": L, "x": x, "M": M,
+                     "kappa": p.kappa_I},
                 )
-        return out
-
-    return _flatten(_map_cells(cell, cells, cfg.threads))
+            )
+    return out
 
 
 _TYPE_II_CELLS = (
@@ -521,38 +484,28 @@ _TYPE_II_CELLS = (
 )
 
 
-def _suite_type_ii(cfg: RunConfig, opts: SuiteOptions) -> list[BoundReport]:
-    cells = [c for c in _TYPE_II_CELLS if opts.g is None or c[0] == opts.g]
-    if not cells:
-        raise UsageError(f"--g {opts.g} empties the declared grid")
-    pt = build_table(cfg.sieve_limit)
-
-    def cell(args) -> list[BoundReport]:
-        g, L, x, theta, M, N = args
-        pairs = [
-            ("mobius-tail", mobius_coefficients(pt), mangoldt_tail_coefficients(pt, N / 2, x)),
-            ("unimodular", unimodular_coefficients(1), unimodular_coefficients(2)),
-        ]
-        out = []
-        seeds = [("sod", sod_seed(g, 0.37)), ("reverse", reverse_seed(g, L, 0.73))]
-        if opts.seed_family is not None:
-            seeds = [s for s in seeds if s[0] == opts.seed_family]
-        for sname, seed in seeds:
-            es = expsum_context(seed)
-            for cname, a_coeff, b_coeff in pairs:
-                p = type_ii_params(es, L, float(x), M, N, theta, a_coeff, b_coeff)
-                lhs = abs(type_ii_sum(es, p))
-                shape = type_ii_bound_shape(es, p)
-                out.append(
-                    _ratio_report(
-                        "type-ii", cfg, lhs, shape,
-                        {"g": g, "family": sname, "coeffs": cname, "L": L,
-                         "x": x, "M": M, "N": N, "kappa": p.kappa_II},
-                    )
+def _type_ii(cfg: RunConfig, opts: SuiteOptions, rng, cell: tuple) -> list[BoundReport]:
+    pt, (g, L, x, theta, M, N) = cell
+    pairs = [
+        ("mobius-tail", mobius_coefficients(pt), mangoldt_tail_coefficients(pt, N / 2, x)),
+        ("unimodular", unimodular_coefficients(1), unimodular_coefficients(2)),
+    ]
+    out = []
+    pool = [("sod", sod_seed(g, 0.37)), ("reverse", reverse_seed(g, L, 0.73))]
+    for sname, seed in _pick_seeds(pool, opts.seed_family):
+        es = expsum_context(seed)
+        for cname, a_coeff, b_coeff in pairs:
+            p = type_ii_params(es, L, float(x), M, N, theta, a_coeff, b_coeff)
+            lhs = abs(type_ii_sum(es, p))
+            shape = type_ii_bound_shape(es, p)
+            out.append(
+                _ratio_report(
+                    "type-ii", cfg, lhs, shape,
+                    {"g": g, "family": sname, "coeffs": cname, "L": L,
+                     "x": x, "M": M, "N": N, "kappa": p.kappa_II},
                 )
-        return out
-
-    return _flatten(_map_cells(cell, cells, cfg.threads))
+            )
+    return out
 
 
 _PRIME_SUM_CELLS = (
@@ -564,28 +517,21 @@ _PRIME_SUM_CELLS = (
 _PRIME_SUM_SCALES = (1 / 7, 3 / 7, 2 / 11)
 
 
-def _suite_prime_exp_sum(cfg: RunConfig, opts: SuiteOptions) -> list[BoundReport]:
-    cells = [c for c in _PRIME_SUM_CELLS if opts.g is None or c[0] == opts.g]
-    if not cells:
-        raise UsageError(f"--g {opts.g} empties the declared grid")
-    pt = build_table(cfg.sieve_limit)
-
-    def cell(args) -> list[BoundReport]:
-        g, L, x = args
-        out = []
-        for scale in _PRIME_SUM_SCALES:
-            es = expsum_context(reverse_seed(g, L, scale))
-            res = prime_exp_sum(es, L, float(x), pt)
-            out.append(
-                _ratio_report(
-                    "prime-exp-sum", cfg, abs(res.S), res.bound_shape,
-                    {"g": g, "L": L, "x": x, "scale": scale,
-                     "kappa": res.kappa, "xi": res.xi},
-                )
+def _prime_exp_sum(cfg: RunConfig, opts: SuiteOptions, rng, cell: tuple) -> list[BoundReport]:
+    pt, (g, L, x) = cell
+    out = []
+    scales = [("reverse", scale) for scale in _PRIME_SUM_SCALES]
+    for _, scale in _pick_seeds(scales, opts.seed_family):
+        es = expsum_context(reverse_seed(g, L, scale))
+        res = prime_exp_sum(es, L, float(x), pt)
+        out.append(
+            _ratio_report(
+                "prime-exp-sum", cfg, abs(res.S), res.bound_shape,
+                {"g": g, "L": L, "x": x, "scale": scale,
+                 "kappa": res.kappa, "xi": res.xi},
             )
-        return out
-
-    return _flatten(_map_cells(cell, cells, cfg.threads))
+        )
+    return out
 
 
 _HYBRID_CELLS = (
@@ -594,47 +540,48 @@ _HYBRID_CELLS = (
 )
 
 
-def _suite_hybrid(cfg: RunConfig, opts: SuiteOptions) -> list[BoundReport]:
-    cells = [c for c in _HYBRID_CELLS if opts.g is None or c[0] == opts.g]
-    if not cells:
-        raise UsageError(f"--g {opts.g} empties the declared grid")
-
-    def cell(args) -> list[BoundReport]:
-        g, lam, ms = args
-        out = []
-        seeds = [("sod", sod_seed(g, 0.37)), ("reverse", reverse_seed(g, lam, 0.73))]
-        if opts.seed_family is not None:
-            seeds = [s for s in seeds if s[0] == opts.seed_family]
-        for name, seed in seeds:
-            es = expsum_context(seed)
-            for M in ms:
-                lhs = hybrid_sum(es, lam, 0, M)
-                shape = hybrid_bound_shape(es, lam, 0, M)
-                out.append(
-                    _ratio_report(
-                        "hybrid", cfg, lhs, shape,
-                        {"g": g, "family": name, "lam": lam, "M": M},
-                    )
+def _hybrid(cfg: RunConfig, opts: SuiteOptions, rng, cell: tuple) -> list[BoundReport]:
+    g, lam, ms = cell
+    out = []
+    pool = [("sod", sod_seed(g, 0.37)), ("reverse", reverse_seed(g, lam, 0.73))]
+    for name, seed in _pick_seeds(pool, opts.seed_family):
+        es = expsum_context(seed)
+        for M in ms:
+            lhs = hybrid_sum(es, lam, 0, M)
+            shape = hybrid_bound_shape(es, lam, 0, M)
+            out.append(
+                _ratio_report(
+                    "hybrid", cfg, lhs, shape,
+                    {"g": g, "family": name, "lam": lam, "M": M},
                 )
-        return out
+            )
+    return out
 
-    return _flatten(_map_cells(cell, cells, cfg.threads))
+
+class Suite(NamedTuple):
+    """A registered suite.  stream is its RNG spawn key (fixed: changing
+    it moves every report); cells(cfg, opts) maps each cell's RNG key to
+    the cell; cell(cfg, opts, rng, cell) returns that cell's reports."""
+
+    stream: int
+    cells: Callable[[RunConfig, SuiteOptions], dict]
+    cell: Callable[..., list[BoundReport]]
 
 
-SUITES: dict[str, Callable[[RunConfig, SuiteOptions], list[BoundReport]]] = {
-    "product-formula": _suite_product_formula,
-    "linf": _suite_linf,
-    "l1-moment": _suite_l1_moment,
-    "psi": _suite_psi,
-    "vdc": _suite_vdc,
-    "sin-sum": _suite_sin_sum,
-    "truncation": _suite_truncation,
-    "vaughan": _suite_vaughan,
-    "monotonicity": _suite_monotonicity,
-    "type-i": _suite_type_i,
-    "type-ii": _suite_type_ii,
-    "prime-exp-sum": _suite_prime_exp_sum,
-    "hybrid": _suite_hybrid,
+SUITES: dict[str, Suite] = {
+    "product-formula": Suite(1, _grid((2, 3, 10)), _product_formula),
+    "linf": Suite(2, _grid((2, 3, 10)), _linf),
+    "l1-moment": Suite(3, _grid((2, 6)), _l1_moment),
+    "psi": Suite(4, _grid((2, 6, 10, 12)), _psi),
+    "vdc": Suite(5, _blocks, _vdc),
+    "sin-sum": Suite(6, _blocks, _sin_sum),
+    "truncation": Suite(7, _truncation_cells, _truncation),
+    "vaughan": Suite(8, _sieved(_vaughan_cells), _vaughan),
+    "monotonicity": Suite(9, _grid((2, 3, 10)), _monotonicity),
+    "type-i": Suite(10, _grid(_TYPE_I_CELLS), _type_i),
+    "type-ii": Suite(11, _sieved(_grid(_TYPE_II_CELLS)), _type_ii),
+    "prime-exp-sum": Suite(12, _sieved(_grid(_PRIME_SUM_CELLS)), _prime_exp_sum),
+    "hybrid": Suite(13, _grid(_HYBRID_CELLS), _hybrid),
 }
 
 CALIBRATED = ("type-i", "type-ii", "prime-exp-sum", "hybrid", "truncation")
@@ -643,7 +590,13 @@ CALIBRATED = ("type-i", "type-ii", "prime-exp-sum", "hybrid", "truncation")
 def run_suite(name: str, cfg: RunConfig, opts: SuiteOptions) -> list[BoundReport]:
     if name not in SUITES:
         raise UsageError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
-    return SUITES[name](cfg, opts)
+    suite = SUITES[name]
+    cells = suite.cells(cfg, opts)
+
+    def run(key: int) -> list[BoundReport]:
+        return suite.cell(cfg, opts, make_rng(cfg, suite.stream, key), cells[key])
+
+    return [r for chunk in _map_cells(run, list(cells), cfg.threads) for r in chunk]
 
 
 def calibrate(names, cfg: RunConfig, opts: SuiteOptions) -> dict[str, float]:

@@ -224,6 +224,30 @@ class TestVerifyCommand:
     def test_unknown_seed_family(self):
         assert main(["verify", "linf", "--seed-family", "chaotic"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "type-i", "hybrid", "--seed-family", "diagonal"],
+            ["calibrate", "type-i", "--seed-family", "diagonal"],
+            ["verify", "prime-exp-sum", "--seed-family", "zero"],
+        ],
+    )
+    def test_family_that_empties_a_suite_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "r.out"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert "seed family" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_prime_exp_sum_reverse_family_is_the_default_run(self, tmp_path):
+        lines = {}
+        for label, extra in (("default", []), ("reverse", ["--seed-family", "reverse"])):
+            out = tmp_path / f"{label}.jsonl"
+            assert main(["verify", "prime-exp-sum", *extra, "--out", str(out)]) == 0
+            lines[label] = out.read_text().splitlines()
+        assert json.loads(lines["reverse"][0])["options"]["seed_family"] == "reverse"
+        assert len(lines["default"]) == 10
+        assert lines["reverse"][1:] == lines["default"][1:]
+
     def test_multiple_suites_concatenate(self, tmp_path):
         out = tmp_path / "multi.jsonl"
         assert main(

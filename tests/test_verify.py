@@ -1,8 +1,11 @@
+import hashlib
 import math
+from dataclasses import replace
 
 import pytest
 
 from revprime.arith import build_table, mangoldt_tail, mobius_mangoldt_window, vaughan_terms
+from revprime.cli import _format_reports
 from revprime.config import RunConfig
 from revprime.expsum import make_report
 from revprime.verify import (
@@ -35,6 +38,40 @@ class TestRegistry:
     def test_truncation_is_base_2_only(self):
         with pytest.raises(UsageError, match="g = 2"):
             run_suite("truncation", RunConfig(), SuiteOptions(g=10))
+
+    def test_stream_ids_are_pinned(self):
+        # the ids are RNG spawn keys: renumbering one moves every report it draws
+        assert {name: suite.stream for name, suite in SUITES.items()} == {
+            "product-formula": 1,
+            "linf": 2,
+            "l1-moment": 3,
+            "psi": 4,
+            "vdc": 5,
+            "sin-sum": 6,
+            "truncation": 7,
+            "vaughan": 8,
+            "monotonicity": 9,
+            "type-i": 10,
+            "type-ii": 11,
+            "prime-exp-sum": 12,
+            "hybrid": 13,
+        }
+
+    @pytest.mark.parametrize(
+        "name, family",
+        [("linf", "diagonal"), ("type-i", "zero"), ("hybrid", "table"),
+         ("type-ii", "reverse-rational"), ("prime-exp-sum", "sod")],
+    )
+    def test_family_outside_the_pool_is_usage_error(self, name, family):
+        with pytest.raises(UsageError, match="seed family"):
+            run_suite(name, RunConfig(), SuiteOptions(seed_family=family))
+
+    def test_prime_exp_sum_pool_is_the_reverse_family(self):
+        opts = SuiteOptions(g=10)
+        default = run_suite("prime-exp-sum", RunConfig(), opts)
+        reverse = run_suite("prime-exp-sum", RunConfig(), replace(opts, seed_family="reverse"))
+        assert len(default) == 3
+        assert [r.to_dict() for r in reverse] == [r.to_dict() for r in default]
 
 
 class TestDeterminism:
@@ -82,6 +119,68 @@ class TestSmallGrids:
         )
         assert reports
         assert {r.params["family"] for r in reports} == {"sod"}
+
+
+# Small options that leave every suite at least two cells, so a thread
+# pool really splits them; between them they draw every seed family.
+SMALL = {
+    "product-formula": SuiteOptions(lambda_max=3, cases=1),
+    "linf": SuiteOptions(lambda_max=3, cases=1, seed_family="sod"),
+    "l1-moment": SuiteOptions(lambda_max=2, cases=1),
+    "psi": SuiteOptions(cases=3, seed_family="reverse"),
+    "vdc": SuiteOptions(cases=37),
+    "sin-sum": SuiteOptions(cases=29),
+    "truncation": SuiteOptions(),
+    "vaughan": SuiteOptions(limit=300),
+    "monotonicity": SuiteOptions(lambda_max=4),
+    "type-i": SuiteOptions(seed_family="reverse-rational"),
+    "type-ii": SuiteOptions(seed_family="sod"),
+    "prime-exp-sum": SuiteOptions(),
+    "hybrid": SuiteOptions(seed_family="reverse"),
+}
+
+# SHA-256 of each suite's report lines under SMALL at the default seed,
+# joined by newlines exactly as `revprime verify` writes them (header
+# left out).  A change here means report bytes moved.
+REPORT_DIGESTS = {
+    "product-formula": "e84527aa53507b828a3648b02adbc301f829a6e162626d85b6dba00383ceb404",
+    "linf": "415ecd402d621372a2185ce790e49e8726a0804d24bbe4df0118ba2f0750815b",
+    "l1-moment": "7e08291ecccd6f85a4e2ade5dbf0bfe669f7d6cb1088ac7940e843dc235179fe",
+    "psi": "ee7af5a0e4b9a91859efc10b394ec9fb7adad5df83fbed9bd404fb08ef624080",
+    "vdc": "d9fd999369057ab78532ff350c6fe1c130b3527e5fbf5ad6a268746f5108025a",
+    "sin-sum": "4a8401d09357ee2e438993b6f24228ed86c2a1c450dc4d56cc1e072e479e5a0b",
+    "truncation": "ab56d07e14958e22306aefdbe602f6c1f3807439f68411771f97ba1cf0e9ec39",
+    "vaughan": "80c537a378e196b19c993f961cc7fccd080c62121a6a4a4adbe9dcb74f88a8c2",
+    "monotonicity": "cf01bb062b2834c95511b335d46b17a75a44e378487bfbc31683c660e5dad132",
+    "type-i": "cf1ab3f08700eed3dd492e61cdaf28ea4e6a5915004859ebb64b101ea32e8eb8",
+    "type-ii": "6d5ecb608521981e7771260eb0f1c9349a0f080d0ef0a506a5db8e8ec1e5feb6",
+    "prime-exp-sum": "384d2f08ab195ea18b88e10064f84870c6390223615cf3eb7f7642d43906eaba",
+    "hybrid": "ef9d5a8eb29a4efab61377a00530d600b99fdc7105b7c041c9e3e664d7f0833b",
+}
+
+
+@pytest.fixture(scope="module")
+def small_reports():
+    return {name: run_suite(name, RunConfig(threads=1), opts) for name, opts in SMALL.items()}
+
+
+class TestReportBytes:
+    def test_small_grids_cover_every_suite(self):
+        assert set(SMALL) == set(REPORT_DIGESTS) == set(SUITES)
+
+    def test_thread_count_changes_no_suite(self, small_reports):
+        for name, opts in SMALL.items():
+            parallel = run_suite(name, RunConfig(threads=3), opts)
+            assert [r.to_dict() for r in parallel] == [
+                r.to_dict() for r in small_reports[name]
+            ], name
+
+    def test_report_lines_are_pinned(self, small_reports):
+        got = {}
+        for name, reports in small_reports.items():
+            lines = _format_reports(RunConfig(), SMALL[name], name, reports).splitlines()[1:]
+            got[name] = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert got == REPORT_DIGESTS
 
 
 class TestCalibrate:
