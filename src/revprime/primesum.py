@@ -11,7 +11,9 @@ sides computable so the inequalities can be swept numerically.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -24,7 +26,6 @@ from .expsum import (
     BoundReport,
     CostBudgetError,
     ExpSumContext,
-    _digit_phases,
     make_report,
     sigma,
 )
@@ -56,14 +57,44 @@ X_BUDGET = 10**6
 Coefficients = Callable[[np.ndarray], np.ndarray]
 
 
-def _phases(es: ExpSumContext, L: int, n: np.ndarray) -> np.ndarray:
-    """Digit-weight phase values (mod 1) for an array of integers >= 0.
+def _unit_phases(es: ExpSumContext, L: int, top: int) -> np.ndarray:
+    """e(phase(n)) for every 0 <= n <= top, one digit position at a time.
 
-    Position i of each entry contributes the seed's weight at (i, digit).
-    Entries are allowed to have more than L digits; the excess digits are
-    ignored, matching the finite window of the phase function.
+    Position i extends the phases of the n < g^i to the n < g^(i+1):
+    entry d g^i + r is entry r plus the weight of digit d, the additions
+    expsum._digit_phases makes in the same order, so every entry equals
+    it bit for bit.  Digits at or beyond L are ignored, matching the
+    finite window of the phase function: the table has period g^L.
     """
-    return _digit_phases(es.seed.frac_rows(0, L), n, es.ctx.g)
+    g = es.ctx.g
+    phase = np.zeros(1, dtype=np.float64)
+    for row in es.seed.frac_rows(0, L):
+        if phase.size > top:
+            phase += row[0]
+        else:
+            # only the leading digits that still reach some n <= top
+            digits = min(g, -(-(top + 1) // phase.size))
+            phase = (phase[None, :] + row[:digits, None]).ravel()
+    return np.exp(2j * np.pi * np.resize(phase, top + 1))
+
+
+def _row_sums(table, a, m_first, b, n_lo, n_cap, top) -> list[complex]:
+    """a(m) times the sum of b(n) e(phase(mn)) over n_lo < n <= min(n_cap, top // m).
+
+    table is a _unit_phases table over [0, top] and row m reads a[m - m_first];
+    b holds b(n) for n_lo < n <= n_cap, or is None for b = 1.  Rows with
+    a(m) = 0 or an empty range are skipped; the rest come back in ascending
+    m, each reduced by one pairwise np.sum.
+    """
+    parts = []
+    for m, coeff in enumerate(a, start=m_first):
+        n_hi = min(n_cap, top // m)
+        if n_hi <= n_lo or coeff == 0:
+            continue
+        phase = table[m * (n_lo + 1) : m * n_hi + 1 : m]
+        terms = phase if b is None else b[: n_hi - n_lo] * phase
+        parts.append(complex(coeff) * complex(np.sum(terms)))
+    return parts
 
 
 @dataclass(frozen=True)
@@ -97,11 +128,11 @@ def type_i_sum(es: ExpSumContext, p: TypeIParams) -> float:
     The supremum over real cutoffs t in [1, x/m] is attained at integer
     prefixes, so a running cumulative maximum evaluates it exactly.
     """
+    top = math.floor(p.x)
+    table = _unit_phases(es, p.L, top)
     parts = []
     for m in range(1, math.floor(p.M) + 1):
-        top = math.floor(p.x / m)
-        n = np.arange(1, top + 1, dtype=np.int64)
-        prefix = np.cumsum(np.exp(2j * np.pi * _phases(es, p.L, m * n)))
+        prefix = np.cumsum(table[m : m * (top // m) + 1 : m])
         parts.append(float(np.abs(prefix).max()))
     return math.fsum(parts)
 
@@ -184,23 +215,14 @@ def type_ii_sum(es: ExpSumContext, p: TypeIIParams) -> complex:
     """
     m_first = math.floor(p.M) + 1
     m_last = math.floor(2.0 * p.M)
-    if m_last < m_first:
-        return 0j
-    a_vals = np.asarray(
-        p.a_coeff(np.arange(m_first, m_last + 1, dtype=np.int64)),
-        dtype=np.complex128,
-    )
     n_lo = math.floor(p.N)
-    n_cap = math.floor(2.0 * p.N)
-    parts = []
-    for m, a in zip(range(m_first, m_last + 1), a_vals):
-        n_hi = min(n_cap, math.floor(p.x / m))
-        if n_hi <= n_lo or a == 0:
-            continue
-        n = np.arange(n_lo + 1, n_hi + 1, dtype=np.int64)
-        b = np.asarray(p.b_coeff(n), dtype=np.complex128)
-        phase = np.exp(2j * np.pi * _phases(es, p.L, m * n))
-        parts.append(complex(a) * complex(np.sum(b * phase)))
+    top = math.floor(p.x)
+    n_cap = min(math.floor(2.0 * p.N), top // m_first)
+    if m_last < m_first or n_cap <= n_lo:
+        return 0j
+    a = np.asarray(p.a_coeff(np.arange(m_first, m_last + 1, dtype=np.int64)), np.complex128)
+    b = np.asarray(p.b_coeff(np.arange(n_lo + 1, n_cap + 1, dtype=np.int64)), np.complex128)
+    parts = _row_sums(_unit_phases(es, p.L, top), a, m_first, b, n_lo, n_cap, top)
     if not parts:
         return 0j
     return complex(np.sum(np.asarray(parts, dtype=np.complex128)))
@@ -280,12 +302,14 @@ def truncation_set_size(
 ) -> tuple[int, int]:
     """Count box pairs whose long and short phase differences disagree.
 
-    Membership compares sum_{lam <= i < L} (weight of digit i of m(n+r)
-    minus weight of digit i of mn) against zero in exact rational
-    arithmetic over the stored weight values, so no float-equality
-    ambiguity enters.  Also counts the superset of pairs with a multiple
-    of g^lam inside (mn, m(n+r)], raising if containment ever fails;
-    returns (member count, superset count).
+    With k = mn // g^lam and k' = m(n+r) // g^lam, the pair (m, n) is a
+    member when Phi(k') != Phi(k), where Phi(k) is the exact rational sum
+    of the stored weights of digits lam..L-1 of k g^lam, so no
+    float-equality ambiguity enters.  Phi is evaluated once per distinct
+    quotient in the box and pairs compare integer ids of its values.
+    Also counts the superset of pairs with k' > k (a multiple of g^lam
+    inside (mn, m(n+r)]), raising at the first pair in (m, n) order where
+    containment fails; returns (member count, superset count).
     """
     g = es.ctx.g
     if min(M, N, R) < 1:
@@ -299,32 +323,27 @@ def truncation_set_size(
     if R * R > N * (1.0 + 1e-12):
         raise ValueError("R must stay at or below sqrt(N)")
     glam = g**lam
-    rows = es.seed.frac_rows(0, L)
-    weights = [[Fraction(rows[i, d]) for d in range(g)] for i in range(L)]
-    members = 0
-    superset = 0
-    for m in range(math.floor(M) + 1, math.floor(2.0 * M) + 1):
-        for n in range(math.floor(N) + 1, math.floor(2.0 * N) + 1):
-            low, high = m * n, m * (n + r)
-            k_low, k_high = low // glam, high // glam
-            in_superset = k_high > k_low
-            delta = Fraction(0)
-            a, b = k_high, k_low
-            for i in range(lam, L):
-                if a == b == 0:
-                    break
-                wrow = weights[i]
-                delta += wrow[a % g] - wrow[b % g]
-                a //= g
-                b //= g
-            member = delta != 0
-            if member and not in_superset:
-                raise RuntimeError(
-                    f"containment failed at (m, n) = ({m}, {n}), r = {r}"
-                )
-            members += member
-            superset += in_superset
-    return members, superset
+    weights = [[Fraction(w) for w in row] for row in es.seed.frac_rows(0, L)[lam:]]
+    m = np.arange(math.floor(M) + 1, math.floor(2.0 * M) + 1, dtype=np.int64)[:, None]
+    n = np.arange(math.floor(N) + 1, math.floor(2.0 * N) + 1, dtype=np.int64)
+    low, high = m * n // glam, m * (n + r) // glam
+    quotients, where = np.unique(np.stack([low, high]), return_inverse=True)
+    classes: dict[Fraction, int] = {}
+    ids = []
+    for k in quotients.tolist():
+        phi = Fraction(0)
+        for row in weights:
+            k, d = divmod(k, g)
+            phi += row[d]
+        ids.append(classes.setdefault(phi, len(classes)))
+    class_low, class_high = np.asarray(ids, dtype=np.int64)[where].reshape(2, *low.shape)
+    member = class_high != class_low
+    superset = high > low
+    stray = member & ~superset
+    if stray.any():
+        i, j = np.unravel_index(np.argmax(stray), stray.shape)
+        raise RuntimeError(f"containment failed at (m, n) = ({m[i, 0]}, {n[j]}), r = {r}")
+    return int(np.count_nonzero(member)), int(np.count_nonzero(superset))
 
 
 def vdc_lhs_rhs(z, R: int) -> tuple[float, float]:
@@ -392,53 +411,27 @@ class PrimeSumResult:
     ratio: float
 
 
-def _vaughan_route(
-    es: ExpSumContext, L: int, x: float, z: float, pt: PrimeTable
-) -> complex:
+def _vaughan_route(table: np.ndarray, x: float, z: float, pt: PrimeTable) -> complex:
     """S rebuilt from the four-term split, summed in split order.
 
-    Each piece is organized as an outer loop over the short factor with
-    a vectorized inner range, mirroring how the pieces are estimated.
+    table holds e(phase(n)) for n <= x.  The first three pieces are rows
+    over the short factor, mirroring how the pieces are estimated, added
+    one at a time in ascending order.
     """
     top = math.floor(x)
     va = vaughan_arrays(pt, z, top)
-    lam, mu, c2 = va.mangoldt, va.mobius, va.mangoldt_tail
-    zsq = z * z
-
-    def inner_phase(m: int, hi: int) -> np.ndarray:
-        n = np.arange(1, hi + 1, dtype=np.int64)
-        return np.exp(2j * np.pi * _phases(es, L, m * n))
-
-    s1 = 0j
-    for m in range(1, math.floor(z) + 1):
-        if mu[m] == 0:
-            continue
-        hi = math.floor(x / m)
-        n = np.arange(1, hi + 1, dtype=np.int64)
-        s1 += mu[m] * complex(np.sum(np.log(n) * inner_phase(m, hi)))
-
-    s2 = 0j
-    for m in range(math.floor(z) + 1, top + 1):
-        if mu[m] == 0:
-            continue
-        hi = math.floor(x / m)
-        if hi <= z:
-            continue
-        n = np.arange(math.floor(z) + 1, hi + 1, dtype=np.int64)
-        phase = np.exp(2j * np.pi * _phases(es, L, m * n))
-        s2 += mu[m] * complex(np.sum(c2[n] * phase))
-
-    s3 = 0j
-    for m in range(1, min(math.floor(zsq), top) + 1):
-        w = va.mobius_mangoldt_window[m]
-        if w == 0.0:
-            continue
-        hi = math.floor(x / m)
-        s3 -= w * complex(np.sum(inner_phase(m, hi)))
-
-    hi4 = min(math.floor(z), top)
-    n4 = np.arange(1, hi4 + 1, dtype=np.int64)
-    s4 = complex(np.sum(lam[n4] * np.exp(2j * np.pi * _phases(es, L, n4))))
+    zi = math.floor(z)
+    zsq = min(math.floor(z * z), top)
+    # np.log, not va.log: math.log differs from it in the last bit for some n
+    log = np.log(np.arange(1, top + 1, dtype=np.int64))
+    pieces = (
+        _row_sums(table, va.mobius[1 : zi + 1], 1, log, 0, top, top),
+        _row_sums(table, va.mobius[zi + 1 :], zi + 1, va.mangoldt_tail[zi + 1 :], zi, top, top),
+        _row_sums(table, -va.mobius_mangoldt_window[1 : zsq + 1], 1, None, 0, top, top),
+    )
+    s1, s2, s3 = (functools.reduce(operator.add, rows, 0j) for rows in pieces)
+    hi4 = min(zi, top)
+    s4 = complex(np.sum(va.mangoldt[1 : hi4 + 1] * table[1 : hi4 + 1]))
     return s1 + s2 + s3 + s4
 
 
@@ -463,9 +456,8 @@ def prime_exp_sum(
     if x > X_BUDGET:
         raise CostBudgetError(f"x = {x} beyond enumeration budget {X_BUDGET}")
     top = math.floor(x)
-    lam = mangoldt_array(pt, top)
-    n = np.arange(2, top + 1, dtype=np.int64)
-    S = complex(np.sum(lam[n] * np.exp(2j * np.pi * _phases(es, L, n))))
+    table = _unit_phases(es, L, top)
+    S = complex(np.sum(mangoldt_array(pt, top)[2:] * table[2:]))
     xi = ilog(x, g) // 4
     kappa = sigma(es, xi, 0) / 10.0
     if kappa > xi / 20.0 + 1e-12:
@@ -474,7 +466,7 @@ def prime_exp_sum(
     ratio = abs(S) / bound_shape
     if vaughan_check:
         z = x**0.25
-        other = _vaughan_route(es, L, x, z, pt)
+        other = _vaughan_route(table, x, z, pt)
         if abs(S - other) > 1e-6 * max(1.0, abs(S)):
             raise RuntimeError(
                 f"four-term route {other} disagrees with direct sum {S}"

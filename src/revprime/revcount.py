@@ -192,22 +192,11 @@ def census_sharp(
 ) -> int:
     """Primes p <= x whose window-relative reverse is a mod (q, g^L (g^2-1)).
 
-    x defaults to the full window end g^L and may be truncated below it.
+    x defaults to the full window end g^L and may be truncated below it;
+    this is the sharp prime count of psi_theta_pi.
     """
-    if L < 1:
-        raise ValueError("window length must be at least 1")
-    if x is None:
-        x = float(g**L)
-    if not 1 <= x <= g**L:
-        raise ValueError("x must lie in [1, g^L]")
-    if g**L > pt.limit:
-        raise ValueError(f"window end {g}^{L} beyond sieve limit {pt.limit}")
-    if q < 1:
-        raise ValueError("modulus must be positive")
-    modulus = math.gcd(q, g**L * (g * g - 1))
-    primes = pt.primes[: pt.prime_count(x)]
-    revs = reverse_array(primes, g, L)
-    return int(np.count_nonzero(revs % modulus == a % modulus))
+    x = g**L if x is None else x
+    return int(psi_theta_pi(g, L, x, a, q, pt, "pi", sharp=True))
 
 
 def psi_theta_pi(

@@ -1,8 +1,9 @@
 """Verifier suites: replayable inequality sweeps over declared grids.
 
 SUITES registers each suite as its RNG stream id, a cells() that returns
-its declared grid after the options' filters, and a cell() that returns
-one cell's reports; run_suite alone maps the cells over threads.  Each
+its declared grid after the options' filters, a cell() that returns one
+cell's reports and the options those two read; run_suite alone rejects
+any other option given and maps the cells over threads.  Each
 cell draws its randomness from a stream keyed by (rng_seed, suite id,
 cell key), so reports come out byte-identical no matter how cells are
 spread over threads.  Suites with an implicit constant additionally
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
@@ -29,6 +30,7 @@ from .arith import (  # noqa: F401
     vaughan_arrays,
     vaughan_terms,
 )
+from .basedigits import ilog
 from .config import RunConfig, make_rng
 from .expsum import (
     BoundReport,
@@ -75,8 +77,8 @@ __all__ = [
 
 
 class UsageError(ValueError):
-    """Bad suite name, an option below its minimum, or an option
-    combination that empties the grid."""
+    """Bad suite name, an option below its minimum or one the suite does
+    not read, or an option combination that empties the grid."""
 
 
 @dataclass(frozen=True)
@@ -91,8 +93,12 @@ class SuiteOptions:
         for name in ("lambda_max", "limit", "cases"):
             value = getattr(self, name)
             if value is not None and value < 1:
-                flag = name.replace("_", "-")
-                raise UsageError(f"--{flag} must be at least 1, got {value}")
+                raise UsageError(f"{_flag(name)} must be at least 1, got {value}")
+
+
+def _flag(field: str) -> str:
+    """The command-line flag of a SuiteOptions field."""
+    return "--" + field.replace("_", "-")
 
 
 def _or_default(value: Optional[int], default: int) -> int:
@@ -341,10 +347,7 @@ def _truncation(cfg: RunConfig, opts: SuiteOptions, rng, box: tuple) -> list[Bou
     M, N, R = box
     g = 2
     ceiling = cfg.c_cal.get("truncation")
-    lam = 0
-    while g ** (lam + 1) <= M * R * R:
-        lam += 1
-    lam += 1
+    lam = ilog(M * R * R, g) + 1
     L = lam + 6
     es = expsum_context(reverse_seed(g, L, 0.73))
     out = []
@@ -561,27 +564,33 @@ def _hybrid(cfg: RunConfig, opts: SuiteOptions, rng, cell: tuple) -> list[BoundR
 class Suite(NamedTuple):
     """A registered suite.  stream is its RNG spawn key (fixed: changing
     it moves every report); cells(cfg, opts) maps each cell's RNG key to
-    the cell; cell(cfg, opts, rng, cell) returns that cell's reports."""
+    the cell; cell(cfg, opts, rng, cell) returns that cell's reports;
+    reads names the SuiteOptions fields those two read, and run_suite
+    rejects any other option that is given."""
 
     stream: int
     cells: Callable[[RunConfig, SuiteOptions], dict]
     cell: Callable[..., list[BoundReport]]
+    reads: tuple[str, ...]
 
+
+_SEEDED = ("g", "seed_family")
+_SWEPT = ("g", "lambda_max", "cases", "seed_family")
 
 SUITES: dict[str, Suite] = {
-    "product-formula": Suite(1, _grid((2, 3, 10)), _product_formula),
-    "linf": Suite(2, _grid((2, 3, 10)), _linf),
-    "l1-moment": Suite(3, _grid((2, 6)), _l1_moment),
-    "psi": Suite(4, _grid((2, 6, 10, 12)), _psi),
-    "vdc": Suite(5, _blocks, _vdc),
-    "sin-sum": Suite(6, _blocks, _sin_sum),
-    "truncation": Suite(7, _truncation_cells, _truncation),
-    "vaughan": Suite(8, _sieved(_vaughan_cells), _vaughan),
-    "monotonicity": Suite(9, _grid((2, 3, 10)), _monotonicity),
-    "type-i": Suite(10, _grid(_TYPE_I_CELLS), _type_i),
-    "type-ii": Suite(11, _sieved(_grid(_TYPE_II_CELLS)), _type_ii),
-    "prime-exp-sum": Suite(12, _sieved(_grid(_PRIME_SUM_CELLS)), _prime_exp_sum),
-    "hybrid": Suite(13, _grid(_HYBRID_CELLS), _hybrid),
+    "product-formula": Suite(1, _grid((2, 3, 10)), _product_formula, _SWEPT),
+    "linf": Suite(2, _grid((2, 3, 10)), _linf, _SWEPT),
+    "l1-moment": Suite(3, _grid((2, 6)), _l1_moment, _SWEPT),
+    "psi": Suite(4, _grid((2, 6, 10, 12)), _psi, ("g", "cases", "seed_family")),
+    "vdc": Suite(5, _blocks, _vdc, ("cases",)),
+    "sin-sum": Suite(6, _blocks, _sin_sum, ("cases",)),
+    "truncation": Suite(7, _truncation_cells, _truncation, ("g",)),
+    "vaughan": Suite(8, _sieved(_vaughan_cells), _vaughan, ("limit",)),
+    "monotonicity": Suite(9, _grid((2, 3, 10)), _monotonicity, ("g", "lambda_max", "seed_family")),
+    "type-i": Suite(10, _grid(_TYPE_I_CELLS), _type_i, _SEEDED),
+    "type-ii": Suite(11, _sieved(_grid(_TYPE_II_CELLS)), _type_ii, _SEEDED),
+    "prime-exp-sum": Suite(12, _sieved(_grid(_PRIME_SUM_CELLS)), _prime_exp_sum, _SEEDED),
+    "hybrid": Suite(13, _grid(_HYBRID_CELLS), _hybrid, _SEEDED),
 }
 
 CALIBRATED = ("type-i", "type-ii", "prime-exp-sum", "hybrid", "truncation")
@@ -591,6 +600,10 @@ def run_suite(name: str, cfg: RunConfig, opts: SuiteOptions) -> list[BoundReport
     if name not in SUITES:
         raise UsageError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
     suite = SUITES[name]
+    for f in fields(opts):
+        if getattr(opts, f.name) is not None and f.name not in suite.reads:
+            reads = ", ".join(map(_flag, suite.reads))
+            raise UsageError(f"suite {name!r} does not read {_flag(f.name)}; it reads {reads}")
     cells = suite.cells(cfg, opts)
 
     def run(key: int) -> list[BoundReport]:

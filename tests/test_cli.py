@@ -212,6 +212,32 @@ class TestVerifyCommand:
             assert header["version"] == revprime.__version__
         assert headers["default"]["config_hash"] == headers["cases"]["config_hash"]
 
+    @pytest.mark.parametrize(
+        "argv, suite, flag",
+        [
+            (
+                ["vaughan", "--limit", "50", "--g", "7", "--seed-family", "diagonal"],
+                "vaughan",
+                "--g",
+            ),
+            (["vdc", "--cases", "8", "--g", "7", "--seed-family", "zero"], "vdc", "--g"),
+            (["vdc", "sin-sum", "--cases", "8", "--lambda-max", "3"], "vdc", "--lambda-max"),
+            (["truncation", "--seed-family", "reverse"], "truncation", "--seed-family"),
+            (["type-i", "--limit", "500"], "type-i", "--limit"),
+        ],
+    )
+    def test_option_the_suite_does_not_read_is_usage_error(
+        self, tmp_path, capsys, argv, suite, flag
+    ):
+        out = tmp_path / "r.jsonl"
+        assert main(["verify", *argv, "--out", str(out)]) == 1
+        assert f"suite '{suite}' does not read {flag};" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_calibrate_rejects_an_option_no_calibrated_suite_reads(self, capsys):
+        assert main(["calibrate", "--cases", "5"]) == 1
+        assert "does not read --cases" in capsys.readouterr().err
+
     def test_unknown_suite(self, capsys):
         assert main(["verify", "laplace"]) == 1
         assert "unknown suite" in capsys.readouterr().err

@@ -1,11 +1,15 @@
 """Linear, bilinear and prime-weighted phase sums.
 
 Brute-force oracles below recompute every sum with plain Python loops
-and f_eval, sharing none of the vectorized digit code under test.
+and f_eval, sharing none of the vectorized digit code under test.  The
+per-row and per-pair oracles are the loops the phase table, the row
+sums and the class-based truncation count replaced; results must equal
+them bit for bit.
 """
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +18,7 @@ from hypothesis import strategies as st
 
 from revprime.arith import build_table, mangoldt_tail
 from revprime.basedigits import ilog
-from revprime.expsum import CostBudgetError, expsum_context, sigma
+from revprime.expsum import CostBudgetError, _digit_phases, expsum_context, sigma
 from revprime.seeds import f_eval, reverse_seed, sod_seed, table_seed, zero_seed
 from revprime import primesum as ps
 
@@ -80,6 +84,12 @@ def zero_tail_phases(seed, L, values):
     return vals
 
 
+def unit_phases_at(seed, L, values):
+    """_unit_phases read at the given integers, from one table over [0, max]."""
+    n = np.array(values, dtype=np.int64)
+    return ps._unit_phases(expsum_context(seed), L, int(n.max(initial=0)))[n]
+
+
 class TestPhases:
     @settings(max_examples=120, deadline=None)
     @given(
@@ -88,8 +98,7 @@ class TestPhases:
     )
     def test_matches_f_eval(self, g, n):
         for seed in (sod_seed(g, 0.37), reverse_seed(g, 9, 0.73)):
-            es = expsum_context(seed)
-            got = np.exp(2j * np.pi * ps._phases(es, 9, np.array([n])))[0]
+            got = unit_phases_at(seed, 9, [n])[0]
             assert abs(got - phase_of(seed, 9, n)) < 1e-12
 
     @settings(max_examples=60, deadline=None)
@@ -106,20 +115,126 @@ class TestPhases:
         assert table.frac_rows(0, L)[:, 0].any()
         n = np.array(values, dtype=np.int64)
         for seed in (zero_seed(g), sod_seed(g, 0.37), reverse_seed(g, 9, 0.73), table):
-            got = ps._phases(expsum_context(seed), L, n)
-            assert got.tobytes() == digit_loop_phases(seed, L, values).tobytes()
-            early = zero_tail_phases(seed, L, n)
+            got = unit_phases_at(seed, L, values)
+            want = np.exp(2j * np.pi * digit_loop_phases(seed, L, values))
+            assert got.tobytes() == want.tobytes()
+            early = np.exp(2j * np.pi * zero_tail_phases(seed, L, n))
             if seed.frac_rows(0, L)[:, 0].any():
                 # the suffix sum adds the same weights in another order
                 assert np.allclose(got, early, rtol=0, atol=1e-12)
             else:
                 assert got.tobytes() == early.tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 6, 10]),
+        st.integers(min_value=0, max_value=12),
+        st.integers(min_value=0, max_value=3000),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_whole_table_equals_digit_phases(self, g, L, top, rows_seed):
+        # every entry of [0, top], including tops past the period g^L
+        rows = np.random.default_rng(rows_seed).random((3, g))
+        for seed in (sod_seed(g, 0.37), reverse_seed(g, L, 0.73), table_seed(g, rows)):
+            got = ps._unit_phases(expsum_context(seed), L, top)
+            n = np.arange(top + 1, dtype=np.int64)
+            want = np.exp(2j * np.pi * _digit_phases(seed.frac_rows(0, L), n, g))
+            assert got.tobytes() == want.tobytes()
+
     def test_short_window_ignores_high_digits(self):
-        es = expsum_context(sod_seed(10, 0.25))
-        lo = ps._phases(es, 2, np.array([34, 1234, 999934]))
+        lo = unit_phases_at(sod_seed(10, 0.25), 2, [34, 1234, 999934])
         assert lo[0] == pytest.approx(lo[1], abs=1e-15)
         assert lo[0] == pytest.approx(lo[2], abs=1e-15)
+
+
+def per_row_phases(es, L, n):
+    return np.exp(2j * np.pi * _digit_phases(es.seed.frac_rows(0, L), n, es.ctx.g))
+
+
+def per_row_type_i(es, p):
+    """type_i_sum as one digit-phase evaluation per progression m."""
+    parts = []
+    for m in range(1, math.floor(p.M) + 1):
+        top = math.floor(p.x / m)
+        n = np.arange(1, top + 1, dtype=np.int64)
+        prefix = np.cumsum(per_row_phases(es, p.L, m * n))
+        parts.append(float(np.abs(prefix).max()))
+    return math.fsum(parts)
+
+
+def per_row_type_ii(es, p):
+    """type_ii_sum as one digit-phase evaluation and one b call per row m."""
+    m_first = math.floor(p.M) + 1
+    m_last = math.floor(2.0 * p.M)
+    if m_last < m_first:
+        return 0j
+    a_vals = np.asarray(
+        p.a_coeff(np.arange(m_first, m_last + 1, dtype=np.int64)), dtype=np.complex128
+    )
+    n_lo = math.floor(p.N)
+    n_cap = math.floor(2.0 * p.N)
+    parts = []
+    for m, a in zip(range(m_first, m_last + 1), a_vals):
+        n_hi = min(n_cap, math.floor(p.x / m))
+        if n_hi <= n_lo or a == 0:
+            continue
+        n = np.arange(n_lo + 1, n_hi + 1, dtype=np.int64)
+        b = np.asarray(p.b_coeff(n), dtype=np.complex128)
+        parts.append(complex(a) * complex(np.sum(b * per_row_phases(es, p.L, m * n))))
+    if not parts:
+        return 0j
+    return complex(np.sum(np.asarray(parts, dtype=np.complex128)))
+
+
+def sum_bits(value):
+    value = complex(value)
+    return (value.real.hex(), value.imag.hex())
+
+
+SUM_CELLS = [(2, 12, 2**12), (2, 16, 2**16), (3, 8, 3**8), (10, 4, 10**4), (6, 5, 5000)]
+
+
+def sum_seed(g, L, family, rows_seed):
+    if family == "sod":
+        return sod_seed(g, 0.37)
+    if family == "reverse":
+        return reverse_seed(g, L, 3 / 7)
+    return table_seed(g, np.random.default_rng(rows_seed).random((3, g)))
+
+
+class TestRowSumsEqualPerRowLoops:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(SUM_CELLS),
+        st.sampled_from(["sod", "reverse", "table"]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_type_i(self, cell, family, rows_seed, frac):
+        g, L, x = cell
+        es = expsum_context(sum_seed(g, L, family, rows_seed))
+        p = ps.type_i_params(es, L, float(x), 1.0 + frac * (math.sqrt(x) - 1.0))
+        assert ps.type_i_sum(es, p).hex() == per_row_type_i(es, p).hex()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(SUM_CELLS),
+        st.sampled_from(["sod", "reverse", "table"]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.floats(min_value=0.25, max_value=0.6),
+        st.floats(min_value=0.25, max_value=0.6),
+        st.booleans(),
+    )
+    def test_type_ii(self, table, cell, family, rows_seed, m_exp, n_exp, mobius):
+        g, L, x = cell
+        es = expsum_context(sum_seed(g, L, family, rows_seed))
+        M, N = float(x) ** m_exp, float(x) ** n_exp
+        if mobius:
+            a, b = ps.mobius_coefficients(table), ps.mangoldt_tail_coefficients(table, N / 2, x)
+        else:
+            a, b = ps.unimodular_coefficients(1), ps.unimodular_coefficients(2)
+        p = ps.type_ii_params(es, L, float(x), M, N, 0.25, a, b)
+        assert sum_bits(ps.type_ii_sum(es, p)) == sum_bits(per_row_type_ii(es, p))
 
 
 class TestTypeI:
@@ -283,7 +398,54 @@ class TestTypeII:
             ps.type_ii_params(es, 12, 2 * 10**6, 2000.0, 2000.0, 0.25, ok, ok)
 
 
+def per_pair_truncation(es, M, N, r, L, lam):
+    """truncation_set_size as one exact Fraction weight difference per pair."""
+    g = es.ctx.g
+    glam = g**lam
+    rows = es.seed.frac_rows(0, L)
+    weights = [[Fraction(rows[i, d]) for d in range(g)] for i in range(L)]
+    members = 0
+    superset = 0
+    for m in range(math.floor(M) + 1, math.floor(2.0 * M) + 1):
+        for n in range(math.floor(N) + 1, math.floor(2.0 * N) + 1):
+            k_low, k_high = m * n // glam, m * (n + r) // glam
+            delta = Fraction(0)
+            a, b = k_high, k_low
+            for i in range(lam, L):
+                if a == b == 0:
+                    break
+                delta += weights[i][a % g] - weights[i][b % g]
+                a //= g
+                b //= g
+            member = delta != 0
+            assert k_high > k_low or not member, (m, n, r)
+            members += member
+            superset += k_high > k_low
+    return members, superset
+
+
 class TestTruncation:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 10]),
+        st.sampled_from(["sod", "reverse", "table"]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.floats(min_value=1.0, max_value=8.0),
+        st.floats(min_value=1.0, max_value=64.0),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=0, max_value=4),
+    )
+    def test_equals_per_pair_loop(self, g, family, rows_seed, M, N, frac, extra):
+        # sod weights only see digit counts, so distinct quotients share
+        # a weight sum there: the count classes pairs by weight, not by k
+        R = 1.0 + frac * (math.sqrt(N) - 1.0)
+        lam = ilog(M * R * R, g) + 1
+        L = lam + extra
+        es = expsum_context(sum_seed(g, L, family, rows_seed))
+        for r in range(int(R) + 1):
+            got = ps.truncation_set_size(es, M, N, R, r, L, lam)
+            assert got == per_pair_truncation(es, M, N, r, L, lam), r
+
     def test_no_shift_is_empty(self):
         es = expsum_context(reverse_seed(2, 12, 0.73))
         members, superset = ps.truncation_set_size(es, 8.0, 64.0, 4.0, 0, 12, 8)

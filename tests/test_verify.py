@@ -1,6 +1,6 @@
 import hashlib
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -55,6 +55,34 @@ class TestRegistry:
             "type-ii": 11,
             "prime-exp-sum": 12,
             "hybrid": 13,
+        }
+
+    @pytest.mark.parametrize("name", sorted(SUITES))
+    def test_options_a_suite_does_not_read_are_usage_errors(self, name):
+        unread = [f.name for f in fields(SuiteOptions) if f.name not in SUITES[name].reads]
+        for option in unread:
+            value = "sod" if option == "seed_family" else 2
+            flag = "--" + option.replace("_", "-")
+            with pytest.raises(UsageError, match=f"suite '{name}' does not read {flag};"):
+                run_suite(name, RunConfig(), SuiteOptions(**{option: value}))
+
+    def test_read_options_are_declared_per_suite(self):
+        seeded = ("g", "seed_family")
+        swept = ("g", "lambda_max", "cases", "seed_family")
+        assert {name: suite.reads for name, suite in SUITES.items()} == {
+            "product-formula": swept,
+            "linf": swept,
+            "l1-moment": swept,
+            "psi": ("g", "cases", "seed_family"),
+            "vdc": ("cases",),
+            "sin-sum": ("cases",),
+            "truncation": ("g",),
+            "vaughan": ("limit",),
+            "monotonicity": ("g", "lambda_max", "seed_family"),
+            "type-i": seeded,
+            "type-ii": seeded,
+            "prime-exp-sum": seeded,
+            "hybrid": seeded,
         }
 
     @pytest.mark.parametrize(
