@@ -16,6 +16,9 @@ import json
 import sys
 from pathlib import Path
 
+# run from a checkout: the repository's src comes before any installed copy
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
 from revprime.cli import main as cli_main
 from revprime.config import DEFAULT_C_CAL, DEFAULT_RNG_SEED
 from revprime.verify import CALIBRATED

@@ -11,6 +11,10 @@ for reading at the terminal rather than for machine consumption:
 import argparse
 import math
 import sys
+from pathlib import Path
+
+# run from a checkout: the repository's src comes before any installed copy
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from revprime.arith import build_table
 from revprime.revcount import census_grid

@@ -214,14 +214,60 @@ def _split26(x: float) -> tuple[float, float]:
     return hi, x - hi
 
 
-def _digit_phases(tab: np.ndarray, n: np.ndarray, g: int) -> np.ndarray:
-    """sum_i tab[i][digit i of n] for each entry of n; higher digits are ignored."""
-    rem = np.asarray(n, dtype=np.int64)
-    phase = np.zeros(rem.shape, dtype=np.float64)
+def _phase_tree(tab: np.ndarray, g: int, top: int) -> np.ndarray:
+    """sum_i tab[i][digit i of n] for every 0 <= n <= top, one position at a time.
+
+    Position i extends the phases of the n < g^i to the n < g^(i+1):
+    entry d g^i + r is entry r plus tab[i][d], so every entry adds the
+    weights of its digits from the lowest up, as a per-integer digit loop
+    does, and equals it bit for bit.  Digits at or beyond len(tab) are
+    ignored: the table has period g^len(tab).
+    """
+    phase = np.zeros(1, dtype=np.float64)
     for row in tab:
-        rem, d = np.divmod(rem, g)
-        phase += row[d]
+        if phase.size > top:
+            phase += row[0]
+        else:
+            # only the leading digits that still reach some n <= top
+            digits = min(g, -(-(top + 1) // phase.size))
+            phase = (phase[None, :] + row[:digits, None]).ravel()
+    if phase.size > top:
+        return phase[: top + 1]
+    return np.resize(phase, top + 1)
+
+
+def _chunk_phases(
+    tree: np.ndarray, high: np.ndarray, g: int, start: int, stop: int
+) -> np.ndarray:
+    """Phases of start <= n < stop from a tree over the low positions.
+
+    Each block of tree.size consecutive n shares its high digits, so a
+    block copies its tree entries and then adds the weight of each high
+    digit in turn, lowest first: the additions of the full digit loop.
+    """
+    block = tree.size
+    phase = np.empty(stop - start, dtype=np.float64)
+    for q in range(start // block, -(-stop // block)):
+        lo, hi = max(start, q * block), min(stop, (q + 1) * block)
+        seg = phase[lo - start : hi - start]
+        seg[...] = tree[lo - q * block : hi - q * block]
+        rest = q
+        for row in high:
+            rest, d = divmod(rest, g)
+            seg += row[d]
     return phase
+
+
+def _chunk_sum(phase: np.ndarray, start: int, bhi: float, blo: float) -> complex:
+    """Sum of e(phase[i] - beta*(start + i)) with beta = bhi + blo; overwrites phase.
+
+    Each temporary is freed before the next chunk's phases are built, so
+    the peak stays a few chunks of float64 whatever the window length.
+    """
+    nf = np.arange(start, start + phase.size, dtype=np.float64)
+    phase -= np.mod(bhi * nf, 1.0) + blo * nf
+    terms = 2j * np.pi * phase
+    return complex(np.exp(terms, out=terms).sum())
 
 
 def F_direct(
@@ -244,13 +290,18 @@ def F_direct(
     tab = es.seed.frac_rows(j, lam)
     beta = beta % 1.0
     bhi, blo = _split26(beta)
+    # the tree covers the low positions and at most _CHUNK entries, so
+    # memory stays O(_CHUNK) however long the window
+    low = lam
+    while g**low > _CHUNK:
+        low -= 1
+    tree = _phase_tree(tab[:low], g, g**low - 1)
     total = 0.0 + 0.0j
     for start in range(0, n_total, _CHUNK):
-        n = np.arange(start, min(start + _CHUNK, n_total), dtype=np.int64)
-        phase = _digit_phases(tab, n, g)
-        nf = n.astype(np.float64)
-        phase -= np.mod(bhi * nf, 1.0) + blo * nf
-        total += complex(np.exp(2j * np.pi * phase).sum())
+        stop = min(start + _CHUNK, n_total)
+        # a window within one chunk is the tree itself, used up here
+        phase = tree if low == lam else _chunk_phases(tree, tab[low:], g, start, stop)
+        total += _chunk_sum(phase, start, bhi, blo)
     return total / n_total
 
 
@@ -296,7 +347,7 @@ def F_abs_product(
 
 
 def _progression_abs(
-    es: ExpSumContext, lam: int, j: int, step: int, a: int, beta: float
+    es: ExpSumContext, lam: int, j: int, step: int, a: int, beta: float | np.ndarray
 ) -> np.ndarray:
     """|F((h + beta)/g^lam)| for h = a, a + step, ... below g^lam.
 
@@ -304,17 +355,18 @@ def _progression_abs(
     the progression repeats with period m / gcd(step, m); that period
     divides the point count, so each level is evaluated on one period
     and tiled.  Offsets stay exact because the integer part is removed
-    with integer mods before any division.
+    with integer mods before any division.  An array beta gives one row
+    of points per entry, shape beta.shape + (points,).
     """
     g = es.ctx.g
-    beta = beta % 1.0
+    betas = np.mod(np.asarray(beta, dtype=np.float64), 1.0)[..., None]
     h = np.arange(a, g**lam, step, dtype=np.int64)
     tab = es.seed.frac_rows(j, lam)
-    acc = np.ones(len(h), dtype=np.float64)
+    acc = np.ones(betas.shape[:-1] + h.shape, dtype=np.float64)
     for i in range(lam):
         m = g ** (lam - i)
         period = m // math.gcd(step, m)
-        u = np.mod(((h[:period] % m).astype(np.float64) + beta) / m, 1.0)
+        u = np.mod(((h[:period] % m).astype(np.float64) + betas) / m, 1.0)
         acc *= np.tile(np.abs(_phi_sums(tab[i], u)) / g, len(h) // period)
     return acc
 
@@ -389,17 +441,22 @@ def psi(es: ExpSumContext, i: int, t, R: int, S: int):
         raise ValueError("position must be nonnegative")
     rows = es.seed.frac_rows(i, 2)
     tarr = np.asarray(t, dtype=np.float64)
-    total = np.zeros(tarr.shape, dtype=np.float64)
+    # u[r] = (t + r)/(RS); every (r, s) sum in one call, then the sums of
+    # each r added over s in order, as the per-(r, s) loop adds them
+    u = (tarr.ravel() + np.arange(R, dtype=np.float64)[:, None]) / (R * S)
+    shifts = np.arange(S, dtype=np.float64)[:, None] / S
+    inner_all = np.abs(_phi_sums(rows[0], np.mod(u[:, None, :] + shifts, 1.0)))
+    outer = np.abs(_phi_sums(rows[1], np.mod(g * u, 1.0)))
+    total = np.zeros(tarr.size, dtype=np.float64)
     for r in range(R):
-        u = (tarr + r) / (R * S)
-        inner = np.zeros(tarr.shape, dtype=np.float64)
+        inner = np.zeros(tarr.size, dtype=np.float64)
         for s in range(S):
-            inner += np.abs(_phi_sums(rows[0], np.mod(u + s / S, 1.0)))
-        total += np.abs(_phi_sums(rows[1], np.mod(g * u, 1.0))) * inner
+            inner += inner_all[r, s]
+        total += outer[r] * inner
     total /= g * g
     if tarr.ndim == 0:
-        return float(total)
-    return total
+        return float(total[0])
+    return total.reshape(tarr.shape)
 
 
 def _validate_l1(g: int, lam: int, k: int, delta: int) -> None:
@@ -414,25 +471,36 @@ def _validate_l1(g: int, lam: int, k: int, delta: int) -> None:
 
 
 def l1_moment(
-    es: ExpSumContext, lam: int, j: int, k: int, delta: int, a: int, beta: float
-) -> float:
-    """Sum of |F((h + beta)/g^lam)| over h = a mod k*g^delta in [0, g^lam)."""
+    es: ExpSumContext, lam: int, j: int, k: int, delta: int, a: int, beta: float | np.ndarray
+) -> float | np.ndarray:
+    """Sum of |F((h + beta)/g^lam)| over h = a mod k*g^delta in [0, g^lam).
+
+    beta may be a scalar or an array (one moment per entry, each summed
+    on its own as a scalar call sums it).
+    """
     g = es.ctx.g
     _validate_l1(g, lam, k, delta)
     step = k * g**delta
-    return float(_progression_abs(es, lam, j, step, a % step, beta).sum())
+    acc = _progression_abs(es, lam, j, step, a % step, beta)
+    if acc.ndim == 1:
+        return float(acc.sum())
+    sums = np.array([row.sum() for row in acc.reshape(-1, acc.shape[-1])])
+    return sums.reshape(acc.shape[:-1])
 
 
 def l1_moment_bound(
-    es: ExpSumContext, lam: int, j: int, k: int, delta: int, a: int, beta: float
-) -> float:
-    """Progression-moment ceiling: g * (g^lam/(k g^delta))^eta * |F| at scale delta."""
+    es: ExpSumContext, lam: int, j: int, k: int, delta: int, a: int, beta: float | np.ndarray
+) -> float | np.ndarray:
+    """Progression-moment ceiling: g * (g^lam/(k g^delta))^eta * |F| at scale delta.
+
+    beta may be a scalar or an array (one ceiling per entry).
+    """
     g = es.ctx.g
     _validate_l1(g, lam, k, delta)
     step = k * g**delta
     a %= step
     eta = es.constants.eta_tilde
-    tail = F_abs_product(es, delta, j + lam - delta, (a + (beta % 1.0)) / g**delta)
+    tail = F_abs_product(es, delta, j + lam - delta, (a + np.mod(beta, 1.0)) / g**delta)
     return g * (g**lam / step) ** eta * tail
 
 

@@ -26,6 +26,7 @@ from .expsum import (
     BoundReport,
     CostBudgetError,
     ExpSumContext,
+    _phase_tree,
     make_report,
     sigma,
 )
@@ -58,24 +59,12 @@ Coefficients = Callable[[np.ndarray], np.ndarray]
 
 
 def _unit_phases(es: ExpSumContext, L: int, top: int) -> np.ndarray:
-    """e(phase(n)) for every 0 <= n <= top, one digit position at a time.
+    """e(phase(n)) for every 0 <= n <= top, from expsum's digit-phase tree.
 
-    Position i extends the phases of the n < g^i to the n < g^(i+1):
-    entry d g^i + r is entry r plus the weight of digit d, the additions
-    expsum._digit_phases makes in the same order, so every entry equals
-    it bit for bit.  Digits at or beyond L are ignored, matching the
-    finite window of the phase function: the table has period g^L.
+    Digits at or beyond L are ignored, matching the finite window of the
+    phase function: the table has period g^L.
     """
-    g = es.ctx.g
-    phase = np.zeros(1, dtype=np.float64)
-    for row in es.seed.frac_rows(0, L):
-        if phase.size > top:
-            phase += row[0]
-        else:
-            # only the leading digits that still reach some n <= top
-            digits = min(g, -(-(top + 1) // phase.size))
-            phase = (phase[None, :] + row[:digits, None]).ravel()
-    return np.exp(2j * np.pi * np.resize(phase, top + 1))
+    return np.exp(2j * np.pi * _phase_tree(es.seed.frac_rows(0, L), es.ctx.g, top))
 
 
 def _row_sums(table, a, m_first, b, n_lo, n_cap, top) -> list[complex]:

@@ -250,13 +250,14 @@ def _l1_moment(cfg: RunConfig, opts: SuiteOptions, rng, g: int) -> list[BoundRep
             )
             for k, delta in _valid_l1_cells(g, lam):
                 a = int(rng.integers(0, k * g**delta))
-                for beta in rng.random(per_cell):
-                    lhs = l1_moment(es, lam, 0, k, delta, a, float(beta))
-                    rhs = l1_moment_bound(es, lam, 0, k, delta, a, float(beta))
+                betas = rng.random(per_cell)
+                lhs = l1_moment(es, lam, 0, k, delta, a, betas).tolist()
+                rhs = l1_moment_bound(es, lam, 0, k, delta, a, betas).tolist()
+                for left, right in zip(lhs, rhs):
                     out.append(
                         make_report(
-                            lhs,
-                            rhs,
+                            left,
+                            right,
                             {
                                 "g": g, "family": name, "lam": lam,
                                 "k": k, "delta": delta, "form": "progression",

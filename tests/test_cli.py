@@ -1,7 +1,10 @@
 import json
 import os
+import subprocess
+import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -377,3 +380,17 @@ class TestAtomicWrite:
         assert out.read_bytes() == b"ab\x01\x00\x00\x00"
         atomic_write(str(out), "\u00e9")
         assert out.read_bytes() == "\u00e9".encode("utf-8")
+
+
+class TestScripts:
+    @pytest.mark.parametrize("script", ["calibrate_all.py", "census_report.py"])
+    def test_help_runs_from_a_checkout(self, tmp_path, script):
+        # outside the repository and without PYTHONPATH, as README runs them
+        path = Path(__file__).resolve().parent.parent / "scripts" / script
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        proc = subprocess.run(
+            [sys.executable, str(path), "--help"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage:")

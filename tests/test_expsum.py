@@ -8,13 +8,16 @@ same quantity through two independent evaluation routes.
 
 import math
 import time
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from revprime import expsum
 from revprime.basedigits import BaseContext
 from revprime.expsum import (
     CostBudgetError,
@@ -23,8 +26,9 @@ from revprime.expsum import (
     F_abs_product,
     F_direct,
     F_grid_full,
-    _digit_phases,
+    _CHUNK,
     _dyadic_ladder,
+    _phase_tree,
     _phi_sums,
     _split26,
     eta_tilde,
@@ -852,6 +856,36 @@ def digit_phase_oracle(tab, values, g):
     return out
 
 
+def divmod_phases(tab, n, g):
+    """sum_i tab[i][digit i of n] for each entry of n, one divmod pass per row.
+
+    The array pass F_direct made before the phase tree; higher digits are
+    ignored.
+    """
+    rem = np.asarray(n, dtype=np.int64)
+    phase = np.zeros(rem.shape, dtype=np.float64)
+    for row in tab:
+        rem, d = np.divmod(rem, g)
+        phase += row[d]
+    return phase
+
+
+def chunked_direct(es, lam, j, beta, chunk=_CHUNK):
+    """F_direct as the divmod pass over each chunk of `chunk` integers."""
+    g = es.ctx.g
+    n_total = g**lam
+    tab = es.seed.frac_rows(j, lam)
+    bhi, blo = _split26(beta % 1.0)
+    total = 0.0 + 0.0j
+    for start in range(0, n_total, chunk):
+        n = np.arange(start, min(start + chunk, n_total), dtype=np.int64)
+        phase = divmod_phases(tab, n, g)
+        nf = n.astype(np.float64)
+        phase -= np.mod(bhi * nf, 1.0) + blo * nf
+        total += complex(np.exp(2j * np.pi * phase).sum())
+    return total / n_total
+
+
 def direct_oracle(es, lam, j, beta):
     """F_direct for one chunk, its phases taken from the per-integer loop."""
     g = es.ctx.g
@@ -873,6 +907,22 @@ pool_case = dict(
 
 def pool_context(g, family, rows_seed):
     return expsum_context(seed_pool(g, np.random.default_rng(rows_seed))[family])
+
+
+def psi_per_pair(es, i, t, R, S):
+    """psi as one _phi_sums call per (r, s): the loop the batched psi replaced."""
+    g = es.ctx.g
+    rows = es.seed.frac_rows(i, 2)
+    tarr = np.asarray(t, dtype=np.float64)
+    total = np.zeros(tarr.shape, dtype=np.float64)
+    for r in range(R):
+        u = (tarr + r) / (R * S)
+        inner = np.zeros(tarr.shape, dtype=np.float64)
+        for s in range(S):
+            inner += np.abs(_phi_sums(rows[0], np.mod(u + s / S, 1.0)))
+        total += np.abs(_phi_sums(rows[1], np.mod(g * u, 1.0))) * inner
+    total /= g * g
+    return total
 
 
 class TestScalarOracles:
@@ -907,10 +957,103 @@ class TestScalarOracles:
         es = pool_context(g, family, rows_seed)
         tab = es.seed.frac_rows(j, lam)
         # past g^lam the entries carry digits the window ignores
-        n = np.arange(g**lam + 3 * g)
-        assert bits(_digit_phases(tab, n, g)) == bits(digit_phase_oracle(tab, n.tolist(), g))
+        top = g**lam + 3 * g
+        n = np.arange(top + 1)
+        want = bits(digit_phase_oracle(tab, n.tolist(), g))
+        assert bits(_phase_tree(tab, g, top)) == bits(divmod_phases(tab, n, g)) == want
         got = np.complex128(F_direct(es, lam, j, beta))
         assert got.tobytes() == np.complex128(direct_oracle(es, lam, j, beta)).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lam=st.integers(0, 9),
+        chunk=st.integers(1, 200),
+        beta=st.floats(-4.0, 4.0, allow_nan=False),
+        **pool_case,
+    )
+    def test_direct_equals_divmod_chunks_at_any_chunk(
+        self, g, lam, j, family, rows_seed, beta, chunk
+    ):
+        # a small chunk puts the tree/high-digit split and misaligned
+        # chunk edges into every window past `chunk` terms
+        while g**lam > 4096:
+            lam -= 1
+        es = pool_context(g, family, rows_seed)
+        with mock.patch.object(expsum, "_CHUNK", chunk):
+            got = np.complex128(F_direct(es, lam, j, beta))
+        want = np.complex128(chunked_direct(es, lam, j, beta, chunk))
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=2, deadline=None)
+    @given(
+        family=st.integers(0, 5),
+        rows_seed=st.integers(0, 2**32 - 1),
+        beta=st.floats(-4.0, 4.0, allow_nan=False),
+    )
+    @pytest.mark.parametrize("g, lam", [(2, 21), (3, 13)])
+    def test_direct_equals_divmod_chunks_past_one_chunk(self, g, lam, family, rows_seed, beta):
+        # g = 2: the tree is exactly one chunk; g = 3: 3^12 < _CHUNK < 3^13,
+        # so chunk edges fall inside tree blocks
+        assert g**lam > _CHUNK
+        es = pool_context(g, family, rows_seed)
+        got = np.complex128(F_direct(es, lam, 0, beta))
+        assert got.tobytes() == np.complex128(chunked_direct(es, lam, 0, beta)).tobytes()
+
+    def test_direct_memory_stays_within_chunks(self):
+        # the whole 2^22-entry tree alone would be four chunks, and with
+        # one chunk's temporaries the peak passes seven
+        es = expsum_context(sod_seed(2, 0.37))
+        tracemalloc.start()
+        try:
+            F_direct(es, 22, 0, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * _CHUNK * 8
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        g=st.sampled_from([2, 3, 4, 6, 10, 12]),
+        i=st.integers(0, 3),
+        family=st.integers(0, 5),
+        rows_seed=st.integers(0, 2**32 - 1),
+        pick=st.integers(0, 10**6),
+        ts=st.lists(st.floats(-8.0, 8.0, allow_nan=False), min_size=1, max_size=7),
+    )
+    def test_psi_equals_per_pair_loop(self, g, i, family, rows_seed, pick, ts):
+        es = pool_context(g, family, rows_seed)
+        ds = divisors(g)
+        R, S = ds[pick % len(ds)], ds[(pick // len(ds)) % len(ds)]
+        t = np.array(ts, dtype=np.float64)
+        assert bits(psi(es, i, t, R, S)) == bits(psi_per_pair(es, i, t, R, S))
+        assert bits(psi(es, i, ts[0], R, S)) == bits(psi_per_pair(es, i, ts[0], R, S))
+        assert isinstance(psi(es, i, ts[0], R, S), float)
+        grid = t.reshape(1, -1)
+        assert psi(es, i, grid, R, S).shape == grid.shape
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lam=st.integers(1, 5),
+        pick=st.integers(0, 10**6),
+        a=st.integers(0, 10**6),
+        betas=st.lists(st.floats(-4.0, 4.0, allow_nan=False), max_size=5),
+        **pool_case,
+    )
+    def test_l1_beta_array_equals_scalar_calls(self, g, lam, j, family, rows_seed, pick, a, betas):
+        es = pool_context(g, family, rows_seed)
+        cells = [
+            (k, delta)
+            for delta in range(lam + 1)
+            for k in divisors(g ** (lam - delta))
+            if k % g
+        ]
+        k, delta = cells[pick % len(cells)]
+        arr = np.array(betas, dtype=np.float64)
+        for fn in (l1_moment, l1_moment_bound):
+            got = fn(es, lam, j, k, delta, a, arr)
+            assert got.shape == arr.shape
+            assert bits(got) == bits([fn(es, lam, j, k, delta, a, b) for b in betas])
+            assert isinstance(fn(es, lam, j, k, delta, a, 0.25), float)
 
 
 class TestSpacedPoints:
