@@ -1,9 +1,12 @@
 """Sieve-backed arithmetic functions and the four-term von Mangoldt split.
 
-A smallest-prime-factor table answers Lambda, mu, tau, phi and primality
-queries in O(log n) each after one linear-memory sieve pass.  The table
-persists to a small versioned, checksummed binary cache so repeated runs
-skip the build.  vaughan_terms splits Lambda(n) into the classical four
+The sieve is a bitmap of which odd numbers up to the limit are prime;
+PrimeTable keeps the sorted primes it yields, which is all a prime
+count or a census reads.  A smallest-prime-factor table, which answers
+Lambda, mu, tau and phi queries in O(log n) each, is built from those
+primes the first time a caller factors.  The bitmap persists to a small
+versioned, checksummed binary cache (limit/16 bytes) so repeated runs
+skip the sieve.  vaughan_terms splits Lambda(n) into the classical four
 pieces controlled by a threshold z (Vaughan's identity), with every
 divisor sum evaluated by factor enumeration from the table; it and its
 two coefficient sums are the reference oracles for vaughan_arrays, which
@@ -15,6 +18,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import threading
 import zlib
 from dataclasses import dataclass
 
@@ -37,11 +41,14 @@ __all__ = [
     "DEFAULT_MAX_LIMIT",
 ]
 
-# ~256 MiB of uint32 factors; census and calibration grids stay far below.
+# The sieve holds limit/2 bytes of odd-number flags and 8 bytes per
+# prime (~64 MiB at 2^26); a caller that factors adds 4 * limit bytes of
+# uint32 smallest prime factors (256 MiB).  Census and calibration grids
+# stay far below.
 DEFAULT_MAX_LIMIT = 1 << 26
 
 _CACHE_MAGIC = b"RVSPF"
-_CACHE_VERSION = 2
+_CACHE_VERSION = 3
 _HEADER = struct.Struct("<5sHQI")  # magic, version, limit, CRC-32 of the payload
 
 
@@ -49,38 +56,56 @@ class SieveBudgetError(RuntimeError):
     """Raised when a requested sieve limit exceeds the memory budget."""
 
 
-def _sieve_spf(limit: int) -> np.ndarray:
-    """Smallest prime factor for every index in [0, limit]; 0 and 1 get 0."""
-    spf = np.zeros(limit + 1, dtype=np.uint32)
-    if limit >= 2:
-        spf[2::2] = 2
+def _sieve_odd(limit: int) -> np.ndarray:
+    """odd[i] is True exactly when 2i + 1 is a prime <= limit."""
+    odd = np.ones((limit + 1) // 2, dtype=bool)
+    odd[0] = False
     for p in range(3, math.isqrt(limit) + 1, 2):
-        if spf[p] == 0:
-            spf[p] = p
-            seg = spf[p * p :: 2 * p]
-            seg[seg == 0] = p
-    # whatever is still unmarked above 1 has no factor <= sqrt(limit)
-    rest = np.flatnonzero(spf[3:] == 0) + 3
-    spf[rest] = rest
-    return spf
+        if odd[p // 2]:
+            odd[p * p // 2 :: p] = False
+    return odd
 
 
 class PrimeTable:
-    """Immutable factor table over [2, limit] built from one sieve pass.
+    """Immutable prime table over [2, limit] built from one sieve pass.
 
+    primes holds every prime <= limit in ascending order.
     smallest_prime_factor[n] is the least prime dividing n (and equals n
-    exactly when n is prime); indices 0 and 1 hold 0.  All the classical
-    multiplicative queries chase that array, so each costs O(log n).
+    exactly when n is prime); indices 0 and 1 hold 0.  It is built on
+    first use, so a caller that only reads primes never pays for it.  All
+    the classical multiplicative queries chase that array, so each costs
+    O(log n).
     """
 
-    def __init__(self, limit: int, spf: np.ndarray):
+    def __init__(self, limit: int, odd: np.ndarray):
         if limit < 2:
             raise ValueError("table limit must be at least 2")
-        if spf.shape != (limit + 1,):
-            raise ValueError("factor array does not match the stated limit")
+        if odd.shape != ((limit + 1) // 2,):
+            raise ValueError("odd-number bitmap does not match the stated limit")
         self.limit = limit
-        self.smallest_prime_factor = spf
-        self._primes: np.ndarray | None = None
+        self.primes = np.concatenate(([2], 2 * np.flatnonzero(odd) + 1), dtype=np.int64)
+        self._spf: np.ndarray | None = None
+        self._spf_lock = threading.Lock()
+
+    @property
+    def smallest_prime_factor(self) -> np.ndarray:
+        """uint32 least prime factor of every index in [0, limit]; 0 and 1 get 0."""
+        if self._spf is None:
+            with self._spf_lock:
+                if self._spf is None:
+                    self._spf = self._factor_table()
+        return self._spf
+
+    def _factor_table(self) -> np.ndarray:
+        # every odd composite n with least prime p is in p*p + 2p*k, and
+        # the primes write from the largest down, so p is the last write
+        spf = np.zeros(self.limit + 1, dtype=np.uint32)
+        spf[self.primes] = self.primes
+        small = self.primes[1 : self.prime_count(math.isqrt(self.limit))]
+        for p in small[::-1].tolist():
+            spf[p * p :: 2 * p] = p
+        spf[4::2] = 2
+        return spf
 
     def _check(self, n: int) -> int:
         if not 1 <= n <= self.limit:
@@ -89,7 +114,8 @@ class PrimeTable:
 
     def is_prime(self, n: int) -> bool:
         self._check(n)
-        return n >= 2 and int(self.smallest_prime_factor[n]) == n
+        i = int(np.searchsorted(self.primes, n))
+        return i < self.primes.size and int(self.primes[i]) == n
 
     def factorize(self, n: int) -> tuple[tuple[int, int], ...]:
         """Prime factorization as ((p, exponent), ...) with p ascending."""
@@ -146,16 +172,6 @@ class PrimeTable:
             out = [d * p**k for d in out for k in range(e + 1)]
         return tuple(sorted(out))
 
-    @property
-    def primes(self) -> np.ndarray:
-        """Sorted array of all primes <= limit (computed once, then kept)."""
-        if self._primes is None:
-            idx = np.arange(self.limit + 1, dtype=np.uint32)
-            mask = self.smallest_prime_factor == idx
-            mask[0] = False
-            self._primes = np.flatnonzero(mask).astype(np.int64)
-        return self._primes
-
     def prime_count(self, x: float) -> int:
         """Number of primes <= x."""
         if x < 2:
@@ -184,13 +200,14 @@ def _load_cache(limit: int, cache_dir: str) -> np.ndarray | None:
             raw = fh.read()
     except OSError:
         return None
-    if len(raw) != 4 * (limit + 1) or zlib.crc32(raw) != checksum:
+    size = (limit + 1) // 2
+    if len(raw) != (size + 7) // 8 or zlib.crc32(raw) != checksum:
         return None
-    return np.frombuffer(raw, dtype="<u4").astype(np.uint32)
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=size).view(bool)
 
 
-def _store_cache(limit: int, cache_dir: str, spf: np.ndarray) -> None:
-    payload = spf.astype("<u4")
+def _store_cache(limit: int, cache_dir: str, odd: np.ndarray) -> None:
+    payload = np.packbits(odd)
     header = _HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, limit, zlib.crc32(payload))
     atomic_write(_cache_path(limit, cache_dir), [header, payload])
 
@@ -218,10 +235,10 @@ def build_table(
         cached = _load_cache(limit, cache_dir)
         if cached is not None:
             return PrimeTable(limit, cached)
-    spf = _sieve_spf(limit)
+    odd = _sieve_odd(limit)
     if cache_dir is not None:
-        _store_cache(limit, cache_dir, spf)
-    return PrimeTable(limit, spf)
+        _store_cache(limit, cache_dir, odd)
+    return PrimeTable(limit, odd)
 
 
 @dataclass(frozen=True)
@@ -337,8 +354,7 @@ def _log_table(top: int) -> np.ndarray:
 
 def _mangoldt_table(pt: PrimeTable, top: int, log: np.ndarray) -> np.ndarray:
     lam = np.zeros(top + 1, dtype=np.float64)
-    p = np.flatnonzero(pt.smallest_prime_factor[: top + 1] == np.arange(top + 1))
-    p = p[p >= 2]
+    p = pt.primes[: pt.prime_count(top)]
     q = p
     while p.size:
         lam[q] = log[p]

@@ -1,16 +1,20 @@
 """Sieve table and the four-term von Mangoldt split.
 
-Oracles here use trial division and full-range divisor scans only, so
-they share no code with the sieve they check.
+Oracles here use trial division, full-range divisor scans and the
+masked-write factor sieve the table used to store, so they share no
+code with the sieve they check.
 """
 
 import math
 import os
 import struct
+import sys
+import threading
+import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from revprime.arith import (
@@ -25,6 +29,7 @@ from revprime.arith import (
     vaughan_arrays,
     vaughan_terms,
 )
+from revprime.revcount import census_grid
 
 LIMIT = 10**5
 
@@ -43,6 +48,35 @@ def oracle_factorize(n):
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def oracle_least_factor(n):
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return d
+        d += 1
+    return n
+
+
+def oracle_sieve_spf(limit):
+    """The masked-write smallest-prime-factor sieve the table once stored."""
+    spf = np.zeros(limit + 1, dtype=np.uint32)
+    if limit >= 2:
+        spf[2::2] = 2
+    for p in range(3, math.isqrt(limit) + 1, 2):
+        if spf[p] == 0:
+            spf[p] = p
+            seg = spf[p * p :: 2 * p]
+            seg[seg == 0] = p
+    rest = np.flatnonzero(spf[3:] == 0) + 3
+    spf[rest] = rest
+    return spf
+
+
+def oracle_primes(spf):
+    n = np.arange(spf.size)
+    return n[(n >= 2) & (spf == n)].astype(np.int64)
 
 
 def oracle_mangoldt(n):
@@ -160,6 +194,92 @@ class TestSieve:
         assert value == n
 
 
+# limits of every parity, and p^2 - 1, p^2, p^2 + 1, where the sieve's
+# last prime starts or stops marking
+sieve_limits = st.one_of(
+    st.integers(2, 5000),
+    st.builds(
+        lambda p, d: p * p + d,
+        st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67]),
+        st.sampled_from([-1, 0, 1]),
+    ),
+)
+
+
+class TestSieveOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(sieve_limits)
+    @example(2)
+    @example(3)
+    @example(4)
+    def test_tables_equal_oracle_sieve(self, limit):
+        pt = build_table(limit)
+        spf = oracle_sieve_spf(limit)
+        assert pt.primes.tobytes() == oracle_primes(spf).tobytes()
+        assert pt.smallest_prime_factor.tobytes() == spf.tobytes()
+        assert pt.smallest_prime_factor.tolist()[2:] == [
+            oracle_least_factor(n) for n in range(2, limit + 1)
+        ]
+
+    def test_two_to_the_twenty(self):
+        limit = 1 << 20
+        pt = build_table(limit)
+        spf = oracle_sieve_spf(limit)
+        assert pt.primes.size == 82025
+        assert pt.primes.tobytes() == oracle_primes(spf).tobytes()
+        assert pt.smallest_prime_factor.tobytes() == spf.tobytes()
+        rng = np.random.default_rng(20)
+        picks = np.concatenate([rng.integers(2, limit + 1, size=2000), np.arange(limit - 200, limit + 1)])
+        for n in picks.tolist():
+            least = oracle_least_factor(n)
+            assert int(pt.smallest_prime_factor[n]) == least
+            assert pt.is_prime(n) == (least == n)
+
+    def test_census_never_builds_factor_table(self):
+        pt = build_table(1 << 16)
+        census_grid(2, 16, [(a, 7) for a in range(7)], pt)
+        census_grid(10, 4, [(1, 3), (2, 9)], pt)
+        assert pt.prime_count(1 << 16) == 6542
+        assert pt._spf is None
+
+    def test_concurrent_first_reads_share_one_table(self, monkeypatch):
+        pt = build_table(1 << 18)
+        builds = []
+        build = type(pt)._factor_table
+
+        def counted(self):
+            builds.append(threading.get_ident())
+            return build(self)
+
+        monkeypatch.setattr(type(pt), "_factor_table", counted)
+        workers = 4
+        barrier = threading.Barrier(workers)
+        seen = [None] * workers
+
+        def read(i):
+            barrier.wait(timeout=30)
+            seen[i] = pt.smallest_prime_factor
+
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(builds) == 1
+        want = oracle_sieve_spf(1 << 18).tobytes()
+        assert all(table is seen[0] for table in seen)
+        assert all(table.tobytes() == want for table in seen)
+
+
+HEADER = struct.Struct("<5sHQI")  # magic, version, limit, CRC-32 of the payload
+
+
 class TestCache:
     def test_round_trip_hits_cache(self, tmp_path, monkeypatch):
         first = build_table(5000, cache_dir=str(tmp_path))
@@ -169,9 +289,21 @@ class TestCache:
         def boom(limit):
             raise AssertionError("sieve ran despite a valid cache")
 
-        monkeypatch.setattr("revprime.arith._sieve_spf", boom)
+        monkeypatch.setattr("revprime.arith._sieve_odd", boom)
         second = build_table(5000, cache_dir=str(tmp_path))
+        assert first.primes.tobytes() == second.primes.tobytes()
         assert first.smallest_prime_factor.tobytes() == second.smallest_prime_factor.tobytes()
+
+    def test_file_is_packed_odd_bitmap(self, tmp_path):
+        build_table(5000, cache_dir=str(tmp_path))
+        raw = (tmp_path / "spf_5000.bin").read_bytes()
+        magic, version, limit, checksum = HEADER.unpack(raw[: HEADER.size])
+        payload = raw[HEADER.size :]
+        assert (magic, version, limit) == (b"RVSPF", 3, 5000)
+        assert len(payload) == 313  # 2500 odd numbers, one bit each
+        assert zlib.crc32(payload) == checksum
+        odd = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=2500)
+        assert (2 * np.flatnonzero(odd) + 1).tolist() == oracle_primes(oracle_sieve_spf(5000))[1:].tolist()
 
     def test_header_mismatch_regenerates(self, tmp_path):
         build_table(5000, cache_dir=str(tmp_path))
@@ -189,12 +321,32 @@ class TestCache:
         path = tmp_path / "spf_5000.bin"
         pristine = path.read_bytes()
         raw = bytearray(pristine)
-        raw[-4 * 4000] ^= 0x01  # spf[1001] = 7 becomes 6; the size is unchanged
+        i = 1001 // 2  # 1001 = 7 * 11 * 13, so its bit is clear
+        byte, mask = HEADER.size + i // 8, 0x80 >> (i % 8)
+        assert not raw[byte] & mask
+        raw[byte] ^= mask  # 1001 reads prime; the size is unchanged
         path.write_bytes(bytes(raw))
+        assert path.stat().st_size == len(pristine)
         rebuilt = build_table(5000, cache_dir=str(tmp_path))
-        assert rebuilt.smallest_prime_factor.tobytes() == build_table(5000).smallest_prime_factor.tobytes()
+        assert not rebuilt.is_prime(1001)
+        assert rebuilt.primes.tobytes() == build_table(5000).primes.tobytes()
+        assert rebuilt.smallest_prime_factor.tobytes() == oracle_sieve_spf(5000).tobytes()
         assert rebuilt.prime_count(5000) == 669
         assert path.read_bytes() == pristine
+
+    def test_version_2_file_is_rewritten(self, tmp_path):
+        # the previous layout: the whole uint32 factor table under the same name
+        spf = oracle_sieve_spf(5000)
+        payload = spf.astype("<u4").tobytes()
+        path = tmp_path / "spf_5000.bin"
+        path.write_bytes(HEADER.pack(b"RVSPF", 2, 5000, zlib.crc32(payload)) + payload)
+        rebuilt = build_table(5000, cache_dir=str(tmp_path))
+        assert rebuilt.primes.tobytes() == oracle_primes(spf).tobytes()
+        assert rebuilt.smallest_prime_factor.tobytes() == spf.tobytes()
+        fresh = tmp_path / "fresh"
+        build_table(5000, cache_dir=str(fresh))
+        assert HEADER.unpack(path.read_bytes()[: HEADER.size])[1] == 3
+        assert path.read_bytes() == (fresh / "spf_5000.bin").read_bytes()
 
     def test_truncated_file_regenerates(self, tmp_path):
         build_table(5000, cache_dir=str(tmp_path))
