@@ -180,6 +180,20 @@ class PrimeTable:
             raise ValueError(f"prime count beyond table limit {self.limit}")
         return int(np.searchsorted(self.primes, math.floor(x), side="right"))
 
+    def prime_powers(self, top: int) -> tuple[np.ndarray, np.ndarray]:
+        """(p^k, p) for every prime power p^k <= top with k >= 1.
+
+        Walked one level of k at a time, so the primes come first, then
+        their squares, and so on.
+        """
+        primes = self.primes[: self.prime_count(top)]
+        values, bases = [primes], [primes]
+        while values[-1].size:
+            keep = values[-1] <= top // bases[-1]
+            bases.append(bases[-1][keep])
+            values.append(values[-1][keep] * bases[-1])
+        return np.concatenate(values), np.concatenate(bases)
+
 
 def _cache_path(limit: int, cache_dir: str) -> str:
     return os.path.join(cache_dir, f"spf_{limit}.bin")
@@ -354,12 +368,8 @@ def _log_table(top: int) -> np.ndarray:
 
 def _mangoldt_table(pt: PrimeTable, top: int, log: np.ndarray) -> np.ndarray:
     lam = np.zeros(top + 1, dtype=np.float64)
-    p = pt.primes[: pt.prime_count(top)]
-    q = p
-    while p.size:
-        lam[q] = log[p]
-        keep = q <= top // p
-        p, q = p[keep], q[keep] * p[keep]
+    powers, primes = pt.prime_powers(top)
+    lam[powers] = log[primes]
     return lam
 
 

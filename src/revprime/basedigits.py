@@ -6,13 +6,14 @@ circle map, distance to the nearest integer, floor) that the rest of
 the package shares.  Everything here is integer arithmetic; no float
 logarithms are used to make digit-length decisions.  reverse_array is
 the vectorized form of both reversals; the scalar functions are the
-oracles it is tested against.
+oracles it is tested against.  Powers of g live here too: ilog is the
+exact g-adic length and power_residues the exact ladder num*g^i mod den.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,41 +29,19 @@ __all__ = [
     "dist",
     "floor_part",
     "ilog",
+    "power_residues",
 ]
 
 
 @dataclass(frozen=True)
 class BaseContext:
-    """An integer base g >= 2 together with a cache of exact powers of g.
-
-    The cache holds g^0 .. g^K as exact integers.  K defaults to roughly
-    64 bits worth of magnitude (64 for g = 2, scaled down for larger g)
-    and is configurable.  Powers beyond the cache are computed on demand,
-    still exactly.
-    """
+    """An integer base g >= 2."""
 
     g: int
-    max_pow: int = 0
-    pow_cache: tuple[int, ...] = field(default=(), repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.g, int) or self.g < 2:
             raise ValueError(f"base must be an integer >= 2, got {self.g!r}")
-        k = self.max_pow
-        if k <= 0:
-            k = max(8, int(round(64 * math.log(2) / math.log(self.g))))
-            object.__setattr__(self, "max_pow", k)
-        if not self.pow_cache:
-            cache = tuple(self.g**i for i in range(k + 1))
-            object.__setattr__(self, "pow_cache", cache)
-
-    def power(self, i: int) -> int:
-        """Exact g^i for i >= 0."""
-        if i < 0:
-            raise ValueError("negative power requested")
-        if i < len(self.pow_cache):
-            return self.pow_cache[i]
-        return self.g**i
 
 
 @dataclass(frozen=True)
@@ -160,11 +139,11 @@ def reverse_array(values, g: int, L: int | None = None) -> np.ndarray:
 
     With L this is reverse_relative(n, L) for each n: exactly L divmod
     steps, digits at positions >= L ignored.  Without L it is the
-    absolute reverse(n): the loop runs while any entry is nonzero and
-    drops entries from the working set as they run out of digits.
+    absolute reverse(n): the same loop over the width of the largest
+    entry, each result then divided by g^(width - digit length of n).
     Raises ValueError on negative entries, and whenever a result could
-    exceed int64: g^L > 2^63 - 1, or without L, g^(digit length of the
-    largest entry) > 2^63 - 1.
+    exceed int64: g^width > 2^63 - 1, where width is L or the digit
+    length of the largest entry.
     """
     if not isinstance(g, int) or g < 2:
         raise ValueError(f"base must be an integer >= 2, got {g!r}")
@@ -177,36 +156,26 @@ def reverse_array(values, g: int, L: int | None = None) -> np.ndarray:
         raise TypeError(f"integer values required, got dtype {arr.dtype}")
     if arr.min() < 0:
         raise ValueError("reverse is defined for nonnegative integers")
-    if L is not None:
-        if g**L > _INT64_MAX:
-            raise ValueError(f"{g}^{L} overflows int64")
-        if not np.can_cast(arr.dtype, np.int64):
-            # uint64 or Python integers: digits >= L are ignored anyway,
-            # and the residues mod g^L convert to int64 exactly
-            arr = arr % g**L
-        n = arr.astype(np.int64)
-        out = np.zeros_like(n)
-        for _ in range(L):
-            n, d = np.divmod(n, g)
-            out *= g
-            out += d
-        return out
-    top = int(arr.max())
-    if g ** digit_length(top, BaseContext(g)) > _INT64_MAX:
-        raise ValueError(f"reverse of {top} in base {g} overflows int64")
-    flat = arr.astype(np.int64).ravel()
-    out = np.zeros_like(flat)
-    live = np.flatnonzero(flat)
-    n, acc = flat[live], np.zeros(live.size, dtype=np.int64)
-    while live.size:
+    width = digit_length(int(arr.max()), BaseContext(g)) if L is None else L
+    if g**width > _INT64_MAX:
+        raise ValueError(f"{g}^{width} overflows int64")
+    if not np.can_cast(arr.dtype, np.int64):
+        # uint64 or Python integers: digits >= width are ignored anyway,
+        # and the residues mod g^width convert to int64 exactly
+        arr = arr % g**width
+    n = arr.astype(np.int64)
+    if L is None:
+        powers = np.array([g**i for i in range(width + 1)], dtype=np.int64)
+        # g^(width - len(n)): len(n) counts the powers of g at most n
+        shorten = powers[width - np.searchsorted(powers[:width], n, side="right")]
+    out = np.zeros_like(n)
+    for _ in range(width):
         n, d = np.divmod(n, g)
-        acc = acc * g + d
-        done = n == 0
-        if done.any():
-            out[live[done]] = acc[done]
-            keep = ~done
-            live, n, acc = live[keep], n[keep], acc[keep]
-    return out.reshape(arr.shape)
+        out *= g
+        out += d
+    if L is None:
+        out //= shorten
+    return out
 
 
 def e(x: float) -> complex:
@@ -231,17 +200,40 @@ def floor_part(x: float) -> int:
 def ilog(x, g: int) -> int:
     """Largest integer k >= 0 with g^k <= x, computed by exact comparison.
 
-    Accepts integer or real x >= 1.  Float logarithms only provide the
-    starting guess; the answer is fixed up with exact integer powers so
-    boundary cases like x = g^k never misclassify.
+    Accepts integer or real x >= 1 of any size, Fractions included.  A
+    float logarithm of floor(x) only provides the starting guess; the
+    answer is fixed up with exact integer powers so boundary cases like
+    x = g^k never misclassify.
     """
     if g < 2:
         raise ValueError("base must be >= 2")
     if x < 1:
         raise ValueError("ilog requires x >= 1")
-    k = max(0, int(math.log(float(x)) / math.log(g)))
-    while g ** (k + 1) <= x:
+    # g^k <= x exactly when g^k <= floor(x), and math.log takes integers
+    # of any size where a float conversion would overflow
+    n = math.floor(x)
+    k = max(0, int(math.log(n) / math.log(g)))
+    while g ** (k + 1) <= n:
         k += 1
-    while k > 0 and g**k > x:
+    while k > 0 and g**k > n:
         k -= 1
     return k
+
+
+def power_residues(num: int, den: int, g: int, count: int) -> list[int]:
+    """Exact residues num * g^i mod den for i = 0..count-1.
+
+    The ladder of fractional parts: frac((num/den) * g^i) is entry i
+    over den.  Each rung is one modular multiply, so the walk stays
+    exact however long it runs; r / den rounds an entry once.
+    """
+    if den < 1:
+        raise ValueError("denominator must be positive")
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    out = []
+    r = num % den
+    for _ in range(count):
+        out.append(r)
+        r = r * g % den
+    return out

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -73,14 +73,7 @@ class RunConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-_CONFIG_KEYS = {
-    "rng_seed",
-    "rng_algorithm",
-    "sieve_limit",
-    "threads",
-    "census_tolerance",
-    "c_cal",
-}
+_CONFIG_KEYS = frozenset(f.name for f in fields(RunConfig))
 
 
 def load_config(path: str) -> RunConfig:

@@ -15,8 +15,9 @@ every verifier.
 
 All phase arithmetic is done on exactly reduced fractional parts: seed
 weights via Seed.frac, grid offsets via integer residues, and powers of
-the base via an exact dyadic ladder, so the direct and product routes
-agree to near machine precision instead of drifting with g^lam.
+the base via the exact ladder basedigits.power_residues, so the direct
+and product routes agree to near machine precision instead of drifting
+with g^lam.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basedigits import BaseContext
+from .basedigits import BaseContext, ilog, power_residues
 from .seeds import Seed
 
 __all__ = [
@@ -292,9 +293,7 @@ def F_direct(
     bhi, blo = _split26(beta)
     # the tree covers the low positions and at most _CHUNK entries, so
     # memory stays O(_CHUNK) however long the window
-    low = lam
-    while g**low > _CHUNK:
-        low -= 1
+    low = min(lam, ilog(_CHUNK, g))
     tree = _phase_tree(tab[:low], g, g**low - 1)
     total = 0.0 + 0.0j
     for start in range(0, n_total, _CHUNK):
@@ -303,21 +302,6 @@ def F_direct(
         phase = tree if low == lam else _chunk_phases(tree, tab[low:], g, start, stop)
         total += _chunk_sum(phase, start, bhi, blo)
     return total / n_total
-
-
-def _dyadic_ladder(beta: float, count: int, g: int) -> np.ndarray:
-    """Exact fractional parts of beta * g^i for i = 0..count-1.
-
-    beta is a double, hence a dyadic rational; multiplying its numerator
-    by g modulo the denominator walks the ladder without precision loss,
-    and the int division rounds each rung once.
-    """
-    num, den = (beta % 1.0).as_integer_ratio()
-    out = np.empty(count, dtype=np.float64)
-    for i in range(count):
-        out[i] = num / den
-        num = (num * g) % den
-    return out
 
 
 def F_abs_product(
@@ -335,7 +319,13 @@ def F_abs_product(
     betas = np.asarray(beta, dtype=np.float64)
     args = np.empty((lam, betas.size), dtype=np.float64)
     for col, b in enumerate(betas.ravel().tolist()):
-        args[:, col] = _dyadic_ladder(b, lam, g)
+        # a double is a dyadic rational, so its ladder frac(b * g^i) is
+        # exact in integers and each rung is rounded once; rung 0 stays
+        # b % 1.0, which rounds up to 1.0 for tiny negative b
+        b %= 1.0
+        num, den = b.as_integer_ratio()
+        args[:, col] = [r / den for r in power_residues(num, den, g, lam)]
+        args[:1, col] = b
     sums = _phi_sums(tab[:, None, :], args)
     factors = np.hypot(sums.real, sums.imag) / g
     acc = np.ones(betas.size, dtype=np.float64)
@@ -526,9 +516,7 @@ def hybrid_bound_shape(es: ExpSumContext, lam: int, j: int, M: float) -> float:
         raise ValueError("M must be at least 1")
     g = es.ctx.g
     eta = es.constants.eta_tilde
-    mu = 0
-    while g ** (mu + 1) <= M:
-        mu += 1
+    mu = ilog(M, g)
     if 2 * mu <= lam:
         expo = (0.5 - eta) * 2 * mu + sigma(es, lam - 2 * mu, j + 2 * mu)
         return M * g**-expo

@@ -158,11 +158,8 @@ def _theta_ilog(x: float, g: int, theta: float) -> int:
     """
     fr = Fraction(theta)
     if x == int(x) and fr.denominator <= 64 and fr.numerator <= 64:
-        xp = int(x) ** fr.numerator
-        k = 0
-        while g ** ((k + 1) * fr.denominator) <= xp:
-            k += 1
-        return k
+        # g^k <= x^(n/d) exactly when (g^d)^k <= x^n
+        return ilog(int(x) ** fr.numerator, g**fr.denominator)
     return max(0, math.floor(theta * math.log(x) / math.log(g) + 1e-9))
 
 

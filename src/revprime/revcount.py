@@ -19,7 +19,7 @@ import numpy as np
 from .arith import PrimeTable
 # reverse is not called here; it stays importable as revcount.reverse,
 # the name perfbench counts reversal calls through
-from .basedigits import ilog, reverse, reverse_array  # noqa: F401
+from .basedigits import ilog, power_residues, reverse, reverse_array  # noqa: F401
 from .expsum import BoundReport, expsum_context, gamma_coefficient, make_report, sigma
 from .seeds import reverse_seed
 
@@ -43,17 +43,25 @@ class DegenerateSeedError(ValueError):
     """Raised when every reversal phase of a scale is an exact integer."""
 
 
-def _totient(n: int) -> int:
-    value = n
+def _prime_divisors(n: int) -> list[int]:
+    """Distinct primes dividing n >= 1, ascending, by trial division."""
+    out = []
     d = 2
     while d * d <= n:
         if n % d == 0:
-            value -= value // d
+            out.append(d)
             while n % d == 0:
                 n //= d
         d += 1
     if n > 1:
-        value -= value // n
+        out.append(n)
+    return out
+
+
+def _totient(n: int) -> int:
+    value = n
+    for p in _prime_divisors(n):
+        value -= value // p
     return value
 
 
@@ -92,16 +100,7 @@ def exceptional_cap(g: int, q: int) -> int:
     A zero-density class can still catch a reversed prime when the prime
     divides g*q; this caps how many such strays a census cell may hold.
     """
-    n = g * q
-    count = 0
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            count += 1
-            while n % d == 0:
-                n //= d
-        d += 1
-    return count + (n > 1)
+    return len(_prime_divisors(g * q))
 
 
 @dataclass(frozen=True)
@@ -226,15 +225,10 @@ def psi_theta_pi(
         raise ValueError(f"window end {g}^{L} beyond sieve limit {pt.limit}")
     modulus = math.gcd(q, g**L * (g * g - 1)) if sharp else q
     top = math.floor(x)
-    primes = pt.primes[: pt.prime_count(x)]
-    values, bases = [primes], [primes]
     if kind == "psi":
-        # prime powers p^k <= x, one level of k at a time
-        while values[-1].size:
-            keep = values[-1] <= top // bases[-1]
-            bases.append(bases[-1][keep])
-            values.append(values[-1][keep] * bases[-1])
-    values, bases = np.concatenate(values), np.concatenate(bases)
+        values, bases = pt.prime_powers(top)
+    else:
+        values = bases = pt.primes[: pt.prime_count(top)]
     hits = reverse_array(values, g, L) % modulus == a % modulus
     if kind == "pi":
         return float(np.count_nonzero(hits))
@@ -298,13 +292,10 @@ def sigma_lower_blocks(g: int, L: int, lam: int, alpha) -> BoundReport:
         raise ValueError("base must be at least 2")
     if not 0 <= lam <= L:
         raise ValueError("need 0 <= lam <= L")
-    step = Fraction(alpha) * (g * g - 1) % 1
-    dists = []
-    cur = step
-    for _ in range(L + 1):
-        dists.append(min(cur, 1 - cur))
-        cur = cur * g % 1
-    sigma_hat = min(dists)
+    num, den = (Fraction(alpha) * (g * g - 1)).as_integer_ratio()
+    # distance of g^i (g^2-1) alpha to the integers is near[i] / den
+    near = [min(r, den - r) for r in power_residues(num, den, g, L + 1)]
+    sigma_hat = Fraction(min(near), den)
     if sigma_hat == 0:
         raise DegenerateSeedError(
             f"g^i (g^2-1) alpha hits an integer for some i <= {L}"
@@ -313,7 +304,7 @@ def sigma_lower_blocks(g: int, L: int, lam: int, alpha) -> BoundReport:
     while Fraction(g) ** J * (g + 1) * sigma_hat <= g:
         J += 1
     K = lam // J
-    blocked = math.fsum(float(dists[i]) ** 2 for i in range(L - lam, L))
+    blocked = math.fsum((near[i] / den) ** 2 for i in range(L - lam, L))
     report = make_report(
         K / (g + 1) ** 2,
         blocked,

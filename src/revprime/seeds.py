@@ -26,6 +26,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .basedigits import power_residues
+
 __all__ = [
     "Seed",
     "ZeroSeed",
@@ -107,8 +109,11 @@ class SodSeed(Seed):
         return float((Fraction(self.scale) * d) % 1)
 
     def frac_rows(self, j: int, count: int) -> np.ndarray:
-        row = [self.frac(j, d) for d in range(self.base)]
-        return np.tile(np.array(row, dtype=np.float64), (count, 1))
+        self._check(j, 0)
+        num, den = Fraction(self.scale).as_integer_ratio()
+        # the weight a*d carries g^0 at every position: a ladder of one rung
+        row = _residue_rows(power_residues(num, den, self.base, 1), den, self.base)
+        return np.tile(row, (count, 1))
 
 
 @dataclass(frozen=True)
@@ -152,22 +157,17 @@ class ReverseSeed(Seed):
         if self.scale == 0 or count == 0:
             return out
         num, den = Fraction(self.scale).as_integer_ratio()
-        # Positions below the window share the ladder residue d*num*g^exp
-        # mod den; walking i downward multiplies the residue by g, which
-        # keeps the whole table exact at one modular multiply per step.
+        # Inside the window row i holds the residue num*g^(window-j-i-1)
+        # mod den, so the in-window rows, last to first, are one power
+        # ladder.  Past the window a weight is num*d / (den*g^k), and each
+        # row has its own denominator.
         top = min(count, max(0, self.window - j))
         if top > 0:
-            exp0 = self.window - (j + top - 1) - 1
-            base_res = (num * pow(g, exp0, den)) % den
-            res = [(base_res * d) % den for d in range(g)]
-            for i in range(top - 1, -1, -1):
-                for d in range(1, g):
-                    out[i, d] = float(Fraction(res[d], den))
-                if i:
-                    res = [(r * g) % den for r in res]
+            start = num * pow(g, self.window - j - top, den)
+            out[:top] = _residue_rows(power_residues(start, den, g, top)[::-1], den, g)
         for i in range(top, count):
-            for d in range(1, g):
-                out[i, d] = self.frac(j + i, d)
+            big = den * g ** (j + i + 1 - self.window)
+            out[i] = _residue_rows([num], big, g)
         return out
 
 
@@ -230,6 +230,16 @@ class ShiftedSeed(Seed):
 
     def frac_rows(self, j: int, count: int) -> np.ndarray:
         return self.inner.frac_rows(j + self.offset, count)
+
+
+def _residue_rows(residues: list[int], den: int, g: int) -> np.ndarray:
+    """Rows (r*d mod den) / den over the digits d = 0..g-1, one per residue r.
+
+    Each entry is one correctly rounded integer division, the double
+    nearest the exact fractional part of the weight r*d/den.
+    """
+    rows = [[r * d % den / den for d in range(g)] for r in residues]
+    return np.array(rows, dtype=np.float64).reshape(len(residues), g)
 
 
 def zero_seed(g: int) -> ZeroSeed:

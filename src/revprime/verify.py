@@ -175,10 +175,7 @@ def _map_cells(fn: Callable, cells: list, threads: int) -> list:
 
 
 def _direct_cap(g: int, lam_cap: int) -> int:
-    lam = 1
-    while lam < lam_cap and g ** (lam + 1) <= (1 << 20):
-        lam += 1
-    return lam
+    return max(1, min(lam_cap, ilog(1 << 20, g)))
 
 
 def _product_formula(cfg: RunConfig, opts: SuiteOptions, rng, g: int) -> list[BoundReport]:

@@ -129,6 +129,20 @@ class TestSieve:
         for n in (4, 9, 15, 1001, 65536):
             assert not table.is_prime(n)
 
+    def test_prime_powers_match_factorization(self, table):
+        for top in (1, 2, 3, 4, 97, 1000, 1024, 2**16 - 1):
+            values, bases = table.prime_powers(top)
+            want = set()
+            for n in range(2, top + 1):
+                f = oracle_factorize(n)
+                if len(f) == 1:
+                    want.add((n, f[0][0]))
+            got = list(zip(values.tolist(), bases.tolist()))
+            assert len(got) == len(want) and set(got) == want
+            # level by level: the primes come first, in order
+            primes = sorted(p for n, p in want if n == p)
+            assert [n for n, _ in got[: len(primes)]] == primes
+
     def test_mangoldt_examples(self, table):
         assert table.mangoldt(9) == pytest.approx(math.log(3), abs=0)
         assert table.mangoldt(8) == pytest.approx(math.log(2), abs=0)

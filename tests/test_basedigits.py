@@ -1,6 +1,7 @@
 """Digit decomposition, reversal, and numeric helper checks."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from revprime.basedigits import (
     e,
     floor_part,
     ilog,
+    power_residues,
     reverse,
     reverse_array,
     reverse_relative,
@@ -46,16 +48,6 @@ class TestBaseContext:
         with pytest.raises(ValueError):
             BaseContext(0)
 
-    def test_pow_cache_exact(self):
-        ctx = BaseContext(10)
-        for i in range(ctx.max_pow + 1):
-            assert ctx.pow_cache[i] == 10**i
-        assert ctx.power(25) == 10**25
-
-    def test_default_cache_scales_with_base(self):
-        assert BaseContext(2).max_pow == 64
-        assert BaseContext(10).max_pow < 64
-
 
 class TestDigits:
     def test_zero_is_empty(self):
@@ -81,7 +73,7 @@ class TestDigits:
         dv = digits_of(n, ctx)
         assert dv[len(dv) - 1] != 0
         assert digit_length(n, ctx) == len(dv)
-        assert ctx.power(len(dv) - 1) <= n < ctx.power(len(dv))
+        assert g ** (len(dv) - 1) <= n < g ** len(dv)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -129,19 +121,19 @@ class TestReverseRelative:
     @given(st.integers(0, 10**8), st.sampled_from(BASES), st.integers(0, 12))
     def test_scaling_identity(self, n, g, L):
         ctx = base(g)
-        n %= ctx.power(L)
+        n %= g**L
         length = digit_length(n, ctx)
-        assert reverse_relative(n, L, ctx) == reverse(n, ctx) * ctx.power(L - length)
+        assert reverse_relative(n, L, ctx) == reverse(n, ctx) * g ** (L - length)
 
     @given(st.integers(0, 10**9), st.sampled_from(BASES), st.integers(0, 10))
     def test_high_digits_ignored(self, n, g, L):
         ctx = base(g)
-        assert reverse_relative(n, L, ctx) == reverse_relative(n % ctx.power(L), L, ctx)
+        assert reverse_relative(n, L, ctx) == reverse_relative(n % g**L, L, ctx)
 
     def test_coincides_with_reverse_on_full_window(self):
         for g, L in [(2, 8), (3, 5), (10, 4)]:
             ctx = base(g)
-            lo, hi = ctx.power(L - 1), ctx.power(L)
+            lo, hi = g ** (L - 1), g**L
             step = max(1, (hi - lo) // 200)
             for n in range(lo, hi, step):
                 assert reverse_relative(n, L, ctx) == reverse(n, ctx)
@@ -220,6 +212,34 @@ class TestReverseArray:
         with pytest.raises(ValueError):
             reverse_array([10**18], 10)
 
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 10**6 - 1), st.integers(0, 12)).map(lambda t: t[0] * 10 ** t[1]),
+            min_size=1,
+            max_size=30,
+        ),
+    )
+    def test_absolute_mixed_widths_and_trailing_zeros(self, ns):
+        # entries of every width, many ending in zeros, against the scalar
+        # reverse, as int64, uint64 and Python-object input
+        ctx = base(10)
+        want = [reverse(n, ctx) for n in ns]
+        for values in (ns, np.array(ns, dtype=np.uint64), np.array(ns, dtype=object)):
+            assert reverse_array(values, 10).tolist() == want
+
+    def test_absolute_at_largest_int64_width(self):
+        # the widest window whose powers stay below 2^63: 2^62, 3^39, 10^18
+        for g, width in ((2, 62), (3, 39), (10, 18)):
+            assert g**width <= 2**63 - 1 < g ** (width + 1)
+            ctx = base(g)
+            top = g**width - 1
+            ns = [0, 1, g, g ** (width - 1), top, top - 1, g ** (width - 1) + 1, 12 * g**5]
+            want = [reverse(n, ctx) for n in ns]
+            for values in (ns, np.array(ns, dtype=np.uint64), np.array(ns, dtype=object)):
+                assert reverse_array(values, g).tolist() == want
+            with pytest.raises(ValueError):
+                reverse_array([g**width], g)
+
     def test_rejects_bad_base_and_window(self):
         with pytest.raises(ValueError):
             reverse_array([1], 1)
@@ -266,3 +286,59 @@ class TestNumericHelpers:
                     assert ilog(g**k - 1, g) == k - 1
         assert ilog(10**15, 10) == 15
         assert ilog(math.pi, 3) == 1
+
+    def test_ilog_beyond_float_range(self):
+        assert ilog(10**400, 10) == 400
+        assert ilog(10**400, 2) == 1328
+        for g in (2, 3, 10):
+            for k in range(0, 1101):
+                assert ilog(g**k, g) == k
+                if k:
+                    assert ilog(g**k - 1, g) == k - 1
+                    assert ilog(g**k + 1, g) == k
+
+    def test_ilog_of_fractions(self):
+        assert ilog(Fraction(1), 2) == 0
+        assert ilog(Fraction(7, 2), 3) == 1
+        assert ilog(Fraction(9, 1), 3) == 2
+        assert ilog(Fraction(26, 3), 3) == 1
+        assert ilog(Fraction(10**500 + 1, 10**100), 10) == 400
+        assert ilog(Fraction(10**500 - 1, 10**100), 10) == 399
+        with pytest.raises(ValueError):
+            ilog(Fraction(1, 2), 2)
+
+
+class TestPowerResidues:
+    @staticmethod
+    def oracle(scale, g, count):
+        return [(scale * g**i) % 1 for i in range(count)]
+
+    @given(
+        st.integers(-(10**30), 10**30),
+        st.sampled_from([1, 7]) | st.integers(1, 10**30),
+        st.integers(2, 36),
+        st.integers(0, 60),
+    )
+    def test_matches_fraction_ladder(self, num, den, g, count):
+        got = power_residues(num, den, g, count)
+        assert len(got) == count
+        assert all(0 <= r < den for r in got)
+        assert [Fraction(r, den) for r in got] == self.oracle(Fraction(num, den), g, count)
+
+    @given(st.fractions(), st.sampled_from([2, 3, 10]), st.integers(0, 40))
+    def test_fraction_scale(self, scale, g, count):
+        num, den = scale.as_integer_ratio()
+        got = power_residues(num, den, g, count)
+        assert [Fraction(r, den) for r in got] == self.oracle(scale, g, count)
+
+    def test_edge_cases(self):
+        assert power_residues(5, 1, 10, 4) == [0, 0, 0, 0]
+        assert power_residues(-1, 7, 10, 7) == [6, 4, 5, 1, 3, 2, 6]
+        assert power_residues(3, 7, 10, 0) == []
+        # a double's ladder stays exact long after float products lose it
+        num, den = (1 / 3).as_integer_ratio()
+        assert power_residues(num, den, 2, 60)[54] == 0
+        with pytest.raises(ValueError):
+            power_residues(1, 0, 2, 3)
+        with pytest.raises(ValueError):
+            power_residues(1, 3, 2, -1)

@@ -3,7 +3,7 @@ import os
 import subprocess
 import sys
 import threading
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +53,13 @@ class TestRunConfig:
         assert cfg.rng_seed == 7
         assert cfg.sieve_limit == 5000
         assert cfg.c_cal == DEFAULT_C_CAL
+
+    def test_load_accepts_every_field(self, tmp_path):
+        want = RunConfig(rng_seed=9, sieve_limit=4000, threads=3, census_tolerance=0.1,
+                         c_cal={"hybrid": 0.5})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(asdict(want)))
+        assert load_config(str(path)) == want
 
     def test_load_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "cfg.json"

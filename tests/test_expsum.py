@@ -27,7 +27,6 @@ from revprime.expsum import (
     F_direct,
     F_grid_full,
     _CHUNK,
-    _dyadic_ladder,
     _phase_tree,
     _phi_sums,
     _split26,
@@ -69,6 +68,11 @@ def seed_pool(g, rng):
 
 def divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def fraction_ladder(beta, count, g):
+    """frac(beta * g^i) for i < count, each rung exact before one rounding."""
+    return np.array([float(Fraction(beta) * g**i % 1) for i in range(count)])
 
 
 class TestConstants:
@@ -282,6 +286,20 @@ class TestProductFormula:
                     rhs = F_abs_product(es, lam - 1, j + 1, g * beta) * phi(es, 0, j, beta) / g
                     assert lhs == pytest.approx(rhs, rel=tol, abs=tol)
 
+    def test_long_window_follows_exact_ladder(self):
+        # rungs far past 53 bits of g^i: a float ladder beta * g^i % 1 has
+        # long run out of bits there, the exact one has not
+        rng = np.random.default_rng(5)
+        for g in (2, 3, 10):
+            for s in seed_pool(g, rng):
+                es = expsum_context(s)
+                for lam in (1, 60, 120):
+                    beta = float(rng.random())
+                    want = 1.0
+                    for i, b in enumerate(fraction_ladder(beta, lam, g)):
+                        want *= phi(es, i, 2, float(b)) / g
+                    assert F_abs_product(es, lam, 2, beta) == pytest.approx(want, rel=1e-12, abs=1e-300)
+
     def test_grid_vector_path(self):
         rng = np.random.default_rng(3)
         for g in (2, 3, 10):
@@ -344,7 +362,7 @@ class TestDecayBounds:
                 for _ in range(15):
                     lam = int(rng.integers(2, 9))
                     j = int(rng.integers(0, 3))
-                    args = _dyadic_ladder(float(rng.random()), lam, g)
+                    args = fraction_ladder(float(rng.random()), lam, g)
                     for i in range(lam - 1):
                         prod = phi(es, i, j, float(args[i])) * phi(es, i + 1, j, float(args[i + 1]))
                         cap = g ** (1.0 - gamma_i(es, i, j))

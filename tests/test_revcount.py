@@ -12,6 +12,8 @@ from revprime.basedigits import BaseContext, reverse, reverse_relative
 from revprime.expsum import expsum_context, gamma_coefficient, sigma
 from revprime.revcount import (
     CensusRecord,
+    _prime_divisors,
+    _totient,
     DegenerateSeedError,
     census,
     census_grid,
@@ -509,6 +511,19 @@ class TestExceptionalCap:
         assert exceptional_cap(10, 3) == 3
         assert exceptional_cap(2, 15) == 3
         assert exceptional_cap(2, 1) == 1
+
+    @given(st.integers(2, 40), st.integers(1, 3000))
+    def test_matches_trial_division(self, g, q):
+        n = g * q
+        primes = {p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))}
+        assert exceptional_cap(g, q) == len(primes)
+        assert _prime_divisors(n) == sorted(primes)
+
+
+class TestTotient:
+    def test_counts_units(self):
+        for n in range(1, 400):
+            assert _totient(n) == sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
 
 class TestRecord:

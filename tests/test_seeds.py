@@ -46,7 +46,7 @@ class TestFamilies:
     @given(st.sampled_from([2, 3, 10]), st.integers(1, 6), st.integers(0, 10**6))
     def test_reverse_seed_matches_reverse_relative(self, g, L, n):
         ctx = BaseContext(g)
-        n %= ctx.power(L)
+        n %= g**L
         s = reverse_seed(g, L, 1.0)
         assert f_eval(s, L, 0, n) == float(reverse_relative(n, L, ctx))
 
@@ -178,6 +178,35 @@ class TestFrac:
                 for i in range(7):
                     for d in range(4):
                         assert rows[i, d] == s.frac(j + i, d)
+
+    @given(
+        st.sampled_from([2, 3, 10]),
+        st.integers(0, 12),
+        st.integers(0, 16),
+        st.integers(0, 12),
+        st.sampled_from([0.61803398875, -0.2928932188134524, 1 / 3, 2.5, Fraction(5, 7)]),
+    )
+    def test_reverse_rows_on_both_sides_of_window(self, g, L, j, count, a):
+        # rows start inside the window, straddle its end, or lie past it
+        s = reverse_seed(g, L, a)
+        rows = s.frac_rows(j, count)
+        assert rows.shape == (count, g)
+        for i in range(count):
+            for d in range(g):
+                assert rows[i, d] == s.frac(j + i, d), (i, d)
+
+    @given(
+        st.sampled_from([2, 3, 10]),
+        st.integers(0, 5),
+        st.sampled_from([0.77, -0.123456789, 3.0, 0.0, Fraction(2, 7)]),
+    )
+    def test_sod_rows_match_frac(self, g, j, a):
+        s = sod_seed(g, a)
+        rows = s.frac_rows(j, 3)
+        assert rows.shape == (3, g)
+        for i in range(3):
+            for d in range(g):
+                assert rows[i, d] == s.frac(j + i, d)
 
     @settings(max_examples=30)
     @given(st.integers(0, 3), st.integers(2, 10))
