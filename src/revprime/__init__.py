@@ -5,12 +5,9 @@ __version__ = "0.1.0"
 
 from .basedigits import (
     BaseContext,
-    DigitVector,
-    digits_of,
     digit_length,
     dist,
     e,
-    floor_part,
     ilog,
     reverse,
     reverse_relative,
@@ -18,9 +15,7 @@ from .basedigits import (
 from .seeds import (
     Seed,
     f_eval,
-    parse_seed,
     reverse_seed,
-    shift,
     sod_seed,
     table_seed,
     zero_seed,
@@ -28,20 +23,15 @@ from .seeds import (
 
 __all__ = [
     "BaseContext",
-    "DigitVector",
-    "digits_of",
     "digit_length",
     "dist",
     "e",
-    "floor_part",
     "ilog",
     "reverse",
     "reverse_relative",
     "Seed",
     "f_eval",
-    "parse_seed",
     "reverse_seed",
-    "shift",
     "sod_seed",
     "table_seed",
     "zero_seed",

@@ -3,7 +3,7 @@
 The sieve is a bitmap of which odd numbers up to the limit are prime;
 PrimeTable keeps the sorted primes it yields, which is all a prime
 count or a census reads.  A smallest-prime-factor table, which answers
-Lambda, mu, tau and phi queries in O(log n) each, is built from those
+Lambda, mu and divisor queries in O(log n) each, is built from those
 primes the first time a caller factors.  The bitmap persists to a small
 versioned, checksummed binary cache (limit/16 bytes) so repeated runs
 skip the sieve.  vaughan_terms splits Lambda(n) into the classical four
@@ -52,8 +52,8 @@ _CACHE_VERSION = 3
 _HEADER = struct.Struct("<5sHQI")  # magic, version, limit, CRC-32 of the payload
 
 
-class SieveBudgetError(RuntimeError):
-    """Raised when a requested sieve limit exceeds the memory budget."""
+class SieveBudgetError(ValueError):
+    """Raised when a requested sieve limit exceeds the memory budget (a usage error)."""
 
 
 def _sieve_odd(limit: int) -> np.ndarray:
@@ -118,7 +118,7 @@ class PrimeTable:
         return i < self.primes.size and int(self.primes[i]) == n
 
     def factorize(self, n: int) -> tuple[tuple[int, int], ...]:
-        """Prime factorization as ((p, exponent), ...) with p ascending."""
+        """Prime factorization ((p, exponent), ...), p ascending; divisors walks it."""
         self._check(n)
         out: list[tuple[int, int]] = []
         spf = self.smallest_prime_factor
@@ -132,7 +132,7 @@ class PrimeTable:
         return tuple(out)
 
     def mangoldt(self, n: int) -> float:
-        """log p when n is a power of the prime p, else 0."""
+        """log p when n is a power of the prime p, else 0: vaughan_terms' Lambda."""
         self._check(n)
         if n == 1:
             return 0.0
@@ -142,6 +142,7 @@ class PrimeTable:
         return math.log(p) if n == 1 else 0.0
 
     def mobius(self, n: int) -> int:
+        """mu(n): the Moebius function of vaughan_terms, oracle of mobius_values."""
         self._check(n)
         sign = 1
         spf = self.smallest_prime_factor
@@ -153,20 +154,8 @@ class PrimeTable:
             sign = -sign
         return sign
 
-    def divisor_count(self, n: int) -> int:
-        count = 1
-        for _, e in self.factorize(n):
-            count *= e + 1
-        return count
-
-    def totient(self, n: int) -> int:
-        value = 1
-        for p, e in self.factorize(n):
-            value *= p ** (e - 1) * (p - 1)
-        return value
-
     def divisors(self, n: int) -> tuple[int, ...]:
-        """All positive divisors of n, ascending."""
+        """All positive divisors of n, ascending: the divisor walk of vaughan_terms."""
         out = [1]
         for p, e in self.factorize(n):
             out = [d * p**k for d in out for k in range(e + 1)]

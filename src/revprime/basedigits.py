@@ -1,13 +1,13 @@
 """Base-g digit utilities.
 
-Exact integer digit decomposition, digit-string length, full and
-window-relative digit reversal, plus the small numeric helpers (unit
-circle map, distance to the nearest integer, floor) that the rest of
-the package shares.  Everything here is integer arithmetic; no float
-logarithms are used to make digit-length decisions.  reverse_array is
-the vectorized form of both reversals; the scalar functions are the
-oracles it is tested against.  Powers of g live here too: ilog is the
-exact g-adic length and power_residues the exact ladder num*g^i mod den.
+Digit-string length, full and window-relative digit reversal, plus the
+small numeric helpers (unit circle map, distance to the nearest
+integer) that the rest of the package shares.  Everything here is
+integer arithmetic; no float logarithms are used to make digit-length
+decisions.  reverse_array is the vectorized form of both reversals; the
+scalar functions are the oracles it is tested against.  Powers of g live
+here too: ilog is the exact g-adic length and power_residues the exact
+ladder num*g^i mod den.
 """
 
 from __future__ import annotations
@@ -19,15 +19,12 @@ import numpy as np
 
 __all__ = [
     "BaseContext",
-    "DigitVector",
-    "digits_of",
     "digit_length",
     "reverse",
     "reverse_relative",
     "reverse_array",
     "e",
     "dist",
-    "floor_part",
     "ilog",
     "power_residues",
 ]
@@ -42,45 +39,6 @@ class BaseContext:
     def __post_init__(self) -> None:
         if not isinstance(self.g, int) or self.g < 2:
             raise ValueError(f"base must be an integer >= 2, got {self.g!r}")
-
-
-@dataclass(frozen=True)
-class DigitVector:
-    """Digits of a nonnegative integer, least significant first.
-
-    The zero integer has the empty digit vector, and a nonempty vector
-    never ends in a trailing zero (the most significant digit is nonzero).
-    """
-
-    digits: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.digits)
-
-    def __iter__(self):
-        return iter(self.digits)
-
-    def __getitem__(self, i: int) -> int:
-        return self.digits[i]
-
-    def to_int(self, ctx: BaseContext) -> int:
-        """Reassemble the integer this vector encodes, exactly."""
-        value = 0
-        for d in reversed(self.digits):
-            value = value * ctx.g + d
-        return value
-
-
-def digits_of(n: int, ctx: BaseContext) -> DigitVector:
-    """Base-g digits of n >= 0, least significant first, no trailing zeros."""
-    if n < 0:
-        raise ValueError("digits are defined for nonnegative integers")
-    g = ctx.g
-    out: list[int] = []
-    while n:
-        n, d = divmod(n, g)
-        out.append(d)
-    return DigitVector(tuple(out))
 
 
 def digit_length(n: int, ctx: BaseContext) -> int:
@@ -100,7 +58,7 @@ def reverse(n: int, ctx: BaseContext) -> int:
 
     Leading zeros of n (there are none) and trailing zeros of n collapse,
     so reverse is not injective; it is an involution on integers whose
-    least significant digit is nonzero.
+    least significant digit is nonzero.  The oracle of reverse_array.
     """
     if n < 0:
         raise ValueError("reverse is defined for nonnegative integers")
@@ -117,7 +75,8 @@ def reverse_relative(n: int, L: int, ctx: BaseContext) -> int:
 
     Digit i of n (i < L) lands at position L-1-i; digits at positions
     >= L are ignored.  For n with exactly L digits this coincides with
-    plain reverse; shorter n pick up the factor g^(L - len(n)).
+    plain reverse; shorter n pick up the factor g^(L - len(n)).  The
+    oracle of reverse_array with L.
     """
     if n < 0:
         raise ValueError("reverse_relative is defined for nonnegative integers")
@@ -179,7 +138,7 @@ def reverse_array(values, g: int, L: int | None = None) -> np.ndarray:
 
 
 def e(x: float) -> complex:
-    """Point exp(2*pi*i*x) on the unit circle."""
+    """Point exp(2*pi*i*x) on the unit circle: the paper's e(x) for one scalar."""
     t = 2.0 * math.pi * x
     return complex(math.cos(t), math.sin(t))
 
@@ -190,11 +149,6 @@ def dist(x: float) -> float:
     Ties round half to even, which does not affect the distance.
     """
     return abs(x - round(x))
-
-
-def floor_part(x: float) -> int:
-    """Integer part [x], the floor."""
-    return math.floor(x)
 
 
 def ilog(x, g: int) -> int:

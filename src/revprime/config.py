@@ -1,10 +1,11 @@
 """Run configuration, config-file loading, and seeded RNG streams.
 
 The config file is JSON, one flat object.  Recognized keys mirror the
-RunConfig fields: rng_seed (integer), rng_algorithm (must be "pcg64"),
-sieve_limit, census_tolerance, c_cal (object mapping verifier name to
-its calibrated ratio ceiling), threads.  Unknown keys are rejected so a
-typo cannot silently fall back to a default.
+RunConfig fields: rng_seed, sieve_limit and threads (integers),
+rng_algorithm (must be "pcg64"), census_tolerance (a number), c_cal
+(object mapping a calibrated verifier's name to its finite ratio
+ceiling).  Unknown keys, unknown c_cal names and values of the wrong
+type are rejected, so a typo cannot silently fall back to a default.
 
 The config hash covers only result-affecting fields; thread count and
 output paths change neither the numbers nor the hash, which is what
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
@@ -38,6 +40,11 @@ DEFAULT_C_CAL: dict[str, float] = {
 }
 
 
+def _is_a(value, kinds) -> bool:
+    """isinstance, except that a bool is not a number here."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     rng_seed: int = DEFAULT_RNG_SEED
@@ -48,6 +55,18 @@ class RunConfig:
     c_cal: dict = field(default_factory=lambda: dict(DEFAULT_C_CAL))
 
     def __post_init__(self):
+        for name in ("rng_seed", "sieve_limit", "threads"):
+            if not _is_a(getattr(self, name), int):
+                raise ValueError(f"{name} must be an integer")
+        if not _is_a(self.census_tolerance, (int, float)):
+            raise ValueError("census_tolerance must be a number")
+        if not isinstance(self.c_cal, dict):
+            raise ValueError("c_cal must map verifier names to ceilings")
+        for name, ceiling in self.c_cal.items():
+            if name not in DEFAULT_C_CAL:
+                raise ValueError(f"c_cal names no calibrated verifier: {name!r}")
+            if not (_is_a(ceiling, (int, float)) and math.isfinite(ceiling)):
+                raise ValueError(f"c_cal[{name!r}] must be a finite number")
         if not 0 <= self.rng_seed < 2**64:
             raise ValueError("rng_seed must fit in 64 bits")
         if self.rng_algorithm != RNG_ALGORITHM:

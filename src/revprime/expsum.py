@@ -7,11 +7,12 @@ The central object is the full-period average
 where f sums shifted seed weights over the low lam digits of n.  Its
 absolute value factors into single-position sums, which is what makes
 window lengths in the tens of thousands tractable.  The rest of the
-module provides the per-position decay weights, their cumulative sums,
-the digit-autocorrelation defect, the divisor-pair averages, the L1
-moment over arithmetic progressions of grid points, and the Farey-point
-hybrid sum, together with the closed-form exponent constants used by
-every verifier.
+module provides the per-position decay weights, their cumulative sums
+with the exact landing and blocked lower bounds on them (i0_landing,
+sigma_lower_blocks), the digit-autocorrelation defect, the divisor-pair
+averages, the L1 moment over arithmetic progressions of grid points,
+and the Farey-point hybrid sum, together with the closed-form exponent
+constants used by every verifier.
 
 All phase arithmetic is done on exactly reduced fractional parts: seed
 weights via Seed.frac, grid offsets via integer residues, and powers of
@@ -24,11 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from .basedigits import BaseContext, ilog, power_residues
-from .seeds import Seed
+from .seeds import Seed, reverse_seed
 
 __all__ = [
     "CostBudgetError",
@@ -44,11 +46,13 @@ __all__ = [
     "phi",
     "F_direct",
     "F_abs_product",
-    "F_grid_full",
     "gamma_i",
     "gamma_coefficient",
     "gamma_upper_bound",
     "sigma",
+    "DegenerateSeedError",
+    "i0_landing",
+    "sigma_lower_blocks",
     "theta_i",
     "psi",
     "l1_moment",
@@ -198,7 +202,8 @@ def _phi_sums(rows: np.ndarray, t: float | np.ndarray) -> np.ndarray:
 def phi(es: ExpSumContext, i: int, j: int, beta: float) -> float:
     """Single-position sum |sum_{d<g} e(weight(i+j, d) - beta*d)|.
 
-    Lies in [0, g] and has period 1 in beta.
+    Lies in [0, g] and has period 1 in beta.  It is the scalar oracle of
+    each factor of F_abs_product.
     """
     if i < 0 or j < 0:
         raise ValueError("position and shift must be nonnegative")
@@ -361,11 +366,6 @@ def _progression_abs(
     return acc
 
 
-def F_grid_full(es: ExpSumContext, lam: int, j: int, beta: float) -> np.ndarray:
-    """|F((h + beta)/g^lam)| for every h in [0, g^lam), in one pass."""
-    return _progression_abs(es, lam, j, 1, 0, beta)
-
-
 def gamma_i(es: ExpSumContext, i: int, j: int) -> float:
     """Decay weight of position i+j: scaled pairwise digit separation.
 
@@ -395,6 +395,76 @@ def sigma(es: ExpSumContext, lam: int, j: int) -> float:
     if lam < 0 or j < 0:
         raise ValueError("window and shift must be nonnegative")
     return sum(gamma_i(es, i, j) for i in range(lam))
+
+
+class DegenerateSeedError(ValueError):
+    """Raised when every reversal phase of a scale is an exact integer."""
+
+
+def i0_landing(g: int, alpha) -> tuple[int, float]:
+    """Shift count landing g^i * alpha at least 1/(g+1) away from integers.
+
+    Returns (i0, distance of g^i0 * alpha to the nearest integer).  i0 is
+    the least i with g^(i+1) (g+1) d > g, d the distance of alpha to the
+    integers; both it and the final distance are exact rational
+    arithmetic on alpha, so the landing inequality is decided without
+    float noise.
+    """
+    if g < 2:
+        raise ValueError("base must be at least 2")
+    frac = Fraction(alpha) % 1
+    d = min(frac, 1 - frac)
+    if d == 0:
+        raise ValueError("landing position undefined for integer shifts")
+    # d <= 1/2 keeps the argument of ilog above 1
+    i0 = ilog(Fraction(g) / ((g + 1) * d), g)
+    landed = Fraction(alpha) * g**i0 % 1
+    return i0, float(min(landed, 1 - landed))
+
+
+def sigma_lower_blocks(g: int, L: int, lam: int, alpha) -> BoundReport:
+    """Blocked lower bound K/(g+1)^2 for the tail of reversal phase gaps.
+
+    Computes sigma_hat = min over 0 <= i <= L of the distance from
+    g^i (g^2-1) alpha to the integers (exact), the block length J it
+    dictates (the least J with g^J (g+1) sigma_hat > g), K = [lam/J]
+    full blocks, and the blocked sum of squared distances over the top
+    lam positions.  The returned report checks K/(g+1)^2 <= blocked
+    sum; on top of that the cumulative decay weight of the reversal
+    seed itself is checked to dominate the blocked sum with the
+    explicit per-pair prefactor, and a failure there raises.
+    """
+    if g < 2:
+        raise ValueError("base must be at least 2")
+    if not 0 <= lam <= L:
+        raise ValueError("need 0 <= lam <= L")
+    num, den = (Fraction(alpha) * (g * g - 1)).as_integer_ratio()
+    # distance of g^i (g^2-1) alpha to the integers is near[i] / den
+    near = [min(r, den - r) for r in power_residues(num, den, g, L + 1)]
+    sigma_hat = Fraction(min(near), den)
+    if sigma_hat == 0:
+        raise DegenerateSeedError(
+            f"g^i (g^2-1) alpha hits an integer for some i <= {L}"
+        )
+    J = ilog(Fraction(g) / ((g + 1) * sigma_hat), g) + 1
+    K = lam // J
+    blocked = math.fsum((near[i] / den) ** 2 for i in range(L - lam, L))
+    report = make_report(
+        K / (g + 1) ** 2,
+        blocked,
+        params={
+            "g": g, "L": L, "lam": lam, "alpha": float(alpha),
+            "sigma_hat": float(sigma_hat), "J": J, "K": K,
+        },
+    )
+    es = expsum_context(reverse_seed(g, L, Fraction(alpha)))
+    floor = gamma_coefficient(g) / g**2 * blocked
+    got = sigma(es, lam, 0)
+    if got + 1e-12 < floor:
+        raise RuntimeError(
+            f"cumulative decay weight {got} under its blocked floor {floor}"
+        )
+    return report
 
 
 def theta_i(es: ExpSumContext, i: int) -> float:

@@ -45,7 +45,6 @@ __all__ = [
     "mobius_coefficients",
     "mangoldt_tail_coefficients",
     "unimodular_coefficients",
-    "zero_coefficients",
     "truncation_set_size",
     "vdc_lhs_rhs",
     "sin_sum_check",
@@ -247,13 +246,6 @@ def mangoldt_tail_coefficients(pt: PrimeTable, z: float, x: float) -> Coefficien
         if n.max() >= values.size:
             values = vaughan_arrays(pt, z, int(n.max())).mangoldt_tail * scale
         return values[n].astype(np.complex128)
-
-    return gen
-
-
-def zero_coefficients() -> Coefficients:
-    def gen(n: np.ndarray) -> np.ndarray:
-        return np.zeros(n.shape, dtype=np.complex128)
 
     return gen
 

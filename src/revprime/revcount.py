@@ -1,11 +1,12 @@
-"""Digit-reversed prime counts and their limiting density.
+"""Digit-reversed prime counts: the census layer of the Dirichlet and
+Siegel-Walfisz analogues for reversed primes.
 
 rho is the exact rational density with which primes' digit reverses hit
-a fixed residue class; census compares windowed sieve counts against the
-density prediction; the sharp variants reduce the modulus to the part
-that actually interacts with reversal, gcd(q, g^L (g^2-1)).  At the
-bottom, i0_landing and sigma_lower_blocks carry the exact-arithmetic
-floor arguments that keep reversal phases away from integers.
+a fixed residue class; census_grid compares windowed sieve counts
+against it, many cells per pass; the sharp variants reduce the modulus
+to the part that interacts with reversal, gcd(q, g^L (g^2-1)).  Only
+the sieve (arith) and digit arithmetic (basedigits) are read here; the
+exponential sums behind the theorems live in expsum and primesum.
 """
 
 from __future__ import annotations
@@ -19,28 +20,17 @@ import numpy as np
 from .arith import PrimeTable
 # reverse is not called here; it stays importable as revcount.reverse,
 # the name perfbench counts reversal calls through
-from .basedigits import ilog, power_residues, reverse, reverse_array  # noqa: F401
-from .expsum import BoundReport, expsum_context, gamma_coefficient, make_report, sigma
-from .seeds import reverse_seed
+from .basedigits import ilog, reverse, reverse_array  # noqa: F401
 
 __all__ = [
-    "DegenerateSeedError",
     "CensusRecord",
     "rho",
     "rho_total",
     "exceptional_cap",
-    "census",
     "census_grid",
-    "census_sharp",
     "psi_theta_pi",
     "sharp_factor_deviation",
-    "i0_landing",
-    "sigma_lower_blocks",
 ]
-
-
-class DegenerateSeedError(ValueError):
-    """Raised when every reversal phase of a scale is an exact integer."""
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -90,7 +80,7 @@ def rho(g: int, a: int, q: int) -> Fraction:
 
 
 def rho_total(g: int, q: int) -> Fraction:
-    """Sum of rho(g, a, q) / q over a full residue system, exact."""
+    """Total density mass: sum of rho(g, a, q) / q over all a, exact (criterion 09)."""
     return sum(rho(g, a, q) for a in range(q)) / Fraction(q)
 
 
@@ -181,23 +171,6 @@ def census_grid(
     return records
 
 
-def census(g: int, L: int, a: int, q: int, pt: PrimeTable) -> CensusRecord:
-    """Count primes with L digits whose reverse is a mod q, with main term."""
-    return census_grid(g, L, [(a, q)], pt)[0]
-
-
-def census_sharp(
-    g: int, L: int, a: int, q: int, pt: PrimeTable, x: float | None = None
-) -> int:
-    """Primes p <= x whose window-relative reverse is a mod (q, g^L (g^2-1)).
-
-    x defaults to the full window end g^L and may be truncated below it;
-    this is the sharp prime count of psi_theta_pi.
-    """
-    x = g**L if x is None else x
-    return int(psi_theta_pi(g, L, x, a, q, pt, "pi", sharp=True))
-
-
 def psi_theta_pi(
     g: int,
     L: int,
@@ -210,6 +183,7 @@ def psi_theta_pi(
 ) -> float:
     """One of the three weighted counts over {n <= x : rev_L(n) = a mod q}.
 
+    These are the psi, theta and pi of the Siegel-Walfisz analogue.
     kind selects the weight: "psi" sums Lambda over all integers, "theta"
     sums log p over primes, "pi" counts primes.  With sharp the modulus
     drops to gcd(q, g^L (g^2-1)).  Log weights are summed with fsum, so
@@ -240,6 +214,7 @@ def sharp_factor_deviation(
 ) -> float:
     """|pi(x,a,q) - (m/q) pi_sharp(x,a,q)| / x for absolute reverses.
 
+    The cost of the Siegel-Walfisz analogue's reduction to the sharp modulus.
     m = gcd(q, g^L (g^2-1)) with L one more than the digit length of x.
     Both counts run over all primes up to x with the plain digit reverse.
     """
@@ -256,68 +231,3 @@ def sharp_factor_deviation(
     sharp = int(np.count_nonzero(revs % modulus == a % modulus))
     return abs(plain - (modulus / q) * sharp) / x
 
-
-def i0_landing(g: int, alpha) -> tuple[int, float]:
-    """Shift count landing g^i * alpha at least 1/(g+1) away from integers.
-
-    Returns (i0, distance of g^i0 * alpha to the nearest integer).  The
-    walk and the final distance are exact rational arithmetic on alpha,
-    so the landing inequality is decided without float noise.
-    """
-    if g < 2:
-        raise ValueError("base must be at least 2")
-    frac = Fraction(alpha) % 1
-    d = min(frac, 1 - frac)
-    if d == 0:
-        raise ValueError("landing position undefined for integer shifts")
-    i0 = 0
-    while Fraction(g) ** (i0 + 1) * (g + 1) * d <= g:
-        i0 += 1
-    landed = Fraction(alpha) * g**i0 % 1
-    return i0, float(min(landed, 1 - landed))
-
-
-def sigma_lower_blocks(g: int, L: int, lam: int, alpha) -> BoundReport:
-    """Blocked lower bound K/(g+1)^2 for the tail of reversal phase gaps.
-
-    Computes sigma_hat = min over 0 <= i <= L of the distance from
-    g^i (g^2-1) alpha to the integers (exact), the block length J it
-    dictates, K = [lam/J] full blocks, and the blocked sum of squared
-    distances over the top lam positions.  The returned report checks
-    K/(g+1)^2 <= blocked sum; on top of that the cumulative decay weight
-    of the reversal seed itself is checked to dominate the blocked sum
-    with the explicit per-pair prefactor, and a failure there raises.
-    """
-    if g < 2:
-        raise ValueError("base must be at least 2")
-    if not 0 <= lam <= L:
-        raise ValueError("need 0 <= lam <= L")
-    num, den = (Fraction(alpha) * (g * g - 1)).as_integer_ratio()
-    # distance of g^i (g^2-1) alpha to the integers is near[i] / den
-    near = [min(r, den - r) for r in power_residues(num, den, g, L + 1)]
-    sigma_hat = Fraction(min(near), den)
-    if sigma_hat == 0:
-        raise DegenerateSeedError(
-            f"g^i (g^2-1) alpha hits an integer for some i <= {L}"
-        )
-    J = 1
-    while Fraction(g) ** J * (g + 1) * sigma_hat <= g:
-        J += 1
-    K = lam // J
-    blocked = math.fsum((near[i] / den) ** 2 for i in range(L - lam, L))
-    report = make_report(
-        K / (g + 1) ** 2,
-        blocked,
-        params={
-            "g": g, "L": L, "lam": lam, "alpha": float(alpha),
-            "sigma_hat": float(sigma_hat), "J": J, "K": K,
-        },
-    )
-    es = expsum_context(reverse_seed(g, L, Fraction(alpha)))
-    floor = gamma_coefficient(g) / g**2 * blocked
-    got = sigma(es, lam, 0)
-    if got + 1e-12 < floor:
-        raise RuntimeError(
-            f"cumulative decay weight {got} under its blocked floor {floor}"
-        )
-    return report

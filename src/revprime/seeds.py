@@ -2,8 +2,9 @@
 
 A seed assigns a real weight to every (position, digit) pair for a fixed
 base g.  Summing the weights of the digits of n over a window of positions
-gives a periodic, additive digit functional; shifting a seed re-indexes its
-positions.  Named families:
+gives a periodic, additive digit functional; a shift j, the j argument
+of frac_rows and f_eval, reads the weights from position j on.  Named
+families:
 
   zero_seed(g)            every weight is 0
   sod_seed(g, a)          weight a*d at every position (scaled digit sum)
@@ -20,8 +21,7 @@ with astronomically large weights still produce exact fractional parts.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -34,14 +34,11 @@ __all__ = [
     "SodSeed",
     "ReverseSeed",
     "TableSeed",
-    "ShiftedSeed",
     "zero_seed",
     "sod_seed",
     "reverse_seed",
     "table_seed",
-    "shift",
     "f_eval",
-    "parse_seed",
 ]
 
 
@@ -52,10 +49,11 @@ class Seed:
     label: str
 
     def eval(self, i: int, d: int) -> float:
+        """Weight at (i, d): what table seeds' rows and f_eval read."""
         raise NotImplementedError
 
     def frac(self, i: int, d: int) -> float:
-        """Weight at (i, d) reduced mod 1.
+        """Weight at (i, d) reduced mod 1; the oracle of every frac_rows.
 
         The default reduces the float weight with an exact fmod, which is
         exact whenever the weight itself is.  Families whose closed form
@@ -203,35 +201,6 @@ class TableSeed(Seed):
         return 0.0
 
 
-@dataclass(frozen=True)
-class ShiftedSeed(Seed):
-    """View of another seed with all positions offset by a fixed amount."""
-
-    inner: Seed
-    offset: int
-
-    def __post_init__(self) -> None:
-        if self.offset < 0:
-            raise ValueError("shift offset must be nonnegative")
-
-    @property
-    def base(self) -> int:  # type: ignore[override]
-        return self.inner.base
-
-    @property
-    def label(self) -> str:  # type: ignore[override]
-        return f"{self.inner.label}[{self.offset}]"
-
-    def eval(self, i: int, d: int) -> float:
-        return self.inner.eval(i + self.offset, d)
-
-    def frac(self, i: int, d: int) -> float:
-        return self.inner.frac(i + self.offset, d)
-
-    def frac_rows(self, j: int, count: int) -> np.ndarray:
-        return self.inner.frac_rows(j + self.offset, count)
-
-
 def _residue_rows(residues: list[int], den: int, g: int) -> np.ndarray:
     """Rows (r*d mod den) / den over the digits d = 0..g-1, one per residue r.
 
@@ -259,23 +228,12 @@ def table_seed(g: int, rows, extend: str = "cycle") -> TableSeed:
     return TableSeed(g, frozen, extend)
 
 
-def shift(seed: Seed, j: int) -> Seed:
-    """Seed whose position i reads the original position i + j."""
-    if j < 0:
-        raise ValueError("shift offset must be nonnegative")
-    if j == 0:
-        return seed
-    if isinstance(seed, ShiftedSeed):
-        return ShiftedSeed(seed.inner, seed.offset + j)
-    return ShiftedSeed(seed, j)
-
-
 def f_eval(seed: Seed, lam: int, j: int, n: int) -> float:
     """Sum of shifted weights over the low lam digits of n.
 
     Position i of n (i < lam) contributes the weight at seed position
     i + j for digit i of n.  The value is periodic in n with period
-    g^lam and additive across digit blocks.
+    g^lam and additive across digit blocks: the oracle of primesum's phases.
     """
     if lam < 0:
         raise ValueError("window length must be nonnegative")
@@ -290,18 +248,3 @@ def f_eval(seed: Seed, lam: int, j: int, n: int) -> float:
         total += seed.eval(i + j, d)
     return total
 
-
-def parse_seed(text: str, g: int) -> Seed:
-    """Seed family from a config string: "zero", "sod:a", "reverse:a,L"."""
-    name, _, args = text.partition(":")
-    name = name.strip().lower()
-    if name == "zero":
-        if args:
-            raise ValueError("zero seed takes no parameters")
-        return zero_seed(g)
-    if name == "sod":
-        return sod_seed(g, float(args))
-    if name == "reverse":
-        a_str, _, l_str = args.partition(",")
-        return reverse_seed(g, int(l_str), float(a_str))
-    raise ValueError(f"unknown seed family {name!r}")

@@ -167,15 +167,6 @@ class TestSieve:
             total = sum(table.mangoldt(d) for d in table.divisors(n))
             assert abs(total - math.log(n)) <= 1e-9
 
-    def test_totient_and_divisor_count(self, table):
-        rng = np.random.default_rng(11)
-        for n in rng.integers(1, LIMIT + 1, size=300):
-            n = int(n)
-            assert table.divisor_count(n) == len(oracle_divisors(n))
-        for n in (1, 2, 12, 36, 97, 360, 1024, 1989):
-            coprime = sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
-            assert table.totient(n) == coprime
-
     def test_divisors_sorted_and_complete(self, table):
         for n in range(1, 500):
             assert list(table.divisors(n)) == oracle_divisors(n)

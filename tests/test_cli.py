@@ -67,6 +67,25 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="rng_sed"):
             load_config(str(path))
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"sieve_limit": "100000"},
+            {"census_tolerance": "0.2"},
+            {"sieve_limit": 1e5},
+            {"c_cal": []},
+            {"c_cal": {"hybrid": "x"}},
+            {"threads": 1.5},
+            {"rng_seed": True},
+            {"c_cal": {"bogus": 1.0}},
+        ],
+    )
+    def test_load_rejects_wrong_value_types(self, tmp_path, fields):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(fields))
+        with pytest.raises(ValueError, match=next(iter(fields))):
+            load_config(str(path))
+
     def test_merge_overrides(self):
         cfg = merge_overrides(RunConfig(), threads=4, census_tolerance=0.1)
         assert cfg.threads == 4
@@ -137,6 +156,26 @@ class TestCensusCommand:
             ) == 0
             paths.append(p)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("flag", ["--L", "--q", "--a"])
+    def test_empty_list_is_usage_error(self, tmp_path, capsys, flag):
+        argv = {"--L": "3", "--q": "3", "--a": "1"}
+        argv[flag] = ","
+        out = tmp_path / "c.csv"
+        args = [part for item in argv.items() for part in item]
+        assert main(["census", "--g", "2", *args, "--out", str(out)]) == 1
+        assert "expected comma-separated integers" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_of_wrong_type_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sieve_limit": "100000"}))
+        out = tmp_path / "c.csv"
+        code = main(["census", "--g", "10", "--L", "2", "--q", "3",
+                     "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        assert "census: error: sieve_limit must be an integer" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cache_dir_env_is_honoured(self, tmp_path, monkeypatch):
         cache = tmp_path / "cache"
@@ -307,6 +346,32 @@ class TestVerifyCommand:
         assert main(["verify", "vdc", "--cases", "16", "--out", str(out)]) == 0
         header = json.loads(out.read_text().splitlines()[0])
         assert header["config_hash"] == RunConfig().config_hash()
+
+
+class TestSieveBudget:
+    """A sieve limit over the budget is a usage error, not a crash."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["census", "--g", "2", "--L", "3", "--q", "3"],
+            ["verify", "vaughan"],
+        ],
+    )
+    def test_over_budget_is_usage_error(self, tmp_path, argv):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+        out = tmp_path / "r.out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "revprime.cli", *argv,
+             "--sieve-limit", "100000000", "--out", str(out)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert f"{argv[0]}: error: sieve limit 100000000 exceeds" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
 
 
 class TestCalibrateCommand:

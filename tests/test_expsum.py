@@ -25,10 +25,10 @@ from revprime.expsum import (
     ExpSumContext,
     F_abs_product,
     F_direct,
-    F_grid_full,
     _CHUNK,
     _phase_tree,
     _phi_sums,
+    _progression_abs,
     _split26,
     eta_tilde,
     expsum_context,
@@ -37,6 +37,7 @@ from revprime.expsum import (
     gamma_upper_bound,
     hybrid_bound_shape,
     hybrid_sum,
+    i0_landing,
     l1_moment,
     l1_moment_bound,
     make_report,
@@ -44,6 +45,7 @@ from revprime.expsum import (
     phi,
     psi,
     sigma,
+    sigma_lower_blocks,
     theta_i,
     theta_lower_bound,
 )
@@ -317,7 +319,7 @@ class TestProductFormula:
             for s in seed_pool(g, rng):
                 es = expsum_context(s)
                 beta = float(rng.random())
-                grid = F_grid_full(es, lam, 0, beta)
+                grid = _progression_abs(es, lam, 0, 1, 0, beta)
                 n = g**lam
                 assert grid.shape == (n,)
                 for h in range(n):
@@ -503,6 +505,53 @@ class TestSigmaMonotonicity:
                         vals = [A * lam - sigma(es, lam, j) for lam in range(13)]
                         for a, b in zip(vals, vals[1:]):
                             assert b >= a - 1e-12
+
+
+def loop_landing(g, d):
+    """The least i with g^(i+1) (g+1) d > g, by a Fraction power walk."""
+    i = 0
+    while Fraction(g) ** (i + 1) * (g + 1) * d <= g:
+        i += 1
+    return i
+
+
+def loop_block_length(g, sigma_hat):
+    """The least J >= 1 with g^J (g+1) sigma_hat > g, by a Fraction power walk."""
+    J = 1
+    while Fraction(g) ** J * (g + 1) * sigma_hat <= g:
+        J += 1
+    return J
+
+
+def boundary_scales(g):
+    """(k, step, d) with g^k (g+1) d = g for step 0, one part in 10^6 off for +-1."""
+    for k in range(1, 40):
+        edge = Fraction(g, g**k * (g + 1))
+        for step in (-1, 0, 1):
+            yield k, step, edge * Fraction(10**6 + step, 10**6)
+
+
+class TestLandingBoundary:
+    """i0_landing and the block length J on ilog, at the boundary g^k (g+1) d = g."""
+
+    def test_landing_at_boundary(self):
+        for g in range(2, 37):
+            for k, step, d in boundary_scales(g):
+                i0, dist = i0_landing(g, d)
+                assert i0 == loop_landing(g, d) == k - (step > 0), (g, k, step)
+                landed = d * g**i0 % 1
+                assert dist == float(min(landed, 1 - landed))
+
+    def test_block_length_at_boundary(self):
+        for g in range(2, 37):
+            for k, step, d in boundary_scales(g):
+                # with L = 1, sigma_hat is the nearer of d and g d to the integers
+                alpha = d / (g * g - 1)
+                sigma_hat = min(min(x % 1, 1 - x % 1) for x in (d, g * d))
+                J = sigma_lower_blocks(g, 1, 0, alpha).params["J"]
+                assert J == loop_block_length(g, sigma_hat), (g, k, step)
+                if k > 1:
+                    assert J == k + 1 - (step > 0), (g, k, step)
 
 
 class TestTheta:
@@ -745,7 +794,7 @@ class TestL1Moment:
             for s in seed_pool(g, rng)[:5]:
                 es = expsum_context(s)
                 beta = float(rng.random())
-                grid = F_grid_full(es, lam, 1, beta)
+                grid = _progression_abs(es, lam, 1, 1, 0, beta)
                 n = g**lam
                 for h in rng.integers(0, n, 5):
                     want = abs(F_direct(es, lam, 1, (int(h) + beta) / n))

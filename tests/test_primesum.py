@@ -299,10 +299,13 @@ class TestTypeI:
 
 class TestTypeII:
     def test_zero_coefficients(self):
+        def zeros(n):
+            return np.zeros(n.shape, dtype=np.complex128)
+
         es = expsum_context(sod_seed(10, 0.37))
         p = ps.type_ii_params(
             es, 5, 10**4, 25.0, 25.0, 0.25,
-            ps.zero_coefficients(), ps.zero_coefficients(),
+            zeros, zeros,
         )
         assert ps.type_ii_sum(es, p) == 0j
 

@@ -9,22 +9,24 @@ from hypothesis import strategies as st
 
 from revprime.arith import build_table
 from revprime.basedigits import BaseContext, reverse, reverse_relative
-from revprime.expsum import expsum_context, gamma_coefficient, sigma
+from revprime.expsum import (
+    DegenerateSeedError,
+    expsum_context,
+    gamma_coefficient,
+    i0_landing,
+    sigma,
+    sigma_lower_blocks,
+)
 from revprime.revcount import (
     CensusRecord,
     _prime_divisors,
     _totient,
-    DegenerateSeedError,
-    census,
     census_grid,
-    census_sharp,
     exceptional_cap,
-    i0_landing,
     psi_theta_pi,
     rho,
     rho_total,
     sharp_factor_deviation,
-    sigma_lower_blocks,
 )
 from revprime.seeds import reverse_seed
 
@@ -123,7 +125,7 @@ class TestRho:
 
 class TestCensus:
     def test_two_digit_decimal_window(self, table):
-        rec = census(10, 2, 0, 1, table)
+        rec = census_grid(10, 2, [(0, 1)], table)[0]
         assert rec.observed == 21
         assert rec.main_term == pytest.approx(
             float(Fraction(9, 10)) * 100 / (2 * math.log(10))
@@ -135,7 +137,7 @@ class TestCensus:
         pairs = [(0, 1), (1, 3), (2, 3), (1, 5), (7, 12)]
         grid = census_grid(2, 8, pairs, table)
         for (a, q), rec in zip(pairs, grid):
-            assert rec == census(2, 8, a, q, table)
+            assert rec == census_grid(2, 8, [(a, q)], table)[0]
 
     def test_class_counts_partition_window(self, table):
         for g, L, q in ((10, 4, 7), (2, 10, 5)):
@@ -154,7 +156,7 @@ class TestCensus:
             ]
             for a, q in ((1, 7), (0, 2), (3, 4), (5, 9)):
                 want = sum(oracle_reverse(p, g) % q == a % q for p in primes)
-                assert census(g, L, a, q, table).observed == want
+                assert census_grid(g, L, [(a, q)], table)[0].observed == want
 
     def test_decimal_mod_three_matches_plain_classes(self, table):
         # Reversal preserves residues mod g^2 - 1, so mod 3 the reversed
@@ -163,19 +165,19 @@ class TestCensus:
         primes = [int(p) for p in table.primes if lo <= p < hi]
         for a in (1, 2):
             direct = sum(p % 3 == a for p in primes)
-            assert census(10, 5, a, 3, table).observed == direct
+            assert census_grid(10, 5, [(a, 3)], table)[0].observed == direct
 
     def test_zero_density_cells_stay_exceptional(self, table):
         for q in (3, 9, 10, 12):
             for a in range(q):
                 if rho(10, a, q) != 0:
                     continue
-                rec = census(10, 5, a, q, table)
+                rec = census_grid(10, 5, [(a, q)], table)[0]
                 assert math.isnan(rec.relative_dev)
                 assert rec.observed <= exceptional_cap(10, q), (a, q)
 
     def test_single_cell_accuracy(self, table):
-        rec = census(10, 5, 0, 1, table)
+        rec = census_grid(10, 5, [(0, 1)], table)[0]
         assert abs(rec.relative_dev) < 0.15
 
     def test_sharp_modulus_stabilises_in_length(self):
@@ -184,49 +186,51 @@ class TestCensus:
 
     def test_validation(self, table):
         with pytest.raises(ValueError):
-            census(10, 0, 0, 1, table)
+            census_grid(10, 0, [(0, 1)], table)
         with pytest.raises(ValueError):
-            census(10, 6, 0, 1, table)
+            census_grid(10, 6, [(0, 1)], table)
         with pytest.raises(ValueError):
-            census(10, 2, 0, 0, table)
+            census_grid(10, 2, [(0, 0)], table)
 
 
 class TestCensusSharp:
+    """The sharp prime count: psi_theta_pi with kind "pi" and sharp."""
+
     def test_full_window_matches_census_field(self, table):
         for a, q in ((0, 9), (4, 9), (1, 11), (2, 4)):
-            rec = census(10, 4, a, q, table)
-            # default x covers [1, g^L), and primes below the window have
-            # window-relative reverses divisible by g, so compare against
-            # an explicit count
-            full = census_sharp(10, 4, a, q, table)
-            below = census_sharp(10, 4, a, q, table, x=10**3)
+            rec = census_grid(10, 4, [(a, q)], table)[0]
+            # the sharp prime count up to x = g^L covers [1, g^L), and
+            # primes below the window have window-relative reverses
+            # divisible by g, so take the window as a difference
+            full = psi_theta_pi(10, 4, 10**4, a, q, table, "pi", sharp=True)
+            below = psi_theta_pi(10, 4, 10**3, a, q, table, "pi", sharp=True)
             assert full - below == rec.sharp_observed
 
     def test_truncated_by_hand(self, table):
         # primes up to 13, window length 2: relative reverses are
         # 20, 30, 50, 70, 11, 31 and mod gcd(3, 9900) = 3 the class of 2
         # holds exactly {2, 5, 11}
-        assert census_sharp(10, 2, 2, 3, table, x=13) == 3
-        assert census_sharp(10, 2, 0, 3, table, x=13) == 1
-        assert census_sharp(10, 2, 1, 3, table, x=13) == 2
+        assert psi_theta_pi(10, 2, 13, 2, 3, table, "pi", sharp=True) == 3
+        assert psi_theta_pi(10, 2, 13, 0, 3, table, "pi", sharp=True) == 1
+        assert psi_theta_pi(10, 2, 13, 1, 3, table, "pi", sharp=True) == 2
 
     def test_monotone_in_x(self, table):
         values = [
-            census_sharp(2, 12, 1, 5, table, x=x)
+            psi_theta_pi(2, 12, x, 1, 5, table, "pi", sharp=True)
             for x in (10, 100, 1000, 4095, 4096)
         ]
         assert values == sorted(values)
 
     def test_empty_below_two(self, table):
-        assert census_sharp(10, 3, 0, 1, table, x=1.5) == 0
+        assert psi_theta_pi(10, 3, 1.5, 0, 1, table, "pi", sharp=True) == 0
 
     def test_validation(self, table):
         with pytest.raises(ValueError):
-            census_sharp(10, 2, 0, 3, table, x=101)
+            psi_theta_pi(10, 2, 101, 0, 3, table, "pi", sharp=True)
         with pytest.raises(ValueError):
-            census_sharp(10, 2, 0, 3, table, x=0.5)
+            psi_theta_pi(10, 2, 0.5, 0, 3, table, "pi", sharp=True)
         with pytest.raises(ValueError):
-            census_sharp(10, 6, 0, 3, table)
+            psi_theta_pi(10, 6, 10**6, 0, 3, table, "pi", sharp=True)
 
 
 class TestPsiThetaPi:
@@ -366,7 +370,7 @@ class TestLayerAgainstScalarRecount:
             reverse_relative(p, L, ctx) % m == a % m
             for p in scalar_primes(math.floor(x))
         )
-        assert census_sharp(g, L, a, q, build_table(limit), x=x) == want
+        assert psi_theta_pi(g, L, x, a, q, build_table(limit), "pi", sharp=True) == want
 
     @settings(max_examples=40, deadline=None)
     @given(small_windows(), st.integers(0, 80), st.integers(1, 60),
@@ -528,7 +532,7 @@ class TestTotient:
 
 class TestRecord:
     def test_fields_round_trip(self, table):
-        rec = census(10, 3, 1, 7, table)
+        rec = census_grid(10, 3, [(1, 7)], table)[0]
         assert isinstance(rec, CensusRecord)
         assert rec.g == 10 and rec.L == 3
         assert rec.modulus_sharp == math.gcd(7, 10**3 * 99)

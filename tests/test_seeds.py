@@ -1,4 +1,4 @@
-"""Seed families, shifting, and the additive digit functionals."""
+"""Seed families, shifts, and the additive digit functionals."""
 
 import math
 from fractions import Fraction
@@ -9,16 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revprime.basedigits import BaseContext, reverse_relative
-from revprime.seeds import (
-    ShiftedSeed,
-    f_eval,
-    parse_seed,
-    reverse_seed,
-    shift,
-    sod_seed,
-    table_seed,
-    zero_seed,
-)
+from revprime.seeds import f_eval, reverse_seed, sod_seed, table_seed, zero_seed
 
 
 def random_table(g, positions, rng):
@@ -79,30 +70,34 @@ class TestFamilies:
 
 
 class TestShift:
+    """A shift j is the j argument of frac_rows and f_eval."""
+
     def test_zero_shift_is_identity(self):
-        s = sod_seed(7, 2.0)
-        assert shift(s, 0) is s
+        s = reverse_seed(7, 6, 2.0)
+        for n in (0, 1, 6, 48, 7**6 - 1):
+            digits = [n // 7**i % 7 for i in range(6)]
+            assert f_eval(s, 6, 0, n) == sum(s.eval(i, d) for i, d in enumerate(digits))
 
     def test_shift_reads_offset_positions(self):
         s = reverse_seed(10, 6, 1.0)
-        t = shift(s, 2)
+        rows = s.frac_rows(2, 8)
         for i in range(8):
             for d in range(10):
-                assert t.eval(i, d) == s.eval(i + 2, d)
+                # digit d at position i, zeros below: the zero digit weighs 0
+                assert f_eval(s, i + 1, 2, d * 10**i) == s.eval(i + 2, d)
+                assert rows[i, d] == s.frac(i + 2, d)
 
     def test_shifts_compose(self):
         s = reverse_seed(2, 12, 1 / 3)
-        t = shift(shift(s, 2), 3)
-        assert isinstance(t, ShiftedSeed)
-        assert t.offset == 5
-        for i in range(10):
-            assert t.eval(i, 1) == s.eval(i + 5, 1)
-            assert t.frac(i, 1) == s.frac(i + 5, 1)
+        assert np.array_equal(s.frac_rows(2, 13)[3:], s.frac_rows(5, 10))
+        assert np.array_equal(s.frac_rows(0, 15)[5:], s.frac_rows(5, 10))
 
     @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3**5 - 1))
     def test_shift_commutes_with_f_eval(self, j1, j2, n):
+        # multiplying n by 3^j1 moves its digits up j1 positions, which is
+        # what reading the weights j1 positions further on does
         s = reverse_seed(3, 8, 0.7)
-        assert f_eval(shift(s, j1), 5, j2, n) == f_eval(s, 5, j1 + j2, n)
+        assert f_eval(s, 5 + j1, j2, n * 3**j1) == f_eval(s, 5, j1 + j2, n)
 
 
 class TestFEval:
@@ -168,7 +163,6 @@ class TestFrac:
             zero_seed(4),
             sod_seed(4, 0.77),
             reverse_seed(4, 9, 0.31),
-            shift(reverse_seed(4, 9, 0.31), 3),
             random_table(4, 6, rng),
         ]
         for s in seeds:
@@ -223,17 +217,3 @@ class TestFrac:
         for i in range(8):
             assert rows[i, 1] == s.frac(i, 1)
 
-
-class TestParse:
-    def test_named_families(self):
-        assert parse_seed("zero", 7).label == "zero"
-        s = parse_seed("sod:0.25", 10)
-        assert s.scale == 0.25
-        r = parse_seed("reverse:0.5,14", 2)
-        assert (r.window, r.scale) == (14, 0.5)
-
-    def test_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            parse_seed("fancy:1", 2)
-        with pytest.raises(ValueError):
-            parse_seed("zero:1", 2)
