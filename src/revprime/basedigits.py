@@ -4,10 +4,11 @@ Digit-string length, full and window-relative digit reversal, plus the
 small numeric helpers (unit circle map, distance to the nearest
 integer) that the rest of the package shares.  Everything here is
 integer arithmetic; no float logarithms are used to make digit-length
-decisions.  reverse_array is the vectorized form of both reversals; the
-scalar functions are the oracles it is tested against.  Powers of g live
-here too: ilog is the exact g-adic length and power_residues the exact
-ladder num*g^i mod den.
+decisions.  reverse_array is the vectorized form of both reversals: it
+reverses a block of k digits per step through one table of g^k <= 2^12
+entries.  The scalar functions are the oracles it is tested against.
+Powers of g live here too: ilog is the exact g-adic length and
+power_residues the exact ladder num*g^i mod den.
 """
 
 from __future__ import annotations
@@ -91,15 +92,38 @@ def reverse_relative(n: int, L: int, ctx: BaseContext) -> int:
 
 
 _INT64_MAX = 2**63 - 1
+# reversal tables hold at most this many int64 entries (32 KiB): base g
+# reverses k digits per step, k the largest with g^k <= _TABLE_ENTRIES
+_TABLE_ENTRIES = 2**12
+
+
+def _reverse_digits(n: np.ndarray, g: int, width: int) -> np.ndarray:
+    """Window reversal of the int64 array n, one divmod step per digit.
+
+    Builds the block tables of reverse_array: applied to arange(g^s)
+    with width s it gives T_s[x] = reverse_relative(x, s).
+    """
+    out = np.zeros_like(n)
+    for _ in range(width):
+        n, d = np.divmod(n, g)
+        out *= g
+        out += d
+    return out
 
 
 def reverse_array(values, g: int, L: int | None = None) -> np.ndarray:
     """Digit reversal of every entry of values, as an int64 array.
 
-    With L this is reverse_relative(n, L) for each n: exactly L divmod
-    steps, digits at positions >= L ignored.  Without L it is the
-    absolute reverse(n): the same loop over the width of the largest
-    entry, each result then divided by g^(width - digit length of n).
+    With L this is reverse_relative(n, L) for each n: digits at
+    positions >= L are ignored.  Without L it is the absolute
+    reverse(n): the window reversal over the width of the largest entry,
+    each result then divided by g^(width - digit length of n).  The
+    window reversal takes k digits per step, k the largest with
+    g^k <= 2^12: the low s digits d = n - (n // g^s) g^s go through the
+    table T_s[d] = reverse_relative(d, s), and the last step takes the
+    width mod k digits left over.  With k = 1 the digit is its own
+    reverse and no table is built.
+
     Raises ValueError on negative entries, and whenever a result could
     exceed int64: g^width > 2^63 - 1, where width is L or the digit
     length of the largest entry.
@@ -122,16 +146,36 @@ def reverse_array(values, g: int, L: int | None = None) -> np.ndarray:
         # uint64 or Python integers: digits >= width are ignored anyway,
         # and the residues mod g^width convert to int64 exactly
         arr = arr % g**width
-    n = arr.astype(np.int64)
+    # a fresh array, also for 0-d input: the block loop writes into n
+    n = np.array(arr, dtype=np.int64)
     if L is None:
         powers = np.array([g**i for i in range(width + 1)], dtype=np.int64)
         # g^(width - len(n)): len(n) counts the powers of g at most n
         shorten = powers[width - np.searchsorted(powers[:width], n, side="right")]
+    k = max(1, ilog(_TABLE_ENTRIES, g))
+    steps = [k] * (width // k)
+    if width % k:
+        steps.append(width % k)
+    tables = {
+        s: _reverse_digits(np.arange(g**s, dtype=np.int64), g, s)
+        for s in set(steps) if s > 1
+    }
+    # n, q, low and out are the only full-size buffers the loop touches
+    q = np.empty_like(n)
+    low = np.empty_like(n)
     out = np.zeros_like(n)
-    for _ in range(width):
-        n, d = np.divmod(n, g)
-        out *= g
-        out += d
+    for s in steps:
+        block = g**s
+        np.floor_divide(n, block, out=q)
+        np.multiply(q, block, out=low)
+        np.subtract(n, low, out=n)
+        digits = n
+        if s > 1:
+            # every index is below g^s; clip mode writes low unbuffered
+            digits = np.take(tables[s], n, out=low, mode="clip")
+        out *= block
+        out += digits
+        n, q = q, n
     if L is None:
         out //= shorten
     return out

@@ -84,7 +84,8 @@ class RunConfig:
             "rng_algorithm": self.rng_algorithm,
             "sieve_limit": self.sieve_limit,
             "census_tolerance": self.census_tolerance,
-            "c_cal": {k: self.c_cal[k] for k in sorted(self.c_cal)},
+            # a ceiling hashes as the float every gate reads, so 1 and 1.0 agree
+            "c_cal": {k: float(self.c_cal[k]) for k in sorted(self.c_cal)},
         }
 
     def config_hash(self) -> str:

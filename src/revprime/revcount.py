@@ -3,7 +3,8 @@ Siegel-Walfisz analogues for reversed primes.
 
 rho is the exact rational density with which primes' digit reverses hit
 a fixed residue class; census_grid compares windowed sieve counts
-against it, many cells per pass; the sharp variants reduce the modulus
+against it, many cells per pass, binning the reverses once per group of
+moduli whose lcm is at most 2^16; the sharp variants reduce the modulus
 to the part that interacts with reversal, gcd(q, g^L (g^2-1)).  Only
 the sieve (arith) and digit arithmetic (basedigits) are read here; the
 exponential sums behind the theorems live in expsum and primesum.
@@ -119,17 +120,47 @@ def _window_reverses(g: int, L: int, pt: PrimeTable) -> np.ndarray:
     return reverse_array(primes[first:last], g, L)
 
 
-def _class_counter(revs: np.ndarray):
-    """count(a, m): entries of revs that are a mod m, one bincount per m.
+# one residue pass bins every modulus that divides a group lcm up to this
+_GROUP_CAP = 2**16
 
-    The bins stop at the largest residue present, so their size is
-    bounded by the window, not by m.
+
+def _modulus_groups(moduli) -> list[tuple[int, list[int]]]:
+    """(lcm, members) groups of the distinct moduli, first fit in ascending order.
+
+    A modulus joins the first group whose lcm stays at most _GROUP_CAP
+    with it; one above the cap is a group of its own.
+    """
+    groups: list[tuple[int, list[int]]] = []
+    for m in sorted(set(moduli)):
+        for i, (lcm, members) in enumerate(groups):
+            joined = math.lcm(lcm, m)
+            if joined <= _GROUP_CAP:
+                groups[i] = (joined, members + [m])
+                break
+        else:
+            groups.append((m, [m]))
+    return groups
+
+
+def _class_counter(revs: np.ndarray, moduli):
+    """count(a, m) for m in moduli: entries of revs that are a mod m.
+
+    Each group of moduli with lcm M <= _GROUP_CAP takes one bincount of
+    revs % M, which each m in the group folds with reshape(-1, m).sum(0).
+    A modulus above the cap keeps its own bincount, whose bins stop at
+    the largest residue present, so their size is bounded by the window,
+    not by m.
     """
     bins: dict[int, np.ndarray] = {}
+    for lcm, members in _modulus_groups(moduli):
+        if lcm > _GROUP_CAP:
+            bins[lcm] = np.bincount(revs % lcm)
+            continue
+        full = np.bincount(revs % lcm, minlength=lcm)
+        for m in members:
+            bins[m] = full.reshape(-1, m).sum(0)
 
     def count(a: int, m: int) -> int:
-        if m not in bins:
-            bins[m] = np.bincount(revs % m)
         r = a % m
         return int(bins[m][r]) if r < bins[m].size else 0
 
@@ -141,22 +172,26 @@ def census_grid(
 ) -> list[CensusRecord]:
     """CensusRecords for many (a, q) cells from one pass over the window.
 
-    The reverses are computed once, each distinct modulus is binned once,
-    and every requested cell is read from those bins.
+    The reverses are computed once, every q and sharp modulus is binned
+    by one residue pass per group of moduli, and every requested cell is
+    read from those bins.
     """
     if L < 1:
         raise ValueError("window length must be at least 1")
     if g**L > pt.limit:
         raise ValueError(f"window end {g}^{L} beyond sieve limit {pt.limit}")
-    count = _class_counter(_window_reverses(g, L, pt))
+    pairs = list(pairs)
+    if any(q < 1 for _, q in pairs):
+        raise ValueError("modulus must be positive")
     wheel = g * g - 1
+    sharp = [math.gcd(q, g**L * wheel) for _, q in pairs]
+    count = _class_counter(
+        _window_reverses(g, L, pt), [q for _, q in pairs] + sharp
+    )
     scale = g**L / (L * math.log(g))
     records = []
-    for a, q in pairs:
-        if q < 1:
-            raise ValueError("modulus must be positive")
+    for (a, q), modulus_sharp in zip(pairs, sharp):
         observed = count(a, q)
-        modulus_sharp = math.gcd(q, g**L * wheel)
         main_term = float(rho(g, a, q) / q) * scale
         if main_term > 0.0:
             relative_dev = observed / main_term - 1.0

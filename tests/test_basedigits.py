@@ -1,6 +1,8 @@
 """Digit decomposition, reversal, and numeric helper checks."""
 
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -237,6 +239,120 @@ class TestReverseArray:
             reverse_array([1], 10, -1)
         with pytest.raises(TypeError):
             reverse_array([1.5], 10)
+
+
+# every base up to 36, both sides of the table cap 2^12, and bases so
+# large that a table of g entries would be megabytes
+BLOCK_BASES = [*range(2, 37), 4095, 4096, 4097, 2**20, 10**6]
+
+
+def block_digits(g):
+    """The digits reversed per step: the largest k >= 1 with g^k <= 2^12, or 1."""
+    k = 1
+    while g ** (k + 1) <= 2**12:
+        k += 1
+    return k
+
+
+def int64_width(g):
+    """The widest window whose powers stay below 2^63."""
+    w = 0
+    while g ** (w + 1) <= 2**63 - 1:
+        w += 1
+    return w
+
+
+def block_widths(g):
+    """Widths k - 1, k, k + 1, 2k and the int64 limit of g, where they fit."""
+    k = block_digits(g)
+    top = int64_width(g)
+    return sorted({w for w in (k - 1, k, k + 1, 2 * k, top) if 0 <= w <= top})
+
+
+@st.composite
+def block_cases(draw):
+    g = draw(st.sampled_from(BLOCK_BASES))
+    L = draw(st.sampled_from(block_widths(g)))
+    # entries inside the window and entries with digits beyond it
+    ns = draw(st.lists(st.integers(0, g**L - 1) | st.integers(0, 2**63 - 1), min_size=1, max_size=24))
+    return g, L, ns
+
+
+class TestReverseArrayBlocks:
+    """Digit-block reversal against the scalar oracles at every block edge."""
+
+    @given(block_cases())
+    def test_matches_scalar_oracles(self, case):
+        g, L, ns = case
+        ctx = base(g)
+        want = [reverse_relative(n, L, ctx) for n in ns]
+        inside = [n % g**L for n in ns]
+        want_abs = [reverse(n, ctx) for n in inside]
+        for values in (ns, np.array(ns, dtype=np.uint64), np.array(ns, dtype=object)):
+            assert reverse_array(values, g, L).tolist() == want
+        for values in (inside, np.array(inside, dtype=np.uint64), np.array(inside, dtype=object)):
+            assert reverse_array(values, g).tolist() == want_abs
+
+    def test_every_base_and_width(self):
+        rng = random.Random(13)
+        for g in BLOCK_BASES:
+            ctx = base(g)
+            for L in block_widths(g):
+                top = g**L - 1
+                ns = [0, 1, g - 1, top, max(top - 1, 0), top // g, g ** max(L - 1, 0)]
+                ns += [rng.randrange(g**L) for _ in range(8)] + [rng.randrange(2**63) for _ in range(4)]
+                got = reverse_array(np.array(ns, dtype=np.int64), g, L)
+                assert got.tolist() == [reverse_relative(n, L, ctx) for n in ns], (g, L)
+                inside = [n % g**L for n in ns]
+                assert reverse_array(inside, g).tolist() == [reverse(n, ctx) for n in inside], (g, L)
+
+    def test_two_dimensional_input(self):
+        for g in (2, 10, 64, 65, 4097):
+            grid = np.arange(0, 6000, 7, dtype=np.int64)[:840].reshape(28, 30)
+            L = block_digits(g) + 1
+            got = reverse_array(grid, g, L)
+            assert got.shape == grid.shape
+            want = [[reverse_relative(int(n), L, base(g)) for n in row] for row in grid]
+            assert got.tolist() == want
+            assert reverse_array(grid, g).tolist() == [
+                [reverse(int(n), base(g)) for n in row] for row in grid
+            ]
+
+    def test_zero_dimensional_input(self):
+        for g, L in ((10, 5), (2, 13), (4097, 3)):
+            ctx = base(g)
+            for n in (12345, 2**64 - 1, 2**70 + 3):
+                want = reverse_relative(n, L, ctx)
+                forms = [np.array(n, dtype=object)]
+                if n < 2**64:
+                    forms.append(np.uint64(n))
+                if n < 2**63:
+                    forms += [n, np.int64(n)]
+                for value in forms:
+                    got = reverse_array(value, g, L)
+                    assert got.shape == () and int(got) == want, (g, L, value)
+
+    def test_uint64_beyond_int64(self):
+        ns = [2**64 - 1, 2**63, 2**63 + 12345]
+        for g in (2, 7, 10, 4097):
+            L = block_digits(g) * 2 + 1
+            got = reverse_array(np.array(ns, dtype=np.uint64), g, L)
+            assert got.tolist() == [reverse_relative(n, L, base(g)) for n in ns]
+
+    def test_large_base_builds_no_table(self):
+        # g = 10^6 reverses one digit per step; a table of g int64 entries
+        # would take 8 MB
+        g = 10**6
+        ns = [0, 1, 5 * g + 7, g**3 - 1, 123 * g**2 + 45]
+        reverse_array(ns, g, 3)
+        tracemalloc.start()
+        try:
+            got = reverse_array(ns, g, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.tolist() == [reverse_relative(n, 3, base(g)) for n in ns]
+        assert peak < g
 
 
 class TestNumericHelpers:

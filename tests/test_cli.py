@@ -34,6 +34,18 @@ class TestRunConfig:
         assert cfg.config_hash() != replace(cfg, rng_seed=1).config_hash()
         assert cfg.config_hash() != replace(cfg, c_cal={}).config_hash()
 
+    def test_hash_reads_ceilings_as_floats(self):
+        # every gate reads a ceiling as a float, so its int and float
+        # spellings are one configuration
+        for name in DEFAULT_C_CAL:
+            as_int = RunConfig(c_cal={name: 1}).config_hash()
+            assert as_int == RunConfig(c_cal={name: 1.0}).config_hash(), name
+        assert RunConfig(c_cal={"truncation": 1}).config_hash() == "5fa40b2e1780493f"
+
+    def test_default_hash_is_pinned(self):
+        # the header of every default report carries this value
+        assert RunConfig().config_hash() == "c7f32585766f14d4"
+
     def test_validation(self):
         with pytest.raises(ValueError):
             RunConfig(rng_seed=-1)

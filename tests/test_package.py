@@ -2,8 +2,13 @@
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import revprime
 
@@ -45,3 +50,28 @@ def test_revcount_reads_only_arith_and_basedigits():
 
     assert package_imports(revcount) == {"arith", "basedigits"}
 
+
+def test_package_import_loads_no_submodule():
+    # the re-exports resolve on first access, so a bare import of the
+    # package leaves basedigits and seeds unloaded
+    src = Path(revprime.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = (
+        "import sys, revprime; "
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('revprime'))))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    )
+    assert proc.stdout.split() == ["revprime"]
+
+
+def test_lazy_names_are_the_module_objects():
+    from revprime import basedigits, seeds
+
+    assert revprime.reverse is basedigits.reverse
+    assert revprime.sod_seed is seeds.sod_seed
+    with pytest.raises(AttributeError, match="no_such_name"):
+        revprime.no_such_name

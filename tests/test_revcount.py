@@ -18,7 +18,10 @@ from revprime.expsum import (
     sigma_lower_blocks,
 )
 from revprime.revcount import (
+    _GROUP_CAP,
     CensusRecord,
+    _class_counter,
+    _modulus_groups,
     _prime_divisors,
     _totient,
     census_grid,
@@ -321,6 +324,66 @@ class TestSharpFactorDeviation:
             sharp_factor_deviation(10, 10**6, 0, 7, table)
         with pytest.raises(ValueError):
             sharp_factor_deviation(10, 0.5, 0, 7, table)
+
+
+# q = 1, moduli sharing factors (3, 9, 27), coprime ones, the products
+# the census groups form, and moduli at and above the group cap
+COUNTER_MODULI = (
+    1, 2, 3, 4, 5, 7, 9, 11, 13, 27, 37, 41, 99, 1517, 9009,
+    2**16, 2**16 + 1, 3 * 2**16, 99991,
+)
+
+
+def assert_valid_groups(moduli):
+    groups = _modulus_groups(moduli)
+    members = [m for _, group in groups for m in group]
+    assert sorted(members) == sorted(set(moduli))
+    for lcm, group in groups:
+        assert lcm == math.lcm(*group)
+        # only a lone modulus may exceed the cap
+        assert lcm <= _GROUP_CAP or group == [lcm], (lcm, group)
+    return groups
+
+
+class TestClassCounter:
+    """The grouped residue counter against one bincount per modulus."""
+
+    def test_census_groups(self):
+        # base 2, L = 20..24, q = 3, 5, 7: the sharp moduli are 3 and 1
+        assert assert_valid_groups([3, 5, 7, 3, 1, 1]) == [(105, [1, 3, 5, 7])]
+        # base 10, L = 6, 7: q = 3, 7, 9, 11, 13, 37, 41 and sharp 3, 1, 9, 11, 1, 1, 1
+        moduli = [3, 7, 9, 11, 13, 37, 41, 3, 1, 9, 11, 1, 1, 1]
+        assert [lcm for lcm, _ in assert_valid_groups(moduli)] == [9009, 1517]
+
+    def test_over_cap_moduli_stay_alone(self):
+        # 2^16 fits the cap alone but not beside 3; 2^16 + 1 and 99991 exceed it
+        assert assert_valid_groups([2**16 + 1, 99991, 3, 2**16]) == [
+            (3, [3]), (2**16, [2**16]), (2**16 + 1, [2**16 + 1]), (99991, [99991]),
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(0, 2**40), max_size=300),
+        st.lists(st.sampled_from(COUNTER_MODULI) | st.integers(1, 3 * 2**16), min_size=1, max_size=8),
+    )
+    def test_matches_per_modulus_bincount(self, values, moduli):
+        revs = np.array(values, dtype=np.int64)
+        assert_valid_groups(moduli)
+        count = _class_counter(revs, moduli)
+        for m in set(moduli):
+            want = np.bincount(revs % m, minlength=1)
+            # every residue present, a few above the largest one present,
+            # the top residue, and classes named by a >= m and a < 0
+            residues = {*range(min(m, 40)), *(int(r) for r in np.unique(revs % m))}
+            residues |= {want.size, want.size + 1, m - 1, m + 2, -1}
+            for a in residues:
+                r = a % m
+                expected = int(want[r]) if r < want.size else 0
+                assert count(a, m) == expected, (a, m)
+
+    def test_empty_window(self):
+        count = _class_counter(np.zeros(0, dtype=np.int64), [1, 5, 2**17])
+        assert count(0, 1) == count(3, 5) == count(7, 2**17) == 0
 
 
 @st.composite
