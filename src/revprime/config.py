@@ -65,7 +65,11 @@ class RunConfig:
         for name, ceiling in self.c_cal.items():
             if name not in DEFAULT_C_CAL:
                 raise ValueError(f"c_cal names no calibrated verifier: {name!r}")
-            if not (_is_a(ceiling, (int, float)) and math.isfinite(ceiling)):
+            try:
+                finite = _is_a(ceiling, (int, float)) and math.isfinite(ceiling)
+            except OverflowError:  # an integer too large for a float
+                finite = False
+            if not finite:
                 raise ValueError(f"c_cal[{name!r}] must be a finite number")
         if not 0 <= self.rng_seed < 2**64:
             raise ValueError("rng_seed must fit in 64 bits")

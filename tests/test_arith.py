@@ -1,8 +1,9 @@
 """Sieve table and the four-term von Mangoldt split.
 
-Oracles here use trial division, full-range divisor scans and the
-masked-write factor sieve the table used to store, so they share no
-code with the sieve they check.
+Oracles here use trial division, full-range divisor scans, the
+masked-write factor sieve the table used to store and the plain
+odd-only sieve without wheel or segments, so they share no code with
+the sieve they check.
 """
 
 import math
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from revprime import arith
 from revprime.arith import (
     DEFAULT_MAX_LIMIT,
     PrimeTable,
@@ -72,6 +74,20 @@ def oracle_sieve_spf(limit):
     rest = np.flatnonzero(spf[3:] == 0) + 3
     spf[rest] = rest
     return spf
+
+
+def oracle_sieve_odd(limit):
+    """The plain odd-only sieve: odd[i] is True exactly when 2i + 1 is a prime <= limit."""
+    odd = np.ones((limit + 1) // 2, dtype=bool)
+    odd[0] = False
+    for p in range(3, math.isqrt(limit) + 1, 2):
+        if odd[p // 2]:
+            odd[p * p // 2 :: p] = False
+    return odd
+
+
+def oracle_odd_primes(limit):
+    return np.concatenate(([2], 2 * np.flatnonzero(oracle_sieve_odd(limit)) + 1)).astype(np.int64)
 
 
 def oracle_primes(spf):
@@ -280,6 +296,50 @@ class TestSieveOracle:
         want = oracle_sieve_spf(1 << 18).tobytes()
         assert all(table is seen[0] for table in seen)
         assert all(table.tobytes() == want for table in seen)
+
+
+# segment lengths small enough that a limit of a few thousand crosses
+# many segment edges, and primes outgrow a segment
+SEGMENTS = (1, 7, 64, 1000)
+# below 17^2 = 289 only the wheel strikes; then p^2 - 1, p^2, p^2 + 1
+# for every p up to 67, where a sieving prime starts or stops striking
+EDGE_LIMITS = sorted(
+    {3, 13, 168, 169, 170, 288, 289, 290}
+    | {p * p + d for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
+                           59, 61, 67) for d in (-1, 0, 1)}
+)
+
+
+def segmented(limit, segment):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "_SEGMENT", segment)
+        odd = arith._sieve_odd(limit)
+        return odd, PrimeTable(limit, odd).primes
+
+
+class TestSegmentedSieve:
+    @pytest.mark.parametrize("segment", SEGMENTS)
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(2, 5000))
+    def test_random_limits_equal_oracle(self, segment, limit):
+        odd, primes = segmented(limit, segment)
+        assert odd.dtype == bool and odd.tobytes() == oracle_sieve_odd(limit).tobytes()
+        assert primes.tobytes() == oracle_odd_primes(limit).tobytes()
+
+    @pytest.mark.parametrize("segment", SEGMENTS)
+    def test_edge_limits_equal_oracle(self, segment):
+        for limit in EDGE_LIMITS:
+            odd, primes = segmented(limit, segment)
+            assert odd.tobytes() == oracle_sieve_odd(limit).tobytes(), limit
+            assert primes.tobytes() == oracle_odd_primes(limit).tobytes(), limit
+
+    @pytest.mark.parametrize("limit", [2**21 - 1, 2**21, 2**21 + 1, 2**22 + 3, 10**7])
+    def test_real_sizes_equal_oracle(self, limit):
+        # at 2^20-entry segments, 2^21 - 1 and 2^21 end on a full segment,
+        # 2^21 + 1 on a one-entry one and 2^22 + 3 on a two-entry one
+        odd = arith._sieve_odd(limit)
+        assert odd.tobytes() == oracle_sieve_odd(limit).tobytes()
+        assert build_table(limit).primes.tobytes() == oracle_odd_primes(limit).tobytes()
 
 
 HEADER = struct.Struct("<5sHQI")  # magic, version, limit, CRC-32 of the payload

@@ -90,6 +90,7 @@ class TestRunConfig:
             {"threads": 1.5},
             {"rng_seed": True},
             {"c_cal": {"bogus": 1.0}},
+            {"c_cal": {"hybrid": 10**400}},
         ],
     )
     def test_load_rejects_wrong_value_types(self, tmp_path, fields):
@@ -187,6 +188,19 @@ class TestCensusCommand:
                      "--config", str(cfg), "--out", str(out)])
         assert code == 1
         assert "census: error: sieve_limit must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_huge_c_cal_is_usage_error(self, tmp_path, capsys):
+        # 10**400 overflows a float, so math.isfinite raises on it
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps({"c_cal": {"hybrid": 10**400}}))
+        out = tmp_path / "c.csv"
+        code = main(["census", "--g", "2", "--L", "4", "--q", "3",
+                     "--config", str(cfg), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "census: error: c_cal['hybrid'] must be a finite number\n"
+        assert "Traceback" not in captured.out + captured.err
         assert not out.exists()
 
     def test_cache_dir_env_is_honoured(self, tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ same quantity through two independent evaluation routes.
 """
 
 import math
+import random
 import time
 import tracemalloc
 from fractions import Fraction
@@ -529,6 +530,52 @@ def boundary_scales(g):
         edge = Fraction(g, g**k * (g + 1))
         for step in (-1, 0, 1):
             yield k, step, edge * Fraction(10**6 + step, 10**6)
+
+
+class TestLanding:
+    def test_worked_examples(self):
+        assert i0_landing(2, 0.5) == (0, 0.5)
+        assert i0_landing(10, Fraction(1, 7)) == (0, pytest.approx(1 / 7))
+
+    def test_edge_of_bound_lands_exactly(self):
+        # alpha = 1/(g+1) forces one shift and lands on the bound itself
+        for g in (2, 3, 10):
+            i0, d = i0_landing(g, Fraction(1, g + 1))
+            assert i0 == 1
+            assert d == pytest.approx(1 / (g + 1))
+
+    def test_random_sweep(self):
+        rng = random.Random(20260818)
+        for _ in range(10_000):
+            g = rng.choice((2, 3, 10))
+            alpha = Fraction(rng.randint(1, 10**6), rng.randint(2, 10**6))
+            if alpha.denominator == 1:
+                continue
+            i0, d = i0_landing(g, alpha)
+            assert i0 >= 0
+            assert d >= 1 / (g + 1) - 1e-12, (g, alpha)
+            assert d <= 1 - 1 / (g + 1) + 1e-12, (g, alpha)
+
+    def test_agrees_with_float_formula(self):
+        rng = random.Random(7)
+        for _ in range(500):
+            g = rng.choice((2, 3, 10))
+            alpha = Fraction(rng.randint(1, 999), 1000)
+            if alpha.denominator == 1:
+                continue
+            frac = alpha % 1
+            dval = float(min(frac, 1 - frac))
+            guess = math.floor(math.log(g / ((g + 1) * dval)) / math.log(g))
+            i0, _ = i0_landing(g, alpha)
+            assert abs(i0 - guess) <= 1
+
+    def test_integer_rejected(self):
+        with pytest.raises(ValueError):
+            i0_landing(2, 3)
+        with pytest.raises(ValueError):
+            i0_landing(2, Fraction(4, 2))
+        with pytest.raises(ValueError):
+            i0_landing(1, 0.5)
 
 
 class TestLandingBoundary:
