@@ -160,6 +160,7 @@ class PrimeTable:
         return n
 
     def is_prime(self, n: int) -> bool:
+        """Whether n is prime: the per-n oracle tests check the sieve with."""
         self._check(n)
         i = int(np.searchsorted(self.primes, n))
         return i < self.primes.size and int(self.primes[i]) == n

@@ -15,17 +15,19 @@ import math
 import sys
 from dataclasses import asdict, replace
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from . import __version__
 from .arith import build_table
-from .config import RunConfig, load_config, merge_overrides
-from .expsum import BoundReport
+from .config import RunConfig, UsageError, load_config, merge_overrides
 from .fileio import atomic_write
 from .revcount import CensusRecord, census_grid, exceptional_cap
-from .verify import CALIBRATED, SuiteOptions, UsageError, calibrate, run_suite
+
+if TYPE_CHECKING:
+    from .expsum import BoundReport
+    from .verify import SuiteOptions
 
 CENSUS_COLUMNS = (
     "g", "L", "a", "q", "observed", "main_term",
@@ -62,6 +64,21 @@ def _json_default(obj):
     if isinstance(obj, Fraction):
         return str(obj)
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
+
+
+# verify (and with it expsum, primesum, seeds and the thread pool) loads
+# on the first verify or calibrate command, so a census never imports it;
+# run_suite and calibrate stay names of this module, which callers patch
+def run_suite(name: str, cfg: RunConfig, opts: SuiteOptions) -> list[BoundReport]:
+    from . import verify
+
+    return verify.run_suite(name, cfg, opts)
+
+
+def calibrate(names, cfg: RunConfig, opts: SuiteOptions) -> dict[str, float]:
+    from . import verify
+
+    return verify.calibrate(names, cfg, opts)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -116,14 +133,20 @@ def _format_census_csv(cfg: RunConfig, rows: list[CensusRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_field(value):
+    """A census field as JSON holds it: a NaN deviation, which JSON lacks, is null."""
+    return None if isinstance(value, float) and math.isnan(value) else value
+
+
 def _format_census_json(cfg: RunConfig, rows: list[CensusRecord]) -> str:
     payload = {
         "config_hash": cfg.config_hash(),
         "records": [
-            {col: getattr(rec, col) for col in CENSUS_COLUMNS} for rec in rows
+            {col: _json_field(getattr(rec, col)) for col in CENSUS_COLUMNS}
+            for rec in rows
         ],
     }
-    return json.dumps(payload, sort_keys=True, default=_json_default) + "\n"
+    return json.dumps(payload, sort_keys=True, allow_nan=False, default=_json_default) + "\n"
 
 
 def cmd_census(args) -> int:
@@ -173,6 +196,8 @@ def _format_reports(
 
 
 def _suite_options(args) -> SuiteOptions:
+    from .verify import SuiteOptions
+
     return SuiteOptions(
         g=args.g,
         lambda_max=args.lambda_max,
@@ -208,6 +233,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    from .verify import CALIBRATED
+
     try:
         cfg = _load_run_config(args)
         opts = _suite_options(args)

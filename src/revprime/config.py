@@ -40,6 +40,12 @@ DEFAULT_C_CAL: dict[str, float] = {
 }
 
 
+class UsageError(ValueError):
+    """Bad suite name, an option below its minimum or one the suite does
+    not read, an option combination that empties the grid, or a census
+    modulus below 1."""
+
+
 def _is_a(value, kinds) -> bool:
     """isinstance, except that a bool is not a number here."""
     return isinstance(value, kinds) and not isinstance(value, bool)

@@ -149,12 +149,14 @@ def _class_counter(revs: np.ndarray, moduli):
     revs % M, which each m in the group folds with reshape(-1, m).sum(0).
     A modulus above the cap keeps its own bincount, whose bins stop at
     the largest residue present, so their size is bounded by the window,
-    not by m.
+    not by m.  A modulus beyond the range of revs' dtype exceeds every
+    entry, so its residues are the entries themselves.
     """
+    top = np.iinfo(revs.dtype).max
     bins: dict[int, np.ndarray] = {}
     for lcm, members in _modulus_groups(moduli):
         if lcm > _GROUP_CAP:
-            bins[lcm] = np.bincount(revs % lcm)
+            bins[lcm] = np.bincount(revs if lcm > top else revs % lcm)
             continue
         full = np.bincount(revs % lcm, minlength=lcm)
         for m in members:

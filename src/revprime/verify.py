@@ -31,7 +31,7 @@ from .arith import (  # noqa: F401
     vaughan_terms,
 )
 from .basedigits import ilog
-from .config import RunConfig, make_rng
+from .config import RunConfig, UsageError, make_rng
 from .expsum import (
     BoundReport,
     F_abs_product,
@@ -74,11 +74,6 @@ __all__ = [
     "run_suite",
     "calibrate",
 ]
-
-
-class UsageError(ValueError):
-    """Bad suite name, an option below its minimum or one the suite does
-    not read, or an option combination that empties the grid."""
 
 
 @dataclass(frozen=True)

@@ -159,6 +159,44 @@ class TestCensusCommand:
         total_q1 = [r for r in recs if r["q"] == 1 and r["L"] == 2]
         assert total_q1[0]["observed"] == 21
 
+    def test_json_zero_density_cell_is_null(self, tmp_path):
+        # a = 0 mod 3 has density zero in base 2, so its deviation is NaN,
+        # which strict JSON cannot hold
+        out = tmp_path / "census.json"
+        assert main(
+            ["census", "--g", "2", "--L", "5", "--q", "3", "--tolerance", "0.5",
+             "--format", "json", "--out", str(out)]
+        ) == 0
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        recs = json.loads(out.read_text(), parse_constant=reject)["records"]
+        assert [r["relative_dev"] is None for r in recs] == [True, False, False]
+        assert recs[0]["main_term"] == 0.0
+
+    @pytest.mark.parametrize("q, a, code", [
+        (2**64, "2", 0),
+        (2**63, "0,2", 0),
+        (2**63 - 1, "1,17", 2),
+        (2**64, "1,17,29", 2),
+        (f"3,{2**63},{2**64},5", "1,2,17", 2),
+    ])
+    def test_moduli_beyond_int64(self, tmp_path, q, a, code):
+        out = tmp_path / "c.csv"
+        assert main(["census", "--g", "2", "--L", "7", "--q", str(q), "--a", a,
+                     "--out", str(out)]) == code
+        # string-reversal recount of the 7-bit primes
+        primes = [n for n in range(64, 128) if all(n % d for d in range(2, 12))]
+        revs = [int(bin(p)[:1:-1], 2) for p in primes]
+        rows = out.read_text().splitlines()[2:]
+        assert len(rows) == len(str(q).split(",")) * len(a.split(","))
+        for row in rows:
+            _, _, a_, q_, observed, _, _, sharp, m = row.split(",")
+            a_, q_, m = int(a_), int(q_), int(m)
+            assert int(observed) == sum(r % q_ == a_ % q_ for r in revs), row
+            assert int(sharp) == sum(r % m == a_ % m for r in revs), row
+
     def test_thread_count_does_not_change_bytes(self, tmp_path):
         paths = []
         for t in ("1", "8"):

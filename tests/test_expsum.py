@@ -22,6 +22,7 @@ from revprime import expsum
 from revprime.basedigits import BaseContext
 from revprime.expsum import (
     CostBudgetError,
+    DegenerateSeedError,
     ExplicitConstants,
     ExpSumContext,
     F_abs_product,
@@ -599,6 +600,60 @@ class TestLandingBoundary:
                 assert J == loop_block_length(g, sigma_hat), (g, k, step)
                 if k > 1:
                     assert J == k + 1 - (step > 0), (g, k, step)
+
+
+class TestSigmaBlocks:
+    def test_empty_tail(self):
+        report = sigma_lower_blocks(2, 12, 0, Fraction(1, 7))
+        assert report.passed
+        assert report.lhs == 0.0
+
+    def test_block_floor_holds(self):
+        report = sigma_lower_blocks(2, 20, 20, Fraction(1, 7))
+        assert report.passed
+        K = report.params["K"]
+        assert report.lhs == K / 9
+        assert report.params["J"] >= 1
+        assert K == 20 // report.params["J"]
+        assert report.rhs >= report.lhs
+
+    def test_float_scale_works(self):
+        report = sigma_lower_blocks(2, 20, 12, 0.73)
+        assert report.passed
+        assert report.params["sigma_hat"] > 0
+
+    def test_chain_to_cumulative_weight(self):
+        g, L, lam = 3, 18, 18
+        alpha = Fraction(2, 7)
+        report = sigma_lower_blocks(g, L, lam, alpha)
+        es = expsum_context(reverse_seed(g, L, alpha))
+        floor = gamma_coefficient(g) / g**2 * report.rhs
+        assert sigma(es, lam, 0) >= floor - 1e-12
+
+    def test_growth_along_tail_length(self):
+        g, L = 2, 40
+        alpha = Fraction(1, 7)
+        es = expsum_context(reverse_seed(g, L, alpha))
+        values = []
+        for lam in (10, 20, 40):
+            report = sigma_lower_blocks(g, L, lam, alpha)
+            assert report.passed
+            values.append(sigma(es, lam, 0))
+        assert values[0] < values[1] < values[2]
+
+    def test_degenerate_scales_rejected(self):
+        with pytest.raises(DegenerateSeedError):
+            sigma_lower_blocks(2, 10, 5, Fraction(1, 3))
+        with pytest.raises(DegenerateSeedError):
+            sigma_lower_blocks(2, 10, 5, 0.5)
+        with pytest.raises(DegenerateSeedError):
+            sigma_lower_blocks(2, 10, 5, 4)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            sigma_lower_blocks(2, 5, 6, Fraction(1, 7))
+        with pytest.raises(ValueError):
+            sigma_lower_blocks(1, 5, 3, Fraction(1, 7))
 
 
 class TestTheta:

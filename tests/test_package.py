@@ -15,10 +15,15 @@ import revprime
 MODULES = sorted(info.name for info in pkgutil.iter_modules(revprime.__path__))
 
 
-def package_imports(module) -> set[str]:
-    """The revprime modules a module's source imports, read with ast."""
+def package_imports(module, top_level=False) -> set[str]:
+    """The revprime modules a module's source imports, read with ast.
+
+    With top_level, only the imports run when the module loads count:
+    none inside a function or an ``if TYPE_CHECKING:`` block.
+    """
     found = set()
-    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+    tree = ast.parse(Path(module.__file__).read_text())
+    for node in tree.body if top_level else ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             if node.level == 1 and node.module is None:
                 found.update(alias.name for alias in node.names)
@@ -51,21 +56,64 @@ def test_revcount_reads_only_arith_and_basedigits():
     assert package_imports(revcount) == {"arith", "basedigits"}
 
 
-def test_package_import_loads_no_submodule():
-    # the re-exports resolve on first access, so a bare import of the
-    # package leaves basedigits and seeds unloaded
+def test_cli_loads_only_the_census_layer():
+    from revprime import cli
+
+    assert package_imports(cli, top_level=True) == {
+        "__version__", "arith", "config", "fileio", "revcount",
+    }
+
+
+def run_child(code: str) -> list[str]:
+    """stdout lines of a fresh interpreter running code on this package."""
     src = Path(revprime.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    code = (
-        "import sys, revprime; "
-        "print(' '.join(sorted(m for m in sys.modules if m.startswith('revprime'))))"
-    )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         timeout=60, check=True,
     )
-    assert proc.stdout.split() == ["revprime"]
+    return proc.stdout.splitlines()
+
+
+def test_package_import_loads_no_submodule():
+    # the re-exports resolve on first access, so a bare import of the
+    # package leaves basedigits and seeds unloaded
+    code = (
+        "import sys, revprime; "
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('revprime'))))"
+    )
+    assert run_child(code)[0].split() == ["revprime"]
+
+
+VERIFY_STACK = (
+    "revprime.verify", "revprime.expsum", "revprime.primesum", "revprime.seeds",
+    "concurrent.futures",
+)
+
+
+def test_census_command_loads_no_verify_stack(tmp_path):
+    code = f"""
+import sys
+from revprime.cli import main
+stack = {VERIFY_STACK!r}
+census = main(["census", "--g", "2", "--L", "6", "--q", "3", "--a", "1",
+               "--out", {str(tmp_path / "c.csv")!r}])
+print(census, *[m for m in stack if m in sys.modules])
+verify = main(["verify", "vaughan", "--limit", "200", "--out", {str(tmp_path / "v.jsonl")!r}])
+print(verify, *[m for m in stack if m in sys.modules])
+"""
+    after_census, after_verify = run_child(code)
+    assert after_census.split() == ["0"]
+    assert after_verify.split() == ["0", *VERIFY_STACK]
+    assert (tmp_path / "c.csv").exists() and (tmp_path / "v.jsonl").exists()
+
+
+def test_usage_error_is_one_class():
+    from revprime import config, verify
+
+    assert verify.UsageError is config.UsageError
+    assert "UsageError" in verify.__all__
 
 
 def test_lazy_names_are_the_module_objects():

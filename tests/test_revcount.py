@@ -8,13 +8,6 @@ from hypothesis import strategies as st
 
 from revprime.arith import build_table
 from revprime.basedigits import BaseContext, reverse, reverse_relative
-from revprime.expsum import (
-    DegenerateSeedError,
-    expsum_context,
-    gamma_coefficient,
-    sigma,
-    sigma_lower_blocks,
-)
 from revprime.revcount import (
     _GROUP_CAP,
     CensusRecord,
@@ -29,7 +22,6 @@ from revprime.revcount import (
     rho_total,
     sharp_factor_deviation,
 )
-from revprime.seeds import reverse_seed
 
 LIMIT = 100_000
 
@@ -158,6 +150,19 @@ class TestCensus:
             for a, q in ((1, 7), (0, 2), (3, 4), (5, 9)):
                 want = sum(oracle_reverse(p, g) % q == a % q for p in primes)
                 assert census_grid(g, L, [(a, q)], table)[0].observed == want
+
+    @pytest.mark.parametrize("big", [2**63 - 1, 2**63, 2**64])
+    def test_moduli_beyond_int64_against_string_reversal(self, table, big):
+        # every reverse lies below g^L, so mod big it is its own residue
+        for g, L in ((10, 3), (2, 9)):
+            lo, hi = g ** (L - 1), g**L
+            revs = [oracle_reverse(int(p), g) for p in table.primes if lo <= p < hi]
+            for moduli in ([big], [3, big, 7]):
+                pairs = [(a, q) for q in moduli for a in (0, 1, revs[0], big - 1, big + revs[-1])]
+                for (a, q), rec in zip(pairs, census_grid(g, L, pairs, table)):
+                    m = rec.modulus_sharp
+                    assert rec.observed == sum(r % q == a % q for r in revs), (g, a, q)
+                    assert rec.sharp_observed == sum(r % m == a % m for r in revs), (g, a, q)
 
     def test_decimal_mod_three_matches_plain_classes(self, table):
         # Reversal preserves residues mod g^2 - 1, so mod 3 the reversed
@@ -379,6 +384,15 @@ class TestClassCounter:
                 expected = int(want[r]) if r < want.size else 0
                 assert count(a, m) == expected, (a, m)
 
+    @pytest.mark.parametrize("big", [2**63 - 1, 2**63, 2**64])
+    def test_moduli_beyond_int64(self, big):
+        revs = np.array([0, 5, 17, 17, 2**20 - 1], dtype=np.int64)
+        for moduli in ([big], [3, big, 2**17]):
+            count = _class_counter(revs, moduli)
+            for m in moduli:
+                for a in (0, 1, 5, 17, 2**20 - 1, big - 1, big + 17, -1):
+                    assert count(a, m) == sum(int(r) % m == a % m for r in revs), (a, m)
+
     def test_empty_window(self):
         count = _class_counter(np.zeros(0, dtype=np.int64), [1, 5, 2**17])
         assert count(0, 1) == count(3, 5) == count(7, 2**17) == 0
@@ -468,60 +482,6 @@ class TestLayerAgainstScalarRecount:
         sharp = sum(r % m == a % m for r in revs)
         want = abs(plain - (m / q) * sharp) / x
         assert sharp_factor_deviation(g, x, a, q, build_table(limit)) == want
-
-
-class TestSigmaBlocks:
-    def test_empty_tail(self):
-        report = sigma_lower_blocks(2, 12, 0, Fraction(1, 7))
-        assert report.passed
-        assert report.lhs == 0.0
-
-    def test_block_floor_holds(self):
-        report = sigma_lower_blocks(2, 20, 20, Fraction(1, 7))
-        assert report.passed
-        K = report.params["K"]
-        assert report.lhs == K / 9
-        assert report.params["J"] >= 1
-        assert K == 20 // report.params["J"]
-        assert report.rhs >= report.lhs
-
-    def test_float_scale_works(self):
-        report = sigma_lower_blocks(2, 20, 12, 0.73)
-        assert report.passed
-        assert report.params["sigma_hat"] > 0
-
-    def test_chain_to_cumulative_weight(self):
-        g, L, lam = 3, 18, 18
-        alpha = Fraction(2, 7)
-        report = sigma_lower_blocks(g, L, lam, alpha)
-        es = expsum_context(reverse_seed(g, L, alpha))
-        floor = gamma_coefficient(g) / g**2 * report.rhs
-        assert sigma(es, lam, 0) >= floor - 1e-12
-
-    def test_growth_along_tail_length(self):
-        g, L = 2, 40
-        alpha = Fraction(1, 7)
-        es = expsum_context(reverse_seed(g, L, alpha))
-        values = []
-        for lam in (10, 20, 40):
-            report = sigma_lower_blocks(g, L, lam, alpha)
-            assert report.passed
-            values.append(sigma(es, lam, 0))
-        assert values[0] < values[1] < values[2]
-
-    def test_degenerate_scales_rejected(self):
-        with pytest.raises(DegenerateSeedError):
-            sigma_lower_blocks(2, 10, 5, Fraction(1, 3))
-        with pytest.raises(DegenerateSeedError):
-            sigma_lower_blocks(2, 10, 5, 0.5)
-        with pytest.raises(DegenerateSeedError):
-            sigma_lower_blocks(2, 10, 5, 4)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            sigma_lower_blocks(2, 5, 6, Fraction(1, 7))
-        with pytest.raises(ValueError):
-            sigma_lower_blocks(1, 5, 3, Fraction(1, 7))
 
 
 class TestExceptionalCap:
