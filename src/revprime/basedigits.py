@@ -4,7 +4,7 @@ Digit-string length, full and window-relative digit reversal, plus the
 small numeric helpers (unit circle map, distance to the nearest
 integer) that the rest of the package shares.  Everything here is
 integer arithmetic; no float logarithms are used to make digit-length
-decisions.  reverse_array is the vectorized form of both reversals: it
+decisions.  reverse_array is the vectorized window reversal: it
 reverses a block of k digits per step through one table of g^k <= 2^12
 entries.  The scalar functions are the oracles it is tested against.
 Powers of g live here too: ilog is the exact g-adic length and
@@ -59,7 +59,8 @@ def reverse(n: int, ctx: BaseContext) -> int:
 
     Leading zeros of n (there are none) and trailing zeros of n collapse,
     so reverse is not injective; it is an involution on integers whose
-    least significant digit is nonzero.  The oracle of reverse_array.
+    least significant digit is nonzero.  On an n with exactly L digits it
+    is reverse_array with window L.
     """
     if n < 0:
         raise ValueError("reverse is defined for nonnegative integers")
@@ -77,7 +78,7 @@ def reverse_relative(n: int, L: int, ctx: BaseContext) -> int:
     Digit i of n (i < L) lands at position L-1-i; digits at positions
     >= L are ignored.  For n with exactly L digits this coincides with
     plain reverse; shorter n pick up the factor g^(L - len(n)).  The
-    oracle of reverse_array with L.
+    oracle of reverse_array.
     """
     if n < 0:
         raise ValueError("reverse_relative is defined for nonnegative integers")
@@ -111,51 +112,40 @@ def _reverse_digits(n: np.ndarray, g: int, width: int) -> np.ndarray:
     return out
 
 
-def reverse_array(values, g: int, L: int | None = None) -> np.ndarray:
-    """Digit reversal of every entry of values, as an int64 array.
+def reverse_array(values, g: int, L: int) -> np.ndarray:
+    """Window reversal reverse_relative(n, L) of every entry of values, as int64.
 
-    With L this is reverse_relative(n, L) for each n: digits at
-    positions >= L are ignored.  Without L it is the absolute
-    reverse(n): the window reversal over the width of the largest entry,
-    each result then divided by g^(width - digit length of n).  The
-    window reversal takes k digits per step, k the largest with
-    g^k <= 2^12: the low s digits d = n - (n // g^s) g^s go through the
-    table T_s[d] = reverse_relative(d, s), and the last step takes the
-    width mod k digits left over.  With k = 1 the digit is its own
-    reverse and no table is built.
+    Digits at positions >= L are ignored.  The reversal takes k digits
+    per step, k the largest with g^k <= 2^12: the low s digits
+    d = n - (n // g^s) g^s go through the table
+    T_s[d] = reverse_relative(d, s), and the last step takes the L mod k
+    digits left over.  With k = 1 the digit is its own reverse and no
+    table is built.
 
-    Raises ValueError on negative entries, and whenever a result could
-    exceed int64: g^width > 2^63 - 1, where width is L or the digit
-    length of the largest entry.
+    Raises TypeError on values whose dtype does not cast to int64 (uint64
+    and Python integers beyond int64 among them), and ValueError on
+    negative entries and whenever a result could exceed int64:
+    g^L > 2^63 - 1.
     """
     if not isinstance(g, int) or g < 2:
         raise ValueError(f"base must be an integer >= 2, got {g!r}")
-    if L is not None and L < 0:
+    if L < 0:
         raise ValueError("window length must be nonnegative")
     arr = np.asarray(values)
     if arr.size == 0:
         return np.zeros(arr.shape, dtype=np.int64)
-    if arr.dtype.kind not in "iuO":
-        raise TypeError(f"integer values required, got dtype {arr.dtype}")
+    if arr.dtype.kind not in "iu" or not np.can_cast(arr.dtype, np.int64):
+        raise TypeError(f"values must cast to int64, got dtype {arr.dtype}")
     if arr.min() < 0:
         raise ValueError("reverse is defined for nonnegative integers")
-    width = digit_length(int(arr.max()), BaseContext(g)) if L is None else L
-    if g**width > _INT64_MAX:
-        raise ValueError(f"{g}^{width} overflows int64")
-    if not np.can_cast(arr.dtype, np.int64):
-        # uint64 or Python integers: digits >= width are ignored anyway,
-        # and the residues mod g^width convert to int64 exactly
-        arr = arr % g**width
+    if g**L > _INT64_MAX:
+        raise ValueError(f"{g}^{L} overflows int64")
     # a fresh array, also for 0-d input: the block loop writes into n
     n = np.array(arr, dtype=np.int64)
-    if L is None:
-        powers = np.array([g**i for i in range(width + 1)], dtype=np.int64)
-        # g^(width - len(n)): len(n) counts the powers of g at most n
-        shorten = powers[width - np.searchsorted(powers[:width], n, side="right")]
     k = max(1, ilog(_TABLE_ENTRIES, g))
-    steps = [k] * (width // k)
-    if width % k:
-        steps.append(width % k)
+    steps = [k] * (L // k)
+    if L % k:
+        steps.append(L % k)
     tables = {
         s: _reverse_digits(np.arange(g**s, dtype=np.int64), g, s)
         for s in set(steps) if s > 1
@@ -176,8 +166,6 @@ def reverse_array(values, g: int, L: int | None = None) -> np.ndarray:
         out *= block
         out += digits
         n, q = q, n
-    if L is None:
-        out //= shorten
     return out
 
 

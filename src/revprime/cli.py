@@ -1,7 +1,8 @@
 """Command-line entry points: census, verify, calibrate.
 
 Exit codes: 0 success, 1 usage error (bad flags, unknown suite, empty
-grid), 2 tolerance or inequality failure.  Reports are written
+grid, a census of more than MAX_CENSUS_CELLS cells), 2 tolerance or
+inequality failure.  Reports are written
 atomically (temp file, then rename), so a killed run never leaves a
 partial report; every report starts with the config hash it was
 produced under.
@@ -23,7 +24,7 @@ from . import __version__
 from .arith import build_table
 from .config import RunConfig, UsageError, load_config, merge_overrides
 from .fileio import atomic_write
-from .revcount import CensusRecord, census_grid, exceptional_cap
+from .revcount import CensusRecord, census_grid, zero_density_strays
 
 if TYPE_CHECKING:
     from .expsum import BoundReport
@@ -33,6 +34,10 @@ CENSUS_COLUMNS = (
     "g", "L", "a", "q", "observed", "main_term",
     "relative_dev", "sharp_observed", "modulus_sharp",
 )
+
+# a census request holds at most this many (L, a, q) cells; counted
+# before any cell tuple or sieve is built
+MAX_CENSUS_CELLS = 2**20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -115,7 +120,7 @@ def _census_failures(cfg: RunConfig, rows: list[CensusRecord]) -> list[CensusRec
     bad = []
     for rec in rows:
         if math.isnan(rec.relative_dev):
-            if rec.observed > exceptional_cap(rec.g, rec.q):
+            if rec.observed != zero_density_strays(rec.g, rec.L, rec.a, rec.q):
                 bad.append(rec)
         elif abs(rec.relative_dev) > cfg.census_tolerance:
             bad.append(rec)
@@ -149,22 +154,48 @@ def _format_census_json(cfg: RunConfig, rows: list[CensusRecord]) -> str:
     return json.dumps(payload, sort_keys=True, allow_nan=False, default=_json_default) + "\n"
 
 
+def _format_census_table(cfg: RunConfig, rows: list[CensusRecord]) -> str:
+    """Aligned rows for the terminal, then the worst |relative_dev| per (L, q)."""
+    header = (f"{'g':>3} {'L':>3} {'q':>4} {'a':>4} {'observed':>9} "
+              f"{'main_term':>12} {'rel_dev':>8}")
+    lines = [f"# config_hash={cfg.config_hash()}", header, "-" * len(header)]
+    worst: dict[tuple[int, int], float] = {}
+    for rec in rows:
+        dev = "nan"
+        if not math.isnan(rec.relative_dev):
+            dev = f"{rec.relative_dev:+.4f}"
+            cell = (rec.L, rec.q)
+            worst[cell] = max(worst.get(cell, 0.0), abs(rec.relative_dev))
+        lines.append(f"{rec.g:>3} {rec.L:>3} {rec.q:>4} {rec.a:>4} {rec.observed:>9} "
+                     f"{rec.main_term:>12.2f} {dev:>8}")
+    lines += ["", f"{'L':>3} {'q':>4} {'max |rel_dev|':>14}"]
+    lines += [f"{L:>3} {q:>4} {dev:>14.4f}" for (L, q), dev in worst.items()]
+    return "\n".join(lines) + "\n"
+
+
+CENSUS_FORMATS = {
+    "csv": _format_census_csv,
+    "json": _format_census_json,
+    "table": _format_census_table,
+}
+
+
 def cmd_census(args) -> int:
     try:
         cfg = _load_run_config(args)
         for q in args.q:
             if q < 1:
                 raise UsageError("moduli must be positive")
+        cells = len(args.L) * sum(q if args.a is None else len(args.a) for q in args.q)
+        if cells > MAX_CENSUS_CELLS:
+            raise UsageError(
+                f"{cells} census cells requested; at most {MAX_CENSUS_CELLS} fit one run"
+            )
         rows = _census_rows(cfg, args)
     except (UsageError, ValueError, OSError) as exc:
         sys.stderr.write(f"census: error: {exc}\n")
         return 1
-    text = (
-        _format_census_json(cfg, rows)
-        if args.format == "json"
-        else _format_census_csv(cfg, rows)
-    )
-    _emit(text, args.out)
+    _emit(CENSUS_FORMATS[args.format](cfg, rows), args.out)
     failures = _census_failures(cfg, rows)
     if failures:
         for rec in failures:
@@ -283,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     cen.add_argument("--L", type=_int_list, required=True, help="digit lengths, comma-separated")
     cen.add_argument("--q", type=_int_list, required=True, help="moduli, comma-separated")
     cen.add_argument("--a", type=_int_list, default=None, help="residues (default: all mod q)")
-    cen.add_argument("--format", choices=("csv", "json"), default="csv")
+    cen.add_argument("--format", choices=tuple(CENSUS_FORMATS), default="csv")
     cen.add_argument("--tolerance", type=float, default=None, help="relative_dev ceiling")
     _add_common(cen)
     cen.set_defaults(func=cmd_census)

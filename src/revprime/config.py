@@ -29,8 +29,9 @@ DEFAULT_CENSUS_TOLERANCE = 0.25
 
 # Calibrated ceilings for the implicit-constant verifiers, measured on
 # the declared grids in verify.py with the default rng_seed and frozen
-# here; regenerate with scripts/calibrate_all.py.  Verify runs treat
-# these as regression ceilings (make_report slack on top).
+# here; regenerate with `revprime calibrate --out configs/calibration.json`.
+# Verify runs treat these as regression ceilings (make_report slack on
+# top).
 DEFAULT_C_CAL: dict[str, float] = {
     "hybrid": 0.2679720313089526,
     "prime-exp-sum": 1.3514671363615083e-05,

@@ -27,7 +27,7 @@ __all__ = [
     "CensusRecord",
     "rho",
     "rho_total",
-    "exceptional_cap",
+    "zero_density_strays",
     "census_grid",
     "psi_theta_pi",
     "sharp_factor_deviation",
@@ -85,13 +85,22 @@ def rho_total(g: int, q: int) -> Fraction:
     return sum(rho(g, a, q) for a in range(q)) / Fraction(q)
 
 
-def exceptional_cap(g: int, q: int) -> int:
-    """Number of distinct primes dividing g*q.
+def zero_density_strays(g: int, L: int, a: int, q: int) -> int:
+    """Exact prime count of a zero-density cell (rho(g, a, q) = 0) at window L.
 
-    A zero-density class can still catch a reversed prime when the prime
-    divides g*q; this caps how many such strays a census cell may hold.
+    rev_L(n) = n mod g-1 and rev_L(n) = (-1)^(L-1) n mod g+1.  So a prime
+    r dividing a, q and g^2-1 divides the reverse of every prime p of the
+    cell, hence p itself: p = r.  Without such an r the density is zero
+    only because g | gcd(a, q); then a reverse in the class ends in digit
+    0, p would lead with 0, and the cell is empty.  The count is the
+    number of primes r | gcd(a, q, g^2-1) with g^(L-1) <= r < g^L and
+    rev_L(r) = a mod q; only g^2-1 is factored.
     """
-    return len(_prime_divisors(g * q))
+    strays = [
+        r for r in _prime_divisors(math.gcd(a, q, g * g - 1))
+        if g ** (L - 1) <= r < g**L
+    ]
+    return sum(rev % q == a % q for rev in reverse_array(strays, g, L).tolist())
 
 
 @dataclass(frozen=True)
@@ -263,8 +272,12 @@ def sharp_factor_deviation(
         raise ValueError("modulus must be positive")
     L = ilog(x, g) + 1
     modulus = math.gcd(q, g**L * (g * g - 1))
-    revs = reverse_array(pt.primes[: pt.prime_count(x)], g)
+    primes = pt.primes[: pt.prime_count(x)]
+    # a prime of k digits has the plain reverse rev_k
+    by_length = np.split(primes, np.searchsorted(primes, [g**k for k in range(1, L)]))
+    revs = np.concatenate(
+        [reverse_array(part, g, k) for k, part in enumerate(by_length, start=1)]
+    )
     plain = int(np.count_nonzero(revs % q == a % q))
     sharp = int(np.count_nonzero(revs % modulus == a % modulus))
     return abs(plain - (modulus / q) * sharp) / x
-

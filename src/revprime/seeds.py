@@ -11,7 +11,7 @@ families:
   reverse_seed(g, L, a)   weight a*d*g^(L-i-1) at position i, so the window
                           sum over L positions equals a times the reversal
                           of n within that window
-  table_seed(g, rows)     explicit weight table, cycled or zero-extended
+  table_seed(g, rows)     explicit weight table, cycled past its rows
 
 Weights are plain floats.  For phase work the package only ever needs a
 weight mod 1, and ``Seed.frac`` guarantees an exact reduction: the named
@@ -173,18 +173,15 @@ class ReverseSeed(Seed):
 class TableSeed(Seed):
     """Explicit weight table over finitely many positions.
 
-    ``extend`` controls positions past the table: "cycle" re-reads the
-    table periodically, "zero" pads with zero weights.
+    Positions past the table re-read it periodically: position i takes
+    row i mod len(rows).
     """
 
     base: int
     rows: tuple[tuple[float, ...], ...]
-    extend: str = "cycle"
     label: str = "table"
 
     def __post_init__(self) -> None:
-        if self.extend not in ("cycle", "zero"):
-            raise ValueError("extend must be 'cycle' or 'zero'")
         if not self.rows:
             raise ValueError("table seed needs at least one row")
         for row in self.rows:
@@ -193,12 +190,7 @@ class TableSeed(Seed):
 
     def eval(self, i: int, d: int) -> float:
         self._check(i, d)
-        p = len(self.rows)
-        if i < p:
-            return self.rows[i][d]
-        if self.extend == "cycle":
-            return self.rows[i % p][d]
-        return 0.0
+        return self.rows[i % len(self.rows)][d]
 
 
 def _residue_rows(residues: list[int], den: int, g: int) -> np.ndarray:
@@ -223,9 +215,9 @@ def reverse_seed(g: int, L: int, a: float) -> ReverseSeed:
     return ReverseSeed(g, L, a)
 
 
-def table_seed(g: int, rows, extend: str = "cycle") -> TableSeed:
+def table_seed(g: int, rows) -> TableSeed:
     frozen = tuple(tuple(float(v) for v in row) for row in rows)
-    return TableSeed(g, frozen, extend)
+    return TableSeed(g, frozen)
 
 
 def f_eval(seed: Seed, lam: int, j: int, n: int) -> float:

@@ -139,48 +139,33 @@ class TestReverseArray:
     )
     def test_matches_scalar_oracles(self, ns, g, L):
         ctx = base(g)
-        absolute = reverse_array(ns, g)
         relative = reverse_array(ns, g, L)
-        assert absolute.dtype == relative.dtype == np.int64
-        assert absolute.tolist() == [reverse(n, ctx) for n in ns]
+        assert relative.dtype == np.int64
         assert relative.tolist() == [reverse_relative(n, L, ctx) for n in ns]
 
     def test_edge_values(self):
         # zero, trailing zeros, and a window shorter than the digit length
         ns = [0, 1200, 1000, 7, 123456]
-        assert reverse_array(ns, 10).tolist() == [0, 21, 1, 7, 654321]
         assert reverse_array(ns, 10, 3).tolist() == [0, 2, 0, 700, 654]
         assert reverse_array(ns, 10, 0).tolist() == [0] * 5
 
     def test_empty_input(self):
-        for L in (None, 0, 5):
+        for L in (0, 5):
             out = reverse_array([], 3, L)
             assert out.dtype == np.int64 and out.shape == (0,)
 
     def test_input_dtypes_agree(self):
         ns = [0, 1, 2, 40, 2**31 + 5, 2**32 - 1]
-        want_abs = [reverse(n, base(7)) for n in ns]
         want_rel = [reverse_relative(n, 9, base(7)) for n in ns]
-        for values in (ns, np.array(ns, dtype=np.uint32),
-                       np.array(ns, dtype=np.int64), np.array(ns, dtype=np.uint64)):
-            assert reverse_array(values, 7).tolist() == want_abs
+        for values in (ns, np.array(ns, dtype=np.uint32), np.array(ns, dtype=np.int64)):
             assert reverse_array(values, 7, 9).tolist() == want_rel
 
     def test_shape_preserved(self):
         grid = np.arange(12).reshape(3, 4)
-        assert reverse_array(grid, 2).shape == (3, 4)
         assert reverse_array(grid, 2, 5).shape == (3, 4)
 
-    def test_relative_form_ignores_digits_beyond_int64(self):
-        big = [2**64 - 1, 2**70 + 6]
-        ctx = base(2)
-        assert reverse_array(np.array(big[:1], dtype=np.uint64), 2, 8).tolist() == [255]
-        assert reverse_array(big, 2, 8).tolist() == [
-            reverse_relative(n, 8, ctx) for n in big
-        ]
-
     def test_negative_rejected(self):
-        for L in (None, 4):
+        for L in (4, 12):
             with pytest.raises(ValueError):
                 reverse_array([3, -1], 10, L)
             with pytest.raises(ValueError):
@@ -194,51 +179,15 @@ class TestReverseArray:
             reverse_array([1], 10, 19)
         assert reverse_array([1], 10, 18).tolist() == [10**17]
 
-    def test_absolute_overflow_rejected(self):
-        # 2^62 has 63 binary digits and 2^63 > 2^63 - 1
-        assert reverse_array([2**62 - 1], 2).tolist() == [2**62 - 1]
-        with pytest.raises(ValueError):
-            reverse_array([5, 2**62], 2)
-        with pytest.raises(ValueError):
-            reverse_array(np.array([2**63], dtype=np.uint64), 2)
-        with pytest.raises(ValueError):
-            reverse_array([10**18], 10)
-
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 10**6 - 1), st.integers(0, 12)).map(lambda t: t[0] * 10 ** t[1]),
-            min_size=1,
-            max_size=30,
-        ),
-    )
-    def test_absolute_mixed_widths_and_trailing_zeros(self, ns):
-        # entries of every width, many ending in zeros, against the scalar
-        # reverse, as int64, uint64 and Python-object input
-        ctx = base(10)
-        want = [reverse(n, ctx) for n in ns]
-        for values in (ns, np.array(ns, dtype=np.uint64), np.array(ns, dtype=object)):
-            assert reverse_array(values, 10).tolist() == want
-
-    def test_absolute_at_largest_int64_width(self):
-        # the widest window whose powers stay below 2^63: 2^62, 3^39, 10^18
-        for g, width in ((2, 62), (3, 39), (10, 18)):
-            assert g**width <= 2**63 - 1 < g ** (width + 1)
-            ctx = base(g)
-            top = g**width - 1
-            ns = [0, 1, g, g ** (width - 1), top, top - 1, g ** (width - 1) + 1, 12 * g**5]
-            want = [reverse(n, ctx) for n in ns]
-            for values in (ns, np.array(ns, dtype=np.uint64), np.array(ns, dtype=object)):
-                assert reverse_array(values, g).tolist() == want
-            with pytest.raises(ValueError):
-                reverse_array([g**width], g)
-
     def test_rejects_bad_base_and_window(self):
         with pytest.raises(ValueError):
-            reverse_array([1], 1)
+            reverse_array([1], 1, 3)
         with pytest.raises(ValueError):
             reverse_array([1], 10, -1)
-        with pytest.raises(TypeError):
-            reverse_array([1.5], 10)
+        # only values whose dtype casts to int64 are taken
+        for values in ([1.5], np.array([1], dtype=np.uint64), [2**63], [True]):
+            with pytest.raises(TypeError):
+                reverse_array(values, 10, 3)
 
 
 # every base up to 36, both sides of the table cap 2^12, and bases so
@@ -286,12 +235,8 @@ class TestReverseArrayBlocks:
         g, L, ns = case
         ctx = base(g)
         want = [reverse_relative(n, L, ctx) for n in ns]
-        inside = [n % g**L for n in ns]
-        want_abs = [reverse(n, ctx) for n in inside]
-        for values in (ns, np.array(ns, dtype=np.uint64), np.array(ns, dtype=object)):
+        for values in (ns, np.array(ns, dtype=np.int64)):
             assert reverse_array(values, g, L).tolist() == want
-        for values in (inside, np.array(inside, dtype=np.uint64), np.array(inside, dtype=object)):
-            assert reverse_array(values, g).tolist() == want_abs
 
     def test_every_base_and_width(self):
         rng = random.Random(13)
@@ -303,8 +248,6 @@ class TestReverseArrayBlocks:
                 ns += [rng.randrange(g**L) for _ in range(8)] + [rng.randrange(2**63) for _ in range(4)]
                 got = reverse_array(np.array(ns, dtype=np.int64), g, L)
                 assert got.tolist() == [reverse_relative(n, L, ctx) for n in ns], (g, L)
-                inside = [n % g**L for n in ns]
-                assert reverse_array(inside, g).tolist() == [reverse(n, ctx) for n in inside], (g, L)
 
     def test_two_dimensional_input(self):
         for g in (2, 10, 64, 65, 4097):
@@ -314,30 +257,24 @@ class TestReverseArrayBlocks:
             assert got.shape == grid.shape
             want = [[reverse_relative(int(n), L, base(g)) for n in row] for row in grid]
             assert got.tolist() == want
-            assert reverse_array(grid, g).tolist() == [
-                [reverse(int(n), base(g)) for n in row] for row in grid
-            ]
 
     def test_zero_dimensional_input(self):
         for g, L in ((10, 5), (2, 13), (4097, 3)):
             ctx = base(g)
-            for n in (12345, 2**64 - 1, 2**70 + 3):
+            for n in (12345, 2**63 - 1):
                 want = reverse_relative(n, L, ctx)
-                forms = [np.array(n, dtype=object)]
-                if n < 2**64:
-                    forms.append(np.uint64(n))
-                if n < 2**63:
-                    forms += [n, np.int64(n)]
-                for value in forms:
+                for value in (n, np.int64(n), np.array(n)):
                     got = reverse_array(value, g, L)
                     assert got.shape == () and int(got) == want, (g, L, value)
 
     def test_uint64_beyond_int64(self):
+        # entries beyond int64 are refused, not reduced mod g^L
         ns = [2**64 - 1, 2**63, 2**63 + 12345]
         for g in (2, 7, 10, 4097):
             L = block_digits(g) * 2 + 1
-            got = reverse_array(np.array(ns, dtype=np.uint64), g, L)
-            assert got.tolist() == [reverse_relative(n, L, base(g)) for n in ns]
+            for values in (np.array(ns, dtype=np.uint64), ns, np.array(ns, dtype=object)):
+                with pytest.raises(TypeError):
+                    reverse_array(values, g, L)
 
     def test_large_base_builds_no_table(self):
         # g = 10^6 reverses one digit per step; a table of g int64 entries

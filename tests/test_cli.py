@@ -1,8 +1,12 @@
 import json
+import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -196,6 +200,70 @@ class TestCensusCommand:
             a_, q_, m = int(a_), int(q_), int(m)
             assert int(observed) == sum(r % q_ == a_ % q_ for r in revs), row
             assert int(sharp) == sum(r % m == a_ % m for r in revs), row
+
+    def test_table_format_matches_csv(self, tmp_path):
+        argv = ["census", "--g", "2", "--L", "6,8", "--q", "3,5,7", "--tolerance", "0.5"]
+        csv_out, table_out = tmp_path / "c.csv", tmp_path / "c.txt"
+        csv_code = main([*argv, "--out", str(csv_out)])
+        table_code = main([*argv, "--format", "table", "--out", str(table_out)])
+        assert table_code == csv_code
+        csv_lines = csv_out.read_text().splitlines()
+        table = table_out.read_text().splitlines()
+        assert table[0] == csv_lines[0]
+        records = [dict(zip(cli.CENSUS_COLUMNS, row.split(","))) for row in csv_lines[2:]]
+        gap = table.index("")
+        rows = [line.split() for line in table[3:gap]]
+        assert len(rows) == len(records)
+        for row, rec in zip(rows, records):
+            assert row[:5] == [rec["g"], rec["L"], rec["q"], rec["a"], rec["observed"]]
+        worst = {}
+        for rec in records:
+            dev = float(rec["relative_dev"])
+            if not math.isnan(dev):
+                key = (rec["L"], rec["q"])
+                worst[key] = max(worst.get(key, 0.0), abs(dev))
+        summary = [line.split() for line in table[gap + 2:]]
+        assert {(L, q): float(dev) for L, q, dev in summary} == {
+            key: float(f"{dev:.4f}") for key, dev in worst.items()
+        }
+        assert len(summary) == len(worst) == 6
+
+    def test_table_format_keeps_a_failing_exit_code(self, tmp_path):
+        argv = ["census", "--g", "10", "--L", "2", "--q", "1,3", "--tolerance", "0.01"]
+        assert main([*argv, "--out", str(tmp_path / "c.csv")]) == 2
+        assert main([*argv, "--format", "table", "--out", str(tmp_path / "c.txt")]) == 2
+
+    def test_zero_density_cell_of_a_huge_modulus_is_exact(self, tmp_path):
+        # 3 divides both a and q, so the cell's density is zero; the gate
+        # factors only g^2 - 1, never q
+        out = tmp_path / "c.csv"
+        t0 = time.perf_counter()
+        code = main(["census", "--g", "2", "--L", "5", "--q", "13835058055282163709",
+                     "--a", "3", "--out", str(out)])
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 0
+        assert out.read_text().splitlines()[2].startswith("2,5,3,13835058055282163709,0,")
+
+    @pytest.mark.parametrize("argv", [
+        ["--q", str(10**20)],
+        ["--q", "1025", "--L", ",".join(["5"] * 1024)],
+        ["--q", ",".join(["3"] * 600), "--a", ",".join(["1"] * 600), "--L", "5,6,7"],
+    ])
+    def test_too_many_cells_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "c.csv"
+        args = {"--g": "2", "--L": "5", **dict(zip(argv[::2], argv[1::2]))}
+        t0 = time.perf_counter()
+        code = main(["census", *[x for item in args.items() for x in item], "--out", str(out)])
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1
+        assert "census cells requested" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cell_bound_admits_its_limit(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "MAX_CENSUS_CELLS", 6)
+        argv = ["census", "--g", "2", "--L", "5,6", "--q", "3", "--tolerance", "0.9"]
+        assert main([*argv, "--out", str(tmp_path / "c.csv")]) == 0
+        assert main([*argv, "--a", "0,1,2,0", "--out", str(tmp_path / "d.csv")]) == 1
 
     def test_thread_count_does_not_change_bytes(self, tmp_path):
         paths = []
@@ -518,15 +586,31 @@ class TestAtomicWrite:
         assert out.read_bytes() == "\u00e9".encode("utf-8")
 
 
-class TestScripts:
-    @pytest.mark.parametrize("script", ["calibrate_all.py", "census_report.py"])
-    def test_help_runs_from_a_checkout(self, tmp_path, script):
-        # outside the repository and without PYTHONPATH, as README runs them
-        path = Path(__file__).resolve().parent.parent / "scripts" / script
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-        proc = subprocess.run(
-            [sys.executable, str(path), "--help"],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith("usage:")
+class TestReadme:
+    """README's command lines parse, and it names no deleted front end."""
+
+    README = Path(__file__).resolve().parent.parent / "README.md"
+
+    def sh_lines(self):
+        text = self.README.read_text()
+        for block in text.split("```sh\n")[1:]:
+            yield from block.split("```")[0].splitlines()
+
+    def test_revprime_lines_parse(self):
+        parser = cli.build_parser()
+        parsed = 0
+        for line in self.sh_lines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["revprime"]:
+                args = parser.parse_args(argv[1:])
+                assert callable(args.func), line
+                parsed += 1
+        assert parsed >= 6
+
+    def test_named_paths_exist(self):
+        # a path README names under a repository directory exists, so the
+        # text cannot point at a deleted front end (the old scripts among them)
+        text = self.README.read_text()
+        named = set(re.findall(r"\b(?:configs|perfbench|scripts|src|tests)/[\w./-]*", text))
+        assert "configs/calibration.json" in named
+        assert [p for p in sorted(named) if not (self.README.parent / p).exists()] == []

@@ -8,8 +8,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 import revprime
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(revprime.__path__))
@@ -77,13 +75,17 @@ def run_child(code: str) -> list[str]:
 
 
 def test_package_import_loads_no_submodule():
-    # the re-exports resolve on first access, so a bare import of the
-    # package leaves basedigits and seeds unloaded
+    # the package re-exports nothing: a bare import loads no submodule
+    # and exposes only __version__
     code = (
         "import sys, revprime; "
-        "print(' '.join(sorted(m for m in sys.modules if m.startswith('revprime'))))"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('revprime')))); "
+        "print(' '.join(sorted(n for n in vars(revprime) if not n.startswith('__'))))"
     )
-    assert run_child(code)[0].split() == ["revprime"]
+    loaded, public = run_child(code)
+    assert loaded.split() == ["revprime"]
+    assert public == ""
+    assert revprime.__version__ == "0.1.0"
 
 
 VERIFY_STACK = (
@@ -115,11 +117,3 @@ def test_usage_error_is_one_class():
     assert verify.UsageError is config.UsageError
     assert "UsageError" in verify.__all__
 
-
-def test_lazy_names_are_the_module_objects():
-    from revprime import basedigits, seeds
-
-    assert revprime.reverse is basedigits.reverse
-    assert revprime.sod_seed is seeds.sod_seed
-    with pytest.raises(AttributeError, match="no_such_name"):
-        revprime.no_such_name

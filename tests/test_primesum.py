@@ -466,7 +466,7 @@ class TestTruncation:
         assert superset == 0
 
     def test_single_pair_by_hand(self):
-        seed = table_seed(2, ((0.0, 0.3), (0.0, 0.7), (0.0, 0.1)), extend="cycle")
+        seed = table_seed(2, ((0.0, 0.3), (0.0, 0.7), (0.0, 0.1)))
         es = expsum_context(seed)
         # box (1,2] x (1,2] holds only (2,2).  With r=1 and lam=1 the
         # interval (4, 6] contains 3*2, so the pair lands in the superset;

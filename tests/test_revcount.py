@@ -16,11 +16,11 @@ from revprime.revcount import (
     _prime_divisors,
     _totient,
     census_grid,
-    exceptional_cap,
     psi_theta_pi,
     rho,
     rho_total,
     sharp_factor_deviation,
+    zero_density_strays,
 )
 
 LIMIT = 100_000
@@ -67,6 +67,14 @@ def oracle_reverse(n, g):
 
 def oracle_reverse_rel(n, g, L):
     return int(np.base_repr(n, g).zfill(L)[::-1], g)
+
+
+def oracle_strays(g, L, a, q):
+    """Primes r | gcd(a, q, g^2-1) of the window [g^(L-1), g^L) whose
+    string reverse is a mod q: what a zero-density cell may hold."""
+    n = math.gcd(a, q, g * g - 1)
+    rs = [r for r in range(2, n + 1) if n % r == 0 and all(r % d for d in range(2, r))]
+    return sum(g ** (L - 1) <= r < g**L and oracle_reverse(r, g) % q == a % q for r in rs)
 
 
 class TestRho:
@@ -174,13 +182,15 @@ class TestCensus:
             assert census_grid(10, 5, [(a, 3)], table)[0].observed == direct
 
     def test_zero_density_cells_stay_exceptional(self, table):
-        for q in (3, 9, 10, 12):
-            for a in range(q):
-                if rho(10, a, q) != 0:
-                    continue
-                rec = census_grid(10, 5, [(a, q)], table)[0]
-                assert math.isnan(rec.relative_dev)
-                assert rec.observed <= exceptional_cap(10, q), (a, q)
+        # windows 1 and 2 hold the strays 3 and 11; window 5 holds none
+        for q in (3, 9, 10, 11, 12, 33):
+            for L in (1, 2, 5):
+                for a in range(q):
+                    if rho(10, a, q) != 0:
+                        continue
+                    rec = census_grid(10, L, [(a, q)], table)[0]
+                    assert math.isnan(rec.relative_dev)
+                    assert rec.observed == oracle_strays(10, L, a, q), (L, a, q)
 
     def test_single_cell_accuracy(self, table):
         rec = census_grid(10, 5, [(0, 1)], table)[0]
@@ -484,18 +494,40 @@ class TestLayerAgainstScalarRecount:
         assert sharp_factor_deviation(g, x, a, q, build_table(limit)) == want
 
 
-class TestExceptionalCap:
-    def test_counts_distinct_primes(self):
-        assert exceptional_cap(10, 1) == 2
-        assert exceptional_cap(10, 3) == 3
-        assert exceptional_cap(2, 15) == 3
-        assert exceptional_cap(2, 1) == 1
+class TestZeroDensityStrays:
+    def test_worked_examples(self):
+        # the prime 3 of window 1 is 0 mod 3, and 11 of window 2 is 0 mod 11
+        assert zero_density_strays(10, 1, 0, 3) == 1
+        assert zero_density_strays(10, 2, 0, 11) == 1
+        assert zero_density_strays(10, 2, 11, 33) == 1
+        # 3 divides gcd(a, 15, 3) in window 2 of base 2, but rev_2(3) = 3
+        # lands in the class only for a = 3
+        assert zero_density_strays(2, 2, 0, 15) == 0
+        assert zero_density_strays(2, 2, 3, 15) == 1
+        assert zero_density_strays(2, 2, 3, 3 * 2**64) == 1
+        # leading-digit obstruction, and a stray below the window
+        assert zero_density_strays(10, 5, 0, 10) == 0
+        assert zero_density_strays(2, 5, 3, 13835058055282163709) == 0
 
+    @settings(max_examples=40, deadline=None)
+    @given(small_windows(), st.integers(1, 60))
+    def test_matches_string_reversal_recount(self, window, q):
+        # every prime of the window, reversed by string: a zero-density
+        # cell holds exactly the strays
+        g, L, _ = window
+        revs = [oracle_reverse(p, g) for p in scalar_primes(g**L - 1) if p >= g ** (L - 1)]
+        for a in range(q):
+            if rho(g, a, q) != 0:
+                continue
+            recount = sum(r % q == a for r in revs)
+            assert zero_density_strays(g, L, a, q) == recount == oracle_strays(g, L, a, q), (g, L, a, q)
+
+
+class TestPrimeDivisors:
     @given(st.integers(2, 40), st.integers(1, 3000))
     def test_matches_trial_division(self, g, q):
         n = g * q
         primes = {p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))}
-        assert exceptional_cap(g, q) == len(primes)
         assert _prime_divisors(n) == sorted(primes)
 
 

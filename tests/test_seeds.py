@@ -55,12 +55,13 @@ class TestFamilies:
         assert f_eval(t, 20, 0, 1) == 1.0
 
     def test_table_seed_modes(self):
+        # one mode is left: position i past the table reads row i mod 2
         rows = [(0.0, 0.25), (0.5, 0.75)]
-        cyc = table_seed(2, rows, extend="cycle")
-        pad = table_seed(2, rows, extend="zero")
-        assert cyc.eval(5, 1) == rows[1][1]
-        assert pad.eval(5, 1) == 0.0
-        assert cyc.eval(0, 1) == pad.eval(0, 1) == 0.25
+        cyc = table_seed(2, rows)
+        assert [cyc.eval(i, 1) for i in range(6)] == [0.25, 0.75] * 3
+        assert cyc.eval(3, 0) == rows[1][0]
+        with pytest.raises(TypeError):
+            table_seed(2, rows, extend="zero")
 
     def test_digit_range_checked(self):
         with pytest.raises(ValueError):
