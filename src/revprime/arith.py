@@ -7,27 +7,21 @@ segment at a time.  PrimeTable keeps the sorted primes it yields, filled
 segment by segment into one array, which is all a prime count or a
 census reads.  A smallest-prime-factor table, which answers
 Lambda, mu and divisor queries in O(log n) each, is built from those
-primes the first time a caller factors.  The bitmap persists to a small
-versioned, checksummed binary cache (limit/16 bytes) so repeated runs
-skip the sieve.  vaughan_terms splits Lambda(n) into the classical four
-pieces controlled by a threshold z (Vaughan's identity), with every
-divisor sum evaluated by factor enumeration from the table; it and its
-two coefficient sums are the reference oracles for vaughan_arrays, which
-builds every piece for all n up to a bound in one sieve-order pass.
+primes the first time a caller factors.  vaughan_terms splits Lambda(n)
+into the classical four pieces controlled by a threshold z (Vaughan's
+identity), with every divisor sum evaluated by factor enumeration from
+the table; it and its two coefficient sums are the reference oracles for
+vaughan_arrays, which builds every piece for all n up to a bound in one
+sieve-order pass.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import struct
 import threading
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
-
-from .fileio import atomic_write
 
 __all__ = [
     "SieveBudgetError",
@@ -50,10 +44,6 @@ __all__ = [
 # adds 4 * limit bytes of uint32 smallest prime factors (256 MiB).
 # Census and calibration grids stay far below.
 DEFAULT_MAX_LIMIT = 1 << 26
-
-_CACHE_MAGIC = b"RVSPF"
-_CACHE_VERSION = 3
-_HEADER = struct.Struct("<5sHQI")  # magic, version, limit, CRC-32 of the payload
 
 # the odd primes whose multiples the tiled start pattern already strikes
 _WHEEL = (3, 5, 7, 11, 13)
@@ -232,64 +222,15 @@ class PrimeTable:
         return np.concatenate(values), np.concatenate(bases)
 
 
-def _cache_path(limit: int, cache_dir: str) -> str:
-    return os.path.join(cache_dir, f"spf_{limit}.bin")
-
-
-def _load_cache(limit: int, cache_dir: str) -> np.ndarray | None:
-    path = _cache_path(limit, cache_dir)
-    try:
-        with open(path, "rb") as fh:
-            header = fh.read(_HEADER.size)
-            if len(header) != _HEADER.size:
-                return None
-            magic, version, cached_limit, checksum = _HEADER.unpack(header)
-            if magic != _CACHE_MAGIC or version != _CACHE_VERSION:
-                return None
-            if cached_limit != limit:
-                return None
-            raw = fh.read()
-    except OSError:
-        return None
-    size = (limit + 1) // 2
-    if len(raw) != (size + 7) // 8 or zlib.crc32(raw) != checksum:
-        return None
-    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=size).view(bool)
-
-
-def _store_cache(limit: int, cache_dir: str, odd: np.ndarray) -> None:
-    payload = np.packbits(odd)
-    header = _HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, limit, zlib.crc32(payload))
-    atomic_write(_cache_path(limit, cache_dir), [header, payload])
-
-
-def build_table(
-    limit: int,
-    cache_dir: str | None = None,
-    max_limit: int = DEFAULT_MAX_LIMIT,
-) -> PrimeTable:
-    """Sieve (or load from cache) a PrimeTable covering [2, limit].
-
-    cache_dir falls back to the REVPRIME_CACHE_DIR environment variable;
-    with neither set, nothing is persisted.  A cache file whose header
-    or payload checksum does not match is regenerated silently.
-    """
+def build_table(limit: int, max_limit: int = DEFAULT_MAX_LIMIT) -> PrimeTable:
+    """Sieve a PrimeTable covering [2, limit]; nothing is persisted."""
     if limit < 2:
         raise ValueError("sieve limit must be at least 2")
     if limit > max_limit:
         raise SieveBudgetError(
             f"sieve limit {limit} exceeds the configured budget {max_limit}"
         )
-    if cache_dir is None:
-        cache_dir = os.environ.get("REVPRIME_CACHE_DIR") or None
-    if cache_dir is not None:
-        cached = _load_cache(limit, cache_dir)
-        if cached is not None:
-            return PrimeTable(limit, cached)
-    odd = _sieve_odd(limit)
-    if cache_dir is not None:
-        _store_cache(limit, cache_dir, odd)
-    return PrimeTable(limit, odd)
+    return PrimeTable(limit, _sieve_odd(limit))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+import tempfile
 from dataclasses import asdict, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
@@ -23,7 +25,6 @@ import numpy as np
 from . import __version__
 from .arith import build_table
 from .config import RunConfig, UsageError, load_config, merge_overrides
-from .fileio import atomic_write
 from .revcount import CensusRecord, census_grid, zero_density_strays
 
 if TYPE_CHECKING:
@@ -84,6 +85,26 @@ def calibrate(names, cfg: RunConfig, opts: SuiteOptions) -> dict[str, float]:
     from . import verify
 
     return verify.calibrate(names, cfg, opts)
+
+
+def atomic_write(path: str, text: str) -> None:
+    """Replace path with text (UTF-8) so readers see the old file or the new one.
+
+    The temp file comes from mkstemp in the target directory, so
+    concurrent writers never share one, and it is removed if anything
+    fails before the rename.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _emit(text: str, out: Optional[str]) -> None:

@@ -3,17 +3,15 @@
 type_i_sum scans every arithmetic progression m, 2m, ... with an exact
 prefix supremum; type_ii_sum is the bilinear box sum with pluggable
 bounded coefficients; prime_exp_sum is the von Mangoldt weighted sum the
-two of them control, with an optional self-check through the four-term
-split of arith.vaughan_terms.  The van der Corput, sine-sum and digit
-truncation helpers feeding the bilinear estimate are exposed with both
-sides computable so the inequalities can be swept numerically.
+two of them control through the four-term split of arith.vaughan_terms.
+The van der Corput, sine-sum and digit truncation helpers feeding the
+bilinear estimate are exposed with both sides computable so the
+inequalities can be swept numerically.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -389,42 +387,13 @@ class PrimeSumResult:
     ratio: float
 
 
-def _vaughan_route(table: np.ndarray, x: float, z: float, pt: PrimeTable) -> complex:
-    """S rebuilt from the four-term split, summed in split order.
-
-    table holds e(phase(n)) for n <= x.  The first three pieces are rows
-    over the short factor, mirroring how the pieces are estimated, added
-    one at a time in ascending order.
-    """
-    top = math.floor(x)
-    va = vaughan_arrays(pt, z, top)
-    zi = math.floor(z)
-    zsq = min(math.floor(z * z), top)
-    # np.log, not va.log: math.log differs from it in the last bit for some n
-    log = np.log(np.arange(1, top + 1, dtype=np.int64))
-    pieces = (
-        _row_sums(table, va.mobius[1 : zi + 1], 1, log, 0, top, top),
-        _row_sums(table, va.mobius[zi + 1 :], zi + 1, va.mangoldt_tail[zi + 1 :], zi, top, top),
-        _row_sums(table, -va.mobius_mangoldt_window[1 : zsq + 1], 1, None, 0, top, top),
-    )
-    s1, s2, s3 = (functools.reduce(operator.add, rows, 0j) for rows in pieces)
-    hi4 = min(zi, top)
-    s4 = complex(np.sum(va.mangoldt[1 : hi4 + 1] * table[1 : hi4 + 1]))
-    return s1 + s2 + s3 + s4
-
-
 def prime_exp_sum(
-    es: ExpSumContext,
-    L: int,
-    x: float,
-    pt: PrimeTable,
-    vaughan_check: bool = False,
+    es: ExpSumContext, L: int, x: float, pt: PrimeTable
 ) -> PrimeSumResult:
     """Sum of Lambda(n) e(phase(n)) for n <= x, with its decay exponent.
 
-    With vaughan_check the sum is recomputed through the four-term split
-    (threshold z = x^(1/4)) and the two routes must agree to 1e-6
-    relative; disagreement raises.
+    S is summed directly over n.  z = x^(1/4) is the threshold of the
+    four-term split behind its estimate.
     """
     g = es.ctx.g
     if not 2 <= x <= g**L:
@@ -442,11 +411,4 @@ def prime_exp_sum(
         raise RuntimeError(f"decay exponent {kappa} above its cap {xi / 20.0}")
     bound_shape = x * g ** (-kappa) * math.log(x) ** 4
     ratio = abs(S) / bound_shape
-    if vaughan_check:
-        z = x**0.25
-        other = _vaughan_route(table, x, z, pt)
-        if abs(S - other) > 1e-6 * max(1.0, abs(S)):
-            raise RuntimeError(
-                f"four-term route {other} disagrees with direct sum {S}"
-            )
     return PrimeSumResult(S, kappa, xi, x**0.25, bound_shape, ratio)

@@ -118,6 +118,20 @@ class CensusRecord:
     modulus_sharp: int
 
 
+def _sharp_modulus(g: int, L: int, q: int) -> int:
+    """gcd(q, g^L (g^2-1)), the part of q that interacts with reversal."""
+    return math.gcd(q, g**L * (g * g - 1))
+
+
+def _residues(revs: np.ndarray, m: int) -> np.ndarray:
+    """The entries of revs mod m.
+
+    A modulus beyond the range of revs' dtype exceeds every entry (all
+    are nonnegative), so the entries are their own residues.
+    """
+    return revs if m > np.iinfo(revs.dtype).max else revs % m
+
+
 def _window_reverses(g: int, L: int, pt: PrimeTable) -> np.ndarray:
     """Digit reverses of every prime in [g^(L-1), g^L), one sieve scan.
 
@@ -158,14 +172,12 @@ def _class_counter(revs: np.ndarray, moduli):
     revs % M, which each m in the group folds with reshape(-1, m).sum(0).
     A modulus above the cap keeps its own bincount, whose bins stop at
     the largest residue present, so their size is bounded by the window,
-    not by m.  A modulus beyond the range of revs' dtype exceeds every
-    entry, so its residues are the entries themselves.
+    not by m.
     """
-    top = np.iinfo(revs.dtype).max
     bins: dict[int, np.ndarray] = {}
     for lcm, members in _modulus_groups(moduli):
         if lcm > _GROUP_CAP:
-            bins[lcm] = np.bincount(revs if lcm > top else revs % lcm)
+            bins[lcm] = np.bincount(_residues(revs, lcm))
             continue
         full = np.bincount(revs % lcm, minlength=lcm)
         for m in members:
@@ -194,8 +206,7 @@ def census_grid(
     pairs = list(pairs)
     if any(q < 1 for _, q in pairs):
         raise ValueError("modulus must be positive")
-    wheel = g * g - 1
-    sharp = [math.gcd(q, g**L * wheel) for _, q in pairs]
+    sharp = [_sharp_modulus(g, L, q) for _, q in pairs]
     count = _class_counter(
         _window_reverses(g, L, pt), [q for _, q in pairs] + sharp
     )
@@ -243,13 +254,13 @@ def psi_theta_pi(
         raise ValueError("x must lie in [1, g^L]")
     if g**L > pt.limit:
         raise ValueError(f"window end {g}^{L} beyond sieve limit {pt.limit}")
-    modulus = math.gcd(q, g**L * (g * g - 1)) if sharp else q
+    modulus = _sharp_modulus(g, L, q) if sharp else q
     top = math.floor(x)
     if kind == "psi":
         values, bases = pt.prime_powers(top)
     else:
         values = bases = pt.primes[: pt.prime_count(top)]
-    hits = reverse_array(values, g, L) % modulus == a % modulus
+    hits = _residues(reverse_array(values, g, L), modulus) == a % modulus
     if kind == "pi":
         return float(np.count_nonzero(hits))
     return math.fsum(np.log(bases[hits]).tolist())
@@ -271,13 +282,13 @@ def sharp_factor_deviation(
     if q < 1:
         raise ValueError("modulus must be positive")
     L = ilog(x, g) + 1
-    modulus = math.gcd(q, g**L * (g * g - 1))
+    modulus = _sharp_modulus(g, L, q)
     primes = pt.primes[: pt.prime_count(x)]
     # a prime of k digits has the plain reverse rev_k
     by_length = np.split(primes, np.searchsorted(primes, [g**k for k in range(1, L)]))
     revs = np.concatenate(
         [reverse_array(part, g, k) for k, part in enumerate(by_length, start=1)]
     )
-    plain = int(np.count_nonzero(revs % q == a % q))
-    sharp = int(np.count_nonzero(revs % modulus == a % modulus))
+    plain = int(np.count_nonzero(_residues(revs, q) == a % q))
+    sharp = int(np.count_nonzero(_residues(revs, modulus) == a % modulus))
     return abs(plain - (modulus / q) * sharp) / x

@@ -530,7 +530,7 @@ def test_criterion_12_thread_determinism(tmp_path):
     """Census and verify commands emit identical bytes at 1 and 8 threads."""
     # the child does not inherit pytest's pythonpath setting
     path = [str(REPO_ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-    env = dict(os.environ, REVPRIME_CACHE_DIR=str(tmp_path / "cache"), PYTHONPATH=os.pathsep.join(path))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     commands = {
         "census": ["census", "--g", "10", "--L", "2,3", "--q", "1,3,9",
                    "--format", "json", "--tolerance", "0.9"],

@@ -7,11 +7,8 @@ the sieve they check.
 """
 
 import math
-import os
-import struct
 import sys
 import threading
-import zlib
 
 import numpy as np
 import pytest
@@ -116,9 +113,8 @@ def oracle_divisors(n):
 
 
 @pytest.fixture(scope="module")
-def table(tmp_path_factory):
-    cache = tmp_path_factory.mktemp("spf-cache")
-    return build_table(LIMIT, cache_dir=str(cache))
+def table():
+    return build_table(LIMIT)
 
 
 class TestSieve:
@@ -340,96 +336,6 @@ class TestSegmentedSieve:
         odd = arith._sieve_odd(limit)
         assert odd.tobytes() == oracle_sieve_odd(limit).tobytes()
         assert build_table(limit).primes.tobytes() == oracle_odd_primes(limit).tobytes()
-
-
-HEADER = struct.Struct("<5sHQI")  # magic, version, limit, CRC-32 of the payload
-
-
-class TestCache:
-    def test_round_trip_hits_cache(self, tmp_path, monkeypatch):
-        first = build_table(5000, cache_dir=str(tmp_path))
-        path = tmp_path / "spf_5000.bin"
-        assert path.exists()
-
-        def boom(limit):
-            raise AssertionError("sieve ran despite a valid cache")
-
-        monkeypatch.setattr("revprime.arith._sieve_odd", boom)
-        second = build_table(5000, cache_dir=str(tmp_path))
-        assert first.primes.tobytes() == second.primes.tobytes()
-        assert first.smallest_prime_factor.tobytes() == second.smallest_prime_factor.tobytes()
-
-    def test_file_is_packed_odd_bitmap(self, tmp_path):
-        build_table(5000, cache_dir=str(tmp_path))
-        raw = (tmp_path / "spf_5000.bin").read_bytes()
-        magic, version, limit, checksum = HEADER.unpack(raw[: HEADER.size])
-        payload = raw[HEADER.size :]
-        assert (magic, version, limit) == (b"RVSPF", 3, 5000)
-        assert len(payload) == 313  # 2500 odd numbers, one bit each
-        assert zlib.crc32(payload) == checksum
-        odd = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=2500)
-        assert (2 * np.flatnonzero(odd) + 1).tolist() == oracle_primes(oracle_sieve_spf(5000))[1:].tolist()
-
-    def test_header_mismatch_regenerates(self, tmp_path):
-        build_table(5000, cache_dir=str(tmp_path))
-        path = tmp_path / "spf_5000.bin"
-        pristine = path.read_bytes()
-        raw = bytearray(pristine)
-        raw[5] ^= 0xFF  # version field
-        path.write_bytes(bytes(raw))
-        rebuilt = build_table(5000, cache_dir=str(tmp_path))
-        assert rebuilt.prime_count(5000) == 669
-        assert path.read_bytes() == pristine
-
-    def test_corrupt_payload_regenerates(self, tmp_path):
-        build_table(5000, cache_dir=str(tmp_path))
-        path = tmp_path / "spf_5000.bin"
-        pristine = path.read_bytes()
-        raw = bytearray(pristine)
-        i = 1001 // 2  # 1001 = 7 * 11 * 13, so its bit is clear
-        byte, mask = HEADER.size + i // 8, 0x80 >> (i % 8)
-        assert not raw[byte] & mask
-        raw[byte] ^= mask  # 1001 reads prime; the size is unchanged
-        path.write_bytes(bytes(raw))
-        assert path.stat().st_size == len(pristine)
-        rebuilt = build_table(5000, cache_dir=str(tmp_path))
-        assert not rebuilt.is_prime(1001)
-        assert rebuilt.primes.tobytes() == build_table(5000).primes.tobytes()
-        assert rebuilt.smallest_prime_factor.tobytes() == oracle_sieve_spf(5000).tobytes()
-        assert rebuilt.prime_count(5000) == 669
-        assert path.read_bytes() == pristine
-
-    def test_version_2_file_is_rewritten(self, tmp_path):
-        # the previous layout: the whole uint32 factor table under the same name
-        spf = oracle_sieve_spf(5000)
-        payload = spf.astype("<u4").tobytes()
-        path = tmp_path / "spf_5000.bin"
-        path.write_bytes(HEADER.pack(b"RVSPF", 2, 5000, zlib.crc32(payload)) + payload)
-        rebuilt = build_table(5000, cache_dir=str(tmp_path))
-        assert rebuilt.primes.tobytes() == oracle_primes(spf).tobytes()
-        assert rebuilt.smallest_prime_factor.tobytes() == spf.tobytes()
-        fresh = tmp_path / "fresh"
-        build_table(5000, cache_dir=str(fresh))
-        assert HEADER.unpack(path.read_bytes()[: HEADER.size])[1] == 3
-        assert path.read_bytes() == (fresh / "spf_5000.bin").read_bytes()
-
-    def test_truncated_file_regenerates(self, tmp_path):
-        build_table(5000, cache_dir=str(tmp_path))
-        path = tmp_path / "spf_5000.bin"
-        path.write_bytes(path.read_bytes()[: len(path.read_bytes()) // 2])
-        rebuilt = build_table(5000, cache_dir=str(tmp_path))
-        assert rebuilt.prime_count(5000) == 669
-
-    def test_env_var_cache_dir(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REVPRIME_CACHE_DIR", str(tmp_path))
-        build_table(3000)
-        assert (tmp_path / "spf_3000.bin").exists()
-
-    def test_limit_keyed_separately(self, tmp_path):
-        build_table(3000, cache_dir=str(tmp_path))
-        build_table(4000, cache_dir=str(tmp_path))
-        assert (tmp_path / "spf_3000.bin").exists()
-        assert (tmp_path / "spf_4000.bin").exists()
 
 
 def brute_vaughan(n, z):

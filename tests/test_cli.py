@@ -15,7 +15,7 @@ import pytest
 
 import revprime
 from revprime import cli
-from revprime.cli import main
+from revprime.cli import atomic_write, main
 from revprime.config import (
     DEFAULT_C_CAL,
     RunConfig,
@@ -23,7 +23,6 @@ from revprime.config import (
     make_rng,
     merge_overrides,
 )
-from revprime.fileio import atomic_write
 from revprime.verify import CALIBRATED
 
 
@@ -309,14 +308,17 @@ class TestCensusCommand:
         assert "Traceback" not in captured.out + captured.err
         assert not out.exists()
 
-    def test_cache_dir_env_is_honoured(self, tmp_path, monkeypatch):
+    def test_cache_dir_env_has_no_effect(self, tmp_path, monkeypatch):
+        # no sieve is persisted, so REVPRIME_CACHE_DIR changes neither the
+        # bytes written nor the directory it names
+        argv = ["census", "--g", "10", "--L", "2", "--q", "1,3", "--sieve-limit", "4000"]
+        plain, with_env = tmp_path / "plain.csv", tmp_path / "env.csv"
+        assert main([*argv, "--out", str(plain)]) == 0
         cache = tmp_path / "cache"
         monkeypatch.setenv("REVPRIME_CACHE_DIR", str(cache))
-        assert main(
-            ["census", "--g", "10", "--L", "2", "--q", "1",
-             "--sieve-limit", "4000", "--out", str(tmp_path / "c.csv")]
-        ) == 0
-        assert (cache / "spf_4000.bin").exists()
+        assert main([*argv, "--out", str(with_env)]) == 0
+        assert with_env.read_bytes() == plain.read_bytes()
+        assert not cache.exists() or list(cache.iterdir()) == []
 
 
 class TestVerifyCommand:
@@ -570,20 +572,23 @@ class TestAtomicWrite:
         assert out.read_text() in texts
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report.txt"]
 
-    def test_failure_leaves_old_file_and_no_temp(self, tmp_path):
-        out = tmp_path / "cache.bin"
-        atomic_write(str(out), b"old")
-        with pytest.raises(TypeError):
-            atomic_write(str(out), [b"new", object()])
-        assert out.read_bytes() == b"old"
+    def test_failure_leaves_old_file_and_no_temp(self, tmp_path, monkeypatch):
+        out = tmp_path / "report.txt"
+        atomic_write(str(out), "old\n")
+
+        def fail(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename refused"):
+            atomic_write(str(out), "new\n")
+        assert out.read_text() == "old\n"
         assert list(tmp_path.glob("*.tmp")) == []
 
-    def test_chunks_and_text(self, tmp_path):
+    def test_text_into_new_directory(self, tmp_path):
         out = tmp_path / "sub" / "f"
-        atomic_write(str(out), [b"ab", np.array([1], dtype="<u4")])
-        assert out.read_bytes() == b"ab\x01\x00\x00\x00"
-        atomic_write(str(out), "\u00e9")
-        assert out.read_bytes() == "\u00e9".encode("utf-8")
+        atomic_write(str(out), "\u00e9\u2211\n")
+        assert out.read_bytes() == "\u00e9\u2211\n".encode("utf-8")
 
 
 class TestReadme:
@@ -606,6 +611,14 @@ class TestReadme:
                 assert callable(args.func), line
                 parsed += 1
         assert parsed >= 6
+
+    def test_environment_variables_match_src(self):
+        # every REVPRIME_ variable README names is read in src, and every
+        # one src reads is in README
+        pattern = re.compile(r"\bREVPRIME_[A-Z_]+")
+        src = self.README.parent / "src"
+        in_src = {m for f in src.rglob("*.py") for m in pattern.findall(f.read_text())}
+        assert set(pattern.findall(self.README.read_text())) == in_src
 
     def test_named_paths_exist(self):
         # a path README names under a repository directory exists, so the

@@ -58,7 +58,7 @@ def test_cli_loads_only_the_census_layer():
     from revprime import cli
 
     assert package_imports(cli, top_level=True) == {
-        "__version__", "arith", "config", "fileio", "revcount",
+        "__version__", "arith", "config", "revcount",
     }
 
 

@@ -27,9 +27,8 @@ LIMIT = 100_000
 
 
 @pytest.fixture(scope="module")
-def table(tmp_path_factory):
-    cache = tmp_path_factory.mktemp("spf")
-    return build_table(LIMIT, cache_dir=str(cache))
+def table():
+    return build_table(LIMIT)
 
 
 def oracle_rho(g, a, q):
@@ -309,6 +308,26 @@ class TestPsiThetaPi:
                     g, L, x, a, q, table, kind, sharp=True
                 ) == psi_theta_pi(g, L, x, a, reduced, table, kind)
 
+    @pytest.mark.parametrize("big", [2**63 - 1, 2**63, 2**64])
+    def test_moduli_beyond_int64_against_string_reversal(self, table, big):
+        # every reverse lies below g^L, so mod big it is its own residue
+        g, L, x = 10, 4, 5000
+        powers = [(p, p**k) for p in range(2, x + 1) if table.is_prime(p)
+                  for k in range(1, 13) if p**k <= x]
+        rev = {v: oracle_reverse_rel(v, g, L) for _, v in powers}
+        for sharp in (False, True):
+            m = math.gcd(big, g**L * (g * g - 1)) if sharp else big
+            for a in (1, rev[2], big - 1, big + rev[3]):
+                hit = lambda v: rev[v] % m == a % m
+                want = {
+                    "pi": float(sum(hit(v) for p, v in powers if p == v)),
+                    "theta": math.fsum(math.log(p) for p, v in powers if p == v and hit(v)),
+                    "psi": math.fsum(math.log(p) for p, v in powers if hit(v)),
+                }
+                for kind, value in want.items():
+                    got = psi_theta_pi(g, L, x, a, big, table, kind, sharp=sharp)
+                    assert got == pytest.approx(value, rel=1e-12, abs=0), (kind, a, sharp)
+
     def test_validation(self, table):
         with pytest.raises(ValueError):
             psi_theta_pi(10, 3, 100, 0, 1, table, "tau")
@@ -331,6 +350,17 @@ class TestSharpFactorDeviation:
         # deviation measures how evenly reverses fill the classes mod 7
         for a in (1, 3, 6):
             assert sharp_factor_deviation(10, 10**5, a, 7, table) < 0.05
+
+    @pytest.mark.parametrize("big", [2**63 - 1, 2**63, 2**64])
+    def test_moduli_beyond_int64_against_string_reversal(self, table, big):
+        g, x = 10, 5000
+        m = math.gcd(big, g**4 * (g * g - 1))
+        revs = [oracle_reverse(p, g) for p in range(2, x + 1) if table.is_prime(p)]
+        for a in (1, revs[0], big - 1, big + revs[-1]):
+            plain = sum(r % big == a % big for r in revs)
+            sharp = sum(r % m == a % m for r in revs)
+            want = abs(plain - (m / big) * sharp) / x
+            assert sharp_factor_deviation(g, x, a, big, table) == want, a
 
     def test_validation(self, table):
         with pytest.raises(ValueError):

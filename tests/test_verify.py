@@ -211,6 +211,23 @@ class TestReportBytes:
         assert got == REPORT_DIGESTS
 
 
+class TestReportSlack:
+    def test_only_the_known_reports_pass_through_the_slack(self):
+        # make_report passes lhs <= rhs (1 + 1e-9); these five are one ulp
+        # over an equality, and a sixth such report must show up here
+        slack = [
+            (name, r.params)
+            for name in ("vdc", "vaughan")
+            for r in run_suite(name, RunConfig(), SuiteOptions())
+            if r.lhs > r.rhs and r.passed
+        ]
+        caps = [
+            ("vaughan", {"z": z, "limit": 10000, "form": "coefficient-cap"})
+            for z in (2.0, 5.0, 10.0, 50.0)
+        ]
+        assert sorted(slack, key=repr) == sorted([("vdc", {"N": 1, "R": 10}), *caps], key=repr)
+
+
 class TestCalibrate:
     def test_rejects_uncalibrated_name(self):
         with pytest.raises(UsageError, match="not a calibrated"):
