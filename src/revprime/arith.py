@@ -222,13 +222,13 @@ class PrimeTable:
         return np.concatenate(values), np.concatenate(bases)
 
 
-def build_table(limit: int, max_limit: int = DEFAULT_MAX_LIMIT) -> PrimeTable:
+def build_table(limit: int) -> PrimeTable:
     """Sieve a PrimeTable covering [2, limit]; nothing is persisted."""
     if limit < 2:
         raise ValueError("sieve limit must be at least 2")
-    if limit > max_limit:
+    if limit > DEFAULT_MAX_LIMIT:
         raise SieveBudgetError(
-            f"sieve limit {limit} exceeds the configured budget {max_limit}"
+            f"sieve limit {limit} exceeds the sieve budget {DEFAULT_MAX_LIMIT}"
         )
     return PrimeTable(limit, _sieve_odd(limit))
 

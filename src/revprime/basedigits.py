@@ -1,10 +1,9 @@
 """Base-g digit utilities.
 
-Digit-string length, full and window-relative digit reversal, plus the
-small numeric helpers (unit circle map, distance to the nearest
-integer) that the rest of the package shares.  Everything here is
-integer arithmetic; no float logarithms are used to make digit-length
-decisions.  reverse_array is the vectorized window reversal: it
+Full and window-relative digit reversal, plus the distance to the
+nearest integer that the rest of the package shares.  Everything here
+is integer arithmetic; no float logarithms are used to make
+digit-length decisions.  reverse_array is the vectorized window reversal: it
 reverses a block of k digits per step through one table of g^k <= 2^12
 entries.  The scalar functions are the oracles it is tested against.
 Powers of g live here too: ilog is the exact g-adic length and
@@ -20,11 +19,9 @@ import numpy as np
 
 __all__ = [
     "BaseContext",
-    "digit_length",
     "reverse",
     "reverse_relative",
     "reverse_array",
-    "e",
     "dist",
     "ilog",
     "power_residues",
@@ -40,18 +37,6 @@ class BaseContext:
     def __post_init__(self) -> None:
         if not isinstance(self.g, int) or self.g < 2:
             raise ValueError(f"base must be an integer >= 2, got {self.g!r}")
-
-
-def digit_length(n: int, ctx: BaseContext) -> int:
-    """Number of base-g digits of n; zero has length 0."""
-    if n < 0:
-        raise ValueError("digit length is defined for nonnegative integers")
-    g = ctx.g
-    length = 0
-    while n:
-        n //= g
-        length += 1
-    return length
 
 
 def reverse(n: int, ctx: BaseContext) -> int:
@@ -167,12 +152,6 @@ def reverse_array(values, g: int, L: int) -> np.ndarray:
         out += digits
         n, q = q, n
     return out
-
-
-def e(x: float) -> complex:
-    """Point exp(2*pi*i*x) on the unit circle: the paper's e(x) for one scalar."""
-    t = 2.0 * math.pi * x
-    return complex(math.cos(t), math.sin(t))
 
 
 def dist(x: float) -> float:

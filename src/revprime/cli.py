@@ -1,8 +1,8 @@
 """Command-line entry points: census, verify, calibrate.
 
 Exit codes: 0 success, 1 usage error (bad flags, unknown suite, empty
-grid, a census of more than MAX_CENSUS_CELLS cells), 2 tolerance or
-inequality failure.  Reports are written
+grid, a census of more than MAX_CENSUS_CELLS cells, an --out that cannot
+be written), 2 tolerance or inequality failure.  Reports are written
 atomically (temp file, then rename), so a killed run never leaves a
 partial report; every report starts with the config hash it was
 produced under.
@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import asdict, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
@@ -90,15 +89,24 @@ def calibrate(names, cfg: RunConfig, opts: SuiteOptions) -> dict[str, float]:
 def atomic_write(path: str, text: str) -> None:
     """Replace path with text (UTF-8) so readers see the old file or the new one.
 
-    The temp file comes from mkstemp in the target directory, so
-    concurrent writers never share one, and it is removed if anything
-    fails before the rename.
+    The temp file gets a random name in the target directory and is
+    created exclusively, so concurrent writers never share one, and it is
+    removed if anything fails before the rename.  The result has the mode
+    open(path, "w") leaves: a replaced file keeps its own, and a new one
+    gets 0o666 less the umask.
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        mode = os.stat(path).st_mode & 0o7777
+    except FileNotFoundError:
+        mode = None
+    tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
+            if mode is not None:
+                os.fchmod(fh.fileno(), mode)
             fh.write(text.encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:
@@ -213,10 +221,10 @@ def cmd_census(args) -> int:
                 f"{cells} census cells requested; at most {MAX_CENSUS_CELLS} fit one run"
             )
         rows = _census_rows(cfg, args)
+        _emit(CENSUS_FORMATS[args.format](cfg, rows), args.out)
     except (UsageError, ValueError, OSError) as exc:
         sys.stderr.write(f"census: error: {exc}\n")
         return 1
-    _emit(CENSUS_FORMATS[args.format](cfg, rows), args.out)
     failures = _census_failures(cfg, rows)
     if failures:
         for rec in failures:
@@ -264,13 +272,13 @@ def cmd_verify(args) -> int:
         cfg = _load_run_config(args)
         opts = _suite_options(args)
         chunks = [(name, run_suite(name, cfg, opts)) for name in args.suite]
+        text = "".join(
+            _format_reports(cfg, opts, name, reports) for name, reports in chunks
+        )
+        _emit(text, args.out)
     except (UsageError, ValueError, OSError) as exc:
         sys.stderr.write(f"verify: error: {exc}\n")
         return 1
-    text = "".join(
-        _format_reports(cfg, opts, name, reports) for name, reports in chunks
-    )
-    _emit(text, args.out)
     failed = [
         (name, r) for name, reports in chunks for r in reports if not r.passed
     ]
@@ -295,16 +303,16 @@ def cmd_calibrate(args) -> int:
         # so the artifact records the hash of the stripped config
         bare = replace(cfg, c_cal={})
         table = calibrate(names, bare, opts)
+        payload = {
+            "config_hash": bare.config_hash(),
+            "rng_seed": bare.rng_seed,
+            "rng_algorithm": bare.rng_algorithm,
+            "constants": {k: table[k] for k in sorted(table)},
+        }
+        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     except (UsageError, ValueError, OSError) as exc:
         sys.stderr.write(f"calibrate: error: {exc}\n")
         return 1
-    payload = {
-        "config_hash": bare.config_hash(),
-        "rng_seed": bare.rng_seed,
-        "rng_algorithm": bare.rng_algorithm,
-        "constants": {k: table[k] for k in sorted(table)},
-    }
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     return 0
 
 

@@ -35,7 +35,6 @@ from .seeds import Seed, reverse_seed
 __all__ = [
     "CostBudgetError",
     "DIRECT_BUDGET",
-    "ExplicitConstants",
     "ExpSumContext",
     "BoundReport",
     "make_report",
@@ -64,9 +63,7 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 # Direct summation over g^lam terms is refused beyond this many terms.
-DIRECT_BUDGET = 1 << 24
-
-_CHUNK = 1 << 20
+DIRECT_BUDGET = 1 << 20
 
 _REPORT_TOL = 1e-9
 
@@ -114,44 +111,21 @@ def gamma_upper_bound(g: int) -> float:
 
 
 @dataclass(frozen=True)
-class ExplicitConstants:
-    """Base-level exponents shared by the verifiers."""
-
-    eta_tilde: float
-    omega: float
-    theta_lower: float
-
-
-@dataclass(frozen=True)
 class ExpSumContext:
-    """A base, a seed over that base, and the base's exponent constants."""
+    """A base, a seed over that base, and the seed's decay-weight cache."""
 
     ctx: BaseContext
     seed: Seed
-    constants: ExplicitConstants
     _gamma_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        g = self.ctx.g
-        if self.seed.base != g:
+        if self.seed.base != self.ctx.g:
             raise ValueError("seed base does not match context base")
-        c = self.constants
-        # upper comparison is non-strict: past base ~314 the true margin
-        # drops below one ulp of 0.5 and the two sides round together
-        if not 0.2075187 < c.eta_tilde <= 0.5 - 1.0 / (4.0 * g**3 * math.log(g)):
-            raise ValueError(f"eta constant out of range for base {g}")
-        if not c.theta_lower > 1.0 / g**3:
-            raise ValueError(f"theta floor out of range for base {g}")
-        expect_omega = (math.log(2.0) / math.log(g)) * (0.5 - c.eta_tilde)
-        if abs(c.omega - expect_omega) > 1e-15:
-            raise ValueError("omega inconsistent with eta")
 
 
 def expsum_context(seed: Seed) -> ExpSumContext:
-    """Context for a seed, with constants derived from its base."""
-    g = seed.base
-    constants = ExplicitConstants(eta_tilde(g), omega_exponent(g), theta_lower_bound(g))
-    return ExpSumContext(BaseContext(g), seed, constants)
+    """Context for a seed over its own base."""
+    return ExpSumContext(BaseContext(seed.base), seed)
 
 
 @dataclass(frozen=True)
@@ -242,70 +216,28 @@ def _phase_tree(tab: np.ndarray, g: int, top: int) -> np.ndarray:
     return np.resize(phase, top + 1)
 
 
-def _chunk_phases(
-    tree: np.ndarray, high: np.ndarray, g: int, start: int, stop: int
-) -> np.ndarray:
-    """Phases of start <= n < stop from a tree over the low positions.
-
-    Each block of tree.size consecutive n shares its high digits, so a
-    block copies its tree entries and then adds the weight of each high
-    digit in turn, lowest first: the additions of the full digit loop.
-    """
-    block = tree.size
-    phase = np.empty(stop - start, dtype=np.float64)
-    for q in range(start // block, -(-stop // block)):
-        lo, hi = max(start, q * block), min(stop, (q + 1) * block)
-        seg = phase[lo - start : hi - start]
-        seg[...] = tree[lo - q * block : hi - q * block]
-        rest = q
-        for row in high:
-            rest, d = divmod(rest, g)
-            seg += row[d]
-    return phase
-
-
-def _chunk_sum(phase: np.ndarray, start: int, bhi: float, blo: float) -> complex:
-    """Sum of e(phase[i] - beta*(start + i)) with beta = bhi + blo; overwrites phase.
-
-    Each temporary is freed before the next chunk's phases are built, so
-    the peak stays a few chunks of float64 whatever the window length.
-    """
-    nf = np.arange(start, start + phase.size, dtype=np.float64)
-    phase -= np.mod(bhi * nf, 1.0) + blo * nf
-    terms = 2j * np.pi * phase
-    return complex(np.exp(terms, out=terms).sum())
-
-
-def F_direct(
-    es: ExpSumContext, lam: int, j: int, beta: float, budget: int = DIRECT_BUDGET
-) -> complex:
+def F_direct(es: ExpSumContext, lam: int, j: int, beta: float) -> complex:
     """Full-period average computed term by term; costs g^lam evaluations.
 
-    Refuses windows with more than ``budget`` terms.  The beta*n phase is
-    reduced mod 1 in split precision so the result can be compared with
-    the product form at 1e-10 tolerances.
+    Refuses windows with more than DIRECT_BUDGET terms.  The beta*n
+    phase is reduced mod 1 in split precision so the result can be
+    compared with the product form at 1e-10 tolerances.
     """
     if lam < 0 or j < 0:
         raise ValueError("window and shift must be nonnegative")
     g = es.ctx.g
     n_total = g**lam
-    if n_total > budget:
+    if n_total > DIRECT_BUDGET:
         raise CostBudgetError(
-            f"direct evaluation needs {n_total} terms, budget is {budget}"
+            f"direct evaluation needs {n_total} terms, budget is {DIRECT_BUDGET}"
         )
-    tab = es.seed.frac_rows(j, lam)
-    beta = beta % 1.0
-    bhi, blo = _split26(beta)
-    # the tree covers the low positions and at most _CHUNK entries, so
-    # memory stays O(_CHUNK) however long the window
-    low = min(lam, ilog(_CHUNK, g))
-    tree = _phase_tree(tab[:low], g, g**low - 1)
-    total = 0.0 + 0.0j
-    for start in range(0, n_total, _CHUNK):
-        stop = min(start + _CHUNK, n_total)
-        # a window within one chunk is the tree itself, used up here
-        phase = tree if low == lam else _chunk_phases(tree, tab[low:], g, start, stop)
-        total += _chunk_sum(phase, start, bhi, blo)
+    bhi, blo = _split26(beta % 1.0)
+    phase = _phase_tree(es.seed.frac_rows(j, lam), g, n_total - 1)
+    nf = np.arange(n_total, dtype=np.float64)
+    phase -= np.mod(bhi * nf, 1.0) + blo * nf
+    # the exponentials overwrite their arguments: one complex buffer
+    terms = 2j * np.pi * phase
+    total = 0.0 + 0.0j + complex(np.exp(terms, out=terms).sum())
     return total / n_total
 
 
@@ -559,7 +491,7 @@ def l1_moment_bound(
     _validate_l1(g, lam, k, delta)
     step = k * g**delta
     a %= step
-    eta = es.constants.eta_tilde
+    eta = eta_tilde(g)
     tail = F_abs_product(es, delta, j + lam - delta, (a + np.mod(beta, 1.0)) / g**delta)
     return g * (g**lam / step) ** eta * tail
 
@@ -585,7 +517,7 @@ def hybrid_bound_shape(es: ExpSumContext, lam: int, j: int, M: float) -> float:
     if M < 1:
         raise ValueError("M must be at least 1")
     g = es.ctx.g
-    eta = es.constants.eta_tilde
+    eta = eta_tilde(g)
     mu = ilog(M, g)
     if 2 * mu <= lam:
         expo = (0.5 - eta) * 2 * mu + sigma(es, lam - 2 * mu, j + 2 * mu)

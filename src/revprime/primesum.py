@@ -226,24 +226,21 @@ def mobius_coefficients(pt: PrimeTable) -> Coefficients:
 def mangoldt_tail_coefficients(pt: PrimeTable, z: float, x: float) -> Coefficients:
     """Above-threshold von Mangoldt tail scaled by 1/log x; bounded by 1 on [1, x].
 
-    The tail is tabulated up to the largest n asked for so far (a
-    prefix of the table over [1, x] is the table over a shorter range);
-    entries outside [1, x] raise.
+    Each call tabulates the tail up to its largest n (entry n of the
+    table does not depend on how far it runs); entries outside [1, x]
+    raise.
     """
     top = math.floor(x)
     scale = 1.0 / math.log(x)
-    values = np.zeros(1, dtype=np.float64)
 
     def gen(n: np.ndarray) -> np.ndarray:
-        nonlocal values
         n = np.asarray(n, dtype=np.int64)
         if n.size == 0:
             return np.zeros(0, dtype=np.complex128)
         if n.min() < 1 or n.max() > top:
             raise ValueError(f"tail coefficients cover [1, {top}] only")
-        if n.max() >= values.size:
-            values = vaughan_arrays(pt, z, int(n.max())).mangoldt_tail * scale
-        return values[n].astype(np.complex128)
+        values = vaughan_arrays(pt, z, int(n.max())).mangoldt_tail[n] * scale
+        return values.astype(np.complex128)
 
     return gen
 

@@ -46,7 +46,6 @@ class Seed:
     """Digit-weight table: deterministic map (position i, digit d) -> real."""
 
     base: int
-    label: str
 
     def eval(self, i: int, d: int) -> float:
         """Weight at (i, d): what table seeds' rows and f_eval read."""
@@ -80,7 +79,6 @@ class Seed:
 @dataclass(frozen=True)
 class ZeroSeed(Seed):
     base: int
-    label: str = "zero"
 
     def eval(self, i: int, d: int) -> float:
         self._check(i, d)
@@ -96,7 +94,6 @@ class SodSeed(Seed):
 
     base: int
     scale: float
-    label: str = "sod"
 
     def eval(self, i: int, d: int) -> float:
         self._check(i, d)
@@ -125,7 +122,6 @@ class ReverseSeed(Seed):
     base: int
     window: int
     scale: float
-    label: str = "reverse"
 
     def __post_init__(self) -> None:
         if self.window < 0:
@@ -179,7 +175,6 @@ class TableSeed(Seed):
 
     base: int
     rows: tuple[tuple[float, ...], ...]
-    label: str = "table"
 
     def __post_init__(self) -> None:
         if not self.rows:

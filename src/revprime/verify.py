@@ -33,6 +33,7 @@ from .arith import (  # noqa: F401
 from .basedigits import ilog
 from .config import RunConfig, UsageError, make_rng
 from .expsum import (
+    DIRECT_BUDGET,
     BoundReport,
     F_abs_product,
     F_direct,
@@ -170,7 +171,7 @@ def _map_cells(fn: Callable, cells: list, threads: int) -> list:
 
 
 def _direct_cap(g: int, lam_cap: int) -> int:
-    return max(1, min(lam_cap, ilog(1 << 20, g)))
+    return max(1, min(lam_cap, ilog(DIRECT_BUDGET, g)))
 
 
 def _product_formula(cfg: RunConfig, opts: SuiteOptions, rng, g: int) -> list[BoundReport]:
@@ -230,7 +231,7 @@ def _l1_moment(cfg: RunConfig, opts: SuiteOptions, rng, g: int) -> list[BoundRep
     out = []
     for name, seed in _seed_pool(g, lam_max, rng, opts.seed_family):
         es = expsum_context(seed)
-        eta = es.constants.eta_tilde
+        eta = eta_tilde(g)
         for lam in range(1, lam_max + 1):
             pure = l1_moment(es, lam, 0, 1, 0, 0, 0.0)
             out.append(

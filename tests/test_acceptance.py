@@ -29,6 +29,7 @@ from revprime.config import (
 from revprime.expsum import (
     F_abs_product,
     F_direct,
+    eta_tilde,
     expsum_context,
     l1_moment,
     l1_moment_bound,
@@ -148,7 +149,7 @@ def test_criterion_03_l1_moment_exhaustive():
             families = [f for f in families if f[0] in ("sod", "reverse")]
         for fname, seed in families:
             es = expsum_context(seed)
-            eta = es.constants.eta_tilde
+            eta = eta_tilde(g)
             for lam in range(1, 9):
                 pure_checks.append((g, fname, lam, es, g ** (eta * lam + 1)))
                 for k, delta in _l1_cells(g, lam):

@@ -194,8 +194,6 @@ class TestSieve:
     def test_budget_error(self):
         with pytest.raises(SieveBudgetError):
             build_table(DEFAULT_MAX_LIMIT + 1)
-        with pytest.raises(SieveBudgetError):
-            build_table(10**4, max_limit=10**3)
         with pytest.raises(ValueError):
             build_table(1)
 

@@ -590,6 +590,56 @@ class TestAtomicWrite:
         atomic_write(str(out), "\u00e9\u2211\n")
         assert out.read_bytes() == "\u00e9\u2211\n".encode("utf-8")
 
+    @pytest.mark.parametrize("umask", [0o022, 0o027], ids=oct)
+    def test_new_file_mode_follows_the_umask(self, tmp_path, umask):
+        # the mode a plain open(path, "w") gives
+        old = os.umask(umask)
+        try:
+            atomic_write(str(tmp_path / "new.txt"), "x\n")
+            with open(tmp_path / "plain.txt", "w") as fh:
+                fh.write("x\n")
+        finally:
+            os.umask(old)
+        mode = os.stat(tmp_path / "new.txt").st_mode & 0o777
+        assert mode == os.stat(tmp_path / "plain.txt").st_mode & 0o777 == 0o666 & ~umask
+
+    def test_replaced_file_keeps_its_mode(self, tmp_path):
+        out = tmp_path / "report.txt"
+        out.write_text("old\n")
+        os.chmod(out, 0o664)
+        atomic_write(str(out), "new\n")
+        assert out.read_text() == "new\n"
+        assert os.stat(out).st_mode & 0o777 == 0o664
+
+
+UNWRITABLE_COMMANDS = [
+    ["census", "--g", "2", "--L", "6", "--q", "3", "--a", "1"],
+    ["verify", "vdc", "--cases", "8"],
+    ["calibrate", "hybrid"],
+]
+
+
+class TestUnwritableOut:
+    """An --out that cannot be written is a usage error, not a traceback."""
+
+    @pytest.mark.parametrize("argv", UNWRITABLE_COMMANDS, ids=lambda a: a[0])
+    def test_out_naming_a_directory(self, tmp_path, capsys, argv):
+        target = tmp_path / "reports"
+        target.mkdir()
+        assert main([*argv, "--out", str(target)]) == 1
+        assert capsys.readouterr().err.startswith(f"{argv[0]}: error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["reports"]
+        assert list(target.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", UNWRITABLE_COMMANDS, ids=lambda a: a[0])
+    def test_out_under_a_regular_file(self, tmp_path, capsys, argv):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("keep\n")
+        assert main([*argv, "--out", str(blocker / "report.txt")]) == 1
+        assert capsys.readouterr().err.startswith(f"{argv[0]}: error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
+        assert blocker.read_text() == "keep\n"
+
 
 class TestReadme:
     """README's command lines parse, and it names no deleted front end."""

@@ -9,25 +9,21 @@ same quantity through two independent evaluation routes.
 import math
 import random
 import time
-import tracemalloc
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revprime import expsum
 from revprime.basedigits import BaseContext
 from revprime.expsum import (
+    DIRECT_BUDGET,
     CostBudgetError,
     DegenerateSeedError,
-    ExplicitConstants,
     ExpSumContext,
     F_abs_product,
     F_direct,
-    _CHUNK,
     _phase_tree,
     _phi_sums,
     _progression_abs,
@@ -147,24 +143,8 @@ class TestConstants:
             assert 0 < gamma_upper_bound(g) < 1 / 20
 
     def test_context_rejects_base_mismatch(self):
-        good = expsum_context(zero_seed(3))
         with pytest.raises(ValueError):
-            ExpSumContext(BaseContext(2), zero_seed(3), good.constants)
-
-    def test_context_rejects_bad_constants(self):
-        c = expsum_context(zero_seed(2)).constants
-        with pytest.raises(ValueError):
-            ExpSumContext(
-                BaseContext(2), zero_seed(2), ExplicitConstants(0.1, c.omega, c.theta_lower)
-            )
-        with pytest.raises(ValueError):
-            ExpSumContext(
-                BaseContext(2), zero_seed(2), ExplicitConstants(c.eta_tilde, 0.0, c.theta_lower)
-            )
-        with pytest.raises(ValueError):
-            ExpSumContext(
-                BaseContext(2), zero_seed(2), ExplicitConstants(c.eta_tilde, c.omega, 0.125)
-            )
+            ExpSumContext(BaseContext(2), zero_seed(3))
 
 
 class TestPhi:
@@ -229,11 +209,14 @@ class TestFDirect:
                 assert abs(F_direct(es, lam, 1, float(rng.random()))) <= 1 + 1e-12
 
     def test_budget_refusal(self):
+        # 2^20 terms is the budget itself, 2^21 one window past it
         es = expsum_context(zero_seed(2))
+        assert 2**20 == DIRECT_BUDGET
+        assert F_direct(es, 20, 0, 0.0) == pytest.approx(1.0)
         with pytest.raises(CostBudgetError):
-            F_direct(es, 7, 0, 0.0, budget=100)
+            F_direct(es, 21, 0, 0.0)
         with pytest.raises(CostBudgetError):
-            F_direct(es, 25, 0, 0.0)
+            F_direct(expsum_context(zero_seed(3)), 13, 0, 0.0)
 
     def test_plain_python_cross_check(self):
         # a third route with none of the vectorized machinery
@@ -1039,20 +1022,15 @@ def divmod_phases(tab, n, g):
     return phase
 
 
-def chunked_direct(es, lam, j, beta, chunk=_CHUNK):
-    """F_direct as the divmod pass over each chunk of `chunk` integers."""
+def divmod_direct(es, lam, j, beta):
+    """F_direct with its phases from one divmod pass over every integer."""
     g = es.ctx.g
-    n_total = g**lam
-    tab = es.seed.frac_rows(j, lam)
+    n = np.arange(g**lam, dtype=np.int64)
+    phase = divmod_phases(es.seed.frac_rows(j, lam), n, g)
     bhi, blo = _split26(beta % 1.0)
-    total = 0.0 + 0.0j
-    for start in range(0, n_total, chunk):
-        n = np.arange(start, min(start + chunk, n_total), dtype=np.int64)
-        phase = divmod_phases(tab, n, g)
-        nf = n.astype(np.float64)
-        phase -= np.mod(bhi * nf, 1.0) + blo * nf
-        total += complex(np.exp(2j * np.pi * phase).sum())
-    return total / n_total
+    nf = n.astype(np.float64)
+    phase -= np.mod(bhi * nf, 1.0) + blo * nf
+    return (0.0 + 0.0j + complex(np.exp(2j * np.pi * phase).sum())) / g**lam
 
 
 def direct_oracle(es, lam, j, beta):
@@ -1133,52 +1111,20 @@ class TestScalarOracles:
         got = np.complex128(F_direct(es, lam, j, beta))
         assert got.tobytes() == np.complex128(direct_oracle(es, lam, j, beta)).tobytes()
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        lam=st.integers(0, 9),
-        chunk=st.integers(1, 200),
-        beta=st.floats(-4.0, 4.0, allow_nan=False),
-        **pool_case,
-    )
-    def test_direct_equals_divmod_chunks_at_any_chunk(
-        self, g, lam, j, family, rows_seed, beta, chunk
-    ):
-        # a small chunk puts the tree/high-digit split and misaligned
-        # chunk edges into every window past `chunk` terms
-        while g**lam > 4096:
-            lam -= 1
-        es = pool_context(g, family, rows_seed)
-        with mock.patch.object(expsum, "_CHUNK", chunk):
-            got = np.complex128(F_direct(es, lam, j, beta))
-        want = np.complex128(chunked_direct(es, lam, j, beta, chunk))
-        assert got.tobytes() == want.tobytes()
-
     @settings(max_examples=2, deadline=None)
     @given(
         family=st.integers(0, 5),
         rows_seed=st.integers(0, 2**32 - 1),
         beta=st.floats(-4.0, 4.0, allow_nan=False),
     )
-    @pytest.mark.parametrize("g, lam", [(2, 21), (3, 13)])
-    def test_direct_equals_divmod_chunks_past_one_chunk(self, g, lam, family, rows_seed, beta):
-        # g = 2: the tree is exactly one chunk; g = 3: 3^12 < _CHUNK < 3^13,
-        # so chunk edges fall inside tree blocks
-        assert g**lam > _CHUNK
+    @pytest.mark.parametrize("g, lam", [(2, 20), (3, 12)])
+    def test_direct_equals_divmod_pass_at_the_budget(self, g, lam, family, rows_seed, beta):
+        # the longest window each base allows: 2^20 is the budget, and
+        # 3^12 the last power of 3 below it
+        assert g**lam <= DIRECT_BUDGET < g ** (lam + 1)
         es = pool_context(g, family, rows_seed)
         got = np.complex128(F_direct(es, lam, 0, beta))
-        assert got.tobytes() == np.complex128(chunked_direct(es, lam, 0, beta)).tobytes()
-
-    def test_direct_memory_stays_within_chunks(self):
-        # the whole 2^22-entry tree alone would be four chunks, and with
-        # one chunk's temporaries the peak passes seven
-        es = expsum_context(sod_seed(2, 0.37))
-        tracemalloc.start()
-        try:
-            F_direct(es, 22, 0, 0.3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 6 * _CHUNK * 8
+        assert got.tobytes() == np.complex128(divmod_direct(es, lam, 0, beta)).tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(

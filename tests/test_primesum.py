@@ -355,7 +355,7 @@ class TestTypeII:
         gen = ps.mangoldt_tail_coefficients(table, z, x)
         scale = 1.0 / math.log(x)
         want = np.array([mangoldt_tail(int(v), z, table) * scale for v in n], dtype=np.complex128)
-        # a short first call, then one that extends the table
+        # a short first call, then the full range: each tabulates its own
         half = len(n) // 2
         assert gen(n[:half]).tobytes() == want[:half].tobytes()
         assert gen(n).tobytes() == want.tobytes()

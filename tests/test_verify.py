@@ -7,7 +7,8 @@ import pytest
 from revprime.arith import build_table, mangoldt_tail, mobius_mangoldt_window, vaughan_terms
 from revprime.cli import _format_reports
 from revprime.config import RunConfig
-from revprime.expsum import make_report
+from revprime.basedigits import ilog
+from revprime.expsum import DIRECT_BUDGET, make_report
 from revprime.verify import (
     CALIBRATED,
     SUITES,
@@ -138,6 +139,17 @@ class TestSmallGrids:
         forms = {r.params["form"] for r in reports}
         assert "window-shift" in forms
         assert "decay-cap" in forms
+
+    @pytest.mark.parametrize("g", [2, 3, 10])
+    def test_product_formula_stops_at_the_direct_budget(self, g):
+        # --lambda-max past the budget: lam stops at the last window
+        # F_direct can sum, g^lam <= DIRECT_BUDGET
+        reports = run_suite(
+            "product-formula", RunConfig(), SuiteOptions(g=g, lambda_max=40, cases=1)
+        )
+        lams = sorted({r.params["lam"] for r in reports})
+        assert lams == list(range(1, ilog(DIRECT_BUDGET, g) + 1))
+        assert all(r.passed for r in reports)
 
     def test_seed_family_filter_applies(self):
         reports = run_suite(
