@@ -16,10 +16,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, replace
-from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
-
-import numpy as np
 
 from . import __version__
 from .arith import build_table
@@ -57,18 +54,6 @@ def _int_list(text: str) -> list[int]:
     if not values:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
     return values
-
-
-def _json_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, Fraction):
-        return str(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
 # verify (and with it expsum, primesum, seeds and the thread pool) loads
@@ -113,6 +98,22 @@ def atomic_write(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _check_out(out: Optional[str]) -> None:
+    """Refuse, before any work, an --out naming a directory or running
+    through a file; atomic_write still catches what changes during the run."""
+    if out is None:
+        return
+    if out == "":
+        raise UsageError("--out names no file")
+    if os.path.isdir(out):
+        raise UsageError(f"--out {out} is a directory")
+    parent = os.path.dirname(os.path.abspath(out))
+    while not os.path.exists(parent):
+        parent = os.path.dirname(parent)
+    if not os.path.isdir(parent):
+        raise UsageError(f"--out {out} runs through {parent}, which is not a directory")
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -180,7 +181,7 @@ def _format_census_json(cfg: RunConfig, rows: list[CensusRecord]) -> str:
             for rec in rows
         ],
     }
-    return json.dumps(payload, sort_keys=True, allow_nan=False, default=_json_default) + "\n"
+    return json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _format_census_table(cfg: RunConfig, rows: list[CensusRecord]) -> str:
@@ -211,6 +212,7 @@ CENSUS_FORMATS = {
 
 def cmd_census(args) -> int:
     try:
+        _check_out(args.out)
         cfg = _load_run_config(args)
         for q in args.q:
             if q < 1:
@@ -247,11 +249,8 @@ def _format_reports(
         "version": __version__,
         "reports": len(reports),
     }
-    lines = [json.dumps(header, sort_keys=True, default=_json_default)]
-    lines.extend(
-        json.dumps(r.to_dict(), sort_keys=True, default=_json_default)
-        for r in reports
-    )
+    lines = [json.dumps(header, sort_keys=True)]
+    lines.extend(json.dumps(r.to_dict(), sort_keys=True) for r in reports)
     return "\n".join(lines) + "\n"
 
 
@@ -269,6 +268,7 @@ def _suite_options(args) -> SuiteOptions:
 
 def cmd_verify(args) -> int:
     try:
+        _check_out(args.out)
         cfg = _load_run_config(args)
         opts = _suite_options(args)
         chunks = [(name, run_suite(name, cfg, opts)) for name in args.suite]
@@ -296,6 +296,7 @@ def cmd_calibrate(args) -> int:
     from .verify import CALIBRATED
 
     try:
+        _check_out(args.out)
         cfg = _load_run_config(args)
         opts = _suite_options(args)
         names = args.suite or CALIBRATED

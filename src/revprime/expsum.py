@@ -153,7 +153,8 @@ def make_report(lhs: float, rhs: float, params: dict | None = None) -> BoundRepo
         ratio = lhs / rhs
     else:
         ratio = 0.0 if lhs == 0.0 else math.inf
-    passed = lhs <= rhs * (1.0 + _REPORT_TOL)
+    # a plain bool, so reports serialize without a json default
+    passed = bool(lhs <= rhs * (1.0 + _REPORT_TOL))
     return BoundReport(lhs, rhs, ratio, dict(params or {}), passed)
 
 

@@ -83,6 +83,24 @@ def _row_sums(table, a, m_first, b, n_lo, n_cap, top) -> list[complex]:
     return parts
 
 
+def _check_window(es: ExpSumContext, L: int, x: float) -> None:
+    """x must lie in [2, g^L] and within the enumeration budget."""
+    g = es.ctx.g
+    if not 2 <= x <= g**L:
+        raise ValueError(f"need 2 <= x <= {g}^{L}")
+    if x > X_BUDGET:
+        raise CostBudgetError(f"x = {x} beyond enumeration budget {X_BUDGET}")
+
+
+def _decay(es: ExpSumContext, x: float) -> tuple[int, float]:
+    """Decay exponent shared by the Type II and prime sums, whose split is at x^(1/4).
+
+    xi is the largest k with g^k <= x^(1/4), that is g^(4k) <= floor(x).
+    """
+    xi = ilog(x, es.ctx.g) // 4
+    return xi, sigma(es, xi, 0) / 10.0
+
+
 @dataclass(frozen=True)
 class TypeIParams:
     """Window length, range, and progression count for a linear sum."""
@@ -90,22 +108,16 @@ class TypeIParams:
     L: int
     x: float
     M: float
-    xi_I: int
     kappa_I: float
 
 
 def type_i_params(es: ExpSumContext, L: int, x: float, M: float) -> TypeIParams:
-    g = es.ctx.g
-    if not 2 <= x <= g**L:
-        raise ValueError(f"need 2 <= x <= {g}^{L}")
-    if x > X_BUDGET:
-        raise CostBudgetError(f"x = {x} beyond enumeration budget {X_BUDGET}")
+    _check_window(es, L, x)
     if not M > 0:
         raise ValueError("progression count M must be positive")
     if M * M > x * (1.0 + 1e-12):
         raise ValueError("M must stay at or below sqrt(x)")
-    xi = ilog(x, g)
-    return TypeIParams(L, x, M, xi, sigma(es, xi, 0))
+    return TypeIParams(L, x, M, sigma(es, ilog(x, es.ctx.g), 0))
 
 
 def type_i_sum(es: ExpSumContext, p: TypeIParams) -> float:
@@ -130,34 +142,16 @@ def type_i_bound_shape(es: ExpSumContext, p: TypeIParams) -> float:
 
 @dataclass(frozen=True)
 class TypeIIParams:
-    """Dyadic box, exponents, and coefficient generators for a bilinear sum."""
+    """Dyadic box, decay exponent, and coefficient generators for a bilinear sum."""
 
     L: int
     x: float
     M: float
     N: float
-    theta: float
     a_coeff: Coefficients
     b_coeff: Coefficients
     xi_II: int
     kappa_II: float
-    R: float
-    lam: int
-    mu: int
-
-
-def _theta_ilog(x: float, g: int, theta: float) -> int:
-    """Largest k >= 0 with g^k <= x^theta.
-
-    Exact integer comparison when x is integral and theta has a small
-    exact rational form; otherwise a float evaluation with a one-sided
-    nudge so clean powers land on the right side.
-    """
-    fr = Fraction(theta)
-    if x == int(x) and fr.denominator <= 64 and fr.numerator <= 64:
-        # g^k <= x^(n/d) exactly when (g^d)^k <= x^n
-        return ilog(int(x) ** fr.numerator, g**fr.denominator)
-    return max(0, math.floor(theta * math.log(x) / math.log(g) + 1e-9))
 
 
 def type_ii_params(
@@ -166,28 +160,17 @@ def type_ii_params(
     x: float,
     M: float,
     N: float,
-    theta: float,
     a_coeff: Coefficients,
     b_coeff: Coefficients,
 ) -> TypeIIParams:
-    g = es.ctx.g
-    if not (x >= 2 and x <= g**L):
-        raise ValueError(f"need 2 <= x <= {g}^{L}")
-    if x > X_BUDGET:
-        raise CostBudgetError(f"x = {x} beyond enumeration budget {X_BUDGET}")
-    if not theta > 0:
-        raise ValueError("theta must be positive")
+    _check_window(es, L, x)
     if min(M, N) < 1:
         raise ValueError("box corners must be at least 1")
-    floor_xtheta = x**theta * (1.0 - 1e-12)
-    if M < floor_xtheta or N < floor_xtheta:
-        raise ValueError("box corners must be at least x^theta")
-    xi = _theta_ilog(x, g, theta)
-    kappa = sigma(es, xi, 0) / 10.0
-    R = float(g) ** (2.0 * kappa)
-    lam = ilog(M * R * R, g) + 1
-    mu = ilog(M, g) + 1
-    return TypeIIParams(L, x, M, N, theta, a_coeff, b_coeff, xi, kappa, R, lam, mu)
+    floor_corner = x**0.25 * (1.0 - 1e-12)
+    if M < floor_corner or N < floor_corner:
+        raise ValueError("box corners must be at least x^(1/4)")
+    xi, kappa = _decay(es, x)
+    return TypeIIParams(L, x, M, N, a_coeff, b_coeff, xi, kappa)
 
 
 def type_ii_sum(es: ExpSumContext, p: TypeIIParams) -> complex:
@@ -379,9 +362,7 @@ class PrimeSumResult:
     S: complex
     kappa: float
     xi: int
-    z: float
     bound_shape: float
-    ratio: float
 
 
 def prime_exp_sum(
@@ -392,20 +373,14 @@ def prime_exp_sum(
     S is summed directly over n.  z = x^(1/4) is the threshold of the
     four-term split behind its estimate.
     """
-    g = es.ctx.g
-    if not 2 <= x <= g**L:
-        raise ValueError(f"need 2 <= x <= {g}^{L}")
-    if x > pt.limit:
+    if x > pt.limit:  # before the budget check: past both is a ValueError
         raise ValueError(f"x = {x} beyond sieve limit {pt.limit}")
-    if x > X_BUDGET:
-        raise CostBudgetError(f"x = {x} beyond enumeration budget {X_BUDGET}")
+    _check_window(es, L, x)
     top = math.floor(x)
     table = _unit_phases(es, L, top)
     S = complex(np.sum(mangoldt_array(pt, top)[2:] * table[2:]))
-    xi = ilog(x, g) // 4
-    kappa = sigma(es, xi, 0) / 10.0
+    xi, kappa = _decay(es, x)
     if kappa > xi / 20.0 + 1e-12:
         raise RuntimeError(f"decay exponent {kappa} above its cap {xi / 20.0}")
-    bound_shape = x * g ** (-kappa) * math.log(x) ** 4
-    ratio = abs(S) / bound_shape
-    return PrimeSumResult(S, kappa, xi, x**0.25, bound_shape, ratio)
+    bound_shape = x * es.ctx.g ** (-kappa) * math.log(x) ** 4
+    return PrimeSumResult(S, kappa, xi, bound_shape)

@@ -6,8 +6,8 @@ gives a periodic, additive digit functional; a shift j, the j argument
 of frac_rows and f_eval, reads the weights from position j on.  Named
 families:
 
-  zero_seed(g)            every weight is 0
-  sod_seed(g, a)          weight a*d at every position (scaled digit sum)
+  sod_seed(g, a)          weight a*d at every position (scaled digit sum);
+                          a = 0.0 gives the zero family, every weight +0.0
   reverse_seed(g, L, a)   weight a*d*g^(L-i-1) at position i, so the window
                           sum over L positions equals a times the reversal
                           of n within that window
@@ -30,11 +30,9 @@ from .basedigits import power_residues
 
 __all__ = [
     "Seed",
-    "ZeroSeed",
     "SodSeed",
     "ReverseSeed",
     "TableSeed",
-    "zero_seed",
     "sod_seed",
     "reverse_seed",
     "table_seed",
@@ -74,18 +72,6 @@ class Seed:
             raise ValueError("position must be nonnegative")
         if not 0 <= d < self.base:
             raise ValueError(f"digit {d} out of range for base {self.base}")
-
-
-@dataclass(frozen=True)
-class ZeroSeed(Seed):
-    base: int
-
-    def eval(self, i: int, d: int) -> float:
-        self._check(i, d)
-        return 0.0
-
-    def frac_rows(self, j: int, count: int) -> np.ndarray:
-        return np.zeros((count, self.base), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -196,10 +182,6 @@ def _residue_rows(residues: list[int], den: int, g: int) -> np.ndarray:
     """
     rows = [[r * d % den / den for d in range(g)] for r in residues]
     return np.array(rows, dtype=np.float64).reshape(len(residues), g)
-
-
-def zero_seed(g: int) -> ZeroSeed:
-    return ZeroSeed(g)
 
 
 def sod_seed(g: int, a: float) -> SodSeed:

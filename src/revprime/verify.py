@@ -64,7 +64,7 @@ from .primesum import (
     unimodular_coefficients,
     vdc_lhs_rhs,
 )
-from .seeds import Seed, reverse_seed, sod_seed, table_seed, zero_seed
+from .seeds import Seed, reverse_seed, sod_seed, table_seed
 
 __all__ = [
     "UsageError",
@@ -149,7 +149,7 @@ def _seed_pool(
 ) -> list[tuple[str, Seed]]:
     rows = tuple(tuple(float(v) for v in row) for row in rng.random((3, g)))
     pool = [
-        ("zero", zero_seed(g)),
+        ("zero", sod_seed(g, 0.0)),
         ("sod", sod_seed(g, 0.37)),
         ("reverse", reverse_seed(g, max(window, 2), 0.73)),
         ("table", table_seed(g, rows)),
@@ -476,13 +476,13 @@ def _type_i(cfg: RunConfig, opts: SuiteOptions, rng, cell: tuple) -> list[BoundR
 
 
 _TYPE_II_CELLS = (
-    (2, 16, 2**16, 0.25, 16.0, 16.0),
-    (10, 4, 10**4, 0.25, 10.0, 10.0),
+    (2, 16, 2**16, 16.0, 16.0),
+    (10, 4, 10**4, 10.0, 10.0),
 )
 
 
 def _type_ii(cfg: RunConfig, opts: SuiteOptions, rng, cell: tuple) -> list[BoundReport]:
-    pt, (g, L, x, theta, M, N) = cell
+    pt, (g, L, x, M, N) = cell
     pairs = [
         ("mobius-tail", mobius_coefficients(pt), mangoldt_tail_coefficients(pt, N / 2, x)),
         ("unimodular", unimodular_coefficients(1), unimodular_coefficients(2)),
@@ -492,7 +492,7 @@ def _type_ii(cfg: RunConfig, opts: SuiteOptions, rng, cell: tuple) -> list[Bound
     for sname, seed in _pick_seeds(pool, opts.seed_family):
         es = expsum_context(seed)
         for cname, a_coeff, b_coeff in pairs:
-            p = type_ii_params(es, L, float(x), M, N, theta, a_coeff, b_coeff)
+            p = type_ii_params(es, L, float(x), M, N, a_coeff, b_coeff)
             lhs = abs(type_ii_sum(es, p))
             shape = type_ii_bound_shape(es, p)
             out.append(

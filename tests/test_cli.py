@@ -619,26 +619,71 @@ UNWRITABLE_COMMANDS = [
 ]
 
 
+# what each command runs once its --out is accepted; one name per command
+WORK = {"census": "census_grid", "verify": "run_suite", "calibrate": "calibrate"}
+
+
 class TestUnwritableOut:
-    """An --out that cannot be written is a usage error, not a traceback."""
+    """An --out that cannot be written is a usage error, not a traceback,
+    and is refused before any sieve or suite runs."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        for name in ("build_table", *WORK.values()):
+            monkeypatch.setattr(cli, name, refuse)
 
     @pytest.mark.parametrize("argv", UNWRITABLE_COMMANDS, ids=lambda a: a[0])
-    def test_out_naming_a_directory(self, tmp_path, capsys, argv):
+    def test_out_naming_a_directory(self, tmp_path, capsys, no_work, argv):
         target = tmp_path / "reports"
         target.mkdir()
         assert main([*argv, "--out", str(target)]) == 1
-        assert capsys.readouterr().err.startswith(f"{argv[0]}: error: ")
+        assert capsys.readouterr().err == f"{argv[0]}: error: --out {target} is a directory\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["reports"]
         assert list(target.iterdir()) == []
 
     @pytest.mark.parametrize("argv", UNWRITABLE_COMMANDS, ids=lambda a: a[0])
-    def test_out_under_a_regular_file(self, tmp_path, capsys, argv):
+    def test_out_under_a_regular_file(self, tmp_path, capsys, no_work, argv):
         blocker = tmp_path / "blocker"
         blocker.write_text("keep\n")
-        assert main([*argv, "--out", str(blocker / "report.txt")]) == 1
-        assert capsys.readouterr().err.startswith(f"{argv[0]}: error: ")
+        for out in (blocker / "report.txt", blocker / "sub" / "sub" / "report.txt"):
+            assert main([*argv, "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"{argv[0]}: error: --out {out} runs through {blocker},")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
         assert blocker.read_text() == "keep\n"
+
+    @pytest.mark.parametrize("argv", UNWRITABLE_COMMANDS, ids=lambda a: a[0])
+    def test_empty_out(self, tmp_path, capsys, monkeypatch, no_work, argv):
+        # atomic_write would put the temp file of an empty path in the parent
+        # of the working directory
+        inner = tmp_path / "inner"
+        inner.mkdir()
+        monkeypatch.chdir(inner)
+        assert main([*argv, "--out", ""]) == 1
+        assert capsys.readouterr().err == f"{argv[0]}: error: --out names no file\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["inner"]
+        assert list(inner.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", UNWRITABLE_COMMANDS, ids=lambda a: a[0])
+    def test_out_turned_into_a_directory_during_the_run(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        # the check before the run cannot see a race; the write still fails cleanly
+        target = tmp_path / "reports"
+        empty = {"census": [], "verify": [], "calibrate": {}}[argv[0]]
+
+        def work(*args, **kwargs):
+            target.mkdir()
+            return empty
+
+        monkeypatch.setattr(cli, WORK[argv[0]], work)
+        assert main([*argv, "--out", str(target)]) == 1
+        assert capsys.readouterr().err.startswith(f"{argv[0]}: error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["reports"]
+        assert list(target.iterdir()) == []
 
 
 class TestReadme:

@@ -47,7 +47,7 @@ from revprime.expsum import (
     theta_i,
     theta_lower_bound,
 )
-from revprime.seeds import reverse_seed, sod_seed, table_seed, zero_seed
+from revprime.seeds import reverse_seed, sod_seed, table_seed
 
 
 def random_table(g, rng, depth=6):
@@ -57,7 +57,7 @@ def random_table(g, rng, depth=6):
 
 def seed_pool(g, rng):
     return [
-        zero_seed(g),
+        sod_seed(g, 0.0),
         sod_seed(g, 0.37),
         sod_seed(g, 1.0 / (g - 1)),
         reverse_seed(g, 8, 0.73),
@@ -144,24 +144,24 @@ class TestConstants:
 
     def test_context_rejects_base_mismatch(self):
         with pytest.raises(ValueError):
-            ExpSumContext(BaseContext(2), zero_seed(3))
+            ExpSumContext(BaseContext(2), sod_seed(3, 0.0))
 
 
 class TestPhi:
     def test_flat_peak(self):
         for g in (2, 3, 10):
-            es = expsum_context(zero_seed(g))
+            es = expsum_context(sod_seed(g, 0.0))
             assert phi(es, 0, 0, 0.0) == pytest.approx(g, rel=1e-12)
             assert phi(es, 5, 2, 1.0) == pytest.approx(g, rel=1e-12)
 
     def test_flat_zero_at_half(self):
-        es = expsum_context(zero_seed(2))
+        es = expsum_context(sod_seed(2, 0.0))
         assert abs(phi(es, 0, 0, 0.5)) < 1e-12
 
     def test_flat_matches_dirichlet_kernel(self):
         rng = np.random.default_rng(20260818)
         for g in (2, 3, 10):
-            es = expsum_context(zero_seed(g))
+            es = expsum_context(sod_seed(g, 0.0))
             for beta in rng.random(100):
                 want = abs(math.sin(math.pi * g * beta) / math.sin(math.pi * beta))
                 assert phi(es, 1, 4, float(beta)) == pytest.approx(want, rel=1e-9, abs=1e-9)
@@ -177,7 +177,7 @@ class TestPhi:
                     assert phi(es, 2, 1, float(beta) + 1.0) == pytest.approx(v, abs=1e-9)
 
     def test_rejects_negative_arguments(self):
-        es = expsum_context(zero_seed(2))
+        es = expsum_context(sod_seed(2, 0.0))
         with pytest.raises(ValueError):
             phi(es, -1, 0, 0.0)
         with pytest.raises(ValueError):
@@ -194,7 +194,7 @@ class TestFDirect:
 
     def test_flat_orthogonality(self):
         for g in (2, 3):
-            es = expsum_context(zero_seed(g))
+            es = expsum_context(sod_seed(g, 0.0))
             for lam in range(1, 6):
                 n = g**lam
                 for h in range(1, n):
@@ -210,13 +210,13 @@ class TestFDirect:
 
     def test_budget_refusal(self):
         # 2^20 terms is the budget itself, 2^21 one window past it
-        es = expsum_context(zero_seed(2))
+        es = expsum_context(sod_seed(2, 0.0))
         assert 2**20 == DIRECT_BUDGET
         assert F_direct(es, 20, 0, 0.0) == pytest.approx(1.0)
         with pytest.raises(CostBudgetError):
             F_direct(es, 21, 0, 0.0)
         with pytest.raises(CostBudgetError):
-            F_direct(expsum_context(zero_seed(3)), 13, 0, 0.0)
+            F_direct(expsum_context(sod_seed(3, 0.0)), 13, 0, 0.0)
 
     def test_plain_python_cross_check(self):
         # a third route with none of the vectorized machinery
@@ -370,7 +370,7 @@ class TestDecayBounds:
 class TestGammaSigma:
     def test_flat_weights_have_zero_weight(self):
         for g in (2, 3, 10):
-            es = expsum_context(zero_seed(g))
+            es = expsum_context(sod_seed(g, 0.0))
             for i in range(4):
                 assert gamma_i(es, i, 0) == 0.0
 
@@ -450,7 +450,7 @@ class TestGammaSigma:
                         assert gap == pytest.approx(gamma_i(es, 0, j), rel=1e-12, abs=1e-15)
 
     def test_flat_cumulative_is_zero(self):
-        es = expsum_context(zero_seed(5))
+        es = expsum_context(sod_seed(5, 0.0))
         assert sigma(es, 40, 3) == 0.0
 
 
@@ -641,12 +641,12 @@ class TestSigmaBlocks:
 
 class TestTheta:
     def test_flat_base_two_equals_floor(self):
-        es = expsum_context(zero_seed(2))
+        es = expsum_context(sod_seed(2, 0.0))
         assert theta_i(es, 0) == pytest.approx(theta_lower_bound(2), rel=1e-14)
 
     def test_flat_closed_form(self):
         for g in (3, 5, 10):
-            es = expsum_context(zero_seed(g))
+            es = expsum_context(sod_seed(g, 0.0))
             acc = sum((g - h) ** 2 for h in range(1, g))
             want = (1 - 1 / g) * (1 - math.sqrt(1 - 2 * acc / (g * g * (g - 1))))
             assert theta_i(es, 7) == pytest.approx(want, rel=1e-12)
@@ -683,7 +683,7 @@ class TestPsi:
             assert v == pytest.approx(psi(es, 1, float(t), 2, 3), rel=1e-12)
 
     def test_rejects_bad_arguments(self):
-        es = expsum_context(zero_seed(10))
+        es = expsum_context(sod_seed(10, 0.0))
         with pytest.raises(ValueError):
             psi(es, 0, 0.3, 3, 1)
         with pytest.raises(ValueError):
@@ -694,7 +694,7 @@ class TestPsi:
     def test_partial_depth_cap(self):
         rng = np.random.default_rng(15)
         for g in (6, 10, 12):
-            for s in (zero_seed(g), reverse_seed(g, 8, 0.73), random_table(g, rng)):
+            for s in (sod_seed(g, 0.0), reverse_seed(g, 8, 0.73), random_table(g, rng)):
                 es = expsum_context(s)
                 for R in divisors(g):
                     if R < 2:
@@ -708,7 +708,7 @@ class TestPsi:
     def test_full_depth_cap(self):
         rng = np.random.default_rng(16)
         for g in (6, 10, 12):
-            for s in (zero_seed(g), sod_seed(g, 0.37), random_table(g, rng)):
+            for s in (sod_seed(g, 0.0), sod_seed(g, 0.37), random_table(g, rng)):
                 es = expsum_context(s)
                 for i in (0, 2):
                     slack = 1 - theta_i(es, i)
@@ -722,7 +722,7 @@ class TestPsi:
         rng = np.random.default_rng(17)
         for g in (2, 6, 10, 12):
             eta = eta_tilde(g)
-            for s in (zero_seed(g), reverse_seed(g, 8, 0.73), random_table(g, rng)):
+            for s in (sod_seed(g, 0.0), reverse_seed(g, 8, 0.73), random_table(g, rng)):
                 es = expsum_context(s)
                 for R in divisors(g):
                     if R < 2:
@@ -841,7 +841,7 @@ class TestL1Moment:
 
     def test_flat_mass_concentrates(self):
         for g in (2, 3, 10):
-            es = expsum_context(zero_seed(g))
+            es = expsum_context(sod_seed(g, 0.0))
             v = l1_moment(es, 4, 0, 1, 0, 0, 0.0)
             assert v == pytest.approx(1.0, abs=1e-9)
             assert v <= g ** (eta_tilde(g) * 4 + 1)
@@ -861,7 +861,7 @@ class TestL1Moment:
                     assert got <= cap * (1 + 1e-9)
 
     def test_validation(self):
-        es = expsum_context(zero_seed(6))
+        es = expsum_context(sod_seed(6, 0.0))
         with pytest.raises(ValueError):
             l1_moment(es, 3, 0, 1, 4, 0, 0.0)
         with pytest.raises(ValueError):
@@ -918,7 +918,7 @@ class TestHybrid:
 
     def test_flat_geometric_oracle(self):
         for g, lam in ((2, 6), (3, 5)):
-            es = expsum_context(zero_seed(g))
+            es = expsum_context(sod_seed(g, 0.0))
             N = g**lam
             for M in (1.0, 1.5, 3.0, 4.7):
                 want = 0.0
@@ -957,7 +957,7 @@ class TestHybrid:
             assert math.isfinite(num / den)
 
     def test_rejects_tiny_scale(self):
-        es = expsum_context(zero_seed(2))
+        es = expsum_context(sod_seed(2, 0.0))
         with pytest.raises(ValueError):
             hybrid_sum(es, 3, 0, 0.5)
         with pytest.raises(ValueError):

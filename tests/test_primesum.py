@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from revprime.arith import build_table, mangoldt_tail, vaughan_arrays
 from revprime.basedigits import ilog
 from revprime.expsum import CostBudgetError, expsum_context, sigma
-from revprime.seeds import f_eval, reverse_seed, sod_seed, table_seed, zero_seed
+from revprime.seeds import f_eval, reverse_seed, sod_seed, table_seed
 from revprime import primesum as ps
 
 
@@ -126,7 +126,7 @@ class TestPhases:
         table = table_seed(g, rng.random((3, g)))
         assert table.frac_rows(0, L)[:, 0].any()
         n = np.array(values, dtype=np.int64)
-        for seed in (zero_seed(g), sod_seed(g, 0.37), reverse_seed(g, 9, 0.73), table):
+        for seed in (sod_seed(g, 0.0), sod_seed(g, 0.37), reverse_seed(g, 9, 0.73), table):
             got = unit_phases_at(seed, L, values)
             want = np.exp(2j * np.pi * digit_loop_phases(seed, L, values))
             assert got.tobytes() == want.tobytes()
@@ -245,13 +245,13 @@ class TestRowSumsEqualPerRowLoops:
             a, b = ps.mobius_coefficients(table), ps.mangoldt_tail_coefficients(table, N / 2, x)
         else:
             a, b = ps.unimodular_coefficients(1), ps.unimodular_coefficients(2)
-        p = ps.type_ii_params(es, L, float(x), M, N, 0.25, a, b)
+        p = ps.type_ii_params(es, L, float(x), M, N, a, b)
         assert sum_bits(ps.type_ii_sum(es, p)) == sum_bits(per_row_type_ii(es, p))
 
 
 class TestTypeI:
     def test_zero_seed_closed_form(self, table):
-        es = expsum_context(zero_seed(10))
+        es = expsum_context(sod_seed(10, 0.0))
         p = ps.type_i_params(es, 5, 10**4, 100.0)
         expect = sum(10**4 // m for m in range(1, 101))
         assert ps.type_i_sum(es, p) == pytest.approx(expect, abs=1e-9)
@@ -281,14 +281,13 @@ class TestTypeI:
     def test_params_fields(self):
         es = expsum_context(reverse_seed(2, 14, 0.73))
         p = ps.type_i_params(es, 14, 2.0**14, 2.0**7)
-        assert p.xi_I == 14
         assert p.kappa_I == pytest.approx(sigma(es, 14, 0), abs=0)
         assert ps.type_i_bound_shape(es, p) == pytest.approx(
             2.0**14 * 2.0 ** (-p.kappa_I) * math.log(2.0**14) ** 2
         )
 
     def test_validation(self):
-        es = expsum_context(zero_seed(10))
+        es = expsum_context(sod_seed(10, 0.0))
         with pytest.raises(ValueError):
             ps.type_i_params(es, 5, 10**4, 101.0)  # M above sqrt(x)
         with pytest.raises(ValueError):
@@ -306,15 +305,15 @@ class TestTypeII:
 
         es = expsum_context(sod_seed(10, 0.37))
         p = ps.type_ii_params(
-            es, 5, 10**4, 25.0, 25.0, 0.25,
+            es, 5, 10**4, 25.0, 25.0,
             zeros, zeros,
         )
         assert ps.type_ii_sum(es, p) == 0j
 
     def test_empty_box(self):
-        es = expsum_context(zero_seed(10))
+        es = expsum_context(sod_seed(10, 0.0))
         p = ps.type_ii_params(
-            es, 2, 100.0, 20.0, 20.0, 0.25,
+            es, 2, 100.0, 20.0, 20.0,
             ps.unimodular_coefficients(), ps.unimodular_coefficients(),
         )
         assert ps.type_ii_sum(es, p) == 0j
@@ -323,10 +322,10 @@ class TestTypeII:
         x = 10**4
         z = x**0.25
         logx = math.log(x)
-        for seed in (zero_seed(10), sod_seed(10, 0.37)):
+        for seed in (sod_seed(10, 0.0), sod_seed(10, 0.37)):
             es = expsum_context(seed)
             p = ps.type_ii_params(
-                es, 5, float(x), 30.0, 40.0, 0.25,
+                es, 5, float(x), 30.0, 40.0,
                 ps.mobius_coefficients(table),
                 ps.mangoldt_tail_coefficients(table, z, x),
             )
@@ -383,34 +382,53 @@ class TestTypeII:
         es = expsum_context(reverse_seed(2, 16, 0.73))
         x = 2.0**16
         p = ps.type_ii_params(
-            es, 16, x, 2.0**5, 2.0**7, 0.25,
+            es, 16, x, 2.0**5, 2.0**7,
             ps.unimodular_coefficients(), ps.unimodular_coefficients(),
         )
+        assert (p.L, p.x, p.M, p.N) == (16, x, 2.0**5, 2.0**7)
         assert p.xi_II == 4
         assert p.kappa_II == pytest.approx(sigma(es, 4, 0) / 10.0, abs=0)
-        assert p.R == pytest.approx(2.0 ** (2.0 * p.kappa_II), abs=0)
-        g = 2
-        assert g ** (p.lam - 1) <= p.M * p.R**2 < g**p.lam
-        assert g ** (p.mu - 1) <= p.M < g**p.mu
+        assert ps.type_ii_bound_shape(es, p) == x * 2.0 ** (-p.kappa_II) * math.log(x)
 
-    def test_theta_boundary_exact(self):
-        # clean power: x = g^8 and theta = 1/4 must land on exponent 2
-        assert ps._theta_ilog(3**8, 3, 0.25) == 2
-        assert ps._theta_ilog(3**8 - 1, 3, 0.25) == 1
-        assert ps._theta_ilog(10**4, 10, 0.25) == 1
-        assert ps._theta_ilog(10**8, 10, 0.5) == 4
+    def test_one_decay_exponent(self, table):
+        # Type II and the prime sum read one (xi, kappa): xi is the largest
+        # k with g^(4k) <= x, found here by brute force, at and around every
+        # power g^(4k) the table reaches and at non-integral x between them
+        def brute_xi(g, x):
+            k = 0
+            while g ** (4 * (k + 1)) <= x:
+                k += 1
+            return k
+
+        ok = ps.unimodular_coefficients()
+        cases = []
+        for g in (2, 3, 10):
+            cases += [(g, x) for x in (2.0, 2.5, 15.75, 4000.4)]
+            for k in range(1, 6):
+                power = g ** (4 * k)
+                if power + 1 <= table.limit:
+                    near = (power - 1, power, power + 1, power - 0.5, power + 0.5)
+                    cases += [(g, x) for x in near]
+        for g, x in cases:
+            L = ilog(x, g) + 1
+            es = expsum_context(reverse_seed(g, L, 0.73))
+            corner = max(1.0, math.ceil(x**0.25))
+            p = ps.type_ii_params(es, L, float(x), corner, corner, ok, ok)
+            res = ps.prime_exp_sum(es, L, float(x), table)
+            assert p.xi_II == res.xi == brute_xi(g, x), (g, x)
+            assert p.kappa_II == res.kappa == sigma(es, res.xi, 0) / 10.0, (g, x)
 
     def test_validation(self):
-        es = expsum_context(zero_seed(10))
+        es = expsum_context(sod_seed(10, 0.0))
         ok = ps.unimodular_coefficients()
         with pytest.raises(ValueError):
-            ps.type_ii_params(es, 5, 10**4, 5.0, 25.0, 0.25, ok, ok)
+            ps.type_ii_params(es, 5, 10**4, 5.0, 25.0, ok, ok)
         with pytest.raises(ValueError):
-            ps.type_ii_params(es, 5, 10**4, 25.0, 25.0, 0.0, ok, ok)
+            ps.type_ii_params(es, 2, 101.0, 25.0, 25.0, ok, ok)
         with pytest.raises(ValueError):
-            ps.type_ii_params(es, 2, 101.0, 25.0, 25.0, 0.25, ok, ok)
+            ps.type_ii_params(es, 5, 1.5, 25.0, 25.0, ok, ok)
         with pytest.raises(CostBudgetError):
-            ps.type_ii_params(es, 12, 2 * 10**6, 2000.0, 2000.0, 0.25, ok, ok)
+            ps.type_ii_params(es, 12, 2 * 10**6, 2000.0, 2000.0, ok, ok)
 
 
 def per_pair_truncation(es, M, N, r, L, lam):
@@ -620,7 +638,7 @@ def four_term_route(es, L, x, z, pt):
 
 class TestPrimeSum:
     def test_zero_seed_is_chebyshev(self, table):
-        es = expsum_context(zero_seed(10))
+        es = expsum_context(sod_seed(10, 0.0))
         result = ps.prime_exp_sum(es, 5, 10**4, table)
         psi = sum(table.mangoldt(n) for n in range(2, 10**4 + 1))
         assert result.S == pytest.approx(psi, abs=1e-8)
@@ -641,17 +659,15 @@ class TestPrimeSum:
         assert result.xi == ilog(2**14, 2) // 4
         assert result.kappa == pytest.approx(sigma(es, result.xi, 0) / 10.0, abs=0)
         assert result.kappa <= result.xi / 20.0 + 1e-12
-        assert result.z == pytest.approx((2.0**14) ** 0.25)
         expect_shape = 2.0**14 * 2.0 ** (-result.kappa) * math.log(2.0**14) ** 4
         assert result.bound_shape == pytest.approx(expect_shape, abs=0)
-        assert result.ratio == pytest.approx(abs(result.S) / expect_shape, abs=0)
 
     def test_four_term_route_agrees(self, table):
         cases = [
-            (zero_seed(2), 2, 11, 2**11),
+            (sod_seed(2, 0.0), 2, 11, 2**11),
             (sod_seed(2, 0.37), 2, 11, 2**11),
             (reverse_seed(2, 11, 0.73), 2, 11, 2**11),
-            (zero_seed(10), 10, 4, 3000),
+            (sod_seed(10, 0.0), 10, 4, 3000),
             (sod_seed(10, 0.37), 10, 4, 3000),
             (reverse_seed(10, 4, 0.37), 10, 4, 3000),
         ]
@@ -662,11 +678,15 @@ class TestPrimeSum:
             assert abs(S - other) <= 1e-6 * max(1.0, abs(S)), (seed, x)
 
     def test_validation(self, table):
-        es = expsum_context(zero_seed(10))
+        es = expsum_context(sod_seed(10, 0.0))
         with pytest.raises(ValueError):
             ps.prime_exp_sum(es, 3, 2000.0, table)  # x > g^L
         with pytest.raises(ValueError):
             ps.prime_exp_sum(es, 7, 2 * 10**5, table)  # beyond sieve
+        with pytest.raises(ValueError):
+            ps.prime_exp_sum(es, 7, 2 * 10**6, table)  # beyond sieve and budget
+        with pytest.raises(CostBudgetError):
+            ps.prime_exp_sum(es, 7, 2 * 10**6, build_table(2 * 10**6))
         small = build_table(100)
         with pytest.raises(ValueError):
             ps.prime_exp_sum(es, 5, 200.0, small)

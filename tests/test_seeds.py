@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revprime.basedigits import BaseContext, reverse_relative
-from revprime.seeds import f_eval, reverse_seed, sod_seed, table_seed, zero_seed
+from revprime.seeds import f_eval, reverse_seed, sod_seed, table_seed
 
 
 def random_table(g, positions, rng):
@@ -18,9 +18,15 @@ def random_table(g, positions, rng):
 
 class TestFamilies:
     def test_zero(self):
-        s = zero_seed(5)
+        # the zero family is the digit sum at scale 0: every weight, reduced
+        # weight and row entry is +0.0, sign bit included
+        s = sod_seed(5, 0.0)
         assert s.eval(3, 4) == 0.0
         assert f_eval(s, 10, 2, 123456) == 0.0
+        values = [s.eval(i, d) for i in range(4) for d in range(5)]
+        values += [s.frac(i, d) for i in range(4) for d in range(5)]
+        values += s.frac_rows(2, 4).ravel().tolist()
+        assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in values)
 
     def test_sod_is_scaled_digit_sum(self):
         s = sod_seed(10, 1.0)
@@ -65,7 +71,7 @@ class TestFamilies:
 
     def test_digit_range_checked(self):
         with pytest.raises(ValueError):
-            zero_seed(3).eval(0, 3)
+            sod_seed(3, 0.0).eval(0, 3)
         with pytest.raises(ValueError):
             sod_seed(3, 1.0).eval(-1, 0)
 
@@ -135,7 +141,7 @@ class TestFEval:
                                 assert abs(whole - parts) <= 1e-12 * (1 + abs(whole))
 
     def test_domain_checks(self):
-        s = zero_seed(2)
+        s = sod_seed(2, 0.0)
         with pytest.raises(ValueError):
             f_eval(s, -1, 0, 0)
         with pytest.raises(ValueError):
@@ -161,7 +167,7 @@ class TestFrac:
     def test_frac_rows_agree_with_frac(self):
         rng = np.random.default_rng(11)
         seeds = [
-            zero_seed(4),
+            sod_seed(4, 0.0),
             sod_seed(4, 0.77),
             reverse_seed(4, 9, 0.31),
             random_table(4, 6, rng),

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 from dataclasses import fields, replace
 
@@ -214,6 +215,13 @@ class TestReportBytes:
             assert [r.to_dict() for r in parallel] == [
                 r.to_dict() for r in small_reports[name]
             ], name
+
+    def test_reports_are_plain_json(self, small_reports):
+        # json.dumps needs no default: passed is a bool, never a numpy bool
+        for name, reports in small_reports.items():
+            for r in reports:
+                assert type(r.passed) is bool, (name, r.params)
+                json.dumps(r.to_dict())
 
     def test_report_lines_are_pinned(self, small_reports):
         got = {}
