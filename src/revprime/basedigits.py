@@ -7,18 +7,18 @@ digit-length decisions.  reverse_array is the vectorized window reversal: it
 reverses a block of k digits per step through one table of g^k <= 2^12
 entries.  The scalar functions are the oracles it is tested against.
 Powers of g live here too: ilog is the exact g-adic length and
-power_residues the exact ladder num*g^i mod den.
+power_residues the exact ladder num*g^i mod den.  check_base is the one
+check of a base, shared by the reversals and the seeds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "BaseContext",
+    "check_base",
     "reverse",
     "reverse_relative",
     "reverse_array",
@@ -28,18 +28,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BaseContext:
-    """An integer base g >= 2."""
-
-    g: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.g, int) or self.g < 2:
-            raise ValueError(f"base must be an integer >= 2, got {self.g!r}")
+def check_base(g) -> None:
+    """Raise ValueError unless g is an integer base g >= 2."""
+    if not isinstance(g, int) or g < 2:
+        raise ValueError(f"base must be an integer >= 2, got {g!r}")
 
 
-def reverse(n: int, ctx: BaseContext) -> int:
+def reverse(n: int, g: int) -> int:
     """Digit reversal of n in base g; maps 0 to 0.
 
     Leading zeros of n (there are none) and trailing zeros of n collapse,
@@ -47,9 +42,9 @@ def reverse(n: int, ctx: BaseContext) -> int:
     least significant digit is nonzero.  On an n with exactly L digits it
     is reverse_array with window L.
     """
+    check_base(g)
     if n < 0:
         raise ValueError("reverse is defined for nonnegative integers")
-    g = ctx.g
     out = 0
     while n:
         n, d = divmod(n, g)
@@ -57,7 +52,7 @@ def reverse(n: int, ctx: BaseContext) -> int:
     return out
 
 
-def reverse_relative(n: int, L: int, ctx: BaseContext) -> int:
+def reverse_relative(n: int, L: int, g: int) -> int:
     """Reversal of n within a window of L digit positions.
 
     Digit i of n (i < L) lands at position L-1-i; digits at positions
@@ -65,11 +60,11 @@ def reverse_relative(n: int, L: int, ctx: BaseContext) -> int:
     plain reverse; shorter n pick up the factor g^(L - len(n)).  The
     oracle of reverse_array.
     """
+    check_base(g)
     if n < 0:
         raise ValueError("reverse_relative is defined for nonnegative integers")
     if L < 0:
         raise ValueError("window length must be nonnegative")
-    g = ctx.g
     out = 0
     for _ in range(L):
         n, d = divmod(n, g)
@@ -112,8 +107,7 @@ def reverse_array(values, g: int, L: int) -> np.ndarray:
     negative entries and whenever a result could exceed int64:
     g^L > 2^63 - 1.
     """
-    if not isinstance(g, int) or g < 2:
-        raise ValueError(f"base must be an integer >= 2, got {g!r}")
+    check_base(g)
     if L < 0:
         raise ValueError("window length must be nonnegative")
     arr = np.asarray(values)

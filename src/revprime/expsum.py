@@ -24,21 +24,20 @@ with g^lam.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .basedigits import BaseContext, ilog, power_residues
+from .basedigits import ilog, power_residues
 from .seeds import Seed, reverse_seed
 
 __all__ = [
     "CostBudgetError",
     "DIRECT_BUDGET",
-    "ExpSumContext",
     "BoundReport",
     "make_report",
-    "expsum_context",
     "theta_lower_bound",
     "eta_tilde",
     "omega_exponent",
@@ -111,24 +110,6 @@ def gamma_upper_bound(g: int) -> float:
 
 
 @dataclass(frozen=True)
-class ExpSumContext:
-    """A base, a seed over that base, and the seed's decay-weight cache."""
-
-    ctx: BaseContext
-    seed: Seed
-    _gamma_cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.seed.base != self.ctx.g:
-            raise ValueError("seed base does not match context base")
-
-
-def expsum_context(seed: Seed) -> ExpSumContext:
-    """Context for a seed over its own base."""
-    return ExpSumContext(BaseContext(seed.base), seed)
-
-
-@dataclass(frozen=True)
 class BoundReport:
     """One verified inequality: lhs against rhs with slack 1e-9."""
 
@@ -174,7 +155,7 @@ def _phi_sums(rows: np.ndarray, t: float | np.ndarray) -> np.ndarray:
     return total
 
 
-def phi(es: ExpSumContext, i: int, j: int, beta: float) -> float:
+def phi(seed: Seed, i: int, j: int, beta: float) -> float:
     """Single-position sum |sum_{d<g} e(weight(i+j, d) - beta*d)|.
 
     Lies in [0, g] and has period 1 in beta.  It is the scalar oracle of
@@ -182,7 +163,7 @@ def phi(es: ExpSumContext, i: int, j: int, beta: float) -> float:
     """
     if i < 0 or j < 0:
         raise ValueError("position and shift must be nonnegative")
-    row = es.seed.frac_rows(i + j, 1)[0]
+    row = seed.frac_rows(i + j, 1)[0]
     return abs(complex(_phi_sums(row, beta % 1.0)))
 
 
@@ -217,7 +198,7 @@ def _phase_tree(tab: np.ndarray, g: int, top: int) -> np.ndarray:
     return np.resize(phase, top + 1)
 
 
-def F_direct(es: ExpSumContext, lam: int, j: int, beta: float) -> complex:
+def F_direct(seed: Seed, lam: int, j: int, beta: float) -> complex:
     """Full-period average computed term by term; costs g^lam evaluations.
 
     Refuses windows with more than DIRECT_BUDGET terms.  The beta*n
@@ -226,14 +207,14 @@ def F_direct(es: ExpSumContext, lam: int, j: int, beta: float) -> complex:
     """
     if lam < 0 or j < 0:
         raise ValueError("window and shift must be nonnegative")
-    g = es.ctx.g
+    g = seed.base
     n_total = g**lam
     if n_total > DIRECT_BUDGET:
         raise CostBudgetError(
             f"direct evaluation needs {n_total} terms, budget is {DIRECT_BUDGET}"
         )
     bhi, blo = _split26(beta % 1.0)
-    phase = _phase_tree(es.seed.frac_rows(j, lam), g, n_total - 1)
+    phase = _phase_tree(seed.frac_rows(j, lam), g, n_total - 1)
     nf = np.arange(n_total, dtype=np.float64)
     phase -= np.mod(bhi * nf, 1.0) + blo * nf
     # the exponentials overwrite their arguments: one complex buffer
@@ -243,7 +224,7 @@ def F_direct(es: ExpSumContext, lam: int, j: int, beta: float) -> complex:
 
 
 def F_abs_product(
-    es: ExpSumContext, lam: int, j: int, beta: float | np.ndarray
+    seed: Seed, lam: int, j: int, beta: float | np.ndarray
 ) -> float | np.ndarray:
     """|F| via the position-product identity: one row sum per position.
 
@@ -252,8 +233,8 @@ def F_abs_product(
     """
     if lam < 0 or j < 0:
         raise ValueError("window and shift must be nonnegative")
-    g = es.ctx.g
-    tab = es.seed.frac_rows(j, lam)
+    g = seed.base
+    tab = seed.frac_rows(j, lam)
     betas = np.asarray(beta, dtype=np.float64)
     args = np.empty((lam, betas.size), dtype=np.float64)
     for col, b in enumerate(betas.ravel().tolist()):
@@ -275,7 +256,7 @@ def F_abs_product(
 
 
 def _progression_abs(
-    es: ExpSumContext, lam: int, j: int, step: int, a: int, beta: float | np.ndarray
+    seed: Seed, lam: int, j: int, step: int, a: int, beta: float | np.ndarray
 ) -> np.ndarray:
     """|F((h + beta)/g^lam)| for h = a, a + step, ... below g^lam.
 
@@ -286,10 +267,10 @@ def _progression_abs(
     with integer mods before any division.  An array beta gives one row
     of points per entry, shape beta.shape + (points,).
     """
-    g = es.ctx.g
+    g = seed.base
     betas = np.mod(np.asarray(beta, dtype=np.float64), 1.0)[..., None]
     h = np.arange(a, g**lam, step, dtype=np.int64)
-    tab = es.seed.frac_rows(j, lam)
+    tab = seed.frac_rows(j, lam)
     acc = np.ones(betas.shape[:-1] + h.shape, dtype=np.float64)
     for i in range(lam):
         m = g ** (lam - i)
@@ -299,35 +280,46 @@ def _progression_abs(
     return acc
 
 
-def gamma_i(es: ExpSumContext, i: int, j: int) -> float:
+def gamma_i(seed: Seed, i: int, j: int) -> float:
     """Decay weight of position i+j: scaled pairwise digit separation.
 
     Always in [0, log 2 / (4 g^3 (log g)^2)), hence below 1/20.
     """
     if i < 0 or j < 0:
         raise ValueError("position and shift must be nonnegative")
-    p = i + j
-    cached = es._gamma_cache.get(p)
+    return _gamma(seed, i + j, _memo(seed))
+
+
+def sigma(seed: Seed, lam: int, j: int) -> float:
+    """Cumulative decay weight over positions j .. j+lam-1; at most lam/20."""
+    if lam < 0 or j < 0:
+        raise ValueError("window and shift must be nonnegative")
+    memo = _memo(seed)
+    return sum(_gamma(seed, p, memo) for p in range(j, j + lam))
+
+
+# Seeds are frozen and hashable, and a weight is a pure function of the
+# seed and the position, so seeds that compare equal share one memo.
+# sigma hashes its seed once per call, not once per position.
+@lru_cache(maxsize=1 << 8)
+def _memo(seed: Seed) -> dict[int, float]:
+    return {}
+
+
+def _gamma(seed: Seed, p: int, memo: dict[int, float]) -> float:
+    cached = memo.get(p)
     if cached is not None:
         return cached
-    g = es.ctx.g
-    rows = es.seed.frac_rows(p, 2)
+    g = seed.base
+    rows = seed.frac_rows(p, 2)
     v = [g * rows[0][d] - rows[1][d] for d in range(g)]
     total = 0.0
     for m in range(g):
         for n in range(m + 1, g):
             u = (v[m] - v[n]) % 1.0
             total += min(u, 1.0 - u) ** 2
-    value = gamma_coefficient(g) * total
-    es._gamma_cache[p] = value
+    value = memo[p] = gamma_coefficient(g) * total
     return value
-
-
-def sigma(es: ExpSumContext, lam: int, j: int) -> float:
-    """Cumulative decay weight over positions j .. j+lam-1; at most lam/20."""
-    if lam < 0 or j < 0:
-        raise ValueError("window and shift must be nonnegative")
-    return sum(gamma_i(es, i, j) for i in range(lam))
 
 
 class DegenerateSeedError(ValueError):
@@ -390,9 +382,9 @@ def sigma_lower_blocks(g: int, L: int, lam: int, alpha) -> BoundReport:
             "sigma_hat": float(sigma_hat), "J": J, "K": K,
         },
     )
-    es = expsum_context(reverse_seed(g, L, Fraction(alpha)))
+    seed = reverse_seed(g, L, Fraction(alpha))
     floor = gamma_coefficient(g) / g**2 * blocked
-    got = sigma(es, lam, 0)
+    got = sigma(seed, lam, 0)
     if got + 1e-12 < floor:
         raise RuntimeError(
             f"cumulative decay weight {got} under its blocked floor {floor}"
@@ -400,15 +392,15 @@ def sigma_lower_blocks(g: int, L: int, lam: int, alpha) -> BoundReport:
     return report
 
 
-def theta_i(es: ExpSumContext, i: int) -> float:
+def theta_i(seed: Seed, i: int) -> float:
     """Autocorrelation defect of the weight row at position i.
 
     At least theta_lower_bound(g) for every seed and position.
     """
     if i < 0:
         raise ValueError("position must be nonnegative")
-    g = es.ctx.g
-    row = es.seed.frac_rows(i, 1)[0]
+    g = seed.base
+    row = seed.frac_rows(i, 1)[0]
     acc = 0.0
     for h in range(1, g):
         c = 0j
@@ -421,18 +413,18 @@ def theta_i(es: ExpSumContext, i: int) -> float:
     return (1.0 - 1.0 / g) * (1.0 - math.sqrt(inner))
 
 
-def psi(es: ExpSumContext, i: int, t, R: int, S: int):
+def psi(seed: Seed, i: int, t, R: int, S: int):
     """Divisor-pair average of two adjacent single-position sums.
 
     R and S must divide the base.  Normalized by g^2; the sampling offset
     t may be a scalar or an array (one average per entry).
     """
-    g = es.ctx.g
+    g = seed.base
     if R < 1 or S < 1 or g % R or g % S:
         raise ValueError(f"R and S must divide the base {g}")
     if i < 0:
         raise ValueError("position must be nonnegative")
-    rows = es.seed.frac_rows(i, 2)
+    rows = seed.frac_rows(i, 2)
     tarr = np.asarray(t, dtype=np.float64)
     # u[r] = (t + r)/(RS); every (r, s) sum in one call, then the sums of
     # each r added over s in order, as the per-(r, s) loop adds them
@@ -464,17 +456,17 @@ def _validate_l1(g: int, lam: int, k: int, delta: int) -> None:
 
 
 def l1_moment(
-    es: ExpSumContext, lam: int, j: int, k: int, delta: int, a: int, beta: float | np.ndarray
+    seed: Seed, lam: int, j: int, k: int, delta: int, a: int, beta: float | np.ndarray
 ) -> float | np.ndarray:
     """Sum of |F((h + beta)/g^lam)| over h = a mod k*g^delta in [0, g^lam).
 
     beta may be a scalar or an array (one moment per entry, each summed
     on its own as a scalar call sums it).
     """
-    g = es.ctx.g
+    g = seed.base
     _validate_l1(g, lam, k, delta)
     step = k * g**delta
-    acc = _progression_abs(es, lam, j, step, a % step, beta)
+    acc = _progression_abs(seed, lam, j, step, a % step, beta)
     if acc.ndim == 1:
         return float(acc.sum())
     sums = np.array([row.sum() for row in acc.reshape(-1, acc.shape[-1])])
@@ -482,34 +474,34 @@ def l1_moment(
 
 
 def l1_moment_bound(
-    es: ExpSumContext, lam: int, j: int, k: int, delta: int, a: int, beta: float | np.ndarray
+    seed: Seed, lam: int, j: int, k: int, delta: int, a: int, beta: float | np.ndarray
 ) -> float | np.ndarray:
     """Progression-moment ceiling: g * (g^lam/(k g^delta))^eta * |F| at scale delta.
 
     beta may be a scalar or an array (one ceiling per entry).
     """
-    g = es.ctx.g
+    g = seed.base
     _validate_l1(g, lam, k, delta)
     step = k * g**delta
     a %= step
     eta = eta_tilde(g)
-    tail = F_abs_product(es, delta, j + lam - delta, (a + np.mod(beta, 1.0)) / g**delta)
+    tail = F_abs_product(seed, delta, j + lam - delta, (a + np.mod(beta, 1.0)) / g**delta)
     return g * (g**lam / step) ** eta * tail
 
 
-def hybrid_sum(es: ExpSumContext, lam: int, j: int, M: float) -> float:
+def hybrid_sum(seed: Seed, lam: int, j: int, M: float) -> float:
     """Sum of |F(k/m)| over reduced fractions with m in [M, 2M)."""
     if M < 1:
         raise ValueError("M must be at least 1")
     total = 0.0
     for m in range(math.ceil(M), math.ceil(2 * M)):
         ks = np.array([k for k in range(m) if math.gcd(k, m) == 1], dtype=np.int64)
-        for v in F_abs_product(es, lam, j, ks / m).tolist():
+        for v in F_abs_product(seed, lam, j, ks / m).tolist():
             total += v
     return total
 
 
-def hybrid_bound_shape(es: ExpSumContext, lam: int, j: int, M: float) -> float:
+def hybrid_bound_shape(seed: Seed, lam: int, j: int, M: float) -> float:
     """Two-branch envelope for hybrid_sum, split on window length.
 
     Short windows pay the full length at the eta exponent; long windows
@@ -517,10 +509,10 @@ def hybrid_bound_shape(es: ExpSumContext, lam: int, j: int, M: float) -> float:
     """
     if M < 1:
         raise ValueError("M must be at least 1")
-    g = es.ctx.g
+    g = seed.base
     eta = eta_tilde(g)
     mu = ilog(M, g)
     if 2 * mu <= lam:
-        expo = (0.5 - eta) * 2 * mu + sigma(es, lam - 2 * mu, j + 2 * mu)
+        expo = (0.5 - eta) * 2 * mu + sigma(seed, lam - 2 * mu, j + 2 * mu)
         return M * g**-expo
     return M * M * g ** (-(1.0 - eta) * lam)

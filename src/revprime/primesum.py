@@ -23,11 +23,11 @@ from .basedigits import dist, ilog
 from .expsum import (
     BoundReport,
     CostBudgetError,
-    ExpSumContext,
     _phase_tree,
     make_report,
     sigma,
 )
+from .seeds import Seed
 
 __all__ = [
     "X_BUDGET",
@@ -55,13 +55,13 @@ X_BUDGET = 10**6
 Coefficients = Callable[[np.ndarray], np.ndarray]
 
 
-def _unit_phases(es: ExpSumContext, L: int, top: int) -> np.ndarray:
+def _unit_phases(seed: Seed, L: int, top: int) -> np.ndarray:
     """e(phase(n)) for every 0 <= n <= top, from expsum's digit-phase tree.
 
     Digits at or beyond L are ignored, matching the finite window of the
     phase function: the table has period g^L.
     """
-    return np.exp(2j * np.pi * _phase_tree(es.seed.frac_rows(0, L), es.ctx.g, top))
+    return np.exp(2j * np.pi * _phase_tree(seed.frac_rows(0, L), seed.base, top))
 
 
 def _row_sums(table, a, m_first, b, n_lo, n_cap, top) -> list[complex]:
@@ -83,22 +83,22 @@ def _row_sums(table, a, m_first, b, n_lo, n_cap, top) -> list[complex]:
     return parts
 
 
-def _check_window(es: ExpSumContext, L: int, x: float) -> None:
+def _check_window(seed: Seed, L: int, x: float) -> None:
     """x must lie in [2, g^L] and within the enumeration budget."""
-    g = es.ctx.g
+    g = seed.base
     if not 2 <= x <= g**L:
         raise ValueError(f"need 2 <= x <= {g}^{L}")
     if x > X_BUDGET:
         raise CostBudgetError(f"x = {x} beyond enumeration budget {X_BUDGET}")
 
 
-def _decay(es: ExpSumContext, x: float) -> tuple[int, float]:
+def _decay(seed: Seed, x: float) -> tuple[int, float]:
     """Decay exponent shared by the Type II and prime sums, whose split is at x^(1/4).
 
     xi is the largest k with g^k <= x^(1/4), that is g^(4k) <= floor(x).
     """
-    xi = ilog(x, es.ctx.g) // 4
-    return xi, sigma(es, xi, 0) / 10.0
+    xi = ilog(x, seed.base) // 4
+    return xi, sigma(seed, xi, 0) / 10.0
 
 
 @dataclass(frozen=True)
@@ -111,23 +111,23 @@ class TypeIParams:
     kappa_I: float
 
 
-def type_i_params(es: ExpSumContext, L: int, x: float, M: float) -> TypeIParams:
-    _check_window(es, L, x)
+def type_i_params(seed: Seed, L: int, x: float, M: float) -> TypeIParams:
+    _check_window(seed, L, x)
     if not M > 0:
         raise ValueError("progression count M must be positive")
     if M * M > x * (1.0 + 1e-12):
         raise ValueError("M must stay at or below sqrt(x)")
-    return TypeIParams(L, x, M, sigma(es, ilog(x, es.ctx.g), 0))
+    return TypeIParams(L, x, M, sigma(seed, ilog(x, seed.base), 0))
 
 
-def type_i_sum(es: ExpSumContext, p: TypeIParams) -> float:
+def type_i_sum(seed: Seed, p: TypeIParams) -> float:
     """Sum over m <= M of the exact prefix supremum of the phase sum.
 
     The supremum over real cutoffs t in [1, x/m] is attained at integer
     prefixes, so a running cumulative maximum evaluates it exactly.
     """
     top = math.floor(p.x)
-    table = _unit_phases(es, p.L, top)
+    table = _unit_phases(seed, p.L, top)
     parts = []
     for m in range(1, math.floor(p.M) + 1):
         prefix = np.cumsum(table[m : m * (top // m) + 1 : m])
@@ -135,9 +135,9 @@ def type_i_sum(es: ExpSumContext, p: TypeIParams) -> float:
     return math.fsum(parts)
 
 
-def type_i_bound_shape(es: ExpSumContext, p: TypeIParams) -> float:
+def type_i_bound_shape(seed: Seed, p: TypeIParams) -> float:
     """x * g^(-kappa_I) * (log x)^2, the bound up to its calibrated constant."""
-    return p.x * es.ctx.g ** (-p.kappa_I) * math.log(p.x) ** 2
+    return p.x * seed.base ** (-p.kappa_I) * math.log(p.x) ** 2
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,7 @@ class TypeIIParams:
 
 
 def type_ii_params(
-    es: ExpSumContext,
+    seed: Seed,
     L: int,
     x: float,
     M: float,
@@ -163,17 +163,17 @@ def type_ii_params(
     a_coeff: Coefficients,
     b_coeff: Coefficients,
 ) -> TypeIIParams:
-    _check_window(es, L, x)
+    _check_window(seed, L, x)
     if min(M, N) < 1:
         raise ValueError("box corners must be at least 1")
     floor_corner = x**0.25 * (1.0 - 1e-12)
     if M < floor_corner or N < floor_corner:
         raise ValueError("box corners must be at least x^(1/4)")
-    xi, kappa = _decay(es, x)
+    xi, kappa = _decay(seed, x)
     return TypeIIParams(L, x, M, N, a_coeff, b_coeff, xi, kappa)
 
 
-def type_ii_sum(es: ExpSumContext, p: TypeIIParams) -> complex:
+def type_ii_sum(seed: Seed, p: TypeIIParams) -> complex:
     """Bilinear sum of a(m) b(n) e(phase(mn)) over the box, mn <= x.
 
     Rows are reduced with numpy's pairwise summation and collected in
@@ -188,15 +188,15 @@ def type_ii_sum(es: ExpSumContext, p: TypeIIParams) -> complex:
         return 0j
     a = np.asarray(p.a_coeff(np.arange(m_first, m_last + 1, dtype=np.int64)), np.complex128)
     b = np.asarray(p.b_coeff(np.arange(n_lo + 1, n_cap + 1, dtype=np.int64)), np.complex128)
-    parts = _row_sums(_unit_phases(es, p.L, top), a, m_first, b, n_lo, n_cap, top)
+    parts = _row_sums(_unit_phases(seed, p.L, top), a, m_first, b, n_lo, n_cap, top)
     if not parts:
         return 0j
     return complex(np.sum(np.asarray(parts, dtype=np.complex128)))
 
 
-def type_ii_bound_shape(es: ExpSumContext, p: TypeIIParams) -> float:
+def type_ii_bound_shape(seed: Seed, p: TypeIIParams) -> float:
     """x * g^(-kappa_II) * log x, the bound up to its calibrated constant."""
-    return p.x * es.ctx.g ** (-p.kappa_II) * math.log(p.x)
+    return p.x * seed.base ** (-p.kappa_II) * math.log(p.x)
 
 
 def mobius_coefficients(pt: PrimeTable) -> Coefficients:
@@ -248,7 +248,7 @@ def unimodular_coefficients(salt: int = 0) -> Coefficients:
 
 
 def truncation_set_size(
-    es: ExpSumContext,
+    seed: Seed,
     M: float,
     N: float,
     R: float,
@@ -267,7 +267,7 @@ def truncation_set_size(
     inside (mn, m(n+r)]), raising at the first pair in (m, n) order where
     containment fails; returns (member count, superset count).
     """
-    g = es.ctx.g
+    g = seed.base
     if min(M, N, R) < 1:
         raise ValueError("M, N, R must be at least 1")
     if not 0 <= r <= R:
@@ -279,7 +279,7 @@ def truncation_set_size(
     if R * R > N * (1.0 + 1e-12):
         raise ValueError("R must stay at or below sqrt(N)")
     glam = g**lam
-    weights = [[Fraction(w) for w in row] for row in es.seed.frac_rows(0, L)[lam:]]
+    weights = [[Fraction(w) for w in row] for row in seed.frac_rows(0, L)[lam:]]
     m = np.arange(math.floor(M) + 1, math.floor(2.0 * M) + 1, dtype=np.int64)[:, None]
     n = np.arange(math.floor(N) + 1, math.floor(2.0 * N) + 1, dtype=np.int64)
     low, high = m * n // glam, m * (n + r) // glam
@@ -366,7 +366,7 @@ class PrimeSumResult:
 
 
 def prime_exp_sum(
-    es: ExpSumContext, L: int, x: float, pt: PrimeTable
+    seed: Seed, L: int, x: float, pt: PrimeTable
 ) -> PrimeSumResult:
     """Sum of Lambda(n) e(phase(n)) for n <= x, with its decay exponent.
 
@@ -375,12 +375,12 @@ def prime_exp_sum(
     """
     if x > pt.limit:  # before the budget check: past both is a ValueError
         raise ValueError(f"x = {x} beyond sieve limit {pt.limit}")
-    _check_window(es, L, x)
+    _check_window(seed, L, x)
     top = math.floor(x)
-    table = _unit_phases(es, L, top)
+    table = _unit_phases(seed, L, top)
     S = complex(np.sum(mangoldt_array(pt, top)[2:] * table[2:]))
-    xi, kappa = _decay(es, x)
+    xi, kappa = _decay(seed, x)
     if kappa > xi / 20.0 + 1e-12:
         raise RuntimeError(f"decay exponent {kappa} above its cap {xi / 20.0}")
-    bound_shape = x * es.ctx.g ** (-kappa) * math.log(x) ** 4
+    bound_shape = x * seed.base ** (-kappa) * math.log(x) ** 4
     return PrimeSumResult(S, kappa, xi, bound_shape)

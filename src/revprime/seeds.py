@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .basedigits import power_residues
+from .basedigits import check_base, power_residues
 
 __all__ = [
     "Seed",
@@ -45,6 +45,9 @@ class Seed:
 
     base: int
 
+    def __post_init__(self) -> None:
+        check_base(self.base)
+
     def eval(self, i: int, d: int) -> float:
         """Weight at (i, d): what table seeds' rows and f_eval read."""
         raise NotImplementedError
@@ -60,12 +63,7 @@ class Seed:
 
     def frac_rows(self, j: int, count: int) -> np.ndarray:
         """Array of shape (count, g) with frac(j + i, d) in row i."""
-        g = self.base
-        out = np.empty((count, g), dtype=np.float64)
-        for i in range(count):
-            for d in range(g):
-                out[i, d] = self.frac(j + i, d)
-        return out
+        raise NotImplementedError
 
     def _check(self, i: int, d: int) -> None:
         if i < 0:
@@ -110,6 +108,7 @@ class ReverseSeed(Seed):
     scale: float
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.window < 0:
             raise ValueError("window must be nonnegative")
 
@@ -132,6 +131,7 @@ class ReverseSeed(Seed):
         return float(Fraction(num * d, den * self.base ** (-exp)) % 1)
 
     def frac_rows(self, j: int, count: int) -> np.ndarray:
+        self._check(j, 0)
         g = self.base
         out = np.zeros((count, g), dtype=np.float64)
         if self.scale == 0 or count == 0:
@@ -163,6 +163,7 @@ class TableSeed(Seed):
     rows: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not self.rows:
             raise ValueError("table seed needs at least one row")
         for row in self.rows:
@@ -172,6 +173,11 @@ class TableSeed(Seed):
     def eval(self, i: int, d: int) -> float:
         self._check(i, d)
         return self.rows[i % len(self.rows)][d]
+
+    def frac_rows(self, j: int, count: int) -> np.ndarray:
+        self._check(j, 0)
+        rows = np.array(self.rows, dtype=np.float64)
+        return rows[(j % len(rows) + np.arange(count)) % len(rows)] % 1.0
 
 
 def _residue_rows(residues: list[int], den: int, g: int) -> np.ndarray:

@@ -38,7 +38,6 @@ from .expsum import (
     F_abs_product,
     F_direct,
     eta_tilde,
-    expsum_context,
     gamma_upper_bound,
     hybrid_bound_shape,
     hybrid_sum,
@@ -179,11 +178,10 @@ def _product_formula(cfg: RunConfig, opts: SuiteOptions, rng, g: int) -> list[Bo
     lam_max = _direct_cap(g, _or_default(opts.lambda_max, 10))
     out = []
     for name, seed in _seed_pool(g, lam_max, rng, opts.seed_family):
-        es = expsum_context(seed)
         for lam in range(1, lam_max + 1):
             for beta in rng.random(per_cell):
-                direct = abs(F_direct(es, lam, 0, float(beta)))
-                prod = F_abs_product(es, lam, 0, float(beta))
+                direct = abs(F_direct(seed, lam, 0, float(beta)))
+                prod = F_abs_product(seed, lam, 0, float(beta))
                 out.append(
                     make_report(
                         abs(direct - prod),
@@ -199,14 +197,13 @@ def _linf(cfg: RunConfig, opts: SuiteOptions, rng, g: int) -> list[BoundReport]:
     lam_max = _or_default(opts.lambda_max, 10)
     out = []
     for name, seed in _seed_pool(g, lam_max, rng, opts.seed_family):
-        es = expsum_context(seed)
         for lam in range(1, lam_max + 1):
             for j in (0, 2):
-                ceiling = g ** (1 / 20) * g ** -sigma(es, lam, j)
+                ceiling = g ** (1 / 20) * g ** -sigma(seed, lam, j)
                 for beta in rng.random(per_cell):
                     out.append(
                         make_report(
-                            F_abs_product(es, lam, j, float(beta)),
+                            F_abs_product(seed, lam, j, float(beta)),
                             ceiling,
                             {"g": g, "family": name, "lam": lam, "j": j},
                         )
@@ -230,10 +227,9 @@ def _l1_moment(cfg: RunConfig, opts: SuiteOptions, rng, g: int) -> list[BoundRep
     lam_max = _or_default(opts.lambda_max, 6)
     out = []
     for name, seed in _seed_pool(g, lam_max, rng, opts.seed_family):
-        es = expsum_context(seed)
         eta = eta_tilde(g)
         for lam in range(1, lam_max + 1):
-            pure = l1_moment(es, lam, 0, 1, 0, 0, 0.0)
+            pure = l1_moment(seed, lam, 0, 1, 0, 0, 0.0)
             out.append(
                 make_report(
                     pure,
@@ -244,8 +240,8 @@ def _l1_moment(cfg: RunConfig, opts: SuiteOptions, rng, g: int) -> list[BoundRep
             for k, delta in _valid_l1_cells(g, lam):
                 a = int(rng.integers(0, k * g**delta))
                 betas = rng.random(per_cell)
-                lhs = l1_moment(es, lam, 0, k, delta, a, betas).tolist()
-                rhs = l1_moment_bound(es, lam, 0, k, delta, a, betas).tolist()
+                lhs = l1_moment(seed, lam, 0, k, delta, a, betas).tolist()
+                rhs = l1_moment_bound(seed, lam, 0, k, delta, a, betas).tolist()
                 for left, right in zip(lhs, rhs):
                     out.append(
                         make_report(
@@ -269,7 +265,6 @@ def _psi(cfg: RunConfig, opts: SuiteOptions, rng, g: int) -> list[BoundReport]:
     eta = eta_tilde(g)
     out = []
     for name, seed in _seed_pool(g, 8, rng, opts.seed_family):
-        es = expsum_context(seed)
         for i in (0, 1):
             ts = rng.random(per_cell) * 3
             for R in _divisors_of(g):
@@ -277,7 +272,7 @@ def _psi(cfg: RunConfig, opts: SuiteOptions, rng, g: int) -> list[BoundReport]:
                     continue
                 for S in _divisors_of(g):
                     tag = {"g": g, "family": name, "i": i, "R": R, "S": S}
-                    vals = psi(es, i, ts, R, S)
+                    vals = psi(seed, i, ts, R, S)
                     if S != g and math.gcd(R, g // S) == 1:
                         out.append(
                             make_report(
@@ -290,7 +285,7 @@ def _psi(cfg: RunConfig, opts: SuiteOptions, rng, g: int) -> list[BoundReport]:
                         out.append(
                             make_report(
                                 float(np.max(vals**2)),
-                                R * g * (1 - theta_i(es, i)),
+                                R * g * (1 - theta_i(seed, i)),
                                 dict(tag, form="full-depth"),
                             )
                         )
@@ -343,10 +338,10 @@ def _truncation(cfg: RunConfig, opts: SuiteOptions, rng, box: tuple) -> list[Bou
     ceiling = cfg.c_cal.get("truncation")
     lam = ilog(M * R * R, g) + 1
     L = lam + 6
-    es = expsum_context(reverse_seed(g, L, 0.73))
+    seed = reverse_seed(g, L, 0.73)
     out = []
     for r in range(int(R) + 1):
-        members, superset = truncation_set_size(es, M, N, R, r, L, lam)
+        members, superset = truncation_set_size(seed, M, N, R, r, L, lam)
         ratio = members * R / (M * N)
         params = {
             "M": M, "N": N, "R": R, "r": r, "lam": lam,
@@ -390,12 +385,11 @@ def _monotonicity(cfg: RunConfig, opts: SuiteOptions, rng, g: int) -> list[Bound
     cap = gamma_upper_bound(g)
     out = []
     for name, seed in _seed_pool(g, lam_max, rng, opts.seed_family):
-        es = expsum_context(seed)
         tag = {"g": g, "family": name}
         for lam in range(1, lam_max + 1):
             for j in (0, 3):
-                full = sigma(es, lam, j)
-                short = sigma(es, lam - 1, j + 1)
+                full = sigma(seed, lam, j)
+                short = sigma(seed, lam - 1, j + 1)
                 out.append(
                     make_report(short, full, dict(tag, lam=lam, j=j, form="window-shift"))
                 )
@@ -408,13 +402,13 @@ def _monotonicity(cfg: RunConfig, opts: SuiteOptions, rng, g: int) -> list[Bound
                 )
         coeff = 2 * math.log(2) / math.log(g) * (0.5 - eta_tilde(g))
         for lam, j in ((8, 0), (12, 2)):
-            vals = [coeff * mu + sigma(es, lam - mu, j + mu) for mu in range(lam + 1)]
+            vals = [coeff * mu + sigma(seed, lam - mu, j + mu) for mu in range(lam + 1)]
             worst = max(max(a - b for a, b in zip(vals, vals[1:])), 0.0)
             out.append(
                 make_report(worst, 1e-12, dict(tag, lam=lam, j=j, form="scale-tradeoff"))
             )
         for j in (0, 2):
-            vals = [cap * lam - sigma(es, lam, j) for lam in range(lam_max + 1)]
+            vals = [cap * lam - sigma(seed, lam, j) for lam in range(lam_max + 1)]
             worst = max(max(a - b for a, b in zip(vals, vals[1:])), 0.0)
             out.append(
                 make_report(worst, 1e-12, dict(tag, j=j, form="linear-slack"))
@@ -422,7 +416,7 @@ def _monotonicity(cfg: RunConfig, opts: SuiteOptions, rng, g: int) -> list[Bound
         for xi in (4, 8, 12):
             out.append(
                 make_report(
-                    sigma(es, xi, 0) / 10, xi / 20, dict(tag, xi=xi, form="decay-cap")
+                    sigma(seed, xi, 0) / 10, xi / 20, dict(tag, xi=xi, form="decay-cap")
                 )
             )
     return out
@@ -460,11 +454,10 @@ def _type_i(cfg: RunConfig, opts: SuiteOptions, rng, cell: tuple) -> list[BoundR
         ("reverse-rational", reverse_seed(g, L, 3 / 7)),
     ]
     for name, seed in _pick_seeds(pool, opts.seed_family):
-        es = expsum_context(seed)
         for M in ms:
-            p = type_i_params(es, L, float(x), M)
-            lhs = type_i_sum(es, p)
-            shape = type_i_bound_shape(es, p)
+            p = type_i_params(seed, L, float(x), M)
+            lhs = type_i_sum(seed, p)
+            shape = type_i_bound_shape(seed, p)
             out.append(
                 _ratio_report(
                     "type-i", cfg, lhs, shape,
@@ -490,11 +483,10 @@ def _type_ii(cfg: RunConfig, opts: SuiteOptions, rng, cell: tuple) -> list[Bound
     out = []
     pool = [("sod", sod_seed(g, 0.37)), ("reverse", reverse_seed(g, L, 0.73))]
     for sname, seed in _pick_seeds(pool, opts.seed_family):
-        es = expsum_context(seed)
         for cname, a_coeff, b_coeff in pairs:
-            p = type_ii_params(es, L, float(x), M, N, a_coeff, b_coeff)
-            lhs = abs(type_ii_sum(es, p))
-            shape = type_ii_bound_shape(es, p)
+            p = type_ii_params(seed, L, float(x), M, N, a_coeff, b_coeff)
+            lhs = abs(type_ii_sum(seed, p))
+            shape = type_ii_bound_shape(seed, p)
             out.append(
                 _ratio_report(
                     "type-ii", cfg, lhs, shape,
@@ -519,8 +511,8 @@ def _prime_exp_sum(cfg: RunConfig, opts: SuiteOptions, rng, cell: tuple) -> list
     out = []
     scales = [("reverse", scale) for scale in _PRIME_SUM_SCALES]
     for _, scale in _pick_seeds(scales, opts.seed_family):
-        es = expsum_context(reverse_seed(g, L, scale))
-        res = prime_exp_sum(es, L, float(x), pt)
+        seed = reverse_seed(g, L, scale)
+        res = prime_exp_sum(seed, L, float(x), pt)
         out.append(
             _ratio_report(
                 "prime-exp-sum", cfg, abs(res.S), res.bound_shape,
@@ -542,10 +534,9 @@ def _hybrid(cfg: RunConfig, opts: SuiteOptions, rng, cell: tuple) -> list[BoundR
     out = []
     pool = [("sod", sod_seed(g, 0.37)), ("reverse", reverse_seed(g, lam, 0.73))]
     for name, seed in _pick_seeds(pool, opts.seed_family):
-        es = expsum_context(seed)
         for M in ms:
-            lhs = hybrid_sum(es, lam, 0, M)
-            shape = hybrid_bound_shape(es, lam, 0, M)
+            lhs = hybrid_sum(seed, lam, 0, M)
+            shape = hybrid_bound_shape(seed, lam, 0, M)
             out.append(
                 _ratio_report(
                     "hybrid", cfg, lhs, shape,

@@ -30,7 +30,6 @@ from revprime.expsum import (
     F_abs_product,
     F_direct,
     eta_tilde,
-    expsum_context,
     l1_moment,
     l1_moment_bound,
     sigma,
@@ -80,11 +79,10 @@ def test_criterion_01_product_formula_equivalence():
         lam_cap = max(lam for lam in range(1, 11) if g**lam <= 1 << 18)
         rng = make_rng(RunConfig(), 90, g)
         for _, seed in _families(g, lam_cap, rng):
-            es = expsum_context(seed)
             for lam in range(1, lam_cap + 1):
                 for beta in rng.random(per_beta):
-                    direct = abs(F_direct(es, lam, 0, float(beta)))
-                    prod = F_abs_product(es, lam, 0, float(beta))
+                    direct = abs(F_direct(seed, lam, 0, float(beta)))
+                    prod = F_abs_product(seed, lam, 0, float(beta))
                     worst = max(worst, abs(direct - prod))
                     cases += 1
     elapsed = time.perf_counter() - t0
@@ -106,12 +104,11 @@ def test_criterion_02_linf_bound():
     for g in (2, 3, 10):
         rng = make_rng(RunConfig(), 91, g)
         for _, seed in _families(g, 10, rng):
-            es = expsum_context(seed)
             for lam in range(1, 11):
                 for j in (0, 2):
-                    ceiling = g ** (1 / 20) * g ** -sigma(es, lam, j)
+                    ceiling = g ** (1 / 20) * g ** -sigma(seed, lam, j)
                     for beta in rng.random(13):
-                        if F_abs_product(es, lam, j, float(beta)) > ceiling * (1 + SLACK):
+                        if F_abs_product(seed, lam, j, float(beta)) > ceiling * (1 + SLACK):
                             violations += 1
                         cases += 1
     ok = violations == 0 and cases >= 3000
@@ -148,19 +145,18 @@ def test_criterion_03_l1_moment_exhaustive():
         if g == 6:
             families = [f for f in families if f[0] in ("sod", "reverse")]
         for fname, seed in families:
-            es = expsum_context(seed)
             eta = eta_tilde(g)
             for lam in range(1, 9):
-                pure_checks.append((g, fname, lam, es, g ** (eta * lam + 1)))
+                pure_checks.append((g, fname, lam, seed, g ** (eta * lam + 1)))
                 for k, delta in _l1_cells(g, lam):
                     a = int(rng.integers(0, k * g**delta))
                     for beta in rng.random(20):
-                        jobs.append((es, lam, k, delta, a, float(beta)))
+                        jobs.append((seed, lam, k, delta, a, float(beta)))
 
     def check(job):
-        es, lam, k, delta, a, beta = job
-        lhs = l1_moment(es, lam, 0, k, delta, a, beta)
-        rhs = l1_moment_bound(es, lam, 0, k, delta, a, beta)
+        seed, lam, k, delta, a, beta = job
+        lhs = l1_moment(seed, lam, 0, k, delta, a, beta)
+        rhs = l1_moment_bound(seed, lam, 0, k, delta, a, beta)
         return lhs <= rhs * (1 + SLACK)
 
     with ThreadPoolExecutor(max_workers=8) as pool:
@@ -168,8 +164,8 @@ def test_criterion_03_l1_moment_exhaustive():
     violations = results.count(False)
 
     pure_bad = 0
-    for g, fname, lam, es, ceiling in pure_checks:
-        if l1_moment(es, lam, 0, 1, 0, 0, 0.0) > ceiling * (1 + SLACK):
+    for g, fname, lam, seed, ceiling in pure_checks:
+        if l1_moment(seed, lam, 0, 1, 0, 0, 0.0) > ceiling * (1 + SLACK):
             pure_bad += 1
 
     ok = violations == 0 and pure_bad == 0 and len(jobs) > 0
@@ -244,7 +240,6 @@ def test_criterion_07_truncation_subset():
     verified pair by pair inside the counting routine, which raises on
     any member outside the superset.
     """
-    contexts = {}
     calls = 0
     for M in (1.0, 2.0, 4.0, 8.0, 16.0):
         for N in (16.0, 32.0, 64.0, 128.0):
@@ -256,11 +251,9 @@ def test_criterion_07_truncation_subset():
                     lam += 1
                 lam += 1
                 L = lam + 6
-                if L not in contexts:
-                    contexts[L] = expsum_context(reverse_seed(2, L, 0.73))
-                es = contexts[L]
+                seed = reverse_seed(2, L, 0.73)
                 for r in range(int(R) + 1):
-                    members, superset = truncation_set_size(es, M, N, R, r, L, lam)
+                    members, superset = truncation_set_size(seed, M, N, R, r, L, lam)
                     assert members <= superset
                     calls += 1
     ok = calls == 250

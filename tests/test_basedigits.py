@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from revprime.basedigits import (
-    BaseContext,
+    check_base,
     dist,
     ilog,
     power_residues,
@@ -21,10 +21,6 @@ from revprime.basedigits import (
 )
 
 BASES = [2, 3, 7, 10, 16]
-
-
-def base(g):
-    return BaseContext(g)
 
 
 def oracle_digits(n, g):
@@ -39,26 +35,38 @@ def oracle_digits(n, g):
     return [alphabet.index(c) for c in s]
 
 
-class TestBaseContext:
+class TestCheckBase:
+    BAD = (1, 0, -10, 2.0, 10.0, "10", None, np.int64(10))
+
     def test_rejects_small_base(self):
-        with pytest.raises(ValueError):
-            BaseContext(1)
-        with pytest.raises(ValueError):
-            BaseContext(0)
+        for g in self.BAD:
+            with pytest.raises(ValueError):
+                check_base(g)
+        for g in (2, 3, 10, 2**70):
+            check_base(g)
+
+    def test_every_reversal_checks_its_base(self):
+        for g in self.BAD:
+            with pytest.raises(ValueError):
+                reverse(5, g)
+            with pytest.raises(ValueError):
+                reverse_relative(5, 3, g)
+            with pytest.raises(ValueError):
+                reverse_array([5], g, 3)
 
 
 class TestDigits:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            reverse(-1, base(2))
+            reverse(-1, 2)
 
 
 class TestReverse:
     def test_examples(self):
-        assert reverse(1234, base(10)) == 4321
-        assert reverse(6, base(2)) == 3
-        assert reverse(0, base(7)) == 0
-        assert reverse(1200, base(10)) == 21
+        assert reverse(1234, 10) == 4321
+        assert reverse(6, 2) == 3
+        assert reverse(0, 7) == 0
+        assert reverse(1200, 10) == 21
 
     @given(st.integers(0, 10**9), st.sampled_from(BASES))
     def test_matches_digit_oracle(self, n, g):
@@ -66,47 +74,42 @@ class TestReverse:
         expect = 0
         for d in oracle_digits(n, g):
             expect = expect * g + d
-        assert reverse(n, base(g)) == expect
+        assert reverse(n, g) == expect
 
     @given(st.integers(1, 10**9), st.sampled_from(BASES))
     def test_involution_when_unit_digit_nonzero(self, n, g):
-        ctx = base(g)
         if n % g != 0:
-            assert reverse(reverse(n, ctx), ctx) == n
+            assert reverse(reverse(n, g), g) == n
 
     @given(st.integers(1, 10**6), st.sampled_from(BASES))
     def test_magnitude_preserved(self, n, g):
         # reversal never grows the digit count
-        assert len(oracle_digits(reverse(n, base(g)), g)) <= len(oracle_digits(n, g))
+        assert len(oracle_digits(reverse(n, g), g)) <= len(oracle_digits(n, g))
 
 
 class TestReverseRelative:
     def test_window_examples(self):
-        ctx = base(10)
-        assert reverse_relative(1234, 4, ctx) == 4321
-        assert reverse_relative(12, 4, ctx) == 2100
-        assert reverse_relative(0, 5, ctx) == 0
-        assert reverse_relative(7, 0, ctx) == 0
+        assert reverse_relative(1234, 4, 10) == 4321
+        assert reverse_relative(12, 4, 10) == 2100
+        assert reverse_relative(0, 5, 10) == 0
+        assert reverse_relative(7, 0, 10) == 0
 
     @given(st.integers(0, 10**8), st.sampled_from(BASES), st.integers(0, 12))
     def test_scaling_identity(self, n, g, L):
-        ctx = base(g)
         n %= g**L
         length = len(oracle_digits(n, g))
-        assert reverse_relative(n, L, ctx) == reverse(n, ctx) * g ** (L - length)
+        assert reverse_relative(n, L, g) == reverse(n, g) * g ** (L - length)
 
     @given(st.integers(0, 10**9), st.sampled_from(BASES), st.integers(0, 10))
     def test_high_digits_ignored(self, n, g, L):
-        ctx = base(g)
-        assert reverse_relative(n, L, ctx) == reverse_relative(n % g**L, L, ctx)
+        assert reverse_relative(n, L, g) == reverse_relative(n % g**L, L, g)
 
     def test_coincides_with_reverse_on_full_window(self):
         for g, L in [(2, 8), (3, 5), (10, 4)]:
-            ctx = base(g)
             lo, hi = g ** (L - 1), g**L
             step = max(1, (hi - lo) // 200)
             for n in range(lo, hi, step):
-                assert reverse_relative(n, L, ctx) == reverse(n, ctx)
+                assert reverse_relative(n, L, g) == reverse(n, g)
 
 
 class TestReverseArray:
@@ -116,10 +119,9 @@ class TestReverseArray:
         st.integers(0, 12),
     )
     def test_matches_scalar_oracles(self, ns, g, L):
-        ctx = base(g)
         relative = reverse_array(ns, g, L)
         assert relative.dtype == np.int64
-        assert relative.tolist() == [reverse_relative(n, L, ctx) for n in ns]
+        assert relative.tolist() == [reverse_relative(n, L, g) for n in ns]
 
     def test_edge_values(self):
         # zero, trailing zeros, and a window shorter than the digit length
@@ -134,7 +136,7 @@ class TestReverseArray:
 
     def test_input_dtypes_agree(self):
         ns = [0, 1, 2, 40, 2**31 + 5, 2**32 - 1]
-        want_rel = [reverse_relative(n, 9, base(7)) for n in ns]
+        want_rel = [reverse_relative(n, 9, 7) for n in ns]
         for values in (ns, np.array(ns, dtype=np.uint32), np.array(ns, dtype=np.int64)):
             assert reverse_array(values, 7, 9).tolist() == want_rel
 
@@ -211,21 +213,19 @@ class TestReverseArrayBlocks:
     @given(block_cases())
     def test_matches_scalar_oracles(self, case):
         g, L, ns = case
-        ctx = base(g)
-        want = [reverse_relative(n, L, ctx) for n in ns]
+        want = [reverse_relative(n, L, g) for n in ns]
         for values in (ns, np.array(ns, dtype=np.int64)):
             assert reverse_array(values, g, L).tolist() == want
 
     def test_every_base_and_width(self):
         rng = random.Random(13)
         for g in BLOCK_BASES:
-            ctx = base(g)
             for L in block_widths(g):
                 top = g**L - 1
                 ns = [0, 1, g - 1, top, max(top - 1, 0), top // g, g ** max(L - 1, 0)]
                 ns += [rng.randrange(g**L) for _ in range(8)] + [rng.randrange(2**63) for _ in range(4)]
                 got = reverse_array(np.array(ns, dtype=np.int64), g, L)
-                assert got.tolist() == [reverse_relative(n, L, ctx) for n in ns], (g, L)
+                assert got.tolist() == [reverse_relative(n, L, g) for n in ns], (g, L)
 
     def test_two_dimensional_input(self):
         for g in (2, 10, 64, 65, 4097):
@@ -233,14 +233,13 @@ class TestReverseArrayBlocks:
             L = block_digits(g) + 1
             got = reverse_array(grid, g, L)
             assert got.shape == grid.shape
-            want = [[reverse_relative(int(n), L, base(g)) for n in row] for row in grid]
+            want = [[reverse_relative(int(n), L, g) for n in row] for row in grid]
             assert got.tolist() == want
 
     def test_zero_dimensional_input(self):
         for g, L in ((10, 5), (2, 13), (4097, 3)):
-            ctx = base(g)
             for n in (12345, 2**63 - 1):
-                want = reverse_relative(n, L, ctx)
+                want = reverse_relative(n, L, g)
                 for value in (n, np.int64(n), np.array(n)):
                     got = reverse_array(value, g, L)
                     assert got.shape == () and int(got) == want, (g, L, value)
@@ -266,7 +265,7 @@ class TestReverseArrayBlocks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert got.tolist() == [reverse_relative(n, 3, base(g)) for n in ns]
+        assert got.tolist() == [reverse_relative(n, 3, g) for n in ns]
         assert peak < g
 
 

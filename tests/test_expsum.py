@@ -16,20 +16,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revprime.basedigits import BaseContext
 from revprime.expsum import (
     DIRECT_BUDGET,
     CostBudgetError,
     DegenerateSeedError,
-    ExpSumContext,
     F_abs_product,
     F_direct,
+    _gamma,
+    _memo,
     _phase_tree,
     _phi_sums,
     _progression_abs,
     _split26,
     eta_tilde,
-    expsum_context,
     gamma_coefficient,
     gamma_i,
     gamma_upper_bound,
@@ -142,46 +141,41 @@ class TestConstants:
         for g in range(2, 101):
             assert 0 < gamma_upper_bound(g) < 1 / 20
 
-    def test_context_rejects_base_mismatch(self):
-        with pytest.raises(ValueError):
-            ExpSumContext(BaseContext(2), sod_seed(3, 0.0))
-
 
 class TestPhi:
     def test_flat_peak(self):
         for g in (2, 3, 10):
-            es = expsum_context(sod_seed(g, 0.0))
-            assert phi(es, 0, 0, 0.0) == pytest.approx(g, rel=1e-12)
-            assert phi(es, 5, 2, 1.0) == pytest.approx(g, rel=1e-12)
+            seed = sod_seed(g, 0.0)
+            assert phi(seed, 0, 0, 0.0) == pytest.approx(g, rel=1e-12)
+            assert phi(seed, 5, 2, 1.0) == pytest.approx(g, rel=1e-12)
 
     def test_flat_zero_at_half(self):
-        es = expsum_context(sod_seed(2, 0.0))
-        assert abs(phi(es, 0, 0, 0.5)) < 1e-12
+        seed = sod_seed(2, 0.0)
+        assert abs(phi(seed, 0, 0, 0.5)) < 1e-12
 
     def test_flat_matches_dirichlet_kernel(self):
         rng = np.random.default_rng(20260818)
         for g in (2, 3, 10):
-            es = expsum_context(sod_seed(g, 0.0))
+            seed = sod_seed(g, 0.0)
             for beta in rng.random(100):
                 want = abs(math.sin(math.pi * g * beta) / math.sin(math.pi * beta))
-                assert phi(es, 1, 4, float(beta)) == pytest.approx(want, rel=1e-9, abs=1e-9)
+                assert phi(seed, 1, 4, float(beta)) == pytest.approx(want, rel=1e-9, abs=1e-9)
 
     def test_range_and_period(self):
         rng = np.random.default_rng(7)
         for g in (2, 5):
             for s in seed_pool(g, rng):
-                es = expsum_context(s)
                 for beta in rng.random(20):
-                    v = phi(es, 2, 1, float(beta))
+                    v = phi(s, 2, 1, float(beta))
                     assert 0.0 <= v <= g * (1 + 1e-12)
-                    assert phi(es, 2, 1, float(beta) + 1.0) == pytest.approx(v, abs=1e-9)
+                    assert phi(s, 2, 1, float(beta) + 1.0) == pytest.approx(v, abs=1e-9)
 
     def test_rejects_negative_arguments(self):
-        es = expsum_context(sod_seed(2, 0.0))
+        seed = sod_seed(2, 0.0)
         with pytest.raises(ValueError):
-            phi(es, -1, 0, 0.0)
+            phi(seed, -1, 0, 0.0)
         with pytest.raises(ValueError):
-            phi(es, 0, -2, 0.0)
+            phi(seed, 0, -2, 0.0)
 
 
 class TestFDirect:
@@ -189,41 +183,38 @@ class TestFDirect:
         rng = np.random.default_rng(11)
         for g in (2, 10):
             for s in seed_pool(g, rng):
-                es = expsum_context(s)
-                assert F_direct(es, 0, 3, 0.377) == 1.0 + 0.0j
+                assert F_direct(s, 0, 3, 0.377) == 1.0 + 0.0j
 
     def test_flat_orthogonality(self):
         for g in (2, 3):
-            es = expsum_context(sod_seed(g, 0.0))
+            seed = sod_seed(g, 0.0)
             for lam in range(1, 6):
                 n = g**lam
                 for h in range(1, n):
-                    assert abs(F_direct(es, lam, 0, h / n)) < 1e-10
+                    assert abs(F_direct(seed, lam, 0, h / n)) < 1e-10
 
     def test_magnitude_cap(self):
         rng = np.random.default_rng(12)
         for g in (2, 3, 10):
             for s in seed_pool(g, rng):
-                es = expsum_context(s)
                 lam = int(rng.integers(0, 5))
-                assert abs(F_direct(es, lam, 1, float(rng.random()))) <= 1 + 1e-12
+                assert abs(F_direct(s, lam, 1, float(rng.random()))) <= 1 + 1e-12
 
     def test_budget_refusal(self):
         # 2^20 terms is the budget itself, 2^21 one window past it
-        es = expsum_context(sod_seed(2, 0.0))
+        seed = sod_seed(2, 0.0)
         assert 2**20 == DIRECT_BUDGET
-        assert F_direct(es, 20, 0, 0.0) == pytest.approx(1.0)
+        assert F_direct(seed, 20, 0, 0.0) == pytest.approx(1.0)
         with pytest.raises(CostBudgetError):
-            F_direct(es, 21, 0, 0.0)
+            F_direct(seed, 21, 0, 0.0)
         with pytest.raises(CostBudgetError):
-            F_direct(expsum_context(sod_seed(3, 0.0)), 13, 0, 0.0)
+            F_direct(sod_seed(3, 0.0), 13, 0, 0.0)
 
     def test_plain_python_cross_check(self):
         # a third route with none of the vectorized machinery
         rng = np.random.default_rng(13)
         for g in (2, 3, 10):
             for s in seed_pool(g, rng):
-                es = expsum_context(s)
                 lam = 3
                 beta = float(rng.random())
                 total = 0j
@@ -235,14 +226,14 @@ class TestFDirect:
                         m //= g
                     total += complex(math.cos(2 * math.pi * ph), math.sin(2 * math.pi * ph))
                 want = total / g**lam
-                assert abs(F_direct(es, lam, 0, beta) - want) < 1e-10
+                assert abs(F_direct(s, lam, 0, beta) - want) < 1e-10
 
     @given(st.integers(min_value=0, max_value=2**30))
     @settings(max_examples=40, deadline=None)
     def test_period_one_at_dyadic_points(self, num):
         beta = num / 2**30
-        es = expsum_context(sod_seed(2, 0.37))
-        assert F_direct(es, 4, 0, beta) == F_direct(es, 4, 0, beta + 1.0)
+        seed = sod_seed(2, 0.37)
+        assert F_direct(seed, 4, 0, beta) == F_direct(seed, 4, 0, beta + 1.0)
 
 
 class TestProductFormula:
@@ -252,25 +243,23 @@ class TestProductFormula:
             pool = seed_pool(g, rng)
             for _ in range(60):
                 s = pool[int(rng.integers(len(pool)))]
-                es = expsum_context(s)
                 lam = int(rng.integers(0, lam_max + 1))
                 j = int(rng.integers(0, 4))
                 beta = float(rng.random())
-                d = abs(F_direct(es, lam, j, beta))
-                p = F_abs_product(es, lam, j, beta)
+                d = abs(F_direct(s, lam, j, beta))
+                p = F_abs_product(s, lam, j, beta)
                 assert abs(d - p) <= 1e-10
 
     def test_recursion_identity(self):
         rng = np.random.default_rng(2)
         for g, tol in ((2, 1e-12), (4, 1e-12), (3, 1e-8)):
             for s in seed_pool(g, rng):
-                es = expsum_context(s)
                 for _ in range(10):
                     lam = int(rng.integers(1, 9))
                     j = int(rng.integers(0, 3))
                     beta = float(rng.random())
-                    lhs = F_abs_product(es, lam, j, beta)
-                    rhs = F_abs_product(es, lam - 1, j + 1, g * beta) * phi(es, 0, j, beta) / g
+                    lhs = F_abs_product(s, lam, j, beta)
+                    rhs = F_abs_product(s, lam - 1, j + 1, g * beta) * phi(s, 0, j, beta) / g
                     assert lhs == pytest.approx(rhs, rel=tol, abs=tol)
 
     def test_long_window_follows_exact_ladder(self):
@@ -279,42 +268,39 @@ class TestProductFormula:
         rng = np.random.default_rng(5)
         for g in (2, 3, 10):
             for s in seed_pool(g, rng):
-                es = expsum_context(s)
                 for lam in (1, 60, 120):
                     beta = float(rng.random())
                     want = 1.0
                     for i, b in enumerate(fraction_ladder(beta, lam, g)):
-                        want *= phi(es, i, 2, float(b)) / g
-                    assert F_abs_product(es, lam, 2, beta) == pytest.approx(want, rel=1e-12, abs=1e-300)
+                        want *= phi(s, i, 2, float(b)) / g
+                    assert F_abs_product(s, lam, 2, beta) == pytest.approx(want, rel=1e-12, abs=1e-300)
 
     def test_grid_vector_path(self):
         rng = np.random.default_rng(3)
         for g in (2, 3, 10):
             for s in seed_pool(g, rng):
-                es = expsum_context(s)
                 betas = rng.random((5, 8))
-                grid = F_abs_product(es, 6, 1, betas)
+                grid = F_abs_product(s, 6, 1, betas)
                 assert grid.shape == betas.shape
                 for b, v in zip(betas.ravel(), grid.ravel()):
-                    assert v == F_abs_product(es, 6, 1, float(b))
+                    assert v == F_abs_product(s, 6, 1, float(b))
 
     def test_full_grid_matches_direct(self):
         rng = np.random.default_rng(4)
         for g, lam in ((2, 5), (3, 4)):
             for s in seed_pool(g, rng):
-                es = expsum_context(s)
                 beta = float(rng.random())
-                grid = _progression_abs(es, lam, 0, 1, 0, beta)
+                grid = _progression_abs(s, lam, 0, 1, 0, beta)
                 n = g**lam
                 assert grid.shape == (n,)
                 for h in range(n):
-                    want = abs(F_direct(es, lam, 0, (h + beta) / n))
+                    want = abs(F_direct(s, lam, 0, (h + beta) / n))
                     assert abs(grid[h] - want) <= 1e-10
 
     def test_long_window_smoke(self):
         t0 = time.perf_counter()
-        es = expsum_context(reverse_seed(2, 100_000, 1.0 / 3.0))
-        v = F_abs_product(es, 100_000, 0, 0.7314)
+        seed = reverse_seed(2, 100_000, 1.0 / 3.0)
+        v = F_abs_product(seed, 100_000, 0, 0.7314)
         assert math.isfinite(v)
         assert 0.0 <= v <= 1.0
         assert time.perf_counter() - t0 < 30.0
@@ -325,13 +311,12 @@ class TestPairBound:
         rng = np.random.default_rng(5)
         for g in (2, 3, 10):
             for s in seed_pool(g, rng):
-                es = expsum_context(s)
                 for _ in range(25):
                     i = int(rng.integers(0, 6))
                     j = int(rng.integers(0, 3))
                     beta = float(rng.random())
                     row = s.frac_rows(i + j, 1)[0]
-                    v = phi(es, i, j, beta)
+                    v = phi(s, i, j, beta)
                     for m in range(g):
                         for n in range(m + 1, g):
                             u = (row[m] - row[n] - beta * (m - n)) % 1.0
@@ -345,45 +330,43 @@ class TestDecayBounds:
         rng = np.random.default_rng(6)
         for g in (2, 3, 10):
             for s in seed_pool(g, rng):
-                es = expsum_context(s)
                 for _ in range(15):
                     lam = int(rng.integers(2, 9))
                     j = int(rng.integers(0, 3))
                     args = fraction_ladder(float(rng.random()), lam, g)
                     for i in range(lam - 1):
-                        prod = phi(es, i, j, float(args[i])) * phi(es, i + 1, j, float(args[i + 1]))
-                        cap = g ** (1.0 - gamma_i(es, i, j))
+                        prod = phi(s, i, j, float(args[i])) * phi(s, i + 1, j, float(args[i + 1]))
+                        cap = g ** (1.0 - gamma_i(s, i, j))
                         assert math.sqrt(prod) <= cap * (1 + 1e-9)
 
     def test_sup_norm_decay(self):
         rng = np.random.default_rng(20260819)
         for g in (2, 3, 10):
             for s in seed_pool(g, rng):
-                es = expsum_context(s)
                 for lam in range(0, 11, 2):
                     for j in (0, 2):
-                        cap = g ** (1 / 20) * g ** (-sigma(es, lam, j))
+                        cap = g ** (1 / 20) * g ** (-sigma(s, lam, j))
                         for beta in rng.random(20):
-                            assert F_abs_product(es, lam, j, float(beta)) <= cap * (1 + 1e-9)
+                            assert F_abs_product(s, lam, j, float(beta)) <= cap * (1 + 1e-9)
 
 
 class TestGammaSigma:
     def test_flat_weights_have_zero_weight(self):
         for g in (2, 3, 10):
-            es = expsum_context(sod_seed(g, 0.0))
+            seed = sod_seed(g, 0.0)
             for i in range(4):
-                assert gamma_i(es, i, 0) == 0.0
+                assert gamma_i(seed, i, 0) == 0.0
 
     def test_scaled_digit_sum_degenerates(self):
         # weight a*d with a = 1/(g-1): the pairwise combination is an
         # exact integer multiple of m - n, so the weight collapses
         for g in (2, 3, 10):
-            es = expsum_context(sod_seed(g, 1.0 / (g - 1)))
-            assert gamma_i(es, 2, 1) < 1e-25
+            seed = sod_seed(g, 1.0 / (g - 1))
+            assert gamma_i(seed, 2, 1) < 1e-25
 
     def test_reversal_degenerate_position(self):
-        es = expsum_context(reverse_seed(2, 10, 1.0 / 3.0))
-        got = gamma_i(es, 3, 0)
+        seed = reverse_seed(2, 10, 1.0 / 3.0)
+        got = gamma_i(seed, 3, 0)
         # independent route: exact rationals straight from the family formula
         fa = Fraction(1.0 / 3.0)
         v = [2 * ((fa * d * 2**6) % 1) - ((fa * d * 2**5) % 1) for d in range(2)]
@@ -395,8 +378,8 @@ class TestGammaSigma:
 
     def test_reversal_two_route_general(self):
         for g, L, a, i, j in ((10, 12, 0.37, 2, 1), (3, 9, 0.61, 4, 0), (2, 15, 0.77, 6, 2)):
-            es = expsum_context(reverse_seed(g, L, a))
-            got = gamma_i(es, i, j)
+            seed = reverse_seed(g, L, a)
+            got = gamma_i(seed, i, j)
             fa = Fraction(a)
             p = i + j
             total = Fraction(0)
@@ -415,26 +398,24 @@ class TestGammaSigma:
         for g in (2, 3, 10):
             cap = gamma_upper_bound(g)
             for s in seed_pool(g, rng):
-                es = expsum_context(s)
                 for p in range(8):
-                    v = gamma_i(es, p, 0)
+                    v = gamma_i(s, p, 0)
                     assert 0.0 <= v <= cap * (1 + 1e-12)
 
     def test_weight_cap_attained_in_base_two(self):
         # the extremal two-digit row sits at pairwise distance exactly 1/2
-        es = expsum_context(table_seed(2, ((0.0, 0.5),)))
-        assert gamma_i(es, 0, 0) == pytest.approx(gamma_upper_bound(2), rel=1e-14)
+        seed = table_seed(2, ((0.0, 0.5),))
+        assert gamma_i(seed, 0, 0) == pytest.approx(gamma_upper_bound(2), rel=1e-14)
 
     def test_cumulative_weights(self):
         rng = np.random.default_rng(9)
         for g in (2, 3, 10):
             for s in seed_pool(g, rng):
-                es = expsum_context(s)
-                assert sigma(es, 0, 0) == 0.0
-                assert sigma(es, 0, 5) == 0.0
+                assert sigma(s, 0, 0) == 0.0
+                assert sigma(s, 0, 5) == 0.0
                 prev = 0.0
                 for lam in range(1, 13):
-                    v = sigma(es, lam, 0)
+                    v = sigma(s, lam, 0)
                     assert v >= prev - 1e-15
                     assert v <= lam / 20 * (1 + 1e-12)
                     prev = v
@@ -443,15 +424,41 @@ class TestGammaSigma:
         rng = np.random.default_rng(10)
         for g in (2, 3, 10):
             for s in seed_pool(g, rng):
-                es = expsum_context(s)
                 for lam in (1, 3, 7):
                     for j in (0, 2):
-                        gap = sigma(es, lam, j) - sigma(es, lam - 1, j + 1)
-                        assert gap == pytest.approx(gamma_i(es, 0, j), rel=1e-12, abs=1e-15)
+                        gap = sigma(s, lam, j) - sigma(s, lam - 1, j + 1)
+                        assert gap == pytest.approx(gamma_i(s, 0, j), rel=1e-12, abs=1e-15)
 
     def test_flat_cumulative_is_zero(self):
-        es = expsum_context(sod_seed(5, 0.0))
-        assert sigma(es, 40, 3) == 0.0
+        seed = sod_seed(5, 0.0)
+        assert sigma(seed, 40, 3) == 0.0
+
+
+class TestGammaMemo:
+    """The decay weights are memoized per seed, so seeds that compare
+    equal share entries: their rows and weights must agree bit for bit,
+    whichever of the two fills an entry."""
+
+    PAIRS = (
+        (sod_seed(3, 0.0), sod_seed(3, -0.0)),
+        (sod_seed(10, 1), sod_seed(10, 1.0)),
+        (reverse_seed(2, 6, Fraction(1, 2)), reverse_seed(2, 6, 0.5)),
+        (
+            table_seed(2, ((0.0, 0.25), (-0.0, -0.0))),
+            table_seed(2, ((-0.0, 0.25), (0.0, 0.0))),
+        ),
+    )
+
+    def test_equal_seeds_give_identical_rows_and_weights(self):
+        for a, b in self.PAIRS:
+            assert a == b and hash(a) == hash(b)
+            for p in (0, 1, 4, 9):
+                assert a.frac_rows(p, 5).tobytes() == b.frac_rows(p, 5).tobytes()
+                # each seed's own weight, computed past the shared memo
+                fresh = _gamma(a, p, {}).hex()
+                assert _gamma(b, p, {}).hex() == fresh
+                assert gamma_i(a, 0, p).hex() == gamma_i(b, p, 0).hex() == fresh
+            assert _memo(a) is _memo(b)
 
 
 class TestSigmaMonotonicity:
@@ -460,11 +467,10 @@ class TestSigmaMonotonicity:
         for g in (2, 3, 10):
             cap = gamma_upper_bound(g)
             for s in seed_pool(g, rng):
-                es = expsum_context(s)
                 for lam in range(1, 13):
                     for j in (0, 3):
-                        full = sigma(es, lam, j)
-                        short = sigma(es, lam - 1, j + 1)
+                        full = sigma(s, lam, j)
+                        short = sigma(s, lam - 1, j + 1)
                         assert short <= full + 1e-15
                         assert full - cap <= short + 1e-15
 
@@ -474,9 +480,8 @@ class TestSigmaMonotonicity:
             for A in (math.log(2) / math.log(g), 2 * math.log(2) / math.log(g)):
                 coeff = A * (0.5 - eta_tilde(g))
                 for s in seed_pool(g, rng)[:4]:
-                    es = expsum_context(s)
                     for lam, j in ((8, 0), (12, 2)):
-                        vals = [coeff * mu + sigma(es, lam - mu, j + mu) for mu in range(lam + 1)]
+                        vals = [coeff * mu + sigma(s, lam - mu, j + mu) for mu in range(lam + 1)]
                         for a, b in zip(vals, vals[1:]):
                             assert b >= a - 1e-12
 
@@ -485,9 +490,8 @@ class TestSigmaMonotonicity:
         for g in (2, 3, 10):
             for A in (gamma_upper_bound(g), 2 * gamma_upper_bound(g)):
                 for s in seed_pool(g, rng)[:4]:
-                    es = expsum_context(s)
                     for j in (0, 2):
-                        vals = [A * lam - sigma(es, lam, j) for lam in range(13)]
+                        vals = [A * lam - sigma(s, lam, j) for lam in range(13)]
                         for a, b in zip(vals, vals[1:]):
                             assert b >= a - 1e-12
 
@@ -609,19 +613,19 @@ class TestSigmaBlocks:
         g, L, lam = 3, 18, 18
         alpha = Fraction(2, 7)
         report = sigma_lower_blocks(g, L, lam, alpha)
-        es = expsum_context(reverse_seed(g, L, alpha))
+        seed = reverse_seed(g, L, alpha)
         floor = gamma_coefficient(g) / g**2 * report.rhs
-        assert sigma(es, lam, 0) >= floor - 1e-12
+        assert sigma(seed, lam, 0) >= floor - 1e-12
 
     def test_growth_along_tail_length(self):
         g, L = 2, 40
         alpha = Fraction(1, 7)
-        es = expsum_context(reverse_seed(g, L, alpha))
+        seed = reverse_seed(g, L, alpha)
         values = []
         for lam in (10, 20, 40):
             report = sigma_lower_blocks(g, L, lam, alpha)
             assert report.passed
-            values.append(sigma(es, lam, 0))
+            values.append(sigma(seed, lam, 0))
         assert values[0] < values[1] < values[2]
 
     def test_degenerate_scales_rejected(self):
@@ -641,15 +645,15 @@ class TestSigmaBlocks:
 
 class TestTheta:
     def test_flat_base_two_equals_floor(self):
-        es = expsum_context(sod_seed(2, 0.0))
-        assert theta_i(es, 0) == pytest.approx(theta_lower_bound(2), rel=1e-14)
+        seed = sod_seed(2, 0.0)
+        assert theta_i(seed, 0) == pytest.approx(theta_lower_bound(2), rel=1e-14)
 
     def test_flat_closed_form(self):
         for g in (3, 5, 10):
-            es = expsum_context(sod_seed(g, 0.0))
+            seed = sod_seed(g, 0.0)
             acc = sum((g - h) ** 2 for h in range(1, g))
             want = (1 - 1 / g) * (1 - math.sqrt(1 - 2 * acc / (g * g * (g - 1))))
-            assert theta_i(es, 7) == pytest.approx(want, rel=1e-12)
+            assert theta_i(seed, 7) == pytest.approx(want, rel=1e-12)
 
     def test_floor_holds_for_random_weights(self):
         rng = np.random.default_rng(20260820)
@@ -657,8 +661,7 @@ class TestTheta:
             floor = theta_lower_bound(g)
             for _ in range(1000):
                 s = table_seed(g, (tuple(float(x) for x in rng.random(g)),))
-                es = expsum_context(s)
-                assert theta_i(es, 0) >= floor * (1 - 1e-12)
+                assert theta_i(s, 0) >= floor * (1 - 1e-12)
 
 
 class TestPsi:
@@ -666,56 +669,53 @@ class TestPsi:
         rng = np.random.default_rng(14)
         for g in (2, 6):
             for s in seed_pool(g, rng):
-                es = expsum_context(s)
                 for t in (0.0, 0.31, 5.77):
-                    want = phi(es, 1, 0, g * t) * phi(es, 0, 0, t) / g**2
-                    got = psi(es, 0, t, 1, 1)
+                    want = phi(s, 1, 0, g * t) * phi(s, 0, 0, t) / g**2
+                    got = psi(s, 0, t, 1, 1)
                     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
                     assert got <= 1 + 1e-9
 
     def test_vector_offsets_match_scalar(self):
         rng = np.random.default_rng(30)
-        es = expsum_context(random_table(6, rng))
+        seed = random_table(6, rng)
         ts = rng.random(17) * 4
-        grid = psi(es, 1, ts, 2, 3)
+        grid = psi(seed, 1, ts, 2, 3)
         assert grid.shape == ts.shape
         for t, v in zip(ts, grid):
-            assert v == pytest.approx(psi(es, 1, float(t), 2, 3), rel=1e-12)
+            assert v == pytest.approx(psi(seed, 1, float(t), 2, 3), rel=1e-12)
 
     def test_rejects_bad_arguments(self):
-        es = expsum_context(sod_seed(10, 0.0))
+        seed = sod_seed(10, 0.0)
         with pytest.raises(ValueError):
-            psi(es, 0, 0.3, 3, 1)
+            psi(seed, 0, 0.3, 3, 1)
         with pytest.raises(ValueError):
-            psi(es, 0, 0.3, 2, 4)
+            psi(seed, 0, 0.3, 2, 4)
         with pytest.raises(ValueError):
-            psi(es, -1, 0.3, 2, 5)
+            psi(seed, -1, 0.3, 2, 5)
 
     def test_partial_depth_cap(self):
         rng = np.random.default_rng(15)
         for g in (6, 10, 12):
             for s in (sod_seed(g, 0.0), reverse_seed(g, 8, 0.73), random_table(g, rng)):
-                es = expsum_context(s)
                 for R in divisors(g):
                     if R < 2:
                         continue
                     for S in divisors(g):
                         if S == g or math.gcd(R, g // S) != 1:
                             continue
-                        vals = psi(es, 1, rng.random(25) * 3, R, S)
+                        vals = psi(s, 1, rng.random(25) * 3, R, S)
                         assert np.all(vals**2 <= (2 / 3) * R * S * (1 + 1e-9))
 
     def test_full_depth_cap(self):
         rng = np.random.default_rng(16)
         for g in (6, 10, 12):
             for s in (sod_seed(g, 0.0), sod_seed(g, 0.37), random_table(g, rng)):
-                es = expsum_context(s)
                 for i in (0, 2):
-                    slack = 1 - theta_i(es, i)
+                    slack = 1 - theta_i(s, i)
                     for R in divisors(g):
                         if R < 2:
                             continue
-                        vals = psi(es, i, rng.random(25) * 2, R, g)
+                        vals = psi(s, i, rng.random(25) * 2, R, g)
                         assert np.all(vals**2 <= R * g * slack * (1 + 1e-9))
 
     def test_eta_power_cap(self):
@@ -723,14 +723,13 @@ class TestPsi:
         for g in (2, 6, 10, 12):
             eta = eta_tilde(g)
             for s in (sod_seed(g, 0.0), reverse_seed(g, 8, 0.73), random_table(g, rng)):
-                es = expsum_context(s)
                 for R in divisors(g):
                     if R < 2:
                         continue
                     for S in divisors(g):
                         if math.gcd(R, g // S) != 1:
                             continue
-                        vals = psi(es, 0, rng.random(20) * 2, R, S)
+                        vals = psi(s, 0, rng.random(20) * 2, R, S)
                         assert np.all(vals <= (R * S) ** eta * (1 + 1e-9))
 
 
@@ -739,7 +738,6 @@ class TestMomentIdentities:
         rng = np.random.default_rng(18)
         for g in (2, 6, 12):
             for s in seed_pool(g, rng):
-                es = expsum_context(s)
                 for R in divisors(g):
                     for a in range(1, R + 1):
                         if math.gcd(a, R) != 1:
@@ -747,7 +745,7 @@ class TestMomentIdentities:
                         for i in (0, 3):
                             for beta in rng.random(5):
                                 tot = sum(
-                                    phi(es, i, 0, float(beta) + a * r / R) ** 2
+                                    phi(s, i, 0, float(beta) + a * r / R) ** 2
                                     for r in range(R)
                                 )
                                 assert tot <= g * g * (1 + 1e-9)
@@ -756,7 +754,6 @@ class TestMomentIdentities:
         rng = np.random.default_rng(19)
         for g in (2, 3, 6, 10):
             for s in seed_pool(g, rng):
-                es = expsum_context(s)
                 row = s.frac_rows(2, 1)[0]
                 corr = 0.0
                 for h in range(-(g - 1), g):
@@ -768,7 +765,7 @@ class TestMomentIdentities:
                     corr += abs(c) ** 2
                 for U in (2 * g - 1, 2 * g, 3 * g + 1):
                     for beta in rng.random(4):
-                        tot = sum(phi(es, 2, 0, float(beta) + u / U) ** 4 for u in range(U))
+                        tot = sum(phi(s, 2, 0, float(beta) + u / U) ** 4 for u in range(U))
                         assert tot == pytest.approx(U * corr, rel=1e-8)
 
 
@@ -781,7 +778,6 @@ class TestSumCleanup:
             powers = [g**k for k in range(L + 1)]
             idx = np.arange(N)
             for s in seed_pool(g, rng):
-                es = expsum_context(s)
                 for j in (0, 1):
                     tab = s.frac_rows(j, L)
                     vals = np.zeros(N)
@@ -791,7 +787,7 @@ class TestSumCleanup:
                         ph = np.exp(2j * np.pi * (vals - beta * idx))
                         lhs = np.abs(np.cumsum(ph))
                         per_scale = [
-                            powers[lam] * F_abs_product(es, lam, j, float(beta))
+                            powers[lam] * F_abs_product(s, lam, j, float(beta))
                             for lam in range(L + 1)
                         ]
                         pref = np.cumsum(per_scale)
@@ -800,14 +796,14 @@ class TestSumCleanup:
                         assert np.all(lhs <= rhs * (1 + 1e-9) + 1e-12)
 
 
-def l1_moment_per_point(es, lam, j, k, delta, a, beta):
+def l1_moment_per_point(seed, lam, j, k, delta, a, beta):
     """Reference: every level evaluated at every point of the progression."""
-    g = es.ctx.g
+    g = seed.base
     step = k * g**delta
     a %= step
     beta = beta % 1.0
     h = np.arange(a, g**lam, step, dtype=np.int64)
-    tab = es.seed.frac_rows(j, lam)
+    tab = seed.frac_rows(j, lam)
     acc = np.ones(len(h), dtype=np.float64)
     for i in range(lam):
         m = g ** (lam - i)
@@ -828,7 +824,7 @@ class TestL1Moment:
         beta=st.floats(-4.0, 4.0, allow_nan=False),
     )
     def test_level_sharing_equals_per_point(self, g, lam, j, family, rows_seed, a, beta):
-        es = expsum_context(seed_pool(g, np.random.default_rng(rows_seed))[family])
+        seed = seed_pool(g, np.random.default_rng(rows_seed))[family]
         cells = [
             (k, delta)
             for delta in range(lam + 1)
@@ -836,13 +832,13 @@ class TestL1Moment:
             if k % g
         ]
         for k, delta in cells:
-            got = l1_moment(es, lam, j, k, delta, a, beta)
-            assert got == l1_moment_per_point(es, lam, j, k, delta, a, beta), (k, delta)
+            got = l1_moment(seed, lam, j, k, delta, a, beta)
+            assert got == l1_moment_per_point(seed, lam, j, k, delta, a, beta), (k, delta)
 
     def test_flat_mass_concentrates(self):
         for g in (2, 3, 10):
-            es = expsum_context(sod_seed(g, 0.0))
-            v = l1_moment(es, 4, 0, 1, 0, 0, 0.0)
+            seed = sod_seed(g, 0.0)
+            v = l1_moment(seed, 4, 0, 1, 0, 0, 0.0)
             assert v == pytest.approx(1.0, abs=1e-9)
             assert v <= g ** (eta_tilde(g) * 4 + 1)
 
@@ -850,39 +846,37 @@ class TestL1Moment:
         rng = np.random.default_rng(21)
         for g in (2, 6):
             for s in seed_pool(g, rng)[:4]:
-                es = expsum_context(s)
                 for delta in (0, 2, 3):
                     a = int(rng.integers(0, g**delta))
                     beta = float(rng.random())
-                    got = l1_moment(es, delta, 1, 1, delta, a, beta)
-                    want = F_abs_product(es, delta, 1, (a + beta) / g**delta)
+                    got = l1_moment(s, delta, 1, 1, delta, a, beta)
+                    want = F_abs_product(s, delta, 1, (a + beta) / g**delta)
                     assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
-                    cap = l1_moment_bound(es, delta, 1, 1, delta, a, beta)
+                    cap = l1_moment_bound(s, delta, 1, 1, delta, a, beta)
                     assert got <= cap * (1 + 1e-9)
 
     def test_validation(self):
-        es = expsum_context(sod_seed(6, 0.0))
+        seed = sod_seed(6, 0.0)
         with pytest.raises(ValueError):
-            l1_moment(es, 3, 0, 1, 4, 0, 0.0)
+            l1_moment(seed, 3, 0, 1, 4, 0, 0.0)
         with pytest.raises(ValueError):
-            l1_moment(es, 3, 0, 0, 0, 0, 0.0)
+            l1_moment(seed, 3, 0, 0, 0, 0, 0.0)
         with pytest.raises(ValueError):
-            l1_moment(es, 3, 0, 12, 0, 0, 0.0)
+            l1_moment(seed, 3, 0, 12, 0, 0, 0.0)
         with pytest.raises(ValueError):
-            l1_moment(es, 3, 0, 5, 0, 0, 0.0)
+            l1_moment(seed, 3, 0, 5, 0, 0, 0.0)
         with pytest.raises(ValueError):
-            l1_moment(es, 3, 0, 4, 2, 0, 0.0)
+            l1_moment(seed, 3, 0, 4, 2, 0, 0.0)
 
     def test_matches_direct_and_grid(self):
         rng = np.random.default_rng(22)
         for g, lam in ((2, 5), (3, 4), (6, 3)):
             for s in seed_pool(g, rng)[:5]:
-                es = expsum_context(s)
                 beta = float(rng.random())
-                grid = _progression_abs(es, lam, 1, 1, 0, beta)
+                grid = _progression_abs(s, lam, 1, 1, 0, beta)
                 n = g**lam
                 for h in rng.integers(0, n, 5):
-                    want = abs(F_direct(es, lam, 1, (int(h) + beta) / n))
+                    want = abs(F_direct(s, lam, 1, (int(h) + beta) / n))
                     assert grid[int(h)] == pytest.approx(want, abs=1e-10)
                 for k in (1, 2, 3, 4, 5):
                     for delta in range(lam + 1):
@@ -890,10 +884,10 @@ class TestL1Moment:
                         if k % g == 0 or n % step:
                             continue
                         for a in (0, 1, step - 1, int(rng.integers(0, step))):
-                            got = l1_moment(es, lam, 1, k, delta, a, beta)
+                            got = l1_moment(s, lam, 1, k, delta, a, beta)
                             want = float(grid[a % step :: step].sum())
                             assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
-                            cap = l1_moment_bound(es, lam, 1, k, delta, a, beta)
+                            cap = l1_moment_bound(s, lam, 1, k, delta, a, beta)
                             assert got <= cap * (1 + 1e-9)
 
     def test_pure_form_cap(self):
@@ -901,9 +895,8 @@ class TestL1Moment:
         for g, lam in ((2, 8), (3, 6), (6, 4)):
             cap = g ** (eta_tilde(g) * lam + 1)
             for s in seed_pool(g, rng):
-                es = expsum_context(s)
                 for beta in rng.random(4):
-                    assert l1_moment(es, lam, 0, 1, 0, 0, float(beta)) <= cap * (1 + 1e-9)
+                    assert l1_moment(s, lam, 0, 1, 0, 0, float(beta)) <= cap * (1 + 1e-9)
 
 
 class TestHybrid:
@@ -911,14 +904,13 @@ class TestHybrid:
         rng = np.random.default_rng(24)
         for g in (2, 10):
             for s in seed_pool(g, rng)[:4]:
-                es = expsum_context(s)
-                got = hybrid_sum(es, 5, 2, 1.0)
-                want = F_abs_product(es, 5, 2, 0.0)
+                got = hybrid_sum(s, 5, 2, 1.0)
+                want = F_abs_product(s, 5, 2, 0.0)
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_flat_geometric_oracle(self):
         for g, lam in ((2, 6), (3, 5)):
-            es = expsum_context(sod_seed(g, 0.0))
+            seed = sod_seed(g, 0.0)
             N = g**lam
             for M in (1.0, 1.5, 3.0, 4.7):
                 want = 0.0
@@ -932,7 +924,7 @@ class TestHybrid:
                             num = math.sin(math.pi * k * N / m)
                             den = math.sin(math.pi * k / m)
                             want += abs(num / den) / N
-                got = hybrid_sum(es, lam, 0, M)
+                got = hybrid_sum(seed, lam, 0, M)
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
     def test_bound_shape_branches(self):
@@ -940,28 +932,27 @@ class TestHybrid:
         for g in (2, 3):
             eta = eta_tilde(g)
             for s in seed_pool(g, rng)[:3]:
-                es = expsum_context(s)
                 M = float(g**2)
-                want = M * g ** (-(0.5 - eta) * 4 - sigma(es, 6, 1 + 4))
-                assert hybrid_bound_shape(es, 10, 1, M) == pytest.approx(want, rel=1e-12)
+                want = M * g ** (-(0.5 - eta) * 4 - sigma(s, 6, 1 + 4))
+                assert hybrid_bound_shape(s, 10, 1, M) == pytest.approx(want, rel=1e-12)
                 M = float(g**3)
                 want = M * M * g ** (-(1 - eta) * 5)
-                assert hybrid_bound_shape(es, 5, 1, M) == pytest.approx(want, rel=1e-12)
+                assert hybrid_bound_shape(s, 5, 1, M) == pytest.approx(want, rel=1e-12)
 
     def test_ratio_is_finite(self):
-        es = expsum_context(reverse_seed(2, 12, 1 / 3))
+        seed = reverse_seed(2, 12, 1 / 3)
         for lam, M in ((6, 2.0), (8, 4.0)):
-            num = hybrid_sum(es, lam, 0, M)
-            den = hybrid_bound_shape(es, lam, 0, M)
+            num = hybrid_sum(seed, lam, 0, M)
+            den = hybrid_bound_shape(seed, lam, 0, M)
             assert num >= 0 and den > 0
             assert math.isfinite(num / den)
 
     def test_rejects_tiny_scale(self):
-        es = expsum_context(sod_seed(2, 0.0))
+        seed = sod_seed(2, 0.0)
         with pytest.raises(ValueError):
-            hybrid_sum(es, 3, 0, 0.5)
+            hybrid_sum(seed, 3, 0, 0.5)
         with pytest.raises(ValueError):
-            hybrid_bound_shape(es, 3, 0, 0.5)
+            hybrid_bound_shape(seed, 3, 0, 0.5)
 
 
 def bits(values):
@@ -969,10 +960,10 @@ def bits(values):
     return np.asarray(values, dtype=np.float64).tobytes()
 
 
-def product_oracle(es, lam, j, beta):
+def product_oracle(seed, lam, j, beta):
     """Scalar |F|: a Fraction ladder and a cos/sin sum at each position."""
-    g = es.ctx.g
-    tab = es.seed.frac_rows(j, lam)
+    g = seed.base
+    tab = seed.frac_rows(j, lam)
     num, den = Fraction(beta % 1.0).as_integer_ratio()
     acc = 1.0
     for i in range(lam):
@@ -986,13 +977,13 @@ def product_oracle(es, lam, j, beta):
     return acc
 
 
-def hybrid_oracle(es, lam, j, M):
+def hybrid_oracle(seed, lam, j, M):
     """One scalar product per Farey point k/m, m in [M, 2M), added in order."""
     total = 0.0
     for m in range(math.ceil(M), math.ceil(2 * M)):
         for k in range(m):
             if math.gcd(k, m) == 1:
-                total += product_oracle(es, lam, j, k / m)
+                total += product_oracle(seed, lam, j, k / m)
     return total
 
 
@@ -1022,22 +1013,22 @@ def divmod_phases(tab, n, g):
     return phase
 
 
-def divmod_direct(es, lam, j, beta):
+def divmod_direct(seed, lam, j, beta):
     """F_direct with its phases from one divmod pass over every integer."""
-    g = es.ctx.g
+    g = seed.base
     n = np.arange(g**lam, dtype=np.int64)
-    phase = divmod_phases(es.seed.frac_rows(j, lam), n, g)
+    phase = divmod_phases(seed.frac_rows(j, lam), n, g)
     bhi, blo = _split26(beta % 1.0)
     nf = n.astype(np.float64)
     phase -= np.mod(bhi * nf, 1.0) + blo * nf
     return (0.0 + 0.0j + complex(np.exp(2j * np.pi * phase).sum())) / g**lam
 
 
-def direct_oracle(es, lam, j, beta):
+def direct_oracle(seed, lam, j, beta):
     """F_direct for one chunk, its phases taken from the per-integer loop."""
-    g = es.ctx.g
+    g = seed.base
     n = np.arange(g**lam, dtype=np.int64)
-    phase = np.array(digit_phase_oracle(es.seed.frac_rows(j, lam), n.tolist(), g))
+    phase = np.array(digit_phase_oracle(seed.frac_rows(j, lam), n.tolist(), g))
     bhi, blo = _split26(beta % 1.0)
     nf = n.astype(np.float64)
     phase -= np.mod(bhi * nf, 1.0) + blo * nf
@@ -1052,14 +1043,14 @@ pool_case = dict(
 )
 
 
-def pool_context(g, family, rows_seed):
-    return expsum_context(seed_pool(g, np.random.default_rng(rows_seed))[family])
+def pool_seed(g, family, rows_seed):
+    return seed_pool(g, np.random.default_rng(rows_seed))[family]
 
 
-def psi_per_pair(es, i, t, R, S):
+def psi_per_pair(seed, i, t, R, S):
     """psi as one _phi_sums call per (r, s): the loop the batched psi replaced."""
-    g = es.ctx.g
-    rows = es.seed.frac_rows(i, 2)
+    g = seed.base
+    rows = seed.frac_rows(i, 2)
     tarr = np.asarray(t, dtype=np.float64)
     total = np.zeros(tarr.shape, dtype=np.float64)
     for r in range(R):
@@ -1080,19 +1071,19 @@ class TestScalarOracles:
         **pool_case,
     )
     def test_product_array_equals_scalar_calls(self, g, lam, j, family, rows_seed, betas):
-        es = pool_context(g, family, rows_seed)
-        got = F_abs_product(es, lam, j, np.array(betas, dtype=np.float64))
-        each = [F_abs_product(es, lam, j, b) for b in betas]
-        want = [product_oracle(es, lam, j, b) for b in betas]
+        seed = pool_seed(g, family, rows_seed)
+        got = F_abs_product(seed, lam, j, np.array(betas, dtype=np.float64))
+        each = [F_abs_product(seed, lam, j, b) for b in betas]
+        want = [product_oracle(seed, lam, j, b) for b in betas]
         assert bits(got) == bits(each) == bits(want)
-        single = [product_oracle(es, 1, j, b) for b in betas]
-        assert bits([phi(es, 0, j, b) / g for b in betas]) == bits(single)
+        single = [product_oracle(seed, 1, j, b) for b in betas]
+        assert bits([phi(seed, 0, j, b) / g for b in betas]) == bits(single)
 
     @settings(max_examples=30, deadline=None)
     @given(lam=st.integers(0, 6), M=st.floats(1.0, 12.0), **pool_case)
     def test_hybrid_equals_farey_loop(self, g, lam, j, family, rows_seed, M):
-        es = pool_context(g, family, rows_seed)
-        assert bits(hybrid_sum(es, lam, j, M)) == bits(hybrid_oracle(es, lam, j, M))
+        seed = pool_seed(g, family, rows_seed)
+        assert bits(hybrid_sum(seed, lam, j, M)) == bits(hybrid_oracle(seed, lam, j, M))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -1101,15 +1092,15 @@ class TestScalarOracles:
         **pool_case,
     )
     def test_digit_phases_equal_digit_loop(self, g, lam, j, family, rows_seed, beta):
-        es = pool_context(g, family, rows_seed)
-        tab = es.seed.frac_rows(j, lam)
+        seed = pool_seed(g, family, rows_seed)
+        tab = seed.frac_rows(j, lam)
         # past g^lam the entries carry digits the window ignores
         top = g**lam + 3 * g
         n = np.arange(top + 1)
         want = bits(digit_phase_oracle(tab, n.tolist(), g))
         assert bits(_phase_tree(tab, g, top)) == bits(divmod_phases(tab, n, g)) == want
-        got = np.complex128(F_direct(es, lam, j, beta))
-        assert got.tobytes() == np.complex128(direct_oracle(es, lam, j, beta)).tobytes()
+        got = np.complex128(F_direct(seed, lam, j, beta))
+        assert got.tobytes() == np.complex128(direct_oracle(seed, lam, j, beta)).tobytes()
 
     @settings(max_examples=2, deadline=None)
     @given(
@@ -1122,9 +1113,9 @@ class TestScalarOracles:
         # the longest window each base allows: 2^20 is the budget, and
         # 3^12 the last power of 3 below it
         assert g**lam <= DIRECT_BUDGET < g ** (lam + 1)
-        es = pool_context(g, family, rows_seed)
-        got = np.complex128(F_direct(es, lam, 0, beta))
-        assert got.tobytes() == np.complex128(divmod_direct(es, lam, 0, beta)).tobytes()
+        seed = pool_seed(g, family, rows_seed)
+        got = np.complex128(F_direct(seed, lam, 0, beta))
+        assert got.tobytes() == np.complex128(divmod_direct(seed, lam, 0, beta)).tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -1136,15 +1127,15 @@ class TestScalarOracles:
         ts=st.lists(st.floats(-8.0, 8.0, allow_nan=False), min_size=1, max_size=7),
     )
     def test_psi_equals_per_pair_loop(self, g, i, family, rows_seed, pick, ts):
-        es = pool_context(g, family, rows_seed)
+        seed = pool_seed(g, family, rows_seed)
         ds = divisors(g)
         R, S = ds[pick % len(ds)], ds[(pick // len(ds)) % len(ds)]
         t = np.array(ts, dtype=np.float64)
-        assert bits(psi(es, i, t, R, S)) == bits(psi_per_pair(es, i, t, R, S))
-        assert bits(psi(es, i, ts[0], R, S)) == bits(psi_per_pair(es, i, ts[0], R, S))
-        assert isinstance(psi(es, i, ts[0], R, S), float)
+        assert bits(psi(seed, i, t, R, S)) == bits(psi_per_pair(seed, i, t, R, S))
+        assert bits(psi(seed, i, ts[0], R, S)) == bits(psi_per_pair(seed, i, ts[0], R, S))
+        assert isinstance(psi(seed, i, ts[0], R, S), float)
         grid = t.reshape(1, -1)
-        assert psi(es, i, grid, R, S).shape == grid.shape
+        assert psi(seed, i, grid, R, S).shape == grid.shape
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -1155,7 +1146,7 @@ class TestScalarOracles:
         **pool_case,
     )
     def test_l1_beta_array_equals_scalar_calls(self, g, lam, j, family, rows_seed, pick, a, betas):
-        es = pool_context(g, family, rows_seed)
+        seed = pool_seed(g, family, rows_seed)
         cells = [
             (k, delta)
             for delta in range(lam + 1)
@@ -1165,10 +1156,10 @@ class TestScalarOracles:
         k, delta = cells[pick % len(cells)]
         arr = np.array(betas, dtype=np.float64)
         for fn in (l1_moment, l1_moment_bound):
-            got = fn(es, lam, j, k, delta, a, arr)
+            got = fn(seed, lam, j, k, delta, a, arr)
             assert got.shape == arr.shape
-            assert bits(got) == bits([fn(es, lam, j, k, delta, a, b) for b in betas])
-            assert isinstance(fn(es, lam, j, k, delta, a, 0.25), float)
+            assert bits(got) == bits([fn(seed, lam, j, k, delta, a, b) for b in betas])
+            assert isinstance(fn(seed, lam, j, k, delta, a, 0.25), float)
 
 
 class TestSpacedPoints:
@@ -1179,7 +1170,6 @@ class TestSpacedPoints:
             N = g**lam
             n = np.arange(N)
             for s in seed_pool(g, rng)[:4]:
-                es = expsum_context(s)
                 tab = s.frac_rows(0, lam)
                 vals = np.zeros(N)
                 for i in range(lam):
@@ -1192,7 +1182,7 @@ class TestSpacedPoints:
                     if math.gcd(k, m) == 1
                 ]
                 delta = 1.0 / (2 * M) ** 2
-                lhs = sum(F_abs_product(es, lam, 0, float(p)) for p in pts)
+                lhs = sum(F_abs_product(s, lam, 0, float(p)) for p in pts)
                 grid = (np.arange(20000) + 0.5) / 20000
                 E = np.exp(2j * np.pi * (vals[None, :] - np.outer(grid, n)))
                 f_abs = np.abs(E.mean(axis=1))

@@ -54,6 +54,18 @@ def test_revcount_reads_only_arith_and_basedigits():
     assert package_imports(revcount) == {"arith", "basedigits"}
 
 
+def test_seeds_read_only_basedigits():
+    from revprime import seeds
+
+    assert package_imports(seeds) == {"basedigits"}
+
+
+def test_expsum_reads_only_basedigits_and_seeds():
+    from revprime import expsum
+
+    assert package_imports(expsum) == {"basedigits", "seeds"}
+
+
 def test_cli_loads_only_the_census_layer():
     from revprime import cli
 

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from revprime.arith import build_table, mangoldt_tail, vaughan_arrays
 from revprime.basedigits import ilog
-from revprime.expsum import CostBudgetError, expsum_context, sigma
+from revprime.expsum import CostBudgetError, sigma
 from revprime.seeds import f_eval, reverse_seed, sod_seed, table_seed
 from revprime import primesum as ps
 
@@ -99,7 +99,7 @@ def divmod_phases(tab, n, g):
 def unit_phases_at(seed, L, values):
     """_unit_phases read at the given integers, from one table over [0, max]."""
     n = np.array(values, dtype=np.int64)
-    return ps._unit_phases(expsum_context(seed), L, int(n.max(initial=0)))[n]
+    return ps._unit_phases(seed, L, int(n.max(initial=0)))[n]
 
 
 class TestPhases:
@@ -148,7 +148,7 @@ class TestPhases:
         # every entry of [0, top], including tops past the period g^L
         rows = np.random.default_rng(rows_seed).random((3, g))
         for seed in (sod_seed(g, 0.37), reverse_seed(g, L, 0.73), table_seed(g, rows)):
-            got = ps._unit_phases(expsum_context(seed), L, top)
+            got = ps._unit_phases(seed, L, top)
             n = np.arange(top + 1, dtype=np.int64)
             want = np.exp(2j * np.pi * divmod_phases(seed.frac_rows(0, L), n, g))
             assert got.tobytes() == want.tobytes()
@@ -159,22 +159,22 @@ class TestPhases:
         assert lo[0] == pytest.approx(lo[2], abs=1e-15)
 
 
-def per_row_phases(es, L, n):
-    return np.exp(2j * np.pi * divmod_phases(es.seed.frac_rows(0, L), n, es.ctx.g))
+def per_row_phases(seed, L, n):
+    return np.exp(2j * np.pi * divmod_phases(seed.frac_rows(0, L), n, seed.base))
 
 
-def per_row_type_i(es, p):
+def per_row_type_i(seed, p):
     """type_i_sum as one digit-phase evaluation per progression m."""
     parts = []
     for m in range(1, math.floor(p.M) + 1):
         top = math.floor(p.x / m)
         n = np.arange(1, top + 1, dtype=np.int64)
-        prefix = np.cumsum(per_row_phases(es, p.L, m * n))
+        prefix = np.cumsum(per_row_phases(seed, p.L, m * n))
         parts.append(float(np.abs(prefix).max()))
     return math.fsum(parts)
 
 
-def per_row_type_ii(es, p):
+def per_row_type_ii(seed, p):
     """type_ii_sum as one digit-phase evaluation and one b call per row m."""
     m_first = math.floor(p.M) + 1
     m_last = math.floor(2.0 * p.M)
@@ -192,7 +192,7 @@ def per_row_type_ii(es, p):
             continue
         n = np.arange(n_lo + 1, n_hi + 1, dtype=np.int64)
         b = np.asarray(p.b_coeff(n), dtype=np.complex128)
-        parts.append(complex(a) * complex(np.sum(b * per_row_phases(es, p.L, m * n))))
+        parts.append(complex(a) * complex(np.sum(b * per_row_phases(seed, p.L, m * n))))
     if not parts:
         return 0j
     return complex(np.sum(np.asarray(parts, dtype=np.complex128)))
@@ -224,9 +224,9 @@ class TestRowSumsEqualPerRowLoops:
     )
     def test_type_i(self, cell, family, rows_seed, frac):
         g, L, x = cell
-        es = expsum_context(sum_seed(g, L, family, rows_seed))
-        p = ps.type_i_params(es, L, float(x), 1.0 + frac * (math.sqrt(x) - 1.0))
-        assert ps.type_i_sum(es, p).hex() == per_row_type_i(es, p).hex()
+        seed = sum_seed(g, L, family, rows_seed)
+        p = ps.type_i_params(seed, L, float(x), 1.0 + frac * (math.sqrt(x) - 1.0))
+        assert ps.type_i_sum(seed, p).hex() == per_row_type_i(seed, p).hex()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -239,22 +239,22 @@ class TestRowSumsEqualPerRowLoops:
     )
     def test_type_ii(self, table, cell, family, rows_seed, m_exp, n_exp, mobius):
         g, L, x = cell
-        es = expsum_context(sum_seed(g, L, family, rows_seed))
+        seed = sum_seed(g, L, family, rows_seed)
         M, N = float(x) ** m_exp, float(x) ** n_exp
         if mobius:
             a, b = ps.mobius_coefficients(table), ps.mangoldt_tail_coefficients(table, N / 2, x)
         else:
             a, b = ps.unimodular_coefficients(1), ps.unimodular_coefficients(2)
-        p = ps.type_ii_params(es, L, float(x), M, N, a, b)
-        assert sum_bits(ps.type_ii_sum(es, p)) == sum_bits(per_row_type_ii(es, p))
+        p = ps.type_ii_params(seed, L, float(x), M, N, a, b)
+        assert sum_bits(ps.type_ii_sum(seed, p)) == sum_bits(per_row_type_ii(seed, p))
 
 
 class TestTypeI:
     def test_zero_seed_closed_form(self, table):
-        es = expsum_context(sod_seed(10, 0.0))
-        p = ps.type_i_params(es, 5, 10**4, 100.0)
+        seed = sod_seed(10, 0.0)
+        p = ps.type_i_params(seed, 5, 10**4, 100.0)
         expect = sum(10**4 // m for m in range(1, 101))
-        assert ps.type_i_sum(es, p) == pytest.approx(expect, abs=1e-9)
+        assert ps.type_i_sum(seed, p) == pytest.approx(expect, abs=1e-9)
 
     def test_matches_brute_force(self):
         for seed, L, x, M in [
@@ -262,40 +262,38 @@ class TestTypeI:
             (reverse_seed(2, 9, 0.73), 9, 500.0, 22.0),
             (table_seed(3, ((0.0, 0.4, 0.7),)), 6, 300.0, 17.0),
         ]:
-            es = expsum_context(seed)
-            p = ps.type_i_params(es, L, x, M)
-            got = ps.type_i_sum(es, p)
+            p = ps.type_i_params(seed, L, x, M)
+            got = ps.type_i_sum(seed, p)
             assert got == pytest.approx(brute_type_i(seed, L, x, M), rel=1e-10)
 
     def test_single_progression(self):
         seed = reverse_seed(2, 8, 0.73)
-        es = expsum_context(seed)
-        p = ps.type_i_params(es, 8, 200.0, 1.0)
+        p = ps.type_i_params(seed, 8, 200.0, 1.0)
         best = 0.0
         running = 0j
         for n in range(1, 201):
             running += phase_of(seed, 8, n)
             best = max(best, abs(running))
-        assert ps.type_i_sum(es, p) == pytest.approx(best, rel=1e-12)
+        assert ps.type_i_sum(seed, p) == pytest.approx(best, rel=1e-12)
 
     def test_params_fields(self):
-        es = expsum_context(reverse_seed(2, 14, 0.73))
-        p = ps.type_i_params(es, 14, 2.0**14, 2.0**7)
-        assert p.kappa_I == pytest.approx(sigma(es, 14, 0), abs=0)
-        assert ps.type_i_bound_shape(es, p) == pytest.approx(
+        seed = reverse_seed(2, 14, 0.73)
+        p = ps.type_i_params(seed, 14, 2.0**14, 2.0**7)
+        assert p.kappa_I == pytest.approx(sigma(seed, 14, 0), abs=0)
+        assert ps.type_i_bound_shape(seed, p) == pytest.approx(
             2.0**14 * 2.0 ** (-p.kappa_I) * math.log(2.0**14) ** 2
         )
 
     def test_validation(self):
-        es = expsum_context(sod_seed(10, 0.0))
+        seed = sod_seed(10, 0.0)
         with pytest.raises(ValueError):
-            ps.type_i_params(es, 5, 10**4, 101.0)  # M above sqrt(x)
+            ps.type_i_params(seed, 5, 10**4, 101.0)  # M above sqrt(x)
         with pytest.raises(ValueError):
-            ps.type_i_params(es, 1, 11.0, 2.0)  # x above g^L
+            ps.type_i_params(seed, 1, 11.0, 2.0)  # x above g^L
         with pytest.raises(ValueError):
-            ps.type_i_params(es, 5, 1.5, 1.0)
+            ps.type_i_params(seed, 5, 1.5, 1.0)
         with pytest.raises(CostBudgetError):
-            ps.type_i_params(es, 12, 2 * 10**6, 1000.0)
+            ps.type_i_params(seed, 12, 2 * 10**6, 1000.0)
 
 
 class TestTypeII:
@@ -303,33 +301,32 @@ class TestTypeII:
         def zeros(n):
             return np.zeros(n.shape, dtype=np.complex128)
 
-        es = expsum_context(sod_seed(10, 0.37))
+        seed = sod_seed(10, 0.37)
         p = ps.type_ii_params(
-            es, 5, 10**4, 25.0, 25.0,
+            seed, 5, 10**4, 25.0, 25.0,
             zeros, zeros,
         )
-        assert ps.type_ii_sum(es, p) == 0j
+        assert ps.type_ii_sum(seed, p) == 0j
 
     def test_empty_box(self):
-        es = expsum_context(sod_seed(10, 0.0))
+        seed = sod_seed(10, 0.0)
         p = ps.type_ii_params(
-            es, 2, 100.0, 20.0, 20.0,
+            seed, 2, 100.0, 20.0, 20.0,
             ps.unimodular_coefficients(), ps.unimodular_coefficients(),
         )
-        assert ps.type_ii_sum(es, p) == 0j
+        assert ps.type_ii_sum(seed, p) == 0j
 
     def test_mobius_tail_pair_matches_brute(self, table):
         x = 10**4
         z = x**0.25
         logx = math.log(x)
         for seed in (sod_seed(10, 0.0), sod_seed(10, 0.37)):
-            es = expsum_context(seed)
             p = ps.type_ii_params(
-                es, 5, float(x), 30.0, 40.0,
+                seed, 5, float(x), 30.0, 40.0,
                 ps.mobius_coefficients(table),
                 ps.mangoldt_tail_coefficients(table, z, x),
             )
-            got = ps.type_ii_sum(es, p)
+            got = ps.type_ii_sum(seed, p)
             want = 0j
             for m in range(31, 61):
                 for n in range(41, 81):
@@ -379,16 +376,16 @@ class TestTypeII:
         assert not np.array_equal(first, other)
 
     def test_params_fields(self):
-        es = expsum_context(reverse_seed(2, 16, 0.73))
+        seed = reverse_seed(2, 16, 0.73)
         x = 2.0**16
         p = ps.type_ii_params(
-            es, 16, x, 2.0**5, 2.0**7,
+            seed, 16, x, 2.0**5, 2.0**7,
             ps.unimodular_coefficients(), ps.unimodular_coefficients(),
         )
         assert (p.L, p.x, p.M, p.N) == (16, x, 2.0**5, 2.0**7)
         assert p.xi_II == 4
-        assert p.kappa_II == pytest.approx(sigma(es, 4, 0) / 10.0, abs=0)
-        assert ps.type_ii_bound_shape(es, p) == x * 2.0 ** (-p.kappa_II) * math.log(x)
+        assert p.kappa_II == pytest.approx(sigma(seed, 4, 0) / 10.0, abs=0)
+        assert ps.type_ii_bound_shape(seed, p) == x * 2.0 ** (-p.kappa_II) * math.log(x)
 
     def test_one_decay_exponent(self, table):
         # Type II and the prime sum read one (xi, kappa): xi is the largest
@@ -411,31 +408,31 @@ class TestTypeII:
                     cases += [(g, x) for x in near]
         for g, x in cases:
             L = ilog(x, g) + 1
-            es = expsum_context(reverse_seed(g, L, 0.73))
+            seed = reverse_seed(g, L, 0.73)
             corner = max(1.0, math.ceil(x**0.25))
-            p = ps.type_ii_params(es, L, float(x), corner, corner, ok, ok)
-            res = ps.prime_exp_sum(es, L, float(x), table)
+            p = ps.type_ii_params(seed, L, float(x), corner, corner, ok, ok)
+            res = ps.prime_exp_sum(seed, L, float(x), table)
             assert p.xi_II == res.xi == brute_xi(g, x), (g, x)
-            assert p.kappa_II == res.kappa == sigma(es, res.xi, 0) / 10.0, (g, x)
+            assert p.kappa_II == res.kappa == sigma(seed, res.xi, 0) / 10.0, (g, x)
 
     def test_validation(self):
-        es = expsum_context(sod_seed(10, 0.0))
+        seed = sod_seed(10, 0.0)
         ok = ps.unimodular_coefficients()
         with pytest.raises(ValueError):
-            ps.type_ii_params(es, 5, 10**4, 5.0, 25.0, ok, ok)
+            ps.type_ii_params(seed, 5, 10**4, 5.0, 25.0, ok, ok)
         with pytest.raises(ValueError):
-            ps.type_ii_params(es, 2, 101.0, 25.0, 25.0, ok, ok)
+            ps.type_ii_params(seed, 2, 101.0, 25.0, 25.0, ok, ok)
         with pytest.raises(ValueError):
-            ps.type_ii_params(es, 5, 1.5, 25.0, 25.0, ok, ok)
+            ps.type_ii_params(seed, 5, 1.5, 25.0, 25.0, ok, ok)
         with pytest.raises(CostBudgetError):
-            ps.type_ii_params(es, 12, 2 * 10**6, 2000.0, 2000.0, ok, ok)
+            ps.type_ii_params(seed, 12, 2 * 10**6, 2000.0, 2000.0, ok, ok)
 
 
-def per_pair_truncation(es, M, N, r, L, lam):
+def per_pair_truncation(seed, M, N, r, L, lam):
     """truncation_set_size as one exact Fraction weight difference per pair."""
-    g = es.ctx.g
+    g = seed.base
     glam = g**lam
-    rows = es.seed.frac_rows(0, L)
+    rows = seed.frac_rows(0, L)
     weights = [[Fraction(rows[i, d]) for d in range(g)] for i in range(L)]
     members = 0
     superset = 0
@@ -474,37 +471,35 @@ class TestTruncation:
         R = 1.0 + frac * (math.sqrt(N) - 1.0)
         lam = ilog(M * R * R, g) + 1
         L = lam + extra
-        es = expsum_context(sum_seed(g, L, family, rows_seed))
+        seed = sum_seed(g, L, family, rows_seed)
         for r in range(int(R) + 1):
-            got = ps.truncation_set_size(es, M, N, R, r, L, lam)
-            assert got == per_pair_truncation(es, M, N, r, L, lam), r
+            got = ps.truncation_set_size(seed, M, N, R, r, L, lam)
+            assert got == per_pair_truncation(seed, M, N, r, L, lam), r
 
     def test_no_shift_is_empty(self):
-        es = expsum_context(reverse_seed(2, 12, 0.73))
-        members, superset = ps.truncation_set_size(es, 8.0, 64.0, 4.0, 0, 12, 8)
+        seed = reverse_seed(2, 12, 0.73)
+        members, superset = ps.truncation_set_size(seed, 8.0, 64.0, 4.0, 0, 12, 8)
         assert members == 0
         assert superset == 0
 
     def test_single_pair_by_hand(self):
         seed = table_seed(2, ((0.0, 0.3), (0.0, 0.7), (0.0, 0.1)))
-        es = expsum_context(seed)
         # box (1,2] x (1,2] holds only (2,2).  With r=1 and lam=1 the
         # interval (4, 6] contains 3*2, so the pair lands in the superset;
         # quotients 3 = 11_2 and 2 = 10_2 differ at position 0, putting
         # weight 0.7 - 0.0 at seed position 1, so it is a member too.
-        members, superset = ps.truncation_set_size(es, 1.0, 1.0, 1.0, 1, 4, 1)
+        members, superset = ps.truncation_set_size(seed, 1.0, 1.0, 1.0, 1, 4, 1)
         assert (members, superset) == (1, 1)
 
     def test_containment_exhaustive_base2(self):
         seed = reverse_seed(2, 18, 0.73)
-        es = expsum_context(seed)
         for M in (1.0, 2.0, 4.0, 8.0, 16.0):
             for N, R in ((16.0, 4.0), (64.0, 4.0), (64.0, 8.0), (128.0, 8.0)):
                 lam = ilog(M * R * R, 2) + 1
                 L = lam + 6
                 for r in range(int(R) + 1):
                     members, superset = ps.truncation_set_size(
-                        es, M, N, R, r, L, lam
+                        seed, M, N, R, r, L, lam
                     )
                     assert members <= superset
                     if r == 0:
@@ -514,11 +509,10 @@ class TestTruncation:
         # dyadic scale keeps every weight and sum exact in floats, so a
         # plain f_eval comparison is a valid independent oracle
         seed = reverse_seed(2, 14, 0.75)
-        es = expsum_context(seed)
         M, N, R, r = 8.0, 64.0, 4.0, 3
         lam = ilog(M * R * R, 2) + 1
         L = 14
-        members, _ = ps.truncation_set_size(es, M, N, R, r, L, lam)
+        members, _ = ps.truncation_set_size(seed, M, N, R, r, L, lam)
         count = 0
         for m in range(9, 17):
             for n in range(65, 129):
@@ -530,15 +524,15 @@ class TestTruncation:
         assert members == count
 
     def test_validation(self):
-        es = expsum_context(reverse_seed(2, 12, 0.73))
+        seed = reverse_seed(2, 12, 0.73)
         with pytest.raises(ValueError):
-            ps.truncation_set_size(es, 8.0, 64.0, 4.0, 5, 12, 8)  # r > R
+            ps.truncation_set_size(seed, 8.0, 64.0, 4.0, 5, 12, 8)  # r > R
         with pytest.raises(ValueError):
-            ps.truncation_set_size(es, 8.0, 64.0, 4.0, 2, 12, 9)  # wrong lam
+            ps.truncation_set_size(seed, 8.0, 64.0, 4.0, 2, 12, 9)  # wrong lam
         with pytest.raises(ValueError):
-            ps.truncation_set_size(es, 8.0, 9.0, 4.0, 2, 12, 8)  # R > sqrt(N)
+            ps.truncation_set_size(seed, 8.0, 9.0, 4.0, 2, 12, 8)  # R > sqrt(N)
         with pytest.raises(ValueError):
-            ps.truncation_set_size(es, 8.0, 64.0, 4.0, 2, 7, 8)  # lam > L
+            ps.truncation_set_size(seed, 8.0, 64.0, 4.0, 2, 7, 8)  # lam > L
 
 
 class TestVdc:
@@ -612,14 +606,14 @@ class TestSinSum:
         assert rep.passed
 
 
-def four_term_route(es, L, x, z, pt):
+def four_term_route(seed, L, x, z, pt):
     """The prime sum rebuilt from the four-term split, summed in split order.
 
     The first three pieces are rows over the short factor, mirroring how
     the pieces are estimated, added one at a time in ascending order.
     """
     top = math.floor(x)
-    table = ps._unit_phases(es, L, top)
+    table = ps._unit_phases(seed, L, top)
     va = vaughan_arrays(pt, z, top)
     zi = math.floor(z)
     zsq = min(math.floor(z * z), top)
@@ -638,26 +632,24 @@ def four_term_route(es, L, x, z, pt):
 
 class TestPrimeSum:
     def test_zero_seed_is_chebyshev(self, table):
-        es = expsum_context(sod_seed(10, 0.0))
-        result = ps.prime_exp_sum(es, 5, 10**4, table)
+        seed = sod_seed(10, 0.0)
+        result = ps.prime_exp_sum(seed, 5, 10**4, table)
         psi = sum(table.mangoldt(n) for n in range(2, 10**4 + 1))
         assert result.S == pytest.approx(psi, abs=1e-8)
         assert result.S.imag == pytest.approx(0.0, abs=1e-10)
 
     def test_x_two_single_term(self, table):
         seed = reverse_seed(10, 6, 0.37)
-        es = expsum_context(seed)
-        result = ps.prime_exp_sum(es, 6, 2.0, table)
+        result = ps.prime_exp_sum(seed, 6, 2.0, table)
         assert result.S == pytest.approx(
             math.log(2) * phase_of(seed, 6, 2), abs=1e-12
         )
 
     def test_exponent_fields(self, table):
         seed = reverse_seed(2, 14, 0.73)
-        es = expsum_context(seed)
-        result = ps.prime_exp_sum(es, 14, 2.0**14, table)
+        result = ps.prime_exp_sum(seed, 14, 2.0**14, table)
         assert result.xi == ilog(2**14, 2) // 4
-        assert result.kappa == pytest.approx(sigma(es, result.xi, 0) / 10.0, abs=0)
+        assert result.kappa == pytest.approx(sigma(seed, result.xi, 0) / 10.0, abs=0)
         assert result.kappa <= result.xi / 20.0 + 1e-12
         expect_shape = 2.0**14 * 2.0 ** (-result.kappa) * math.log(2.0**14) ** 4
         assert result.bound_shape == pytest.approx(expect_shape, abs=0)
@@ -672,21 +664,20 @@ class TestPrimeSum:
             (reverse_seed(10, 4, 0.37), 10, 4, 3000),
         ]
         for seed, g, L, x in cases:
-            es = expsum_context(seed)
-            S = ps.prime_exp_sum(es, L, float(x), table).S
-            other = four_term_route(es, L, float(x), x**0.25, table)
+            S = ps.prime_exp_sum(seed, L, float(x), table).S
+            other = four_term_route(seed, L, float(x), x**0.25, table)
             assert abs(S - other) <= 1e-6 * max(1.0, abs(S)), (seed, x)
 
     def test_validation(self, table):
-        es = expsum_context(sod_seed(10, 0.0))
+        seed = sod_seed(10, 0.0)
         with pytest.raises(ValueError):
-            ps.prime_exp_sum(es, 3, 2000.0, table)  # x > g^L
+            ps.prime_exp_sum(seed, 3, 2000.0, table)  # x > g^L
         with pytest.raises(ValueError):
-            ps.prime_exp_sum(es, 7, 2 * 10**5, table)  # beyond sieve
+            ps.prime_exp_sum(seed, 7, 2 * 10**5, table)  # beyond sieve
         with pytest.raises(ValueError):
-            ps.prime_exp_sum(es, 7, 2 * 10**6, table)  # beyond sieve and budget
+            ps.prime_exp_sum(seed, 7, 2 * 10**6, table)  # beyond sieve and budget
         with pytest.raises(CostBudgetError):
-            ps.prime_exp_sum(es, 7, 2 * 10**6, build_table(2 * 10**6))
+            ps.prime_exp_sum(seed, 7, 2 * 10**6, build_table(2 * 10**6))
         small = build_table(100)
         with pytest.raises(ValueError):
-            ps.prime_exp_sum(es, 5, 200.0, small)
+            ps.prime_exp_sum(seed, 5, 200.0, small)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revprime.arith import build_table
-from revprime.basedigits import BaseContext, reverse, reverse_relative
+from revprime.basedigits import reverse, reverse_relative
 from revprime.revcount import (
     _GROUP_CAP,
     CensusRecord,
@@ -466,8 +466,7 @@ class TestLayerAgainstScalarRecount:
                                      min_size=1, max_size=8))
     def test_census_grid(self, window, pairs):
         g, L, limit = window
-        ctx = BaseContext(g)
-        revs = [reverse(p, ctx) for p in scalar_primes(g**L - 1) if p >= g ** (L - 1)]
+        revs = [reverse(p, g) for p in scalar_primes(g**L - 1) if p >= g ** (L - 1)]
         for (a, q), rec in zip(pairs, census_grid(g, L, pairs, build_table(limit))):
             m = math.gcd(q, g**L * (g * g - 1))
             assert rec.modulus_sharp == m
@@ -479,10 +478,9 @@ class TestLayerAgainstScalarRecount:
     def test_census_sharp(self, window, a, q, frac):
         g, L, limit = window
         x = 1 + frac * (g**L - 1)
-        ctx = BaseContext(g)
         m = math.gcd(q, g**L * (g * g - 1))
         want = sum(
-            reverse_relative(p, L, ctx) % m == a % m
+            reverse_relative(p, L, g) % m == a % m
             for p in scalar_primes(math.floor(x))
         )
         assert psi_theta_pi(g, L, x, a, q, build_table(limit), "pi", sharp=True) == want
@@ -493,10 +491,9 @@ class TestLayerAgainstScalarRecount:
     def test_psi_theta_pi(self, window, a, q, frac, sharp):
         g, L, limit = window
         x = 1 + frac * (g**L - 1)
-        ctx = BaseContext(g)
         m = math.gcd(q, g**L * (g * g - 1)) if sharp else q
         table = build_table(limit)
-        hit = lambda n: reverse_relative(n, L, ctx) % m == a % m
+        hit = lambda n: reverse_relative(n, L, g) % m == a % m
         primes = scalar_primes(math.floor(x))
         powers = [(p, p**k) for p in primes for k in range(1, 40) if p**k <= x]
         want = {
@@ -514,10 +511,9 @@ class TestLayerAgainstScalarRecount:
            st.integers(1, 60), st.floats(0, 1))
     def test_sharp_factor_deviation(self, g, limit, a, q, frac):
         x = 1 + frac * (limit - 1)
-        ctx = BaseContext(g)
         L = ilog_floor(x, g) + 1
         m = math.gcd(q, g**L * (g * g - 1))
-        revs = [reverse(p, ctx) for p in scalar_primes(math.floor(x))]
+        revs = [reverse(p, g) for p in scalar_primes(math.floor(x))]
         plain = sum(r % q == a % q for r in revs)
         sharp = sum(r % m == a % m for r in revs)
         want = abs(plain - (m / q) * sharp) / x
@@ -573,10 +569,9 @@ class TestRecord:
         assert isinstance(rec, CensusRecord)
         assert rec.g == 10 and rec.L == 3
         assert rec.modulus_sharp == math.gcd(7, 10**3 * 99)
-        ctx = BaseContext(10)
         lo, hi = 100, 1000
         manual = sum(
-            reverse(int(p), ctx) % 7 == 1
+            reverse(int(p), 10) % 7 == 1
             for p in table.primes
             if lo <= p < hi
         )

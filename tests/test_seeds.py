@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revprime.basedigits import BaseContext, reverse_relative
+from revprime.basedigits import reverse_relative
 from revprime.seeds import f_eval, reverse_seed, sod_seed, table_seed
 
 
@@ -42,10 +42,9 @@ class TestFamilies:
 
     @given(st.sampled_from([2, 3, 10]), st.integers(1, 6), st.integers(0, 10**6))
     def test_reverse_seed_matches_reverse_relative(self, g, L, n):
-        ctx = BaseContext(g)
         n %= g**L
         s = reverse_seed(g, L, 1.0)
-        assert f_eval(s, L, 0, n) == float(reverse_relative(n, L, ctx))
+        assert f_eval(s, L, 0, n) == float(reverse_relative(n, L, g))
 
     def test_reverse_seed_scale(self):
         s = reverse_seed(10, 4, 0.25)
@@ -74,6 +73,26 @@ class TestFamilies:
             sod_seed(3, 0.0).eval(0, 3)
         with pytest.raises(ValueError):
             sod_seed(3, 1.0).eval(-1, 0)
+
+    def test_every_family_checks_its_base(self):
+        for g in (1, 0, -2, True, 2.0, None):
+            with pytest.raises(ValueError):
+                sod_seed(g, 0.3)
+            with pytest.raises(ValueError):
+                reverse_seed(g, 3, 0.5)
+            with pytest.raises(ValueError):
+                table_seed(g, [[0.0, 0.5]])
+        # a base-0 table of empty rows has one weight per digit, and still fails
+        with pytest.raises(ValueError):
+            table_seed(0, [[]])
+
+    def test_rows_reject_a_negative_shift(self):
+        seeds = [sod_seed(2, 0.5), reverse_seed(2, 5, 0.5), table_seed(2, [[0.0, 0.5]])]
+        for s in seeds:
+            with pytest.raises(ValueError):
+                s.frac(-3, 1)
+            with pytest.raises(ValueError):
+                s.frac_rows(-3, 2)
 
 
 class TestShift:
@@ -195,6 +214,26 @@ class TestFrac:
         for i in range(count):
             for d in range(g):
                 assert rows[i, d] == s.frac(j + i, d), (i, d)
+
+    @given(
+        st.sampled_from([2, 3, 10]),
+        st.data(),
+        st.one_of(st.integers(0, 40), st.just(2**70 + 1)),
+        st.integers(0, 12),
+    )
+    def test_table_rows_match_frac_bit_for_bit(self, g, data, j, count):
+        # shifts run past the table; hex tells -0.0 from +0.0
+        weights = st.one_of(
+            st.floats(-(2.0**60), 2.0**60, allow_nan=False),
+            st.sampled_from([0.0, -0.0, 2.0**60, -(2.0**60), -1e-300, -5e-324]),
+        )
+        positions = data.draw(st.integers(1, 4))
+        row = st.lists(weights, min_size=g, max_size=g)
+        s = table_seed(g, data.draw(st.lists(row, min_size=positions, max_size=positions)))
+        rows = s.frac_rows(j, count)
+        assert rows.shape == (count, g)
+        got = [[v.hex() for v in r] for r in rows.tolist()]
+        assert got == [[s.frac(j + i, d).hex() for d in range(g)] for i in range(count)]
 
     @given(
         st.sampled_from([2, 3, 10]),
