@@ -139,19 +139,44 @@ def make_report(lhs: float, rhs: float, params: dict | None = None) -> BoundRepo
     return BoundReport(lhs, rhs, ratio, dict(params or {}), passed)
 
 
+def _cis(x) -> np.ndarray:
+    """e(x) = exp(2 pi i x) for a float array or scalar: the one e() kernel.
+
+    y = (2 pi) x is formed in the imaginary half of one contiguous
+    complex128 array; cos y is written into the real half and sin y over
+    y, so no other buffer is made.  The bits equal
+    np.exp(2j * np.pi * x): the complex product there has imaginary part
+    (2 pi) x rounded once, as here, plus an exact 0 * 0, and a real part
+    of +-0, whose exponential is exactly 1, so np.exp returns
+    cos y + i sin y.  The one difference is x = -0.0: its imaginary part
+    0 + (-0.0) is +0.0, so y += 0.0 turns -0.0 into +0.0 here too, and
+    sin(+0.0) = +0.0.  The equality also needs numpy's cos and sin to
+    round as its complex exp does; tests/test_numeric_env.py pins that.
+    """
+    out = np.empty(np.shape(x), dtype=np.complex128)
+    y = np.multiply(x, TWO_PI, out=out.imag)
+    y += 0.0
+    np.cos(y, out=out.real)
+    np.sin(y, out=y)
+    return out
+
+
 def _phi_sums(rows: np.ndarray, t: float | np.ndarray) -> np.ndarray:
     """Complex sums sum_d e(rows[..., d] - t*d), rows broadcast against t.
 
-    The sums equal a scalar cos/sin loop bit for bit, but the magnitudes
-    do not: abs(complex) agrees with np.hypot, while np.abs rounds about
-    a third of them differently.  phi and F_abs_product take the hypot
-    magnitude and psi and the progression moments np.abs, because the
-    frozen reports and calibration constants pin each choice.
+    Each term is _cis(rows[..., d] - t*d), which equals
+    np.exp(2j * np.pi * (rows[..., d] - t*d)) bit for bit, signed zeros
+    included (see _cis), so the sums equal a scalar cos/sin loop bit for
+    bit.  The magnitudes do not: abs(complex) agrees with np.hypot, while
+    np.abs rounds about a third of them differently.  phi and
+    F_abs_product take the hypot magnitude and psi and the progression
+    moments np.abs, because the frozen reports and calibration constants
+    pin each choice.
     """
     t = np.asarray(t, dtype=np.float64)
     total = np.zeros(np.broadcast_shapes(rows.shape[:-1], t.shape), dtype=np.complex128)
     for d in range(rows.shape[-1]):
-        total += np.exp(2j * np.pi * (rows[..., d] - t * d))
+        total += _cis(rows[..., d] - t * d)
     return total
 
 
@@ -202,8 +227,12 @@ def F_direct(seed: Seed, lam: int, j: int, beta: float) -> complex:
     """Full-period average computed term by term; costs g^lam evaluations.
 
     Refuses windows with more than DIRECT_BUDGET terms.  The beta*n
-    phase is reduced mod 1 in split precision so the result can be
-    compared with the product form at 1e-10 tolerances.
+    phase is split as bhi*n + blo*n, where bhi carries 26 bits so bhi*n
+    is exact, and bhi*n is reduced to its fractional part x - floor(x)
+    before blo*n is added, so the result can be compared with the product
+    form at 1e-10 tolerances.  That reduction is exact and equals
+    np.mod(x, 1.0) bit for bit because x >= 0: beta % 1.0 >= 0,
+    _split26 keeps bhi >= 0, and n >= 0.
     """
     if lam < 0 or j < 0:
         raise ValueError("window and shift must be nonnegative")
@@ -215,11 +244,18 @@ def F_direct(seed: Seed, lam: int, j: int, beta: float) -> complex:
         )
     bhi, blo = _split26(beta % 1.0)
     phase = _phase_tree(seed.frac_rows(j, lam), g, n_total - 1)
-    nf = np.arange(n_total, dtype=np.float64)
-    phase -= np.mod(bhi * nf, 1.0) + blo * nf
-    # the exponentials overwrite their arguments: one complex buffer
-    terms = 2j * np.pi * phase
-    total = 0.0 + 0.0j + complex(np.exp(terms, out=terms).sum())
+    # at most three float buffers of g^lam entries live at once, and only
+    # the phase table when the complex one is made
+    x = np.arange(n_total, dtype=np.float64)
+    x *= bhi
+    x -= np.floor(x)
+    lo = np.arange(n_total, dtype=np.float64)
+    lo *= blo
+    x += lo
+    del lo
+    phase -= x
+    del x
+    total = 0.0 + 0.0j + complex(_cis(phase).sum())
     return total / n_total
 
 
@@ -275,7 +311,9 @@ def _progression_abs(
     for i in range(lam):
         m = g ** (lam - i)
         period = m // math.gcd(step, m)
-        u = np.mod(((h[:period] % m).astype(np.float64) + betas) / m, 1.0)
+        # u >= 0 (h % m >= 0 and betas >= 0), so u - floor(u) is np.mod(u, 1.0)
+        u = ((h[:period] % m).astype(np.float64) + betas) / m
+        u -= np.floor(u)
         acc *= np.tile(np.abs(_phi_sums(tab[i], u)) / g, len(h) // period)
     return acc
 
@@ -430,6 +468,7 @@ def psi(seed: Seed, i: int, t, R: int, S: int):
     # each r added over s in order, as the per-(r, s) loop adds them
     u = (tarr.ravel() + np.arange(R, dtype=np.float64)[:, None]) / (R * S)
     shifts = np.arange(S, dtype=np.float64)[:, None] / S
+    # np.mod, not the floor form: a caller's t, and so u, can be negative
     inner_all = np.abs(_phi_sums(rows[0], np.mod(u[:, None, :] + shifts, 1.0)))
     outer = np.abs(_phi_sums(rows[1], np.mod(g * u, 1.0)))
     total = np.zeros(tarr.size, dtype=np.float64)

@@ -23,6 +23,7 @@ from .basedigits import dist, ilog
 from .expsum import (
     BoundReport,
     CostBudgetError,
+    _cis,
     _phase_tree,
     make_report,
     sigma,
@@ -61,7 +62,7 @@ def _unit_phases(seed: Seed, L: int, top: int) -> np.ndarray:
     Digits at or beyond L are ignored, matching the finite window of the
     phase function: the table has period g^L.
     """
-    return np.exp(2j * np.pi * _phase_tree(seed.frac_rows(0, L), seed.base, top))
+    return _cis(_phase_tree(seed.frac_rows(0, L), seed.base, top))
 
 
 def _row_sums(table, a, m_first, b, n_lo, n_cap, top) -> list[complex]:
@@ -242,7 +243,7 @@ def unimodular_coefficients(salt: int = 0) -> Coefficients:
         v = (v ^ (v >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
         v = v ^ (v >> np.uint64(31))
         t = v.astype(np.float64) * 2.0**-64
-        return np.exp(2j * np.pi * t)
+        return _cis(t)
 
     return gen
 
@@ -339,10 +340,15 @@ def sin_sum_check(a: int, m: int, b: float, M: float) -> BoundReport:
         raise ValueError("modulus must be positive")
     if not M > 0:
         raise ValueError("cap M must be positive")
-    lhs = 0.0
-    for n in range(m):
-        s = abs(math.sin(math.pi * (a * n + b) / m))
-        lhs += M if s == 0.0 else min(M, 1.0 / s)
+    # a*n is rounded to a double once, as the scalar a*n + b rounds it;
+    # int64 holds every product below 2^63 and Python ints the rest
+    n = np.arange(m, dtype=np.int64 if abs(a) * m < 2**63 else object)
+    s = np.abs(np.sin(math.pi * ((a * n).astype(np.float64) + b) / m))
+    # 1/s is inf for a zero or tiny sine, and such terms take the cap M
+    with np.errstate(divide="ignore", over="ignore"):
+        terms = np.where(s == 0.0, M, np.minimum(M, 1.0 / s))
+    # cumsum adds left to right, as a running += does
+    lhs = float(np.cumsum(terms)[-1])
     d = math.gcd(a, m)
     s_main = math.sin(math.pi * (d / m) * dist(b / d))
     term_main = d * (M if s_main == 0.0 else min(M, 1.0 / s_main))

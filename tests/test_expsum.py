@@ -9,6 +9,7 @@ same quantity through two independent evaluation routes.
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,7 @@ from revprime.expsum import (
     DegenerateSeedError,
     F_abs_product,
     F_direct,
+    _cis,
     _gamma,
     _memo,
     _phase_tree,
@@ -234,6 +236,84 @@ class TestFDirect:
         beta = num / 2**30
         seed = sod_seed(2, 0.37)
         assert F_direct(seed, 4, 0, beta) == F_direct(seed, 4, 0, beta + 1.0)
+
+    def test_allocation_peak_at_the_budget(self):
+        # 2^20 terms: the 8 MiB phase table with at most two 8 MiB float
+        # buffers, or with the 16 MiB complex one.  A float buffer kept
+        # alive into the exponentials, or one more scratch buffer, adds
+        # 8 MiB
+        seed = sod_seed(2, 0.37)
+        tracemalloc.start()
+        try:
+            F_direct(seed, 20, 0, 1 / 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+# doubles that stress e(x): signed zeros, subnormals, integers, |x| up to 2^40
+cis_arguments = st.one_of(
+    st.floats(-(2.0**40), 2.0**40, allow_nan=False),
+    st.floats(-1.0, 1.0, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310]),
+    st.integers(-(2**40), 2**40).map(float),
+)
+
+
+class TestCis:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(cis_arguments, max_size=40))
+    def test_equals_complex_exp_bit_for_bit(self, values):
+        x = np.array(values, dtype=np.float64)
+        assert _cis(x).tobytes() == np.exp(2j * np.pi * x).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(cis_arguments)
+    def test_scalar_and_shape(self, v):
+        want = np.exp(2j * np.pi * v)
+        got = _cis(np.float64(v))
+        assert got.shape == () and got.dtype == np.complex128
+        assert got.tobytes() == np.complex128(want).tobytes()
+        grid = np.full((2, 3), v)
+        assert _cis(grid).shape == (2, 3)
+        assert _cis(grid).tobytes() == np.exp(2j * np.pi * grid).tobytes()
+
+    def test_signed_zero(self):
+        # np.exp gives e(-0.0) = 1 + 0j with a +0.0 imaginary part
+        for v in (0.0, -0.0):
+            z = complex(_cis(np.array([v]))[0])
+            assert (math.copysign(1.0, z.imag), z.real) == (1.0, 1.0)
+
+
+class TestFloorReduction:
+    """x - floor(x) is the exact fractional part, as np.mod(x, 1.0) is, for x >= 0."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(0.0, 2.0**60, allow_nan=False),
+                st.floats(0.0, 4.0, allow_nan=False),
+                st.integers(0, 2**53).map(float),
+                # just below an integer
+                st.integers(1, 2**40).map(lambda k: math.nextafter(float(k), 0.0)),
+                st.sampled_from([0.0, 5e-324, 1.0 - 2.0**-53]),
+            ),
+            max_size=40,
+        )
+    )
+    def test_equals_mod_for_nonnegative(self, values):
+        x = np.array(values, dtype=np.float64)
+        assert (x - np.floor(x)).tobytes() == np.mod(x, 1.0).tobytes()
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.floats(0.0, 1.0, allow_nan=False, exclude_max=True))
+    def test_split_products_below_the_budget(self, beta):
+        # F_direct's bhi * n for every n < 2^20
+        bhi, _ = _split26(beta)
+        x = bhi * np.arange(1 << 20, dtype=np.float64)
+        assert (x - np.floor(x)).tobytes() == np.mod(x, 1.0).tobytes()
 
 
 class TestProductFormula:
@@ -1014,7 +1094,12 @@ def divmod_phases(tab, n, g):
 
 
 def divmod_direct(seed, lam, j, beta):
-    """F_direct with its phases from one divmod pass over every integer."""
+    """F_direct with its phases from one divmod pass over every integer.
+
+    It and direct_oracle keep the np.mod reduction and the np.exp
+    exponentials that F_direct had before its floor form and _cis, so
+    they are the byte oracles of both.
+    """
     g = seed.base
     n = np.arange(g**lam, dtype=np.int64)
     phase = divmod_phases(seed.frac_rows(j, lam), n, g)

@@ -66,6 +66,36 @@ def test_expsum_reads_only_basedigits_and_seeds():
     assert package_imports(expsum) == {"basedigits", "seeds"}
 
 
+def numpy_calls(module, name: str) -> list[str]:
+    """The functions of a module whose bodies call np.<name>, once per call."""
+    found = []
+    for fn in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == name
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "np"
+                ):
+                    found.append(fn.name)
+    return found
+
+
+def test_cis_is_the_one_exponential():
+    # every e(x) goes through expsum._cis, and np.mod stays only where
+    # the sign of its argument is unknown
+    from revprime import expsum
+
+    for name in MODULES:
+        module = importlib.import_module(f"revprime.{name}")
+        assert numpy_calls(module, "exp") == [], name
+    assert sorted(numpy_calls(expsum, "mod")) == [
+        "_progression_abs", "l1_moment_bound", "psi", "psi",
+    ]
+
+
 def test_cli_loads_only_the_census_layer():
     from revprime import cli
 

@@ -573,7 +573,37 @@ class TestVdc:
             ps.vdc_lhs_rhs(np.array([]), 1)
 
 
+def sin_sum_lhs_oracle(a, m, b, M):
+    """The per-n loop sin_sum_check ran before its lhs was vectorized."""
+    lhs = 0.0
+    for n in range(m):
+        s = abs(math.sin(math.pi * (a * n + b) / m))
+        lhs += M if s == 0.0 else min(M, 1.0 / s)
+    return lhs
+
+
 class TestSinSum:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=st.one_of(st.integers(-2000, 2000), st.integers(-(2**70), 2**70)),
+        m=st.integers(1, 500),
+        b=st.one_of(st.floats(-3.0, 3.0, allow_nan=False), st.integers(-3, 3).map(float)),
+        M=st.floats(0.1, 1000.0),
+    )
+    def test_lhs_equals_scalar_loop(self, a, m, b, M):
+        got = ps.sin_sum_check(a, m, b, M).lhs
+        assert float.hex(got) == float.hex(sin_sum_lhs_oracle(a, m, b, M))
+
+    @pytest.mark.parametrize(
+        "a, m, b",
+        # zero sines capped at M: m = 1, and a = 0 mod m with b = 0
+        [(0, 1, 0.0), (7, 1, 0.0), (-3, 1, 0.0), (0, 7, 0.0), (14, 7, 0.0), (-21, 7, 0.0), (500, 500, 0.0)],
+    )
+    def test_zero_sines_match_the_loop(self, a, m, b):
+        rep = ps.sin_sum_check(a, m, b, 7.5)
+        assert float.hex(rep.lhs) == float.hex(sin_sum_lhs_oracle(a, m, b, 7.5))
+        assert rep.lhs >= 7.5
+
     def test_unit_modulus_case(self):
         for M in (0.5, 1.0, 10.0):
             rep = ps.sin_sum_check(0, 1, 0.5, M)
