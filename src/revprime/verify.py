@@ -179,14 +179,16 @@ def _product_formula(cfg: RunConfig, opts: SuiteOptions, rng, g: int) -> list[Bo
     out = []
     for name, seed in _seed_pool(g, lam_max, rng, opts.seed_family):
         for lam in range(1, lam_max + 1):
-            for beta in rng.random(per_cell):
-                direct = abs(F_direct(seed, lam, 0, float(beta)))
-                prod = F_abs_product(seed, lam, 0, float(beta))
+            betas = rng.random(per_cell)
+            prods = F_abs_product(seed, lam, 0, betas).tolist()
+            # F_direct sums g^lam terms per beta under its budget, one call each
+            for beta, prod in zip(betas.tolist(), prods):
+                direct = abs(F_direct(seed, lam, 0, beta))
                 out.append(
                     make_report(
                         abs(direct - prod),
                         1e-10,
-                        {"g": g, "family": name, "lam": lam, "beta": float(beta)},
+                        {"g": g, "family": name, "lam": lam, "beta": beta},
                     )
                 )
     return out
@@ -200,12 +202,10 @@ def _linf(cfg: RunConfig, opts: SuiteOptions, rng, g: int) -> list[BoundReport]:
         for lam in range(1, lam_max + 1):
             for j in (0, 2):
                 ceiling = g ** (1 / 20) * g ** -sigma(seed, lam, j)
-                for beta in rng.random(per_cell):
+                for value in F_abs_product(seed, lam, j, rng.random(per_cell)).tolist():
                     out.append(
                         make_report(
-                            F_abs_product(seed, lam, j, float(beta)),
-                            ceiling,
-                            {"g": g, "family": name, "lam": lam, "j": j},
+                            value, ceiling, {"g": g, "family": name, "lam": lam, "j": j}
                         )
                     )
     return out

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from revprime.expsum import (
@@ -1132,6 +1132,21 @@ def pool_seed(g, family, rows_seed):
     return seed_pool(g, np.random.default_rng(rows_seed))[family]
 
 
+def theta_loop(seed, i):
+    """theta_i with a scalar cos/sin loop per lag: the form _cis replaced."""
+    g = seed.base
+    row = seed.frac_rows(i, 1)[0]
+    acc = 0.0
+    for h in range(1, g):
+        c = 0j
+        for n in range(g - h):
+            arg = 2.0 * math.pi * (row[n + h] - row[n])
+            c += complex(math.cos(arg), math.sin(arg))
+        acc += abs(c) ** 2
+    inner = max(1.0 - 2.0 * acc / (g * g * (g - 1)), 0.0)
+    return (1.0 - 1.0 / g) * (1.0 - math.sqrt(inner))
+
+
 def psi_per_pair(seed, i, t, R, S):
     """psi as one _phi_sums call per (r, s): the loop the batched psi replaced."""
     g = seed.base
@@ -1202,6 +1217,17 @@ class TestScalarOracles:
         got = np.complex128(F_direct(seed, lam, 0, beta))
         assert got.tobytes() == np.complex128(divmod_direct(seed, lam, 0, beta)).tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        g=st.integers(2, 40),
+        i=st.sampled_from([0, 1, 5]),
+        family=st.integers(0, 5),
+        rows_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_theta_equals_cos_sin_loop(self, g, i, family, rows_seed):
+        seed = pool_seed(g, family, rows_seed)
+        assert theta_i(seed, i).hex() == theta_loop(seed, i).hex()
+
     @settings(max_examples=40, deadline=None)
     @given(
         g=st.sampled_from([2, 3, 4, 6, 10, 12]),
@@ -1211,6 +1237,10 @@ class TestScalarOracles:
         pick=st.integers(0, 10**6),
         ts=st.lists(st.floats(-8.0, 8.0, allow_nan=False), min_size=1, max_size=7),
     )
+    # R = S = g: at a scalar t numpy sums a 12-long middle axis pairwise,
+    # which is not the left-to-right order of the per-pair loop
+    @example(g=12, i=0, family=1, rows_seed=0, pick=35, ts=[2.1, 0.3])
+    @example(g=10, i=0, family=3, rows_seed=0, pick=15, ts=[0.3])
     def test_psi_equals_per_pair_loop(self, g, i, family, rows_seed, pick, ts):
         seed = pool_seed(g, family, rows_seed)
         ds = divisors(g)
@@ -1245,6 +1275,12 @@ class TestScalarOracles:
             assert got.shape == arr.shape
             assert bits(got) == bits([fn(seed, lam, j, k, delta, a, b) for b in betas])
             assert isinstance(fn(seed, lam, j, k, delta, a, 0.25), float)
+            # a 2-D grid: every entry is summed as its own scalar call sums it
+            grid = np.array([betas, betas[::-1]], dtype=np.float64).reshape(2, len(betas))
+            on_grid = fn(seed, lam, j, k, delta, a, grid)
+            assert on_grid.shape == grid.shape
+            scalar = [fn(seed, lam, j, k, delta, a, b) for b in grid.ravel().tolist()]
+            assert bits(on_grid) == bits(scalar)
 
 
 class TestSpacedPoints:

@@ -66,8 +66,8 @@ def test_expsum_reads_only_basedigits_and_seeds():
     assert package_imports(expsum) == {"basedigits", "seeds"}
 
 
-def numpy_calls(module, name: str) -> list[str]:
-    """The functions of a module whose bodies call np.<name>, once per call."""
+def attribute_calls(module, name: str, owner: str = "np") -> list[str]:
+    """The functions of a module whose bodies call <owner>.<name>, once per call."""
     found = []
     for fn in ast.walk(ast.parse(Path(module.__file__).read_text())):
         if isinstance(fn, ast.FunctionDef):
@@ -77,21 +77,23 @@ def numpy_calls(module, name: str) -> list[str]:
                     and isinstance(node.func, ast.Attribute)
                     and node.func.attr == name
                     and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id == "np"
+                    and node.func.value.id == owner
                 ):
                     found.append(fn.name)
     return found
 
 
 def test_cis_is_the_one_exponential():
-    # every e(x) goes through expsum._cis, and np.mod stays only where
-    # the sign of its argument is unknown
+    # every e(x) goes through expsum._cis, so no module calls np.exp or
+    # math.cos (sin_sum_check's math.sin is a sine, not an e(x)), and
+    # np.mod stays only where the sign of its argument is unknown
     from revprime import expsum
 
     for name in MODULES:
         module = importlib.import_module(f"revprime.{name}")
-        assert numpy_calls(module, "exp") == [], name
-    assert sorted(numpy_calls(expsum, "mod")) == [
+        assert attribute_calls(module, "exp") == [], name
+        assert attribute_calls(module, "cos", owner="math") == [], name
+    assert sorted(attribute_calls(expsum, "mod")) == [
         "_progression_abs", "l1_moment_bound", "psi", "psi",
     ]
 

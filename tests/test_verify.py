@@ -7,14 +7,15 @@ import pytest
 
 from revprime.arith import build_table, mangoldt_tail, mobius_mangoldt_window, vaughan_terms
 from revprime.cli import _format_reports
-from revprime.config import RunConfig
+from revprime.config import RunConfig, make_rng
 from revprime.basedigits import ilog
-from revprime.expsum import DIRECT_BUDGET, make_report
+from revprime.expsum import DIRECT_BUDGET, F_abs_product, F_direct, make_report, sigma
 from revprime.verify import (
     CALIBRATED,
     SUITES,
     SuiteOptions,
     UsageError,
+    _seed_pool,
     calibrate,
     run_suite,
 )
@@ -122,6 +123,49 @@ class TestDeterminism:
         base = run_suite("vdc", RunConfig(), opts)
         moved = run_suite("vdc", RunConfig(rng_seed=7), opts)
         assert [r.to_dict() for r in base] != [r.to_dict() for r in moved]
+
+
+def linf_per_point(opts, rng, g):
+    """The linf cell with one scalar F_abs_product call per beta."""
+    out = []
+    for name, seed in _seed_pool(g, opts.lambda_max, rng, None):
+        for lam in range(1, opts.lambda_max + 1):
+            for j in (0, 2):
+                ceiling = g ** (1 / 20) * g ** -sigma(seed, lam, j)
+                for beta in rng.random(opts.cases):
+                    value = F_abs_product(seed, lam, j, float(beta))
+                    params = {"g": g, "family": name, "lam": lam, "j": j}
+                    out.append(make_report(value, ceiling, params))
+    return out
+
+
+def product_formula_per_point(opts, rng, g):
+    """The product-formula cell with one scalar F_abs_product call per beta."""
+    out = []
+    for name, seed in _seed_pool(g, opts.lambda_max, rng, None):
+        for lam in range(1, opts.lambda_max + 1):
+            for beta in rng.random(opts.cases):
+                direct = abs(F_direct(seed, lam, 0, float(beta)))
+                prod = F_abs_product(seed, lam, 0, float(beta))
+                params = {"g": g, "family": name, "lam": lam, "beta": float(beta)}
+                out.append(make_report(abs(direct - prod), 1e-10, params))
+    return out
+
+
+class TestBatchedCells:
+    # the pinned SMALL grids draw one beta per cell; these draw several,
+    # so a batch that reorders or misaligns its betas shows
+    @pytest.mark.parametrize("g", [2, 3, 10])
+    @pytest.mark.parametrize(
+        "suite, oracle", [("linf", linf_per_point), ("product-formula", product_formula_per_point)]
+    )
+    def test_batched_cell_equals_per_point_loop(self, suite, oracle, g):
+        cfg, opts = RunConfig(), SuiteOptions(lambda_max=3, cases=5)
+        stream = SUITES[suite].stream
+        got = SUITES[suite].cell(cfg, opts, make_rng(cfg, stream, g), g)
+        want = oracle(opts, make_rng(cfg, stream, g), g)
+        assert len(got) == 4 * 3 * 5 * (2 if suite == "linf" else 1)
+        assert [r.to_dict() for r in got] == [r.to_dict() for r in want]
 
 
 class TestSmallGrids:
