@@ -149,12 +149,6 @@ class PrimeTable:
             raise ValueError(f"query {n} outside table range [1, {self.limit}]")
         return n
 
-    def is_prime(self, n: int) -> bool:
-        """Whether n is prime: the per-n oracle tests check the sieve with."""
-        self._check(n)
-        i = int(np.searchsorted(self.primes, n))
-        return i < self.primes.size and int(self.primes[i]) == n
-
     def factorize(self, n: int) -> tuple[tuple[int, int], ...]:
         """Prime factorization ((p, exponent), ...), p ascending; divisors walks it."""
         self._check(n)

@@ -3,12 +3,13 @@
 Full and window-relative digit reversal, plus the distance to the
 nearest integer that the rest of the package shares.  Everything here
 is integer arithmetic; no float logarithms are used to make
-digit-length decisions.  reverse_array is the vectorized window reversal: it
-reverses a block of k digits per step through one table of g^k <= 2^12
-entries.  The scalar functions are the oracles it is tested against.
-Powers of g live here too: ilog is the exact g-adic length and
-power_residues the exact ladder num*g^i mod den.  check_base is the one
-check of a base, shared by the reversals and the seeds.
+digit-length decisions.  reverse_array is the window reversal every
+command runs: it reverses a block of k digits per step through one
+table of g^k <= 2^12 entries.  The scalar reverse is the plain
+reversal of one integer.  Powers of g live here too: ilog is the exact
+g-adic length and power_residues the exact ladder num*g^i mod den.
+check_base is the one check of a base, shared by the reversals and the
+seeds.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 __all__ = [
     "check_base",
     "reverse",
-    "reverse_relative",
     "reverse_array",
     "dist",
     "ilog",
@@ -52,26 +52,6 @@ def reverse(n: int, g: int) -> int:
     return out
 
 
-def reverse_relative(n: int, L: int, g: int) -> int:
-    """Reversal of n within a window of L digit positions.
-
-    Digit i of n (i < L) lands at position L-1-i; digits at positions
-    >= L are ignored.  For n with exactly L digits this coincides with
-    plain reverse; shorter n pick up the factor g^(L - len(n)).  The
-    oracle of reverse_array.
-    """
-    check_base(g)
-    if n < 0:
-        raise ValueError("reverse_relative is defined for nonnegative integers")
-    if L < 0:
-        raise ValueError("window length must be nonnegative")
-    out = 0
-    for _ in range(L):
-        n, d = divmod(n, g)
-        out = out * g + d
-    return out
-
-
 _INT64_MAX = 2**63 - 1
 # reversal tables hold at most this many int64 entries (32 KiB): base g
 # reverses k digits per step, k the largest with g^k <= _TABLE_ENTRIES
@@ -82,7 +62,7 @@ def _reverse_digits(n: np.ndarray, g: int, width: int) -> np.ndarray:
     """Window reversal of the int64 array n, one divmod step per digit.
 
     Builds the block tables of reverse_array: applied to arange(g^s)
-    with width s it gives T_s[x] = reverse_relative(x, s).
+    with width s it gives T_s[x], the reversal of x within s digits.
     """
     out = np.zeros_like(n)
     for _ in range(width):
@@ -93,12 +73,14 @@ def _reverse_digits(n: np.ndarray, g: int, width: int) -> np.ndarray:
 
 
 def reverse_array(values, g: int, L: int) -> np.ndarray:
-    """Window reversal reverse_relative(n, L) of every entry of values, as int64.
+    """Reversal of every entry of values within a window of L digits, as int64.
 
-    Digits at positions >= L are ignored.  The reversal takes k digits
-    per step, k the largest with g^k <= 2^12: the low s digits
-    d = n - (n // g^s) g^s go through the table
-    T_s[d] = reverse_relative(d, s), and the last step takes the L mod k
+    Digit i of n (i < L) lands at position L - 1 - i, and digits at
+    positions >= L are ignored; on an n with exactly L digits this is
+    the plain reverse.  The reversal takes k digits per step, k the
+    largest with g^k <= 2^12: the low s digits d = n - (n // g^s) g^s go
+    through the table T_s[d] of their reversals within s digits, and the
+    last step takes the L mod k
     digits left over.  With k = 1 the digit is its own reverse and no
     table is built.
 

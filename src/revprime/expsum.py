@@ -15,10 +15,10 @@ and the Farey-point hybrid sum, together with the closed-form exponent
 constants used by every verifier.
 
 All phase arithmetic is done on exactly reduced fractional parts: seed
-weights via Seed.frac, grid offsets via integer residues, and powers of
-the base via the exact ladder basedigits.power_residues, so the direct
-and product routes agree to near machine precision instead of drifting
-with g^lam.
+weights via each seed's frac_rows, grid offsets via integer residues,
+and powers of the base via the exact ladder basedigits.power_residues,
+so the direct and product routes agree to near machine precision
+instead of drifting with g^lam.
 """
 
 from __future__ import annotations

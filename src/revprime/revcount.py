@@ -170,14 +170,16 @@ def _class_counter(revs: np.ndarray, moduli):
 
     Each group of moduli with lcm M <= _GROUP_CAP takes one bincount of
     revs % M, which each m in the group folds with reshape(-1, m).sum(0).
-    A modulus above the cap keeps its own bincount, whose bins stop at
-    the largest residue present, so their size is bounded by the window,
-    not by m.
+    A modulus above the cap keeps its residues sorted and counts a class
+    by binary search, so it holds one entry per reverse; a bincount
+    there would take one bin per value up to the largest residue, up to
+    g^L of them.
     """
     bins: dict[int, np.ndarray] = {}
+    ranked: dict[int, np.ndarray] = {}
     for lcm, members in _modulus_groups(moduli):
         if lcm > _GROUP_CAP:
-            bins[lcm] = np.bincount(_residues(revs, lcm))
+            ranked[lcm] = np.sort(_residues(revs, lcm))
             continue
         full = np.bincount(revs % lcm, minlength=lcm)
         for m in members:
@@ -185,7 +187,9 @@ def _class_counter(revs: np.ndarray, moduli):
 
     def count(a: int, m: int) -> int:
         r = a % m
-        return int(bins[m][r]) if r < bins[m].size else 0
+        if m in bins:
+            return int(bins[m][r])
+        return int(ranked[m].searchsorted(r, "right") - ranked[m].searchsorted(r))
 
     return count
 
@@ -201,8 +205,8 @@ def census_grid(
     """
     if L < 1:
         raise ValueError("window length must be at least 1")
-    if g**L > pt.limit:
-        raise ValueError(f"window end {g}^{L} beyond sieve limit {pt.limit}")
+    if g**L - 1 > pt.limit:
+        raise ValueError(f"window end {g}^{L} - 1 beyond sieve limit {pt.limit}")
     pairs = list(pairs)
     if any(q < 1 for _, q in pairs):
         raise ValueError("modulus must be positive")
@@ -252,10 +256,10 @@ def psi_theta_pi(
         raise ValueError("need L >= 1 and q >= 1")
     if not 1 <= x <= g**L:
         raise ValueError("x must lie in [1, g^L]")
-    if g**L > pt.limit:
-        raise ValueError(f"window end {g}^{L} beyond sieve limit {pt.limit}")
-    modulus = _sharp_modulus(g, L, q) if sharp else q
     top = math.floor(x)
+    if top > pt.limit:
+        raise ValueError(f"x = {x} beyond sieve limit {pt.limit}")
+    modulus = _sharp_modulus(g, L, q) if sharp else q
     if kind == "psi":
         values, bases = pt.prime_powers(top)
     else:

@@ -3,8 +3,7 @@
 A seed assigns a real weight to every (position, digit) pair for a fixed
 base g.  Summing the weights of the digits of n over a window of positions
 gives a periodic, additive digit functional; a shift j, the j argument
-of frac_rows and f_eval, reads the weights from position j on.  Named
-families:
+of frac_rows, reads the weights from position j on.  Named families:
 
   sod_seed(g, a)          weight a*d at every position (scaled digit sum);
                           a = 0.0 gives the zero family, every weight +0.0
@@ -13,10 +12,11 @@ families:
                           of n within that window
   table_seed(g, rows)     explicit weight table, cycled past its rows
 
-Weights are plain floats.  For phase work the package only ever needs a
-weight mod 1, and ``Seed.frac`` guarantees an exact reduction: the named
-families reduce their closed forms with integer arithmetic, so positions
-with astronomically large weights still produce exact fractional parts.
+A seed is its base and its frac_rows.  The package only ever needs a
+weight mod 1, so frac_rows returns the weights already reduced, each the
+double nearest the exact fractional part: the named families reduce
+their closed forms with integer arithmetic, so positions with
+astronomically large weights still produce exact fractional parts.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "sod_seed",
     "reverse_seed",
     "table_seed",
-    "f_eval",
 ]
 
 
@@ -48,28 +47,13 @@ class Seed:
     def __post_init__(self) -> None:
         check_base(self.base)
 
-    def eval(self, i: int, d: int) -> float:
-        """Weight at (i, d): what table seeds' rows and f_eval read."""
-        raise NotImplementedError
-
-    def frac(self, i: int, d: int) -> float:
-        """Weight at (i, d) reduced mod 1; the oracle of every frac_rows.
-
-        The default reduces the float weight with an exact fmod, which is
-        exact whenever the weight itself is.  Families whose closed form
-        outgrows float precision override this.
-        """
-        return self.eval(i, d) % 1.0
-
     def frac_rows(self, j: int, count: int) -> np.ndarray:
-        """Array of shape (count, g) with frac(j + i, d) in row i."""
+        """Array of shape (count, g): row i holds position j + i's weights mod 1."""
         raise NotImplementedError
 
-    def _check(self, i: int, d: int) -> None:
-        if i < 0:
-            raise ValueError("position must be nonnegative")
-        if not 0 <= d < self.base:
-            raise ValueError(f"digit {d} out of range for base {self.base}")
+    def _check(self, j: int) -> None:
+        if j < 0:
+            raise ValueError("shift must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -79,16 +63,8 @@ class SodSeed(Seed):
     base: int
     scale: float
 
-    def eval(self, i: int, d: int) -> float:
-        self._check(i, d)
-        return self.scale * d
-
-    def frac(self, i: int, d: int) -> float:
-        self._check(i, d)
-        return float((Fraction(self.scale) * d) % 1)
-
     def frac_rows(self, j: int, count: int) -> np.ndarray:
-        self._check(j, 0)
+        self._check(j)
         num, den = Fraction(self.scale).as_integer_ratio()
         # the weight a*d carries g^0 at every position: a ladder of one rung
         row = _residue_rows(power_residues(num, den, self.base, 1), den, self.base)
@@ -112,26 +88,8 @@ class ReverseSeed(Seed):
         if self.window < 0:
             raise ValueError("window must be nonnegative")
 
-    def eval(self, i: int, d: int) -> float:
-        self._check(i, d)
-        exp = self.window - i - 1
-        if exp >= 0:
-            return self.scale * d * self.base**exp
-        return self.scale * d / self.base ** (-exp)
-
-    def frac(self, i: int, d: int) -> float:
-        self._check(i, d)
-        if d == 0 or self.scale == 0:
-            return 0.0
-        num, den = Fraction(self.scale).as_integer_ratio()
-        exp = self.window - i - 1
-        if exp >= 0:
-            r = (num * d * pow(self.base, exp, den)) % den
-            return float(Fraction(r, den))
-        return float(Fraction(num * d, den * self.base ** (-exp)) % 1)
-
     def frac_rows(self, j: int, count: int) -> np.ndarray:
-        self._check(j, 0)
+        self._check(j)
         g = self.base
         out = np.zeros((count, g), dtype=np.float64)
         if self.scale == 0 or count == 0:
@@ -170,12 +128,8 @@ class TableSeed(Seed):
             if len(row) != self.base:
                 raise ValueError("each row needs one weight per digit")
 
-    def eval(self, i: int, d: int) -> float:
-        self._check(i, d)
-        return self.rows[i % len(self.rows)][d]
-
     def frac_rows(self, j: int, count: int) -> np.ndarray:
-        self._check(j, 0)
+        self._check(j)
         rows = np.array(self.rows, dtype=np.float64)
         return rows[(j % len(rows) + np.arange(count)) % len(rows)] % 1.0
 
@@ -201,25 +155,3 @@ def reverse_seed(g: int, L: int, a: float) -> ReverseSeed:
 def table_seed(g: int, rows) -> TableSeed:
     frozen = tuple(tuple(float(v) for v in row) for row in rows)
     return TableSeed(g, frozen)
-
-
-def f_eval(seed: Seed, lam: int, j: int, n: int) -> float:
-    """Sum of shifted weights over the low lam digits of n.
-
-    Position i of n (i < lam) contributes the weight at seed position
-    i + j for digit i of n.  The value is periodic in n with period
-    g^lam and additive across digit blocks: the oracle of primesum's phases.
-    """
-    if lam < 0:
-        raise ValueError("window length must be nonnegative")
-    if j < 0:
-        raise ValueError("shift must be nonnegative")
-    if n < 0:
-        raise ValueError("argument must be a nonnegative integer")
-    g = seed.base
-    total = 0.0
-    for i in range(lam):
-        n, d = divmod(n, g)
-        total += seed.eval(i + j, d)
-    return total
-

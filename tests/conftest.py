@@ -2,6 +2,16 @@
 
 import sys
 
+import pytest
+
+from revprime.arith import build_table
+
+
+@pytest.fixture(scope="session")
+def table():
+    """One sieve over [2, 10^5], shared by every test that reads a table."""
+    return build_table(10**5)
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Replay the acceptance verdict lines after capture is torn down.

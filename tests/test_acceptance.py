@@ -39,6 +39,8 @@ from revprime.revcount import census_grid, rho_total
 from revprime.seeds import reverse_seed, sod_seed, table_seed
 from revprime.verify import CALIBRATED, SuiteOptions, calibrate, run_suite
 
+from oracles import prime_divisors, window_reverse
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SLACK = 1e-9
 
@@ -261,31 +263,11 @@ def test_criterion_07_truncation_subset():
     assert calls == 250
 
 
-def _string_reverse(n: int, g: int) -> int:
-    # Digit reversal through numpy's base-repr strings, not the package's
-    # arithmetic loop.
-    return int(np.base_repr(n, g)[::-1], g)
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _strays(g: int, L: int, a: int, q: int) -> int:
     """Primes a zero-density cell holds: the r | gcd(a, q, g^2-1) in the
-    window [g^(L-1), g^L) whose string reverse is a mod q."""
-    rs = _prime_divisors(math.gcd(a, q, g * g - 1))
-    return sum(g ** (L - 1) <= r < g**L and _string_reverse(r, g) % q == a % q for r in rs)
+    window [g^(L-1), g^L) whose reverse is a mod q."""
+    rs = prime_divisors(math.gcd(a, q, g * g - 1))
+    return sum(g ** (L - 1) <= r < g**L and window_reverse(r, g, L) % q == a % q for r in rs)
 
 
 def _window_expectation(g: int, q: int, n: np.ndarray, revs: np.ndarray) -> np.ndarray:
@@ -298,7 +280,7 @@ def _window_expectation(g: int, q: int, n: np.ndarray, revs: np.ndarray) -> np.n
     correlation between n and rev(n) modulo those primes and nothing of
     the primes' own distribution.
     """
-    rs = _prime_divisors(g * q * (g * g - 1))
+    rs = prime_divisors(g * q * (g * g - 1))
     keep = np.ones(n.size, dtype=bool)
     for r in rs:
         keep &= n % r != 0
@@ -333,7 +315,7 @@ def test_criterion_08_census_headline():
     the test checks that it is explained: at the worst cell E_L departs
     from the main term on the same side as the census, and by more than
     the census departs from E_L.  The base-2 counts are recounted here by
-    string reversal.
+    the oracle window reversal.
     """
     t0 = time.perf_counter()
     pt10 = build_table(100_000)
@@ -363,10 +345,10 @@ def test_criterion_08_census_headline():
         ladder[L] = per_q
         pooled[L] = max(per_q.values())
 
-    # Base 2, L = 16: every odd integer of the window reversed by string,
+    # Base 2, L = 16: every odd integer of the window reversed by the oracle,
     # the window's primes picked out of them, and E_L built from the rest.
     n = np.arange(2**15 + 1, 2**16, 2, dtype=np.int64)
-    revs = np.array([_string_reverse(int(v), 2) for v in n], dtype=np.int64)
+    revs = np.array([window_reverse(int(v), 2, 16) for v in n], dtype=np.int64)
     primes = pt2.primes[(pt2.primes >= 2**15) & (pt2.primes < 2**16)]
     prime_revs = revs[np.searchsorted(n, primes)]
     expect = {q: _window_expectation(2, q, n, revs) for q in (1, 3, 5, 7)}
@@ -403,7 +385,7 @@ def test_criterion_08_census_headline():
           f"base-10 max {max10:.4f} (<=0.15), base-2 ladder "
           f"{pooled[12]:.4f} > {pooled[14]:.4f} > {pooled[16]:.4f}, "
           f"L=16 vs E_L max {max_vs_e:.4f} (<=0.20), worst {max_sigma:.2f} sigma (<=3), "
-          f"{len(miscounts)} string-reversal mismatches, {elapsed:.1f}s; "
+          f"{len(miscounts)} oracle-reversal mismatches, {elapsed:.1f}s; "
           f"FINDING: L=16 vs the rho main term {worst_rec.relative_dev:+.4f} "
           f"at a={worst_rec.a} mod {worst_rec.q}, E_L itself {bias:+.4f} there")
 
@@ -418,7 +400,7 @@ def test_criterion_08_census_headline():
 
     assert primes.size == 3030, "pi(2^16) - pi(2^15) = 6542 - 3512"
     assert not miscounts, (
-        "census_grid against the string-reversal recount, (a, q, census, "
+        "census_grid against the oracle-reversal recount, (a, q, census, "
         f"recount): {miscounts}"
     )
     assert max_sigma <= 3.0, (

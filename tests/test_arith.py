@@ -1,9 +1,9 @@
 """Sieve table and the four-term von Mangoldt split.
 
-Oracles here use trial division, full-range divisor scans, the
-masked-write factor sieve the table used to store and the plain
-odd-only sieve without wheel or segments, so they share no code with
-the sieve they check.
+Oracles here use trial division (tests/oracles.py), the masked-write
+factor sieve the table used to store and the plain odd-only sieve
+without wheel or segments, so they share no code with the sieve they
+check.
 """
 
 import math
@@ -30,32 +30,9 @@ from revprime.arith import (
 )
 from revprime.revcount import census_grid
 
+from oracles import bits, divisors, factorize, mangoldt, mobius
+
 LIMIT = 10**5
-
-
-def oracle_factorize(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
-def oracle_least_factor(n):
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
 
 
 def oracle_sieve_spf(limit):
@@ -92,31 +69,6 @@ def oracle_primes(spf):
     return n[(n >= 2) & (spf == n)].astype(np.int64)
 
 
-def oracle_mangoldt(n):
-    f = oracle_factorize(n)
-    if len(f) == 1:
-        return math.log(f[0][0])
-    return 0.0
-
-
-def oracle_mobius(n):
-    f = oracle_factorize(n)
-    if any(e > 1 for _, e in f):
-        return 0
-    return (-1) ** len(f)
-
-
-def oracle_divisors(n):
-    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
-    large = [n // d for d in reversed(small) if d * d != n]
-    return small + large
-
-
-@pytest.fixture(scope="module")
-def table():
-    return build_table(LIMIT)
-
-
 class TestSieve:
     def test_known_prime_counts(self, table):
         assert table.prime_count(10**5) == 9592
@@ -129,24 +81,24 @@ class TestSieve:
         rng = np.random.default_rng(20260818)
         for n in rng.integers(2, LIMIT + 1, size=1000):
             n = int(n)
-            f = oracle_factorize(n)
-            assert table.factorize(n) == tuple(f)
-            assert table.is_prime(n) == (len(f) == 1 and f[0][1] == 1)
+            f = factorize(n)
+            assert table.factorize(n) == f
+            assert (n in table.primes) == (len(f) == 1 and f[0][1] == 1)
             assert int(table.smallest_prime_factor[n]) == f[0][0]
 
     def test_prime_fixed_points(self, table):
         for p in (2, 3, 5, 7, 11, 97, 65537):
-            assert table.is_prime(p)
+            assert p in table.primes
             assert int(table.smallest_prime_factor[p]) == p
         for n in (4, 9, 15, 1001, 65536):
-            assert not table.is_prime(n)
+            assert n not in table.primes
 
     def test_prime_powers_match_factorization(self, table):
         for top in (1, 2, 3, 4, 97, 1000, 1024, 2**16 - 1):
             values, bases = table.prime_powers(top)
             want = set()
             for n in range(2, top + 1):
-                f = oracle_factorize(n)
+                f = factorize(n)
                 if len(f) == 1:
                     want.add((n, f[0][0]))
             got = list(zip(values.tolist(), bases.tolist()))
@@ -181,7 +133,7 @@ class TestSieve:
 
     def test_divisors_sorted_and_complete(self, table):
         for n in range(1, 500):
-            assert list(table.divisors(n)) == oracle_divisors(n)
+            assert list(table.divisors(n)) == divisors(n)
 
     def test_query_range(self, table):
         with pytest.raises(ValueError):
@@ -233,7 +185,7 @@ class TestSieveOracle:
         assert pt.primes.tobytes() == oracle_primes(spf).tobytes()
         assert pt.smallest_prime_factor.tobytes() == spf.tobytes()
         assert pt.smallest_prime_factor.tolist()[2:] == [
-            oracle_least_factor(n) for n in range(2, limit + 1)
+            factorize(n)[0][0] for n in range(2, limit + 1)
         ]
 
     def test_two_to_the_twenty(self):
@@ -246,9 +198,9 @@ class TestSieveOracle:
         rng = np.random.default_rng(20)
         picks = np.concatenate([rng.integers(2, limit + 1, size=2000), np.arange(limit - 200, limit + 1)])
         for n in picks.tolist():
-            least = oracle_least_factor(n)
+            least = factorize(n)[0][0]
             assert int(pt.smallest_prime_factor[n]) == least
-            assert pt.is_prime(n) == (least == n)
+            assert (n in pt.primes) == (least == n)
 
     def test_census_never_builds_factor_table(self):
         pt = build_table(1 << 16)
@@ -337,22 +289,22 @@ class TestSegmentedSieve:
 
 
 def brute_vaughan(n, z):
-    divisors = oracle_divisors(n)
+    ds = divisors(n)
 
     def tail(m):
-        return sum(oracle_mangoldt(d) for d in oracle_divisors(m) if d > z)
+        return sum(mangoldt(d) for d in divisors(m) if d > z)
 
     def window(m):
         return sum(
-            oracle_mobius(u) * oracle_mangoldt(m // u)
-            for u in oracle_divisors(m)
+            mobius(u) * mangoldt(m // u)
+            for u in divisors(m)
             if u <= z and m // u <= z
         )
 
-    a1 = sum(oracle_mobius(d) * math.log(n // d) for d in divisors if d <= z)
-    a2 = sum(oracle_mobius(d) * tail(n // d) for d in divisors if d > z and n // d > z)
-    a3 = -sum(window(d) for d in divisors if d <= z * z)
-    a4 = oracle_mangoldt(n) if n <= z else 0.0
+    a1 = sum(mobius(d) * math.log(n // d) for d in ds if d <= z)
+    a2 = sum(mobius(d) * tail(n // d) for d in ds if d > z and n // d > z)
+    a3 = -sum(window(d) for d in ds if d <= z * z)
+    a4 = mangoldt(n) if n <= z else 0.0
     return a1, a2, a3, a4
 
 
@@ -410,11 +362,6 @@ class TestVaughan:
             vaughan_terms(LIMIT + 1, 2.0, table)
         with pytest.raises(ValueError):
             vaughan_terms(10, 0.0, table)
-
-
-def bits(values):
-    """Raw float64 bytes: equal only when every entry, sign of zero included, is equal."""
-    return np.asarray(values, dtype=np.float64).tobytes()
 
 
 # thresholds: non-integers, z < 1, z = 1, and z^2 beyond any top drawn

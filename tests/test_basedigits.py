@@ -17,8 +17,9 @@ from revprime.basedigits import (
     power_residues,
     reverse,
     reverse_array,
-    reverse_relative,
 )
+
+from oracles import window_reverse
 
 BASES = [2, 3, 7, 10, 16]
 
@@ -50,8 +51,6 @@ class TestCheckBase:
             with pytest.raises(ValueError):
                 reverse(5, g)
             with pytest.raises(ValueError):
-                reverse_relative(5, 3, g)
-            with pytest.raises(ValueError):
                 reverse_array([5], g, 3)
 
 
@@ -70,11 +69,7 @@ class TestReverse:
 
     @given(st.integers(0, 10**9), st.sampled_from(BASES))
     def test_matches_digit_oracle(self, n, g):
-        # assembling LSB-first digits MSB-first reverses the digit string
-        expect = 0
-        for d in oracle_digits(n, g):
-            expect = expect * g + d
-        assert reverse(n, g) == expect
+        assert reverse(n, g) == window_reverse(n, g)
 
     @given(st.integers(1, 10**9), st.sampled_from(BASES))
     def test_involution_when_unit_digit_nonzero(self, n, g):
@@ -88,28 +83,28 @@ class TestReverse:
 
 
 class TestReverseRelative:
+    """The window-relative reversal reverse_array against the plain reverse."""
+
     def test_window_examples(self):
-        assert reverse_relative(1234, 4, 10) == 4321
-        assert reverse_relative(12, 4, 10) == 2100
-        assert reverse_relative(0, 5, 10) == 0
-        assert reverse_relative(7, 0, 10) == 0
+        assert reverse_array([1234, 12, 0], 10, 4).tolist() == [4321, 2100, 0]
+        assert reverse_array([0], 10, 5).tolist() == [0]
+        assert reverse_array([7], 10, 0).tolist() == [0]
 
     @given(st.integers(0, 10**8), st.sampled_from(BASES), st.integers(0, 12))
     def test_scaling_identity(self, n, g, L):
         n %= g**L
         length = len(oracle_digits(n, g))
-        assert reverse_relative(n, L, g) == reverse(n, g) * g ** (L - length)
+        assert int(reverse_array(n, g, L)) == reverse(n, g) * g ** (L - length)
 
     @given(st.integers(0, 10**9), st.sampled_from(BASES), st.integers(0, 10))
     def test_high_digits_ignored(self, n, g, L):
-        assert reverse_relative(n, L, g) == reverse_relative(n % g**L, L, g)
+        assert int(reverse_array(n, g, L)) == int(reverse_array(n % g**L, g, L))
 
     def test_coincides_with_reverse_on_full_window(self):
         for g, L in [(2, 8), (3, 5), (10, 4)]:
             lo, hi = g ** (L - 1), g**L
-            step = max(1, (hi - lo) // 200)
-            for n in range(lo, hi, step):
-                assert reverse_relative(n, L, g) == reverse(n, g)
+            ns = range(lo, hi, max(1, (hi - lo) // 200))
+            assert reverse_array(ns, g, L).tolist() == [reverse(n, g) for n in ns]
 
 
 class TestReverseArray:
@@ -121,7 +116,7 @@ class TestReverseArray:
     def test_matches_scalar_oracles(self, ns, g, L):
         relative = reverse_array(ns, g, L)
         assert relative.dtype == np.int64
-        assert relative.tolist() == [reverse_relative(n, L, g) for n in ns]
+        assert relative.tolist() == [window_reverse(n, g, L) for n in ns]
 
     def test_edge_values(self):
         # zero, trailing zeros, and a window shorter than the digit length
@@ -136,7 +131,7 @@ class TestReverseArray:
 
     def test_input_dtypes_agree(self):
         ns = [0, 1, 2, 40, 2**31 + 5, 2**32 - 1]
-        want_rel = [reverse_relative(n, 9, 7) for n in ns]
+        want_rel = [window_reverse(n, 7, 9) for n in ns]
         for values in (ns, np.array(ns, dtype=np.uint32), np.array(ns, dtype=np.int64)):
             assert reverse_array(values, 7, 9).tolist() == want_rel
 
@@ -213,7 +208,7 @@ class TestReverseArrayBlocks:
     @given(block_cases())
     def test_matches_scalar_oracles(self, case):
         g, L, ns = case
-        want = [reverse_relative(n, L, g) for n in ns]
+        want = [window_reverse(n, g, L) for n in ns]
         for values in (ns, np.array(ns, dtype=np.int64)):
             assert reverse_array(values, g, L).tolist() == want
 
@@ -225,7 +220,7 @@ class TestReverseArrayBlocks:
                 ns = [0, 1, g - 1, top, max(top - 1, 0), top // g, g ** max(L - 1, 0)]
                 ns += [rng.randrange(g**L) for _ in range(8)] + [rng.randrange(2**63) for _ in range(4)]
                 got = reverse_array(np.array(ns, dtype=np.int64), g, L)
-                assert got.tolist() == [reverse_relative(n, L, g) for n in ns], (g, L)
+                assert got.tolist() == [window_reverse(n, g, L) for n in ns], (g, L)
 
     def test_two_dimensional_input(self):
         for g in (2, 10, 64, 65, 4097):
@@ -233,13 +228,13 @@ class TestReverseArrayBlocks:
             L = block_digits(g) + 1
             got = reverse_array(grid, g, L)
             assert got.shape == grid.shape
-            want = [[reverse_relative(int(n), L, g) for n in row] for row in grid]
+            want = [[window_reverse(int(n), g, L) for n in row] for row in grid]
             assert got.tolist() == want
 
     def test_zero_dimensional_input(self):
         for g, L in ((10, 5), (2, 13), (4097, 3)):
             for n in (12345, 2**63 - 1):
-                want = reverse_relative(n, L, g)
+                want = window_reverse(n, g, L)
                 for value in (n, np.int64(n), np.array(n)):
                     got = reverse_array(value, g, L)
                     assert got.shape == () and int(got) == want, (g, L, value)
@@ -265,7 +260,7 @@ class TestReverseArrayBlocks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert got.tolist() == [reverse_relative(n, 3, g) for n in ns]
+        assert got.tolist() == [window_reverse(n, g, 3) for n in ns]
         assert peak < g
 
 

@@ -25,6 +25,8 @@ from revprime.config import (
 )
 from revprime.verify import CALIBRATED
 
+from oracles import primes_upto, window_reverse
+
 
 class TestRunConfig:
     def test_hash_ignores_threads(self):
@@ -189,9 +191,8 @@ class TestCensusCommand:
         out = tmp_path / "c.csv"
         assert main(["census", "--g", "2", "--L", "7", "--q", str(q), "--a", a,
                      "--out", str(out)]) == code
-        # string-reversal recount of the 7-bit primes
-        primes = [n for n in range(64, 128) if all(n % d for d in range(2, 12))]
-        revs = [int(bin(p)[:1:-1], 2) for p in primes]
+        # oracle recount of the 7-bit primes
+        revs = [window_reverse(p, 2, 7) for p in primes_upto(127) if p >= 64]
         rows = out.read_text().splitlines()[2:]
         assert len(rows) == len(str(q).split(",")) * len(a.split(","))
         for row in rows:

@@ -50,6 +50,8 @@ from revprime.expsum import (
 )
 from revprime.seeds import reverse_seed, sod_seed, table_seed
 
+from oracles import bits, divisors, divmod_phases, row_phases, weight
+
 
 def random_table(g, rng, depth=6):
     rows = tuple(tuple(float(x) for x in row) for row in rng.random((depth, g)))
@@ -65,10 +67,6 @@ def seed_pool(g, rng):
         reverse_seed(g, 30, 1.0 / 3.0),
         random_table(g, rng),
     ]
-
-
-def divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def fraction_ladder(beta, count, g):
@@ -224,7 +222,7 @@ class TestFDirect:
                     ph = -beta * n
                     m = n
                     for i in range(lam):
-                        ph += s.frac(i, m % g)
+                        ph += float(weight(s, i, m % g) % 1)
                         m //= g
                     total += complex(math.cos(2 * math.pi * ph), math.sin(2 * math.pi * ph))
                 want = total / g**lam
@@ -1035,11 +1033,6 @@ class TestHybrid:
             hybrid_bound_shape(seed, 3, 0, 0.5)
 
 
-def bits(values):
-    """Raw float64 bytes: equal only when every entry is bit-identical."""
-    return np.asarray(values, dtype=np.float64).tobytes()
-
-
 def product_oracle(seed, lam, j, beta):
     """Scalar |F|: a Fraction ladder and a cos/sin sum at each position."""
     g = seed.base
@@ -1067,36 +1060,11 @@ def hybrid_oracle(seed, lam, j, M):
     return total
 
 
-def digit_phase_oracle(tab, values, g):
-    """Per-integer loop over the rows of tab, one digit per row."""
-    out = []
-    for v in values:
-        total = 0.0
-        for row in tab:
-            v, d = divmod(v, g)
-            total += row[d]
-        out.append(total)
-    return out
-
-
-def divmod_phases(tab, n, g):
-    """sum_i tab[i][digit i of n] for each entry of n, one divmod pass per row.
-
-    The array pass F_direct made before the phase tree; higher digits are
-    ignored.
-    """
-    rem = np.asarray(n, dtype=np.int64)
-    phase = np.zeros(rem.shape, dtype=np.float64)
-    for row in tab:
-        rem, d = np.divmod(rem, g)
-        phase += row[d]
-    return phase
-
-
 def divmod_direct(seed, lam, j, beta):
     """F_direct with its phases from one divmod pass over every integer.
 
-    It and direct_oracle keep the np.mod reduction and the np.exp
+    That pass is the one F_direct made before the phase tree.  It and
+    direct_oracle keep the np.mod reduction and the np.exp
     exponentials that F_direct had before its floor form and _cis, so
     they are the byte oracles of both.
     """
@@ -1113,7 +1081,7 @@ def direct_oracle(seed, lam, j, beta):
     """F_direct for one chunk, its phases taken from the per-integer loop."""
     g = seed.base
     n = np.arange(g**lam, dtype=np.int64)
-    phase = np.array(digit_phase_oracle(seed.frac_rows(j, lam), n.tolist(), g))
+    phase = np.array(row_phases(seed.frac_rows(j, lam), n.tolist(), g))
     bhi, blo = _split26(beta % 1.0)
     nf = n.astype(np.float64)
     phase -= np.mod(bhi * nf, 1.0) + blo * nf
@@ -1197,7 +1165,7 @@ class TestScalarOracles:
         # past g^lam the entries carry digits the window ignores
         top = g**lam + 3 * g
         n = np.arange(top + 1)
-        want = bits(digit_phase_oracle(tab, n.tolist(), g))
+        want = bits(row_phases(tab, n.tolist(), g))
         assert bits(_phase_tree(tab, g, top)) == bits(divmod_phases(tab, n, g)) == want
         got = np.complex128(F_direct(seed, lam, j, beta))
         assert got.tobytes() == np.complex128(direct_oracle(seed, lam, j, beta)).tobytes()

@@ -66,6 +66,30 @@ def test_expsum_reads_only_basedigits_and_seeds():
     assert package_imports(expsum) == {"basedigits", "seeds"}
 
 
+TESTS = Path(__file__).resolve().parent
+
+
+def module_functions(path: Path) -> set[str]:
+    """Names of the functions a file defines at module level."""
+    return {node.name for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.FunctionDef)}
+
+
+def test_oracles_read_only_the_seed_types():
+    # an oracle that imported the code it checks could agree with it by construction
+    import oracles
+
+    assert package_imports(oracles) == {"seeds"}
+
+
+def test_each_oracle_has_one_home():
+    names = module_functions(TESTS / "oracles.py")
+    assert names
+    for path in sorted(TESTS.glob("*.py")):
+        if path.name != "oracles.py":
+            assert not names & module_functions(path), path.name
+
+
 def attribute_calls(module, name: str, owner: str = "np") -> list[str]:
     """The functions of a module whose bodies call <owner>.<name>, once per call."""
     found = []

@@ -1,10 +1,10 @@
 """Linear, bilinear and prime-weighted phase sums.
 
 Brute-force oracles below recompute every sum with plain Python loops
-and f_eval, sharing none of the vectorized digit code under test.  The
-per-row and per-pair oracles are the loops the phase table, the row
-sums and the class-based truncation count replaced; results must equal
-them bit for bit.
+over the exact digit sums of tests/oracles.py, sharing none of the
+vectorized digit code under test.  The per-row and per-pair oracles are
+the loops the phase table, the row sums and the class-based truncation
+count replaced; results must equal them bit for bit.
 """
 
 import cmath
@@ -21,28 +21,15 @@ from hypothesis import strategies as st
 from revprime.arith import build_table, mangoldt_tail, vaughan_arrays
 from revprime.basedigits import ilog
 from revprime.expsum import CostBudgetError, sigma
-from revprime.seeds import f_eval, reverse_seed, sod_seed, table_seed
+from revprime.seeds import reverse_seed, sod_seed, table_seed
 from revprime import primesum as ps
 
-
-@pytest.fixture(scope="module")
-def table():
-    return build_table(10**5)
+from oracles import digit_sum, divmod_phases, row_phases
 
 
-def phase_of(seed, L, n):
-    """Unit phase from a plain digit loop over the reduced weights.
-
-    Goes through seed.frac rather than f_eval: the raw weights of wide
-    reversal seeds are ~g^L and a float f_eval loses the fractional part
-    long before the window ends.
-    """
-    g = seed.base
-    total = 0.0
-    for i in range(L):
-        n, d = divmod(n, g)
-        total += seed.frac(i, d)
-    return cmath.exp(2j * math.pi * total)
+def e_digit_sum(seed, L, n):
+    """e(f(n)) for the exact digit sum f over the window, reduced mod 1 once."""
+    return cmath.exp(2j * math.pi * float(digit_sum(seed, L, 0, n) % 1))
 
 
 def brute_type_i(seed, L, x, M):
@@ -51,23 +38,10 @@ def brute_type_i(seed, L, x, M):
         best = 0.0
         running = 0j
         for n in range(1, math.floor(x / m) + 1):
-            running += phase_of(seed, L, m * n)
+            running += e_digit_sum(seed, L, m * n)
             best = max(best, abs(running))
         total += best
     return total
-
-
-def digit_loop_phases(seed, L, values):
-    """Per-integer loop over the reduced weight rows, one digit per row."""
-    rows = seed.frac_rows(0, L)
-    out = []
-    for v in values:
-        total = 0.0
-        for row in rows:
-            v, d = divmod(v, seed.base)
-            total += row[d]
-        out.append(total)
-    return np.array(out)
 
 
 def zero_tail_phases(seed, L, values):
@@ -86,16 +60,6 @@ def zero_tail_phases(seed, L, values):
     return vals
 
 
-def divmod_phases(tab, n, g):
-    """sum_i tab[i][digit i of n] for each entry of n, one divmod pass per row."""
-    rem = np.asarray(n, dtype=np.int64)
-    phase = np.zeros(rem.shape, dtype=np.float64)
-    for row in tab:
-        rem, d = np.divmod(rem, g)
-        phase += row[d]
-    return phase
-
-
 def unit_phases_at(seed, L, values):
     """_unit_phases read at the given integers, from one table over [0, max]."""
     n = np.array(values, dtype=np.int64)
@@ -108,10 +72,10 @@ class TestPhases:
         st.sampled_from([2, 3, 10]),
         st.integers(min_value=0, max_value=10**6),
     )
-    def test_matches_f_eval(self, g, n):
+    def test_matches_digit_sum(self, g, n):
         for seed in (sod_seed(g, 0.37), reverse_seed(g, 9, 0.73)):
             got = unit_phases_at(seed, 9, [n])[0]
-            assert abs(got - phase_of(seed, 9, n)) < 1e-12
+            assert abs(got - e_digit_sum(seed, 9, n)) < 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -128,7 +92,7 @@ class TestPhases:
         n = np.array(values, dtype=np.int64)
         for seed in (sod_seed(g, 0.0), sod_seed(g, 0.37), reverse_seed(g, 9, 0.73), table):
             got = unit_phases_at(seed, L, values)
-            want = np.exp(2j * np.pi * digit_loop_phases(seed, L, values))
+            want = np.exp(2j * np.pi * np.array(row_phases(seed.frac_rows(0, L), values, g)))
             assert got.tobytes() == want.tobytes()
             early = np.exp(2j * np.pi * zero_tail_phases(seed, L, n))
             if seed.frac_rows(0, L)[:, 0].any():
@@ -272,7 +236,7 @@ class TestTypeI:
         best = 0.0
         running = 0j
         for n in range(1, 201):
-            running += phase_of(seed, 8, n)
+            running += e_digit_sum(seed, 8, n)
             best = max(best, abs(running))
         assert ps.type_i_sum(seed, p) == pytest.approx(best, rel=1e-12)
 
@@ -333,7 +297,7 @@ class TestTypeII:
                     if m * n > x:
                         continue
                     c = table.mobius(m) * mangoldt_tail(n, z, table) / logx
-                    want += c * phase_of(seed, 5, m * n)
+                    want += c * e_digit_sum(seed, 5, m * n)
             assert abs(got - want) < 1e-8
 
     @settings(max_examples=30, deadline=None)
@@ -506,8 +470,7 @@ class TestTruncation:
                         assert members == superset == 0
 
     def test_membership_against_digit_oracle(self):
-        # dyadic scale keeps every weight and sum exact in floats, so a
-        # plain f_eval comparison is a valid independent oracle
+        # the exact digit sums decide each difference mod 1 with no rounding
         seed = reverse_seed(2, 14, 0.75)
         M, N, R, r = 8.0, 64.0, 4.0, 3
         lam = ilog(M * R * R, 2) + 1
@@ -516,11 +479,11 @@ class TestTruncation:
         count = 0
         for m in range(9, 17):
             for n in range(65, 129):
-                lo_l = f_eval(seed, L, 0, m * n) % 1.0
-                hi_l = f_eval(seed, L, 0, m * (n + r)) % 1.0
-                lo_s = f_eval(seed, lam, 0, m * n) % 1.0
-                hi_s = f_eval(seed, lam, 0, m * (n + r)) % 1.0
-                count += (hi_l - lo_l) % 1.0 != (hi_s - lo_s) % 1.0
+                lo_l = digit_sum(seed, L, 0, m * n)
+                hi_l = digit_sum(seed, L, 0, m * (n + r))
+                lo_s = digit_sum(seed, lam, 0, m * n)
+                hi_s = digit_sum(seed, lam, 0, m * (n + r))
+                count += (hi_l - lo_l) % 1 != (hi_s - lo_s) % 1
         assert members == count
 
     def test_validation(self):
@@ -672,7 +635,7 @@ class TestPrimeSum:
         seed = reverse_seed(10, 6, 0.37)
         result = ps.prime_exp_sum(seed, 6, 2.0, table)
         assert result.S == pytest.approx(
-            math.log(2) * phase_of(seed, 6, 2), abs=1e-12
+            math.log(2) * e_digit_sum(seed, 6, 2), abs=1e-12
         )
 
     def test_exponent_fields(self, table):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revprime.arith import build_table
-from revprime.basedigits import reverse, reverse_relative
 from revprime.revcount import (
     _GROUP_CAP,
     CensusRecord,
@@ -23,12 +23,9 @@ from revprime.revcount import (
     zero_density_strays,
 )
 
+from oracles import factorize, prime_divisors, primes_upto, window_reverse
+
 LIMIT = 100_000
-
-
-@pytest.fixture(scope="module")
-def table():
-    return build_table(LIMIT)
 
 
 def oracle_rho(g, a, q):
@@ -40,40 +37,18 @@ def oracle_rho(g, a, q):
     if math.gcd(a, q) % g == 0:
         return Fraction(0)
     dw = math.gcd(q, wheel)
-    tot = Fraction(1)
-    n, d = dw, 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            tot *= d ** (e - 1) * (d - 1)
-        d += 1
-    if n > 1:
-        tot *= n - 1
+    tot = math.prod(p ** (e - 1) * (p - 1) for p, e in factorize(dw))
     lead = Fraction(g, g)
     if a % math.gcd(q, g) == 0:
         lead = Fraction(g - math.gcd(q, g), g)
     return lead * dw / tot
 
 
-def oracle_reverse(n, g):
-    # Digit reversal through numpy's base-repr strings, not the package's
-    # arithmetic loop.
-    return int(np.base_repr(n, g)[::-1], g)
-
-
-def oracle_reverse_rel(n, g, L):
-    return int(np.base_repr(n, g).zfill(L)[::-1], g)
-
-
 def oracle_strays(g, L, a, q):
     """Primes r | gcd(a, q, g^2-1) of the window [g^(L-1), g^L) whose
-    string reverse is a mod q: what a zero-density cell may hold."""
-    n = math.gcd(a, q, g * g - 1)
-    rs = [r for r in range(2, n + 1) if n % r == 0 and all(r % d for d in range(2, r))]
-    return sum(g ** (L - 1) <= r < g**L and oracle_reverse(r, g) % q == a % q for r in rs)
+    reverse is a mod q: what a zero-density cell may hold."""
+    rs = prime_divisors(math.gcd(a, q, g * g - 1))
+    return sum(g ** (L - 1) <= r < g**L and window_reverse(r, g, L) % q == a % q for r in rs)
 
 
 class TestRho:
@@ -155,7 +130,7 @@ class TestCensus:
                 int(p) for p in table.primes if lo <= p < hi
             ]
             for a, q in ((1, 7), (0, 2), (3, 4), (5, 9)):
-                want = sum(oracle_reverse(p, g) % q == a % q for p in primes)
+                want = sum(window_reverse(p, g, L) % q == a % q for p in primes)
                 assert census_grid(g, L, [(a, q)], table)[0].observed == want
 
     @pytest.mark.parametrize("big", [2**63 - 1, 2**63, 2**64])
@@ -163,7 +138,7 @@ class TestCensus:
         # every reverse lies below g^L, so mod big it is its own residue
         for g, L in ((10, 3), (2, 9)):
             lo, hi = g ** (L - 1), g**L
-            revs = [oracle_reverse(int(p), g) for p in table.primes if lo <= p < hi]
+            revs = [window_reverse(int(p), g, L) for p in table.primes if lo <= p < hi]
             for moduli in ([big], [3, big, 7]):
                 pairs = [(a, q) for q in moduli for a in (0, 1, revs[0], big - 1, big + revs[-1])]
                 for (a, q), rec in zip(pairs, census_grid(g, L, pairs, table)):
@@ -190,6 +165,31 @@ class TestCensus:
                     rec = census_grid(10, L, [(a, q)], table)[0]
                     assert math.isnan(rec.relative_dev)
                     assert rec.observed == oracle_strays(10, L, a, q), (L, a, q)
+
+    def test_sieve_limit_may_end_at_the_window(self):
+        # the window [g^(L-1), g^L) ends at g^L - 1
+        for g, L, q in ((10, 2, 3), (2, 4, 3), (3, 5, 7)):
+            pairs = [(a, q) for a in range(q)]
+            counts = lambda pt: [
+                (r.observed, r.sharp_observed) for r in census_grid(g, L, pairs, pt)
+            ]
+            assert counts(build_table(g**L - 1)) == counts(build_table(g**L))
+            with pytest.raises(ValueError):
+                census_grid(g, L, pairs, build_table(g**L - 2))
+
+    def test_modulus_above_the_cap_allocates_no_histogram(self):
+        # a bincount of the reverses would take 2^20 int64 bins (8 MiB)
+        pt = build_table(2**20)
+        census_grid(2, 20, [(5, 2**40)], pt)
+        tracemalloc.start()
+        try:
+            (rec,) = census_grid(2, 20, [(5, 2**40)], pt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rec.modulus_sharp == 2**20
+        assert rec.observed == rec.sharp_observed == 0
+        assert peak < 2**22
 
     def test_single_cell_accuracy(self, table):
         rec = census_grid(10, 5, [(0, 1)], table)[0]
@@ -259,11 +259,7 @@ class TestPsiThetaPi:
         g, L, x, q = 2, 10, 700, 5
         lams = {}
         for a in range(q):
-            keep = [
-                p
-                for p in range(2, x + 1)
-                if table.is_prime(p) and oracle_reverse_rel(p, g, L) % q == a
-            ]
+            keep = [p for p in primes_upto(x) if window_reverse(p, g, L) % q == a]
             lams[a] = keep
             want_theta = math.fsum(math.log(p) for p in keep)
             want_pi = float(len(keep))
@@ -297,6 +293,16 @@ class TestPsiThetaPi:
         for kind in ("psi", "theta", "pi"):
             assert psi_theta_pi(10, 3, 1.9, 0, 5, table, kind) == 0.0
 
+    def test_sieve_limit_may_end_at_x(self, table):
+        # only n <= x are read, whatever the window
+        at, below = build_table(500), build_table(499)
+        for kind in ("psi", "theta", "pi"):
+            for x in (500, 500.5):
+                want = psi_theta_pi(10, 3, x, 2, 7, table, kind)
+                assert psi_theta_pi(10, 3, x, 2, 7, at, kind) == want
+            with pytest.raises(ValueError):
+                psi_theta_pi(10, 3, 500, 2, 7, below, kind)
+
     def test_sharp_equals_reduced_modulus(self, table):
         g, L, x = 10, 4, 8000.0
         q = 14
@@ -312,9 +318,8 @@ class TestPsiThetaPi:
     def test_moduli_beyond_int64_against_string_reversal(self, table, big):
         # every reverse lies below g^L, so mod big it is its own residue
         g, L, x = 10, 4, 5000
-        powers = [(p, p**k) for p in range(2, x + 1) if table.is_prime(p)
-                  for k in range(1, 13) if p**k <= x]
-        rev = {v: oracle_reverse_rel(v, g, L) for _, v in powers}
+        powers = [(p, p**k) for p in primes_upto(x) for k in range(1, 13) if p**k <= x]
+        rev = {v: window_reverse(v, g, L) for _, v in powers}
         for sharp in (False, True):
             m = math.gcd(big, g**L * (g * g - 1)) if sharp else big
             for a in (1, rev[2], big - 1, big + rev[3]):
@@ -355,7 +360,7 @@ class TestSharpFactorDeviation:
     def test_moduli_beyond_int64_against_string_reversal(self, table, big):
         g, x = 10, 5000
         m = math.gcd(big, g**4 * (g * g - 1))
-        revs = [oracle_reverse(p, g) for p in range(2, x + 1) if table.is_prime(p)]
+        revs = [window_reverse(p, g) for p in primes_upto(x)]
         for a in (1, revs[0], big - 1, big + revs[-1]):
             plain = sum(r % big == a % big for r in revs)
             sharp = sum(r % m == a % m for r in revs)
@@ -454,10 +459,6 @@ def ilog_floor(x, g):
     return k
 
 
-def scalar_primes(limit):
-    return [n for n in range(2, limit + 1) if all(n % d for d in range(2, math.isqrt(n) + 1))]
-
-
 class TestLayerAgainstScalarRecount:
     """The array census layer against per-prime loops over the scalar oracles."""
 
@@ -466,7 +467,7 @@ class TestLayerAgainstScalarRecount:
                                      min_size=1, max_size=8))
     def test_census_grid(self, window, pairs):
         g, L, limit = window
-        revs = [reverse(p, g) for p in scalar_primes(g**L - 1) if p >= g ** (L - 1)]
+        revs = [window_reverse(p, g, L) for p in primes_upto(g**L - 1) if p >= g ** (L - 1)]
         for (a, q), rec in zip(pairs, census_grid(g, L, pairs, build_table(limit))):
             m = math.gcd(q, g**L * (g * g - 1))
             assert rec.modulus_sharp == m
@@ -479,10 +480,7 @@ class TestLayerAgainstScalarRecount:
         g, L, limit = window
         x = 1 + frac * (g**L - 1)
         m = math.gcd(q, g**L * (g * g - 1))
-        want = sum(
-            reverse_relative(p, L, g) % m == a % m
-            for p in scalar_primes(math.floor(x))
-        )
+        want = sum(window_reverse(p, g, L) % m == a % m for p in primes_upto(x))
         assert psi_theta_pi(g, L, x, a, q, build_table(limit), "pi", sharp=True) == want
 
     @settings(max_examples=40, deadline=None)
@@ -493,8 +491,8 @@ class TestLayerAgainstScalarRecount:
         x = 1 + frac * (g**L - 1)
         m = math.gcd(q, g**L * (g * g - 1)) if sharp else q
         table = build_table(limit)
-        hit = lambda n: reverse_relative(n, L, g) % m == a % m
-        primes = scalar_primes(math.floor(x))
+        hit = lambda n: window_reverse(n, g, L) % m == a % m
+        primes = primes_upto(x)
         powers = [(p, p**k) for p in primes for k in range(1, 40) if p**k <= x]
         want = {
             "pi": float(sum(hit(p) for p in primes)),
@@ -513,7 +511,7 @@ class TestLayerAgainstScalarRecount:
         x = 1 + frac * (limit - 1)
         L = ilog_floor(x, g) + 1
         m = math.gcd(q, g**L * (g * g - 1))
-        revs = [reverse(p, g) for p in scalar_primes(math.floor(x))]
+        revs = [window_reverse(p, g) for p in primes_upto(x)]
         plain = sum(r % q == a % q for r in revs)
         sharp = sum(r % m == a % m for r in revs)
         want = abs(plain - (m / q) * sharp) / x
@@ -541,7 +539,7 @@ class TestZeroDensityStrays:
         # every prime of the window, reversed by string: a zero-density
         # cell holds exactly the strays
         g, L, _ = window
-        revs = [oracle_reverse(p, g) for p in scalar_primes(g**L - 1) if p >= g ** (L - 1)]
+        revs = [window_reverse(p, g, L) for p in primes_upto(g**L - 1) if p >= g ** (L - 1)]
         for a in range(q):
             if rho(g, a, q) != 0:
                 continue
@@ -552,9 +550,7 @@ class TestZeroDensityStrays:
 class TestPrimeDivisors:
     @given(st.integers(2, 40), st.integers(1, 3000))
     def test_matches_trial_division(self, g, q):
-        n = g * q
-        primes = {p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))}
-        assert _prime_divisors(n) == sorted(primes)
+        assert _prime_divisors(g * q) == prime_divisors(g * q)
 
 
 class TestTotient:
@@ -571,7 +567,7 @@ class TestRecord:
         assert rec.modulus_sharp == math.gcd(7, 10**3 * 99)
         lo, hi = 100, 1000
         manual = sum(
-            reverse(int(p), 10) % 7 == 1
+            window_reverse(int(p), 10, 3) % 7 == 1
             for p in table.primes
             if lo <= p < hi
         )
