@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Optional
 
 from . import __version__
 from .arith import build_table
-from .config import RunConfig, UsageError, load_config, merge_overrides
+from .config import RunConfig, UsageError, load_config
 from .revcount import CensusRecord, census_grid, zero_density_strays
 
 if TYPE_CHECKING:
@@ -125,13 +125,13 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 def _load_run_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    return merge_overrides(
-        cfg,
-        rng_seed=getattr(args, "seed", None),
-        sieve_limit=getattr(args, "sieve_limit", None),
-        threads=getattr(args, "threads", None),
-        census_tolerance=getattr(args, "tolerance", None),
-    )
+    given = {
+        "rng_seed": args.seed,
+        "sieve_limit": args.sieve_limit,
+        "threads": args.threads,
+        "census_tolerance": getattr(args, "tolerance", None),  # census only
+    }
+    return replace(cfg, **{key: value for key, value in given.items() if value is not None})
 
 
 def _census_rows(cfg: RunConfig, args) -> list[CensusRecord]:

@@ -4,6 +4,9 @@ type_i_sum scans every arithmetic progression m, 2m, ... with an exact
 prefix supremum; type_ii_sum is the bilinear box sum with pluggable
 bounded coefficients; prime_exp_sum is the von Mangoldt weighted sum the
 two of them control through the four-term split of arith.vaughan_terms.
+Each of the three is one call that checks its own inputs and returns a
+SumResult: the sum S, its decay exponent kappa over xi digits, and the
+bound shape that the verifier scales by a calibrated constant.
 The van der Corput, sine-sum and digit truncation helpers feeding the
 bilinear estimate are exposed with both sides computable so the
 inequalities can be swept numerically.
@@ -32,15 +35,9 @@ from .seeds import Seed
 
 __all__ = [
     "X_BUDGET",
-    "TypeIParams",
-    "TypeIIParams",
-    "PrimeSumResult",
-    "type_i_params",
+    "SumResult",
     "type_i_sum",
-    "type_i_bound_shape",
-    "type_ii_params",
     "type_ii_sum",
-    "type_ii_bound_shape",
     "mobius_coefficients",
     "mangoldt_tail_coefficients",
     "unimodular_coefficients",
@@ -103,59 +100,45 @@ def _decay(seed: Seed, x: float) -> tuple[int, float]:
 
 
 @dataclass(frozen=True)
-class TypeIParams:
-    """Window length, range, and progression count for a linear sum."""
+class SumResult:
+    """A phase sum S with its decay exponent kappa and bound shape.
 
-    L: int
-    x: float
-    M: float
-    kappa_I: float
+    xi is the number of digits kappa is summed over; S is a float for
+    the Type I sum and complex for the other two.
+    """
+
+    S: complex
+    kappa: float
+    xi: int
+    bound_shape: float
 
 
-def type_i_params(seed: Seed, L: int, x: float, M: float) -> TypeIParams:
+def type_i_sum(seed: Seed, L: int, x: float, M: float) -> SumResult:
+    """Sum over m <= M of the exact prefix supremum of the phase sum.
+
+    The supremum over real cutoffs t in [1, x/m] is attained at integer
+    prefixes, so a running cumulative maximum evaluates it exactly.
+    kappa is sigma over the xi = ilog(x, g) digits below x, and the bound
+    shape is x * g^(-kappa) * (log x)^2, up to its calibrated constant.
+    """
     _check_window(seed, L, x)
     if not M > 0:
         raise ValueError("progression count M must be positive")
     if M * M > x * (1.0 + 1e-12):
         raise ValueError("M must stay at or below sqrt(x)")
-    return TypeIParams(L, x, M, sigma(seed, ilog(x, seed.base), 0))
-
-
-def type_i_sum(seed: Seed, p: TypeIParams) -> float:
-    """Sum over m <= M of the exact prefix supremum of the phase sum.
-
-    The supremum over real cutoffs t in [1, x/m] is attained at integer
-    prefixes, so a running cumulative maximum evaluates it exactly.
-    """
-    top = math.floor(p.x)
-    table = _unit_phases(seed, p.L, top)
+    top = math.floor(x)
+    table = _unit_phases(seed, L, top)
     parts = []
-    for m in range(1, math.floor(p.M) + 1):
+    for m in range(1, math.floor(M) + 1):
         prefix = np.cumsum(table[m : m * (top // m) + 1 : m])
         parts.append(float(np.abs(prefix).max()))
-    return math.fsum(parts)
+    xi = ilog(x, seed.base)
+    kappa = sigma(seed, xi, 0)
+    bound_shape = x * seed.base ** (-kappa) * math.log(x) ** 2
+    return SumResult(math.fsum(parts), kappa, xi, bound_shape)
 
 
-def type_i_bound_shape(seed: Seed, p: TypeIParams) -> float:
-    """x * g^(-kappa_I) * (log x)^2, the bound up to its calibrated constant."""
-    return p.x * seed.base ** (-p.kappa_I) * math.log(p.x) ** 2
-
-
-@dataclass(frozen=True)
-class TypeIIParams:
-    """Dyadic box, decay exponent, and coefficient generators for a bilinear sum."""
-
-    L: int
-    x: float
-    M: float
-    N: float
-    a_coeff: Coefficients
-    b_coeff: Coefficients
-    xi_II: int
-    kappa_II: float
-
-
-def type_ii_params(
+def type_ii_sum(
     seed: Seed,
     L: int,
     x: float,
@@ -163,7 +146,15 @@ def type_ii_params(
     N: float,
     a_coeff: Coefficients,
     b_coeff: Coefficients,
-) -> TypeIIParams:
+) -> SumResult:
+    """Bilinear sum of a(m) b(n) e(phase(mn)) over the box, mn <= x.
+
+    Rows are reduced with numpy's pairwise summation and collected in
+    ascending m order, so the result is reproducible bit for bit.  The
+    box corners are checked before either coefficient generator runs.
+    (xi, kappa) come from _decay and the bound shape is
+    x * g^(-kappa) * log x, up to its calibrated constant.
+    """
     _check_window(seed, L, x)
     if min(M, N) < 1:
         raise ValueError("box corners must be at least 1")
@@ -171,33 +162,19 @@ def type_ii_params(
     if M < floor_corner or N < floor_corner:
         raise ValueError("box corners must be at least x^(1/4)")
     xi, kappa = _decay(seed, x)
-    return TypeIIParams(L, x, M, N, a_coeff, b_coeff, xi, kappa)
-
-
-def type_ii_sum(seed: Seed, p: TypeIIParams) -> complex:
-    """Bilinear sum of a(m) b(n) e(phase(mn)) over the box, mn <= x.
-
-    Rows are reduced with numpy's pairwise summation and collected in
-    ascending m order, so the result is reproducible bit for bit.
-    """
-    m_first = math.floor(p.M) + 1
-    m_last = math.floor(2.0 * p.M)
-    n_lo = math.floor(p.N)
-    top = math.floor(p.x)
-    n_cap = min(math.floor(2.0 * p.N), top // m_first)
-    if m_last < m_first or n_cap <= n_lo:
-        return 0j
-    a = np.asarray(p.a_coeff(np.arange(m_first, m_last + 1, dtype=np.int64)), np.complex128)
-    b = np.asarray(p.b_coeff(np.arange(n_lo + 1, n_cap + 1, dtype=np.int64)), np.complex128)
-    parts = _row_sums(_unit_phases(seed, p.L, top), a, m_first, b, n_lo, n_cap, top)
-    if not parts:
-        return 0j
-    return complex(np.sum(np.asarray(parts, dtype=np.complex128)))
-
-
-def type_ii_bound_shape(seed: Seed, p: TypeIIParams) -> float:
-    """x * g^(-kappa_II) * log x, the bound up to its calibrated constant."""
-    return p.x * seed.base ** (-p.kappa_II) * math.log(p.x)
+    m_first = math.floor(M) + 1
+    m_last = math.floor(2.0 * M)
+    n_lo = math.floor(N)
+    top = math.floor(x)
+    n_cap = min(math.floor(2.0 * N), top // m_first)
+    S = 0j
+    if m_first <= m_last and n_lo < n_cap:
+        a = np.asarray(a_coeff(np.arange(m_first, m_last + 1, dtype=np.int64)), np.complex128)
+        b = np.asarray(b_coeff(np.arange(n_lo + 1, n_cap + 1, dtype=np.int64)), np.complex128)
+        parts = _row_sums(_unit_phases(seed, L, top), a, m_first, b, n_lo, n_cap, top)
+        if parts:
+            S = complex(np.sum(np.asarray(parts, dtype=np.complex128)))
+    return SumResult(S, kappa, xi, x * seed.base ** (-kappa) * math.log(x))
 
 
 def mobius_coefficients(pt: PrimeTable) -> Coefficients:
@@ -361,19 +338,7 @@ def sin_sum_check(a: int, m: int, b: float, M: float) -> BoundReport:
     )
 
 
-@dataclass(frozen=True)
-class PrimeSumResult:
-    """Prime-weighted phase sum with its decay exponent and bound shape."""
-
-    S: complex
-    kappa: float
-    xi: int
-    bound_shape: float
-
-
-def prime_exp_sum(
-    seed: Seed, L: int, x: float, pt: PrimeTable
-) -> PrimeSumResult:
+def prime_exp_sum(seed: Seed, L: int, x: float, pt: PrimeTable) -> SumResult:
     """Sum of Lambda(n) e(phase(n)) for n <= x, with its decay exponent.
 
     S is summed directly over n.  z = x^(1/4) is the threshold of the
@@ -389,4 +354,4 @@ def prime_exp_sum(
     if kappa > xi / 20.0 + 1e-12:
         raise RuntimeError(f"decay exponent {kappa} above its cap {xi / 20.0}")
     bound_shape = x * seed.base ** (-kappa) * math.log(x) ** 4
-    return PrimeSumResult(S, kappa, xi, bound_shape)
+    return SumResult(S, kappa, xi, bound_shape)

@@ -54,11 +54,7 @@ from .primesum import (
     prime_exp_sum,
     sin_sum_check,
     truncation_set_size,
-    type_i_bound_shape,
-    type_i_params,
     type_i_sum,
-    type_ii_bound_shape,
-    type_ii_params,
     type_ii_sum,
     unimodular_coefficients,
     vdc_lhs_rhs,
@@ -455,14 +451,12 @@ def _type_i(cfg: RunConfig, opts: SuiteOptions, rng, cell: tuple) -> list[BoundR
     ]
     for name, seed in _pick_seeds(pool, opts.seed_family):
         for M in ms:
-            p = type_i_params(seed, L, float(x), M)
-            lhs = type_i_sum(seed, p)
-            shape = type_i_bound_shape(seed, p)
+            res = type_i_sum(seed, L, float(x), M)
             out.append(
                 _ratio_report(
-                    "type-i", cfg, lhs, shape,
+                    "type-i", cfg, res.S, res.bound_shape,
                     {"g": g, "family": name, "L": L, "x": x, "M": M,
-                     "kappa": p.kappa_I},
+                     "kappa": res.kappa},
                 )
             )
     return out
@@ -484,14 +478,12 @@ def _type_ii(cfg: RunConfig, opts: SuiteOptions, rng, cell: tuple) -> list[Bound
     pool = [("sod", sod_seed(g, 0.37)), ("reverse", reverse_seed(g, L, 0.73))]
     for sname, seed in _pick_seeds(pool, opts.seed_family):
         for cname, a_coeff, b_coeff in pairs:
-            p = type_ii_params(seed, L, float(x), M, N, a_coeff, b_coeff)
-            lhs = abs(type_ii_sum(seed, p))
-            shape = type_ii_bound_shape(seed, p)
+            res = type_ii_sum(seed, L, float(x), M, N, a_coeff, b_coeff)
             out.append(
                 _ratio_report(
-                    "type-ii", cfg, lhs, shape,
+                    "type-ii", cfg, abs(res.S), res.bound_shape,
                     {"g": g, "family": sname, "coeffs": cname, "L": L,
-                     "x": x, "M": M, "N": N, "kappa": p.kappa_II},
+                     "x": x, "M": M, "N": N, "kappa": res.kappa},
                 )
             )
     return out

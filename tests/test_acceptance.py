@@ -474,7 +474,9 @@ def test_criterion_11_calibration_regressions():
     ]
     assert not drifted, (
         "calibration constants drifted from DEFAULT_C_CAL; if intended, re-freeze "
-        "them from `revprime calibrate --out configs/calibration.json`: "
+        "them in both homes: rewrite the artifact with `revprime calibrate --out "
+        "configs/calibration.json`, then copy the same values into "
+        "revprime.config.DEFAULT_C_CAL by hand: "
         + "; ".join(drifted)
     )
     for name, value in observed.items():

@@ -82,7 +82,7 @@ class TestReverse:
         assert len(oracle_digits(reverse(n, g), g)) <= len(oracle_digits(n, g))
 
 
-class TestReverseRelative:
+class TestReverseArrayWindow:
     """The window-relative reversal reverse_array against the plain reverse."""
 
     def test_window_examples(self):

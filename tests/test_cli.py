@@ -21,7 +21,6 @@ from revprime.config import (
     RunConfig,
     load_config,
     make_rng,
-    merge_overrides,
 )
 from revprime.verify import CALIBRATED
 
@@ -104,11 +103,32 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=next(iter(fields))):
             load_config(str(path))
 
-    def test_merge_overrides(self):
-        cfg = merge_overrides(RunConfig(), threads=4, census_tolerance=0.1)
-        assert cfg.threads == 4
-        assert cfg.census_tolerance == 0.1
-        assert cfg.rng_seed == RunConfig().rng_seed
+    def test_flags_override_the_config_file(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(
+            {"rng_seed": 7, "sieve_limit": 5000, "threads": 3, "census_tolerance": 0.1}
+        ))
+        stored = load_config(str(path))
+        census = ["census", "--g", "10", "--L", "2", "--q", "3", "--config", str(path)]
+
+        def loaded(*flags):
+            return cli._load_run_config(cli.build_parser().parse_args([*census, *flags]))
+
+        # an unset flag keeps the file's value
+        assert loaded() == stored
+        assert loaded("--seed", "9", "--sieve-limit", "4000") == replace(
+            stored, rng_seed=9, sieve_limit=4000
+        )
+        assert loaded("--threads", "2", "--tolerance", "0.2") == replace(
+            stored, threads=2, census_tolerance=0.2
+        )
+        # verify has no --tolerance; its header carries the merged config
+        out = tmp_path / "r.jsonl"
+        argv = ["verify", "vdc", "--cases", "4", "--config", str(path), "--out", str(out)]
+        assert main([*argv, "--seed", "9"]) == 0
+        header = json.loads(out.read_text().splitlines()[0])
+        assert header["rng_seed"] == 9
+        assert header["config_hash"] == replace(stored, rng_seed=9).config_hash()
 
     def test_rng_streams(self):
         cfg = RunConfig()

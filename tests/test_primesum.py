@@ -127,36 +127,36 @@ def per_row_phases(seed, L, n):
     return np.exp(2j * np.pi * divmod_phases(seed.frac_rows(0, L), n, seed.base))
 
 
-def per_row_type_i(seed, p):
+def per_row_type_i(seed, L, x, M):
     """type_i_sum as one digit-phase evaluation per progression m."""
     parts = []
-    for m in range(1, math.floor(p.M) + 1):
-        top = math.floor(p.x / m)
+    for m in range(1, math.floor(M) + 1):
+        top = math.floor(x / m)
         n = np.arange(1, top + 1, dtype=np.int64)
-        prefix = np.cumsum(per_row_phases(seed, p.L, m * n))
+        prefix = np.cumsum(per_row_phases(seed, L, m * n))
         parts.append(float(np.abs(prefix).max()))
     return math.fsum(parts)
 
 
-def per_row_type_ii(seed, p):
+def per_row_type_ii(seed, L, x, M, N, a_coeff, b_coeff):
     """type_ii_sum as one digit-phase evaluation and one b call per row m."""
-    m_first = math.floor(p.M) + 1
-    m_last = math.floor(2.0 * p.M)
+    m_first = math.floor(M) + 1
+    m_last = math.floor(2.0 * M)
     if m_last < m_first:
         return 0j
     a_vals = np.asarray(
-        p.a_coeff(np.arange(m_first, m_last + 1, dtype=np.int64)), dtype=np.complex128
+        a_coeff(np.arange(m_first, m_last + 1, dtype=np.int64)), dtype=np.complex128
     )
-    n_lo = math.floor(p.N)
-    n_cap = math.floor(2.0 * p.N)
+    n_lo = math.floor(N)
+    n_cap = math.floor(2.0 * N)
     parts = []
     for m, a in zip(range(m_first, m_last + 1), a_vals):
-        n_hi = min(n_cap, math.floor(p.x / m))
+        n_hi = min(n_cap, math.floor(x / m))
         if n_hi <= n_lo or a == 0:
             continue
         n = np.arange(n_lo + 1, n_hi + 1, dtype=np.int64)
-        b = np.asarray(p.b_coeff(n), dtype=np.complex128)
-        parts.append(complex(a) * complex(np.sum(b * per_row_phases(seed, p.L, m * n))))
+        b = np.asarray(b_coeff(n), dtype=np.complex128)
+        parts.append(complex(a) * complex(np.sum(b * per_row_phases(seed, L, m * n))))
     if not parts:
         return 0j
     return complex(np.sum(np.asarray(parts, dtype=np.complex128)))
@@ -189,8 +189,8 @@ class TestRowSumsEqualPerRowLoops:
     def test_type_i(self, cell, family, rows_seed, frac):
         g, L, x = cell
         seed = sum_seed(g, L, family, rows_seed)
-        p = ps.type_i_params(seed, L, float(x), 1.0 + frac * (math.sqrt(x) - 1.0))
-        assert ps.type_i_sum(seed, p).hex() == per_row_type_i(seed, p).hex()
+        args = (seed, L, float(x), 1.0 + frac * (math.sqrt(x) - 1.0))
+        assert ps.type_i_sum(*args).S.hex() == per_row_type_i(*args).hex()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -209,16 +209,15 @@ class TestRowSumsEqualPerRowLoops:
             a, b = ps.mobius_coefficients(table), ps.mangoldt_tail_coefficients(table, N / 2, x)
         else:
             a, b = ps.unimodular_coefficients(1), ps.unimodular_coefficients(2)
-        p = ps.type_ii_params(seed, L, float(x), M, N, a, b)
-        assert sum_bits(ps.type_ii_sum(seed, p)) == sum_bits(per_row_type_ii(seed, p))
+        args = (seed, L, float(x), M, N, a, b)
+        assert sum_bits(ps.type_ii_sum(*args).S) == sum_bits(per_row_type_ii(*args))
 
 
 class TestTypeI:
     def test_zero_seed_closed_form(self, table):
         seed = sod_seed(10, 0.0)
-        p = ps.type_i_params(seed, 5, 10**4, 100.0)
         expect = sum(10**4 // m for m in range(1, 101))
-        assert ps.type_i_sum(seed, p) == pytest.approx(expect, abs=1e-9)
+        assert ps.type_i_sum(seed, 5, 10**4, 100.0).S == pytest.approx(expect, abs=1e-9)
 
     def test_matches_brute_force(self):
         for seed, L, x, M in [
@@ -226,38 +225,38 @@ class TestTypeI:
             (reverse_seed(2, 9, 0.73), 9, 500.0, 22.0),
             (table_seed(3, ((0.0, 0.4, 0.7),)), 6, 300.0, 17.0),
         ]:
-            p = ps.type_i_params(seed, L, x, M)
-            got = ps.type_i_sum(seed, p)
+            got = ps.type_i_sum(seed, L, x, M).S
             assert got == pytest.approx(brute_type_i(seed, L, x, M), rel=1e-10)
 
     def test_single_progression(self):
         seed = reverse_seed(2, 8, 0.73)
-        p = ps.type_i_params(seed, 8, 200.0, 1.0)
         best = 0.0
         running = 0j
         for n in range(1, 201):
             running += e_digit_sum(seed, 8, n)
             best = max(best, abs(running))
-        assert ps.type_i_sum(seed, p) == pytest.approx(best, rel=1e-12)
+        assert ps.type_i_sum(seed, 8, 200.0, 1.0).S == pytest.approx(best, rel=1e-12)
 
     def test_params_fields(self):
         seed = reverse_seed(2, 14, 0.73)
-        p = ps.type_i_params(seed, 14, 2.0**14, 2.0**7)
-        assert p.kappa_I == pytest.approx(sigma(seed, 14, 0), abs=0)
-        assert ps.type_i_bound_shape(seed, p) == pytest.approx(
-            2.0**14 * 2.0 ** (-p.kappa_I) * math.log(2.0**14) ** 2
+        x = 2.0**14
+        res = ps.type_i_sum(seed, 14, x, 2.0**7)
+        assert res.xi == ilog(x, 2) == 14
+        assert res.kappa == pytest.approx(sigma(seed, ilog(x, 2), 0), abs=0)
+        assert res.bound_shape == pytest.approx(
+            x * 2.0 ** (-res.kappa) * math.log(x) ** 2, abs=0
         )
 
     def test_validation(self):
         seed = sod_seed(10, 0.0)
         with pytest.raises(ValueError):
-            ps.type_i_params(seed, 5, 10**4, 101.0)  # M above sqrt(x)
+            ps.type_i_sum(seed, 5, 10**4, 101.0)  # M above sqrt(x)
         with pytest.raises(ValueError):
-            ps.type_i_params(seed, 1, 11.0, 2.0)  # x above g^L
+            ps.type_i_sum(seed, 1, 11.0, 2.0)  # x above g^L
         with pytest.raises(ValueError):
-            ps.type_i_params(seed, 5, 1.5, 1.0)
+            ps.type_i_sum(seed, 5, 1.5, 1.0)
         with pytest.raises(CostBudgetError):
-            ps.type_i_params(seed, 12, 2 * 10**6, 1000.0)
+            ps.type_i_sum(seed, 12, 2 * 10**6, 1000.0)
 
 
 class TestTypeII:
@@ -266,31 +265,23 @@ class TestTypeII:
             return np.zeros(n.shape, dtype=np.complex128)
 
         seed = sod_seed(10, 0.37)
-        p = ps.type_ii_params(
-            seed, 5, 10**4, 25.0, 25.0,
-            zeros, zeros,
-        )
-        assert ps.type_ii_sum(seed, p) == 0j
+        assert ps.type_ii_sum(seed, 5, 10**4, 25.0, 25.0, zeros, zeros).S == 0j
 
     def test_empty_box(self):
         seed = sod_seed(10, 0.0)
-        p = ps.type_ii_params(
-            seed, 2, 100.0, 20.0, 20.0,
-            ps.unimodular_coefficients(), ps.unimodular_coefficients(),
-        )
-        assert ps.type_ii_sum(seed, p) == 0j
+        ok = ps.unimodular_coefficients()
+        assert ps.type_ii_sum(seed, 2, 100.0, 20.0, 20.0, ok, ok).S == 0j
 
     def test_mobius_tail_pair_matches_brute(self, table):
         x = 10**4
         z = x**0.25
         logx = math.log(x)
         for seed in (sod_seed(10, 0.0), sod_seed(10, 0.37)):
-            p = ps.type_ii_params(
+            got = ps.type_ii_sum(
                 seed, 5, float(x), 30.0, 40.0,
                 ps.mobius_coefficients(table),
                 ps.mangoldt_tail_coefficients(table, z, x),
-            )
-            got = ps.type_ii_sum(seed, p)
+            ).S
             want = 0j
             for m in range(31, 61):
                 for n in range(41, 81):
@@ -342,14 +333,11 @@ class TestTypeII:
     def test_params_fields(self):
         seed = reverse_seed(2, 16, 0.73)
         x = 2.0**16
-        p = ps.type_ii_params(
-            seed, 16, x, 2.0**5, 2.0**7,
-            ps.unimodular_coefficients(), ps.unimodular_coefficients(),
-        )
-        assert (p.L, p.x, p.M, p.N) == (16, x, 2.0**5, 2.0**7)
-        assert p.xi_II == 4
-        assert p.kappa_II == pytest.approx(sigma(seed, 4, 0) / 10.0, abs=0)
-        assert ps.type_ii_bound_shape(seed, p) == x * 2.0 ** (-p.kappa_II) * math.log(x)
+        ok = ps.unimodular_coefficients()
+        res = ps.type_ii_sum(seed, 16, x, 2.0**5, 2.0**7, ok, ok)
+        assert res.xi == 4
+        assert res.kappa == pytest.approx(sigma(seed, 4, 0) / 10.0, abs=0)
+        assert res.bound_shape == pytest.approx(x * 2.0 ** (-res.kappa) * math.log(x), abs=0)
 
     def test_one_decay_exponent(self, table):
         # Type II and the prime sum read one (xi, kappa): xi is the largest
@@ -374,22 +362,32 @@ class TestTypeII:
             L = ilog(x, g) + 1
             seed = reverse_seed(g, L, 0.73)
             corner = max(1.0, math.ceil(x**0.25))
-            p = ps.type_ii_params(seed, L, float(x), corner, corner, ok, ok)
+            bilinear = ps.type_ii_sum(seed, L, float(x), corner, corner, ok, ok)
             res = ps.prime_exp_sum(seed, L, float(x), table)
-            assert p.xi_II == res.xi == brute_xi(g, x), (g, x)
-            assert p.kappa_II == res.kappa == sigma(seed, res.xi, 0) / 10.0, (g, x)
+            assert bilinear.xi == res.xi == brute_xi(g, x), (g, x)
+            assert bilinear.kappa == res.kappa == sigma(seed, res.xi, 0) / 10.0, (g, x)
 
     def test_validation(self):
         seed = sod_seed(10, 0.0)
         ok = ps.unimodular_coefficients()
         with pytest.raises(ValueError):
-            ps.type_ii_params(seed, 5, 10**4, 5.0, 25.0, ok, ok)
+            ps.type_ii_sum(seed, 5, 10**4, 5.0, 25.0, ok, ok)
         with pytest.raises(ValueError):
-            ps.type_ii_params(seed, 2, 101.0, 25.0, 25.0, ok, ok)
+            ps.type_ii_sum(seed, 2, 101.0, 25.0, 25.0, ok, ok)
         with pytest.raises(ValueError):
-            ps.type_ii_params(seed, 5, 1.5, 25.0, 25.0, ok, ok)
+            ps.type_ii_sum(seed, 5, 1.5, 25.0, 25.0, ok, ok)
         with pytest.raises(CostBudgetError):
-            ps.type_ii_params(seed, 12, 2 * 10**6, 2000.0, 2000.0, ok, ok)
+            ps.type_ii_sum(seed, 12, 2 * 10**6, 2000.0, 2000.0, ok, ok)
+
+    def test_low_corner_refused_before_any_coefficient(self):
+        def refuse(n):
+            raise AssertionError("a coefficient generator ran")
+
+        seed = sod_seed(10, 0.37)
+        # x^(1/4) = 10: each corner below it in turn, the other above
+        for M, N in ((9.0, 25.0), (25.0, 9.0)):
+            with pytest.raises(ValueError, match=r"x\^\(1/4\)"):
+                ps.type_ii_sum(seed, 5, 10**4, M, N, refuse, refuse)
 
 
 def per_pair_truncation(seed, M, N, r, L, lam):

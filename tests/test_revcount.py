@@ -123,7 +123,7 @@ class TestCensus:
             )
             assert total == window
 
-    def test_observed_against_string_reversal(self, table):
+    def test_observed_against_window_reverse(self, table):
         for g, L in ((10, 3), (2, 9)):
             lo, hi = g ** (L - 1), g**L
             primes = [
@@ -134,7 +134,7 @@ class TestCensus:
                 assert census_grid(g, L, [(a, q)], table)[0].observed == want
 
     @pytest.mark.parametrize("big", [2**63 - 1, 2**63, 2**64])
-    def test_moduli_beyond_int64_against_string_reversal(self, table, big):
+    def test_moduli_beyond_int64_against_window_reverse(self, table, big):
         # every reverse lies below g^L, so mod big it is its own residue
         for g, L in ((10, 3), (2, 9)):
             lo, hi = g ** (L - 1), g**L
@@ -255,7 +255,7 @@ class TestPsiThetaPi:
         got = psi_theta_pi(10, 5, x, 0, 1, table, "psi")
         assert got == pytest.approx(want, abs=1e-9)
 
-    def test_small_case_against_string_reversal(self, table):
+    def test_small_case_against_window_reverse(self, table):
         g, L, x, q = 2, 10, 700, 5
         lams = {}
         for a in range(q):
@@ -315,7 +315,7 @@ class TestPsiThetaPi:
                 ) == psi_theta_pi(g, L, x, a, reduced, table, kind)
 
     @pytest.mark.parametrize("big", [2**63 - 1, 2**63, 2**64])
-    def test_moduli_beyond_int64_against_string_reversal(self, table, big):
+    def test_moduli_beyond_int64_against_window_reverse(self, table, big):
         # every reverse lies below g^L, so mod big it is its own residue
         g, L, x = 10, 4, 5000
         powers = [(p, p**k) for p in primes_upto(x) for k in range(1, 13) if p**k <= x]
@@ -357,7 +357,7 @@ class TestSharpFactorDeviation:
             assert sharp_factor_deviation(10, 10**5, a, 7, table) < 0.05
 
     @pytest.mark.parametrize("big", [2**63 - 1, 2**63, 2**64])
-    def test_moduli_beyond_int64_against_string_reversal(self, table, big):
+    def test_moduli_beyond_int64_against_window_reverse(self, table, big):
         g, x = 10, 5000
         m = math.gcd(big, g**4 * (g * g - 1))
         revs = [window_reverse(p, g) for p in primes_upto(x)]
@@ -535,8 +535,8 @@ class TestZeroDensityStrays:
 
     @settings(max_examples=40, deadline=None)
     @given(small_windows(), st.integers(1, 60))
-    def test_matches_string_reversal_recount(self, window, q):
-        # every prime of the window, reversed by string: a zero-density
+    def test_matches_window_reverse_recount(self, window, q):
+        # every prime of the window, reversed by window_reverse: a zero-density
         # cell holds exactly the strays
         g, L, _ = window
         revs = [window_reverse(p, g, L) for p in primes_upto(g**L - 1) if p >= g ** (L - 1)]
