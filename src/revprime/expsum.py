@@ -16,9 +16,10 @@ constants used by every verifier.
 
 All phase arithmetic is done on exactly reduced fractional parts: seed
 weights via each seed's frac_rows, grid offsets via integer residues,
-and powers of the base via the exact ladder basedigits.power_residues,
-so the direct and product routes agree to near machine precision
-instead of drifting with g^lam.
+and powers of the base via exact integer ladders of residues num * g^i
+mod den (basedigits.power_residues, and F_abs_product's one walk over
+every beta), so the direct and product routes agree to near machine
+precision instead of drifting with g^lam.
 """
 
 from __future__ import annotations
@@ -171,11 +172,15 @@ def _phi_sums(rows: np.ndarray, t: float | np.ndarray) -> np.ndarray:
     np.abs rounds about a third of them differently.  phi and
     F_abs_product take the hypot magnitude and psi and the progression
     moments np.abs, because the frozen reports and calibration constants
-    pin each choice.
+    pin each choice.  The d = 0 term is _cis(rows[..., 0]), formed once
+    for every t: rows[..., 0] - t*0 differs from rows[..., 0] at most in
+    the sign of a zero for finite t, and _cis drops that sign; a
+    non-finite t makes a d >= 1 term, and so the sum, nan either way.
     """
     t = np.asarray(t, dtype=np.float64)
     total = np.zeros(np.broadcast_shapes(rows.shape[:-1], t.shape), dtype=np.complex128)
-    for d in range(rows.shape[-1]):
+    total += _cis(rows[..., 0])
+    for d in range(1, rows.shape[-1]):
         total += _cis(rows[..., d] - t * d)
     return total
 
@@ -223,6 +228,27 @@ def _phase_tree(tab: np.ndarray, g: int, top: int) -> np.ndarray:
     return np.resize(phase, top + 1)
 
 
+# Largest leaf F_direct forms at once; at least numpy's own pairwise block
+# of 64 complex entries, below which numpy stops splitting.
+_LEAF = 8192
+
+
+def _pairwise(count: int, leaf, lo: int = 0) -> complex:
+    """Sum of leaf(a, b) over a partition of [lo, lo + count), in numpy's order.
+
+    numpy sums a contiguous complex array pairwise: more than 64 entries
+    split at (count - count % 8) // 2 and the halves' sums are added.
+    Splitting the same way down to leaves of at most _LEAF entries, each
+    summed by .sum(), adds the same terms in the same order, so the
+    result equals complex(a.sum()) bit for bit up to the sign of a zero;
+    tests/test_numeric_env.py pins that split.
+    """
+    if count <= _LEAF:
+        return leaf(lo, lo + count)
+    half = (count - count % 8) // 2
+    return _pairwise(half, leaf, lo) + _pairwise(count - half, leaf, lo + half)
+
+
 def F_direct(seed: Seed, lam: int, j: int, beta: float) -> complex:
     """Full-period average computed term by term; costs g^lam evaluations.
 
@@ -233,6 +259,13 @@ def F_direct(seed: Seed, lam: int, j: int, beta: float) -> complex:
     form at 1e-10 tolerances.  That reduction is exact and equals
     np.mod(x, 1.0) bit for bit because x >= 0: beta % 1.0 >= 0,
     _split26 keeps bhi >= 0, and n >= 0.
+
+    The g^lam terms are formed and summed one leaf of _pairwise at a
+    time, so no array of g^lam entries is made and the sum equals that
+    of one array of every term.  A leaf's phases start from the table of
+    the low k digits (the largest k with g^k <= _LEAF, at least 1 and at
+    most lam) and add the weights of the higher digits one position at a
+    time, lowest first, as _phase_tree adds them.
     """
     if lam < 0 or j < 0:
         raise ValueError("window and shift must be nonnegative")
@@ -243,20 +276,30 @@ def F_direct(seed: Seed, lam: int, j: int, beta: float) -> complex:
             f"direct evaluation needs {n_total} terms, budget is {DIRECT_BUDGET}"
         )
     bhi, blo = _split26(beta % 1.0)
-    phase = _phase_tree(seed.frac_rows(j, lam), g, n_total - 1)
-    # at most three float buffers of g^lam entries live at once, and only
-    # the phase table when the complex one is made
-    x = np.arange(n_total, dtype=np.float64)
-    x *= bhi
-    x -= np.floor(x)
-    lo = np.arange(n_total, dtype=np.float64)
-    lo *= blo
-    x += lo
-    del lo
-    phase -= x
-    del x
-    total = 0.0 + 0.0j + complex(_cis(phase).sum())
-    return total / n_total
+    tab = seed.frac_rows(j, lam)
+    k = min(lam, max(1, ilog(_LEAF, g)))
+    block = g**k
+    low = _phase_tree(tab[:k], g, block - 1)
+
+    def leaf(lo: int, hi: int) -> complex:
+        phase = np.empty(hi - lo, dtype=np.float64)
+        for start in range(lo - lo % block, hi, block):
+            a, b = max(lo, start), min(hi, start + block)
+            part = phase[a - lo : b - lo]
+            part[:] = low[a - start : b - start]
+            q = start // block
+            for row in tab[k:]:
+                part += row[q % g]
+                q //= g
+        n = np.arange(lo, hi, dtype=np.float64)
+        x = n * bhi
+        x -= np.floor(x)
+        n *= blo
+        x += n
+        phase -= x
+        return complex(_cis(phase).sum())
+
+    return (0.0 + 0.0j + _pairwise(n_total, leaf)) / n_total
 
 
 def F_abs_product(
@@ -272,15 +315,17 @@ def F_abs_product(
     g = seed.base
     tab = seed.frac_rows(j, lam)
     betas = np.asarray(beta, dtype=np.float64)
+    # a double is a dyadic rational, so its ladder frac(b * g^i) is exact
+    # in integers, walked for every b at once on object arrays of Python
+    # ints, and each rung is rounded once by int / int; rung 0 stays
+    # b % 1.0, which rounds up to 1.0 for tiny negative b
+    fracs = [b % 1.0 for b in betas.ravel().tolist()]
+    r, den = np.array([b.as_integer_ratio() for b in fracs], dtype=object).reshape(-1, 2).T
     args = np.empty((lam, betas.size), dtype=np.float64)
-    for col, b in enumerate(betas.ravel().tolist()):
-        # a double is a dyadic rational, so its ladder frac(b * g^i) is
-        # exact in integers and each rung is rounded once; rung 0 stays
-        # b % 1.0, which rounds up to 1.0 for tiny negative b
-        b %= 1.0
-        num, den = b.as_integer_ratio()
-        args[:, col] = [r / den for r in power_residues(num, den, g, lam)]
-        args[:1, col] = b
+    args[:1] = fracs
+    for i in range(1, lam):
+        r = r * g % den
+        args[i] = r / den
     sums = _phi_sums(tab[:, None, :], args)
     factors = np.hypot(sums.real, sums.imag) / g
     acc = np.ones(betas.size, dtype=np.float64)

@@ -236,18 +236,17 @@ class TestFDirect:
         assert F_direct(seed, 4, 0, beta) == F_direct(seed, 4, 0, beta + 1.0)
 
     def test_allocation_peak_at_the_budget(self):
-        # 2^20 terms: the 8 MiB phase table with at most two 8 MiB float
-        # buffers, or with the 16 MiB complex one.  A float buffer kept
-        # alive into the exponentials, or one more scratch buffer, adds
-        # 8 MiB
-        seed = sod_seed(2, 0.37)
-        tracemalloc.start()
-        try:
-            F_direct(seed, 20, 0, 1 / 3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 24.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+        # terms are formed one leaf at a time: a few buffers of at most
+        # 8192 entries and the low-digit table, under 1 MiB in all.  One
+        # float array of every term would take 8 MiB on its own
+        for g, lam in [(2, 20), (10, 6)]:
+            tracemalloc.start()
+            try:
+                F_direct(sod_seed(g, 0.37), lam, 0, 1 / 3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * 2**20, f"({g}, {lam}): peak {peak / 2**20:.2f} MiB"
 
 
 # doubles that stress e(x): signed zeros, subnormals, integers, |x| up to 2^40
@@ -1115,8 +1114,17 @@ def theta_loop(seed, i):
     return (1.0 - 1.0 / g) * (1.0 - math.sqrt(inner))
 
 
+def phi_sums_loop(rows, t):
+    """_phi_sums with every term, d = 0 too, formed as _cis(rows[..., d] - t*d)."""
+    t = np.asarray(t, dtype=np.float64)
+    total = np.zeros(np.broadcast_shapes(rows.shape[:-1], t.shape), dtype=np.complex128)
+    for d in range(rows.shape[-1]):
+        total += _cis(rows[..., d] - t * d)
+    return total
+
+
 def psi_per_pair(seed, i, t, R, S):
-    """psi as one _phi_sums call per (r, s): the loop the batched psi replaced."""
+    """psi as one phi_sums_loop call per (r, s): the loop the batched psi replaced."""
     g = seed.base
     rows = seed.frac_rows(i, 2)
     tarr = np.asarray(t, dtype=np.float64)
@@ -1125,8 +1133,8 @@ def psi_per_pair(seed, i, t, R, S):
         u = (tarr + r) / (R * S)
         inner = np.zeros(tarr.shape, dtype=np.float64)
         for s in range(S):
-            inner += np.abs(_phi_sums(rows[0], np.mod(u + s / S, 1.0)))
-        total += np.abs(_phi_sums(rows[1], np.mod(g * u, 1.0))) * inner
+            inner += np.abs(phi_sums_loop(rows[0], np.mod(u + s / S, 1.0)))
+        total += np.abs(phi_sums_loop(rows[1], np.mod(g * u, 1.0))) * inner
     total /= g * g
     return total
 
@@ -1138,6 +1146,10 @@ class TestScalarOracles:
         betas=st.lists(st.floats(-4.0, 4.0, allow_nan=False), max_size=6),
         **pool_case,
     )
+    # signed zeros, subnormals and negative betas; family 5 is a table
+    # seed whose rows[..., 0] are not 0
+    @example(g=3, lam=4, j=1, family=5, rows_seed=7, betas=[-0.0, 5e-324, -5e-324, -2.75])
+    @example(g=10, lam=3, j=0, family=0, rows_seed=0, betas=[-0.0, -1e-310, 2.2250738585072009e-308])
     def test_product_array_equals_scalar_calls(self, g, lam, j, family, rows_seed, betas):
         seed = pool_seed(g, family, rows_seed)
         got = F_abs_product(seed, lam, j, np.array(betas, dtype=np.float64))
@@ -1209,11 +1221,15 @@ class TestScalarOracles:
     # which is not the left-to-right order of the per-pair loop
     @example(g=12, i=0, family=1, rows_seed=0, pick=35, ts=[2.1, 0.3])
     @example(g=10, i=0, family=3, rows_seed=0, pick=15, ts=[0.3])
+    @example(g=6, i=1, family=5, rows_seed=3, pick=7, ts=[-0.0, 5e-324, -5e-324, -3.25])
     def test_psi_equals_per_pair_loop(self, g, i, family, rows_seed, pick, ts):
         seed = pool_seed(g, family, rows_seed)
         ds = divisors(g)
         R, S = ds[pick % len(ds)], ds[(pick // len(ds)) % len(ds)]
         t = np.array(ts, dtype=np.float64)
+        # the raw offsets, negative ones too, straight into _phi_sums
+        rows = seed.frac_rows(i, 2)[:, None, :]
+        assert _phi_sums(rows, t).tobytes() == phi_sums_loop(rows, t).tobytes()
         assert bits(psi(seed, i, t, R, S)) == bits(psi_per_pair(seed, i, t, R, S))
         assert bits(psi(seed, i, ts[0], R, S)) == bits(psi_per_pair(seed, i, ts[0], R, S))
         assert isinstance(psi(seed, i, ts[0], R, S), float)

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from revprime.expsum import _cis
+from revprime.expsum import DIRECT_BUDGET, _cis, _pairwise
 
 
 def digest(values) -> str:
@@ -145,3 +145,17 @@ def test_numpy_abs_and_hypot_on_complex_sums():
     assert from_python == HYPOT_DIGEST, f"abs(complex) moved: {from_python}"
     assert from_abs == NP_ABS_DIGEST, f"np.abs moved: {from_abs}"
     assert int(np.count_nonzero(np.abs(z) != np.hypot(z.real, z.imag))) == 1366
+
+
+def test_pairwise_leaves_equal_one_complex_sum():
+    # F_direct sums leaf by leaf along numpy's complex pairwise split:
+    # the longest window of each base, and sizes whose count % 8 is odd
+    pool = np.random.default_rng(25).random(2 * DIRECT_BUDGET).view(np.complex128)
+    sizes = {g ** (len(np.base_repr(DIRECT_BUDGET, g)) - 1) for g in range(2, 17)}
+    for n in sorted(sizes | {1, 63, 64, 65, 8191, 8193, 999_983, 10**6}):
+        a = pool[:n]
+        whole = np.complex128(a.sum())
+        leaves = np.complex128(_pairwise(n, lambda lo, hi: complex(a[lo:hi].sum())))
+        assert leaves.tobytes() == whole.tobytes(), (
+            f"numpy complex pairwise-sum split moved at {n} entries: {leaves} != {whole}"
+        )

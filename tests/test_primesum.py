@@ -237,7 +237,7 @@ class TestTypeI:
             best = max(best, abs(running))
         assert ps.type_i_sum(seed, 8, 200.0, 1.0).S == pytest.approx(best, rel=1e-12)
 
-    def test_params_fields(self):
+    def test_record_fields(self):
         seed = reverse_seed(2, 14, 0.73)
         x = 2.0**14
         res = ps.type_i_sum(seed, 14, x, 2.0**7)
@@ -330,7 +330,7 @@ class TestTypeII:
         other = ps.unimodular_coefficients(salt=8)(n)
         assert not np.array_equal(first, other)
 
-    def test_params_fields(self):
+    def test_record_fields(self):
         seed = reverse_seed(2, 16, 0.73)
         x = 2.0**16
         ok = ps.unimodular_coefficients()
