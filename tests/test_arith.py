@@ -9,6 +9,7 @@ check.
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from hypothesis import strategies as st
 from revprime import arith
 from revprime.arith import (
     DEFAULT_MAX_LIMIT,
-    PrimeTable,
     SieveBudgetError,
     build_table,
     mangoldt_array,
@@ -259,33 +259,44 @@ EDGE_LIMITS = sorted(
 def segmented(limit, segment):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(arith, "_SEGMENT", segment)
-        odd = arith._sieve_odd(limit)
-        return odd, PrimeTable(limit, odd).primes
+        return build_table(limit).primes
 
 
 class TestSegmentedSieve:
+    # segments of 1 and 7 flags are shorter than the wheel primes' indices
+    # 1..6, which must then be set back inside whichever segment holds them
+
     @pytest.mark.parametrize("segment", SEGMENTS)
     @settings(max_examples=50, deadline=None)
     @given(st.integers(2, 5000))
     def test_random_limits_equal_oracle(self, segment, limit):
-        odd, primes = segmented(limit, segment)
-        assert odd.dtype == bool and odd.tobytes() == oracle_sieve_odd(limit).tobytes()
+        primes = segmented(limit, segment)
+        assert primes.dtype == np.int64
         assert primes.tobytes() == oracle_odd_primes(limit).tobytes()
 
     @pytest.mark.parametrize("segment", SEGMENTS)
     def test_edge_limits_equal_oracle(self, segment):
         for limit in EDGE_LIMITS:
-            odd, primes = segmented(limit, segment)
-            assert odd.tobytes() == oracle_sieve_odd(limit).tobytes(), limit
-            assert primes.tobytes() == oracle_odd_primes(limit).tobytes(), limit
+            assert segmented(limit, segment).tobytes() == oracle_odd_primes(limit).tobytes(), limit
 
     @pytest.mark.parametrize("limit", [2**21 - 1, 2**21, 2**21 + 1, 2**22 + 3, 10**7])
     def test_real_sizes_equal_oracle(self, limit):
         # at 2^20-entry segments, 2^21 - 1 and 2^21 end on a full segment,
         # 2^21 + 1 on a one-entry one and 2^22 + 3 on a two-entry one
-        odd = arith._sieve_odd(limit)
-        assert odd.tobytes() == oracle_sieve_odd(limit).tobytes()
         assert build_table(limit).primes.tobytes() == oracle_odd_primes(limit).tobytes()
+
+    def test_allocation_peak_at_two_to_the_24(self):
+        # 1,077,871 primes take 8.6 MB, allocated to the Rosser-Schoenfeld
+        # bound (10.1 MB); a bitmap of every odd number would add 8.4 MB
+        build_table(2**24)
+        tracemalloc.start()
+        try:
+            pt = build_table(2**24)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pt.primes.size == 1_077_871
+        assert peak < 15 * 2**20, peak
 
 
 def brute_vaughan(n, z):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from revprime import basedigits
 from revprime.basedigits import (
     check_base,
     dist,
@@ -223,13 +224,26 @@ class TestReverseArrayBlocks:
                 assert got.tolist() == [window_reverse(n, g, L) for n in ns], (g, L)
 
     def test_two_dimensional_input(self):
+        # chunks of 1, 7 and 64 entries split the 840 entries across rows,
+        # and 840 = 13 * 64 + 8 leaves a short last chunk
         for g in (2, 10, 64, 65, 4097):
             grid = np.arange(0, 6000, 7, dtype=np.int64)[:840].reshape(28, 30)
             L = block_digits(g) + 1
-            got = reverse_array(grid, g, L)
-            assert got.shape == grid.shape
             want = [[window_reverse(int(n), g, L) for n in row] for row in grid]
-            assert got.tolist() == want
+            for chunk in (1, 7, 64, basedigits._CHUNK):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(basedigits, "_CHUNK", chunk)
+                    got = reverse_array(grid, g, L)
+                assert got.shape == grid.shape
+                assert got.tolist() == want, chunk
+
+    def test_block_tables_are_shared_and_read_only(self):
+        # the census reverses every chunk through the same cached table
+        table = basedigits._block_table(10, 3)
+        assert table is basedigits._block_table(10, 3)
+        assert table.tolist() == [window_reverse(x, 10, 3) for x in range(1000)]
+        with pytest.raises(ValueError):
+            table[0] = 1
 
     def test_zero_dimensional_input(self):
         for g, L in ((10, 5), (2, 13), (4097, 3)):

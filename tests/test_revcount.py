@@ -4,14 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from revprime import revcount
 from revprime.arith import build_table
 from revprime.revcount import (
     _GROUP_CAP,
     CensusRecord,
-    _class_counter,
+    _ClassCounts,
     _modulus_groups,
     _prime_divisors,
     _totient,
@@ -190,6 +191,24 @@ class TestCensus:
         assert rec.modulus_sharp == 2**20
         assert rec.observed == rec.sharp_observed == 0
         assert peak < 2**22
+
+    @pytest.mark.parametrize(
+        "g, L, limit, moduli",
+        [(2, 24, 2**24, (3, 5, 7)), (10, 7, 10**7, (3, 7, 9, 11, 13, 37, 41))],
+    )
+    def test_allocation_peak_of_a_window(self, g, L, limit, moduli):
+        # the window is walked in chunks: 513,708 primes at (2, 24) and
+        # 586,081 at (10, 7) would take 4.1 and 4.7 MB per int64 buffer
+        pt = build_table(limit)
+        pairs = [(a, q) for q in moduli for a in range(q)]
+        census_grid(g, L, pairs, pt)
+        tracemalloc.start()
+        try:
+            census_grid(g, L, pairs, pt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, peak
 
     def test_single_cell_accuracy(self, table):
         rec = census_grid(10, 5, [(0, 1)], table)[0]
@@ -393,8 +412,16 @@ def assert_valid_groups(moduli):
     return groups
 
 
+def fed(cells, revs, cuts):
+    """_ClassCounts of cells fed revs in the chunks that the cut points make."""
+    counts = _ClassCounts(cells)
+    for chunk in np.split(revs, sorted(c % (revs.size + 1) for c in cuts)):
+        counts.add(chunk, np.empty_like(chunk))
+    return counts
+
+
 class TestClassCounter:
-    """The grouped residue counter against one bincount per modulus."""
+    """The grouped residue counter, fed in chunks, against one bincount per modulus."""
 
     def test_census_groups(self):
         # base 2, L = 20..24, q = 3, 5, 7: the sharp moduli are 3 and 1
@@ -413,34 +440,79 @@ class TestClassCounter:
     @given(
         st.lists(st.integers(0, 2**40), max_size=300),
         st.lists(st.sampled_from(COUNTER_MODULI) | st.integers(1, 3 * 2**16), min_size=1, max_size=8),
+        st.lists(st.integers(0, 400), max_size=6),
     )
-    def test_matches_per_modulus_bincount(self, values, moduli):
+    def test_matches_per_modulus_bincount(self, values, moduli, cuts):
         revs = np.array(values, dtype=np.int64)
         assert_valid_groups(moduli)
-        count = _class_counter(revs, moduli)
+        cells, want = [], {}
         for m in set(moduli):
-            want = np.bincount(revs % m, minlength=1)
+            want[m] = np.bincount(revs % m, minlength=1)
             # every residue present, a few above the largest one present,
             # the top residue, and classes named by a >= m and a < 0
             residues = {*range(min(m, 40)), *(int(r) for r in np.unique(revs % m))}
-            residues |= {want.size, want.size + 1, m - 1, m + 2, -1}
-            for a in residues:
-                r = a % m
-                expected = int(want[r]) if r < want.size else 0
-                assert count(a, m) == expected, (a, m)
+            residues |= {want[m].size, want[m].size + 1, m - 1, m + 2, -1}
+            cells += [(a, m) for a in residues]
+        count = fed(cells, revs, cuts).count
+        for a, m in cells:
+            r = a % m
+            expected = int(want[m][r]) if r < want[m].size else 0
+            assert count(a, m) == expected, (a, m)
 
     @pytest.mark.parametrize("big", [2**63 - 1, 2**63, 2**64])
     def test_moduli_beyond_int64(self, big):
         revs = np.array([0, 5, 17, 17, 2**20 - 1], dtype=np.int64)
+        rng = np.random.default_rng(big % 1000)
         for moduli in ([big], [3, big, 2**17]):
-            count = _class_counter(revs, moduli)
-            for m in moduli:
-                for a in (0, 1, 5, 17, 2**20 - 1, big - 1, big + 17, -1):
-                    assert count(a, m) == sum(int(r) % m == a % m for r in revs), (a, m)
+            cells = [
+                (a, m) for m in moduli
+                for a in (0, 1, 5, 17, 2**20 - 1, big - 1, big + 17, -1)
+            ]
+            count = fed(cells, revs, rng.integers(0, 6, size=3).tolist()).count
+            for a, m in cells:
+                assert count(a, m) == sum(int(r) % m == a % m for r in revs), (a, m)
 
     def test_empty_window(self):
-        count = _class_counter(np.zeros(0, dtype=np.int64), [1, 5, 2**17])
-        assert count(0, 1) == count(3, 5) == count(7, 2**17) == 0
+        cells = [(0, 1), (3, 5), (7, 2**17), (2**70, 2**64)]
+        for cuts in ([], [0, 0]):
+            count = fed(cells, np.zeros(0, dtype=np.int64), cuts).count
+            assert [count(a, m) for a, m in cells] == [0, 0, 0, 0]
+
+
+# moduli of one group, above the cap, at int64's edge and beyond it
+CHUNK_MODULI = st.integers(1, 60) | st.sampled_from(
+    [2**16, 2**16 + 1, 99991, 2**40, 2**63 - 1, 2**63, 2**64, 3 * 2**70]
+)
+
+
+class TestCensusChunks:
+    """census_grid walks its window in chunks; any chunk size gives the same counts."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(2, 12).flatmap(
+            lambda g: st.tuples(st.just(g), st.integers(1, ilog_floor(20_000, g)))
+        ),
+        st.lists(st.tuples(st.integers(0, 20_000), st.integers(0, 3), CHUNK_MODULI),
+                 min_size=1, max_size=8),
+    )
+    # g = 2, L = 1 is the empty window [1, 2); [2^13, 2^14) holds 872
+    # primes, which end mid-chunk at 7 and at 64
+    @example((2, 1), [(0, 0, 1), (1, 1, 2**64)])
+    @example((2, 14), [(1, 0, 3), (8191, 0, 2**16 + 1), (5, 2, 2**63)])
+    def test_equals_per_prime_count(self, chunk, window, cells):
+        g, L = window
+        pairs = [(a + k * q, q) for a, k, q in cells]
+        revs = [window_reverse(p, g, L) for p in primes_upto(g**L - 1) if p >= g ** (L - 1)]
+        table = build_table(g**L)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(revcount, "_CHUNK", chunk)
+            records = census_grid(g, L, pairs, table)
+        for (a, q), rec in zip(pairs, records):
+            m = rec.modulus_sharp
+            assert rec.observed == sum(r % q == a % q for r in revs), (a, q)
+            assert rec.sharp_observed == sum(r % m == a % m for r in revs), (a, m)
 
 
 @st.composite

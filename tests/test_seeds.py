@@ -58,7 +58,7 @@ class TestFamilies:
         assert kernel_sum(t, 4, 0, 12) % 1.0 == 2100 % 1024 / 1024
 
     @given(st.sampled_from([2, 3, 10]), st.integers(1, 6), st.integers(0, 10**6))
-    def test_reverse_seed_matches_reverse_relative(self, g, L, n):
+    def test_reverse_seed_matches_window_reverse(self, g, L, n):
         n %= g**L
         assert digit_sum(reverse_seed(g, L, 1.0), L, 0, n) == window_reverse(n, g, L)
         # dyadic scale: the row sums are exact, so mod 1 they are the reversal's
