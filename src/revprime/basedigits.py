@@ -3,16 +3,14 @@
 Full and window-relative digit reversal, plus the distance to the
 nearest integer that the rest of the package shares.  Everything here
 is integer arithmetic; no float logarithms are used to make
-digit-length decisions.  The window reversal every command runs is one
-private kernel, _reverse_into, which reverses a slice of int64 entries
-into buffers its caller owns, a block of k digits per step through a
-cached read-only table of g^k <= 2^12 entries; census_grid feeds it the
-window's primes one chunk at a time through one workspace, and
-reverse_array wraps it for whole arrays.  The scalar reverse is the
-plain reversal of one integer.  Powers of g live here too: ilog is the
-exact g-adic length and power_residues the exact ladder num*g^i mod
-den.  check_base is the one check of a base, shared by the reversals
-and the seeds.
+digit-length decisions.  Chunked reversal has one home: reverse_chunks
+walks an int64 array _CHUNK entries at a time through one workspace,
+reversing each slice with the private kernel _reverse_into, a block of
+k digits per step through a cached read-only table of g^k <= 2^12
+entries; census_grid bins its chunks and reverse_array copies them out.
+The scalar reverse is the plain reversal of one integer.  Powers of g
+live here too: ilog is the exact g-adic length and power_residues the
+exact ladder num*g^i mod den.  check_base is the one check of a base.
 """
 
 from __future__ import annotations
@@ -26,6 +24,7 @@ __all__ = [
     "check_base",
     "reverse",
     "reverse_array",
+    "reverse_chunks",
     "dist",
     "ilog",
     "power_residues",
@@ -116,14 +115,34 @@ def _reverse_into(values: np.ndarray, g: int, L: int, out: np.ndarray, work) -> 
         n, q, spare = q, spare, q
 
 
+def reverse_chunks(values: np.ndarray, g: int, L: int):
+    """Yield (lo, revs, scratch) for each _CHUNK-entry slice of values.
+
+    revs is the reversal within L digits of values[lo : lo + revs.size],
+    scratch a free int64 buffer of its length; both are views into one
+    workspace of four chunk-sized int64 buffers that the next slice
+    reuses.  values is 1-d nonnegative int64 and g a checked base.  When
+    iteration starts, _CHUNK is read, and ValueError is raised if values
+    is not empty and g^L > 2^63 - 1.
+    """
+    if values.size and g**L > _INT64_MAX:
+        raise ValueError(f"{g}^{L} overflows int64")
+    revs, *work = [np.empty(min(_CHUNK, values.size), dtype=np.int64) for _ in range(4)]
+    for lo in range(0, values.size, _CHUNK):
+        size = min(_CHUNK, values.size - lo)
+        chunk = [w[:size] for w in work]
+        _reverse_into(values[lo : lo + size], g, L, revs[:size], chunk)
+        yield lo, revs[:size], chunk[0]
+
+
 def reverse_array(values, g: int, L: int) -> np.ndarray:
     """Reversal of every entry of values within a window of L digits, as int64.
 
     Digit i of n (i < L) lands at position L - 1 - i, and digits at
     positions >= L are ignored; on an n with exactly L digits this is
-    the plain reverse.  The output is allocated here and filled by
-    _reverse_into one chunk of _CHUNK entries at a time, so the work
-    buffers stay chunk-sized whatever the input's size or shape.
+    the plain reverse.  The output is allocated here and filled from
+    reverse_chunks, so the work buffers stay chunk-sized whatever the
+    input's size or shape.
 
     Raises TypeError on values whose dtype does not cast to int64 (uint64
     and Python integers beyond int64 among them), and ValueError on
@@ -140,14 +159,10 @@ def reverse_array(values, g: int, L: int) -> np.ndarray:
         raise TypeError(f"values must cast to int64, got dtype {arr.dtype}")
     if arr.min() < 0:
         raise ValueError("reverse is defined for nonnegative integers")
-    if g**L > _INT64_MAX:
-        raise ValueError(f"{g}^{L} overflows int64")
     flat = np.ravel(arr).astype(np.int64, copy=False)
     out = np.empty(flat.size, dtype=np.int64)
-    work = [np.empty(min(_CHUNK, flat.size), dtype=np.int64) for _ in range(3)]
-    for lo in range(0, flat.size, _CHUNK):
-        hi = min(lo + _CHUNK, flat.size)
-        _reverse_into(flat[lo:hi], g, L, out[lo:hi], [w[: hi - lo] for w in work])
+    for lo, revs, _ in reverse_chunks(flat, g, L):
+        out[lo : lo + revs.size] = revs
     return out.reshape(arr.shape)
 
 
@@ -167,8 +182,7 @@ def ilog(x, g: int) -> int:
     answer is fixed up with exact integer powers so boundary cases like
     x = g^k never misclassify.
     """
-    if g < 2:
-        raise ValueError("base must be >= 2")
+    check_base(g)
     if x < 1:
         raise ValueError("ilog requires x >= 1")
     # g^k <= x exactly when g^k <= floor(x), and math.log takes integers

@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from typing import TYPE_CHECKING, Optional
 
 from . import __version__
@@ -124,6 +124,7 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _load_run_config(args) -> RunConfig:
+    """The --config file's RunConfig, or the default, with each flag given replacing its value."""
     cfg = load_config(args.config) if args.config else RunConfig()
     given = {
         "rng_seed": args.seed,
@@ -136,14 +137,8 @@ def _load_run_config(args) -> RunConfig:
 
 def _census_rows(cfg: RunConfig, args) -> list[CensusRecord]:
     pt = build_table(cfg.sieve_limit)
-    rows = []
-    for L in args.L:
-        pairs = []
-        for q in args.q:
-            residues = args.a if args.a is not None else range(q)
-            pairs.extend((a, q) for a in residues)
-        rows.extend(census_grid(args.g, L, pairs, pt))
-    return rows
+    pairs = [(a, q) for q in args.q for a in (range(q) if args.a is None else args.a)]
+    return [rec for L in args.L for rec in census_grid(args.g, L, pairs, pt)]
 
 
 def _census_failures(cfg: RunConfig, rows: list[CensusRecord]) -> list[CensusRecord]:
@@ -159,12 +154,7 @@ def _census_failures(cfg: RunConfig, rows: list[CensusRecord]) -> list[CensusRec
 
 def _format_census_csv(cfg: RunConfig, rows: list[CensusRecord]) -> str:
     lines = [f"# config_hash={cfg.config_hash()}", ",".join(CENSUS_COLUMNS)]
-    for rec in rows:
-        lines.append(
-            ",".join(
-                str(getattr(rec, col)) for col in CENSUS_COLUMNS
-            )
-        )
+    lines += [",".join(str(getattr(rec, col)) for col in CENSUS_COLUMNS) for rec in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -257,13 +247,7 @@ def _format_reports(
 def _suite_options(args) -> SuiteOptions:
     from .verify import SuiteOptions
 
-    return SuiteOptions(
-        g=args.g,
-        lambda_max=args.lambda_max,
-        limit=args.limit,
-        cases=args.cases,
-        seed_family=args.seed_family,
-    )
+    return SuiteOptions(**{f.name: getattr(args, f.name) for f in fields(SuiteOptions)})
 
 
 def cmd_verify(args) -> int:

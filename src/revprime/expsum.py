@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basedigits import ilog, power_residues
+from .basedigits import check_base, ilog, power_residues
 from .seeds import Seed, reverse_seed
 
 __all__ = [
@@ -54,6 +54,7 @@ __all__ = [
     "sigma_lower_blocks",
     "theta_i",
     "psi",
+    "l1_cell_fault",
     "l1_moment",
     "l1_moment_bound",
     "hybrid_sum",
@@ -308,7 +309,8 @@ def F_abs_product(
     """|F| via the position-product identity: one row sum per position.
 
     Cost is lam*g per argument regardless of g^lam, so windows of length
-    10^5 are fine.  beta may be a scalar or an array (one |F| per entry).
+    10^5 are fine.  beta may be a scalar or an array (one |F| per entry,
+    each bit-identical to a scalar call).
     """
     if lam < 0 or j < 0:
         raise ValueError("window and shift must be nonnegative")
@@ -419,8 +421,7 @@ def i0_landing(g: int, alpha) -> tuple[int, float]:
     arithmetic on alpha, so the landing inequality is decided without
     float noise.
     """
-    if g < 2:
-        raise ValueError("base must be at least 2")
+    check_base(g)
     frac = Fraction(alpha) % 1
     d = min(frac, 1 - frac)
     if d == 0:
@@ -443,8 +444,7 @@ def sigma_lower_blocks(g: int, L: int, lam: int, alpha) -> BoundReport:
     seed itself is checked to dominate the blocked sum with the
     explicit per-pair prefactor, and a failure there raises.
     """
-    if g < 2:
-        raise ValueError("base must be at least 2")
+    check_base(g)
     if not 0 <= lam <= L:
         raise ValueError("need 0 <= lam <= L")
     num, den = (Fraction(alpha) * (g * g - 1)).as_integer_ratio()
@@ -525,15 +525,17 @@ def psi(seed: Seed, i: int, t, R: int, S: int):
     return total.reshape(tarr.shape)
 
 
-def _validate_l1(g: int, lam: int, k: int, delta: int) -> None:
+def l1_cell_fault(g: int, lam: int, k: int, delta: int) -> str | None:
+    """The condition (k, delta) fails as a progression cell at (g, lam), or None."""
     if not 0 <= delta <= lam:
-        raise ValueError("delta must lie in [0, lam]")
+        return "delta must lie in [0, lam]"
     if k < 1:
-        raise ValueError("k must be positive")
+        return "k must be positive"
     if k % g == 0:
-        raise ValueError("k must not be divisible by the base")
+        return "k must not be divisible by the base"
     if (g**lam) % (k * g**delta):
-        raise ValueError("k * g^delta must divide g^lam")
+        return "k * g^delta must divide g^lam"
+    return None
 
 
 def l1_moment(
@@ -546,7 +548,8 @@ def l1_moment(
     C-contiguous array along its last axis as it reduces a lone row).
     """
     g = seed.base
-    _validate_l1(g, lam, k, delta)
+    if fault := l1_cell_fault(g, lam, k, delta):
+        raise ValueError(fault)
     step = k * g**delta
     return _progression_abs(seed, lam, j, step, a % step, beta).sum(axis=-1)
 
@@ -559,7 +562,8 @@ def l1_moment_bound(
     beta may be a scalar or an array (one ceiling per entry).
     """
     g = seed.base
-    _validate_l1(g, lam, k, delta)
+    if fault := l1_cell_fault(g, lam, k, delta):
+        raise ValueError(fault)
     step = k * g**delta
     a %= step
     eta = eta_tilde(g)

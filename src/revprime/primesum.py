@@ -124,7 +124,8 @@ def type_i_sum(seed: Seed, L: int, x: float, M: float) -> SumResult:
     _check_window(seed, L, x)
     if not M > 0:
         raise ValueError("progression count M must be positive")
-    if M * M > x * (1.0 + 1e-12):
+    # exact on the rationals the doubles hold; an infinite M is above sqrt(x)
+    if not math.isfinite(M) or Fraction(M) ** 2 > x:
         raise ValueError("M must stay at or below sqrt(x)")
     top = math.floor(x)
     table = _unit_phases(seed, L, top)
@@ -158,8 +159,7 @@ def type_ii_sum(
     _check_window(seed, L, x)
     if min(M, N) < 1:
         raise ValueError("box corners must be at least 1")
-    floor_corner = x**0.25 * (1.0 - 1e-12)
-    if M < floor_corner or N < floor_corner:
+    if Fraction(M) ** 4 < x or Fraction(N) ** 4 < x:
         raise ValueError("box corners must be at least x^(1/4)")
     xi, kappa = _decay(seed, x)
     m_first = math.floor(M) + 1
@@ -254,7 +254,7 @@ def truncation_set_size(
         raise ValueError("short window must not exceed the long one")
     if not g ** (lam - 1) <= M * R * R < g**lam:
         raise ValueError("window length does not match M R^2")
-    if R * R > N * (1.0 + 1e-12):
+    if Fraction(R) ** 2 > N:
         raise ValueError("R must stay at or below sqrt(N)")
     glam = g**lam
     weights = [[Fraction(w) for w in row] for row in seed.frac_rows(0, L)[lam:]]
@@ -342,7 +342,8 @@ def prime_exp_sum(seed: Seed, L: int, x: float, pt: PrimeTable) -> SumResult:
     """Sum of Lambda(n) e(phase(n)) for n <= x, with its decay exponent.
 
     S is summed directly over n.  z = x^(1/4) is the threshold of the
-    four-term split behind its estimate.
+    four-term split behind its estimate, whose bound shape is
+    x * g^(-kappa) * (log x)^4, up to its calibrated constant.
     """
     if x > pt.limit:  # before the budget check: past both is a ValueError
         raise ValueError(f"x = {x} beyond sieve limit {pt.limit}")

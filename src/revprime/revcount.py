@@ -3,12 +3,13 @@ Siegel-Walfisz analogues for reversed primes.
 
 rho is the exact rational density with which primes' digit reverses hit
 a fixed residue class; census_grid compares windowed sieve counts
-against it, many cells per pass.  It walks the window's primes a chunk
-at a time through one reused workspace, reversing each chunk and adding
-it to one histogram per group of moduli whose lcm is at most 2^16; a
-larger modulus counts only the residues its cells ask for.  No array
-with one entry per window prime is made.  The sharp variants reduce the
-modulus to the part that interacts with reversal, gcd(q, g^L (g^2-1)).
+against it, many cells per pass.  It bins the window's reverses from
+basedigits.reverse_chunks, a chunk at a time, into one histogram per
+group of moduli whose lcm is at most 2^16; a larger modulus counts only
+the residues its cells ask for.  No array with one entry per window
+prime is made; sharp_factor_deviation counts through the same stream
+and counter.  The sharp variants reduce the modulus to the part that
+interacts with reversal, gcd(q, g^L (g^2-1)).
 Only the sieve (arith) and digit arithmetic (basedigits) are read here;
 the exponential sums behind the theorems live in expsum and primesum.
 """
@@ -22,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import PrimeTable
-from .basedigits import _CHUNK, _INT64_MAX, _reverse_into, check_base, ilog, reverse_array
+from .basedigits import check_base, ilog, reverse_array, reverse_chunks
 # reverse is not called here; it stays importable as revcount.reverse,
 # the name perfbench counts reversal calls through
 from .basedigits import reverse  # noqa: F401
@@ -68,8 +69,7 @@ def rho(g: int, a: int, q: int) -> Fraction:
     g | (a, q).  Otherwise a product of a leading-digit factor and the
     inverse totient density of the g^2 - 1 part.
     """
-    if g < 2:
-        raise ValueError("base must be at least 2")
+    check_base(g)
     if q < 1:
         raise ValueError("modulus must be positive")
     wheel = g * g - 1
@@ -127,17 +127,10 @@ def _sharp_modulus(g: int, L: int, q: int) -> int:
     return math.gcd(q, g**L * (g * g - 1))
 
 
-def _residues(revs: np.ndarray, m: int) -> np.ndarray:
-    """The entries of revs mod m.
-
-    A modulus beyond the range of revs' dtype exceeds every entry (all
-    are nonnegative), so the entries are their own residues.
-    """
-    return revs if m > np.iinfo(revs.dtype).max else revs % m
-
-
 # one residue pass bins every modulus that divides a group lcm up to this
 _GROUP_CAP = 2**16
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _modulus_groups(moduli) -> list[tuple[int, list[int]]]:
@@ -159,13 +152,16 @@ def _modulus_groups(moduli) -> list[tuple[int, list[int]]]:
 
 
 def _mod_into(values: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
-    """values mod m into out, for nonnegative int64 values and 1 <= m <= 2^63 - 1.
+    """values mod m into out, for nonnegative int64 values and m >= 1.
 
-    As values - (values // m) * m: numpy divides an int64 array by a
-    scalar with a multiply and shift, and np.remainder, which has no such
-    path, took 110 us on 2^15 entries against 48 us for these three
-    passes (x86-64, numpy 2.4).
+    An m beyond int64 exceeds every entry: values is its own residues
+    and is returned.  Otherwise out gets values - (values // m) * m:
+    numpy divides an int64 array by a scalar with a multiply and shift,
+    and np.remainder, which has no such path, took 110 us on 2^15 entries
+    against 48 us for these three passes (x86-64, numpy 2.4).
     """
+    if m > _INT64_MAX:
+        return values
     np.floor_divide(values, m, out=out)
     out *= m
     return np.subtract(values, out, out=out)
@@ -209,7 +205,7 @@ class _ClassCounts:
         for m, wanted in self._wanted.items():
             if not wanted.size:
                 continue
-            residues = revs if m > _INT64_MAX else _mod_into(revs, m, scratch)
+            residues = _mod_into(revs, m, scratch)
             at = np.minimum(wanted.searchsorted(residues), wanted.size - 1)
             self._hits[m] += np.bincount(at[wanted[at] == residues], minlength=wanted.size)
 
@@ -236,11 +232,9 @@ def census_grid(
     """CensusRecords for many (a, q) cells from one pass over the window.
 
     The window's primes, [g^(L-1), g^L), all have exactly L digits, so
-    their window reverses are the plain ones.  They are reversed and
-    binned _CHUNK at a time through one workspace of four chunk-sized
-    int64 buffers: the reverses, and three work buffers of which one
-    then holds the residues each group of moduli is binned by.  Every
-    requested cell, q and sharp modulus alike, is read from those
+    their window reverses are the plain ones.  Each chunk of them from
+    reverse_chunks is binned, its scratch buffer holding the residues.
+    Every requested cell, q and sharp modulus alike, is read from those
     counts.
     """
     check_base(g)
@@ -255,12 +249,8 @@ def census_grid(
     counts = _ClassCounts(pairs + [(a, m) for (a, _), m in zip(pairs, sharp)])
     primes = pt.primes
     first, last = (int(i) for i in np.searchsorted(primes, (g ** (L - 1), g**L)))
-    revs, *work = [np.empty(min(_CHUNK, last - first), dtype=np.int64) for _ in range(4)]
-    for lo in range(first, last, _CHUNK):
-        size = min(_CHUNK, last - lo)
-        chunk = [w[:size] for w in work]
-        _reverse_into(primes[lo : lo + size], g, L, revs[:size], chunk)
-        counts.add(revs[:size], chunk[0])
+    for _, revs, scratch in reverse_chunks(primes[first:last], g, L):
+        counts.add(revs, scratch)
     scale = g**L / (L * math.log(g))
     records = []
     for (a, q), modulus_sharp in zip(pairs, sharp):
@@ -312,7 +302,8 @@ def psi_theta_pi(
         values, bases = pt.prime_powers(top)
     else:
         values = bases = pt.primes[: pt.prime_count(top)]
-    hits = _residues(reverse_array(values, g, L), modulus) == a % modulus
+    revs = reverse_array(values, g, L)
+    hits = _mod_into(revs, modulus, np.empty_like(revs)) == a % modulus
     if kind == "pi":
         return float(np.count_nonzero(hits))
     return math.fsum(np.log(bases[hits]).tolist())
@@ -324,8 +315,10 @@ def sharp_factor_deviation(
     """|pi(x,a,q) - (m/q) pi_sharp(x,a,q)| / x for absolute reverses.
 
     The cost of the Siegel-Walfisz analogue's reduction to the sharp modulus.
-    m = gcd(q, g^L (g^2-1)) with L one more than the digit length of x.
-    Both counts run over all primes up to x with the plain digit reverse.
+    m = gcd(q, g^L (g^2-1)) with L the digit length of x, ilog(x, g) + 1.
+    Both counts run over all primes up to x with the plain digit reverse,
+    each digit length's primes through reverse_chunks into one
+    _ClassCounts, so the counts are exact integers.
     """
     if x < 1:
         raise ValueError("x must be at least 1")
@@ -338,9 +331,9 @@ def sharp_factor_deviation(
     primes = pt.primes[: pt.prime_count(x)]
     # a prime of k digits has the plain reverse rev_k
     by_length = np.split(primes, np.searchsorted(primes, [g**k for k in range(1, L)]))
-    revs = np.concatenate(
-        [reverse_array(part, g, k) for k, part in enumerate(by_length, start=1)]
-    )
-    plain = int(np.count_nonzero(_residues(revs, q) == a % q))
-    sharp = int(np.count_nonzero(_residues(revs, modulus) == a % modulus))
+    counts = _ClassCounts([(a, q), (a, modulus)])
+    for k, part in enumerate(by_length, start=1):
+        for _, revs, scratch in reverse_chunks(part, g, k):
+            counts.add(revs, scratch)
+    plain, sharp = counts.count(a, q), counts.count(a, modulus)
     return abs(plain - (modulus / q) * sharp) / x

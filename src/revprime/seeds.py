@@ -14,9 +14,14 @@ of frac_rows, reads the weights from position j on.  Named families:
 
 A seed is its base and its frac_rows.  The package only ever needs a
 weight mod 1, so frac_rows returns the weights already reduced, each the
-double nearest the exact fractional part: the named families reduce
-their closed forms with integer arithmetic, so positions with
-astronomically large weights still produce exact fractional parts.
+double nearest the exact fractional part: the sod and reverse families
+reduce their closed forms on basedigits.power_residues ladders, so
+positions with astronomically large weights still produce exact
+fractional parts.  A negative shift raises ValueError in every family.
+A seed is the whole context of the sums: frozen and hashable, its base
+checked by check_base when it is built, and seeds that compare equal
+(sod_seed(g, 0.0) and sod_seed(g, -0.0), a Fraction scale and its
+float) give bit-identical rows.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from revprime.config import (
     load_config,
     make_rng,
 )
-from revprime.verify import CALIBRATED
+from revprime.verify import CALIBRATED, SUITES, SuiteOptions, UsageError, run_suite
 
 from oracles import primes_upto, window_reverse
 
@@ -735,6 +735,31 @@ class TestReadme:
         src = self.README.parent / "src"
         in_src = {m for f in src.rglob("*.py") for m in pattern.findall(f.read_text())}
         assert set(pattern.findall(self.README.read_text())) == in_src
+
+    def table(self, header: str) -> dict[str, list[str]]:
+        """Each suite of the README table under `header` -> the backticked names of its row."""
+        rows = self.README.read_text().split(header + "\n")[1].split("\n\n")[0]
+        out = {}
+        for row in rows.splitlines()[1:]:
+            suites, names = row.strip("|").split("|")
+            for suite in re.findall(r"`([^`]+)`", suites):
+                out[suite] = re.findall(r"`([^`]+)`", names)
+        return out
+
+    def test_options_table_matches_suites(self):
+        want = {name: ["--" + f.replace("_", "-") for f in s.reads] for name, s in SUITES.items()}
+        assert self.table("| suite | options it reads |") == want
+
+    def test_families_table_matches_pools(self):
+        # a family no pool holds empties every grid, and the usage error
+        # names the families the suite draws
+        pools = {}
+        for name, suite in SUITES.items():
+            if "seed_family" in suite.reads:
+                with pytest.raises(UsageError, match="this suite draws") as err:
+                    run_suite(name, RunConfig(), SuiteOptions(seed_family="none"))
+                pools[name] = str(err.value).split("this suite draws ")[1].split(", ")
+        assert self.table("| suites | families drawn |") == pools
 
     def test_named_paths_exist(self):
         # a path README names under a repository directory exists, so the

@@ -66,6 +66,30 @@ def test_expsum_reads_only_basedigits_and_seeds():
     assert package_imports(expsum) == {"basedigits", "seeds"}
 
 
+def private_imports(module) -> set[str]:
+    """"sibling._name" for every _-prefixed, non-dunder name a module
+    imports from the package, read with ast."""
+    found = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            source = (node.module or "").removeprefix("revprime.")
+            if node.level or source != node.module:
+                found.update(
+                    f"{source}.{alias.name}" for alias in node.names
+                    if alias.name.startswith("_") and not alias.name.startswith("__")
+                )
+    return found
+
+
+def test_private_names_stay_home():
+    # a module that imports a sibling's private name copies its internals;
+    # primesum shares expsum's e() kernel and its phase tree
+    allowed = {"primesum": {"expsum._cis", "expsum._phase_tree"}}
+    for name in MODULES:
+        module = importlib.import_module(f"revprime.{name}")
+        assert private_imports(module) == allowed.get(name, set()), name
+
+
 TESTS = Path(__file__).resolve().parent
 
 

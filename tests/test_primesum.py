@@ -189,7 +189,10 @@ class TestRowSumsEqualPerRowLoops:
     def test_type_i(self, cell, family, rows_seed, frac):
         g, L, x = cell
         seed = sum_seed(g, L, family, rows_seed)
-        args = (seed, L, float(x), 1.0 + frac * (math.sqrt(x) - 1.0))
+        M = 1.0 + frac * (math.sqrt(x) - 1.0)
+        while Fraction(M) ** 2 > x:  # sqrt rounded up; M <= sqrt(x) is checked exactly
+            M = math.nextafter(M, 0.0)
+        args = (seed, L, float(x), M)
         assert ps.type_i_sum(*args).S.hex() == per_row_type_i(*args).hex()
 
     @settings(max_examples=40, deadline=None)
@@ -205,6 +208,10 @@ class TestRowSumsEqualPerRowLoops:
         g, L, x = cell
         seed = sum_seed(g, L, family, rows_seed)
         M, N = float(x) ** m_exp, float(x) ** n_exp
+        while Fraction(M) ** 4 < x:  # pow rounded down; corners are checked exactly
+            M = math.nextafter(M, math.inf)
+        while Fraction(N) ** 4 < x:
+            N = math.nextafter(N, math.inf)
         if mobius:
             a, b = ps.mobius_coefficients(table), ps.mangoldt_tail_coefficients(table, N / 2, x)
         else:
@@ -257,6 +264,18 @@ class TestTypeI:
             ps.type_i_sum(seed, 5, 1.5, 1.0)
         with pytest.raises(CostBudgetError):
             ps.type_i_sum(seed, 12, 2 * 10**6, 1000.0)
+
+    def test_sqrt_edge_is_exact(self):
+        # M = sqrt(x) passes; the next double above it, within the old
+        # 1e-12 relative slack, does not
+        seed = sod_seed(10, 0.37)
+        ps.type_i_sum(seed, 6, 10**6, 1000.0)
+        for x, M in ((10**6, 1000.0), (10**4, 100.0), (5000.0, math.sqrt(5000))):
+            above = M if Fraction(M) ** 2 > x else math.nextafter(M, math.inf)
+            with pytest.raises(ValueError, match=r"sqrt\(x\)"):
+                ps.type_i_sum(seed, 6, x, above)
+        with pytest.raises(ValueError, match=r"sqrt\(x\)"):
+            ps.type_i_sum(seed, 6, 10**6, math.inf)
 
 
 class TestTypeII:
@@ -389,6 +408,19 @@ class TestTypeII:
             with pytest.raises(ValueError, match=r"x\^\(1/4\)"):
                 ps.type_ii_sum(seed, 5, 10**4, M, N, refuse, refuse)
 
+    def test_corner_edge_is_exact(self):
+        # verify's corners sit on x^(1/4): 16 at 2^16 and 10 at 10^4 pass,
+        # and the next double below either corner, within the old 1e-12
+        # relative slack, does not
+        ok = ps.unimodular_coefficients()
+        for g, L, x, corner in ((2, 16, 2**16, 16.0), (10, 4, 10**4, 10.0)):
+            seed = sod_seed(g, 0.37)
+            ps.type_ii_sum(seed, L, float(x), corner, corner, ok, ok)
+            below = math.nextafter(corner, 0.0)
+            for M, N in ((below, corner), (corner, below)):
+                with pytest.raises(ValueError, match=r"x\^\(1/4\)"):
+                    ps.type_ii_sum(seed, L, float(x), M, N, ok, ok)
+
 
 def per_pair_truncation(seed, M, N, r, L, lam):
     """truncation_set_size as one exact Fraction weight difference per pair."""
@@ -431,6 +463,8 @@ class TestTruncation:
         # sod weights only see digit counts, so distinct quotients share
         # a weight sum there: the count classes pairs by weight, not by k
         R = 1.0 + frac * (math.sqrt(N) - 1.0)
+        while Fraction(R) ** 2 > N:  # sqrt rounded up; R <= sqrt(N) is checked exactly
+            R = math.nextafter(R, 0.0)
         lam = ilog(M * R * R, g) + 1
         L = lam + extra
         seed = sum_seed(g, L, family, rows_seed)
@@ -492,6 +526,13 @@ class TestTruncation:
             ps.truncation_set_size(seed, 8.0, 64.0, 4.0, 2, 12, 9)  # wrong lam
         with pytest.raises(ValueError):
             ps.truncation_set_size(seed, 8.0, 9.0, 4.0, 2, 12, 8)  # R > sqrt(N)
+        # R = sqrt(N) passes; the next double above it, within the old 1e-12
+        # relative slack, does not
+        for M, N, R in ((8.0, 16.0, 4.0), (8.0, 64.0, 8.0)):
+            lam = ilog(M * R * R, 2) + 1
+            ps.truncation_set_size(seed, M, N, R, 2, 12, lam)
+            with pytest.raises(ValueError, match=r"sqrt\(N\)"):
+                ps.truncation_set_size(seed, M, N, math.nextafter(R, math.inf), 2, 12, lam)
         with pytest.raises(ValueError):
             ps.truncation_set_size(seed, 8.0, 64.0, 4.0, 2, 7, 8)  # lam > L
 

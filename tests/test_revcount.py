@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from revprime import revcount
+from revprime import basedigits
 from revprime.arith import build_table
 from revprime.revcount import (
     _GROUP_CAP,
@@ -507,7 +507,7 @@ class TestCensusChunks:
         revs = [window_reverse(p, g, L) for p in primes_upto(g**L - 1) if p >= g ** (L - 1)]
         table = build_table(g**L)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(revcount, "_CHUNK", chunk)
+            mp.setattr(basedigits, "_CHUNK", chunk)
             records = census_grid(g, L, pairs, table)
         for (a, q), rec in zip(pairs, records):
             m = rec.modulus_sharp

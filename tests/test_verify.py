@@ -3,8 +3,10 @@ import json
 import math
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
+from revprime import expsum, primesum
 from revprime.arith import build_table, mangoldt_tail, mobius_mangoldt_window, vaughan_terms
 from revprime.cli import _format_reports
 from revprime.config import RunConfig, make_rng
@@ -273,6 +275,48 @@ class TestReportBytes:
             lines = _format_reports(RunConfig(), SMALL[name], name, reports).splitlines()[1:]
             got[name] = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert got == REPORT_DIGESTS
+
+
+# (elements, calls) of expsum._cis per suite under SMALL at the default
+# seed: every e(.) the package forms goes through it (primesum imports
+# the name).  Unlike seconds these counts do not drift with the host.  A
+# change that lowers a count updates it here and gives the old and new
+# values in CHANGES.md; a change that raises one says why there.
+CIS_COST = {
+    "product-formula": (5012, 216),
+    "linf": (180, 90),
+    "l1-moment": (3700, 968),
+    "psi": (87370, 2420),
+    "vdc": (0, 0),
+    "sin-sum": (0, 0),
+    "truncation": (0, 0),
+    "vaughan": (0, 0),
+    "monotonicity": (0, 0),
+    "type-i": (32572, 6),
+    "type-ii": (151128, 8),
+    "prime-exp-sum": (74268, 9),
+    "hybrid": (178462, 26),
+}
+
+
+class TestCisCost:
+    def test_small_grid_counts_are_pinned(self, monkeypatch):
+        cis = expsum._cis
+        tally = [0, 0]
+
+        def counted(x):
+            tally[0] += np.size(x)
+            tally[1] += 1
+            return cis(x)
+
+        monkeypatch.setattr(expsum, "_cis", counted)
+        monkeypatch.setattr(primesum, "_cis", counted)
+        got = {}
+        for name, opts in SMALL.items():
+            tally[:] = [0, 0]
+            run_suite(name, RunConfig(threads=1), opts)
+            got[name] = tuple(tally)
+        assert got == CIS_COST
 
 
 class TestReportSlack:
