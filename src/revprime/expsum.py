@@ -233,6 +233,11 @@ def _phase_tree(tab: np.ndarray, g: int, top: int) -> np.ndarray:
 # of 64 complex entries, below which numpy stops splitting.
 _LEAF = 8192
 
+# Cap on F_direct's table of low-digit phases (512 KiB of doubles): g^k
+# <= 2^16 reaches _LEAF for every base up to 16, so a leaf's higher
+# digits are added once per block of at least leaf size.
+_LOW_TABLE = 2**16
+
 
 def _pairwise(count: int, leaf, lo: int = 0) -> complex:
     """Sum of leaf(a, b) over a partition of [lo, lo + count), in numpy's order.
@@ -264,9 +269,9 @@ def F_direct(seed: Seed, lam: int, j: int, beta: float) -> complex:
     The g^lam terms are formed and summed one leaf of _pairwise at a
     time, so no array of g^lam entries is made and the sum equals that
     of one array of every term.  A leaf's phases start from the table of
-    the low k digits (the largest k with g^k <= _LEAF, at least 1 and at
-    most lam) and add the weights of the higher digits one position at a
-    time, lowest first, as _phase_tree adds them.
+    the low k digits (the largest k with g^k <= _LOW_TABLE, at least 1
+    and at most lam) and add the weights of the higher digits one
+    position at a time, lowest first, as _phase_tree adds them.
     """
     if lam < 0 or j < 0:
         raise ValueError("window and shift must be nonnegative")
@@ -278,7 +283,7 @@ def F_direct(seed: Seed, lam: int, j: int, beta: float) -> complex:
         )
     bhi, blo = _split26(beta % 1.0)
     tab = seed.frac_rows(j, lam)
-    k = min(lam, max(1, ilog(_LEAF, g)))
+    k = min(lam, max(1, ilog(_LOW_TABLE, g)))
     block = g**k
     low = _phase_tree(tab[:k], g, block - 1)
 
@@ -338,6 +343,12 @@ def F_abs_product(
     return acc.reshape(betas.shape)
 
 
+# Progression points _progression_abs evaluates at once per level: 2^14
+# keeps the l1-moment suite's time and bounds the per-level buffers near
+# 1 MiB per beta.
+_BLOCK = 2**14
+
+
 def _progression_abs(
     seed: Seed, lam: int, j: int, step: int, a: int, beta: float | np.ndarray
 ) -> np.ndarray:
@@ -346,22 +357,31 @@ def _progression_abs(
     Position i depends only on h mod m with m = g^(lam-i), which along
     the progression repeats with period m / gcd(step, m); that period
     divides the point count, so each level is evaluated on one period
-    and tiled.  Offsets stay exact because the integer part is removed
+    and multiplied into every row of acc viewed as (points / period,
+    period).  The period is walked in blocks of _BLOCK entries, each
+    forming its own h = a + step*n in int64, so no array of every h,
+    no tiled copy and no complex buffer over a whole period is made:
+    memory is acc plus O(_BLOCK * beta.size).  Every point still gets
+    one factor per level, in level order, so the result does not depend
+    on _BLOCK.  Offsets stay exact because the integer part is removed
     with integer mods before any division.  An array beta gives one row
     of points per entry, shape beta.shape + (points,).
     """
     g = seed.base
     betas = np.mod(np.asarray(beta, dtype=np.float64), 1.0)[..., None]
-    h = np.arange(a, g**lam, step, dtype=np.int64)
     tab = seed.frac_rows(j, lam)
-    acc = np.ones(betas.shape[:-1] + h.shape, dtype=np.float64)
+    acc = np.ones(betas.shape[:-1] + (len(range(a, g**lam, step)),), dtype=np.float64)
     for i in range(lam):
         m = g ** (lam - i)
         period = m // math.gcd(step, m)
-        # u >= 0 (h % m >= 0 and betas >= 0), so u - floor(u) is np.mod(u, 1.0)
-        u = ((h[:period] % m).astype(np.float64) + betas) / m
-        u -= np.floor(u)
-        acc *= np.tile(np.abs(_phi_sums(tab[i], u)) / g, len(h) // period)
+        rows = acc.reshape(acc.shape[:-1] + (acc.shape[-1] // period, period))
+        for lo in range(0, period, _BLOCK):
+            hi = min(lo + _BLOCK, period)
+            h = a + step * np.arange(lo, hi, dtype=np.int64)
+            # u >= 0 (h % m >= 0 and betas >= 0), so u - floor(u) is np.mod(u, 1.0)
+            u = ((h % m).astype(np.float64) + betas) / m
+            u -= np.floor(u)
+            rows[..., lo:hi] *= (np.abs(_phi_sums(tab[i], u)) / g)[..., None, :]
     return acc
 
 

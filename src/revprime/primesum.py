@@ -157,7 +157,7 @@ def type_ii_sum(
     x * g^(-kappa) * log x, up to its calibrated constant.
     """
     _check_window(seed, L, x)
-    if min(M, N) < 1:
+    if not all(v >= 1 for v in (M, N)):
         raise ValueError("box corners must be at least 1")
     if Fraction(M) ** 4 < x or Fraction(N) ** 4 < x:
         raise ValueError("box corners must be at least x^(1/4)")
@@ -246,7 +246,7 @@ def truncation_set_size(
     containment fails; returns (member count, superset count).
     """
     g = seed.base
-    if min(M, N, R) < 1:
+    if not all(v >= 1 for v in (M, N, R)):
         raise ValueError("M, N, R must be at least 1")
     if not 0 <= r <= R:
         raise ValueError("shift r must lie in [0, R]")
@@ -286,6 +286,9 @@ def vdc_lhs_rhs(z, R: int) -> tuple[float, float]:
     Returns (|sum z|^2, (N+R-1)/R * sum over |r| < R of the triangular
     weight times the shifted correlation).  The correlation total is
     real up to rounding by r <-> -r symmetry; its real part is reported.
+    Each lag's correlation is summed once and conjugated for r < 0, and
+    the weighted terms are added in order r = -R+1, ..., R-1; a lag of
+    N or more has no pairs and adds nothing.
     """
     z = np.asarray(z, dtype=np.complex128)
     N = z.size
@@ -294,15 +297,12 @@ def vdc_lhs_rhs(z, R: int) -> tuple[float, float]:
     if R < 1:
         raise ValueError("shift count R must be at least 1")
     lhs = abs(complex(np.sum(z))) ** 2
+    K = min(R, N)
+    corrs = [complex(np.sum(z[k:] * np.conj(z[: N - k]))) for k in range(K)]
     total = 0j
-    for r in range(-R + 1, R):
-        k = abs(r)
-        if k >= N:
-            continue
-        corr = complex(np.sum(z[k:] * np.conj(z[: N - k])))
-        if r < 0:
-            corr = corr.conjugate()
-        total += (1.0 - k / R) * corr
+    for r in range(1 - K, K):
+        corr = corrs[abs(r)]
+        total += (1.0 - abs(r) / R) * (corr.conjugate() if r < 0 else corr)
     rhs = (N + R - 1) / R * total.real
     return lhs, rhs
 

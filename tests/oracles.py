@@ -4,8 +4,9 @@ Everything here is plain Python over integers and Fractions, written to
 be read, not to be fast: the base-g window reversal, trial-division
 factoring and what follows from it, the exact digit weights of the seed
 families and their digit sums, the row-phase loops the phase kernels
-replaced, and raw float bytes.  Nothing here calls the code it checks;
-from the package it reads only the seed family types.
+replaced, the two-sided van der Corput loop, and raw float bytes.
+Nothing here calls the code it checks; from the package it reads only
+the seed family types.
 """
 
 import math
@@ -125,3 +126,20 @@ def divmod_phases(tab, n, g):
 def bits(values):
     """Raw float64 bytes: equal only when every entry, sign of zero included, is equal."""
     return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def vdc_two_sided(z, R):
+    """vdc_lhs_rhs with one correlation sum per lag r in -R < r < R."""
+    z = np.asarray(z, dtype=np.complex128)
+    N = z.size
+    lhs = abs(complex(np.sum(z))) ** 2
+    total = 0j
+    for r in range(-R + 1, R):
+        k = abs(r)
+        if k >= N:
+            continue
+        corr = complex(np.sum(z[k:] * np.conj(z[: N - k])))
+        if r < 0:
+            corr = corr.conjugate()
+        total += (1.0 - k / R) * corr
+    return lhs, (N + R - 1) / R * total.real

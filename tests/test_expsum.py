@@ -11,10 +11,11 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from revprime.expsum import (
@@ -237,8 +238,9 @@ class TestFDirect:
 
     def test_allocation_peak_at_the_budget(self):
         # terms are formed one leaf at a time: a few buffers of at most
-        # 8192 entries and the low-digit table, under 1 MiB in all.  One
-        # float array of every term would take 8 MiB on its own
+        # 8192 entries and the low-digit table of at most 2^16 doubles
+        # (512 KiB), under 1 MiB in all.  One float array of every term
+        # would take 8 MiB on its own
         for g, lam in [(2, 20), (10, 6)]:
             tracemalloc.start()
             try:
@@ -873,11 +875,9 @@ class TestSumCleanup:
                         assert np.all(lhs <= rhs * (1 + 1e-9) + 1e-12)
 
 
-def l1_moment_per_point(seed, lam, j, k, delta, a, beta):
+def progression_abs_per_point(seed, lam, j, step, a, beta):
     """Reference: every level evaluated at every point of the progression."""
     g = seed.base
-    step = k * g**delta
-    a %= step
     beta = beta % 1.0
     h = np.arange(a, g**lam, step, dtype=np.int64)
     tab = seed.frac_rows(j, lam)
@@ -886,7 +886,17 @@ def l1_moment_per_point(seed, lam, j, k, delta, a, beta):
         m = g ** (lam - i)
         u = np.mod(((h % m).astype(np.float64) + beta) / m, 1.0)
         acc *= np.abs(_phi_sums(tab[i], u)) / g
-    return float(acc.sum())
+    return acc
+
+
+def l1_moment_per_point(seed, lam, j, k, delta, a, beta):
+    step = k * seed.base**delta
+    return float(progression_abs_per_point(seed, lam, j, step, a % step, beta).sum())
+
+
+def progression_cells(g, lam):
+    """Every valid (k, delta): k g^delta divides g^lam and g does not divide k."""
+    return [(k, delta) for delta in range(lam + 1) for k in divisors(g ** (lam - delta)) if k % g]
 
 
 class TestL1Moment:
@@ -902,15 +912,50 @@ class TestL1Moment:
     )
     def test_level_sharing_equals_per_point(self, g, lam, j, family, rows_seed, a, beta):
         seed = seed_pool(g, np.random.default_rng(rows_seed))[family]
-        cells = [
-            (k, delta)
-            for delta in range(lam + 1)
-            for k in divisors(g ** (lam - delta))
-            if k % g
-        ]
-        for k, delta in cells:
+        for k, delta in progression_cells(g, lam):
             got = l1_moment(seed, lam, j, k, delta, a, beta)
             assert got == l1_moment_per_point(seed, lam, j, k, delta, a, beta), (k, delta)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        g=st.integers(2, 10),
+        lam=st.integers(1, 6),
+        family=st.integers(0, 5),
+        rows_seed=st.integers(0, 2**32 - 1),
+        a=st.integers(0, 10**6),
+        betas=st.lists(st.floats(-4.0, 4.0, allow_nan=False), min_size=1, max_size=3),
+        scalar=st.booleans(),
+    )
+    def test_blocks_leave_every_bit(self, g, lam, family, rows_seed, a, betas, scalar):
+        # the per-point reference over 10^6 points per cell is too slow here
+        assume(g**lam <= 2**17)
+        seed = seed_pool(g, np.random.default_rng(rows_seed))[family]
+        beta = betas[0] if scalar else np.array(betas)
+        for k, delta in progression_cells(g, lam):
+            step = k * g**delta
+            want = [progression_abs_per_point(seed, lam, 0, step, a % step, b) for b in betas]
+            if scalar:
+                want = want[0]
+            for block in (1, 7, 64, 2**14):
+                # a block per Python step: small blocks on short progressions only
+                if g**lam // step > 256 * block:
+                    continue
+                with mock.patch("revprime.expsum._BLOCK", block):
+                    got = _progression_abs(seed, lam, 0, step, a % step, beta)
+                assert got.shape == np.shape(want), (k, delta, block)
+                assert bits(got) == bits(want), (k, delta, block)
+
+    def test_allocation_peak_of_a_full_window(self):
+        # acc holds the 6^8 points (12.8 MiB) and each level adds buffers of
+        # at most _BLOCK entries.  A full-length h, a tiled level or the
+        # complex sums over a whole period would each add 12.8 MiB or more
+        tracemalloc.start()
+        try:
+            l1_moment(sod_seed(6, 0.37), 8, 0, 1, 0, 0, 0.25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     def test_flat_mass_concentrates(self):
         for g in (2, 3, 10):
@@ -1246,12 +1291,7 @@ class TestScalarOracles:
     )
     def test_l1_beta_array_equals_scalar_calls(self, g, lam, j, family, rows_seed, pick, a, betas):
         seed = pool_seed(g, family, rows_seed)
-        cells = [
-            (k, delta)
-            for delta in range(lam + 1)
-            for k in divisors(g ** (lam - delta))
-            if k % g
-        ]
+        cells = progression_cells(g, lam)
         k, delta = cells[pick % len(cells)]
         arr = np.array(betas, dtype=np.float64)
         for fn in (l1_moment, l1_moment_bound):

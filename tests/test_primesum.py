@@ -24,7 +24,7 @@ from revprime.expsum import CostBudgetError, sigma
 from revprime.seeds import reverse_seed, sod_seed, table_seed
 from revprime import primesum as ps
 
-from oracles import digit_sum, divmod_phases, row_phases
+from oracles import bits, digit_sum, divmod_phases, row_phases, vdc_two_sided
 
 
 def e_digit_sum(seed, L, n):
@@ -408,6 +408,13 @@ class TestTypeII:
             with pytest.raises(ValueError, match=r"x\^\(1/4\)"):
                 ps.type_ii_sum(seed, 5, 10**4, M, N, refuse, refuse)
 
+    def test_nan_corner_names_the_box(self):
+        seed = sod_seed(10, 0.37)
+        ok = ps.unimodular_coefficients()
+        for M, N in ((math.nan, 10.0), (10.0, math.nan)):
+            with pytest.raises(ValueError, match="box corners must be at least 1"):
+                ps.type_ii_sum(seed, 4, 1e4, M, N, ok, ok)
+
     def test_corner_edge_is_exact(self):
         # verify's corners sit on x^(1/4): 16 at 2^16 and 10 at 10^4 pass,
         # and the next double below either corner, within the old 1e-12
@@ -536,6 +543,12 @@ class TestTruncation:
         with pytest.raises(ValueError):
             ps.truncation_set_size(seed, 8.0, 64.0, 4.0, 2, 7, 8)  # lam > L
 
+    def test_nan_side_names_the_box(self):
+        seed = reverse_seed(2, 12, 0.73)
+        for M, N, R in ((math.nan, 64.0, 4.0), (8.0, math.nan, 4.0), (8.0, 64.0, math.nan)):
+            with pytest.raises(ValueError, match="M, N, R must be at least 1"):
+                ps.truncation_set_size(seed, M, N, R, 2, 12, 8)
+
 
 class TestVdc:
     def test_constant_sequence_equality(self):
@@ -567,6 +580,18 @@ class TestVdc:
             z = rng.standard_normal(N) + 1j * rng.standard_normal(N)
             lhs, rhs = ps.vdc_lhs_rhs(z, R)
             assert lhs <= rhs * (1.0 + 1e-9) + 1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        z=st.lists(
+            st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=40,
+        ),
+        R=st.integers(1, 50),
+    )
+    def test_equals_two_sided_loop(self, z, R):
+        assert bits(ps.vdc_lhs_rhs(z, R)) == bits(vdc_two_sided(z, R))
 
     def test_validation(self):
         with pytest.raises(ValueError):
