@@ -10,6 +10,11 @@ type are rejected, so a typo cannot silently fall back to a default.
 The config hash covers only result-affecting fields; thread count and
 output paths change neither the numbers nor the hash, which is what
 makes byte-identical reports across --threads settings possible.
+
+DEFAULT_C_CAL, the calibrated ceilings verify gates against (make_report
+slack on top), is read at import from calibration.json beside this
+module, the file `revprime calibrate` writes.  Re-freezing them is one
+command: `revprime calibrate --out src/revprime/calibration.json`.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -26,20 +32,9 @@ RNG_ALGORITHM = "pcg64"
 DEFAULT_SIEVE_LIMIT = 100_000
 DEFAULT_CENSUS_TOLERANCE = 0.25
 
-# Calibrated ceilings for the implicit-constant verifiers, measured on
-# the declared grids in verify.py with the default rng_seed and frozen
-# here.  Re-freezing takes two steps: `revprime calibrate --out
-# configs/calibration.json` rewrites the artifact only, and the same
-# values are then copied into this table by hand; criterion 11 and
-# test_committed_table_matches_defaults hold the two equal.  Verify runs
-# treat these as regression ceilings (make_report slack on top).
-DEFAULT_C_CAL: dict[str, float] = {
-    "hybrid": 0.2679720313089526,
-    "prime-exp-sum": 1.3514671363615083e-05,
-    "truncation": 1.0,
-    "type-i": 0.009086085233362963,
-    "type-ii": 0.0002798620677296803,
-}
+DEFAULT_C_CAL: dict[str, float] = json.loads(
+    Path(__file__).with_name("calibration.json").read_text(encoding="utf-8")
+)["constants"]
 
 
 class UsageError(ValueError):

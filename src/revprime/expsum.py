@@ -489,6 +489,9 @@ def sigma_lower_blocks(g: int, L: int, lam: int, alpha) -> BoundReport:
     seed = reverse_seed(g, L, Fraction(alpha))
     floor = gamma_coefficient(g) / g**2 * blocked
     got = sigma(seed, lam, 0)
+    # the slack stays: at g = 2, L = lam = 1 the floor is an exact equality (both
+    # sides are gamma_coefficient(2) * ||3 alpha/2||^2 when ||3 alpha|| = 2 ||3 alpha/2||),
+    # which floats read as got/floor = 1 - 3.4e-15 at alpha = 5/474
     if got + 1e-12 < floor:
         raise RuntimeError(
             f"cumulative decay weight {got} under its blocked floor {floor}"
@@ -598,7 +601,7 @@ def hybrid_sum(seed: Seed, lam: int, j: int, M: float) -> float:
     about 0.9 M^2 of them (3700 at verify's largest M, 64), and the
     values are added left to right by m, then k.
     """
-    if M < 1:
+    if not M >= 1:  # NaN too
         raise ValueError("M must be at least 1")
     points = [
         k / m for m in range(math.ceil(M), math.ceil(2 * M)) for k in range(m)
@@ -614,7 +617,7 @@ def hybrid_bound_shape(seed: Seed, lam: int, j: int, M: float) -> float:
     Short windows pay the full length at the eta exponent; long windows
     pay twice the Farey scale plus the remaining cumulative decay.
     """
-    if M < 1:
+    if not M >= 1:  # NaN too
         raise ValueError("M must be at least 1")
     g = seed.base
     eta = eta_tilde(g)

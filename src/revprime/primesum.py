@@ -352,7 +352,9 @@ def prime_exp_sum(seed: Seed, L: int, x: float, pt: PrimeTable) -> SumResult:
     table = _unit_phases(seed, L, top)
     S = complex(np.sum(mangoldt_array(pt, top)[2:] * table[2:]))
     xi, kappa = _decay(seed, x)
-    if kappa > xi / 20.0 + 1e-12:
+    # every gamma is below gamma_upper_bound(g) <= 1/(32 log 2) < 0.046, so
+    # kappa = sigma/10 < 0.0046 xi against the cap 0.05 xi: no float slack needed
+    if kappa > xi / 20.0:
         raise RuntimeError(f"decay exponent {kappa} above its cap {xi / 20.0}")
     bound_shape = x * seed.base ** (-kappa) * math.log(x) ** 4
     return SumResult(S, kappa, xi, bound_shape)

@@ -561,12 +561,18 @@ class TestCalibrateCommand:
         assert main(["calibrate", "type-i", "--x", "100"]) == 1
         assert main(["verify", "vdc", "--x", "100"]) == 1
 
-    def test_committed_table_matches_defaults(self):
-        here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        with open(os.path.join(here, "configs", "calibration.json")) as fh:
-            table = json.load(fh)
-        assert table["constants"] == DEFAULT_C_CAL
-        assert table["rng_seed"] == RunConfig().rng_seed
+    def test_package_table_is_what_calibrate_writes(self, monkeypatch, tmp_path):
+        # the header (hash of the bare config, seed, algorithm), the key set
+        # and the layout of the shipped file are those `calibrate` writes;
+        # criterion 11 checks the constants against a fresh calibration
+        def frozen(names, cfg, opts):
+            return {name: DEFAULT_C_CAL[name] for name in names}
+
+        monkeypatch.setattr(cli, "calibrate", frozen)
+        out = tmp_path / "c.json"
+        assert main(["calibrate", "--out", str(out)]) == 0
+        shipped = Path(revprime.__file__).with_name("calibration.json")
+        assert out.read_bytes() == shipped.read_bytes()
 
 
 class TestAtomicWrite:
@@ -766,5 +772,5 @@ class TestReadme:
         # text cannot point at a deleted front end (the old scripts among them)
         text = self.README.read_text()
         named = set(re.findall(r"\b(?:configs|perfbench|scripts|src|tests)/[\w./-]*", text))
-        assert "configs/calibration.json" in named
+        assert "src/revprime/calibration.json" in named
         assert [p for p in sorted(named) if not (self.README.parent / p).exists()] == []

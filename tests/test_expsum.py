@@ -1071,10 +1071,11 @@ class TestHybrid:
 
     def test_rejects_tiny_scale(self):
         seed = sod_seed(2, 0.0)
-        with pytest.raises(ValueError):
-            hybrid_sum(seed, 3, 0, 0.5)
-        with pytest.raises(ValueError):
-            hybrid_bound_shape(seed, 3, 0, 0.5)
+        for M in (0.5, math.nan):
+            with pytest.raises(ValueError, match="M must be at least 1"):
+                hybrid_sum(seed, 3, 0, M)
+            with pytest.raises(ValueError, match="M must be at least 1"):
+                hybrid_bound_shape(seed, 3, 0, M)
 
 
 def product_oracle(seed, lam, j, beta):
