@@ -6,13 +6,13 @@ already strikes the multiples of 3, 5, 7, 11 and 13, takes the strikes
 of the larger primes, and is read straight into one array of the sorted
 primes, which is all PrimeTable keeps and all a prime count or a census
 reads.  No bitmap of limit/2 flags is ever held.  A
-smallest-prime-factor table, which answers Lambda, mu and divisor
-queries in O(log n) each, is built from those primes the first time a
-caller factors.  vaughan_terms splits Lambda(n) into the classical four
-pieces controlled by a threshold z (Vaughan's identity), with every
-divisor sum evaluated by factor enumeration from the table; it and its
-two coefficient sums are the reference oracles for vaughan_arrays, which
-builds every piece for all n up to a bound in one sieve-order pass.
+smallest-prime-factor table, which mobius_values chases, is built from
+those primes the first time a caller factors.  vaughan_arrays splits
+Lambda(n) into the classical four pieces controlled by a threshold z
+(Vaughan's identity) for every n up to a bound in one sieve-order pass.
+The per-n reference for each of these arrays (trial-division Lambda, mu
+and divisors, and Vaughan's split one divisor at a time) lives in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -26,13 +26,9 @@ import numpy as np
 __all__ = [
     "SieveBudgetError",
     "PrimeTable",
-    "VaughanTerms",
     "VaughanArrays",
     "build_table",
-    "vaughan_terms",
     "vaughan_arrays",
-    "mangoldt_tail",
-    "mobius_mangoldt_window",
     "mangoldt_array",
     "mobius_values",
     "DEFAULT_MAX_LIMIT",
@@ -132,9 +128,10 @@ class PrimeTable:
     primes holds every prime <= limit in ascending order.
     smallest_prime_factor[n] is the least prime dividing n (and equals n
     exactly when n is prime); indices 0 and 1 hold 0.  It is built on
-    first use, so a caller that only reads primes never pays for it.  All
-    the classical multiplicative queries chase that array, so each costs
-    O(log n).
+    first use, so a caller that only reads primes never pays for it.  The
+    table answers no per-n query: mobius_values, mangoldt_array and
+    vaughan_arrays read it whole, and tests/oracles.py holds the per-n
+    reference for each.
     """
 
     def __init__(self, limit: int, primes: np.ndarray):
@@ -162,55 +159,6 @@ class PrimeTable:
             spf[p * p :: 2 * p] = p
         spf[4::2] = 2
         return spf
-
-    def _check(self, n: int) -> int:
-        if not 1 <= n <= self.limit:
-            raise ValueError(f"query {n} outside table range [1, {self.limit}]")
-        return n
-
-    def factorize(self, n: int) -> tuple[tuple[int, int], ...]:
-        """Prime factorization ((p, exponent), ...), p ascending; divisors walks it."""
-        self._check(n)
-        out: list[tuple[int, int]] = []
-        spf = self.smallest_prime_factor
-        while n > 1:
-            p = int(spf[n])
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        return tuple(out)
-
-    def mangoldt(self, n: int) -> float:
-        """log p when n is a power of the prime p, else 0: vaughan_terms' Lambda."""
-        self._check(n)
-        if n == 1:
-            return 0.0
-        p = int(self.smallest_prime_factor[n])
-        while n % p == 0:
-            n //= p
-        return math.log(p) if n == 1 else 0.0
-
-    def mobius(self, n: int) -> int:
-        """mu(n): the Moebius function of vaughan_terms, oracle of mobius_values."""
-        self._check(n)
-        sign = 1
-        spf = self.smallest_prime_factor
-        while n > 1:
-            p = int(spf[n])
-            n //= p
-            if n % p == 0:
-                return 0
-            sign = -sign
-        return sign
-
-    def divisors(self, n: int) -> tuple[int, ...]:
-        """All positive divisors of n, ascending: the divisor walk of vaughan_terms."""
-        out = [1]
-        for p, e in self.factorize(n):
-            out = [d * p**k for d in out for k in range(e + 1)]
-        return tuple(sorted(out))
 
     def prime_count(self, x: float) -> int:
         """Number of primes <= x."""
@@ -244,82 +192,6 @@ def build_table(limit: int) -> PrimeTable:
             f"sieve limit {limit} exceeds the sieve budget {DEFAULT_MAX_LIMIT}"
         )
     return PrimeTable(limit, _primes_upto(limit))
-
-
-@dataclass(frozen=True)
-class VaughanTerms:
-    """The four pieces of Lambda(n) relative to a threshold z.
-
-    a1 sums mu(d) log(n/d) over divisors d <= z; a2 pairs mu against the
-    above-threshold von Mangoldt tail; a3 subtracts the doubly truncated
-    mu*Lambda convolution over divisors up to z^2; a4 keeps Lambda(n)
-    itself when n <= z.  They always add back to Lambda(n).
-    """
-
-    n: int
-    z: float
-    a1: float
-    a2: float
-    a3: float
-    a4: float
-
-    @property
-    def total(self) -> float:
-        return self.a1 + self.a2 + self.a3 + self.a4
-
-
-def mangoldt_tail(n: int, z: float, pt: PrimeTable) -> float:
-    """Sum of Lambda(d) over divisors d of n with d > z.
-
-    Nonzero only when n has a prime-power divisor above z, so in
-    particular only for n > z; always between 0 and log n.
-    """
-    total = 0.0
-    for d in pt.divisors(n):
-        if d > z:
-            total += pt.mangoldt(d)
-    return total
-
-
-def mobius_mangoldt_window(n: int, z: float, pt: PrimeTable) -> float:
-    """Sum of mu(d) Lambda(m) over factorizations d*m = n with d, m <= z.
-
-    Supported on n <= z^2; magnitude at most log n.
-    """
-    total = 0.0
-    for d in pt.divisors(n):
-        m = n // d
-        if d <= z and m <= z:
-            total += pt.mobius(d) * pt.mangoldt(m)
-    return total
-
-
-def vaughan_terms(n: int, z: float, pt: PrimeTable) -> VaughanTerms:
-    """Split Lambda(n) into the four threshold-z pieces.
-
-    The split is exact: a1 + a2 + a3 + a4 recovers Lambda(n) up to float
-    rounding for every n and every z > 0.
-    """
-    if n < 1:
-        raise ValueError("vaughan_terms requires n >= 1")
-    if n > pt.limit:
-        raise ValueError(f"n = {n} beyond table limit {pt.limit}")
-    if not z > 0:
-        raise ValueError("threshold z must be positive")
-    divisors = pt.divisors(n)
-    a1 = 0.0
-    a2 = 0.0
-    a3 = 0.0
-    for d in divisors:
-        m = n // d
-        if d <= z:
-            a1 += pt.mobius(d) * math.log(m)
-        elif m > z:
-            a2 += pt.mobius(d) * mangoldt_tail(m, z, pt)
-        if d <= z * z:
-            a3 -= mobius_mangoldt_window(d, z, pt)
-    a4 = pt.mangoldt(n) if n <= z else 0.0
-    return VaughanTerms(n, z, a1, a2, a3, a4)
 
 
 def mobius_values(pt: PrimeTable, n: np.ndarray) -> np.ndarray:
@@ -365,7 +237,7 @@ def _mangoldt_table(pt: PrimeTable, top: int, log: np.ndarray) -> np.ndarray:
 
 
 def mangoldt_array(pt: PrimeTable, top: int) -> np.ndarray:
-    """Lambda(n) for 0 <= n <= top (index 0 holds 0), equal to pt.mangoldt."""
+    """Lambda(n) for 0 <= n <= top (index 0 holds 0): log p at every power of a prime p."""
     if not 1 <= top <= pt.limit:
         raise ValueError(f"top = {top} outside table range [1, {pt.limit}]")
     return _mangoldt_table(pt, top, _log_table(top))
@@ -380,11 +252,14 @@ def _floor_at_most(x: float, top: int) -> int:
 class VaughanArrays:
     """Every threshold-z Vaughan piece for all n <= top, indexed by n.
 
-    Index 0 is padding and holds 0.  Entry n of a1..a4 equals the field
-    of vaughan_terms(n, z, pt), entry n of mangoldt_tail and
-    mobius_mangoldt_window equals the function of that name, and log,
-    mobius and mangoldt hold math.log(n), pt.mobius(n) and
-    pt.mangoldt(n); every entry is bit-identical to its oracle.
+    Index 0 is padding and holds 0.  a1 sums mu(d) log(n/d) over the
+    divisors d <= z; a2 pairs mu(d) for d > z against mangoldt_tail(n/d),
+    the sum of Lambda over the divisors of n/d above z; a3 subtracts
+    mobius_mangoldt_window(d), the sum of mu(u) Lambda(d/u) over u, d/u
+    <= z, for every divisor d <= z^2; a4 keeps Lambda(n) when n <= z.
+    The four add back to Lambda(n).  log, mobius and mangoldt hold
+    math.log(n), mu(n) and Lambda(n).  tests/oracles.py computes every
+    field one n at a time, and each entry is bit-identical to it.
     """
 
     z: float
@@ -408,10 +283,10 @@ def vaughan_arrays(pt: PrimeTable, z: float, top: int) -> VaughanArrays:
 
     Each divisor sum is built by sieve-order accumulation: for each d in
     ascending order the term for d is added to every multiple of d.  The
-    per-n oracles add their terms in that same ascending order, so each
-    entry comes out bit-identical.  A d whose coefficient is 0 is
-    skipped, since adding +-0.0 to a sum that started at +0.0 never
-    changes it.  Costs O(top log top) array work.
+    per-n reference in tests/oracles.py adds its terms in that same
+    ascending order, so each entry comes out bit-identical.  A d whose
+    coefficient is 0 is skipped, since adding +-0.0 to a sum that started
+    at +0.0 never changes it.  Costs O(top log top) array work.
     """
     if not 1 <= top <= pt.limit:
         raise ValueError(f"top = {top} outside table range [1, {pt.limit}]")

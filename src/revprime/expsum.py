@@ -601,8 +601,8 @@ def hybrid_sum(seed: Seed, lam: int, j: int, M: float) -> float:
     about 0.9 M^2 of them (3700 at verify's largest M, 64), and the
     values are added left to right by m, then k.
     """
-    if not M >= 1:  # NaN too
-        raise ValueError("M must be at least 1")
+    if not 1 <= M < math.inf:  # NaN too
+        raise ValueError("M must be at least 1 and finite")
     points = [
         k / m for m in range(math.ceil(M), math.ceil(2 * M)) for k in range(m)
         if math.gcd(k, m) == 1
@@ -617,8 +617,8 @@ def hybrid_bound_shape(seed: Seed, lam: int, j: int, M: float) -> float:
     Short windows pay the full length at the eta exponent; long windows
     pay twice the Farey scale plus the remaining cumulative decay.
     """
-    if not M >= 1:  # NaN too
-        raise ValueError("M must be at least 1")
+    if not 1 <= M < math.inf:  # NaN too
+        raise ValueError("M must be at least 1 and finite")
     g = seed.base
     eta = eta_tilde(g)
     mu = ilog(M, g)

@@ -3,7 +3,7 @@
 type_i_sum scans every arithmetic progression m, 2m, ... with an exact
 prefix supremum; type_ii_sum is the bilinear box sum with pluggable
 bounded coefficients; prime_exp_sum is the von Mangoldt weighted sum the
-two of them control through the four-term split of arith.vaughan_terms.
+two of them control through the four-term split of arith.vaughan_arrays.
 Each of the three is one call that checks its own inputs and returns a
 SumResult: the sum S, its decay exponent kappa over xi digits, and the
 bound shape that the verifier scales by a calibrated constant.
@@ -157,8 +157,8 @@ def type_ii_sum(
     x * g^(-kappa) * log x, up to its calibrated constant.
     """
     _check_window(seed, L, x)
-    if not all(v >= 1 for v in (M, N)):
-        raise ValueError("box corners must be at least 1")
+    if not all(1 <= v < math.inf for v in (M, N)):
+        raise ValueError("box corners must be at least 1 and finite")
     if Fraction(M) ** 4 < x or Fraction(N) ** 4 < x:
         raise ValueError("box corners must be at least x^(1/4)")
     xi, kappa = _decay(seed, x)
@@ -246,8 +246,8 @@ def truncation_set_size(
     containment fails; returns (member count, superset count).
     """
     g = seed.base
-    if not all(v >= 1 for v in (M, N, R)):
-        raise ValueError("M, N, R must be at least 1")
+    if not all(1 <= v < math.inf for v in (M, N, R)):
+        raise ValueError("M, N, R must be at least 1 and finite")
     if not 0 <= r <= R:
         raise ValueError("shift r must lie in [0, R]")
     if not lam <= L:

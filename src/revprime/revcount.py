@@ -12,6 +12,8 @@ and counter.  The sharp variants reduce the modulus to the part that
 interacts with reversal, gcd(q, g^L (g^2-1)).
 Only the sieve (arith) and digit arithmetic (basedigits) are read here;
 the exponential sums behind the theorems live in expsum and primesum.
+The per-n references the counts are tested against (window_reverse,
+trial-division primes and factors) live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -24,9 +26,6 @@ import numpy as np
 
 from .arith import PrimeTable
 from .basedigits import check_base, ilog, reverse_array, reverse_chunks
-# reverse is not called here; it stays importable as revcount.reverse,
-# the name perfbench counts reversal calls through
-from .basedigits import reverse  # noqa: F401
 
 __all__ = [
     "CensusRecord",
@@ -320,7 +319,7 @@ def sharp_factor_deviation(
     each digit length's primes through reverse_chunks into one
     _ClassCounts, so the counts are exact integers.
     """
-    if x < 1:
+    if not x >= 1:  # NaN too
         raise ValueError("x must be at least 1")
     if x > pt.limit:
         raise ValueError(f"x beyond sieve limit {pt.limit}")

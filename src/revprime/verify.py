@@ -9,7 +9,10 @@ cell key), so reports come out byte-identical no matter how cells are
 spread over threads.  Suites with an implicit constant additionally
 tag every report with a dimensionless cal_ratio; calibrate() collects
 the maxima, and later runs with a stored ceiling in RunConfig.c_cal
-check the ratios against it as a regression gate.
+check the ratios against it as a regression gate.  The vaughan suite
+reads arith.vaughan_arrays; tests/oracles.py holds the per-n
+reference (Vaughan's split one divisor at a time) its reports are
+recounted from.
 """
 
 from __future__ import annotations
@@ -21,15 +24,7 @@ from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
-# the per-n oracles are not called here; they stay importable as
-# verify.<name>, the names perfbench times the Vaughan pieces through
-from .arith import (  # noqa: F401
-    build_table,
-    mangoldt_tail,
-    mobius_mangoldt_window,
-    vaughan_arrays,
-    vaughan_terms,
-)
+from .arith import build_table, vaughan_arrays
 from .basedigits import ilog
 from .config import RunConfig, UsageError, make_rng
 from .expsum import (

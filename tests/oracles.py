@@ -2,9 +2,10 @@
 
 Everything here is plain Python over integers and Fractions, written to
 be read, not to be fast: the base-g window reversal, trial-division
-factoring and what follows from it, the exact digit weights of the seed
-families and their digit sums, the row-phase loops the phase kernels
-replaced, the two-sided van der Corput loop, and raw float bytes.
+factoring and what follows from it (up to Vaughan's split of Lambda,
+one divisor at a time), the exact digit weights of the seed families
+and their digit sums, the row-phase loops the phase kernels replaced,
+the two-sided van der Corput loop, and raw float bytes.
 Nothing here calls the code it checks; from the package it reads only
 the seed family types.
 """
@@ -79,6 +80,47 @@ def divisors(n):
     for p, e in factorize(n):
         out = [d * p**k for d in out for k in range(e + 1)]
     return sorted(out)
+
+
+def mangoldt_tail(n, z):
+    """Sum of Lambda(d) over the divisors d > z of n."""
+    total = 0.0
+    for d in divisors(n):
+        if d > z:
+            total += mangoldt(d)
+    return total
+
+
+def mobius_mangoldt_window(n, z):
+    """Sum of mu(d) Lambda(n/d) over the divisors d of n with d <= z and n/d <= z."""
+    total = 0.0
+    for d in divisors(n):
+        m = n // d
+        if d <= z and m <= z:
+            total += mobius(d) * mangoldt(m)
+    return total
+
+
+def vaughan_terms(n, z):
+    """(a1, a2, a3, a4): Vaughan's split of Lambda(n) at threshold z > 0.
+
+    a1 sums mu(d) log(n/d) over divisors d <= z; a2 pairs mu(d) for
+    d > z with the tail of n/d above z; a3 subtracts the window of every
+    divisor d <= z^2; a4 is Lambda(n) when n <= z.  The divisors are
+    walked in ascending order, the order arith.vaughan_arrays adds them
+    in, so its entries equal these bit for bit.
+    """
+    a1 = a2 = a3 = 0.0
+    for d in divisors(n):
+        m = n // d
+        if d <= z:
+            a1 += mobius(d) * math.log(m)
+        elif m > z:
+            a2 += mobius(d) * mangoldt_tail(m, z)
+        if d <= z * z:
+            a3 -= mobius_mangoldt_window(d, z)
+    a4 = mangoldt(n) if n <= z else 0.0
+    return a1, a2, a3, a4
 
 
 def weight(seed, i, d):

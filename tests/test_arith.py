@@ -22,15 +22,20 @@ from revprime.arith import (
     SieveBudgetError,
     build_table,
     mangoldt_array,
-    mangoldt_tail,
-    mobius_mangoldt_window,
     mobius_values,
     vaughan_arrays,
-    vaughan_terms,
 )
 from revprime.revcount import census_grid
 
-from oracles import bits, divisors, factorize, mangoldt, mobius
+from oracles import (
+    bits,
+    factorize,
+    mangoldt,
+    mangoldt_tail,
+    mobius,
+    mobius_mangoldt_window,
+    vaughan_terms,
+)
 
 LIMIT = 10**5
 
@@ -82,7 +87,6 @@ class TestSieve:
         for n in rng.integers(2, LIMIT + 1, size=1000):
             n = int(n)
             f = factorize(n)
-            assert table.factorize(n) == f
             assert (n in table.primes) == (len(f) == 1 and f[0][1] == 1)
             assert int(table.smallest_prime_factor[n]) == f[0][0]
 
@@ -108,38 +112,33 @@ class TestSieve:
             assert [n for n, _ in got[: len(primes)]] == primes
 
     def test_mangoldt_examples(self, table):
-        assert table.mangoldt(9) == pytest.approx(math.log(3), abs=0)
-        assert table.mangoldt(8) == pytest.approx(math.log(2), abs=0)
-        assert table.mangoldt(97) == pytest.approx(math.log(97), abs=0)
-        assert table.mangoldt(12) == 0.0
-        assert table.mangoldt(1) == 0.0
+        lam = mangoldt_array(table, 100)
+        assert lam[9] == math.log(3)
+        assert lam[8] == math.log(2)
+        assert lam[97] == math.log(97)
+        assert lam[12] == 0.0
+        assert lam[1] == 0.0
 
     def test_mobius_examples(self, table):
-        assert table.mobius(12) == 0
-        assert table.mobius(10) == 1
-        assert table.mobius(30) == -1
-        assert table.mobius(1) == 1
-        assert table.mobius(2) == -1
+        assert mobius_values(table, np.array([12, 10, 30, 1, 2])).tolist() == [0, 1, -1, 1, -1]
 
     def test_mangoldt_divisor_sum_is_log(self, table):
-        for n in range(1, 10**4 + 1):
-            total = sum(table.mangoldt(d) for d in table.divisors(n))
-            assert abs(total - math.log(n)) <= 1e-9
-        rng = np.random.default_rng(7)
-        for n in rng.integers(10**4, LIMIT + 1, size=200):
-            n = int(n)
-            total = sum(table.mangoldt(d) for d in table.divisors(n))
-            assert abs(total - math.log(n)) <= 1e-9
-
-    def test_divisors_sorted_and_complete(self, table):
-        for n in range(1, 500):
-            assert list(table.divisors(n)) == divisors(n)
+        # sum over d | n of Lambda(d) is log n, for every n the table covers
+        lam = mangoldt_array(table, LIMIT)
+        total = np.zeros(LIMIT + 1)
+        for d in np.flatnonzero(lam):
+            total[d::d] += lam[d]
+        log = np.array([math.log(n) for n in range(1, LIMIT + 1)])
+        assert np.abs(total[1:] - log).max() <= 1e-9
 
     def test_query_range(self, table):
+        # the table's last entry answers and the next one raises
+        assert mobius_values(table, np.array([LIMIT])).tolist() == [mobius(LIMIT)]
         with pytest.raises(ValueError):
-            table.mangoldt(0)
+            mobius_values(table, np.array([LIMIT + 1]))
         with pytest.raises(ValueError):
-            table.mobius(LIMIT + 1)
+            mangoldt_array(table, LIMIT + 1)
+        assert table.prime_count(LIMIT) == 9592
         with pytest.raises(ValueError):
             table.prime_count(LIMIT + 0.5 + 1)
 
@@ -152,13 +151,14 @@ class TestSieve:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(min_value=1, max_value=LIMIT))
     def test_factorize_reassembles(self, table, n):
-        value = 1
-        prev = 1
-        for p, e in table.factorize(n):
-            assert p > prev
-            prev = p
-            value *= p**e
-        assert value == n
+        # chasing the smallest prime factor walks n's factors in ascending order
+        spf = table.smallest_prime_factor
+        chain, rest = [], n
+        while rest > 1:
+            chain.append(int(spf[rest]))
+            rest //= chain[-1]
+        assert math.prod(chain) == n
+        assert chain == [p for p, e in factorize(n) for _ in range(e)]
 
 
 # limits of every parity, and p^2 - 1, p^2, p^2 + 1, where the sieve's
@@ -299,80 +299,48 @@ class TestSegmentedSieve:
         assert peak < 15 * 2**20, peak
 
 
-def brute_vaughan(n, z):
-    ds = divisors(n)
-
-    def tail(m):
-        return sum(mangoldt(d) for d in divisors(m) if d > z)
-
-    def window(m):
-        return sum(
-            mobius(u) * mangoldt(m // u)
-            for u in divisors(m)
-            if u <= z and m // u <= z
-        )
-
-    a1 = sum(mobius(d) * math.log(n // d) for d in ds if d <= z)
-    a2 = sum(mobius(d) * tail(n // d) for d in ds if d > z and n // d > z)
-    a3 = -sum(window(d) for d in ds if d <= z * z)
-    a4 = mangoldt(n) if n <= z else 0.0
-    return a1, a2, a3, a4
-
-
 class TestVaughan:
     def test_identity_exact_sweep(self, table):
-        for n in range(1, 10**4 + 1):
-            lam = table.mangoldt(n)
-            for z in (2.0, 5.0, n**0.25, 50.0):
-                terms = vaughan_terms(n, z, table)
-                assert abs(terms.total - lam) <= 1e-9, (n, z)
-
-    def test_components_match_brute_force(self, table):
-        rng = np.random.default_rng(20260818)
-        for n in rng.integers(1, 5001, size=300):
-            n = int(n)
-            for z in (2.0, 7.5, 50.0):
-                got = vaughan_terms(n, z, table)
-                a1, a2, a3, a4 = brute_vaughan(n, z)
-                assert got.a1 == pytest.approx(a1, abs=1e-9)
-                assert got.a2 == pytest.approx(a2, abs=1e-9)
-                assert got.a3 == pytest.approx(a3, abs=1e-9)
-                assert got.a4 == pytest.approx(a4, abs=1e-9)
+        top = 10**4
+        lam = np.array([mangoldt(n) for n in range(1, top + 1)])
+        for z in (2.0, 5.0, 50.0):
+            va = vaughan_arrays(table, z, top)
+            assert np.abs(va.total[1:] - lam).max() <= 1e-9, z
+        # the fourth-root cut moves with n, so it is split one n at a time
+        for n in range(1, top + 1):
+            assert abs(sum(vaughan_terms(n, n**0.25)) - lam[n - 1]) <= 1e-9, n
 
     def test_unit_input(self, table):
-        terms = vaughan_terms(1, 10.0, table)
-        assert terms.a1 == terms.a2 == terms.a3 == terms.a4 == 0.0
+        va = vaughan_arrays(table, 10.0, 1)
+        assert va.a1[1] == va.a2[1] == va.a3[1] == va.a4[1] == 0.0
 
     def test_prime_below_threshold(self, table):
-        terms = vaughan_terms(97, 100.0, table)
-        assert terms.a4 == pytest.approx(math.log(97), abs=0)
-        assert terms.total == pytest.approx(math.log(97), abs=1e-12)
+        va = vaughan_arrays(table, 100.0, 97)
+        assert va.a4[97] == math.log(97)
+        assert va.total[97] == pytest.approx(math.log(97), abs=1e-12)
 
     def test_coefficient_caps(self, table):
         for z in (5.0, 50.0):
-            for n in range(2, 10**4 + 1):
-                logn = math.log(n)
-                t = mangoldt_tail(n, z, table)
-                assert 0.0 <= t <= logn + 1e-12
-                assert abs(mobius_mangoldt_window(n, z, table)) <= logn + 1e-12
+            va = vaughan_arrays(table, z, 10**4)
+            logn = va.log[2:]
+            tail = va.mangoldt_tail[2:]
+            assert (tail >= 0.0).all() and (tail <= logn + 1e-12).all()
+            assert (np.abs(va.mobius_mangoldt_window[2:]) <= logn + 1e-12).all()
 
     def test_window_support(self, table):
-        z = 7.0
-        for n in range(2, 2000):
-            if n > z * z:
-                assert mobius_mangoldt_window(n, z, table) == 0.0
+        # the window vanishes for every n > z^2 = 49
+        va = vaughan_arrays(table, 7.0, 1999)
+        assert (va.mobius_mangoldt_window[50:] == 0.0).all()
 
     def test_tail_vanishes_below_threshold(self, table):
         for n in range(1, 200):
-            assert mangoldt_tail(n, float(n), table) == 0.0
+            assert (vaughan_arrays(table, float(n), n).mangoldt_tail == 0.0).all()
 
     def test_validation(self, table):
-        with pytest.raises(ValueError):
-            vaughan_terms(0, 2.0, table)
-        with pytest.raises(ValueError):
-            vaughan_terms(LIMIT + 1, 2.0, table)
-        with pytest.raises(ValueError):
-            vaughan_terms(10, 0.0, table)
+        # z = 0 is in TestVaughanArrays; a NaN threshold fails every comparison
+        for z in (-2.0, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="threshold z must be positive"):
+                vaughan_arrays(table, z, 10)
 
 
 # thresholds: non-integers, z < 1, z = 1, and z^2 beyond any top drawn
@@ -385,29 +353,31 @@ thresholds = st.one_of(
 class TestVaughanArrays:
     @settings(max_examples=30, deadline=None)
     @given(top=st.integers(1, 3000), z=thresholds)
+    @example(top=5000, z=7.5)
     def test_arrays_equal_oracles(self, table, top, z):
         va = vaughan_arrays(table, z, top)
         ns = range(1, top + 1)
-        terms = [vaughan_terms(n, z, table) for n in ns]
-        for field in ("a1", "a2", "a3", "a4", "total"):
-            assert bits(getattr(va, field)[1:]) == bits([getattr(t, field) for t in terms]), field
-        assert bits(va.mangoldt_tail[1:]) == bits([mangoldt_tail(n, z, table) for n in ns])
+        terms = [vaughan_terms(n, z) for n in ns]
+        for i, field in enumerate(("a1", "a2", "a3", "a4")):
+            assert bits(getattr(va, field)[1:]) == bits([t[i] for t in terms]), field
+        assert bits(va.total[1:]) == bits([a1 + a2 + a3 + a4 for a1, a2, a3, a4 in terms])
+        assert bits(va.mangoldt_tail[1:]) == bits([mangoldt_tail(n, z) for n in ns])
         assert bits(va.mobius_mangoldt_window[1:]) == bits(
-            [mobius_mangoldt_window(n, z, table) for n in ns]
+            [mobius_mangoldt_window(n, z) for n in ns]
         )
-        assert bits(va.mobius[1:]) == bits([table.mobius(n) for n in ns])
-        assert bits(va.mangoldt[1:]) == bits([table.mangoldt(n) for n in ns])
+        assert bits(va.mobius[1:]) == bits([mobius(n) for n in ns])
+        assert bits(va.mangoldt[1:]) == bits([mangoldt(n) for n in ns])
         assert bits(va.log[1:]) == bits([math.log(n) for n in ns])
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(1, LIMIT), max_size=200), st.integers(1, LIMIT))
     def test_tables_equal_scalar_queries(self, table, values, top):
         assert mobius_values(table, np.array(values, dtype=np.int64)).tolist() == [
-            table.mobius(n) for n in values
+            mobius(n) for n in values
         ]
         lam = mangoldt_array(table, top)
         picks = [0, 1, top] + [v for v in values if v <= top]
-        assert bits(lam[picks]) == bits([0.0] + [table.mangoldt(n) for n in picks[1:]])
+        assert bits(lam[picks]) == bits([0.0] + [mangoldt(n) for n in picks[1:]])
 
     def test_log_table_is_math_log(self, table):
         # reaches past 9170, where np.log and math.log part in the last bit

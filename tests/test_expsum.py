@@ -1071,7 +1071,7 @@ class TestHybrid:
 
     def test_rejects_tiny_scale(self):
         seed = sod_seed(2, 0.0)
-        for M in (0.5, math.nan):
+        for M in (0.5, math.nan, math.inf):
             with pytest.raises(ValueError, match="M must be at least 1"):
                 hybrid_sum(seed, 3, 0, M)
             with pytest.raises(ValueError, match="M must be at least 1"):

@@ -90,6 +90,31 @@ def test_private_names_stay_home():
         assert private_imports(module) == allowed.get(name, set()), name
 
 
+def unread_imports(module) -> set[str]:
+    """The names a module imports from the package but never reads, with ast."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").startswith("revprime."))
+        for alias in node.names
+    }
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return imported - read
+
+
+def test_every_sibling_import_is_read():
+    # a name imported only to stay reachable under a second module keeps
+    # code alive that no command calls
+    for name in MODULES:
+        module = importlib.import_module(f"revprime.{name}")
+        assert unread_imports(module) == set(), name
+
+
 TESTS = Path(__file__).resolve().parent
 
 

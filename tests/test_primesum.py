@@ -18,13 +18,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revprime.arith import build_table, mangoldt_tail, vaughan_arrays
+from revprime.arith import build_table, vaughan_arrays
 from revprime.basedigits import ilog
 from revprime.expsum import CostBudgetError, sigma
 from revprime.seeds import reverse_seed, sod_seed, table_seed
 from revprime import primesum as ps
 
-from oracles import bits, digit_sum, divmod_phases, row_phases, vdc_two_sided
+from oracles import (
+    bits,
+    digit_sum,
+    divmod_phases,
+    mangoldt,
+    mangoldt_tail,
+    mobius,
+    row_phases,
+    vdc_two_sided,
+)
 
 
 def e_digit_sum(seed, L, n):
@@ -306,7 +315,7 @@ class TestTypeII:
                 for n in range(41, 81):
                     if m * n > x:
                         continue
-                    c = table.mobius(m) * mangoldt_tail(n, z, table) / logx
+                    c = mobius(m) * mangoldt_tail(n, z) / logx
                     want += c * e_digit_sum(seed, 5, m * n)
             assert abs(got - want) < 1e-8
 
@@ -319,12 +328,12 @@ class TestTypeII:
     def test_coefficient_generators_equal_scalar_oracles(self, table, lo, width, z):
         x = 10**4
         n = np.arange(lo, min(lo + width, x) + 1, dtype=np.int64)
-        mobius = ps.mobius_coefficients(table)(n)
-        assert mobius.dtype == np.complex128
-        assert mobius.tolist() == [complex(table.mobius(int(v))) for v in n]
+        mu = ps.mobius_coefficients(table)(n)
+        assert mu.dtype == np.complex128
+        assert mu.tolist() == [complex(mobius(int(v))) for v in n]
         gen = ps.mangoldt_tail_coefficients(table, z, x)
         scale = 1.0 / math.log(x)
-        want = np.array([mangoldt_tail(int(v), z, table) * scale for v in n], dtype=np.complex128)
+        want = np.array([mangoldt_tail(int(v), z) * scale for v in n], dtype=np.complex128)
         # a short first call, then the full range: each tabulates its own
         half = len(n) // 2
         assert gen(n[:half]).tobytes() == want[:half].tobytes()
@@ -411,7 +420,7 @@ class TestTypeII:
     def test_nan_corner_names_the_box(self):
         seed = sod_seed(10, 0.37)
         ok = ps.unimodular_coefficients()
-        for M, N in ((math.nan, 10.0), (10.0, math.nan)):
+        for M, N in ((math.nan, 10.0), (10.0, math.nan), (math.inf, 10.0), (10.0, math.inf)):
             with pytest.raises(ValueError, match="box corners must be at least 1"):
                 ps.type_ii_sum(seed, 4, 1e4, M, N, ok, ok)
 
@@ -545,7 +554,10 @@ class TestTruncation:
 
     def test_nan_side_names_the_box(self):
         seed = reverse_seed(2, 12, 0.73)
-        for M, N, R in ((math.nan, 64.0, 4.0), (8.0, math.nan, 4.0), (8.0, 64.0, math.nan)):
+        for M, N, R in (
+            (math.nan, 64.0, 4.0), (8.0, math.nan, 4.0), (8.0, 64.0, math.nan),
+            (math.inf, 64.0, 4.0), (8.0, math.inf, 4.0), (8.0, 64.0, math.inf),
+        ):
             with pytest.raises(ValueError, match="M, N, R must be at least 1"):
                 ps.truncation_set_size(seed, M, N, R, 2, 12, 8)
 
@@ -691,7 +703,7 @@ class TestPrimeSum:
     def test_zero_seed_is_chebyshev(self, table):
         seed = sod_seed(10, 0.0)
         result = ps.prime_exp_sum(seed, 5, 10**4, table)
-        psi = sum(table.mangoldt(n) for n in range(2, 10**4 + 1))
+        psi = sum(mangoldt(n) for n in range(2, 10**4 + 1))
         assert result.S == pytest.approx(psi, abs=1e-8)
         assert result.S.imag == pytest.approx(0.0, abs=1e-10)
 

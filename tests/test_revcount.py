@@ -24,7 +24,7 @@ from revprime.revcount import (
     zero_density_strays,
 )
 
-from oracles import factorize, prime_divisors, primes_upto, window_reverse
+from oracles import factorize, mangoldt, prime_divisors, primes_upto, window_reverse
 
 LIMIT = 100_000
 
@@ -270,7 +270,7 @@ class TestCensusSharp:
 class TestPsiThetaPi:
     def test_trivial_modulus_gives_chebyshev_sum(self, table):
         x = 5000
-        want = math.fsum(table.mangoldt(n) for n in range(2, x + 1))
+        want = math.fsum(mangoldt(n) for n in range(2, x + 1))
         got = psi_theta_pi(10, 5, x, 0, 1, table, "psi")
         assert got == pytest.approx(want, abs=1e-9)
 
@@ -391,6 +391,10 @@ class TestSharpFactorDeviation:
             sharp_factor_deviation(10, 10**6, 0, 7, table)
         with pytest.raises(ValueError):
             sharp_factor_deviation(10, 0.5, 0, 7, table)
+        with pytest.raises(ValueError, match="x must be at least 1"):
+            sharp_factor_deviation(10, math.nan, 0, 7, table)
+        with pytest.raises(ValueError, match="beyond sieve limit"):
+            sharp_factor_deviation(10, math.inf, 0, 7, table)
 
 
 # q = 1, moduli sharing factors (3, 9, 27), coprime ones, the products

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from revprime import expsum, primesum
-from revprime.arith import build_table, mangoldt_tail, mobius_mangoldt_window, vaughan_terms
 from revprime.cli import _format_reports
 from revprime.config import RunConfig, make_rng
 from revprime.basedigits import ilog
@@ -21,6 +20,8 @@ from revprime.verify import (
     calibrate,
     run_suite,
 )
+
+from oracles import mangoldt, mangoldt_tail, mobius_mangoldt_window, vaughan_terms
 
 
 class TestRegistry:
@@ -351,22 +352,22 @@ class TestCalibrate:
         assert table["hybrid"] > 0
 
 
-def vaughan_recount(limit, sieve_limit):
+def vaughan_recount(limit):
     """The vaughan suite's reports, recounted one n at a time from the oracles."""
-    pt = build_table(sieve_limit)
     out = []
     for z in (2.0, 5.0, 50.0, float(limit) ** 0.25):
         worst, worst_n, cap_ratio = 0.0, 1, 0.0
         for n in range(1, limit + 1):
-            gap = abs(vaughan_terms(n, z, pt).total - pt.mangoldt(n))
+            a1, a2, a3, a4 = vaughan_terms(n, z)
+            gap = abs(a1 + a2 + a3 + a4 - mangoldt(n))
             if gap > worst:
                 worst, worst_n = gap, n
             if n >= 2:
                 ln = math.log(n)
                 cap_ratio = max(
                     cap_ratio,
-                    mangoldt_tail(n, z, pt) / ln,
-                    abs(mobius_mangoldt_window(n, z, pt)) / ln,
+                    mangoldt_tail(n, z) / ln,
+                    abs(mobius_mangoldt_window(n, z)) / ln,
                 )
         out.append(make_report(worst, 1e-9, {"z": z, "limit": limit, "worst_n": worst_n}))
         out.append(
@@ -380,7 +381,7 @@ class TestVaughanSuite:
     def test_equals_scalar_recount(self, limit):
         cfg = RunConfig()
         got = run_suite("vaughan", cfg, SuiteOptions(limit=limit))
-        want = vaughan_recount(limit, cfg.sieve_limit)
+        want = vaughan_recount(limit)
         assert [repr(r.to_dict()) for r in got] == [repr(r.to_dict()) for r in want]
 
     @pytest.mark.parametrize("limit", [0, -5])
