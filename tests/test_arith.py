@@ -29,6 +29,7 @@ from revprime.revcount import census_grid
 
 from oracles import (
     bits,
+    divisors,
     factorize,
     mangoldt,
     mangoldt_tail,
@@ -87,6 +88,7 @@ class TestSieve:
         for n in rng.integers(2, LIMIT + 1, size=1000):
             n = int(n)
             f = factorize(n)
+            assert table.factorize(n) == f
             assert (n in table.primes) == (len(f) == 1 and f[0][1] == 1)
             assert int(table.smallest_prime_factor[n]) == f[0][0]
 
@@ -131,6 +133,10 @@ class TestSieve:
         log = np.array([math.log(n) for n in range(1, LIMIT + 1)])
         assert np.abs(total[1:] - log).max() <= 1e-9
 
+    def test_divisors_sorted_and_complete(self, table):
+        for n in range(1, 500):
+            assert list(table.divisors(n)) == divisors(n)
+
     def test_query_range(self, table):
         # the table's last entry answers and the next one raises
         assert mobius_values(table, np.array([LIMIT])).tolist() == [mobius(LIMIT)]
@@ -141,6 +147,10 @@ class TestSieve:
         assert table.prime_count(LIMIT) == 9592
         with pytest.raises(ValueError):
             table.prime_count(LIMIT + 0.5 + 1)
+        with pytest.raises(ValueError):
+            table.mangoldt(0)
+        with pytest.raises(ValueError):
+            table.mobius(LIMIT + 1)
 
     def test_budget_error(self):
         with pytest.raises(SieveBudgetError):
@@ -310,6 +320,21 @@ class TestVaughan:
         for n in range(1, top + 1):
             assert abs(sum(vaughan_terms(n, n**0.25)) - lam[n - 1]) <= 1e-9, n
 
+    def test_components_match_brute_force(self, table):
+        # arith's per-n split, which reads the sieve table, against the
+        # trial-division oracle
+        rng = np.random.default_rng(20260818)
+        for n in rng.integers(1, 5001, size=300):
+            n = int(n)
+            for z in (2.0, 7.5, 50.0):
+                got = arith.vaughan_terms(n, z, table)
+                assert bits([got.a1, got.a2, got.a3, got.a4]) == bits(vaughan_terms(n, z)), (n, z)
+                assert bits([got.total]) == bits([got.a1 + got.a2 + got.a3 + got.a4])
+                assert bits([arith.mangoldt_tail(n, z, table)]) == bits([mangoldt_tail(n, z)])
+                assert bits([arith.mobius_mangoldt_window(n, z, table)]) == bits(
+                    [mobius_mangoldt_window(n, z)]
+                )
+
     def test_unit_input(self, table):
         va = vaughan_arrays(table, 10.0, 1)
         assert va.a1[1] == va.a2[1] == va.a3[1] == va.a4[1] == 0.0
@@ -341,6 +366,12 @@ class TestVaughan:
         for z in (-2.0, -math.inf, math.nan):
             with pytest.raises(ValueError, match="threshold z must be positive"):
                 vaughan_arrays(table, z, 10)
+        with pytest.raises(ValueError):
+            arith.vaughan_terms(0, 2.0, table)
+        with pytest.raises(ValueError):
+            arith.vaughan_terms(LIMIT + 1, 2.0, table)
+        with pytest.raises(ValueError):
+            arith.vaughan_terms(10, 0.0, table)
 
 
 # thresholds: non-integers, z < 1, z = 1, and z^2 beyond any top drawn

@@ -16,6 +16,7 @@ from revprime.basedigits import (
     dist,
     ilog,
     power_residues,
+    reverse,
     reverse_array,
 )
 
@@ -54,7 +55,15 @@ class TestCheckBase:
     def test_every_reversal_checks_its_base(self):
         for g in self.BAD:
             with pytest.raises(ValueError):
+                reverse(5, g)
+            with pytest.raises(ValueError):
                 reverse_array([5], g, 3)
+
+
+class TestDigits:
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            reverse(-1, 2)
 
 
 class TestReverse:
@@ -68,7 +77,7 @@ class TestReverse:
 
     @given(st.integers(0, 10**9), st.sampled_from(BASES))
     def test_matches_digit_oracle(self, n, g):
-        assert plain_reverse(n, g) == window_reverse(n, g)
+        assert plain_reverse(n, g) == reverse(n, g) == window_reverse(n, g)
 
     @given(st.integers(1, 10**9), st.sampled_from(BASES))
     def test_involution_when_unit_digit_nonzero(self, n, g):

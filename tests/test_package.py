@@ -107,12 +107,29 @@ def unread_imports(module) -> set[str]:
     return imported - read
 
 
+def perfbench_wrapped() -> set[tuple[str, str]]:
+    """(module, name) of every revprime name perfbench's PLAN wraps, with ast."""
+    run = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    if not run.exists():
+        return set()
+    return {
+        (node.elts[0].value.removeprefix("revprime."), node.elts[1].value)
+        for node in ast.walk(ast.parse(run.read_text()))
+        if isinstance(node, ast.Tuple) and len(node.elts) >= 2
+        and all(isinstance(e, ast.Constant) and isinstance(e.value, str) for e in node.elts[:2])
+        and node.elts[0].value.startswith("revprime.")
+    }
+
+
 def test_every_sibling_import_is_read():
     # a name imported only to stay reachable under a second module keeps
-    # code alive that no command calls
+    # code alive that no command calls; the one reason allowed is that
+    # perfbench's traced run wraps it there by name, and such a name must
+    # go once perfbench stops wrapping it
+    wrapped = perfbench_wrapped()
     for name in MODULES:
         module = importlib.import_module(f"revprime.{name}")
-        assert unread_imports(module) == set(), name
+        assert {(name, n) for n in unread_imports(module)} <= wrapped, name
 
 
 TESTS = Path(__file__).resolve().parent
