@@ -1,14 +1,14 @@
 """Sieve-backed arithmetic functions and the four-term von Mangoldt split.
 
-The sieve walks the odd numbers up to the limit one cache-sized segment
-of flags at a time: each segment starts from a wheel pattern that
-already strikes the multiples of 3, 5, 7, 11 and 13, takes the strikes
-of the larger primes, and is read straight into one array of the sorted
-primes, which is all PrimeTable keeps and all a prime count or a census
-reads.  No bitmap of limit/2 flags is ever held.  A
-smallest-prime-factor table, which mobius_values chases, is built from
-those primes the first time a caller factors.  vaughan_arrays splits
-Lambda(n) into the classical four pieces controlled by a threshold z
+The one sieve, prime_segments, walks the odd numbers of a range one
+cache-sized segment of flags at a time from a wheel pattern that already
+strikes the multiples of 3, 5, 7, 11 and 13, and yields runs of primes:
+build_table copies those of [2, limit] into the one sorted array a
+PrimeTable keeps, and the census streams those of its windows.  No
+bitmap of limit/2 flags is ever held.  A smallest-prime-factor table,
+which mobius_values chases, is built from a table's primes the first
+time a caller factors.  vaughan_arrays splits Lambda(n) into the
+classical four pieces controlled by a threshold z
 (Vaughan's identity) for every n up to a bound in one sieve-order pass.
 The per-n reference for each of these arrays (trial-division Lambda, mu
 and divisors, and Vaughan's split one divisor at a time) lives in
@@ -35,6 +35,8 @@ __all__ = [
     "VaughanTerms",
     "VaughanArrays",
     "build_table",
+    "check_sieve_limit",
+    "prime_segments",
     "vaughan_terms",
     "vaughan_arrays",
     "mangoldt_tail",
@@ -44,10 +46,10 @@ __all__ = [
     "DEFAULT_MAX_LIMIT",
 ]
 
-# The sieve holds 8 bytes per prime (~30 MiB at 2^26) and one segment of
-# _SEGMENT flags, with no limit/2 bitmap.  A caller that factors adds
-# 4 * limit bytes of uint32 smallest prime factors (256 MiB).  Census
-# and calibration grids stay far below.
+# The largest sieve limit.  A table holds 8 bytes per prime (~30 MiB at
+# 2^26), and a caller that factors adds 4 * limit bytes of uint32 least
+# prime factors (256 MiB).  The census builds no table: its windows end
+# at or below the limit, and it holds one segment whatever the limit.
 DEFAULT_MAX_LIMIT = 1 << 26
 
 # the odd primes whose multiples the wheel pattern already strikes
@@ -61,44 +63,41 @@ class SieveBudgetError(ValueError):
     """Raised when a requested sieve limit exceeds the memory budget (a usage error)."""
 
 
-def _primes_upto(limit: int) -> np.ndarray:
-    """Every prime <= limit, ascending, as int64; limit >= 2.
+def prime_segments(start: int, stop: int):
+    """Yield the primes in [start, stop), ascending, in runs: int64 arrays.
 
-    Flag i of the segment starting at odd index lo says whether
-    2(lo + i) + 1 is prime.  Each segment is filled from one period of
-    3*5*7*11*13 = 15015 flags, with the odd multiples of those five
-    primes struck, at phase lo mod 15015; the five are set back to prime
-    and 1 to not prime where they fall inside the segment.  Each
-    remaining prime p from 17 to sqrt(limit) strikes its odd multiples
-    from p*p on, carrying its next multiple from one segment into the
-    next, and the segment's flags go straight into the primes.  At 2^20
-    flags (1 MiB) a segment keeps the strided stores inside a 2 MiB
-    per-core L2; of 2^19..2^22 it was the fastest, since smaller
-    segments pay Python's per-slice cost more often.  The sieving primes
-    come from this function at sqrt(limit).
-
-    The primes array is allocated once, to Rosser and Schoenfeld's bound
-    pi(x) < 1.25506 x / ln x (x > 1), and the table keeps the slice the
-    primes fill, so the pages past the last prime are never written and
-    never resident.  Shrinking it in place with ndarray.resize instead
-    cost 573 minor faults per build_table(2^24) in steady state, against
-    0 (glibc's default malloc settings).
+    Flag i of a segment starting at odd index lo says whether
+    2(lo + i) + 1 is prime; the odd numbers of [start, stop) have the
+    indices [start // 2, stop // 2).  A segment is filled from one period
+    of 3*5*7*11*13 = 15015 flags with the odd multiples of those five
+    struck, at phase lo mod 15015, and the five are set back to prime and
+    1 to not prime where they fall inside it.  Each prime p from 17 to
+    sqrt(stop - 1), which this generator yields too, strikes its odd
+    multiples from the first at or above max(p*p, start), carrying the
+    next one from segment to segment.  At 2^20 flags (1 MiB) a segment
+    keeps the strided stores inside a 2 MiB per-core L2; of 2^17..2^22
+    it was the fastest, as smaller segments pay Python's per-slice cost
+    more often.  Each quarter segment is read out as one run, so a
+    consumer holds one segment and two runs (256 KiB each near 2^24),
+    at no more cost than whole-segment runs.
     """
-    size = (limit + 1) // 2
+    if start <= 2 < stop:
+        yield np.array([2], dtype=np.int64)
+    first, end = start // 2, stop // 2
+    if first >= end:
+        return
     # 2i + 1 is a multiple of the odd prime p exactly when i = p // 2 mod p
     wheel = np.ones(_PERIOD, dtype=bool)
     for p in _WHEEL:
         wheel[p // 2 :: p] = False
-    root = math.isqrt(limit)
-    base = _primes_upto(root) if root > _WHEEL[-1] else np.zeros(0, dtype=np.int64)
-    base = base[base > _WHEEL[-1]].tolist()
-    starts = [p * p // 2 for p in base]
-    primes = np.empty(math.floor(1.25506 * limit / math.log(limit)) + 1, dtype=np.int64)
-    primes[0] = 2
-    at = 1
-    segment = np.empty(min(_SEGMENT, size), dtype=bool)
-    for lo in range(0, size, _SEGMENT):
-        hi = min(lo + _SEGMENT, size)
+    base = [p for run in prime_segments(_WHEEL[-1] + 1, math.isqrt(stop - 1) + 1)
+            for p in run.tolist()]
+    # the index of p*j, j the least odd number >= p with p*j >= start
+    starts = [p * (max(p, -(-start // p)) | 1) // 2 for p in base]
+    segment = np.empty(min(_SEGMENT, end - first), dtype=bool)
+    read = max(1, _SEGMENT // 4)
+    for lo in range(first, end, _SEGMENT):
+        hi = min(lo + _SEGMENT, end)
         flags = segment[: hi - lo]
         _fill_wheel(flags, wheel, lo % _PERIOD)
         for i in [p // 2 for p in _WHEEL]:
@@ -112,12 +111,11 @@ def _primes_upto(limit: int) -> np.ndarray:
                 continue
             flags[s - lo :: p] = False
             starts[k] = hi + (s - hi) % p
-        idx = np.flatnonzero(flags)
-        found = primes[at : at + idx.size]
-        np.multiply(idx, 2, out=found)
-        found += 2 * lo + 1
-        at += idx.size
-    return primes[:at]
+        for part in range(0, hi - lo, read):
+            run = np.flatnonzero(flags[part : part + read])
+            run *= 2
+            run += 2 * (lo + part) + 1
+            yield run
 
 
 def _fill_wheel(flags: np.ndarray, wheel: np.ndarray, phase: int) -> None:
@@ -242,15 +240,32 @@ class PrimeTable:
         return np.concatenate(values), np.concatenate(bases)
 
 
-def build_table(limit: int) -> PrimeTable:
-    """Sieve a PrimeTable covering [2, limit]; nothing is persisted."""
+def check_sieve_limit(limit: int) -> None:
+    """Raise ValueError below 2 and SieveBudgetError above DEFAULT_MAX_LIMIT."""
     if limit < 2:
         raise ValueError("sieve limit must be at least 2")
     if limit > DEFAULT_MAX_LIMIT:
         raise SieveBudgetError(
             f"sieve limit {limit} exceeds the sieve budget {DEFAULT_MAX_LIMIT}"
         )
-    return PrimeTable(limit, _primes_upto(limit))
+
+
+def build_table(limit: int) -> PrimeTable:
+    """Sieve a PrimeTable covering [2, limit]; nothing is persisted.
+
+    The primes array is allocated once, to Rosser and Schoenfeld's bound
+    pi(x) < 1.25506 x / ln x (x > 1), and the table keeps the slice the
+    runs fill, so the pages past the last prime are never resident.
+    Shrinking it with ndarray.resize instead cost 573 minor faults per
+    build_table(2^24) in steady state, against 0 (glibc's defaults).
+    """
+    check_sieve_limit(limit)
+    primes = np.empty(math.floor(1.25506 * limit / math.log(limit)) + 1, dtype=np.int64)
+    at = 0
+    for run in prime_segments(2, limit + 1):
+        primes[at : at + run.size] = run
+        at += run.size
+    return PrimeTable(limit, primes[:at])
 
 
 @dataclass(frozen=True)

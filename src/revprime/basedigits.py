@@ -6,7 +6,7 @@ is integer arithmetic; no float logarithms are used to make
 digit-length decisions.  Chunked reversal has one home: reverse_chunks
 walks an int64 array _CHUNK entries at a time through one workspace,
 reversing each slice with the private kernel _reverse_into, a block of
-k digits per step through a cached read-only table of g^k <= 2^12
+k digits per step through a cached read-only table of g^k <= 2^14
 entries; census_grid bins its chunks and reverse_array copies them out.
 The per-n reference for both, window_reverse, lives in
 tests/oracles.py.  No command calls the scalar reverse: it stays only
@@ -59,9 +59,10 @@ def reverse(n: int, g: int) -> int:
 
 
 _INT64_MAX = 2**63 - 1
-# reversal tables hold at most this many int64 entries (32 KiB): base g
-# reverses k digits per step, k the largest with g^k <= _TABLE_ENTRIES
-_TABLE_ENTRIES = 2**12
+# reversal tables hold at most this many int64 entries (128 KiB): base g
+# reverses k digits per step, k the largest with g^k <= _TABLE_ENTRIES;
+# base 10 takes L = 7 in 2 steps, and 2^12 was slower, 2^16 no faster
+_TABLE_ENTRIES = 2**14
 # entries reversed per kernel call: at 2^13 each int64 buffer is 64 KiB,
 # below glibc's default 128 KiB mmap threshold, so a chunk-sized buffer
 # comes from the heap's free lists on every call, never from fresh pages
@@ -73,7 +74,7 @@ def _block_table(g: int, s: int) -> np.ndarray:
     """Read-only T_s with T_s[x] the reversal of x within s digits, x < g^s.
 
     One divmod step per digit over arange(g^s); at most _TABLE_ENTRIES
-    entries, so the 64 cached tables hold at most 2 MiB.
+    entries, so the 64 cached tables hold at most 8 MiB.
     """
     n = np.arange(g**s, dtype=np.int64)
     table = np.zeros_like(n)
@@ -85,7 +86,7 @@ def _block_table(g: int, s: int) -> np.ndarray:
     return table
 
 
-def _reverse_into(values: np.ndarray, g: int, L: int, out: np.ndarray, work) -> None:
+def _reverse_into(values: np.ndarray, g: int, L: int, out: np.ndarray, work, fits: bool) -> None:
     """Write the reversal of every entry of values within L digits into out.
 
     values is a 1-d int64 slice of nonnegative entries, read and never
@@ -93,27 +94,36 @@ def _reverse_into(values: np.ndarray, g: int, L: int, out: np.ndarray, work) -> 
     are owned by the caller, so a caller that reverses chunk after chunk
     allocates nothing per chunk.  Each step splits off the low s digits
     d = n - (n // g^s) g^s and appends T_s[d], their reversal within s
-    digits, to out; k digits per step, k the largest with g^k <= 2^12,
-    and a last step of the L mod k digits left over.  With s = 1 the
-    digit is its own reverse and no table is read.  The caller checks
-    the base and that g^L fits int64.
+    digits, to out, which the first step writes; k digits per step, k
+    the largest with g^k <= _TABLE_ENTRIES, and a last step of the L mod
+    k digits left over.  fits says every entry is below g^L, so the last
+    step needs no divide.  With s = 1 the digit is its own reverse and no
+    table is read.  The caller checks the base and that g^L fits int64.
     """
     k = max(1, ilog(_TABLE_ENTRIES, g))
     steps = [k] * (L // k) + ([L % k] if L % k else [])
-    out.fill(0)
+    if not steps:
+        out.fill(0)
     n = values
     q, low, spare = work
-    for s in steps:
+    for i, s in enumerate(steps):
         block = g**s
-        np.floor_divide(n, block, out=q)
-        np.multiply(q, block, out=low)
-        np.subtract(n, low, out=low)
+        if fits and i == len(steps) - 1:
+            # n is below g^s, its own low digits; q is free scratch
+            low, spare = n, q
+        else:
+            np.floor_divide(n, block, out=q)
+            np.multiply(q, block, out=low)
+            np.subtract(n, low, out=low)
         digits = low
         if s > 1:
-            # every index is below g^s; clip mode writes spare unbuffered
-            digits = np.take(_block_table(g, s), low, out=spare, mode="clip")
-        out *= block
-        out += digits
+            # every index is below g^s; clip mode writes unbuffered
+            digits = np.take(_block_table(g, s), low, out=spare if i else out, mode="clip")
+        if i:
+            out *= block
+            out += digits
+        elif s == 1:
+            np.copyto(out, digits)
         # the quotient is the next step's n; the old n is free scratch
         n, q, spare = q, spare, q
 
@@ -130,11 +140,12 @@ def reverse_chunks(values: np.ndarray, g: int, L: int):
     """
     if values.size and g**L > _INT64_MAX:
         raise ValueError(f"{g}^{L} overflows int64")
+    fits = not values.size or int(values.max()) < g**L
     revs, *work = [np.empty(min(_CHUNK, values.size), dtype=np.int64) for _ in range(4)]
     for lo in range(0, values.size, _CHUNK):
         size = min(_CHUNK, values.size - lo)
         chunk = [w[:size] for w in work]
-        _reverse_into(values[lo : lo + size], g, L, revs[:size], chunk)
+        _reverse_into(values[lo : lo + size], g, L, revs[:size], chunk, fits)
         yield lo, revs[:size], chunk[0]
 
 

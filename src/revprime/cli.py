@@ -19,9 +19,8 @@ from dataclasses import asdict, fields, replace
 from typing import TYPE_CHECKING, Optional
 
 from . import __version__
-from .arith import build_table
 from .config import RunConfig, UsageError, load_config
-from .revcount import CensusRecord, census_grid, zero_density_strays
+from .revcount import CensusRecord, census_grid, check_window, zero_density_strays
 
 if TYPE_CHECKING:
     from .expsum import BoundReport
@@ -136,9 +135,10 @@ def _load_run_config(args) -> RunConfig:
 
 
 def _census_rows(cfg: RunConfig, args) -> list[CensusRecord]:
-    pt = build_table(cfg.sieve_limit)
+    for L in args.L:
+        check_window(args.g, L, cfg.sieve_limit)
     pairs = [(a, q) for q in args.q for a in (range(q) if args.a is None else args.a)]
-    return [rec for L in args.L for rec in census_grid(args.g, L, pairs, pt)]
+    return [rec for L in args.L for rec in census_grid(args.g, L, pairs, cfg.sieve_limit)]
 
 
 def _census_failures(cfg: RunConfig, rows: list[CensusRecord]) -> list[CensusRecord]:
@@ -306,7 +306,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--out", default=None, help="output path (atomic write)")
     p.add_argument("--seed", type=int, default=None, help="rng seed override")
-    p.add_argument("--sieve-limit", type=int, default=None, help="sieve table size")
+    p.add_argument("--sieve-limit", type=int, default=None,
+                   help="largest integer a sieve may reach; census needs g^L - 1 <= it")
 
 
 def _add_suite_options(p: argparse.ArgumentParser) -> None:

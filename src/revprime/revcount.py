@@ -3,13 +3,14 @@ Siegel-Walfisz analogues for reversed primes.
 
 rho is the exact rational density with which primes' digit reverses hit
 a fixed residue class; census_grid compares windowed sieve counts
-against it, many cells per pass.  It bins the window's reverses from
-basedigits.reverse_chunks, a chunk at a time, into one histogram per
-group of moduli whose lcm is at most 2^16; a larger modulus counts only
-the residues its cells ask for.  No array with one entry per window
-prime is made; sharp_factor_deviation counts through the same stream
-and counter.  The sharp variants reduce the modulus to the part that
-interacts with reversal, gcd(q, g^L (g^2-1)).
+against it, many cells per pass.  It sieves only its window and bins
+the reverses of each run of primes, a chunk from reverse_chunks at a
+time, into one histogram per group of moduli whose lcm is at most 2^16;
+a larger modulus counts only the residues its cells ask for.  No prime
+table and no array with one entry per window prime is made;
+sharp_factor_deviation counts a PrimeTable's primes through the same
+stream and counter.  The sharp variants reduce the modulus to the part
+that interacts with reversal, gcd(q, g^L (g^2-1)).
 Only the sieve (arith) and digit arithmetic (basedigits) are read here;
 the exponential sums behind the theorems live in expsum and primesum.
 The per-n references the counts are tested against (window_reverse,
@@ -24,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import PrimeTable
+from .arith import PrimeTable, check_sieve_limit, prime_segments
 from .basedigits import check_base, ilog, reverse_array, reverse_chunks
 # reverse is not called here or by any command; it stays importable as
 # revcount.reverse only because perfbench's PLAN counts reversals through
@@ -36,6 +37,7 @@ __all__ = [
     "rho",
     "rho_total",
     "zero_density_strays",
+    "check_window",
     "census_grid",
     "psi_theta_pi",
     "sharp_factor_deviation",
@@ -80,11 +82,10 @@ def rho(g: int, a: int, q: int) -> Fraction:
     if math.gcd(aq, wheel) != 1 or aq % g == 0:
         return Fraction(0)
     dg = math.gcd(q, g)
-    lead = Fraction(1)
-    if a % dg == 0:
-        lead -= Fraction(dg, g)
+    lead = g - dg if a % dg == 0 else g
     dw = math.gcd(q, wheel)
-    return lead * Fraction(dw, _totient(dw))
+    # (lead / g) * (dw / phi(dw)), reduced once
+    return Fraction(lead * dw, g * _totient(dw))
 
 
 def rho_total(g: int, q: int) -> Fraction:
@@ -229,40 +230,42 @@ class _ClassCounts:
         return int(self._folded[m][r])
 
 
-def census_grid(
-    g: int, L: int, pairs, pt: PrimeTable
-) -> list[CensusRecord]:
-    """CensusRecords for many (a, q) cells from one pass over the window.
-
-    The window's primes, [g^(L-1), g^L), all have exactly L digits, so
-    their window reverses are the plain ones.  Each chunk of them from
-    reverse_chunks is binned, its scratch buffer holding the residues.
-    Every requested cell, q and sharp modulus alike, is read from those
-    counts.
-    """
+def check_window(g: int, L: int, limit: int) -> None:
+    """Raise ValueError unless the window [g^(L-1), g^L) ends at or below
+    limit, a sieve limit arith.check_sieve_limit takes."""
     check_base(g)
     if L < 1:
         raise ValueError("window length must be at least 1")
-    if g**L - 1 > pt.limit:
-        raise ValueError(f"window end {g}^{L} - 1 beyond sieve limit {pt.limit}")
+    check_sieve_limit(limit)
+    if g**L - 1 > limit:
+        raise ValueError(f"window end {g}^{L} - 1 beyond sieve limit {limit}")
+
+
+def census_grid(g: int, L: int, pairs, limit: int) -> list[CensusRecord]:
+    """CensusRecords for many (a, q) cells from one pass over the window.
+
+    Only the window [g^(L-1), g^L), which check_window holds under the
+    sieve limit, is sieved.  Its primes all have exactly L digits, so
+    their window reverses are the plain ones.  Each run of them from
+    arith.prime_segments goes through reverse_chunks and each chunk is
+    binned, its scratch buffer holding the residues.  Every requested
+    cell, q and sharp modulus alike, is read from those counts.
+    """
+    check_window(g, L, limit)
     pairs = list(pairs)
     if any(q < 1 for _, q in pairs):
         raise ValueError("modulus must be positive")
     sharp = [_sharp_modulus(g, L, q) for _, q in pairs]
     counts = _ClassCounts(pairs + [(a, m) for (a, _), m in zip(pairs, sharp)])
-    primes = pt.primes
-    first, last = (int(i) for i in np.searchsorted(primes, (g ** (L - 1), g**L)))
-    for _, revs, scratch in reverse_chunks(primes[first:last], g, L):
-        counts.add(revs, scratch)
+    for primes in prime_segments(g ** (L - 1), g**L):
+        for _, revs, scratch in reverse_chunks(primes, g, L):
+            counts.add(revs, scratch)
     scale = g**L / (L * math.log(g))
     records = []
     for (a, q), modulus_sharp in zip(pairs, sharp):
         observed = counts.count(a, q)
         main_term = float(rho(g, a, q) / q) * scale
-        if main_term > 0.0:
-            relative_dev = observed / main_term - 1.0
-        else:
-            relative_dev = math.nan
+        relative_dev = observed / main_term - 1.0 if main_term > 0.0 else math.nan
         records.append(
             CensusRecord(
                 g, L, a, q, observed, main_term, relative_dev,

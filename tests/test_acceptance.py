@@ -316,11 +316,9 @@ def test_criterion_08_census_headline():
     the oracle window reversal.
     """
     t0 = time.perf_counter()
-    pt10 = build_table(100_000)
-    pt2 = build_table(1 << 16)
 
     pairs10 = [(a, q) for q in (1, 3, 7, 9) for a in range(q)]
-    recs10 = census_grid(10, 5, pairs10, pt10)
+    recs10 = census_grid(10, 5, pairs10, 100_000)
     live10 = [r for r in recs10 if not math.isnan(r.relative_dev)]
     dead10 = [r for r in recs10 if math.isnan(r.relative_dev)]
     max10 = max(abs(r.relative_dev) for r in live10)
@@ -334,7 +332,7 @@ def test_criterion_08_census_headline():
     for L in (12, 14, 16):
         per_q = {}
         for q in (1, 3, 5, 7):
-            recs = census_grid(2, L, [(a, q) for a in range(q)], pt2)
+            recs = census_grid(2, L, [(a, q) for a in range(q)], 1 << 16)
             per_q[q] = max(
                 abs(r.relative_dev) for r in recs if not math.isnan(r.relative_dev)
             )
@@ -347,7 +345,8 @@ def test_criterion_08_census_headline():
     # the window's primes picked out of them, and E_L built from the rest.
     n = np.arange(2**15 + 1, 2**16, 2, dtype=np.int64)
     revs = np.array([window_reverse(int(v), 2, 16) for v in n], dtype=np.int64)
-    primes = pt2.primes[(pt2.primes >= 2**15) & (pt2.primes < 2**16)]
+    primes = build_table(1 << 16).primes
+    primes = primes[primes >= 2**15]
     prime_revs = revs[np.searchsorted(n, primes)]
     expect = {q: _window_expectation(2, q, n, revs) for q in (1, 3, 5, 7)}
 

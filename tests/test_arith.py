@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from revprime import arith
+from revprime import arith, cli
 from revprime.arith import (
     DEFAULT_MAX_LIMIT,
     SieveBudgetError,
@@ -25,7 +25,6 @@ from revprime.arith import (
     mobius_values,
     vaughan_arrays,
 )
-from revprime.revcount import census_grid
 
 from oracles import (
     bits,
@@ -212,12 +211,18 @@ class TestSieveOracle:
             assert int(pt.smallest_prime_factor[n]) == least
             assert (n in pt.primes) == (least == n)
 
-    def test_census_never_builds_factor_table(self):
-        pt = build_table(1 << 16)
-        census_grid(2, 16, [(a, 7) for a in range(7)], pt)
-        census_grid(10, 4, [(1, 3), (2, 9)], pt)
-        assert pt.prime_count(1 << 16) == 6542
-        assert pt._spf is None
+    def test_census_never_builds_factor_table(self, monkeypatch, tmp_path):
+        # the census sieves only its windows: it builds no PrimeTable, so
+        # no factor table either
+        def refuse(*args, **kwargs):
+            raise AssertionError("the census built a table")
+
+        monkeypatch.setattr(arith, "build_table", refuse)
+        monkeypatch.setattr(arith.PrimeTable, "__init__", refuse)
+        out = tmp_path / "census.csv"
+        argv = ["census", "--g", "10", "--L", "3,4", "--q", "3,9", "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert len(out.read_text().splitlines()) == 2 + 2 * (3 + 9)
 
     def test_concurrent_first_reads_share_one_table(self, monkeypatch):
         pt = build_table(1 << 18)
@@ -266,6 +271,19 @@ EDGE_LIMITS = sorted(
 )
 
 
+# range ends: 0 to 3, the wheel primes, p^2 - 1, p^2 and p^2 + 1 for the
+# primes up to 67, and anything up to 5000
+range_ends = st.one_of(
+    st.sampled_from([0, 1, 2, 3, 5, 7, 11, 13]),
+    st.builds(
+        lambda p, d: p * p + d,
+        st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67]),
+        st.sampled_from([-1, 0, 1]),
+    ),
+    st.integers(0, 5000),
+)
+
+
 def segmented(limit, segment):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(arith, "_SEGMENT", segment)
@@ -288,6 +306,25 @@ class TestSegmentedSieve:
     def test_edge_limits_equal_oracle(self, segment):
         for limit in EDGE_LIMITS:
             assert segmented(limit, segment).tobytes() == oracle_odd_primes(limit).tobytes(), limit
+
+    @pytest.mark.parametrize("segment", SEGMENTS)
+    @settings(max_examples=50, deadline=None)
+    @given(range_ends, range_ends)
+    @example(0, 2)
+    @example(2, 3)
+    @example(3, 3)
+    @example(290, 289)
+    def test_random_ranges_equal_oracle(self, segment, start, stop):
+        # the window sieve: each prime strikes from its first odd multiple
+        # at or above max(p^2, start), and 2 is its own run
+        want = oracle_odd_primes(max(stop - 1, 2))
+        want = want[(want >= start) & (want < stop)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(arith, "_SEGMENT", segment)
+            runs = list(arith.prime_segments(start, stop))
+        assert all(run.dtype == np.int64 for run in runs)
+        got = np.concatenate([np.zeros(0, dtype=np.int64), *runs])
+        assert got.tobytes() == want.tobytes(), (start, stop)
 
     @pytest.mark.parametrize("limit", [2**21 - 1, 2**21, 2**21 + 1, 2**22 + 3, 10**7])
     def test_real_sizes_equal_oracle(self, limit):

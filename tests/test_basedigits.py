@@ -173,15 +173,17 @@ class TestReverseArray:
                 reverse_array(values, 10, 3)
 
 
-# every base up to 36, both sides of the table cap 2^12, and bases so
-# large that a table of g entries would be megabytes
-BLOCK_BASES = [*range(2, 37), 4095, 4096, 4097, 2**20, 10**6]
+# every base up to 36, both sides of the table cap and of its square
+# root, and bases so large that a table of g entries would be megabytes
+CAP = basedigits._TABLE_ENTRIES
+ROOT = math.isqrt(CAP)
+BLOCK_BASES = [*range(2, 37), ROOT - 1, ROOT, ROOT + 1, CAP - 1, CAP, CAP + 1, 2**20, 10**6]
 
 
 def block_digits(g):
-    """The digits reversed per step: the largest k >= 1 with g^k <= 2^12, or 1."""
+    """The digits reversed per step: the largest k >= 1 with g^k <= CAP, or 1."""
     k = 1
-    while g ** (k + 1) <= 2**12:
+    while g ** (k + 1) <= CAP:
         k += 1
     return k
 
@@ -229,6 +231,12 @@ class TestReverseArrayBlocks:
                 ns += [rng.randrange(g**L) for _ in range(8)] + [rng.randrange(2**63) for _ in range(4)]
                 got = reverse_array(np.array(ns, dtype=np.int64), g, L)
                 assert got.tolist() == [window_reverse(n, g, L) for n in ns], (g, L)
+                # entries all below g^L skip the last step's divide; g^L does not
+                inside = [n for n in ns if n <= top]
+                got = reverse_array(np.array(inside, dtype=np.int64), g, L)
+                assert got.tolist() == [window_reverse(n, g, L) for n in inside], (g, L)
+                edge = reverse_array(np.array([top, top + 1], dtype=np.int64), g, L)
+                assert edge.tolist() == [window_reverse(n, g, L) for n in (top, top + 1)]
 
     def test_two_dimensional_input(self):
         # chunks of 1, 7 and 64 entries split the 840 entries across rows,

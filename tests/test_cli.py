@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -157,6 +158,19 @@ class TestCensusCommand:
 
     def test_bad_modulus(self, capsys):
         assert main(["census", "--g", "10", "--L", "2", "--q", "0"]) == 1
+
+    def test_every_window_is_checked_before_any_is_sieved(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a window was sieved")
+
+        monkeypatch.setattr(cli, "census_grid", refuse)
+        out = tmp_path / "census.csv"
+        argv = ["census", "--g", "10", "--L", "3,7", "--q", "3", "--sieve-limit", "100000"]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "census: error: window end 10^7 - 1 beyond sieve limit 100000\n"
+        )
+        assert not out.exists()
 
     def test_tolerance_failure_still_writes_report(self, tmp_path, capsys):
         out = tmp_path / "census.csv"
@@ -340,6 +354,44 @@ class TestCensusCommand:
         assert main([*argv, "--out", str(with_env)]) == 0
         assert with_env.read_bytes() == plain.read_bytes()
         assert not cache.exists() or list(cache.iterdir()) == []
+
+
+# SHA-256 of each census output byte for byte: perfbench's two census
+# commands and README's three examples, pinned as they stood before the
+# census sieved only its windows
+CENSUS_DIGESTS = {
+    "perfbench-g2": (
+        ["census", "--g", "2", "--L", "20,22,24", "--q", "3,5,7",
+         "--sieve-limit", "16777216", "--threads", "1"],
+        "63b2009e11b1c5e0b4a1e6bd5152b1443e06c66bd604a40bac2e1921924d926e",
+    ),
+    "perfbench-g10": (
+        ["census", "--g", "10", "--L", "6,7", "--q", "3,7,9,11,13,37,41",
+         "--sieve-limit", "10000000", "--threads", "1"],
+        "d54256a6a7f562f7729e6b71da4fe36509d92f822d4b20d702e14f21c136dd84",
+    ),
+    "readme-csv": (
+        ["census", "--g", "10", "--L", "4,5", "--q", "1,3,9", "--format", "csv"],
+        "8ec73041df4a4dbe97cf79ff0301414c91f98034cedce50824837600b03a3d37",
+    ),
+    "readme-json": (
+        ["census", "--g", "2", "--L", "16", "--q", "7", "--a", "5", "--format", "json"],
+        "13cba2fd6a9ab59727a6d0e8cd669eac9b94d9e3ffdc8dba9d0d2761246b7e49",
+    ),
+    "readme-table": (
+        ["census", "--g", "10", "--L", "4,5", "--q", "1,3,7,9", "--format", "table"],
+        "6e1ce63dc97a2d91084516b8b26a9833c708e2279c7c23b6255db639505541b6",
+    ),
+}
+
+
+class TestCensusBytes:
+    @pytest.mark.parametrize("name", CENSUS_DIGESTS)
+    def test_output_digest(self, tmp_path, name):
+        argv, digest = CENSUS_DIGESTS[name]
+        out = tmp_path / "census.out"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestVerifyCommand:
@@ -647,6 +699,7 @@ UNWRITABLE_COMMANDS = [
 
 
 # what each command runs once its --out is accepted; one name per command
+# (census_grid sieves the census windows itself)
 WORK = {"census": "census_grid", "verify": "run_suite", "calibrate": "calibrate"}
 
 
@@ -659,7 +712,7 @@ class TestUnwritableOut:
         def refuse(*args, **kwargs):
             raise AssertionError("the run started")
 
-        for name in ("build_table", *WORK.values()):
+        for name in WORK.values():
             monkeypatch.setattr(cli, name, refuse)
 
     @pytest.mark.parametrize("argv", UNWRITABLE_COMMANDS, ids=lambda a: a[0])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from revprime import basedigits
+from revprime import arith, basedigits
 from revprime.arith import build_table
 from revprime.revcount import (
     _GROUP_CAP,
@@ -100,8 +100,8 @@ class TestRho:
 
 
 class TestCensus:
-    def test_two_digit_decimal_window(self, table):
-        rec = census_grid(10, 2, [(0, 1)], table)[0]
+    def test_two_digit_decimal_window(self):
+        rec = census_grid(10, 2, [(0, 1)], LIMIT)[0]
         assert rec.observed == 21
         assert rec.main_term == pytest.approx(
             float(Fraction(9, 10)) * 100 / (2 * math.log(10))
@@ -109,15 +109,15 @@ class TestCensus:
         assert rec.modulus_sharp == 1
         assert rec.sharp_observed == 21
 
-    def test_grid_matches_single_cells(self, table):
+    def test_grid_matches_single_cells(self):
         pairs = [(0, 1), (1, 3), (2, 3), (1, 5), (7, 12)]
-        grid = census_grid(2, 8, pairs, table)
+        grid = census_grid(2, 8, pairs, LIMIT)
         for (a, q), rec in zip(pairs, grid):
-            assert rec == census_grid(2, 8, [(a, q)], table)[0]
+            assert rec == census_grid(2, 8, [(a, q)], LIMIT)[0]
 
     def test_class_counts_partition_window(self, table):
         for g, L, q in ((10, 4, 7), (2, 10, 5)):
-            recs = census_grid(g, L, [(a, q) for a in range(q)], table)
+            recs = census_grid(g, L, [(a, q) for a in range(q)], LIMIT)
             total = sum(r.observed for r in recs)
             window = table.prime_count(g**L - 1) - table.prime_count(
                 g ** (L - 1) - 1
@@ -132,7 +132,7 @@ class TestCensus:
             ]
             for a, q in ((1, 7), (0, 2), (3, 4), (5, 9)):
                 want = sum(window_reverse(p, g, L) % q == a % q for p in primes)
-                assert census_grid(g, L, [(a, q)], table)[0].observed == want
+                assert census_grid(g, L, [(a, q)], LIMIT)[0].observed == want
 
     @pytest.mark.parametrize("big", [2**63 - 1, 2**63, 2**64])
     def test_moduli_beyond_int64_against_window_reverse(self, table, big):
@@ -142,7 +142,7 @@ class TestCensus:
             revs = [window_reverse(int(p), g, L) for p in table.primes if lo <= p < hi]
             for moduli in ([big], [3, big, 7]):
                 pairs = [(a, q) for q in moduli for a in (0, 1, revs[0], big - 1, big + revs[-1])]
-                for (a, q), rec in zip(pairs, census_grid(g, L, pairs, table)):
+                for (a, q), rec in zip(pairs, census_grid(g, L, pairs, LIMIT)):
                     m = rec.modulus_sharp
                     assert rec.observed == sum(r % q == a % q for r in revs), (g, a, q)
                     assert rec.sharp_observed == sum(r % m == a % m for r in revs), (g, a, q)
@@ -154,16 +154,16 @@ class TestCensus:
         primes = [int(p) for p in table.primes if lo <= p < hi]
         for a in (1, 2):
             direct = sum(p % 3 == a for p in primes)
-            assert census_grid(10, 5, [(a, 3)], table)[0].observed == direct
+            assert census_grid(10, 5, [(a, 3)], LIMIT)[0].observed == direct
 
-    def test_zero_density_cells_stay_exceptional(self, table):
+    def test_zero_density_cells_stay_exceptional(self):
         # windows 1 and 2 hold the strays 3 and 11; window 5 holds none
         for q in (3, 9, 10, 11, 12, 33):
             for L in (1, 2, 5):
                 for a in range(q):
                     if rho(10, a, q) != 0:
                         continue
-                    rec = census_grid(10, L, [(a, q)], table)[0]
+                    rec = census_grid(10, L, [(a, q)], LIMIT)[0]
                     assert math.isnan(rec.relative_dev)
                     assert rec.observed == oracle_strays(10, L, a, q), (L, a, q)
 
@@ -171,20 +171,19 @@ class TestCensus:
         # the window [g^(L-1), g^L) ends at g^L - 1
         for g, L, q in ((10, 2, 3), (2, 4, 3), (3, 5, 7)):
             pairs = [(a, q) for a in range(q)]
-            counts = lambda pt: [
-                (r.observed, r.sharp_observed) for r in census_grid(g, L, pairs, pt)
+            counts = lambda limit: [
+                (r.observed, r.sharp_observed) for r in census_grid(g, L, pairs, limit)
             ]
-            assert counts(build_table(g**L - 1)) == counts(build_table(g**L))
+            assert counts(g**L - 1) == counts(g**L)
             with pytest.raises(ValueError):
-                census_grid(g, L, pairs, build_table(g**L - 2))
+                census_grid(g, L, pairs, g**L - 2)
 
     def test_modulus_above_the_cap_allocates_no_histogram(self):
         # a bincount of the reverses would take 2^20 int64 bins (8 MiB)
-        pt = build_table(2**20)
-        census_grid(2, 20, [(5, 2**40)], pt)
+        census_grid(2, 20, [(5, 2**40)], 2**20)
         tracemalloc.start()
         try:
-            (rec,) = census_grid(2, 20, [(5, 2**40)], pt)
+            (rec,) = census_grid(2, 20, [(5, 2**40)], 2**20)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -197,34 +196,35 @@ class TestCensus:
         [(2, 24, 2**24, (3, 5, 7)), (10, 7, 10**7, (3, 7, 9, 11, 13, 37, 41))],
     )
     def test_allocation_peak_of_a_window(self, g, L, limit, moduli):
-        # the window is walked in chunks: 513,708 primes at (2, 24) and
-        # 586,081 at (10, 7) would take 4.1 and 4.7 MB per int64 buffer
-        pt = build_table(limit)
+        # the window is sieved and walked in runs and chunks: 513,708
+        # primes at (2, 24) and 586,081 at (10, 7) would take 4.1 and 4.7 MB
+        # per int64 buffer; the peak holds one 1 MiB segment of flags, two
+        # quarter-segment runs of primes and the chunk workspace
         pairs = [(a, q) for q in moduli for a in range(q)]
-        census_grid(g, L, pairs, pt)
+        census_grid(g, L, pairs, limit)
         tracemalloc.start()
         try:
-            census_grid(g, L, pairs, pt)
+            census_grid(g, L, pairs, limit)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20, peak
 
-    def test_single_cell_accuracy(self, table):
-        rec = census_grid(10, 5, [(0, 1)], table)[0]
+    def test_single_cell_accuracy(self):
+        rec = census_grid(10, 5, [(0, 1)], LIMIT)[0]
         assert abs(rec.relative_dev) < 0.15
 
     def test_sharp_modulus_stabilises_in_length(self):
         for q in range(1, 101):
             assert math.gcd(q, 2**10 * 3) == math.gcd(q, 2**11 * 3), q
 
-    def test_validation(self, table):
+    def test_validation(self):
         with pytest.raises(ValueError):
-            census_grid(10, 0, [(0, 1)], table)
+            census_grid(10, 0, [(0, 1)], LIMIT)
         with pytest.raises(ValueError):
-            census_grid(10, 6, [(0, 1)], table)
+            census_grid(10, 6, [(0, 1)], LIMIT)
         with pytest.raises(ValueError):
-            census_grid(10, 2, [(0, 0)], table)
+            census_grid(10, 2, [(0, 0)], LIMIT)
 
 
 class TestCensusSharp:
@@ -232,7 +232,7 @@ class TestCensusSharp:
 
     def test_full_window_matches_census_field(self, table):
         for a, q in ((0, 9), (4, 9), (1, 11), (2, 4)):
-            rec = census_grid(10, 4, [(a, q)], table)[0]
+            rec = census_grid(10, 4, [(a, q)], LIMIT)[0]
             # the sharp prime count up to x = g^L covers [1, g^L), and
             # primes below the window have window-relative reverses
             # divisible by g, so take the window as a difference
@@ -509,10 +509,39 @@ class TestCensusChunks:
         g, L = window
         pairs = [(a + k * q, q) for a, k, q in cells]
         revs = [window_reverse(p, g, L) for p in primes_upto(g**L - 1) if p >= g ** (L - 1)]
-        table = build_table(g**L)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(basedigits, "_CHUNK", chunk)
-            records = census_grid(g, L, pairs, table)
+            records = census_grid(g, L, pairs, g**L)
+        for (a, q), rec in zip(pairs, records):
+            m = rec.modulus_sharp
+            assert rec.observed == sum(r % q == a % q for r in revs), (a, q)
+            assert rec.sharp_observed == sum(r % m == a % m for r in revs), (a, m)
+
+
+class TestCensusSegments:
+    """census_grid sieves only its window, a segment of flags at a time;
+    any segment size gives the counts of a string-reversal recount."""
+
+    @pytest.mark.parametrize("segment", [1, 7, 64, 1000])
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(2, 12).flatmap(
+            lambda g: st.tuples(st.just(g), st.integers(1, ilog_floor(5_000, g)))
+        ),
+        st.lists(st.tuples(st.integers(0, 80), CHUNK_MODULI), min_size=1, max_size=6),
+    )
+    # [2, 4) holds the even prime; [3, 9) starts on a wheel prime; [2^12,
+    # 2^13) ends mid-segment at 7, 64 and 1000 flags
+    @example((2, 2), [(1, 2), (3, 4)])
+    @example((3, 2), [(0, 1), (2, 3)])
+    @example((2, 13), [(1, 7), (5, 2**40)])
+    def test_equals_string_reversal_recount(self, segment, window, pairs):
+        g, L = window
+        window_primes = [p for p in primes_upto(g**L - 1) if p >= g ** (L - 1)]
+        revs = [int(np.base_repr(p, g)[::-1], g) for p in window_primes]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(arith, "_SEGMENT", segment)
+            records = census_grid(g, L, pairs, g**L)
         for (a, q), rec in zip(pairs, records):
             m = rec.modulus_sharp
             assert rec.observed == sum(r % q == a % q for r in revs), (a, q)
@@ -544,7 +573,7 @@ class TestLayerAgainstScalarRecount:
     def test_census_grid(self, window, pairs):
         g, L, limit = window
         revs = [window_reverse(p, g, L) for p in primes_upto(g**L - 1) if p >= g ** (L - 1)]
-        for (a, q), rec in zip(pairs, census_grid(g, L, pairs, build_table(limit))):
+        for (a, q), rec in zip(pairs, census_grid(g, L, pairs, limit)):
             m = math.gcd(q, g**L * (g * g - 1))
             assert rec.modulus_sharp == m
             assert rec.observed == sum(r % q == a % q for r in revs)
@@ -637,7 +666,7 @@ class TestTotient:
 
 class TestRecord:
     def test_fields_round_trip(self, table):
-        rec = census_grid(10, 3, [(1, 7)], table)[0]
+        rec = census_grid(10, 3, [(1, 7)], LIMIT)[0]
         assert isinstance(rec, CensusRecord)
         assert rec.g == 10 and rec.L == 3
         assert rec.modulus_sharp == math.gcd(7, 10**3 * 99)
