@@ -14,11 +14,11 @@ The per-n reference for each of these arrays (trial-division Lambda, mu
 and divisors, and Vaughan's split one divisor at a time) lives in
 tests/oracles.py.
 
-No command calls vaughan_terms, mangoldt_tail, mobius_mangoldt_window
-or the per-n PrimeTable queries they read.  They stay only because
-perfbench's traced run wraps verify.vaughan_terms, verify.mangoldt_tail
-and verify.mobius_mangoldt_window by name; they leave with those
-entries of its PLAN.
+vaughan_terms, mangoldt_tail and mobius_mangoldt_window are views: each
+returns entry n of vaughan_arrays(pt, z, n).  No command calls them.
+They stay only because perfbench's traced run wraps verify.vaughan_terms,
+verify.mangoldt_tail and verify.mobius_mangoldt_window by name; they
+leave with those entries of its PLAN.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import numpy as np
 __all__ = [
     "SieveBudgetError",
     "PrimeTable",
-    "VaughanTerms",
     "VaughanArrays",
     "build_table",
     "check_sieve_limit",
@@ -138,8 +137,9 @@ class PrimeTable:
     exactly when n is prime); indices 0 and 1 hold 0.  It is built on
     first use, so a caller that only reads primes never pays for it.
     mobius_values, mangoldt_array and vaughan_arrays read it whole, and
-    tests/oracles.py holds the per-n reference for each.  The per-n
-    queries below chase it in O(log n) for vaughan_terms alone.
+    tests/oracles.py holds the per-n reference for each.  The table has no
+    per-n queries: the three per-n names perfbench's PLAN wraps are views
+    of vaughan_arrays.
     """
 
     def __init__(self, limit: int, primes: np.ndarray):
@@ -167,55 +167,6 @@ class PrimeTable:
             spf[p * p :: 2 * p] = p
         spf[4::2] = 2
         return spf
-
-    def _check(self, n: int) -> int:
-        if not 1 <= n <= self.limit:
-            raise ValueError(f"query {n} outside table range [1, {self.limit}]")
-        return n
-
-    def factorize(self, n: int) -> tuple[tuple[int, int], ...]:
-        """Prime factorization ((p, exponent), ...), p ascending; divisors walks it."""
-        self._check(n)
-        out: list[tuple[int, int]] = []
-        spf = self.smallest_prime_factor
-        while n > 1:
-            p = int(spf[n])
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        return tuple(out)
-
-    def mangoldt(self, n: int) -> float:
-        """log p when n is a power of the prime p, else 0: vaughan_terms' Lambda."""
-        self._check(n)
-        if n == 1:
-            return 0.0
-        p = int(self.smallest_prime_factor[n])
-        while n % p == 0:
-            n //= p
-        return math.log(p) if n == 1 else 0.0
-
-    def mobius(self, n: int) -> int:
-        """mu(n): the Moebius function of vaughan_terms."""
-        self._check(n)
-        sign = 1
-        spf = self.smallest_prime_factor
-        while n > 1:
-            p = int(spf[n])
-            n //= p
-            if n % p == 0:
-                return 0
-            sign = -sign
-        return sign
-
-    def divisors(self, n: int) -> tuple[int, ...]:
-        """All positive divisors of n, ascending: the divisor walk of vaughan_terms."""
-        out = [1]
-        for p, e in self.factorize(n):
-            out = [d * p**k for d in out for k in range(e + 1)]
-        return tuple(sorted(out))
 
     def prime_count(self, x: float) -> int:
         """Number of primes <= x."""
@@ -266,82 +217,6 @@ def build_table(limit: int) -> PrimeTable:
         primes[at : at + run.size] = run
         at += run.size
     return PrimeTable(limit, primes[:at])
-
-
-@dataclass(frozen=True)
-class VaughanTerms:
-    """The four pieces of Lambda(n) relative to a threshold z.
-
-    a1 sums mu(d) log(n/d) over divisors d <= z; a2 pairs mu against the
-    above-threshold von Mangoldt tail; a3 subtracts the doubly truncated
-    mu*Lambda convolution over divisors up to z^2; a4 keeps Lambda(n)
-    itself when n <= z.  They always add back to Lambda(n).
-    """
-
-    n: int
-    z: float
-    a1: float
-    a2: float
-    a3: float
-    a4: float
-
-    @property
-    def total(self) -> float:
-        return self.a1 + self.a2 + self.a3 + self.a4
-
-
-def mangoldt_tail(n: int, z: float, pt: PrimeTable) -> float:
-    """Sum of Lambda(d) over divisors d of n with d > z.
-
-    Nonzero only when n has a prime-power divisor above z, so in
-    particular only for n > z; always between 0 and log n.
-    """
-    total = 0.0
-    for d in pt.divisors(n):
-        if d > z:
-            total += pt.mangoldt(d)
-    return total
-
-
-def mobius_mangoldt_window(n: int, z: float, pt: PrimeTable) -> float:
-    """Sum of mu(d) Lambda(m) over factorizations d*m = n with d, m <= z.
-
-    Supported on n <= z^2; magnitude at most log n.
-    """
-    total = 0.0
-    for d in pt.divisors(n):
-        m = n // d
-        if d <= z and m <= z:
-            total += pt.mobius(d) * pt.mangoldt(m)
-    return total
-
-
-def vaughan_terms(n: int, z: float, pt: PrimeTable) -> VaughanTerms:
-    """Split Lambda(n) into the four threshold-z pieces.
-
-    The split is exact: a1 + a2 + a3 + a4 recovers Lambda(n) up to float
-    rounding for every n and every z > 0.
-    """
-    if n < 1:
-        raise ValueError("vaughan_terms requires n >= 1")
-    if n > pt.limit:
-        raise ValueError(f"n = {n} beyond table limit {pt.limit}")
-    if not z > 0:
-        raise ValueError("threshold z must be positive")
-    divisors = pt.divisors(n)
-    a1 = 0.0
-    a2 = 0.0
-    a3 = 0.0
-    for d in divisors:
-        m = n // d
-        if d <= z:
-            a1 += pt.mobius(d) * math.log(m)
-        elif m > z:
-            a2 += pt.mobius(d) * mangoldt_tail(m, z, pt)
-        if d <= z * z:
-            a3 -= mobius_mangoldt_window(d, z, pt)
-    a4 = pt.mangoldt(n) if n <= z else 0.0
-    return VaughanTerms(n, z, a1, a2, a3, a4)
 
 
 def mobius_values(pt: PrimeTable, n: np.ndarray) -> np.ndarray:
@@ -472,3 +347,19 @@ def vaughan_arrays(pt: PrimeTable, z: float, top: int) -> VaughanArrays:
     a4 = np.zeros(top + 1, dtype=np.float64)
     a4[: zf + 1] = mangoldt[: zf + 1]
     return VaughanArrays(z, log, mobius, mangoldt, tail, window, a1, a2, a3, a4)
+
+
+def vaughan_terms(n: int, z: float, pt: PrimeTable) -> tuple[float, float, float, float]:
+    """(a1, a2, a3, a4) of n at threshold z: entry n of vaughan_arrays(pt, z, n)."""
+    va = vaughan_arrays(pt, z, n)
+    return float(va.a1[n]), float(va.a2[n]), float(va.a3[n]), float(va.a4[n])
+
+
+def mangoldt_tail(n: int, z: float, pt: PrimeTable) -> float:
+    """Sum of Lambda(d) over the divisors d > z of n: entry n of vaughan_arrays."""
+    return float(vaughan_arrays(pt, z, n).mangoldt_tail[n])
+
+
+def mobius_mangoldt_window(n: int, z: float, pt: PrimeTable) -> float:
+    """Sum of mu(d) Lambda(n/d) over d | n with d, n/d <= z: entry n of vaughan_arrays."""
+    return float(vaughan_arrays(pt, z, n).mobius_mangoldt_window[n])

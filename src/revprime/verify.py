@@ -25,9 +25,10 @@ from typing import Any, Callable, NamedTuple, Optional
 import numpy as np
 
 from .arith import build_table, vaughan_arrays
-# the per-n Vaughan pieces are not called here or by any command; they
-# stay importable as verify.<name> only because perfbench's PLAN times
-# them through these names, and they go when those entries do
+# the per-n Vaughan views of vaughan_arrays are not called here or by
+# any command; they stay importable as verify.<name> only because
+# perfbench's PLAN times them through these names, and they go when
+# those entries do
 from .arith import mangoldt_tail, mobius_mangoldt_window, vaughan_terms  # noqa: F401
 from .basedigits import ilog
 from .config import RunConfig, UsageError, make_rng
@@ -365,6 +366,8 @@ def _vaughan(cfg: RunConfig, opts: SuiteOptions, rng, cell: tuple) -> list[Bound
         float(np.max(va.mangoldt_tail[2:] / log, initial=0.0)),
         float(np.max(np.abs(va.mobius_mangoldt_window[2:]) / log, initial=0.0)),
     )
+    # the four pieces add back to Lambda(n) exactly, so worst is float
+    # cancellation alone, 7.1e-15 at the default limit; 1e-9 bounds that
     return [
         make_report(worst, 1e-9, {"z": z, "limit": limit, "worst_n": worst_n}),
         make_report(cap_ratio, 1.0, {"z": z, "limit": limit, "form": "coefficient-cap"}),
@@ -379,6 +382,11 @@ def _monotonicity(cfg: RunConfig, opts: SuiteOptions, rng, g: int) -> list[Bound
         tag = {"g": g, "family": name}
         for lam in range(1, lam_max + 1):
             for j in (0, 3):
+                # holds in floats with no slack: both are Python sums of
+                # the same nonnegative gammas in the same order, full's
+                # starting from gamma_j >= 0 and short's from 0, and
+                # rounding is monotone, so each partial sum of full stays
+                # >= short's
                 full = sigma(seed, lam, j)
                 short = sigma(seed, lam - 1, j + 1)
                 out.append(
@@ -394,12 +402,18 @@ def _monotonicity(cfg: RunConfig, opts: SuiteOptions, rng, g: int) -> list[Bound
         coeff = 2 * math.log(2) / math.log(g) * (0.5 - eta_tilde(g))
         for lam, j in ((8, 0), (12, 2)):
             vals = [coeff * mu + sigma(seed, lam - mu, j + mu) for mu in range(lam + 1)]
+            # each step rises by coeff - gamma > 0 exactly, so worst is a
+            # drop made by rounding alone; 1e-12 bounds the rounding of
+            # these sums (values below 10, at most 13 terms)
             worst = max(max(a - b for a, b in zip(vals, vals[1:])), 0.0)
             out.append(
                 make_report(worst, 1e-12, dict(tag, lam=lam, j=j, form="scale-tradeoff"))
             )
         for j in (0, 2):
             vals = [cap * lam - sigma(seed, lam, j) for lam in range(lam_max + 1)]
+            # each step rises by cap - gamma > 0 exactly (cap is a strict
+            # bound on gamma), so worst is rounding alone; 1e-12 bounds
+            # the rounding of cap * lam and of a sum of lam terms below 1
             worst = max(max(a - b for a, b in zip(vals, vals[1:])), 0.0)
             out.append(
                 make_report(worst, 1e-12, dict(tag, j=j, form="linear-slack"))

@@ -1,7 +1,8 @@
 """Fingerprint of the floating-point kernels the byte pins rest on.
 
-Every byte pin (REPORT_DIGESTS, the verify report hash, the calibration
-file, perfbench's reference digests) holds only while numpy's and libm's
+Every byte pin (REPORT_DIGESTS, the default verify report's
+DEFAULT_DIGESTS and whole-file hash, the calibration file, perfbench's
+reference digests) holds only while numpy's and libm's
 kernels round as they did when the pins were taken.  Each test below
 hashes one kernel's raw output on fixed arguments of the kind the pinned
 suites evaluate, so a broken pin can be traced to the kernel that moved.

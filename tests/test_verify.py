@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from revprime import expsum, primesum
+from revprime import cli, expsum, primesum
 from revprime.cli import _format_reports
 from revprime.config import RunConfig, make_rng
 from revprime.basedigits import ilog
@@ -278,6 +278,76 @@ class TestReportBytes:
         assert got == REPORT_DIGESTS
 
 
+# The 13-suite report at every default, one thread, as `revprime verify
+# SUITE...` writes it.  Per suite: the report count and the SHA-256 of
+# its report lines joined by newlines (header left out, as in
+# REPORT_DIGESTS), so a break names the suite.  SMALL reaches no default
+# grid, so only these pins hold the default bytes of the eight suites
+# that are not calibrated.
+DEFAULT_DIGESTS = {
+    "product-formula": (416, "7520e1b67b900f3e4c67f9dfae47ec33480a13cbc1a9686729d66801faa90270"),
+    "linf": (1440, "f3ce4ccf5288d786e70fc3991c93ab413121f7358247e5844805c9eccbdd9186"),
+    "l1-moment": (1380, "cd927a61b5f9c8aaf1d54150b9711147fdee761cef426d6f9f3f14eb682cdec9"),
+    "psi": (320, "e511c24db7067b1d6abe971d3edeea08216810d8e4981d6c017f2bd4d885ebe4"),
+    "vdc": (1000, "5c5f700d26454d5d024e15dab36b33039c97745dceba6fcfa1ca7006c17d4bd8"),
+    "sin-sum": (1000, "2f547114449f62742f848c2627c20234745358bcf7395769e673e075c5c274f5"),
+    "truncation": (280, "ab56d07e14958e22306aefdbe602f6c1f3807439f68411771f97ba1cf0e9ec39"),
+    "vaughan": (8, "b4e0860d322accdc02b5f7a5fb21684505a1bf08cf9b2fe2b76c62b2c8610f3a"),
+    "monotonicity": (660, "bc2dacd37f8b420cf84d0c85aa5b38dbd1cd3d7759c0fb4fbf2a84e88faba83a"),
+    "type-i": (18, "3aa28531b0e227a91526bd7c8597dbe04a689db6b39a970d0caaccb1943c855c"),
+    "type-ii": (8, "0c6948554a5416eca41c9002bc2a5d2f3c4f078676e1511ae53d34b082a0e9f5"),
+    "prime-exp-sum": (9, "384d2f08ab195ea18b88e10064f84870c6390223615cf3eb7f7642d43906eaba"),
+    "hybrid": (10, "907206193b5fdf6cd1f0e325b475f30e7e90fdabaa312f47c00c9189c0d2e9fe"),
+}
+# every header but its suite, its report count and the package version
+DEFAULT_HEADER = {
+    "config_hash": "c7f32585766f14d4",
+    "options": {"cases": None, "g": None, "lambda_max": None, "limit": None, "seed_family": None},
+    "rng_seed": 20260818,
+}
+# the whole file, 6562 lines: the digest README and CHANGES.md cite.
+# The headers carry the package version, so a version bump moves it.
+DEFAULT_FILE_DIGEST = "22b037fa4c9ccbf1cf39380b6f769c7b561a7cafb34c96be7ffb8a96b594c57a"
+
+
+@pytest.fixture(scope="module")
+def default_run(tmp_path_factory):
+    """(text, {suite: (header, report lines)}) of one default 13-suite verify."""
+    out = tmp_path_factory.mktemp("verify") / "default.jsonl"
+    assert cli.main(["verify", *SUITES, "--threads", "1", "--out", str(out)]) == 0
+    text = out.read_text()
+    lines, chunks = text.splitlines(), {}
+    while lines:
+        header = json.loads(lines[0])
+        end = 1 + header["reports"]
+        chunks[header["suite"]] = (header, lines[1:end])
+        lines = lines[end:]
+    return text, chunks
+
+
+class TestDefaultReportBytes:
+    def test_headers_are_pinned(self, default_run):
+        _, chunks = default_run
+        assert list(chunks) == list(SUITES)
+        for name, (header, _) in chunks.items():
+            rest = dict(header)
+            assert rest.pop("version")
+            assert rest == {**DEFAULT_HEADER, "suite": name, "reports": DEFAULT_DIGESTS[name][0]}
+
+    def test_report_lines_are_pinned(self, default_run):
+        _, chunks = default_run
+        got = {
+            name: (len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest())
+            for name, (_, lines) in chunks.items()
+        }
+        assert got == DEFAULT_DIGESTS
+
+    def test_file_is_pinned(self, default_run):
+        text, _ = default_run
+        assert text.count("\n") == 6562
+        assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_FILE_DIGEST
+
+
 # (elements, calls) of expsum._cis per suite under SMALL at the default
 # seed: every e(.) the package forms goes through it (primesum imports
 # the name).  Unlike seconds these counts do not drift with the host.  A
@@ -321,20 +391,26 @@ class TestCisCost:
 
 
 class TestReportSlack:
-    def test_only_the_known_reports_pass_through_the_slack(self):
+    def test_only_the_known_reports_pass_through_the_slack(self, default_run):
         # make_report passes lhs <= rhs (1 + 1e-9); these five are one ulp
-        # over an equality, and a sixth such report must show up here
+        # over an equality, and a sixth such report in any suite of the
+        # default run must show up here
+        _, chunks = default_run
         slack = [
-            (name, r.params)
-            for name in ("vdc", "vaughan")
-            for r in run_suite(name, RunConfig(), SuiteOptions())
-            if r.lhs > r.rhs and r.passed
+            (name, r["params"])
+            for name, (_, lines) in chunks.items()
+            for r in map(json.loads, lines)
+            if r["lhs"] > r["rhs"] and r["pass"]
         ]
         caps = [
             ("vaughan", {"z": z, "limit": 10000, "form": "coefficient-cap"})
             for z in (2.0, 5.0, 10.0, 50.0)
         ]
-        assert sorted(slack, key=repr) == sorted([("vdc", {"N": 1, "R": 10}), *caps], key=repr)
+        # params read back from the file have sorted keys: sort on sorted keys
+        def order(item):
+            return json.dumps(item, sort_keys=True)
+
+        assert sorted(slack, key=order) == sorted([("vdc", {"N": 1, "R": 10}), *caps], key=order)
 
 
 class TestCalibrate:
