@@ -5,11 +5,11 @@ cache-sized segment of flags at a time from a wheel pattern that already
 strikes the multiples of 3, 5, 7, 11 and 13, and yields runs of primes:
 build_table copies those of [2, limit] into the one sorted array a
 PrimeTable keeps, and the census streams those of its windows.  No
-bitmap of limit/2 flags is ever held.  A smallest-prime-factor table,
-which mobius_values chases, is built from a table's primes the first
-time a caller factors.  vaughan_arrays splits Lambda(n) into the
-classical four pieces controlled by a threshold z
-(Vaughan's identity) for every n up to a bound in one sieve-order pass.
+bitmap of limit/2 flags is ever held.  mobius_values sieves mu over the
+range it is asked for with a table's primes up to its square root.
+vaughan_arrays splits Lambda(n) into the classical four pieces
+controlled by a threshold z (Vaughan's identity) for every n up to a
+bound in one sieve-order pass.
 The per-n reference for each of these arrays (trial-division Lambda, mu
 and divisors, and Vaughan's split one divisor at a time) lives in
 tests/oracles.py.
@@ -24,7 +24,6 @@ leave with those entries of its PLAN.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,9 +45,9 @@ __all__ = [
 ]
 
 # The largest sieve limit.  A table holds 8 bytes per prime (~30 MiB at
-# 2^26), and a caller that factors adds 4 * limit bytes of uint32 least
-# prime factors (256 MiB).  The census builds no table: its windows end
-# at or below the limit, and it holds one segment whatever the limit.
+# 2^26) and nothing else; mobius_values holds 9 bytes per integer of the
+# range it sieves.  The census builds no table: its windows end at or
+# below the limit, and it holds one segment whatever the limit.
 DEFAULT_MAX_LIMIT = 1 << 26
 
 # the odd primes whose multiples the wheel pattern already strikes
@@ -129,44 +128,20 @@ def _fill_wheel(flags: np.ndarray, wheel: np.ndarray, phase: int) -> None:
         done += step
 
 
+@dataclass(frozen=True, eq=False)
 class PrimeTable:
     """Immutable prime table over [2, limit]; build_table sieves one.
 
-    primes holds every prime <= limit in ascending order.
-    smallest_prime_factor[n] is the least prime dividing n (and equals n
-    exactly when n is prime); indices 0 and 1 hold 0.  It is built on
-    first use, so a caller that only reads primes never pays for it.
-    mobius_values, mangoldt_array and vaughan_arrays read it whole, and
-    tests/oracles.py holds the per-n reference for each.  The table has no
-    per-n queries: the three per-n names perfbench's PLAN wraps are views
-    of vaughan_arrays.
+    primes holds every prime <= limit in ascending order, and that is all
+    the table keeps: mobius_values sieves mu from those primes over the
+    range asked for, mangoldt_array marks their powers and vaughan_arrays
+    reads both.  tests/oracles.py holds the per-n reference for each.  The
+    table has no per-n queries: the three per-n names perfbench's PLAN
+    wraps are views of vaughan_arrays.
     """
 
-    def __init__(self, limit: int, primes: np.ndarray):
-        self.limit = limit
-        self.primes = primes
-        self._spf: np.ndarray | None = None
-        self._spf_lock = threading.Lock()
-
-    @property
-    def smallest_prime_factor(self) -> np.ndarray:
-        """uint32 least prime factor of every index in [0, limit]; 0 and 1 get 0."""
-        if self._spf is None:
-            with self._spf_lock:
-                if self._spf is None:
-                    self._spf = self._factor_table()
-        return self._spf
-
-    def _factor_table(self) -> np.ndarray:
-        # every odd composite n with least prime p is in p*p + 2p*k, and
-        # the primes write from the largest down, so p is the last write
-        spf = np.zeros(self.limit + 1, dtype=np.uint32)
-        spf[self.primes] = self.primes
-        small = self.primes[1 : self.prime_count(math.isqrt(self.limit))]
-        for p in small[::-1].tolist():
-            spf[p * p :: 2 * p] = p
-        spf[4::2] = 2
-        return spf
+    limit: int
+    primes: np.ndarray
 
     def prime_count(self, x: float) -> int:
         """Number of primes <= x."""
@@ -222,27 +197,29 @@ def build_table(limit: int) -> PrimeTable:
 def mobius_values(pt: PrimeTable, n: np.ndarray) -> np.ndarray:
     """mu(v) for every entry v of the 1-d integer array n, as int8.
 
-    One vectorized chase of the smallest-prime-factor table: each round
-    divides every live entry by its smallest prime factor, zeroes the
-    entries that factor divides twice and flips the sign of the rest.
-    Entries must lie in [1, limit].
+    A Moebius sieve over [lo, hi], the least and largest entry: each
+    prime p <= sqrt(hi) flips the sign at its multiples, zeroes the
+    multiples of p^2 and multiplies p into each multiple's product of
+    small prime factors.  A squarefree v whose product falls short of v
+    has exactly one prime factor above sqrt(hi), so its sign flips once
+    more.  The product divides v, so it never exceeds the limit.  The
+    sieve holds 9 bytes per integer of [lo, hi], and the last comparison
+    8 more.  Entries must lie in [1, limit].
     """
     n = np.asarray(n, dtype=np.int64)
-    if n.size and (n.min() < 1 or n.max() > pt.limit):
+    if not n.size:
+        return np.ones(n.shape, dtype=np.int8)
+    lo, hi = int(n.min()), int(n.max())
+    if lo < 1 or hi > pt.limit:
         raise ValueError(f"mobius query outside table range [1, {pt.limit}]")
-    mu = np.ones(n.shape, dtype=np.int8)
-    idx = np.flatnonzero(n > 1)
-    rest = n[idx]
-    spf = pt.smallest_prime_factor
-    while idx.size:
-        p = spf[rest].astype(np.int64)
-        rest = rest // p
-        square = rest % p == 0
-        mu[idx[square]] = 0
-        mu[idx[~square]] *= -1
-        keep = ~square & (rest > 1)
-        idx, rest = idx[keep], rest[keep]
-    return mu
+    mu = np.ones(hi - lo + 1, dtype=np.int8)
+    small = np.ones(hi - lo + 1, dtype=np.int64)
+    for p in pt.primes[: pt.prime_count(math.isqrt(hi))].tolist():
+        mu[-lo % p :: p] *= -1
+        small[-lo % p :: p] *= p
+        mu[-lo % (p * p) :: p * p] = 0
+    mu[small < np.arange(lo, hi + 1)] *= -1
+    return mu[n - lo]
 
 
 def _log_table(top: int) -> np.ndarray:

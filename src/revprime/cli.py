@@ -200,23 +200,17 @@ CENSUS_FORMATS = {
 }
 
 
-def cmd_census(args) -> int:
-    try:
-        _check_out(args.out)
-        cfg = _load_run_config(args)
-        for q in args.q:
-            if q < 1:
-                raise UsageError("moduli must be positive")
-        cells = len(args.L) * sum(q if args.a is None else len(args.a) for q in args.q)
-        if cells > MAX_CENSUS_CELLS:
-            raise UsageError(
-                f"{cells} census cells requested; at most {MAX_CENSUS_CELLS} fit one run"
-            )
-        rows = _census_rows(cfg, args)
-        _emit(CENSUS_FORMATS[args.format](cfg, rows), args.out)
-    except (UsageError, ValueError, OSError) as exc:
-        sys.stderr.write(f"census: error: {exc}\n")
-        return 1
+def cmd_census(args, cfg: RunConfig) -> int:
+    for q in args.q:
+        if q < 1:
+            raise UsageError("moduli must be positive")
+    cells = len(args.L) * sum(q if args.a is None else len(args.a) for q in args.q)
+    if cells > MAX_CENSUS_CELLS:
+        raise UsageError(
+            f"{cells} census cells requested; at most {MAX_CENSUS_CELLS} fit one run"
+        )
+    rows = _census_rows(cfg, args)
+    _emit(CENSUS_FORMATS[args.format](cfg, rows), args.out)
     failures = _census_failures(cfg, rows)
     if failures:
         for rec in failures:
@@ -250,19 +244,11 @@ def _suite_options(args) -> SuiteOptions:
     return SuiteOptions(**{f.name: getattr(args, f.name) for f in fields(SuiteOptions)})
 
 
-def cmd_verify(args) -> int:
-    try:
-        _check_out(args.out)
-        cfg = _load_run_config(args)
-        opts = _suite_options(args)
-        chunks = [(name, run_suite(name, cfg, opts)) for name in args.suite]
-        text = "".join(
-            _format_reports(cfg, opts, name, reports) for name, reports in chunks
-        )
-        _emit(text, args.out)
-    except (UsageError, ValueError, OSError) as exc:
-        sys.stderr.write(f"verify: error: {exc}\n")
-        return 1
+def cmd_verify(args, cfg: RunConfig) -> int:
+    opts = _suite_options(args)
+    chunks = [(name, run_suite(name, cfg, opts)) for name in args.suite]
+    text = "".join(_format_reports(cfg, opts, name, reports) for name, reports in chunks)
+    _emit(text, args.out)
     failed = [
         (name, r) for name, reports in chunks for r in reports if not r.passed
     ]
@@ -276,28 +262,22 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def cmd_calibrate(args) -> int:
+def cmd_calibrate(args, cfg: RunConfig) -> int:
     from .verify import CALIBRATED
 
-    try:
-        _check_out(args.out)
-        cfg = _load_run_config(args)
-        opts = _suite_options(args)
-        names = args.suite or CALIBRATED
-        # the measured constants never depend on previously stored ones,
-        # so the artifact records the hash of the stripped config
-        bare = replace(cfg, c_cal={})
-        table = calibrate(names, bare, opts)
-        payload = {
-            "config_hash": bare.config_hash(),
-            "rng_seed": bare.rng_seed,
-            "rng_algorithm": bare.rng_algorithm,
-            "constants": {k: table[k] for k in sorted(table)},
-        }
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
-    except (UsageError, ValueError, OSError) as exc:
-        sys.stderr.write(f"calibrate: error: {exc}\n")
-        return 1
+    opts = _suite_options(args)
+    names = args.suite or CALIBRATED
+    # the measured constants never depend on previously stored ones,
+    # so the artifact records the hash of the stripped config
+    bare = replace(cfg, c_cal={})
+    table = calibrate(names, bare, opts)
+    payload = {
+        "config_hash": bare.config_hash(),
+        "rng_seed": bare.rng_seed,
+        "rng_algorithm": bare.rng_algorithm,
+        "constants": {k: table[k] for k in sorted(table)},
+    }
+    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     return 0
 
 
@@ -353,7 +333,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    return args.func(args)
+    # the one home of exit 1 after parsing: bad config, bad --out, usage errors
+    try:
+        _check_out(args.out)
+        return args.func(args, _load_run_config(args))
+    except (UsageError, ValueError, OSError) as exc:
+        sys.stderr.write(f"{args.command}: error: {exc}\n")
+        return 1
 
 
 if __name__ == "__main__":

@@ -263,32 +263,20 @@ def _psi(cfg: RunConfig, opts: SuiteOptions, rng, g: int) -> list[BoundReport]:
                 if R < 2:
                     continue
                 for S in _divisors_of(g):
+                    # every form needs gcd(R, g/S) = 1 (S = g meets it), so a
+                    # pair without it gets no report and no psi
+                    if math.gcd(R, g // S) != 1:
+                        continue
                     tag = {"g": g, "family": name, "i": i, "R": R, "S": S}
                     vals = psi(seed, i, ts, R, S)
-                    if S != g and math.gcd(R, g // S) == 1:
-                        out.append(
-                            make_report(
-                                float(np.max(vals**2)),
-                                (2 / 3) * R * S,
-                                dict(tag, form="partial-depth"),
-                            )
-                        )
-                    if S == g:
-                        out.append(
-                            make_report(
-                                float(np.max(vals**2)),
-                                R * g * (1 - theta_i(seed, i)),
-                                dict(tag, form="full-depth"),
-                            )
-                        )
-                    if math.gcd(R, g // S) == 1:
-                        out.append(
-                            make_report(
-                                float(np.max(vals)),
-                                (R * S) ** eta,
-                                dict(tag, form="eta-power"),
-                            )
-                        )
+                    if S != g:
+                        rhs, form = (2 / 3) * R * S, "partial-depth"
+                    else:
+                        rhs, form = R * g * (1 - theta_i(seed, i)), "full-depth"
+                    out.append(make_report(float(np.max(vals**2)), rhs, dict(tag, form=form)))
+                    out.append(
+                        make_report(float(np.max(vals)), (R * S) ** eta, dict(tag, form="eta-power"))
+                    )
     return out
 
 

@@ -7,8 +7,6 @@ check.
 """
 
 import math
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -87,12 +85,10 @@ class TestSieve:
             n = int(n)
             f = factorize(n)
             assert (n in table.primes) == (len(f) == 1 and f[0][1] == 1)
-            assert int(table.smallest_prime_factor[n]) == f[0][0]
 
     def test_prime_fixed_points(self, table):
         for p in (2, 3, 5, 7, 11, 97, 65537):
             assert p in table.primes
-            assert int(table.smallest_prime_factor[p]) == p
         for n in (4, 9, 15, 1001, 65536):
             assert n not in table.primes
 
@@ -147,18 +143,6 @@ class TestSieve:
         with pytest.raises(ValueError):
             build_table(1)
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(min_value=1, max_value=LIMIT))
-    def test_factorize_reassembles(self, table, n):
-        # chasing the smallest prime factor walks n's factors in ascending order
-        spf = table.smallest_prime_factor
-        chain, rest = [], n
-        while rest > 1:
-            chain.append(int(spf[rest]))
-            rest //= chain[-1]
-        assert math.prod(chain) == n
-        assert chain == [p for p, e in factorize(n) for _ in range(e)]
-
 
 # limits of every parity, and p^2 - 1, p^2, p^2 + 1, where the sieve's
 # last prime starts or stops marking
@@ -182,10 +166,6 @@ class TestSieveOracle:
         pt = build_table(limit)
         spf = oracle_sieve_spf(limit)
         assert pt.primes.tobytes() == oracle_primes(spf).tobytes()
-        assert pt.smallest_prime_factor.tobytes() == spf.tobytes()
-        assert pt.smallest_prime_factor.tolist()[2:] == [
-            factorize(n)[0][0] for n in range(2, limit + 1)
-        ]
 
     def test_two_to_the_twenty(self):
         limit = 1 << 20
@@ -193,17 +173,14 @@ class TestSieveOracle:
         spf = oracle_sieve_spf(limit)
         assert pt.primes.size == 82025
         assert pt.primes.tobytes() == oracle_primes(spf).tobytes()
-        assert pt.smallest_prime_factor.tobytes() == spf.tobytes()
         rng = np.random.default_rng(20)
         picks = np.concatenate([rng.integers(2, limit + 1, size=2000), np.arange(limit - 200, limit + 1)])
         for n in picks.tolist():
             least = factorize(n)[0][0]
-            assert int(pt.smallest_prime_factor[n]) == least
             assert (n in pt.primes) == (least == n)
 
     def test_census_never_builds_factor_table(self, monkeypatch, tmp_path):
-        # the census sieves only its windows: it builds no PrimeTable, so
-        # no factor table either
+        # the census sieves only its windows: it builds no PrimeTable
         def refuse(*args, **kwargs):
             raise AssertionError("the census built a table")
 
@@ -213,40 +190,6 @@ class TestSieveOracle:
         argv = ["census", "--g", "10", "--L", "3,4", "--q", "3,9", "--out", str(out)]
         assert cli.main(argv) == 0
         assert len(out.read_text().splitlines()) == 2 + 2 * (3 + 9)
-
-    def test_concurrent_first_reads_share_one_table(self, monkeypatch):
-        pt = build_table(1 << 18)
-        builds = []
-        build = type(pt)._factor_table
-
-        def counted(self):
-            builds.append(threading.get_ident())
-            return build(self)
-
-        monkeypatch.setattr(type(pt), "_factor_table", counted)
-        workers = 4
-        barrier = threading.Barrier(workers)
-        seen = [None] * workers
-
-        def read(i):
-            barrier.wait(timeout=30)
-            seen[i] = pt.smallest_prime_factor
-
-        threads = [threading.Thread(target=read, args=(i,)) for i in range(workers)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert len(builds) == 1
-        want = oracle_sieve_spf(1 << 18).tobytes()
-        assert all(table is seen[0] for table in seen)
-        assert all(table.tobytes() == want for table in seen)
 
 
 # segment lengths small enough that a limit of a few thousand crosses
@@ -458,3 +401,35 @@ class TestVaughanArrays:
             mobius_values(table, np.array([LIMIT + 1]))
         with pytest.raises(ValueError):
             mangoldt_array(table, 0)
+
+
+# range ends at p^2 - 1, p^2 and p^2 + 1, where p starts to sieve (p <=
+# sqrt(hi)) and to zero, and anything up to 10^4
+mobius_ends = st.one_of(
+    st.builds(
+        lambda p, d: p * p + d,
+        st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
+                         67, 71, 73, 79, 83, 89, 97]),
+        st.sampled_from([-1, 0, 1]),
+    ),
+    st.integers(2, 10**4),
+)
+
+
+class TestMobiusSieve:
+    @settings(max_examples=100, deadline=None)
+    @given(end=mobius_ends, span=st.integers(0, 300), end_is_lo=st.booleans())
+    @example(end=9, span=0, end_is_lo=True)  # 3^2 alone: p = sqrt(hi) must zero it
+    @example(end=10, span=0, end_is_lo=True)  # 2 * 5, with 5 above sqrt(10)
+    @example(end=9409, span=0, end_is_lo=False)  # 97^2 alone
+    @example(end=9997, span=0, end_is_lo=True)  # 13 * 769, with 769 above sqrt(9997)
+    def test_ranges_above_one_equal_oracle(self, table, end, span, end_is_lo):
+        # a contiguous range [lo, hi] with lo > 1: the sieve starts each
+        # prime at its first multiple at or above lo, and an entry whose one
+        # large prime factor lies above sqrt(hi) takes the last flip
+        lo, hi = (end, end + span) if end_is_lo else (max(2, end - span), end)
+        n = np.arange(lo, hi + 1)
+        got = mobius_values(table, n)
+        assert got.dtype == np.int8
+        assert got.tolist() == [mobius(v) for v in range(lo, hi + 1)], (lo, hi)
+        assert mobius_values(table, n[::-1]).tolist() == got[::-1].tolist()

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -250,3 +251,64 @@ def test_usage_error_is_one_class():
     assert verify.UsageError is config.UsageError
     assert "UsageError" in verify.__all__
 
+
+# every src function that no command of tests/conftest.py's command_trace
+# enters, with why it stays
+PERFBENCH = "perfbench's traced run wraps it by name (ROADMAP item 8)"
+UNREACHED = {
+    "arith.vaughan_terms": PERFBENCH,
+    "arith.mangoldt_tail": PERFBENCH,
+    "arith.mobius_mangoldt_window": PERFBENCH,
+    "basedigits.reverse": PERFBENCH,
+    "expsum.phi": "paper API: the single-position sum phi, one factor of the product formula",
+    "expsum.gamma_i": "paper API: the decay weight of one position, summed by sigma",
+    "expsum.omega_exponent": "paper API: the savings exponent of the L-infinity bound",
+    "expsum.i0_landing": "paper API: the landing lemma, g^i0 alpha 1/(g+1) from the integers",
+    "expsum.sigma_lower_blocks": "paper API: the blocked lower bound K/(g+1)^2 on the phase gaps",
+    "revcount.rho_total": "paper API: the density mass identity sum_a rho(g, a, q)/q = (g-1)/g",
+    "revcount.psi_theta_pi": "paper API: the psi, theta, pi counts of the Siegel-Walfisz analogue",
+    "revcount.sharp_factor_deviation": "paper API: the Siegel-Walfisz step to the sharp modulus",
+    "seeds.Seed.frac_rows": "abstract: every seed family overrides it",
+}
+
+
+# each module's source file, as its code objects name it
+SOURCES = {Path(revprime.__file__).resolve().with_name(f"{m}.py"): m for m in MODULES}
+
+
+def src_functions() -> set[str]:
+    """"module.qualname" of every function src defines, from its code objects.
+
+    Lambdas, comprehensions and class bodies are not functions here.
+    """
+    found = set()
+    for path, name in SOURCES.items():
+        stack = [compile(path.read_text(), str(path), "exec")]
+        while stack:
+            for const in stack.pop().co_consts:
+                if inspect.iscode(const):
+                    stack.append(const)
+                    if const.co_flags & inspect.CO_OPTIMIZED and not const.co_name.startswith("<"):
+                        found.add(f"{name}.{const.co_qualname}")
+    return found
+
+
+def test_every_src_function_is_reached_or_listed(command_trace):
+    _, entered = command_trace
+    reached = set()
+    for code in entered:
+        name = SOURCES.get(Path(code.co_filename).resolve())
+        if name:
+            reached.add(f"{name}.{code.co_qualname}")
+    unreached = src_functions() - reached
+    assert unreached - set(UNREACHED) == set(), "unreached and unlisted"
+    assert set(UNREACHED) - unreached == set(), "listed, but reached or gone"
+    wrapped = perfbench_wrapped()
+    for dotted, why in UNREACHED.items():
+        if why == PERFBENCH:
+            module, name = dotted.split(".")
+            target = getattr(importlib.import_module(f"revprime.{module}"), name)
+            assert any(
+                getattr(importlib.import_module(f"revprime.{m}"), n, None) is target
+                for m, n in wrapped
+            ), f"{dotted}: no PLAN tuple of perfbench wraps it"

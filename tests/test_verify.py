@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from revprime import cli, expsum, primesum
+from revprime import expsum, primesum
 from revprime.cli import _format_reports
 from revprime.config import RunConfig, make_rng
 from revprime.basedigits import ilog
@@ -310,21 +310,6 @@ DEFAULT_HEADER = {
 DEFAULT_FILE_DIGEST = "22b037fa4c9ccbf1cf39380b6f769c7b561a7cafb34c96be7ffb8a96b594c57a"
 
 
-@pytest.fixture(scope="module")
-def default_run(tmp_path_factory):
-    """(text, {suite: (header, report lines)}) of one default 13-suite verify."""
-    out = tmp_path_factory.mktemp("verify") / "default.jsonl"
-    assert cli.main(["verify", *SUITES, "--threads", "1", "--out", str(out)]) == 0
-    text = out.read_text()
-    lines, chunks = text.splitlines(), {}
-    while lines:
-        header = json.loads(lines[0])
-        end = 1 + header["reports"]
-        chunks[header["suite"]] = (header, lines[1:end])
-        lines = lines[end:]
-    return text, chunks
-
-
 class TestDefaultReportBytes:
     def test_headers_are_pinned(self, default_run):
         _, chunks = default_run
@@ -357,7 +342,7 @@ CIS_COST = {
     "product-formula": (5012, 216),
     "linf": (180, 90),
     "l1-moment": (3700, 968),
-    "psi": (87370, 2420),
+    "psi": (43354, 956),
     "vdc": (0, 0),
     "sin-sum": (0, 0),
     "truncation": (0, 0),
