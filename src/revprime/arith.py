@@ -4,9 +4,11 @@ The one sieve, prime_segments, walks the odd numbers of a range one
 cache-sized segment of flags at a time from a wheel pattern that already
 strikes the multiples of 3, 5, 7, 11 and 13, and yields runs of primes:
 build_table copies those of [2, limit] into the one sorted array a
-PrimeTable keeps, and the census streams those of its windows.  No
-bitmap of limit/2 flags is ever held.  mobius_values sieves mu over the
-range it is asked for with a table's primes up to its square root.
+PrimeTable keeps, and revcount's counts stream those of their ranges.
+No bitmap of limit/2 flags is ever held.  prime_powers walks the powers
+of an array of primes, for Lambda here and for revcount's psi.
+mobius_values sieves mu over the range it is asked for with a table's
+primes up to its square root.
 vaughan_arrays splits Lambda(n) into the classical four pieces
 controlled by a threshold z (Vaughan's identity) for every n up to a
 bound in one sieve-order pass.
@@ -35,6 +37,7 @@ __all__ = [
     "build_table",
     "check_sieve_limit",
     "prime_segments",
+    "prime_powers",
     "vaughan_terms",
     "vaughan_arrays",
     "mangoldt_tail",
@@ -137,7 +140,9 @@ class PrimeTable:
     range asked for, mangoldt_array marks their powers and vaughan_arrays
     reads both.  tests/oracles.py holds the per-n reference for each.  The
     table has no per-n queries: the three per-n names perfbench's PLAN
-    wraps are views of vaughan_arrays.
+    wraps are views of vaughan_arrays.  Only verify's suites build one
+    (primesum's sums read it); the census and revcount's psi, theta and
+    pi counts sieve their own ranges.
     """
 
     limit: int
@@ -150,20 +155,6 @@ class PrimeTable:
         if x > self.limit:
             raise ValueError(f"prime count beyond table limit {self.limit}")
         return int(np.searchsorted(self.primes, math.floor(x), side="right"))
-
-    def prime_powers(self, top: int) -> tuple[np.ndarray, np.ndarray]:
-        """(p^k, p) for every prime power p^k <= top with k >= 1.
-
-        Walked one level of k at a time, so the primes come first, then
-        their squares, and so on.
-        """
-        primes = self.primes[: self.prime_count(top)]
-        values, bases = [primes], [primes]
-        while values[-1].size:
-            keep = values[-1] <= top // bases[-1]
-            bases.append(bases[-1][keep])
-            values.append(values[-1][keep] * bases[-1])
-        return np.concatenate(values), np.concatenate(bases)
 
 
 def check_sieve_limit(limit: int) -> None:
@@ -222,6 +213,21 @@ def mobius_values(pt: PrimeTable, n: np.ndarray) -> np.ndarray:
     return mu[n - lo]
 
 
+def prime_powers(primes: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """(p^k, p) for each p of primes and each k >= 1 with p^k <= top.
+
+    primes is ascending int64, every entry at most top.  Walked one level
+    of k at a time, so primes come first, then their squares, and so on:
+    the entries past len(primes) are the powers with k >= 2.
+    """
+    values, bases = [primes], [primes]
+    while values[-1].size:
+        keep = values[-1] <= top // bases[-1]
+        bases.append(bases[-1][keep])
+        values.append(values[-1][keep] * bases[-1])
+    return np.concatenate(values), np.concatenate(bases)
+
+
 def _log_table(top: int) -> np.ndarray:
     # math.log, not np.log, because the oracles use math.log: np.log can
     # differ in the last bit (for 54 integers up to 10^6 with numpy 2.4
@@ -233,7 +239,7 @@ def _log_table(top: int) -> np.ndarray:
 
 def _mangoldt_table(pt: PrimeTable, top: int, log: np.ndarray) -> np.ndarray:
     lam = np.zeros(top + 1, dtype=np.float64)
-    powers, primes = pt.prime_powers(top)
+    powers, primes = prime_powers(pt.primes[: pt.prime_count(top)], top)
     lam[powers] = log[primes]
     return lam
 

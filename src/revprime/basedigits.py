@@ -7,13 +7,14 @@ digit-length decisions.  Chunked reversal has one home: reverse_chunks
 walks an int64 array _CHUNK entries at a time through one workspace,
 reversing each slice with the private kernel _reverse_into, a block of
 k digits per step through a cached read-only table of g^k <= 2^14
-entries; census_grid bins its chunks and reverse_array copies them out.
-The per-n reference for both, window_reverse, lives in
-tests/oracles.py.  No command calls the scalar reverse: it stays only
-because perfbench's traced run counts calls to revcount.reverse by
-name, and it leaves with that entry of its PLAN.  Powers of g live
-here too: ilog is the exact g-adic length and power_residues the exact
-ladder num*g^i mod den.  check_base is the one check of a base.
+entries; every count of revcount reads its chunks, and none copies them
+into an array of all the reverses.  The per-n reference, window_reverse,
+lives in tests/oracles.py.  No command calls the scalar reverse: it
+stays only because perfbench's traced run counts calls to
+revcount.reverse by name, and it leaves with that entry of its PLAN.
+Powers of g live here too: ilog is the exact g-adic length and
+power_residues the exact ladder num*g^i mod den.  check_base is the one
+check of a base.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import numpy as np
 __all__ = [
     "check_base",
     "reverse",
-    "reverse_array",
     "reverse_chunks",
     "dist",
     "ilog",
@@ -46,7 +46,7 @@ def reverse(n: int, g: int) -> int:
     Leading zeros of n (there are none) and trailing zeros of n collapse,
     so reverse is not injective; it is an involution on integers whose
     least significant digit is nonzero.  On an n with exactly L digits it
-    is reverse_array with window L.
+    is what reverse_chunks gives with window L.
     """
     check_base(g)
     if n < 0:
@@ -131,12 +131,15 @@ def _reverse_into(values: np.ndarray, g: int, L: int, out: np.ndarray, work, fit
 def reverse_chunks(values: np.ndarray, g: int, L: int):
     """Yield (lo, revs, scratch) for each _CHUNK-entry slice of values.
 
-    revs is the reversal within L digits of values[lo : lo + revs.size],
-    scratch a free int64 buffer of its length; both are views into one
-    workspace of four chunk-sized int64 buffers that the next slice
-    reuses.  values is 1-d nonnegative int64 and g a checked base.  When
-    iteration starts, _CHUNK is read, and ValueError is raised if values
-    is not empty and g^L > 2^63 - 1.
+    revs is the reversal within L digits of values[lo : lo + revs.size]:
+    digit i of n (i < L) lands at position L - 1 - i and digits at
+    positions >= L are ignored, so on an n with exactly L digits it is
+    the plain reverse.  scratch is a free int64 buffer of its length;
+    both are views into one workspace of four chunk-sized int64 buffers
+    that the next slice reuses.  values is 1-d nonnegative int64 and g a
+    checked base; the callers check both.  When iteration starts, _CHUNK
+    is read, and ValueError is raised if values is not empty and
+    g^L > 2^63 - 1.
     """
     if values.size and g**L > _INT64_MAX:
         raise ValueError(f"{g}^{L} overflows int64")
@@ -147,37 +150,6 @@ def reverse_chunks(values: np.ndarray, g: int, L: int):
         chunk = [w[:size] for w in work]
         _reverse_into(values[lo : lo + size], g, L, revs[:size], chunk, fits)
         yield lo, revs[:size], chunk[0]
-
-
-def reverse_array(values, g: int, L: int) -> np.ndarray:
-    """Reversal of every entry of values within a window of L digits, as int64.
-
-    Digit i of n (i < L) lands at position L - 1 - i, and digits at
-    positions >= L are ignored; on an n with exactly L digits this is
-    the plain reverse.  The output is allocated here and filled from
-    reverse_chunks, so the work buffers stay chunk-sized whatever the
-    input's size or shape.
-
-    Raises TypeError on values whose dtype does not cast to int64 (uint64
-    and Python integers beyond int64 among them), and ValueError on
-    negative entries and whenever a result could exceed int64:
-    g^L > 2^63 - 1.
-    """
-    check_base(g)
-    if L < 0:
-        raise ValueError("window length must be nonnegative")
-    arr = np.asarray(values)
-    if arr.size == 0:
-        return np.zeros(arr.shape, dtype=np.int64)
-    if arr.dtype.kind not in "iu" or not np.can_cast(arr.dtype, np.int64):
-        raise TypeError(f"values must cast to int64, got dtype {arr.dtype}")
-    if arr.min() < 0:
-        raise ValueError("reverse is defined for nonnegative integers")
-    flat = np.ravel(arr).astype(np.int64, copy=False)
-    out = np.empty(flat.size, dtype=np.int64)
-    for lo, revs, _ in reverse_chunks(flat, g, L):
-        out[lo : lo + revs.size] = revs
-    return out.reshape(arr.shape)
 
 
 def dist(x: float) -> float:

@@ -3,14 +3,16 @@ Siegel-Walfisz analogues for reversed primes.
 
 rho is the exact rational density with which primes' digit reverses hit
 a fixed residue class; census_grid compares windowed sieve counts
-against it, many cells per pass.  It sieves only its window and bins
-the reverses of each run of primes, a chunk from reverse_chunks at a
-time, into one histogram per group of moduli whose lcm is at most 2^16;
-a larger modulus counts only the residues its cells ask for.  No prime
-table and no array with one entry per window prime is made;
-sharp_factor_deviation counts a PrimeTable's primes through the same
-stream and counter.  The sharp variants reduce the modulus to the part
-that interacts with reversal, gcd(q, g^L (g^2-1)).
+against it, many cells per pass.  Every count of reversed primes here
+reads one stream: arith.prime_segments sieves the primes of a range in
+runs, and reverse_chunks reverses each run a chunk at a time.
+census_grid bins its window's chunks into one histogram per group of
+moduli whose lcm is at most 2^16; a larger modulus counts only the
+residues its cells ask for.  sharp_factor_deviation feeds the same
+counter one digit length at a time, and psi_theta_pi weighs the chunks
+of [2, x] and, for psi, the higher prime powers.  No prime table and no
+array with one entry per prime is made.  The sharp variants reduce the
+modulus to the part that interacts with reversal, gcd(q, g^L (g^2-1)).
 Only the sieve (arith) and digit arithmetic (basedigits) are read here;
 the exponential sums behind the theorems live in expsum and primesum.
 The per-n references the counts are tested against (window_reverse,
@@ -19,14 +21,15 @@ trial-division primes and factors) live in tests/oracles.py.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .arith import PrimeTable, check_sieve_limit, prime_segments
-from .basedigits import check_base, ilog, reverse_array, reverse_chunks
+from .arith import check_sieve_limit, prime_powers, prime_segments
+from .basedigits import check_base, ilog, reverse_chunks
 # reverse is not called here or by any command; it stays importable as
 # revcount.reverse only because perfbench's PLAN counts reversals through
 # that name, and it goes when that entry does
@@ -104,11 +107,13 @@ def zero_density_strays(g: int, L: int, a: int, q: int) -> int:
     number of primes r | gcd(a, q, g^2-1) with g^(L-1) <= r < g^L and
     rev_L(r) = a mod q; only g^2-1 is factored.
     """
+    check_base(g)
     strays = [
         r for r in _prime_divisors(math.gcd(a, q, g * g - 1))
         if g ** (L - 1) <= r < g**L
     ]
-    return sum(rev % q == a % q for rev in reverse_array(strays, g, L).tolist())
+    chunks = reverse_chunks(np.array(strays, dtype=np.int64), g, L)
+    return sum(rev % q == a % q for _, revs, _ in chunks for rev in revs.tolist())
 
 
 @dataclass(frozen=True)
@@ -276,70 +281,69 @@ def census_grid(g: int, L: int, pairs, limit: int) -> list[CensusRecord]:
 
 
 def psi_theta_pi(
-    g: int,
-    L: int,
-    x: float,
-    a: int,
-    q: int,
-    pt: PrimeTable,
-    kind: str,
-    sharp: bool = False,
+    g: int, L: int, x: float, a: int, q: int, kind: str, sharp: bool = False
 ) -> float:
     """One of the three weighted counts over {n <= x : rev_L(n) = a mod q}.
 
     These are the psi, theta and pi of the Siegel-Walfisz analogue.
     kind selects the weight: "psi" sums Lambda over all integers, "theta"
     sums log p over primes, "pi" counts primes.  With sharp the modulus
-    drops to gcd(q, g^L (g^2-1)).  Log weights are summed with fsum, so
-    the total does not depend on the order of the terms.  Only n <= x
-    are read, so the sieve need reach only floor(x).
+    drops to gcd(q, g^L (g^2-1)).  The primes of [2, x] are sieved and
+    reversed in runs and chunks, like the census window; psi adds each
+    p^k <= x with k >= 2, walked by arith.prime_powers from the primes up
+    to sqrt(x).  Log weights are summed with fsum, which reads them one
+    chunk at a time and whose total does not depend on their order.  x
+    may not exceed the sieve budget, arith.DEFAULT_MAX_LIMIT.
     """
     if kind not in ("psi", "theta", "pi"):
         raise ValueError(f"unknown kind {kind!r}")
+    check_base(g)
     if L < 1 or q < 1:
         raise ValueError("need L >= 1 and q >= 1")
     if not 1 <= x <= g**L:
         raise ValueError("x must lie in [1, g^L]")
+    check_sieve_limit(max(x, 2))  # below 2 nothing is sieved
     top = math.floor(x)
-    if top > pt.limit:
-        raise ValueError(f"x = {x} beyond sieve limit {pt.limit}")
     modulus = _sharp_modulus(g, L, q) if sharp else q
+    # (log bases, their reverse chunks) per run: a prime is its own base
+    runs = ((run, reverse_chunks(run, g, L)) for run in prime_segments(2, top + 1))
     if kind == "psi":
-        values, bases = pt.prime_powers(top)
-    else:
-        values = bases = pt.primes[: pt.prime_count(top)]
-    revs = reverse_array(values, g, L)
-    hits = _mod_into(revs, modulus, np.empty_like(revs)) == a % modulus
+        small = [p for run in prime_segments(2, math.isqrt(top) + 1) for p in run.tolist()]
+        powers, bases = (v[len(small) :] for v in prime_powers(np.array(small, np.int64), top))
+        runs = itertools.chain(runs, [(bases, reverse_chunks(powers, g, L))])
+    hits = (
+        (weights[lo : lo + revs.size], _mod_into(revs, modulus, scratch) == a % modulus)
+        for weights, chunks in runs
+        for lo, revs, scratch in chunks
+    )
     if kind == "pi":
-        return float(np.count_nonzero(hits))
-    return math.fsum(np.log(bases[hits]).tolist())
+        return float(sum(np.count_nonzero(hit) for _, hit in hits))
+    return math.fsum(w for weights, hit in hits for w in np.log(weights[hit]).tolist())
 
 
-def sharp_factor_deviation(
-    g: int, x: float, a: int, q: int, pt: PrimeTable
-) -> float:
+def sharp_factor_deviation(g: int, x: float, a: int, q: int) -> float:
     """|pi(x,a,q) - (m/q) pi_sharp(x,a,q)| / x for absolute reverses.
 
     The cost of the Siegel-Walfisz analogue's reduction to the sharp modulus.
     m = gcd(q, g^L (g^2-1)) with L the digit length of x, ilog(x, g) + 1.
-    Both counts run over all primes up to x with the plain digit reverse,
-    each digit length's primes through reverse_chunks into one
-    _ClassCounts, so the counts are exact integers.
+    Both counts run over all primes up to x with the plain digit reverse:
+    for each k <= L the primes of k digits, [g^(k-1), g^k), are sieved in
+    runs, reversed in chunks within k digits and binned into one
+    _ClassCounts, so the counts are exact integers.  x may not exceed the
+    sieve budget, arith.DEFAULT_MAX_LIMIT.
     """
     if not x >= 1:  # NaN too
         raise ValueError("x must be at least 1")
-    if x > pt.limit:
-        raise ValueError(f"x beyond sieve limit {pt.limit}")
+    check_sieve_limit(max(x, 2))  # inf too, before floor
     if q < 1:
         raise ValueError("modulus must be positive")
     L = ilog(x, g) + 1
     modulus = _sharp_modulus(g, L, q)
-    primes = pt.primes[: pt.prime_count(x)]
-    # a prime of k digits has the plain reverse rev_k
-    by_length = np.split(primes, np.searchsorted(primes, [g**k for k in range(1, L)]))
+    top = math.floor(x)
     counts = _ClassCounts([(a, q), (a, modulus)])
-    for k, part in enumerate(by_length, start=1):
-        for _, revs, scratch in reverse_chunks(part, g, k):
-            counts.add(revs, scratch)
+    for k in range(1, L + 1):
+        for primes in prime_segments(g ** (k - 1), min(g**k, top + 1)):
+            for _, revs, scratch in reverse_chunks(primes, g, k):
+                counts.add(revs, scratch)
     plain, sharp = counts.count(a, q), counts.count(a, modulus)
     return abs(plain - (modulus / q) * sharp) / x

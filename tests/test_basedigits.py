@@ -11,14 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from revprime import basedigits
-from revprime.basedigits import (
-    check_base,
-    dist,
-    ilog,
-    power_residues,
-    reverse,
-    reverse_array,
-)
+from revprime.basedigits import check_base, dist, ilog, power_residues, reverse, reverse_chunks
+from revprime.revcount import zero_density_strays
 
 from oracles import window_reverse
 
@@ -37,9 +31,21 @@ def oracle_digits(n, g):
     return [alphabet.index(c) for c in s]
 
 
+def chunk_reverse(ns, g, L):
+    """The reversal of each entry of ns within L digits, read chunk by
+    chunk from reverse_chunks as the counts of revcount read it."""
+    values = np.array(ns, dtype=np.int64)
+    out = []
+    for lo, revs, _ in reverse_chunks(values, g, L):
+        assert lo == len(out) and revs.dtype == np.int64
+        out += revs.tolist()
+    assert len(out) == values.size
+    return out
+
+
 def plain_reverse(n, g):
-    """The plain reversal of n: reverse_array over its full digit length."""
-    return int(reverse_array(n, g, len(oracle_digits(n, g))))
+    """The plain reversal of n: reverse_chunks over its full digit length."""
+    return chunk_reverse([n], g, len(oracle_digits(n, g)))[0]
 
 
 class TestCheckBase:
@@ -53,11 +59,12 @@ class TestCheckBase:
             check_base(g)
 
     def test_every_reversal_checks_its_base(self):
+        # reverse_chunks takes a checked base; its callers check it
         for g in self.BAD:
             with pytest.raises(ValueError):
                 reverse(5, g)
             with pytest.raises(ValueError):
-                reverse_array([5], g, 3)
+                zero_density_strays(g, 3, 5, 7)
 
 
 class TestDigits:
@@ -67,7 +74,7 @@ class TestDigits:
 
 
 class TestReverse:
-    """The plain reversal: reverse_array with L the digit length of n."""
+    """The plain reversal: reverse_chunks with L the digit length of n."""
 
     def test_examples(self):
         assert plain_reverse(1234, 10) == 4321
@@ -91,86 +98,60 @@ class TestReverse:
 
 
 class TestReverseArrayWindow:
-    """The window-relative reversal reverse_array against the plain reversal."""
+    """The window-relative reversal of an array, from reverse_chunks,
+    against the plain reversal."""
 
     def test_window_examples(self):
-        assert reverse_array([1234, 12, 0], 10, 4).tolist() == [4321, 2100, 0]
-        assert reverse_array([0], 10, 5).tolist() == [0]
-        assert reverse_array([7], 10, 0).tolist() == [0]
+        assert chunk_reverse([1234, 12, 0], 10, 4) == [4321, 2100, 0]
+        assert chunk_reverse([0], 10, 5) == [0]
+        assert chunk_reverse([7], 10, 0) == [0]
 
     @given(st.integers(0, 10**8), st.sampled_from(BASES), st.integers(0, 12))
     def test_scaling_identity(self, n, g, L):
         n %= g**L
         length = len(oracle_digits(n, g))
-        assert int(reverse_array(n, g, L)) == window_reverse(n, g) * g ** (L - length)
+        assert chunk_reverse([n], g, L) == [window_reverse(n, g) * g ** (L - length)]
 
     @given(st.integers(0, 10**9), st.sampled_from(BASES), st.integers(0, 10))
     def test_high_digits_ignored(self, n, g, L):
-        assert int(reverse_array(n, g, L)) == int(reverse_array(n % g**L, g, L))
+        assert chunk_reverse([n], g, L) == chunk_reverse([n % g**L], g, L)
 
     def test_coincides_with_reverse_on_full_window(self):
         for g, L in [(2, 8), (3, 5), (10, 4)]:
             lo, hi = g ** (L - 1), g**L
             ns = range(lo, hi, max(1, (hi - lo) // 200))
-            assert reverse_array(ns, g, L).tolist() == [window_reverse(n, g) for n in ns]
+            assert chunk_reverse(ns, g, L) == [window_reverse(n, g) for n in ns]
 
 
 class TestReverseArray:
+    """reverse_chunks over whole arrays against the scalar oracle."""
+
     @given(
         st.lists(st.integers(0, 2**40 - 1), max_size=40),
         st.integers(2, 36),
         st.integers(0, 12),
     )
     def test_matches_scalar_oracles(self, ns, g, L):
-        relative = reverse_array(ns, g, L)
-        assert relative.dtype == np.int64
-        assert relative.tolist() == [window_reverse(n, g, L) for n in ns]
+        assert chunk_reverse(ns, g, L) == [window_reverse(n, g, L) for n in ns]
 
     def test_edge_values(self):
         # zero, trailing zeros, and a window shorter than the digit length
         ns = [0, 1200, 1000, 7, 123456]
-        assert reverse_array(ns, 10, 3).tolist() == [0, 2, 0, 700, 654]
-        assert reverse_array(ns, 10, 0).tolist() == [0] * 5
+        assert chunk_reverse(ns, 10, 3) == [0, 2, 0, 700, 654]
+        assert chunk_reverse(ns, 10, 0) == [0] * 5
 
     def test_empty_input(self):
-        for L in (0, 5):
-            out = reverse_array([], 3, L)
-            assert out.dtype == np.int64 and out.shape == (0,)
-
-    def test_input_dtypes_agree(self):
-        ns = [0, 1, 2, 40, 2**31 + 5, 2**32 - 1]
-        want_rel = [window_reverse(n, 7, 9) for n in ns]
-        for values in (ns, np.array(ns, dtype=np.uint32), np.array(ns, dtype=np.int64)):
-            assert reverse_array(values, 7, 9).tolist() == want_rel
-
-    def test_shape_preserved(self):
-        grid = np.arange(12).reshape(3, 4)
-        assert reverse_array(grid, 2, 5).shape == (3, 4)
-
-    def test_negative_rejected(self):
-        for L in (4, 12):
-            with pytest.raises(ValueError):
-                reverse_array([3, -1], 10, L)
-            with pytest.raises(ValueError):
-                reverse_array(np.array([-5], dtype=np.int64), 2, L)
+        # nothing to reverse yields no chunk, even where g^L overflows int64
+        for L in (0, 5, 64):
+            assert list(reverse_chunks(np.zeros(0, dtype=np.int64), 3, L)) == []
 
     def test_window_overflow_rejected(self):
-        assert reverse_array([1], 2, 62).tolist() == [2**61]
+        assert chunk_reverse([1], 2, 62) == [2**61]
         with pytest.raises(ValueError):
-            reverse_array([1], 2, 63)
+            chunk_reverse([1], 2, 63)
         with pytest.raises(ValueError):
-            reverse_array([1], 10, 19)
-        assert reverse_array([1], 10, 18).tolist() == [10**17]
-
-    def test_rejects_bad_base_and_window(self):
-        with pytest.raises(ValueError):
-            reverse_array([1], 1, 3)
-        with pytest.raises(ValueError):
-            reverse_array([1], 10, -1)
-        # only values whose dtype casts to int64 are taken
-        for values in ([1.5], np.array([1], dtype=np.uint64), [2**63], [True]):
-            with pytest.raises(TypeError):
-                reverse_array(values, 10, 3)
+            chunk_reverse([1], 10, 19)
+        assert chunk_reverse([1], 10, 18) == [10**17]
 
 
 # every base up to 36, both sides of the table cap and of its square
@@ -218,9 +199,7 @@ class TestReverseArrayBlocks:
     @given(block_cases())
     def test_matches_scalar_oracles(self, case):
         g, L, ns = case
-        want = [window_reverse(n, g, L) for n in ns]
-        for values in (ns, np.array(ns, dtype=np.int64)):
-            assert reverse_array(values, g, L).tolist() == want
+        assert chunk_reverse(ns, g, L) == [window_reverse(n, g, L) for n in ns]
 
     def test_every_base_and_width(self):
         rng = random.Random(13)
@@ -229,28 +208,26 @@ class TestReverseArrayBlocks:
                 top = g**L - 1
                 ns = [0, 1, g - 1, top, max(top - 1, 0), top // g, g ** max(L - 1, 0)]
                 ns += [rng.randrange(g**L) for _ in range(8)] + [rng.randrange(2**63) for _ in range(4)]
-                got = reverse_array(np.array(ns, dtype=np.int64), g, L)
-                assert got.tolist() == [window_reverse(n, g, L) for n in ns], (g, L)
+                got = chunk_reverse(ns, g, L)
+                assert got == [window_reverse(n, g, L) for n in ns], (g, L)
                 # entries all below g^L skip the last step's divide; g^L does not
                 inside = [n for n in ns if n <= top]
-                got = reverse_array(np.array(inside, dtype=np.int64), g, L)
-                assert got.tolist() == [window_reverse(n, g, L) for n in inside], (g, L)
-                edge = reverse_array(np.array([top, top + 1], dtype=np.int64), g, L)
-                assert edge.tolist() == [window_reverse(n, g, L) for n in (top, top + 1)]
+                got = chunk_reverse(inside, g, L)
+                assert got == [window_reverse(n, g, L) for n in inside], (g, L)
+                edge = chunk_reverse([top, top + 1], g, L)
+                assert edge == [window_reverse(n, g, L) for n in (top, top + 1)]
 
-    def test_two_dimensional_input(self):
-        # chunks of 1, 7 and 64 entries split the 840 entries across rows,
-        # and 840 = 13 * 64 + 8 leaves a short last chunk
+    def test_chunk_edges(self):
+        # chunks of 1, 7 and 64 entries, and 840 = 13 * 64 + 8 leaves a
+        # short last chunk
         for g in (2, 10, 64, 65, 4097):
-            grid = np.arange(0, 6000, 7, dtype=np.int64)[:840].reshape(28, 30)
+            ns = list(range(0, 6000, 7))[:840]
             L = block_digits(g) + 1
-            want = [[window_reverse(int(n), g, L) for n in row] for row in grid]
+            want = [window_reverse(n, g, L) for n in ns]
             for chunk in (1, 7, 64, basedigits._CHUNK):
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(basedigits, "_CHUNK", chunk)
-                    got = reverse_array(grid, g, L)
-                assert got.shape == grid.shape
-                assert got.tolist() == want, chunk
+                    assert chunk_reverse(ns, g, L) == want, chunk
 
     def test_block_tables_are_shared_and_read_only(self):
         # the census reverses every chunk through the same cached table
@@ -260,36 +237,19 @@ class TestReverseArrayBlocks:
         with pytest.raises(ValueError):
             table[0] = 1
 
-    def test_zero_dimensional_input(self):
-        for g, L in ((10, 5), (2, 13), (4097, 3)):
-            for n in (12345, 2**63 - 1):
-                want = window_reverse(n, g, L)
-                for value in (n, np.int64(n), np.array(n)):
-                    got = reverse_array(value, g, L)
-                    assert got.shape == () and int(got) == want, (g, L, value)
-
-    def test_uint64_beyond_int64(self):
-        # entries beyond int64 are refused, not reduced mod g^L
-        ns = [2**64 - 1, 2**63, 2**63 + 12345]
-        for g in (2, 7, 10, 4097):
-            L = block_digits(g) * 2 + 1
-            for values in (np.array(ns, dtype=np.uint64), ns, np.array(ns, dtype=object)):
-                with pytest.raises(TypeError):
-                    reverse_array(values, g, L)
-
     def test_large_base_builds_no_table(self):
         # g = 10^6 reverses one digit per step; a table of g int64 entries
         # would take 8 MB
         g = 10**6
         ns = [0, 1, 5 * g + 7, g**3 - 1, 123 * g**2 + 45]
-        reverse_array(ns, g, 3)
+        chunk_reverse(ns, g, 3)
         tracemalloc.start()
         try:
-            got = reverse_array(ns, g, 3)
+            got = chunk_reverse(ns, g, 3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert got.tolist() == [window_reverse(n, g, 3) for n in ns]
+        assert got == [window_reverse(n, g, 3) for n in ns]
         assert peak < g
 
 

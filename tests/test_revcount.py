@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from revprime import arith, basedigits
-from revprime.arith import build_table
+from revprime import arith, basedigits, revcount
+from revprime.arith import SieveBudgetError, build_table
 from revprime.revcount import (
     _GROUP_CAP,
     CensusRecord,
@@ -27,6 +27,10 @@ from revprime.revcount import (
 from oracles import factorize, mangoldt, prime_divisors, primes_upto, window_reverse
 
 LIMIT = 100_000
+
+
+def refuse_to_sieve(*args, **kwargs):
+    raise AssertionError("sieved past a refused x")
 
 
 def oracle_rho(g, a, q):
@@ -230,48 +234,48 @@ class TestCensus:
 class TestCensusSharp:
     """The sharp prime count: psi_theta_pi with kind "pi" and sharp."""
 
-    def test_full_window_matches_census_field(self, table):
+    def test_full_window_matches_census_field(self):
         for a, q in ((0, 9), (4, 9), (1, 11), (2, 4)):
             rec = census_grid(10, 4, [(a, q)], LIMIT)[0]
             # the sharp prime count up to x = g^L covers [1, g^L), and
             # primes below the window have window-relative reverses
             # divisible by g, so take the window as a difference
-            full = psi_theta_pi(10, 4, 10**4, a, q, table, "pi", sharp=True)
-            below = psi_theta_pi(10, 4, 10**3, a, q, table, "pi", sharp=True)
+            full = psi_theta_pi(10, 4, 10**4, a, q, "pi", sharp=True)
+            below = psi_theta_pi(10, 4, 10**3, a, q, "pi", sharp=True)
             assert full - below == rec.sharp_observed
 
-    def test_truncated_by_hand(self, table):
+    def test_truncated_by_hand(self):
         # primes up to 13, window length 2: relative reverses are
         # 20, 30, 50, 70, 11, 31 and mod gcd(3, 9900) = 3 the class of 2
         # holds exactly {2, 5, 11}
-        assert psi_theta_pi(10, 2, 13, 2, 3, table, "pi", sharp=True) == 3
-        assert psi_theta_pi(10, 2, 13, 0, 3, table, "pi", sharp=True) == 1
-        assert psi_theta_pi(10, 2, 13, 1, 3, table, "pi", sharp=True) == 2
+        assert psi_theta_pi(10, 2, 13, 2, 3, "pi", sharp=True) == 3
+        assert psi_theta_pi(10, 2, 13, 0, 3, "pi", sharp=True) == 1
+        assert psi_theta_pi(10, 2, 13, 1, 3, "pi", sharp=True) == 2
 
-    def test_monotone_in_x(self, table):
+    def test_monotone_in_x(self):
         values = [
-            psi_theta_pi(2, 12, x, 1, 5, table, "pi", sharp=True)
+            psi_theta_pi(2, 12, x, 1, 5, "pi", sharp=True)
             for x in (10, 100, 1000, 4095, 4096)
         ]
         assert values == sorted(values)
 
-    def test_empty_below_two(self, table):
-        assert psi_theta_pi(10, 3, 1.5, 0, 1, table, "pi", sharp=True) == 0
+    def test_empty_below_two(self):
+        assert psi_theta_pi(10, 3, 1.5, 0, 1, "pi", sharp=True) == 0
 
-    def test_validation(self, table):
+    def test_validation(self):
         with pytest.raises(ValueError):
-            psi_theta_pi(10, 2, 101, 0, 3, table, "pi", sharp=True)
+            psi_theta_pi(10, 2, 101, 0, 3, "pi", sharp=True)
         with pytest.raises(ValueError):
-            psi_theta_pi(10, 2, 0.5, 0, 3, table, "pi", sharp=True)
-        with pytest.raises(ValueError):
-            psi_theta_pi(10, 6, 10**6, 0, 3, table, "pi", sharp=True)
+            psi_theta_pi(10, 2, 0.5, 0, 3, "pi", sharp=True)
+        with pytest.raises(SieveBudgetError):
+            psi_theta_pi(10, 8, arith.DEFAULT_MAX_LIMIT + 1, 0, 3, "pi", sharp=True)
 
 
 class TestPsiThetaPi:
-    def test_trivial_modulus_gives_chebyshev_sum(self, table):
+    def test_trivial_modulus_gives_chebyshev_sum(self):
         x = 5000
         want = math.fsum(mangoldt(n) for n in range(2, x + 1))
-        got = psi_theta_pi(10, 5, x, 0, 1, table, "psi")
+        got = psi_theta_pi(10, 5, x, 0, 1, "psi")
         assert got == pytest.approx(want, abs=1e-9)
 
     def test_small_case_against_window_reverse(self, table):
@@ -282,47 +286,55 @@ class TestPsiThetaPi:
             lams[a] = keep
             want_theta = math.fsum(math.log(p) for p in keep)
             want_pi = float(len(keep))
-            assert psi_theta_pi(g, L, x, a, q, table, "theta") == pytest.approx(
+            assert psi_theta_pi(g, L, x, a, q, "theta") == pytest.approx(
                 want_theta, abs=1e-9
             )
-            assert psi_theta_pi(g, L, x, a, q, table, "pi") == want_pi
+            assert psi_theta_pi(g, L, x, a, q, "pi") == want_pi
         assert sum(len(v) for v in lams.values()) == table.prime_count(x)
 
-    def test_prime_powers_enter_psi(self, table):
+    def test_prime_powers_enter_psi(self):
         # x = 9 catches 2, 3, 4, 5, 7, 8, 9; the squares and cubes carry
         # the log of their prime
         g, L, q = 10, 2, 1
         want = math.fsum(
             math.log(p) for p in (2, 3, 2, 5, 7, 2, 3)
         )
-        assert psi_theta_pi(g, L, 9, 0, q, table, "psi") == pytest.approx(want)
+        assert psi_theta_pi(g, L, 9, 0, q, "psi") == pytest.approx(want)
 
-    def test_orderings(self, table):
+    def test_orderings(self):
         for sharp in (False, True):
             for q in (3, 4):
                 for a in range(q):
-                    args = (2, 10, 800.0, a, q, table)
+                    args = (2, 10, 800.0, a, q)
                     psi = psi_theta_pi(*args, "psi", sharp=sharp)
                     theta = psi_theta_pi(*args, "theta", sharp=sharp)
                     pi = psi_theta_pi(*args, "pi", sharp=sharp)
                     assert psi >= theta >= 0
                     assert pi * math.log(800.0) >= theta
 
-    def test_below_two_vanishes(self, table):
+    def test_below_two_vanishes(self):
         for kind in ("psi", "theta", "pi"):
-            assert psi_theta_pi(10, 3, 1.9, 0, 5, table, kind) == 0.0
+            assert psi_theta_pi(10, 3, 1.9, 0, 5, kind) == 0.0
 
-    def test_sieve_limit_may_end_at_x(self, table):
-        # only n <= x are read, whatever the window
-        at, below = build_table(500), build_table(499)
-        for kind in ("psi", "theta", "pi"):
-            for x in (500, 500.5):
-                want = psi_theta_pi(10, 3, x, 2, 7, table, kind)
-                assert psi_theta_pi(10, 3, x, 2, 7, at, kind) == want
-            with pytest.raises(ValueError):
-                psi_theta_pi(10, 3, 500, 2, 7, below, kind)
+    def test_sieve_limit_may_end_at_x(self, monkeypatch):
+        # only n <= x are sieved, whatever the window: an x at the sieve
+        # budget counts, one above it is refused before anything is sieved
+        want = {kind: psi_theta_pi(10, 3, 500, 2, 7, kind) for kind in ("psi", "theta", "pi")}
+        with monkeypatch.context() as mp:
+            mp.setattr(arith, "DEFAULT_MAX_LIMIT", 500)
+            for kind in want:
+                assert psi_theta_pi(10, 3, 500, 2, 7, kind) == want[kind]
+        monkeypatch.setattr(revcount, "prime_segments", refuse_to_sieve)
+        for kind in want:
+            for x in (arith.DEFAULT_MAX_LIMIT + 0.5, arith.DEFAULT_MAX_LIMIT + 1):
+                with pytest.raises(SieveBudgetError):
+                    psi_theta_pi(2, 30, x, 1, 7, kind)
+            # inf and NaN leave [1, g^L] and are refused before math.floor
+            for x in (math.inf, math.nan):
+                with pytest.raises(ValueError, match="x must lie in"):
+                    psi_theta_pi(10, 3, x, 2, 7, kind)
 
-    def test_sharp_equals_reduced_modulus(self, table):
+    def test_sharp_equals_reduced_modulus(self):
         g, L, x = 10, 4, 8000.0
         q = 14
         reduced = math.gcd(q, g**L * (g * g - 1))
@@ -330,11 +342,11 @@ class TestPsiThetaPi:
         for a in (0, 1, 5):
             for kind in ("psi", "theta", "pi"):
                 assert psi_theta_pi(
-                    g, L, x, a, q, table, kind, sharp=True
-                ) == psi_theta_pi(g, L, x, a, reduced, table, kind)
+                    g, L, x, a, q, kind, sharp=True
+                ) == psi_theta_pi(g, L, x, a, reduced, kind)
 
     @pytest.mark.parametrize("big", [2**63 - 1, 2**63, 2**64])
-    def test_moduli_beyond_int64_against_window_reverse(self, table, big):
+    def test_moduli_beyond_int64_against_window_reverse(self, big):
         # every reverse lies below g^L, so mod big it is its own residue
         g, L, x = 10, 4, 5000
         powers = [(p, p**k) for p in primes_upto(x) for k in range(1, 13) if p**k <= x]
@@ -349,34 +361,51 @@ class TestPsiThetaPi:
                     "psi": math.fsum(math.log(p) for p, v in powers if hit(v)),
                 }
                 for kind, value in want.items():
-                    got = psi_theta_pi(g, L, x, a, big, table, kind, sharp=sharp)
+                    got = psi_theta_pi(g, L, x, a, big, kind, sharp=sharp)
                     assert got == pytest.approx(value, rel=1e-12, abs=0), (kind, a, sharp)
 
-    def test_validation(self, table):
+    @pytest.mark.parametrize("kind, bound", [("pi", 3), ("theta", 8), ("psi", 8)])
+    def test_allocation_peak(self, kind, bound):
+        # like the census window, [2, x] is sieved and walked in runs and
+        # chunks: the 1,077,871 primes up to 2^24 would take 8.2 MiB in one
+        # int64 array, and their reverses, residues and logs as much again
+        args = (2, 24, 2**24, 5, 7, kind)
+        psi_theta_pi(*args)
+        tracemalloc.start()
+        try:
+            psi_theta_pi(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 2**20, peak
+
+    def test_validation(self):
         with pytest.raises(ValueError):
-            psi_theta_pi(10, 3, 100, 0, 1, table, "tau")
+            psi_theta_pi(10, 3, 100, 0, 1, "tau")
         with pytest.raises(ValueError):
-            psi_theta_pi(10, 3, 2000, 0, 1, table, "psi")
+            psi_theta_pi(10, 3, 2000, 0, 1, "psi")
         with pytest.raises(ValueError):
-            psi_theta_pi(10, 3, 0.5, 0, 1, table, "psi")
+            psi_theta_pi(10, 3, 0.5, 0, 1, "psi")
         with pytest.raises(ValueError):
-            psi_theta_pi(10, 3, 100, 0, 0, table, "psi")
+            psi_theta_pi(10, 3, 100, 0, 0, "psi")
+        with pytest.raises(ValueError):
+            psi_theta_pi(1, 3, 1, 0, 1, "pi")
 
 
 class TestSharpFactorDeviation:
-    def test_exact_zero_when_modulus_absorbed(self, table):
+    def test_exact_zero_when_modulus_absorbed(self):
         # q divides g^L (g^2-1), so the sharp count is the plain count
-        assert sharp_factor_deviation(10, 10**5, 4, 9, table) == 0.0
-        assert sharp_factor_deviation(2, 10**4, 1, 12, table) == 0.0
+        assert sharp_factor_deviation(10, 10**5, 4, 9) == 0.0
+        assert sharp_factor_deviation(2, 10**4, 1, 12) == 0.0
 
-    def test_coprime_modulus_near_equidistribution(self, table):
+    def test_coprime_modulus_near_equidistribution(self):
         # gcd(7, 10^L * 99) = 1: the sharp count collapses to pi(x) and the
         # deviation measures how evenly reverses fill the classes mod 7
         for a in (1, 3, 6):
-            assert sharp_factor_deviation(10, 10**5, a, 7, table) < 0.05
+            assert sharp_factor_deviation(10, 10**5, a, 7) < 0.05
 
     @pytest.mark.parametrize("big", [2**63 - 1, 2**63, 2**64])
-    def test_moduli_beyond_int64_against_window_reverse(self, table, big):
+    def test_moduli_beyond_int64_against_window_reverse(self, big):
         g, x = 10, 5000
         m = math.gcd(big, g**4 * (g * g - 1))
         revs = [window_reverse(p, g) for p in primes_upto(x)]
@@ -384,17 +413,75 @@ class TestSharpFactorDeviation:
             plain = sum(r % big == a % big for r in revs)
             sharp = sum(r % m == a % m for r in revs)
             want = abs(plain - (m / big) * sharp) / x
-            assert sharp_factor_deviation(g, x, a, big, table) == want, a
+            assert sharp_factor_deviation(g, x, a, big) == want, a
 
-    def test_validation(self, table):
+    def test_validation(self, monkeypatch):
+        # x above the sieve budget, inf included, is refused before
+        # anything is sieved and before math.floor
+        monkeypatch.setattr(revcount, "prime_segments", refuse_to_sieve)
+        for x in (arith.DEFAULT_MAX_LIMIT + 0.5, math.inf):
+            with pytest.raises(SieveBudgetError, match="sieve budget"):
+                sharp_factor_deviation(10, x, 0, 7)
         with pytest.raises(ValueError):
-            sharp_factor_deviation(10, 10**6, 0, 7, table)
-        with pytest.raises(ValueError):
-            sharp_factor_deviation(10, 0.5, 0, 7, table)
+            sharp_factor_deviation(10, 0.5, 0, 7)
         with pytest.raises(ValueError, match="x must be at least 1"):
-            sharp_factor_deviation(10, math.nan, 0, 7, table)
-        with pytest.raises(ValueError, match="beyond sieve limit"):
-            sharp_factor_deviation(10, math.inf, 0, 7, table)
+            sharp_factor_deviation(10, math.nan, 0, 7)
+        with pytest.raises(ValueError):
+            sharp_factor_deviation(10, 100, 0, 0)
+        with pytest.raises(ValueError):
+            sharp_factor_deviation(1, 100, 0, 7)
+
+
+class TestCountsAcrossSegments:
+    """psi, theta, pi and the sharp deviation at an x past the first sieve
+    segment, against a recount of a table's primes with window_reverse.
+
+    A segment holds 2^20 odd flags, 2^21 integers, and a run a quarter of
+    them; every other test of these counts stays below 10^5, inside the
+    first run.  x is above 10^6 + 2^21, so the primes of 7 digits, which
+    sharp_factor_deviation sieves from 10^6 on, span two segments too.
+    """
+
+    X = 3_200_000.5
+    # 693 = 7 * 99 has sharp part 99; 899919 = 9 * 99991 is above the
+    # group cap and has sharp part 9
+    MODULI = (7, 693, 899_919)
+
+    @pytest.fixture(scope="class")
+    def primes(self):
+        return build_table(math.floor(self.X)).primes.tolist()
+
+    def test_psi_theta_pi(self, primes):
+        g, L, x = 10, 7, self.X
+        powers = [(p, p**k) for p in primes[:300] for k in range(2, 22) if p**k <= x]
+        rev = {v: window_reverse(v, g, L) for v in primes + [v for _, v in powers]}
+        for q in self.MODULI:
+            for sharp in (False, True):
+                m = math.gcd(q, g**L * (g * g - 1)) if sharp else q
+                a = rev[primes[-1]] % m
+                hits = [p for p in primes if rev[p] % m == a]
+                want = {
+                    "pi": float(len(hits)),
+                    "theta": math.fsum(map(math.log, hits)),
+                    "psi": math.fsum(
+                        [*map(math.log, hits), *(math.log(p) for p, v in powers if rev[v] % m == a)]
+                    ),
+                }
+                got = {kind: psi_theta_pi(g, L, x, a, q, kind, sharp=sharp) for kind in want}
+                assert got["pi"] == want["pi"], (q, sharp)
+                assert got["theta"] == pytest.approx(want["theta"], rel=1e-12, abs=0)
+                assert got["psi"] == pytest.approx(want["psi"], rel=1e-12, abs=0)
+
+    def test_sharp_factor_deviation(self, primes):
+        g, x = 10, self.X
+        revs = [window_reverse(p, g) for p in primes]
+        for q in self.MODULI:
+            m = math.gcd(q, g**7 * (g * g - 1))
+            for a in (1, revs[-1]):
+                plain = sum(r % q == a % q for r in revs)
+                sharp = sum(r % m == a % m for r in revs)
+                want = abs(plain - (m / q) * sharp) / x
+                assert sharp_factor_deviation(g, x, a, q) == want, (q, a)
 
 
 # q = 1, moduli sharing factors (3, 9, 27), coprime ones, the products
@@ -582,20 +669,19 @@ class TestLayerAgainstScalarRecount:
     @settings(max_examples=40, deadline=None)
     @given(small_windows(), st.integers(0, 80), st.integers(1, 60), st.floats(0, 1))
     def test_census_sharp(self, window, a, q, frac):
-        g, L, limit = window
+        g, L, _ = window
         x = 1 + frac * (g**L - 1)
         m = math.gcd(q, g**L * (g * g - 1))
         want = sum(window_reverse(p, g, L) % m == a % m for p in primes_upto(x))
-        assert psi_theta_pi(g, L, x, a, q, build_table(limit), "pi", sharp=True) == want
+        assert psi_theta_pi(g, L, x, a, q, "pi", sharp=True) == want
 
     @settings(max_examples=40, deadline=None)
     @given(small_windows(), st.integers(0, 80), st.integers(1, 60),
            st.floats(0, 1), st.booleans())
     def test_psi_theta_pi(self, window, a, q, frac, sharp):
-        g, L, limit = window
+        g, L, _ = window
         x = 1 + frac * (g**L - 1)
         m = math.gcd(q, g**L * (g * g - 1)) if sharp else q
-        table = build_table(limit)
         hit = lambda n: window_reverse(n, g, L) % m == a % m
         primes = primes_upto(x)
         powers = [(p, p**k) for p in primes for k in range(1, 40) if p**k <= x]
@@ -604,7 +690,7 @@ class TestLayerAgainstScalarRecount:
             "theta": math.fsum(math.log(p) for p in primes if hit(p)),
             "psi": math.fsum(math.log(p) for p, v in powers if hit(v)),
         }
-        got = {kind: psi_theta_pi(g, L, x, a, q, table, kind, sharp=sharp) for kind in want}
+        got = {kind: psi_theta_pi(g, L, x, a, q, kind, sharp=sharp) for kind in want}
         assert got["pi"] == want["pi"]
         assert got["theta"] == pytest.approx(want["theta"], rel=1e-12, abs=0)
         assert got["psi"] == pytest.approx(want["psi"], rel=1e-12, abs=0)
@@ -620,7 +706,7 @@ class TestLayerAgainstScalarRecount:
         plain = sum(r % q == a % q for r in revs)
         sharp = sum(r % m == a % m for r in revs)
         want = abs(plain - (m / q) * sharp) / x
-        assert sharp_factor_deviation(g, x, a, q, build_table(limit)) == want
+        assert sharp_factor_deviation(g, x, a, q) == want
 
 
 class TestZeroDensityStrays:

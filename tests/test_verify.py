@@ -116,7 +116,9 @@ class TestDeterminism:
         assert [r.to_dict() for r in first] == [r.to_dict() for r in second]
 
     def test_thread_count_changes_nothing(self):
-        opts = SuiteOptions(g=3, lambda_max=5, cases=4)
+        # the default three bases are three cells, so eight threads run
+        # them in a pool; a single cell would run serially at any count
+        opts = SuiteOptions(lambda_max=5, cases=4)
         serial = run_suite("linf", RunConfig(threads=1), opts)
         parallel = run_suite("linf", RunConfig(threads=8), opts)
         assert [r.to_dict() for r in serial] == [r.to_dict() for r in parallel]
