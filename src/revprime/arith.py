@@ -3,12 +3,12 @@
 The one sieve, prime_segments, walks the odd numbers of a range one
 cache-sized segment of flags at a time from a wheel pattern that already
 strikes the multiples of 3, 5, 7, 11 and 13, and yields runs of primes:
-build_table copies those of [2, limit] into the one sorted array a
-PrimeTable keeps, and revcount's counts stream those of their ranges.
-No bitmap of limit/2 flags is ever held.  prime_powers walks the powers
-of an array of primes, for Lambda here and for revcount's psi.
-mobius_values sieves mu over the range it is asked for with a table's
-primes up to its square root.
+build_table copies those of [2, limit] into one sorted int64 array, and
+revcount's counts stream those of their ranges.  No bitmap of limit/2
+flags is ever held, and no prime table is kept: each function here
+sieves the primes it reads.  prime_powers walks the powers of an array
+of primes, for Lambda here and for revcount's psi.  mobius_values sieves
+mu over the range it is asked for with the primes up to its square root.
 vaughan_arrays splits Lambda(n) into the classical four pieces
 controlled by a threshold z (Vaughan's identity) for every n up to a
 bound in one sieve-order pass.
@@ -17,7 +17,7 @@ and divisors, and Vaughan's split one divisor at a time) lives in
 tests/oracles.py.
 
 vaughan_terms, mangoldt_tail and mobius_mangoldt_window are views: each
-returns entry n of vaughan_arrays(pt, z, n).  No command calls them.
+returns entry n of vaughan_arrays(z, n).  No command calls them.
 They stay only because perfbench's traced run wraps verify.vaughan_terms,
 verify.mangoldt_tail and verify.mobius_mangoldt_window by name; they
 leave with those entries of its PLAN.
@@ -32,7 +32,6 @@ import numpy as np
 
 __all__ = [
     "SieveBudgetError",
-    "PrimeTable",
     "VaughanArrays",
     "build_table",
     "check_sieve_limit",
@@ -47,10 +46,10 @@ __all__ = [
     "DEFAULT_MAX_LIMIT",
 ]
 
-# The largest sieve limit.  A table holds 8 bytes per prime (~30 MiB at
-# 2^26) and nothing else; mobius_values holds 9 bytes per integer of the
-# range it sieves.  The census builds no table: its windows end at or
-# below the limit, and it holds one segment whatever the limit.
+# The largest integer any sieve may reach (check_sieve_limit).  The
+# primes up to it take 8 bytes each (~30 MiB at 2^26); mobius_values
+# holds 9 bytes per integer of the range it sieves.  The census and
+# revcount's counts hold one segment whatever the reach.
 DEFAULT_MAX_LIMIT = 1 << 26
 
 # the odd primes whose multiples the wheel pattern already strikes
@@ -131,32 +130,6 @@ def _fill_wheel(flags: np.ndarray, wheel: np.ndarray, phase: int) -> None:
         done += step
 
 
-@dataclass(frozen=True, eq=False)
-class PrimeTable:
-    """Immutable prime table over [2, limit]; build_table sieves one.
-
-    primes holds every prime <= limit in ascending order, and that is all
-    the table keeps: mobius_values sieves mu from those primes over the
-    range asked for, mangoldt_array marks their powers and vaughan_arrays
-    reads both.  tests/oracles.py holds the per-n reference for each.  The
-    table has no per-n queries: the three per-n names perfbench's PLAN
-    wraps are views of vaughan_arrays.  Only verify's suites build one
-    (primesum's sums read it); the census and revcount's psi, theta and
-    pi counts sieve their own ranges.
-    """
-
-    limit: int
-    primes: np.ndarray
-
-    def prime_count(self, x: float) -> int:
-        """Number of primes <= x."""
-        if x < 2:
-            return 0
-        if x > self.limit:
-            raise ValueError(f"prime count beyond table limit {self.limit}")
-        return int(np.searchsorted(self.primes, math.floor(x), side="right"))
-
-
 def check_sieve_limit(limit: int) -> None:
     """Raise ValueError below 2 and SieveBudgetError above DEFAULT_MAX_LIMIT."""
     if limit < 2:
@@ -167,12 +140,12 @@ def check_sieve_limit(limit: int) -> None:
         )
 
 
-def build_table(limit: int) -> PrimeTable:
-    """Sieve a PrimeTable covering [2, limit]; nothing is persisted.
+def build_table(limit: int) -> np.ndarray:
+    """Every prime <= limit, ascending, as one int64 array; nothing is persisted.
 
-    The primes array is allocated once, to Rosser and Schoenfeld's bound
-    pi(x) < 1.25506 x / ln x (x > 1), and the table keeps the slice the
-    runs fill, so the pages past the last prime are never resident.
+    The array is allocated once, to Rosser and Schoenfeld's bound
+    pi(x) < 1.25506 x / ln x (x > 1), and the slice the runs fill is
+    returned, so the pages past the last prime are never resident.
     Shrinking it with ndarray.resize instead cost 573 minor faults per
     build_table(2^24) in steady state, against 0 (glibc's defaults).
     """
@@ -182,10 +155,17 @@ def build_table(limit: int) -> PrimeTable:
     for run in prime_segments(2, limit + 1):
         primes[at : at + run.size] = run
         at += run.size
-    return PrimeTable(limit, primes[:at])
+    return primes[:at]
 
 
-def mobius_values(pt: PrimeTable, n: np.ndarray) -> np.ndarray:
+def _check_reach(top: int) -> None:
+    """Raise ValueError below 1 and SieveBudgetError above DEFAULT_MAX_LIMIT."""
+    if top < 1:
+        raise ValueError(f"top = {top} below 1")
+    check_sieve_limit(max(top, 2))
+
+
+def mobius_values(n: np.ndarray) -> np.ndarray:
     """mu(v) for every entry v of the 1-d integer array n, as int8.
 
     A Moebius sieve over [lo, hi], the least and largest entry: each
@@ -193,19 +173,21 @@ def mobius_values(pt: PrimeTable, n: np.ndarray) -> np.ndarray:
     multiples of p^2 and multiplies p into each multiple's product of
     small prime factors.  A squarefree v whose product falls short of v
     has exactly one prime factor above sqrt(hi), so its sign flips once
-    more.  The product divides v, so it never exceeds the limit.  The
+    more.  The product divides v, so it never exceeds hi.  The
     sieve holds 9 bytes per integer of [lo, hi], and the last comparison
-    8 more.  Entries must lie in [1, limit].
+    8 more.  Entries must be at least 1, and hi within the sieve budget.
     """
     n = np.asarray(n, dtype=np.int64)
     if not n.size:
         return np.ones(n.shape, dtype=np.int8)
     lo, hi = int(n.min()), int(n.max())
-    if lo < 1 or hi > pt.limit:
-        raise ValueError(f"mobius query outside table range [1, {pt.limit}]")
+    if lo < 1:
+        raise ValueError(f"mobius query {lo} below 1")
+    _check_reach(hi)
     mu = np.ones(hi - lo + 1, dtype=np.int8)
     small = np.ones(hi - lo + 1, dtype=np.int64)
-    for p in pt.primes[: pt.prime_count(math.isqrt(hi))].tolist():
+    # below 4 the prime 2 is sieved too: a prime above sqrt(hi) changes no mu
+    for p in build_table(max(math.isqrt(hi), 2)).tolist():
         mu[-lo % p :: p] *= -1
         small[-lo % p :: p] *= p
         mu[-lo % (p * p) :: p * p] = 0
@@ -237,18 +219,18 @@ def _log_table(top: int) -> np.ndarray:
     return log
 
 
-def _mangoldt_table(pt: PrimeTable, top: int, log: np.ndarray) -> np.ndarray:
+def _mangoldt_table(top: int, log: np.ndarray) -> np.ndarray:
     lam = np.zeros(top + 1, dtype=np.float64)
-    powers, primes = prime_powers(pt.primes[: pt.prime_count(top)], top)
-    lam[powers] = log[primes]
+    if top >= 2:  # no prime is below 2
+        powers, primes = prime_powers(build_table(top), top)
+        lam[powers] = log[primes]
     return lam
 
 
-def mangoldt_array(pt: PrimeTable, top: int) -> np.ndarray:
+def mangoldt_array(top: int) -> np.ndarray:
     """Lambda(n) for 0 <= n <= top (index 0 holds 0): log p at every power of a prime p."""
-    if not 1 <= top <= pt.limit:
-        raise ValueError(f"top = {top} outside table range [1, {pt.limit}]")
-    return _mangoldt_table(pt, top, _log_table(top))
+    _check_reach(top)
+    return _mangoldt_table(top, _log_table(top))
 
 
 def _floor_at_most(x: float, top: int) -> int:
@@ -286,7 +268,7 @@ class VaughanArrays:
         return self.a1 + self.a2 + self.a3 + self.a4
 
 
-def vaughan_arrays(pt: PrimeTable, z: float, top: int) -> VaughanArrays:
+def vaughan_arrays(z: float, top: int) -> VaughanArrays:
     """The four Vaughan pieces and their two coefficient sums for n <= top.
 
     Each divisor sum is built by sieve-order accumulation: for each d in
@@ -296,8 +278,7 @@ def vaughan_arrays(pt: PrimeTable, z: float, top: int) -> VaughanArrays:
     coefficient is 0 is skipped, since adding +-0.0 to a sum that started
     at +0.0 never changes it.  Costs O(top log top) array work.
     """
-    if not 1 <= top <= pt.limit:
-        raise ValueError(f"top = {top} outside table range [1, {pt.limit}]")
+    _check_reach(top)
     if not z > 0:
         raise ValueError("threshold z must be positive")
     zf = _floor_at_most(z, top)
@@ -305,8 +286,8 @@ def vaughan_arrays(pt: PrimeTable, z: float, top: int) -> VaughanArrays:
     n = np.arange(top + 1, dtype=np.int64)
     log = _log_table(top)
     mobius = np.zeros(top + 1, dtype=np.float64)
-    mobius[1:] = mobius_values(pt, n[1:])
-    mangoldt = _mangoldt_table(pt, top, log)
+    mobius[1:] = mobius_values(n[1:])
+    mangoldt = _mangoldt_table(top, log)
 
     tail = np.zeros(top + 1, dtype=np.float64)
     for d in np.flatnonzero(mangoldt[zf + 1 :]) + zf + 1:
@@ -332,17 +313,17 @@ def vaughan_arrays(pt: PrimeTable, z: float, top: int) -> VaughanArrays:
     return VaughanArrays(z, log, mobius, mangoldt, tail, window, a1, a2, a3, a4)
 
 
-def vaughan_terms(n: int, z: float, pt: PrimeTable) -> tuple[float, float, float, float]:
-    """(a1, a2, a3, a4) of n at threshold z: entry n of vaughan_arrays(pt, z, n)."""
-    va = vaughan_arrays(pt, z, n)
+def vaughan_terms(n: int, z: float) -> tuple[float, float, float, float]:
+    """(a1, a2, a3, a4) of n at threshold z: entry n of vaughan_arrays(z, n)."""
+    va = vaughan_arrays(z, n)
     return float(va.a1[n]), float(va.a2[n]), float(va.a3[n]), float(va.a4[n])
 
 
-def mangoldt_tail(n: int, z: float, pt: PrimeTable) -> float:
+def mangoldt_tail(n: int, z: float) -> float:
     """Sum of Lambda(d) over the divisors d > z of n: entry n of vaughan_arrays."""
-    return float(vaughan_arrays(pt, z, n).mangoldt_tail[n])
+    return float(vaughan_arrays(z, n).mangoldt_tail[n])
 
 
-def mobius_mangoldt_window(n: int, z: float, pt: PrimeTable) -> float:
+def mobius_mangoldt_window(n: int, z: float) -> float:
     """Sum of mu(d) Lambda(n/d) over d | n with d, n/d <= z: entry n of vaughan_arrays."""
-    return float(vaughan_arrays(pt, z, n).mobius_mangoldt_window[n])
+    return float(vaughan_arrays(z, n).mobius_mangoldt_window[n])

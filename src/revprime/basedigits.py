@@ -25,6 +25,7 @@ import math
 import numpy as np
 
 __all__ = [
+    "INT64_MAX",
     "check_base",
     "reverse",
     "reverse_chunks",
@@ -58,7 +59,8 @@ def reverse(n: int, g: int) -> int:
     return out
 
 
-_INT64_MAX = 2**63 - 1
+# the largest int64, the ceiling of every reverse and of revcount's residues
+INT64_MAX = 2**63 - 1
 # reversal tables hold at most this many int64 entries (128 KiB): base g
 # reverses k digits per step, k the largest with g^k <= _TABLE_ENTRIES;
 # base 10 takes L = 7 in 2 steps, and 2^12 was slower, 2^16 no faster
@@ -141,7 +143,7 @@ def reverse_chunks(values: np.ndarray, g: int, L: int):
     is read, and ValueError is raised if values is not empty and
     g^L > 2^63 - 1.
     """
-    if values.size and g**L > _INT64_MAX:
+    if values.size and g**L > INT64_MAX:
         raise ValueError(f"{g}^{L} overflows int64")
     fits = not values.size or int(values.max()) < g**L
     revs, *work = [np.empty(min(_CHUNK, values.size), dtype=np.int64) for _ in range(4)]

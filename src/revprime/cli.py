@@ -19,6 +19,7 @@ from dataclasses import asdict, fields, replace
 from typing import TYPE_CHECKING, Optional
 
 from . import __version__
+from .arith import check_sieve_limit
 from .config import RunConfig, UsageError, load_config
 from .revcount import CensusRecord, census_grid, check_window, zero_density_strays
 
@@ -287,7 +288,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output path (atomic write)")
     p.add_argument("--seed", type=int, default=None, help="rng seed override")
     p.add_argument("--sieve-limit", type=int, default=None,
-                   help="largest integer a sieve may reach; census needs g^L - 1 <= it")
+                   help="largest integer any sieve may reach, at most 2^26; every "
+                   "census window and sieved verify cell must fit under it")
 
 
 def _add_suite_options(p: argparse.ArgumentParser) -> None:
@@ -333,10 +335,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    # the one home of exit 1 after parsing: bad config, bad --out, usage errors
+    # the one home of exit 1 after parsing: bad config, bad --out, a sieve
+    # limit over the budget (on every command), usage errors
     try:
         _check_out(args.out)
-        return args.func(args, _load_run_config(args))
+        cfg = _load_run_config(args)
+        check_sieve_limit(cfg.sieve_limit)
+        return args.func(args, cfg)
     except (UsageError, ValueError, OSError) as exc:
         sys.stderr.write(f"{args.command}: error: {exc}\n")
         return 1

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .arith import PrimeTable, mangoldt_array, mobius_values, vaughan_arrays
+from .arith import mangoldt_array, mobius_values, vaughan_arrays
 from .basedigits import dist, ilog
 from .expsum import (
     BoundReport,
@@ -177,14 +177,14 @@ def type_ii_sum(
     return SumResult(S, kappa, xi, x * seed.base ** (-kappa) * math.log(x))
 
 
-def mobius_coefficients(pt: PrimeTable) -> Coefficients:
+def mobius_coefficients() -> Coefficients:
     def gen(n: np.ndarray) -> np.ndarray:
-        return mobius_values(pt, n).astype(np.complex128)
+        return mobius_values(n).astype(np.complex128)
 
     return gen
 
 
-def mangoldt_tail_coefficients(pt: PrimeTable, z: float, x: float) -> Coefficients:
+def mangoldt_tail_coefficients(z: float, x: float) -> Coefficients:
     """Above-threshold von Mangoldt tail scaled by 1/log x; bounded by 1 on [1, x].
 
     Each call tabulates the tail up to its largest n (entry n of the
@@ -200,7 +200,7 @@ def mangoldt_tail_coefficients(pt: PrimeTable, z: float, x: float) -> Coefficien
             return np.zeros(0, dtype=np.complex128)
         if n.min() < 1 or n.max() > top:
             raise ValueError(f"tail coefficients cover [1, {top}] only")
-        values = vaughan_arrays(pt, z, int(n.max())).mangoldt_tail[n] * scale
+        values = vaughan_arrays(z, int(n.max())).mangoldt_tail[n] * scale
         return values.astype(np.complex128)
 
     return gen
@@ -338,19 +338,18 @@ def sin_sum_check(a: int, m: int, b: float, M: float) -> BoundReport:
     )
 
 
-def prime_exp_sum(seed: Seed, L: int, x: float, pt: PrimeTable) -> SumResult:
+def prime_exp_sum(seed: Seed, L: int, x: float) -> SumResult:
     """Sum of Lambda(n) e(phase(n)) for n <= x, with its decay exponent.
 
-    S is summed directly over n.  z = x^(1/4) is the threshold of the
-    four-term split behind its estimate, whose bound shape is
-    x * g^(-kappa) * (log x)^4, up to its calibrated constant.
+    S is summed directly over n, with Lambda sieved up to x (the
+    enumeration budget keeps x inside the sieve budget).  z = x^(1/4) is
+    the threshold of the four-term split behind its estimate, whose bound
+    shape is x * g^(-kappa) * (log x)^4, up to its calibrated constant.
     """
-    if x > pt.limit:  # before the budget check: past both is a ValueError
-        raise ValueError(f"x = {x} beyond sieve limit {pt.limit}")
     _check_window(seed, L, x)
     top = math.floor(x)
     table = _unit_phases(seed, L, top)
-    S = complex(np.sum(mangoldt_array(pt, top)[2:] * table[2:]))
+    S = complex(np.sum(mangoldt_array(top)[2:] * table[2:]))
     xi, kappa = _decay(seed, x)
     # every gamma is below gamma_upper_bound(g) <= 1/(32 log 2) < 0.046, so
     # kappa = sigma/10 < 0.0046 xi against the cap 0.05 xi: no float slack needed

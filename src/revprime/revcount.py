@@ -10,9 +10,10 @@ census_grid bins its window's chunks into one histogram per group of
 moduli whose lcm is at most 2^16; a larger modulus counts only the
 residues its cells ask for.  sharp_factor_deviation feeds the same
 counter one digit length at a time, and psi_theta_pi weighs the chunks
-of [2, x] and, for psi, the higher prime powers.  No prime table and no
-array with one entry per prime is made.  The sharp variants reduce the
-modulus to the part that interacts with reversal, gcd(q, g^L (g^2-1)).
+of [2, x] and, for psi, the higher prime powers, walked from
+arith.build_table's primes up to sqrt(x), the one prime array made
+here; no prime table is kept.  The sharp variants reduce the modulus
+to the part that interacts with reversal, gcd(q, g^L (g^2-1)).
 Only the sieve (arith) and digit arithmetic (basedigits) are read here;
 the exponential sums behind the theorems live in expsum and primesum.
 The per-n references the counts are tested against (window_reverse,
@@ -28,8 +29,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import check_sieve_limit, prime_powers, prime_segments
-from .basedigits import check_base, ilog, reverse_chunks
+from .arith import build_table, check_sieve_limit, prime_powers, prime_segments
+from .basedigits import INT64_MAX, check_base, ilog, reverse_chunks
 # reverse is not called here or by any command; it stays importable as
 # revcount.reverse only because perfbench's PLAN counts reversals through
 # that name, and it goes when that entry does
@@ -139,8 +140,6 @@ def _sharp_modulus(g: int, L: int, q: int) -> int:
 # one residue pass bins every modulus that divides a group lcm up to this
 _GROUP_CAP = 2**16
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
-
 
 def _modulus_groups(moduli) -> list[tuple[int, list[int]]]:
     """(lcm, members) groups of the distinct moduli, first fit in ascending order.
@@ -169,7 +168,7 @@ def _mod_into(values: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
     and np.remainder, which has no such path, took 110 us on 2^15 entries
     against 48 us for these three passes (x86-64, numpy 2.4).
     """
-    if m > _INT64_MAX:
+    if m > INT64_MAX:
         return values
     np.floor_divide(values, m, out=out)
     out *= m
@@ -199,7 +198,7 @@ class _ClassCounts:
         }
         self._wanted = {
             lcm: np.array(
-                sorted({a % lcm for a, m in cells if m == lcm and a % lcm <= _INT64_MAX}),
+                sorted({a % lcm for a, m in cells if m == lcm and a % lcm <= INT64_MAX}),
                 dtype=np.int64,
             )
             for lcm, _ in groups if lcm > _GROUP_CAP
@@ -228,7 +227,7 @@ class _ClassCounts:
         lcm = self._group_of[m]
         if lcm > _GROUP_CAP:
             wanted = self._wanted[m]
-            at = int(wanted.searchsorted(r)) if r <= _INT64_MAX else wanted.size
+            at = int(wanted.searchsorted(r)) if r <= INT64_MAX else wanted.size
             return int(self._hits[m][at]) if at < wanted.size and wanted[at] == r else 0
         if m not in self._folded:
             self._folded[m] = self._bins[lcm].reshape(-1, m).sum(0)
@@ -307,9 +306,9 @@ def psi_theta_pi(
     modulus = _sharp_modulus(g, L, q) if sharp else q
     # (log bases, their reverse chunks) per run: a prime is its own base
     runs = ((run, reverse_chunks(run, g, L)) for run in prime_segments(2, top + 1))
-    if kind == "psi":
-        small = [p for run in prime_segments(2, math.isqrt(top) + 1) for p in run.tolist()]
-        powers, bases = (v[len(small) :] for v in prime_powers(np.array(small, np.int64), top))
+    if kind == "psi" and top >= 4:  # 4 is the least p^k with k >= 2
+        small = build_table(math.isqrt(top))
+        powers, bases = (v[small.size :] for v in prime_powers(small, top))
         runs = itertools.chain(runs, [(bases, reverse_chunks(powers, g, L))])
     hits = (
         (weights[lo : lo + revs.size], _mod_into(revs, modulus, scratch) == a % modulus)

@@ -24,12 +24,12 @@ from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .arith import build_table, vaughan_arrays
-# the per-n Vaughan views of vaughan_arrays are not called here or by
-# any command; they stay importable as verify.<name> only because
-# perfbench's PLAN times them through these names, and they go when
-# those entries do
-from .arith import mangoldt_tail, mobius_mangoldt_window, vaughan_terms  # noqa: F401
+from .arith import vaughan_arrays
+# build_table and the per-n Vaughan views of vaughan_arrays are not
+# called here or by any command (each sum sieves its own primes); they
+# stay importable as verify.<name> only because perfbench's PLAN times
+# them through these names, and they go when those entries do
+from .arith import build_table, mangoldt_tail, mobius_mangoldt_window, vaughan_terms  # noqa: F401
 from .basedigits import ilog
 from .config import RunConfig, UsageError, make_rng
 from .expsum import (
@@ -113,18 +113,6 @@ def _grid(grid: tuple) -> Callable[[RunConfig, SuiteOptions], dict]:
         return {opts.g: picked[opts.g]}
 
     return cells
-
-
-def _sieved(cells: Callable[[RunConfig, SuiteOptions], dict]) -> Callable:
-    """cells() that builds the suite's one sieve table, after the grid's
-    checks pass, and hands it to every cell as (table, cell)."""
-
-    def sieved(cfg: RunConfig, opts: SuiteOptions) -> dict:
-        picked = cells(cfg, opts)
-        pt = build_table(cfg.sieve_limit)
-        return {key: (pt, cell) for key, cell in picked.items()}
-
-    return sieved
 
 
 def _pick_seeds(pool: list[tuple[str, Any]], which: Optional[str]) -> list[tuple[str, Any]]:
@@ -337,15 +325,13 @@ def _truncation(cfg: RunConfig, opts: SuiteOptions, rng, box: tuple) -> list[Bou
 
 def _vaughan_cells(cfg: RunConfig, opts: SuiteOptions) -> dict:
     limit = _or_default(opts.limit, 10_000)
-    if limit > cfg.sieve_limit:
-        raise UsageError(f"--limit {limit} exceeds sieve_limit {cfg.sieve_limit}")
     zs = (2.0, 5.0, 50.0, float(limit) ** 0.25)
     return {i: (limit, z) for i, z in enumerate(zs)}
 
 
 def _vaughan(cfg: RunConfig, opts: SuiteOptions, rng, cell: tuple) -> list[BoundReport]:
-    pt, (limit, z) = cell
-    va = vaughan_arrays(pt, z, limit)
+    limit, z = cell
+    va = vaughan_arrays(z, limit)
     gap = np.abs(va.total[1:] - va.mangoldt[1:])
     at = int(np.argmax(gap))
     worst, worst_n = (float(gap[at]), at + 1) if gap[at] > 0.0 else (0.0, 1)
@@ -462,9 +448,9 @@ _TYPE_II_CELLS = (
 
 
 def _type_ii(cfg: RunConfig, opts: SuiteOptions, rng, cell: tuple) -> list[BoundReport]:
-    pt, (g, L, x, M, N) = cell
+    g, L, x, M, N = cell
     pairs = [
-        ("mobius-tail", mobius_coefficients(pt), mangoldt_tail_coefficients(pt, N / 2, x)),
+        ("mobius-tail", mobius_coefficients(), mangoldt_tail_coefficients(N / 2, x)),
         ("unimodular", unimodular_coefficients(1), unimodular_coefficients(2)),
     ]
     out = []
@@ -491,12 +477,12 @@ _PRIME_SUM_SCALES = (1 / 7, 3 / 7, 2 / 11)
 
 
 def _prime_exp_sum(cfg: RunConfig, opts: SuiteOptions, rng, cell: tuple) -> list[BoundReport]:
-    pt, (g, L, x) = cell
+    g, L, x = cell
     out = []
     scales = [("reverse", scale) for scale in _PRIME_SUM_SCALES]
     for _, scale in _pick_seeds(scales, opts.seed_family):
         seed = reverse_seed(g, L, scale)
-        res = prime_exp_sum(seed, L, float(x), pt)
+        res = prime_exp_sum(seed, L, float(x))
         out.append(
             _ratio_report(
                 "prime-exp-sum", cfg, abs(res.S), res.bound_shape,
@@ -534,12 +520,15 @@ class Suite(NamedTuple):
     it moves every report); cells(cfg, opts) maps each cell's RNG key to
     the cell; cell(cfg, opts, rng, cell) returns that cell's reports;
     reads names the SuiteOptions fields those two read, and run_suite
-    rejects any other option that is given."""
+    rejects any other option that is given.  A suite whose cells sieve
+    primes gives reach(cell), the largest integer that cell sieves up
+    to, and run_suite refuses a cell that reaches past cfg.sieve_limit."""
 
     stream: int
     cells: Callable[[RunConfig, SuiteOptions], dict]
     cell: Callable[..., list[BoundReport]]
     reads: tuple[str, ...]
+    reach: Optional[Callable[[tuple], int]] = None
 
 
 _SEEDED = ("g", "seed_family")
@@ -553,11 +542,13 @@ SUITES: dict[str, Suite] = {
     "vdc": Suite(5, _blocks, _vdc, ("cases",)),
     "sin-sum": Suite(6, _blocks, _sin_sum, ("cases",)),
     "truncation": Suite(7, _truncation_cells, _truncation, ("g",)),
-    "vaughan": Suite(8, _sieved(_vaughan_cells), _vaughan, ("limit",)),
+    "vaughan": Suite(8, _vaughan_cells, _vaughan, ("limit",), lambda c: c[0]),
     "monotonicity": Suite(9, _grid((2, 3, 10)), _monotonicity, ("g", "lambda_max", "seed_family")),
     "type-i": Suite(10, _grid(_TYPE_I_CELLS), _type_i, _SEEDED),
-    "type-ii": Suite(11, _sieved(_grid(_TYPE_II_CELLS)), _type_ii, _SEEDED),
-    "prime-exp-sum": Suite(12, _sieved(_grid(_PRIME_SUM_CELLS)), _prime_exp_sum, _SEEDED),
+    # the Moebius coefficients read m <= 2M and the tail ones n <= 2N
+    "type-ii": Suite(11, _grid(_TYPE_II_CELLS), _type_ii, _SEEDED,
+                     lambda c: math.floor(2 * max(c[3], c[4]))),
+    "prime-exp-sum": Suite(12, _grid(_PRIME_SUM_CELLS), _prime_exp_sum, _SEEDED, lambda c: c[2]),
     "hybrid": Suite(13, _grid(_HYBRID_CELLS), _hybrid, _SEEDED),
 }
 
@@ -573,6 +564,9 @@ def run_suite(name: str, cfg: RunConfig, opts: SuiteOptions) -> list[BoundReport
             reads = ", ".join(map(_flag, suite.reads))
             raise UsageError(f"suite {name!r} does not read {_flag(f.name)}; it reads {reads}")
     cells = suite.cells(cfg, opts)
+    reach = max(map(suite.reach, cells.values())) if suite.reach else 0
+    if reach > cfg.sieve_limit:
+        raise UsageError(f"suite {name!r} sieves up to {reach} > sieve_limit {cfg.sieve_limit}")
 
     def run(key: int) -> list[BoundReport]:
         return suite.cell(cfg, opts, make_rng(cfg, suite.stream, key), cells[key])

@@ -60,8 +60,8 @@ TRACED = (
 
 
 @pytest.fixture(scope="session")
-def table():
-    """One sieve over [2, 10^5], shared by every test that reads a table."""
+def primes():
+    """Every prime up to 10^5, one sieve shared by the tests that read them."""
     return build_table(10**5)
 
 

@@ -345,7 +345,7 @@ def test_criterion_08_census_headline():
     # the window's primes picked out of them, and E_L built from the rest.
     n = np.arange(2**15 + 1, 2**16, 2, dtype=np.int64)
     revs = np.array([window_reverse(int(v), 2, 16) for v in n], dtype=np.int64)
-    primes = build_table(1 << 16).primes
+    primes = build_table(1 << 16)
     primes = primes[primes >= 2**15]
     prime_revs = revs[np.searchsorted(n, primes)]
     expect = {q: _window_expectation(2, q, n, revs) for q in (1, 3, 5, 7)}

@@ -556,13 +556,16 @@ class TestVerifyCommand:
 
 
 class TestSieveBudget:
-    """A sieve limit over the budget is a usage error, not a crash."""
+    """A sieve limit over the budget is a usage error on every command,
+    whether or not it sieves, and not a crash."""
 
     @pytest.mark.parametrize(
         "argv",
         [
             ["census", "--g", "2", "--L", "3", "--q", "3"],
             ["verify", "vaughan"],
+            ["verify", "vdc"],
+            ["calibrate", "type-i"],
         ],
     )
     def test_over_budget_is_usage_error(self, tmp_path, argv):
@@ -579,6 +582,33 @@ class TestSieveBudget:
         assert f"{argv[0]}: error: sieve limit 100000000 exceeds" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not out.exists()
+
+    def test_over_budget_config_file_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"sieve_limit": 2**26 + 1}))
+        out = tmp_path / "r.out"
+        assert main(["verify", "vdc", "--config", str(config), "--out", str(out)]) == 1
+        assert "verify: error: sieve limit 67108865 exceeds" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, reach",
+        [
+            (["vaughan", "--limit", "300"], 300),
+            (["type-ii"], 32),  # 2M = 2N = 32 on the g = 2 cell
+            (["prime-exp-sum"], 10**4),  # x = 10^4 on the g = 10 cell
+        ],
+    )
+    def test_sieved_cells_must_fit_under_the_limit(self, tmp_path, capsys, argv, reach):
+        # --sieve-limit is a ceiling on what a cell sieves, checked before any work
+        out = tmp_path / "r.jsonl"
+        argv = ["verify", *argv, "--out", str(out)]
+        assert main([*argv, "--sieve-limit", str(reach - 1)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("verify: error: ") and str(reach - 1) in err
+        assert not out.exists()
+        assert main([*argv, "--sieve-limit", str(reach)]) == 0
+        assert out.exists()
 
 
 class TestCalibrateCommand:

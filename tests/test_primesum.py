@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revprime.arith import build_table, vaughan_arrays
+from revprime.arith import vaughan_arrays
 from revprime.basedigits import ilog
 from revprime.expsum import CostBudgetError, sigma
 from revprime.seeds import reverse_seed, sod_seed, table_seed
@@ -213,7 +213,7 @@ class TestRowSumsEqualPerRowLoops:
         st.floats(min_value=0.25, max_value=0.6),
         st.booleans(),
     )
-    def test_type_ii(self, table, cell, family, rows_seed, m_exp, n_exp, mobius):
+    def test_type_ii(self, cell, family, rows_seed, m_exp, n_exp, mobius):
         g, L, x = cell
         seed = sum_seed(g, L, family, rows_seed)
         M, N = float(x) ** m_exp, float(x) ** n_exp
@@ -222,7 +222,7 @@ class TestRowSumsEqualPerRowLoops:
         while Fraction(N) ** 4 < x:
             N = math.nextafter(N, math.inf)
         if mobius:
-            a, b = ps.mobius_coefficients(table), ps.mangoldt_tail_coefficients(table, N / 2, x)
+            a, b = ps.mobius_coefficients(), ps.mangoldt_tail_coefficients(N / 2, x)
         else:
             a, b = ps.unimodular_coefficients(1), ps.unimodular_coefficients(2)
         args = (seed, L, float(x), M, N, a, b)
@@ -230,7 +230,7 @@ class TestRowSumsEqualPerRowLoops:
 
 
 class TestTypeI:
-    def test_zero_seed_closed_form(self, table):
+    def test_zero_seed_closed_form(self):
         seed = sod_seed(10, 0.0)
         expect = sum(10**4 // m for m in range(1, 101))
         assert ps.type_i_sum(seed, 5, 10**4, 100.0).S == pytest.approx(expect, abs=1e-9)
@@ -300,15 +300,15 @@ class TestTypeII:
         ok = ps.unimodular_coefficients()
         assert ps.type_ii_sum(seed, 2, 100.0, 20.0, 20.0, ok, ok).S == 0j
 
-    def test_mobius_tail_pair_matches_brute(self, table):
+    def test_mobius_tail_pair_matches_brute(self):
         x = 10**4
         z = x**0.25
         logx = math.log(x)
         for seed in (sod_seed(10, 0.0), sod_seed(10, 0.37)):
             got = ps.type_ii_sum(
                 seed, 5, float(x), 30.0, 40.0,
-                ps.mobius_coefficients(table),
-                ps.mangoldt_tail_coefficients(table, z, x),
+                ps.mobius_coefficients(),
+                ps.mangoldt_tail_coefficients(z, x),
             ).S
             want = 0j
             for m in range(31, 61):
@@ -325,13 +325,13 @@ class TestTypeII:
         width=st.integers(0, 1000),
         z=st.floats(0.5, 60.0, allow_nan=False),
     )
-    def test_coefficient_generators_equal_scalar_oracles(self, table, lo, width, z):
+    def test_coefficient_generators_equal_scalar_oracles(self, lo, width, z):
         x = 10**4
         n = np.arange(lo, min(lo + width, x) + 1, dtype=np.int64)
-        mu = ps.mobius_coefficients(table)(n)
+        mu = ps.mobius_coefficients()(n)
         assert mu.dtype == np.complex128
         assert mu.tolist() == [complex(mobius(int(v))) for v in n]
-        gen = ps.mangoldt_tail_coefficients(table, z, x)
+        gen = ps.mangoldt_tail_coefficients(z, x)
         scale = 1.0 / math.log(x)
         want = np.array([mangoldt_tail(int(v), z) * scale for v in n], dtype=np.complex128)
         # a short first call, then the full range: each tabulates its own
@@ -339,8 +339,8 @@ class TestTypeII:
         assert gen(n[:half]).tobytes() == want[:half].tobytes()
         assert gen(n).tobytes() == want.tobytes()
 
-    def test_tail_coefficients_cover_one_to_x(self, table):
-        gen = ps.mangoldt_tail_coefficients(table, 5.0, 1000.5)
+    def test_tail_coefficients_cover_one_to_x(self):
+        gen = ps.mangoldt_tail_coefficients(5.0, 1000.5)
         assert gen(np.array([1, 1000])).shape == (2,)
         assert gen(np.array([], dtype=np.int64)).shape == (0,)
         for bad in ([0], [1001]):
@@ -367,10 +367,10 @@ class TestTypeII:
         assert res.kappa == pytest.approx(sigma(seed, 4, 0) / 10.0, abs=0)
         assert res.bound_shape == pytest.approx(x * 2.0 ** (-res.kappa) * math.log(x), abs=0)
 
-    def test_one_decay_exponent(self, table):
+    def test_one_decay_exponent(self):
         # Type II and the prime sum read one (xi, kappa): xi is the largest
         # k with g^(4k) <= x, found here by brute force, at and around every
-        # power g^(4k) the table reaches and at non-integral x between them
+        # power g^(4k) up to 10^5 and at non-integral x between them
         def brute_xi(g, x):
             k = 0
             while g ** (4 * (k + 1)) <= x:
@@ -383,7 +383,7 @@ class TestTypeII:
             cases += [(g, x) for x in (2.0, 2.5, 15.75, 4000.4)]
             for k in range(1, 6):
                 power = g ** (4 * k)
-                if power + 1 <= table.limit:
+                if power + 1 <= 10**5:
                     near = (power - 1, power, power + 1, power - 0.5, power + 0.5)
                     cases += [(g, x) for x in near]
         for g, x in cases:
@@ -391,7 +391,7 @@ class TestTypeII:
             seed = reverse_seed(g, L, 0.73)
             corner = max(1.0, math.ceil(x**0.25))
             bilinear = ps.type_ii_sum(seed, L, float(x), corner, corner, ok, ok)
-            res = ps.prime_exp_sum(seed, L, float(x), table)
+            res = ps.prime_exp_sum(seed, L, float(x))
             assert bilinear.xi == res.xi == brute_xi(g, x), (g, x)
             assert bilinear.kappa == res.kappa == sigma(seed, res.xi, 0) / 10.0, (g, x)
 
@@ -675,7 +675,7 @@ class TestSinSum:
         assert rep.passed
 
 
-def four_term_route(seed, L, x, z, pt):
+def four_term_route(seed, L, x, z):
     """The prime sum rebuilt from the four-term split, summed in split order.
 
     The first three pieces are rows over the short factor, mirroring how
@@ -683,7 +683,7 @@ def four_term_route(seed, L, x, z, pt):
     """
     top = math.floor(x)
     table = ps._unit_phases(seed, L, top)
-    va = vaughan_arrays(pt, z, top)
+    va = vaughan_arrays(z, top)
     zi = math.floor(z)
     zsq = min(math.floor(z * z), top)
     # np.log, not va.log: math.log differs from it in the last bit for some n
@@ -700,30 +700,30 @@ def four_term_route(seed, L, x, z, pt):
 
 
 class TestPrimeSum:
-    def test_zero_seed_is_chebyshev(self, table):
+    def test_zero_seed_is_chebyshev(self):
         seed = sod_seed(10, 0.0)
-        result = ps.prime_exp_sum(seed, 5, 10**4, table)
+        result = ps.prime_exp_sum(seed, 5, 10**4)
         psi = sum(mangoldt(n) for n in range(2, 10**4 + 1))
         assert result.S == pytest.approx(psi, abs=1e-8)
         assert result.S.imag == pytest.approx(0.0, abs=1e-10)
 
-    def test_x_two_single_term(self, table):
+    def test_x_two_single_term(self):
         seed = reverse_seed(10, 6, 0.37)
-        result = ps.prime_exp_sum(seed, 6, 2.0, table)
+        result = ps.prime_exp_sum(seed, 6, 2.0)
         assert result.S == pytest.approx(
             math.log(2) * e_digit_sum(seed, 6, 2), abs=1e-12
         )
 
-    def test_exponent_fields(self, table):
+    def test_exponent_fields(self):
         seed = reverse_seed(2, 14, 0.73)
-        result = ps.prime_exp_sum(seed, 14, 2.0**14, table)
+        result = ps.prime_exp_sum(seed, 14, 2.0**14)
         assert result.xi == ilog(2**14, 2) // 4
         assert result.kappa == pytest.approx(sigma(seed, result.xi, 0) / 10.0, abs=0)
         assert result.kappa <= result.xi / 20.0 + 1e-12
         expect_shape = 2.0**14 * 2.0 ** (-result.kappa) * math.log(2.0**14) ** 4
         assert result.bound_shape == pytest.approx(expect_shape, abs=0)
 
-    def test_four_term_route_agrees(self, table):
+    def test_four_term_route_agrees(self):
         cases = [
             (sod_seed(2, 0.0), 2, 11, 2**11),
             (sod_seed(2, 0.37), 2, 11, 2**11),
@@ -733,20 +733,16 @@ class TestPrimeSum:
             (reverse_seed(10, 4, 0.37), 10, 4, 3000),
         ]
         for seed, g, L, x in cases:
-            S = ps.prime_exp_sum(seed, L, float(x), table).S
-            other = four_term_route(seed, L, float(x), x**0.25, table)
+            S = ps.prime_exp_sum(seed, L, float(x)).S
+            other = four_term_route(seed, L, float(x), x**0.25)
             assert abs(S - other) <= 1e-6 * max(1.0, abs(S)), (seed, x)
 
-    def test_validation(self, table):
+    def test_validation(self):
         seed = sod_seed(10, 0.0)
         with pytest.raises(ValueError):
-            ps.prime_exp_sum(seed, 3, 2000.0, table)  # x > g^L
+            ps.prime_exp_sum(seed, 3, 2000.0)  # x > g^L
         with pytest.raises(ValueError):
-            ps.prime_exp_sum(seed, 7, 2 * 10**5, table)  # beyond sieve
-        with pytest.raises(ValueError):
-            ps.prime_exp_sum(seed, 7, 2 * 10**6, table)  # beyond sieve and budget
+            ps.prime_exp_sum(seed, 3, 1.5)  # x < 2
+        # beyond the enumeration budget, refused before any sieve
         with pytest.raises(CostBudgetError):
-            ps.prime_exp_sum(seed, 7, 2 * 10**6, build_table(2 * 10**6))
-        small = build_table(100)
-        with pytest.raises(ValueError):
-            ps.prime_exp_sum(seed, 5, 200.0, small)
+            ps.prime_exp_sum(seed, 7, 2 * 10**6)

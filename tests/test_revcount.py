@@ -119,31 +119,27 @@ class TestCensus:
         for (a, q), rec in zip(pairs, grid):
             assert rec == census_grid(2, 8, [(a, q)], LIMIT)[0]
 
-    def test_class_counts_partition_window(self, table):
+    def test_class_counts_partition_window(self, primes):
         for g, L, q in ((10, 4, 7), (2, 10, 5)):
             recs = census_grid(g, L, [(a, q) for a in range(q)], LIMIT)
             total = sum(r.observed for r in recs)
-            window = table.prime_count(g**L - 1) - table.prime_count(
-                g ** (L - 1) - 1
-            )
+            window = np.count_nonzero((g ** (L - 1) <= primes) & (primes < g**L))
             assert total == window
 
-    def test_observed_against_window_reverse(self, table):
+    def test_observed_against_window_reverse(self, primes):
         for g, L in ((10, 3), (2, 9)):
             lo, hi = g ** (L - 1), g**L
-            primes = [
-                int(p) for p in table.primes if lo <= p < hi
-            ]
+            window = [int(p) for p in primes if lo <= p < hi]
             for a, q in ((1, 7), (0, 2), (3, 4), (5, 9)):
-                want = sum(window_reverse(p, g, L) % q == a % q for p in primes)
+                want = sum(window_reverse(p, g, L) % q == a % q for p in window)
                 assert census_grid(g, L, [(a, q)], LIMIT)[0].observed == want
 
     @pytest.mark.parametrize("big", [2**63 - 1, 2**63, 2**64])
-    def test_moduli_beyond_int64_against_window_reverse(self, table, big):
+    def test_moduli_beyond_int64_against_window_reverse(self, primes, big):
         # every reverse lies below g^L, so mod big it is its own residue
         for g, L in ((10, 3), (2, 9)):
             lo, hi = g ** (L - 1), g**L
-            revs = [window_reverse(int(p), g, L) for p in table.primes if lo <= p < hi]
+            revs = [window_reverse(int(p), g, L) for p in primes if lo <= p < hi]
             for moduli in ([big], [3, big, 7]):
                 pairs = [(a, q) for q in moduli for a in (0, 1, revs[0], big - 1, big + revs[-1])]
                 for (a, q), rec in zip(pairs, census_grid(g, L, pairs, LIMIT)):
@@ -151,11 +147,11 @@ class TestCensus:
                     assert rec.observed == sum(r % q == a % q for r in revs), (g, a, q)
                     assert rec.sharp_observed == sum(r % m == a % m for r in revs), (g, a, q)
 
-    def test_decimal_mod_three_matches_plain_classes(self, table):
+    def test_decimal_mod_three_matches_plain_classes(self, primes):
         # Reversal preserves residues mod g^2 - 1, so mod 3 the reversed
         # census must agree with the classical progression count.
         lo, hi = 10**4, 10**5
-        primes = [int(p) for p in table.primes if lo <= p < hi]
+        primes = [int(p) for p in primes if lo <= p < hi]
         for a in (1, 2):
             direct = sum(p % 3 == a for p in primes)
             assert census_grid(10, 5, [(a, 3)], LIMIT)[0].observed == direct
@@ -278,7 +274,7 @@ class TestPsiThetaPi:
         got = psi_theta_pi(10, 5, x, 0, 1, "psi")
         assert got == pytest.approx(want, abs=1e-9)
 
-    def test_small_case_against_window_reverse(self, table):
+    def test_small_case_against_window_reverse(self, primes):
         g, L, x, q = 2, 10, 700, 5
         lams = {}
         for a in range(q):
@@ -290,7 +286,7 @@ class TestPsiThetaPi:
                 want_theta, abs=1e-9
             )
             assert psi_theta_pi(g, L, x, a, q, "pi") == want_pi
-        assert sum(len(v) for v in lams.values()) == table.prime_count(x)
+        assert sum(len(v) for v in lams.values()) == np.count_nonzero(primes <= x)
 
     def test_prime_powers_enter_psi(self):
         # x = 9 catches 2, 3, 4, 5, 7, 8, 9; the squares and cubes carry
@@ -434,7 +430,7 @@ class TestSharpFactorDeviation:
 
 class TestCountsAcrossSegments:
     """psi, theta, pi and the sharp deviation at an x past the first sieve
-    segment, against a recount of a table's primes with window_reverse.
+    segment, against a recount of build_table's primes with window_reverse.
 
     A segment holds 2^20 odd flags, 2^21 integers, and a run a quarter of
     them; every other test of these counts stays below 10^5, inside the
@@ -449,7 +445,7 @@ class TestCountsAcrossSegments:
 
     @pytest.fixture(scope="class")
     def primes(self):
-        return build_table(math.floor(self.X)).primes.tolist()
+        return build_table(math.floor(self.X)).tolist()
 
     def test_psi_theta_pi(self, primes):
         g, L, x = 10, 7, self.X
@@ -751,7 +747,7 @@ class TestTotient:
 
 
 class TestRecord:
-    def test_fields_round_trip(self, table):
+    def test_fields_round_trip(self, primes):
         rec = census_grid(10, 3, [(1, 7)], LIMIT)[0]
         assert isinstance(rec, CensusRecord)
         assert rec.g == 10 and rec.L == 3
@@ -759,7 +755,7 @@ class TestRecord:
         lo, hi = 100, 1000
         manual = sum(
             window_reverse(int(p), 10, 3) % 7 == 1
-            for p in table.primes
+            for p in primes
             if lo <= p < hi
         )
         assert rec.observed == manual
