@@ -46,10 +46,10 @@ __all__ = [
     "DEFAULT_MAX_LIMIT",
 ]
 
-# The largest integer any sieve may reach (check_sieve_limit).  The
-# primes up to it take 8 bytes each (~30 MiB at 2^26); mobius_values
-# holds 9 bytes per integer of the range it sieves.  The census and
-# revcount's counts hold one segment whatever the reach.
+# The largest integer any sieve may reach (check_sieve_limit); its primes
+# take 8 bytes each (~30 MiB at 2^26).  Commands reach mobius_values (9
+# bytes per n) and vaughan_arrays (80, ~80 MiB at 2^20) only under the
+# 2^20 work budget, expsum.WORK_BUDGET; revcount holds one segment.
 DEFAULT_MAX_LIMIT = 1 << 26
 
 # the odd primes whose multiples the wheel pattern already strikes

@@ -19,7 +19,6 @@ from dataclasses import asdict, fields, replace
 from typing import TYPE_CHECKING, Optional
 
 from . import __version__
-from .arith import check_sieve_limit
 from .config import RunConfig, UsageError, load_config
 from .revcount import CensusRecord, census_grid, check_window, zero_density_strays
 
@@ -246,7 +245,11 @@ def _suite_options(args) -> SuiteOptions:
 
 
 def cmd_verify(args, cfg: RunConfig) -> int:
+    from .verify import admit
+
     opts = _suite_options(args)
+    for name in args.suite:
+        admit(name, cfg, opts)
     chunks = [(name, run_suite(name, cfg, opts)) for name in args.suite]
     text = "".join(_format_reports(cfg, opts, name, reports) for name, reports in chunks)
     _emit(text, args.out)
@@ -335,12 +338,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    # the one home of exit 1 after parsing: bad config, bad --out, a sieve
-    # limit over the budget (on every command), usage errors
+    # the one home of exit 1 after parsing: bad --out, bad config (RunConfig
+    # holds every command's sieve limit to the budget), usage errors
     try:
         _check_out(args.out)
         cfg = _load_run_config(args)
-        check_sieve_limit(cfg.sieve_limit)
         return args.func(args, cfg)
     except (UsageError, ValueError, OSError) as exc:
         sys.stderr.write(f"{args.command}: error: {exc}\n")

@@ -27,6 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .arith import check_sieve_limit
+
 DEFAULT_RNG_SEED = 20260818
 RNG_ALGORITHM = "pcg64"
 DEFAULT_SIEVE_LIMIT = 100_000
@@ -80,8 +82,7 @@ class RunConfig:
             raise ValueError(f"unsupported rng algorithm {self.rng_algorithm!r}")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
-        if self.sieve_limit < 2:
-            raise ValueError("sieve_limit must be at least 2")
+        check_sieve_limit(self.sieve_limit)
         if not 0 < self.census_tolerance < 1:
             raise ValueError("census_tolerance must lie in (0, 1)")
 

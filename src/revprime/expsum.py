@@ -36,7 +36,7 @@ from .seeds import Seed, reverse_seed
 
 __all__ = [
     "CostBudgetError",
-    "DIRECT_BUDGET",
+    "WORK_BUDGET",
     "BoundReport",
     "make_report",
     "theta_lower_bound",
@@ -63,14 +63,14 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-# Direct summation over g^lam terms is refused beyond this many terms.
-DIRECT_BUDGET = 1 << 20
+# The one work budget: F_direct's g^lam terms and every walk up to x.
+WORK_BUDGET = 1 << 20
 
 _REPORT_TOL = 1e-9
 
 
 class CostBudgetError(RuntimeError):
-    """Raised when a direct evaluation would exceed its term budget."""
+    """Raised when a direct evaluation or a walk up to x would exceed WORK_BUDGET."""
 
 
 def theta_lower_bound(g: int) -> float:
@@ -258,7 +258,7 @@ def _pairwise(count: int, leaf, lo: int = 0) -> complex:
 def F_direct(seed: Seed, lam: int, j: int, beta: float) -> complex:
     """Full-period average computed term by term; costs g^lam evaluations.
 
-    Refuses windows with more than DIRECT_BUDGET terms.  The beta*n
+    Refuses windows with more than WORK_BUDGET terms.  The beta*n
     phase is split as bhi*n + blo*n, where bhi carries 26 bits so bhi*n
     is exact, and bhi*n is reduced to its fractional part x - floor(x)
     before blo*n is added, so the result can be compared with the product
@@ -277,9 +277,9 @@ def F_direct(seed: Seed, lam: int, j: int, beta: float) -> complex:
         raise ValueError("window and shift must be nonnegative")
     g = seed.base
     n_total = g**lam
-    if n_total > DIRECT_BUDGET:
+    if n_total > WORK_BUDGET:
         raise CostBudgetError(
-            f"direct evaluation needs {n_total} terms, budget is {DIRECT_BUDGET}"
+            f"direct evaluation needs {n_total} terms, budget is {WORK_BUDGET}"
         )
     bhi, blo = _split26(beta % 1.0)
     tab = seed.frac_rows(j, lam)

@@ -24,6 +24,7 @@ import numpy as np
 from .arith import mangoldt_array, mobius_values, vaughan_arrays
 from .basedigits import dist, ilog
 from .expsum import (
+    WORK_BUDGET,
     BoundReport,
     CostBudgetError,
     _cis,
@@ -34,7 +35,6 @@ from .expsum import (
 from .seeds import Seed
 
 __all__ = [
-    "X_BUDGET",
     "SumResult",
     "type_i_sum",
     "type_ii_sum",
@@ -46,9 +46,6 @@ __all__ = [
     "sin_sum_check",
     "prime_exp_sum",
 ]
-
-# Enumeration budget shared by every sum that walks up to x.
-X_BUDGET = 10**6
 
 Coefficients = Callable[[np.ndarray], np.ndarray]
 
@@ -82,12 +79,12 @@ def _row_sums(table, a, m_first, b, n_lo, n_cap, top) -> list[complex]:
 
 
 def _check_window(seed: Seed, L: int, x: float) -> None:
-    """x must lie in [2, g^L] and within the enumeration budget."""
+    """x must lie in [2, g^L] and within the work budget."""
     g = seed.base
     if not 2 <= x <= g**L:
         raise ValueError(f"need 2 <= x <= {g}^{L}")
-    if x > X_BUDGET:
-        raise CostBudgetError(f"x = {x} beyond enumeration budget {X_BUDGET}")
+    if x > WORK_BUDGET:
+        raise CostBudgetError(f"x = {x} beyond the work budget {WORK_BUDGET}")
 
 
 def _decay(seed: Seed, x: float) -> tuple[int, float]:
@@ -341,8 +338,8 @@ def sin_sum_check(a: int, m: int, b: float, M: float) -> BoundReport:
 def prime_exp_sum(seed: Seed, L: int, x: float) -> SumResult:
     """Sum of Lambda(n) e(phase(n)) for n <= x, with its decay exponent.
 
-    S is summed directly over n, with Lambda sieved up to x (the
-    enumeration budget keeps x inside the sieve budget).  z = x^(1/4) is
+    S is summed directly over n, with Lambda sieved up to x (the work
+    budget keeps x inside the sieve budget).  z = x^(1/4) is
     the threshold of the four-term split behind its estimate, whose bound
     shape is x * g^(-kappa) * (log x)^4, up to its calibrated constant.
     """

@@ -2,17 +2,17 @@
 
 SUITES registers each suite as its RNG stream id, a cells() that returns
 its declared grid after the options' filters, a cell() that returns one
-cell's reports and the options those two read; run_suite alone rejects
-any other option given and maps the cells over threads.  Each
-cell draws its randomness from a stream keyed by (rng_seed, suite id,
-cell key), so reports come out byte-identical no matter how cells are
-spread over threads.  Suites with an implicit constant additionally
-tag every report with a dimensionless cal_ratio; calibrate() collects
-the maxima, and later runs with a stored ceiling in RunConfig.c_cal
-check the ratios against it as a regression gate.  The vaughan suite
-reads arith.vaughan_arrays; tests/oracles.py holds the per-n
-reference (Vaughan's split one divisor at a time) its reports are
-recounted from.
+cell's reports and the options those two read.  admit refuses a bad run
+before any cell runs, and verify and calibrate admit every suite first;
+run_suite admits one and maps its cells over threads.  Each cell draws
+its randomness from a stream keyed by (rng_seed, suite id, cell key), so
+reports come out byte-identical however cells are spread over threads.
+Suites with an implicit constant additionally tag every report with a
+dimensionless cal_ratio; calibrate() collects the maxima, and later runs
+with a stored ceiling in RunConfig.c_cal check the ratios against it as
+a regression gate.  The vaughan suite reads arith.vaughan_arrays;
+tests/oracles.py holds the per-n reference (Vaughan's split one divisor
+at a time) its reports are recounted from.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .arith import build_table, mangoldt_tail, mobius_mangoldt_window, vaughan_t
 from .basedigits import ilog
 from .config import RunConfig, UsageError, make_rng
 from .expsum import (
-    DIRECT_BUDGET,
+    WORK_BUDGET,
     BoundReport,
     F_abs_product,
     F_direct,
@@ -68,6 +68,7 @@ __all__ = [
     "Suite",
     "SUITES",
     "CALIBRATED",
+    "admit",
     "run_suite",
     "calibrate",
 ]
@@ -159,7 +160,7 @@ def _map_cells(fn: Callable, cells: list, threads: int) -> list:
 
 
 def _direct_cap(g: int, lam_cap: int) -> int:
-    return max(1, min(lam_cap, ilog(DIRECT_BUDGET, g)))
+    return max(1, min(lam_cap, ilog(WORK_BUDGET, g)))
 
 
 def _product_formula(cfg: RunConfig, opts: SuiteOptions, rng, g: int) -> list[BoundReport]:
@@ -202,7 +203,8 @@ def _linf(cfg: RunConfig, opts: SuiteOptions, rng, g: int) -> list[BoundReport]:
 
 def _l1_moment(cfg: RunConfig, opts: SuiteOptions, rng, g: int) -> list[BoundReport]:
     per_cell = _or_default(opts.cases, 3)
-    lam_max = _or_default(opts.lambda_max, 6)
+    # the pure form walks g^lam points, so lam stops at the work budget too
+    lam_max = _direct_cap(g, _or_default(opts.lambda_max, 6))
     out = []
     for name, seed in _seed_pool(g, lam_max, rng, opts.seed_family):
         eta = eta_tilde(g)
@@ -519,10 +521,10 @@ class Suite(NamedTuple):
     """A registered suite.  stream is its RNG spawn key (fixed: changing
     it moves every report); cells(cfg, opts) maps each cell's RNG key to
     the cell; cell(cfg, opts, rng, cell) returns that cell's reports;
-    reads names the SuiteOptions fields those two read, and run_suite
+    reads names the SuiteOptions fields those two read, and admit
     rejects any other option that is given.  A suite whose cells sieve
     primes gives reach(cell), the largest integer that cell sieves up
-    to, and run_suite refuses a cell that reaches past cfg.sieve_limit."""
+    to, and admit refuses one reaching past min(sieve_limit, WORK_BUDGET)."""
 
     stream: int
     cells: Callable[[RunConfig, SuiteOptions], dict]
@@ -555,7 +557,8 @@ SUITES: dict[str, Suite] = {
 CALIBRATED = ("type-i", "type-ii", "prime-exp-sum", "hybrid", "truncation")
 
 
-def run_suite(name: str, cfg: RunConfig, opts: SuiteOptions) -> list[BoundReport]:
+def admit(name: str, cfg: RunConfig, opts: SuiteOptions) -> tuple[Suite, dict]:
+    """(suite, cells) of a run checked whole: name, options, grid and reach."""
     if name not in SUITES:
         raise UsageError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
     suite = SUITES[name]
@@ -565,8 +568,14 @@ def run_suite(name: str, cfg: RunConfig, opts: SuiteOptions) -> list[BoundReport
             raise UsageError(f"suite {name!r} does not read {_flag(f.name)}; it reads {reads}")
     cells = suite.cells(cfg, opts)
     reach = max(map(suite.reach, cells.values())) if suite.reach else 0
-    if reach > cfg.sieve_limit:
-        raise UsageError(f"suite {name!r} sieves up to {reach} > sieve_limit {cfg.sieve_limit}")
+    if reach > min(cfg.sieve_limit, WORK_BUDGET):
+        raise UsageError(f"suite {name!r} sieves up to {reach} > the least of sieve_limit "
+                         f"{cfg.sieve_limit} and the work budget {WORK_BUDGET}")
+    return suite, cells
+
+
+def run_suite(name: str, cfg: RunConfig, opts: SuiteOptions) -> list[BoundReport]:
+    suite, cells = admit(name, cfg, opts)
 
     def run(key: int) -> list[BoundReport]:
         return suite.cell(cfg, opts, make_rng(cfg, suite.stream, key), cells[key])
@@ -581,12 +590,11 @@ def calibrate(names, cfg: RunConfig, opts: SuiteOptions) -> dict[str, float]:
     stored ceiling only makes regression gates of reports that carry the
     same ratios, so the table never depends on it.
     """
-    table = {}
     for name in names:
         if name not in CALIBRATED:
             raise UsageError(
                 f"{name!r} is not a calibrated verifier; known: {', '.join(CALIBRATED)}"
             )
-        reports = run_suite(name, cfg, opts)
-        table[name] = max(r.params["cal_ratio"] for r in reports)
-    return table
+        admit(name, cfg, opts)
+    return {name: max(r.params["cal_ratio"] for r in run_suite(name, cfg, opts))
+            for name in names}

@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 import revprime
-from revprime import cli
+from revprime import cli, verify
 from revprime.cli import atomic_write, main
+from revprime.arith import SieveBudgetError
 from revprime.config import (
     DEFAULT_C_CAL,
     RunConfig,
@@ -62,6 +63,11 @@ class TestRunConfig:
             RunConfig(rng_algorithm="mt19937")
         with pytest.raises(ValueError):
             RunConfig(census_tolerance=0.0)
+        # the sieve limit's one rule, arith.check_sieve_limit
+        with pytest.raises(ValueError, match="at least 2"):
+            RunConfig(sieve_limit=1)
+        with pytest.raises(SieveBudgetError):
+            RunConfig(sieve_limit=2**26 + 1)
 
     def test_load_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -609,6 +615,63 @@ class TestSieveBudget:
         assert not out.exists()
         assert main([*argv, "--sieve-limit", str(reach)]) == 0
         assert out.exists()
+
+
+# a run whose last suite reaches past the sieve limit (vaughan's default
+# --limit is 10000)
+LATE_REACH = ["verify", "product-formula", "linf", "l1-moment", "psi", "monotonicity",
+              "hybrid", "vaughan", "--sieve-limit", "9999"]
+
+
+class TestWholeRunAdmission:
+    """verify and calibrate admit every named suite before any cell of any
+    suite runs, so a bad later suite costs no work."""
+
+    @pytest.fixture
+    def no_cell(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        for name, suite in SUITES.items():
+            monkeypatch.setitem(SUITES, name, suite._replace(cell=refuse))
+
+    @pytest.mark.parametrize(
+        "argv, says",
+        [
+            (LATE_REACH, "suite 'vaughan' sieves up to 10000 > the least of sieve_limit 9999"),
+            (["verify", "linf", "l1-moment", "vaughan", "--lambda-max", "3"],
+             "suite 'vaughan' does not read --lambda-max"),
+            (["calibrate", "type-i", "hybrid", "linf"], "'linf' is not a calibrated verifier"),
+        ],
+        ids=["reach", "unread-option", "uncalibrated"],
+    )
+    def test_a_later_suite_refuses_the_run_before_any_cell(
+        self, tmp_path, capsys, no_cell, argv, says
+    ):
+        out = tmp_path / "r.out"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert says in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_vaughan_limit_is_held_to_the_work_budget(self, tmp_path, capsys, monkeypatch):
+        # vaughan_arrays holds about 80 bytes per n: 2^20 is the last limit
+        # admitted, and a refused one builds nothing
+        def refuse(*args, **kwargs):
+            raise AssertionError("vaughan_arrays ran")
+
+        monkeypatch.setattr(verify, "vaughan_arrays", refuse)
+        budget = verify.WORK_BUDGET
+        assert budget == 2**20
+        out = tmp_path / "v.jsonl"
+        over = str(budget + 1)
+        argv = ["verify", "vaughan", "--limit", over, "--sieve-limit", over, "--out", str(out)]
+        assert main(argv) == 1
+        assert f"and the work budget {budget}" in capsys.readouterr().err
+        assert not out.exists()
+        _, cells = verify.admit(
+            "vaughan", RunConfig(sieve_limit=budget), SuiteOptions(limit=budget)
+        )
+        assert {cell[0] for cell in cells.values()} == {budget}
 
 
 class TestCalibrateCommand:

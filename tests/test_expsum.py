@@ -19,7 +19,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from revprime.expsum import (
-    DIRECT_BUDGET,
+    WORK_BUDGET,
     CostBudgetError,
     DegenerateSeedError,
     F_abs_product,
@@ -204,7 +204,7 @@ class TestFDirect:
     def test_budget_refusal(self):
         # 2^20 terms is the budget itself, 2^21 one window past it
         seed = sod_seed(2, 0.0)
-        assert 2**20 == DIRECT_BUDGET
+        assert 2**20 == WORK_BUDGET
         assert F_direct(seed, 20, 0, 0.0) == pytest.approx(1.0)
         with pytest.raises(CostBudgetError):
             F_direct(seed, 21, 0, 0.0)
@@ -1238,7 +1238,7 @@ class TestScalarOracles:
     def test_direct_equals_divmod_pass_at_the_budget(self, g, lam, family, rows_seed, beta):
         # the longest window each base allows: 2^20 is the budget, and
         # 3^12 the last power of 3 below it
-        assert g**lam <= DIRECT_BUDGET < g ** (lam + 1)
+        assert g**lam <= WORK_BUDGET < g ** (lam + 1)
         seed = pool_seed(g, family, rows_seed)
         got = np.complex128(F_direct(seed, lam, 0, beta))
         assert got.tobytes() == np.complex128(divmod_direct(seed, lam, 0, beta)).tobytes()

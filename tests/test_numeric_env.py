@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from revprime.expsum import DIRECT_BUDGET, _cis, _pairwise
+from revprime.expsum import WORK_BUDGET, _cis, _pairwise
 
 
 def digest(values) -> str:
@@ -151,8 +151,8 @@ def test_numpy_abs_and_hypot_on_complex_sums():
 def test_pairwise_leaves_equal_one_complex_sum():
     # F_direct sums leaf by leaf along numpy's complex pairwise split:
     # the longest window of each base, and sizes whose count % 8 is odd
-    pool = np.random.default_rng(25).random(2 * DIRECT_BUDGET).view(np.complex128)
-    sizes = {g ** (len(np.base_repr(DIRECT_BUDGET, g)) - 1) for g in range(2, 17)}
+    pool = np.random.default_rng(25).random(2 * WORK_BUDGET).view(np.complex128)
+    sizes = {g ** (len(np.base_repr(WORK_BUDGET, g)) - 1) for g in range(2, 17)}
     for n in sorted(sizes | {1, 63, 64, 65, 8191, 8193, 999_983, 10**6}):
         a = pool[:n]
         whole = np.complex128(a.sum())

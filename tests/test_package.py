@@ -192,9 +192,9 @@ def test_cis_is_the_one_exponential():
 def test_cli_loads_only_the_census_layer():
     from revprime import cli
 
-    # the census sieves through revcount, which loads arith, and main
-    # checks every command's sieve limit with arith's check_sieve_limit
-    assert package_imports(cli, top_level=True) == {"__version__", "arith", "config", "revcount"}
+    # the census sieves through revcount; RunConfig checks every
+    # command's sieve limit, so main reads no sieve code of its own
+    assert package_imports(cli, top_level=True) == {"__version__", "config", "revcount"}
 
 
 def run_child(code: str) -> list[str]:

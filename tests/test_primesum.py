@@ -274,6 +274,13 @@ class TestTypeI:
         with pytest.raises(CostBudgetError):
             ps.type_i_sum(seed, 12, 2 * 10**6, 1000.0)
 
+    def test_work_budget_edge(self):
+        # x may reach the work budget itself, 2^20, and no further
+        seed = sod_seed(2, 0.37)
+        assert ps.type_i_sum(seed, 21, 2**20, 1.0).xi == 20
+        with pytest.raises(CostBudgetError):
+            ps.type_i_sum(seed, 21, 2**20 + 1, 1.0)
+
     def test_sqrt_edge_is_exact(self):
         # M = sqrt(x) passes; the next double above it, within the old
         # 1e-12 relative slack, does not

@@ -6,11 +6,11 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from revprime import expsum, primesum
+from revprime import expsum, primesum, verify
 from revprime.cli import _format_reports
 from revprime.config import RunConfig, make_rng
 from revprime.basedigits import ilog
-from revprime.expsum import DIRECT_BUDGET, F_abs_product, F_direct, make_report, sigma
+from revprime.expsum import WORK_BUDGET, F_abs_product, F_direct, make_report, sigma
 from revprime.verify import (
     CALIBRATED,
     SUITES,
@@ -193,13 +193,22 @@ class TestSmallGrids:
     @pytest.mark.parametrize("g", [2, 3, 10])
     def test_product_formula_stops_at_the_direct_budget(self, g):
         # --lambda-max past the budget: lam stops at the last window
-        # F_direct can sum, g^lam <= DIRECT_BUDGET
+        # F_direct can sum, g^lam <= WORK_BUDGET
         reports = run_suite(
             "product-formula", RunConfig(), SuiteOptions(g=g, lambda_max=40, cases=1)
         )
         lams = sorted({r.params["lam"] for r in reports})
-        assert lams == list(range(1, ilog(DIRECT_BUDGET, g) + 1))
+        assert lams == list(range(1, ilog(WORK_BUDGET, g) + 1))
         assert all(r.passed for r in reports)
+
+    def test_l1_moment_stops_at_the_work_budget(self, monkeypatch):
+        # the pure form walks g^lam points, so --lambda-max past the
+        # budget stops at its last window: 6^3 points at a budget of 6^3
+        monkeypatch.setattr(verify, "WORK_BUDGET", 6**3)
+        reports = run_suite(
+            "l1-moment", RunConfig(), SuiteOptions(g=6, lambda_max=40, cases=1)
+        )
+        assert sorted({r.params["lam"] for r in reports}) == [1, 2, 3]
 
     def test_seed_family_filter_applies(self):
         reports = run_suite(
