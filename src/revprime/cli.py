@@ -19,7 +19,7 @@ from dataclasses import asdict, fields, replace
 from typing import TYPE_CHECKING, Optional
 
 from . import __version__
-from .config import RunConfig, UsageError, load_config
+from .config import RNG_ALGORITHM, RunConfig, UsageError, load_config
 from .revcount import CensusRecord, census_grid, check_window, zero_density_strays
 
 if TYPE_CHECKING:
@@ -278,7 +278,7 @@ def cmd_calibrate(args, cfg: RunConfig) -> int:
     payload = {
         "config_hash": bare.config_hash(),
         "rng_seed": bare.rng_seed,
-        "rng_algorithm": bare.rng_algorithm,
+        "rng_algorithm": RNG_ALGORITHM,
         "constants": {k: table[k] for k in sorted(table)},
     }
     _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)

@@ -2,14 +2,17 @@
 
 The config file is JSON, one flat object.  Recognized keys mirror the
 RunConfig fields: rng_seed, sieve_limit and threads (integers),
-rng_algorithm (must be "pcg64"), census_tolerance (a number), c_cal
-(object mapping a calibrated verifier's name to its finite ratio
-ceiling).  Unknown keys, unknown c_cal names and values of the wrong
-type are rejected, so a typo cannot silently fall back to a default.
+census_tolerance (a number), c_cal (object mapping a calibrated
+verifier's name to its finite ratio ceiling).  Unknown keys, unknown
+c_cal names and values of the wrong type are rejected, so a typo cannot
+silently fall back to a default.
 
-The config hash covers only result-affecting fields; thread count and
-output paths change neither the numbers nor the hash, which is what
-makes byte-identical reports across --threads settings possible.
+Every stream is PCG64, the constant RNG_ALGORITHM, not a setting: a
+config file that names rng_algorithm is rejected as an unknown key.
+The config hash covers only result-affecting fields, RNG_ALGORITHM
+among them; thread count and output paths change neither the numbers
+nor the hash, which is what makes byte-identical reports across
+--threads settings possible.
 
 DEFAULT_C_CAL, the calibrated ceilings verify gates against (make_report
 slack on top), is read at import from calibration.json beside this
@@ -53,7 +56,6 @@ def _is_a(value, kinds) -> bool:
 @dataclass(frozen=True)
 class RunConfig:
     rng_seed: int = DEFAULT_RNG_SEED
-    rng_algorithm: str = RNG_ALGORITHM
     sieve_limit: int = DEFAULT_SIEVE_LIMIT
     threads: int = 1
     census_tolerance: float = DEFAULT_CENSUS_TOLERANCE
@@ -78,8 +80,6 @@ class RunConfig:
                 raise ValueError(f"c_cal[{name!r}] must be a finite number")
         if not 0 <= self.rng_seed < 2**64:
             raise ValueError("rng_seed must fit in 64 bits")
-        if self.rng_algorithm != RNG_ALGORITHM:
-            raise ValueError(f"unsupported rng algorithm {self.rng_algorithm!r}")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
         check_sieve_limit(self.sieve_limit)
@@ -89,7 +89,7 @@ class RunConfig:
     def hash_fields(self) -> dict:
         return {
             "rng_seed": self.rng_seed,
-            "rng_algorithm": self.rng_algorithm,
+            "rng_algorithm": RNG_ALGORITHM,
             "sieve_limit": self.sieve_limit,
             "census_tolerance": self.census_tolerance,
             # a ceiling hashes as the float every gate reads, so 1 and 1.0 agree

@@ -5,11 +5,13 @@ The central object is the full-period average
     F(lam, j, beta) = g^(-lam) * sum_{n < g^lam} e(f(n) - beta*n)
 
 where f sums shifted seed weights over the low lam digits of n.  Its
-absolute value factors into single-position sums, which is what makes
-window lengths in the tens of thousands tractable.  The rest of the
-module provides the per-position decay weights, their cumulative sums
-with the exact landing and blocked lower bounds on them (i0_landing,
-sigma_lower_blocks), the digit-autocorrelation defect, the divisor-pair
+absolute value factors into single-position sums phi (tests/oracles.py
+holds phi's scalar loop), which is what makes window lengths in the tens
+of thousands tractable.  The rest of the module provides the decay
+weights, summed over a window by sigma (sigma over one position is one
+weight), with the exact landing and blocked lower bounds on them
+(i0_landing, sigma_lower_blocks), the digit-autocorrelation defect, the
+savings exponent omega_exponent of the L-infinity bound, the divisor-pair
 averages, the L1 moment over arithmetic progressions of grid points,
 and the Farey-point hybrid sum, together with the closed-form exponent
 constants used by every verifier.
@@ -42,10 +44,8 @@ __all__ = [
     "theta_lower_bound",
     "eta_tilde",
     "omega_exponent",
-    "phi",
     "F_direct",
     "F_abs_product",
-    "gamma_i",
     "gamma_coefficient",
     "gamma_upper_bound",
     "sigma",
@@ -170,13 +170,13 @@ def _phi_sums(rows: np.ndarray, t: float | np.ndarray) -> np.ndarray:
     np.exp(2j * np.pi * (rows[..., d] - t*d)) bit for bit, signed zeros
     included (see _cis), so the sums equal a scalar cos/sin loop bit for
     bit.  The magnitudes do not: abs(complex) agrees with np.hypot, while
-    np.abs rounds about a third of them differently.  phi and
-    F_abs_product take the hypot magnitude and psi and the progression
-    moments np.abs, because the frozen reports and calibration constants
-    pin each choice.  The d = 0 term is _cis(rows[..., 0]), formed once
-    for every t: rows[..., 0] - t*0 differs from rows[..., 0] at most in
-    the sign of a zero for finite t, and _cis drops that sign; a
-    non-finite t makes a d >= 1 term, and so the sum, nan either way.
+    np.abs rounds about a third of them differently.  F_abs_product takes
+    the hypot magnitude and psi and the progression moments np.abs,
+    because the frozen reports and calibration constants pin each choice.
+    The d = 0 term is _cis(rows[..., 0]), formed once for every t:
+    rows[..., 0] - t*0 differs from rows[..., 0] at most in the sign of a
+    zero for finite t, and _cis drops that sign; a non-finite t makes a
+    d >= 1 term, and so the sum, nan either way.
     """
     t = np.asarray(t, dtype=np.float64)
     total = np.zeros(np.broadcast_shapes(rows.shape[:-1], t.shape), dtype=np.complex128)
@@ -184,18 +184,6 @@ def _phi_sums(rows: np.ndarray, t: float | np.ndarray) -> np.ndarray:
     for d in range(1, rows.shape[-1]):
         total += _cis(rows[..., d] - t * d)
     return total
-
-
-def phi(seed: Seed, i: int, j: int, beta: float) -> float:
-    """Single-position sum |sum_{d<g} e(weight(i+j, d) - beta*d)|.
-
-    Lies in [0, g] and has period 1 in beta.  It is the scalar oracle of
-    each factor of F_abs_product.
-    """
-    if i < 0 or j < 0:
-        raise ValueError("position and shift must be nonnegative")
-    row = seed.frac_rows(i + j, 1)[0]
-    return abs(complex(_phi_sums(row, beta % 1.0)))
 
 
 def _split26(x: float) -> tuple[float, float]:
@@ -385,18 +373,12 @@ def _progression_abs(
     return acc
 
 
-def gamma_i(seed: Seed, i: int, j: int) -> float:
-    """Decay weight of position i+j: scaled pairwise digit separation.
-
-    Always in [0, log 2 / (4 g^3 (log g)^2)), hence below 1/20.
-    """
-    if i < 0 or j < 0:
-        raise ValueError("position and shift must be nonnegative")
-    return _gamma(seed, i + j, _memo(seed))
-
-
 def sigma(seed: Seed, lam: int, j: int) -> float:
-    """Cumulative decay weight over positions j .. j+lam-1; at most lam/20."""
+    """Cumulative decay weight over positions j .. j+lam-1; at most lam/20.
+
+    sigma(seed, 1, p) is the weight of position p alone, its scaled
+    pairwise digit separation, always in [0, gamma_upper_bound(g)).
+    """
     if lam < 0 or j < 0:
         raise ValueError("window and shift must be nonnegative")
     memo = _memo(seed)

@@ -39,7 +39,6 @@ from .basedigits import reverse  # noqa: F401
 __all__ = [
     "CensusRecord",
     "rho",
-    "rho_total",
     "zero_density_strays",
     "check_window",
     "census_grid",
@@ -90,11 +89,6 @@ def rho(g: int, a: int, q: int) -> Fraction:
     dw = math.gcd(q, wheel)
     # (lead / g) * (dw / phi(dw)), reduced once
     return Fraction(lead * dw, g * _totient(dw))
-
-
-def rho_total(g: int, q: int) -> Fraction:
-    """Total density mass: sum of rho(g, a, q) / q over all a, exact (criterion 09)."""
-    return sum(rho(g, a, q) for a in range(q)) / Fraction(q)
 
 
 def zero_density_strays(g: int, L: int, a: int, q: int) -> int:

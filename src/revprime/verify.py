@@ -45,6 +45,7 @@ from .expsum import (
     l1_moment,
     l1_moment_bound,
     make_report,
+    omega_exponent,
     psi,
     sigma,
     theta_i,
@@ -249,6 +250,8 @@ def _psi(cfg: RunConfig, opts: SuiteOptions, rng, g: int) -> list[BoundReport]:
     for name, seed in _seed_pool(g, 8, rng, opts.seed_family):
         for i in (0, 1):
             ts = rng.random(per_cell) * 3
+            # the full-depth bound of every R (its S = g pair) reads this theta
+            gap = 1 - theta_i(seed, i)
             for R in _divisors_of(g):
                 if R < 2:
                     continue
@@ -262,7 +265,7 @@ def _psi(cfg: RunConfig, opts: SuiteOptions, rng, g: int) -> list[BoundReport]:
                     if S != g:
                         rhs, form = (2 / 3) * R * S, "partial-depth"
                     else:
-                        rhs, form = R * g * (1 - theta_i(seed, i)), "full-depth"
+                        rhs, form = R * g * gap, "full-depth"
                     out.append(make_report(float(np.max(vals**2)), rhs, dict(tag, form=form)))
                     out.append(
                         make_report(float(np.max(vals)), (R * S) ** eta, dict(tag, form="eta-power"))
@@ -375,7 +378,7 @@ def _monotonicity(cfg: RunConfig, opts: SuiteOptions, rng, g: int) -> list[Bound
                         dict(tag, lam=lam, j=j, form="shift-gap-cap"),
                     )
                 )
-        coeff = 2 * math.log(2) / math.log(g) * (0.5 - eta_tilde(g))
+        coeff = 2 * omega_exponent(g)
         for lam, j in ((8, 0), (12, 2)):
             vals = [coeff * mu + sigma(seed, lam - mu, j + mu) for mu in range(lam + 1)]
             # each step rises by coeff - gamma > 0 exactly, so worst is a

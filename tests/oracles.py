@@ -4,8 +4,9 @@ Everything here is plain Python over integers and Fractions, written to
 be read, not to be fast: the base-g window reversal, trial-division
 factoring and what follows from it (up to Vaughan's split of Lambda,
 one divisor at a time), the exact digit weights of the seed families
-and their digit sums, the row-phase loops the phase kernels replaced,
-the two-sided van der Corput loop, and raw float bytes.
+and their digit sums, the single-position sum phi (one factor of the
+product formula), the row-phase loops the phase kernels replaced, the
+two-sided van der Corput loop, and raw float bytes.
 Nothing here calls the code it checks; from the package it reads only
 the seed family types.
 """
@@ -141,6 +142,23 @@ def digit_sum(seed, lam, j, n):
         n, d = divmod(n, seed.base)
         total += weight(seed, j + i, d)
     return total
+
+
+def phi(seed, i, j, beta):
+    """|sum_{d<g} e(w_d - t*d)| by a scalar cos/sin loop, t = beta mod 1.
+
+    w_d is digit d's weight at position i+j mod 1, as seed.frac_rows
+    gives it.  F_abs_product's factor at that position is phi / g bit for
+    bit: each e(x) is math.cos and math.sin of 2 pi x (+ 0.0, which drops
+    the sign of a zero), added left to right, and abs(complex) is the
+    hypot magnitude.  Lies in [0, g] and has period 1 in beta.
+    """
+    t = beta % 1.0
+    total = 0j
+    for d, w in enumerate(seed.frac_rows(i + j, 1)[0].tolist()):
+        y = (w - t * d) * (2.0 * math.pi) + 0.0
+        total += complex(math.cos(y), math.sin(y))
+    return abs(total)
 
 
 def row_phases(tab, values, g):

@@ -33,7 +33,7 @@ from revprime.expsum import (
     sigma,
 )
 from revprime.primesum import truncation_set_size
-from revprime.revcount import census_grid, rho_total
+from revprime.revcount import census_grid, rho
 from revprime.seeds import reverse_seed, sod_seed, table_seed
 from revprime.verify import CALIBRATED, SuiteOptions, calibrate, run_suite
 
@@ -429,7 +429,7 @@ def test_criterion_09_density_mass():
     for g in (2, 3, 10):
         expected = Fraction(g - 1, g)
         for q in range(1, 201):
-            total = rho_total(g, q)
+            total = sum(rho(g, a, q) for a in range(q)) / Fraction(q)
             assert total == expected, f"g={g}, q={q}: {total} != {expected}"
             assert total != 1
     _line(9, "density-mass", True,

@@ -60,8 +60,6 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(threads=0)
         with pytest.raises(ValueError):
-            RunConfig(rng_algorithm="mt19937")
-        with pytest.raises(ValueError):
             RunConfig(census_tolerance=0.0)
         # the sieve limit's one rule, arith.check_sieve_limit
         with pytest.raises(ValueError, match="at least 2"):
@@ -89,6 +87,16 @@ class TestRunConfig:
         path.write_text(json.dumps({"rng_sed": 7}))
         with pytest.raises(ValueError, match="rng_sed"):
             load_config(str(path))
+
+    def test_config_naming_rng_algorithm_is_usage_error(self, tmp_path, capsys):
+        # every stream is PCG64 (config.RNG_ALGORITHM), so the key is not a
+        # setting, even at its one value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"rng_algorithm": "pcg64"}))
+        out = tmp_path / "r.jsonl"
+        assert main(["verify", "vdc", "--config", str(path), "--out", str(out)]) == 1
+        assert "unknown config keys: ['rng_algorithm']" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "fields",
@@ -912,6 +920,17 @@ class TestReadme:
                     run_suite(name, RunConfig(), SuiteOptions(seed_family="none"))
                 pools[name] = str(err.value).split("this suite draws ")[1].split(", ")
         assert self.table("| suites | families drawn |") == pools
+
+    def test_configuration_examples_load(self, tmp_path):
+        # every JSON example under "Configuration" is a config file that
+        # loads, so a removed setting cannot stay in the docs
+        section = self.README.read_text().split("\n## Configuration\n")[1].split("\n## ")[0]
+        blocks = [block.split("```")[0] for block in section.split("```json\n")[1:]]
+        assert blocks
+        for n, block in enumerate(blocks):
+            path = tmp_path / f"example{n}.json"
+            path.write_text(block)
+            load_config(str(path))
 
     def test_named_paths_exist(self):
         # a path README names under a repository directory exists, so the

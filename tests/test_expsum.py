@@ -33,7 +33,6 @@ from revprime.expsum import (
     _split26,
     eta_tilde,
     gamma_coefficient,
-    gamma_i,
     gamma_upper_bound,
     hybrid_bound_shape,
     hybrid_sum,
@@ -42,7 +41,6 @@ from revprime.expsum import (
     l1_moment_bound,
     make_report,
     omega_exponent,
-    phi,
     psi,
     sigma,
     sigma_lower_blocks,
@@ -51,7 +49,7 @@ from revprime.expsum import (
 )
 from revprime.seeds import reverse_seed, sod_seed, table_seed
 
-from oracles import bits, divisors, divmod_phases, row_phases, weight
+from oracles import bits, divisors, divmod_phases, phi, row_phases, weight
 
 
 def random_table(g, rng, depth=6):
@@ -170,13 +168,6 @@ class TestPhi:
                     v = phi(s, 2, 1, float(beta))
                     assert 0.0 <= v <= g * (1 + 1e-12)
                     assert phi(s, 2, 1, float(beta) + 1.0) == pytest.approx(v, abs=1e-9)
-
-    def test_rejects_negative_arguments(self):
-        seed = sod_seed(2, 0.0)
-        with pytest.raises(ValueError):
-            phi(seed, -1, 0, 0.0)
-        with pytest.raises(ValueError):
-            phi(seed, 0, -2, 0.0)
 
 
 class TestFDirect:
@@ -415,7 +406,7 @@ class TestDecayBounds:
                     args = fraction_ladder(float(rng.random()), lam, g)
                     for i in range(lam - 1):
                         prod = phi(s, i, j, float(args[i])) * phi(s, i + 1, j, float(args[i + 1]))
-                        cap = g ** (1.0 - gamma_i(s, i, j))
+                        cap = g ** (1.0 - sigma(s, 1, i + j))
                         assert math.sqrt(prod) <= cap * (1 + 1e-9)
 
     def test_sup_norm_decay(self):
@@ -434,18 +425,18 @@ class TestGammaSigma:
         for g in (2, 3, 10):
             seed = sod_seed(g, 0.0)
             for i in range(4):
-                assert gamma_i(seed, i, 0) == 0.0
+                assert sigma(seed, 1, i) == 0.0
 
     def test_scaled_digit_sum_degenerates(self):
         # weight a*d with a = 1/(g-1): the pairwise combination is an
         # exact integer multiple of m - n, so the weight collapses
         for g in (2, 3, 10):
             seed = sod_seed(g, 1.0 / (g - 1))
-            assert gamma_i(seed, 2, 1) < 1e-25
+            assert sigma(seed, 1, 3) < 1e-25
 
     def test_reversal_degenerate_position(self):
         seed = reverse_seed(2, 10, 1.0 / 3.0)
-        got = gamma_i(seed, 3, 0)
+        got = sigma(seed, 1, 3)
         # independent route: exact rationals straight from the family formula
         fa = Fraction(1.0 / 3.0)
         v = [2 * ((fa * d * 2**6) % 1) - ((fa * d * 2**5) % 1) for d in range(2)]
@@ -458,7 +449,7 @@ class TestGammaSigma:
     def test_reversal_two_route_general(self):
         for g, L, a, i, j in ((10, 12, 0.37, 2, 1), (3, 9, 0.61, 4, 0), (2, 15, 0.77, 6, 2)):
             seed = reverse_seed(g, L, a)
-            got = gamma_i(seed, i, j)
+            got = sigma(seed, 1, i + j)
             fa = Fraction(a)
             p = i + j
             total = Fraction(0)
@@ -478,13 +469,13 @@ class TestGammaSigma:
             cap = gamma_upper_bound(g)
             for s in seed_pool(g, rng):
                 for p in range(8):
-                    v = gamma_i(s, p, 0)
+                    v = sigma(s, 1, p)
                     assert 0.0 <= v <= cap * (1 + 1e-12)
 
     def test_weight_cap_attained_in_base_two(self):
         # the extremal two-digit row sits at pairwise distance exactly 1/2
         seed = table_seed(2, ((0.0, 0.5),))
-        assert gamma_i(seed, 0, 0) == pytest.approx(gamma_upper_bound(2), rel=1e-14)
+        assert sigma(seed, 1, 0) == pytest.approx(gamma_upper_bound(2), rel=1e-14)
 
     def test_cumulative_weights(self):
         rng = np.random.default_rng(9)
@@ -506,7 +497,7 @@ class TestGammaSigma:
                 for lam in (1, 3, 7):
                     for j in (0, 2):
                         gap = sigma(s, lam, j) - sigma(s, lam - 1, j + 1)
-                        assert gap == pytest.approx(gamma_i(s, 0, j), rel=1e-12, abs=1e-15)
+                        assert gap == pytest.approx(sigma(s, 1, j), rel=1e-12, abs=1e-15)
 
     def test_flat_cumulative_is_zero(self):
         seed = sod_seed(5, 0.0)
@@ -536,7 +527,7 @@ class TestGammaMemo:
                 # each seed's own weight, computed past the shared memo
                 fresh = _gamma(a, p, {}).hex()
                 assert _gamma(b, p, {}).hex() == fresh
-                assert gamma_i(a, 0, p).hex() == gamma_i(b, p, 0).hex() == fresh
+                assert sigma(a, 1, p).hex() == sigma(b, 1, p).hex() == fresh
             assert _memo(a) is _memo(b)
 
 

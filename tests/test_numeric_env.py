@@ -136,7 +136,7 @@ def test_row_sums_equal_lone_row_sums():
 
 
 def test_numpy_abs_and_hypot_on_complex_sums():
-    # phi and F_abs_product take the hypot magnitude, psi and the
+    # the phi oracle and F_abs_product take the hypot magnitude, psi and the
     # progression moments np.abs; the two round 1366 of these sums apart
     z = np.cumsum(_cis(phase_arguments()))
     from_hypot = digest(np.hypot(z.real, z.imag))

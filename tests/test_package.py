@@ -261,12 +261,8 @@ UNREACHED = {
     "arith.mangoldt_tail": PERFBENCH,
     "arith.mobius_mangoldt_window": PERFBENCH,
     "basedigits.reverse": PERFBENCH,
-    "expsum.phi": "paper API: the single-position sum phi, one factor of the product formula",
-    "expsum.gamma_i": "paper API: the decay weight of one position, summed by sigma",
-    "expsum.omega_exponent": "paper API: the savings exponent of the L-infinity bound",
     "expsum.i0_landing": "paper API: the landing lemma, g^i0 alpha 1/(g+1) from the integers",
     "expsum.sigma_lower_blocks": "paper API: the blocked lower bound K/(g+1)^2 on the phase gaps",
-    "revcount.rho_total": "paper API: the density mass identity sum_a rho(g, a, q)/q = (g-1)/g",
     "revcount.psi_theta_pi": "paper API: the psi, theta, pi counts of the Siegel-Walfisz analogue",
     "revcount.sharp_factor_deviation": "paper API: the Siegel-Walfisz step to the sharp modulus",
     "seeds.Seed.frac_rows": "abstract: every seed family overrides it",

@@ -353,7 +353,7 @@ CIS_COST = {
     "product-formula": (5012, 216),
     "linf": (180, 90),
     "l1-moment": (3700, 968),
-    "psi": (43354, 956),
+    "psi": (42586, 812),
     "vdc": (0, 0),
     "sin-sum": (0, 0),
     "truncation": (0, 0),
