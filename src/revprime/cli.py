@@ -26,10 +26,7 @@ if TYPE_CHECKING:
     from .expsum import BoundReport
     from .verify import SuiteOptions
 
-CENSUS_COLUMNS = (
-    "g", "L", "a", "q", "observed", "main_term",
-    "relative_dev", "sharp_observed", "modulus_sharp",
-)
+CENSUS_COLUMNS = tuple(f.name for f in fields(CensusRecord))
 
 # a census request holds at most this many (L, a, q) cells; counted
 # before any cell tuple or sieve is built

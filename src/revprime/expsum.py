@@ -381,23 +381,14 @@ def sigma(seed: Seed, lam: int, j: int) -> float:
     """
     if lam < 0 or j < 0:
         raise ValueError("window and shift must be nonnegative")
-    memo = _memo(seed)
-    return sum(_gamma(seed, p, memo) for p in range(j, j + lam))
+    return sum(_gamma(seed, p) for p in range(j, j + lam))
 
 
-# Seeds are frozen and hashable, and a weight is a pure function of the
-# seed and the position, so seeds that compare equal share one memo.
-# sigma hashes its seed once per call, not once per position.
-@lru_cache(maxsize=1 << 8)
-def _memo(seed: Seed) -> dict[int, float]:
-    return {}
-
-
-# stays scalar: Python's u ** 2 (libm pow) and numpy's u**2 round some u apart
-def _gamma(seed: Seed, p: int, memo: dict[int, float]) -> float:
-    cached = memo.get(p)
-    if cached is not None:
-        return cached
+# A weight is a pure function of the frozen, hashable seed and the
+# position, so seeds that compare equal share one entry.  It stays scalar:
+# Python's u ** 2 (libm pow) and numpy's u**2 round some u apart.
+@lru_cache(maxsize=1 << 16)
+def _gamma(seed: Seed, p: int) -> float:
     g = seed.base
     rows = seed.frac_rows(p, 2)
     v = [g * rows[0][d] - rows[1][d] for d in range(g)]
@@ -406,8 +397,7 @@ def _gamma(seed: Seed, p: int, memo: dict[int, float]) -> float:
         for n in range(m + 1, g):
             u = (v[m] - v[n]) % 1.0
             total += min(u, 1.0 - u) ** 2
-    value = memo[p] = gamma_coefficient(g) * total
-    return value
+    return gamma_coefficient(g) * total
 
 
 class DegenerateSeedError(ValueError):
@@ -438,8 +428,9 @@ def sigma_lower_blocks(g: int, L: int, lam: int, alpha) -> BoundReport:
     """Blocked lower bound K/(g+1)^2 for the tail of reversal phase gaps.
 
     Computes sigma_hat = min over 0 <= i <= L of the distance from
-    g^i (g^2-1) alpha to the integers (exact), the block length J it
-    dictates (the least J with g^J (g+1) sigma_hat > g), K = [lam/J]
+    g^i (g^2-1) alpha to the integers (exact), the block length
+    J = i0_landing(g, sigma_hat)[0] + 1 it dictates (the least J with
+    g^J (g+1) sigma_hat > g, as sigma_hat <= 1/2), K = [lam/J]
     full blocks, and the blocked sum of squared distances over the top
     lam positions.  The returned report checks K/(g+1)^2 <= blocked
     sum; on top of that the cumulative decay weight of the reversal
@@ -457,7 +448,7 @@ def sigma_lower_blocks(g: int, L: int, lam: int, alpha) -> BoundReport:
         raise DegenerateSeedError(
             f"g^i (g^2-1) alpha hits an integer for some i <= {L}"
         )
-    J = ilog(Fraction(g) / ((g + 1) * sigma_hat), g) + 1
+    J = i0_landing(g, sigma_hat)[0] + 1
     K = lam // J
     blocked = math.fsum((near[i] / den) ** 2 for i in range(L - lam, L))
     report = make_report(

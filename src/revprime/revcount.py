@@ -235,7 +235,8 @@ def check_window(g: int, L: int, limit: int) -> None:
     if L < 1:
         raise ValueError("window length must be at least 1")
     check_sieve_limit(limit)
-    if g**L - 1 > limit:
+    # g^L - 1 > limit exactly when g^L > limit + 1; g^L is never formed
+    if L > ilog(limit + 1, g):
         raise ValueError(f"window end {g}^{L} - 1 beyond sieve limit {limit}")
 
 

@@ -29,6 +29,17 @@ from revprime.verify import CALIBRATED, SUITES, SuiteOptions, UsageError, run_su
 from oracles import primes_upto, window_reverse
 
 
+def run_cli(argv, cwd, timeout):
+    """The CLI in a fresh interpreter on this tree's src, as a CompletedProcess."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run(
+        [sys.executable, "-m", "revprime.cli", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=timeout,
+    )
+
+
 class TestRunConfig:
     def test_hash_ignores_threads(self):
         cfg = RunConfig()
@@ -183,6 +194,17 @@ class TestCensusCommand:
         assert main([*argv, "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
             "census: error: window end 10^7 - 1 beyond sieve limit 100000\n"
+        )
+        assert not out.exists()
+
+    def test_overlong_window_is_refused_before_its_end_is_formed(self, tmp_path):
+        # 10^(10^8) has 10^8 digits: forming it would take far past the timeout
+        out = tmp_path / "census.csv"
+        argv = ["census", "--g", "10", "--L", "100000000", "--q", "3", "--out", str(out)]
+        proc = run_cli(argv, tmp_path, 10)
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "census: error: window end 10^100000000 - 1 beyond sieve limit 100000\n"
         )
         assert not out.exists()
 
@@ -583,15 +605,8 @@ class TestSieveBudget:
         ],
     )
     def test_over_budget_is_usage_error(self, tmp_path, argv):
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
         out = tmp_path / "r.out"
-        proc = subprocess.run(
-            [sys.executable, "-m", "revprime.cli", *argv,
-             "--sieve-limit", "100000000", "--out", str(out)],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-        )
+        proc = run_cli([*argv, "--sieve-limit", "100000000", "--out", str(out)], tmp_path, 120)
         assert proc.returncode == 1
         assert f"{argv[0]}: error: sieve limit 100000000 exceeds" in proc.stderr
         assert "Traceback" not in proc.stderr

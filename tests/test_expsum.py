@@ -26,7 +26,6 @@ from revprime.expsum import (
     F_direct,
     _cis,
     _gamma,
-    _memo,
     _phase_tree,
     _phi_sums,
     _progression_abs,
@@ -505,9 +504,9 @@ class TestGammaSigma:
 
 
 class TestGammaMemo:
-    """The decay weights are memoized per seed, so seeds that compare
-    equal share entries: their rows and weights must agree bit for bit,
-    whichever of the two fills an entry."""
+    """The decay weights are cached on (seed, position), so seeds that
+    compare equal share entries: their rows and weights must agree bit
+    for bit, whichever of the two fills an entry."""
 
     PAIRS = (
         (sod_seed(3, 0.0), sod_seed(3, -0.0)),
@@ -524,11 +523,14 @@ class TestGammaMemo:
             assert a == b and hash(a) == hash(b)
             for p in (0, 1, 4, 9):
                 assert a.frac_rows(p, 5).tobytes() == b.frac_rows(p, 5).tobytes()
-                # each seed's own weight, computed past the shared memo
-                fresh = _gamma(a, p, {}).hex()
-                assert _gamma(b, p, {}).hex() == fresh
+                # each seed's own weight, computed past the shared cache
+                fresh = _gamma.__wrapped__(a, p).hex()
+                assert _gamma.__wrapped__(b, p).hex() == fresh
+                _gamma(a, p)
+                hits = _gamma.cache_info().hits
+                assert _gamma(b, p).hex() == fresh
+                assert _gamma.cache_info().hits == hits + 1
                 assert sigma(a, 1, p).hex() == sigma(b, 1, p).hex() == fresh
-            assert _memo(a) is _memo(b)
 
 
 class TestSigmaMonotonicity:
