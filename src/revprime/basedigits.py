@@ -4,9 +4,9 @@ Full and window-relative digit reversal, plus the distance to the
 nearest integer that the rest of the package shares.  Everything here
 is integer arithmetic; no float logarithms are used to make
 digit-length decisions.  Chunked reversal has one home: reverse_chunks
-walks an int64 array _CHUNK entries at a time through one workspace,
-reversing each slice with the private kernel _reverse_into, a block of
-k digits per step through a cached read-only table of g^k <= 2^14
+walks an int64 array _CHUNK entries at a time, reversing each slice
+into a fresh array with the private kernel _reverse, a block of k
+digits per step through a cached read-only table of g^k <= 2^14
 entries; every count of revcount reads its chunks, and none copies them
 into an array of all the reverses.  The per-n reference, window_reverse,
 lives in tests/oracles.py.  No command calls the scalar reverse: it
@@ -66,8 +66,9 @@ INT64_MAX = 2**63 - 1
 # base 10 takes L = 7 in 2 steps, and 2^12 was slower, 2^16 no faster
 _TABLE_ENTRIES = 2**14
 # entries reversed per kernel call: at 2^13 each int64 buffer is 64 KiB,
-# below glibc's default 128 KiB mmap threshold, so a chunk-sized buffer
-# comes from the heap's free lists on every call, never from fresh pages
+# below glibc's mmap threshold, which starts at 128 KiB and only rises as
+# larger mapped blocks are freed, so each fresh buffer of a call comes
+# from the heap's free lists, never from fresh pages
 _CHUNK = 2**13
 
 
@@ -88,70 +89,60 @@ def _block_table(g: int, s: int) -> np.ndarray:
     return table
 
 
-def _reverse_into(values: np.ndarray, g: int, L: int, out: np.ndarray, work, fits: bool) -> None:
-    """Write the reversal of every entry of values within L digits into out.
+def _reverse(values: np.ndarray, g: int, L: int, fits: bool) -> np.ndarray:
+    """The reversal of every entry of values within L digits, a fresh array.
 
     values is a 1-d int64 slice of nonnegative entries, read and never
-    written; out and the three int64 buffers of work have its length and
-    are owned by the caller, so a caller that reverses chunk after chunk
-    allocates nothing per chunk.  Each step splits off the low s digits
-    d = n - (n // g^s) g^s and appends T_s[d], their reversal within s
-    digits, to out, which the first step writes; k digits per step, k
-    the largest with g^k <= _TABLE_ENTRIES, and a last step of the L mod
-    k digits left over.  fits says every entry is below g^L, so the last
-    step needs no divide.  With s = 1 the digit is its own reverse and no
-    table is read.  The caller checks the base and that g^L fits int64.
+    written.  Each step splits off the low s digits d = n - (n // g^s) g^s
+    and appends T_s[d], their reversal within s digits, to the result,
+    which the first step makes; k digits per step, k the largest with
+    g^k <= _TABLE_ENTRIES, and a last step of the L mod k digits left
+    over.  fits says every entry is below g^L, so the last step needs no
+    divide.  With s = 1 the digit is its own reverse and no table is
+    read.  The caller checks the base and that g^L fits int64.
     """
     k = max(1, ilog(_TABLE_ENTRIES, g))
     steps = [k] * (L // k) + ([L % k] if L % k else [])
     if not steps:
-        out.fill(0)
+        return np.zeros_like(values)
     n = values
-    q, low, spare = work
     for i, s in enumerate(steps):
         block = g**s
         if fits and i == len(steps) - 1:
-            # n is below g^s, its own low digits; q is free scratch
-            low, spare = n, q
+            # n is below g^s, its own low digits; a first step with s = 1
+            # would return values itself, which the result must not share
+            low = n if i or s > 1 else n.copy()
         else:
-            np.floor_divide(n, block, out=q)
-            np.multiply(q, block, out=low)
-            np.subtract(n, low, out=low)
-        digits = low
-        if s > 1:
-            # every index is below g^s; clip mode writes unbuffered
-            digits = np.take(_block_table(g, s), low, out=spare if i else out, mode="clip")
+            q = n // block
+            low = n - q * block
+            n = q
+        # every index is below g^s, so clipping moves none
+        digits = np.take(_block_table(g, s), low, mode="clip") if s > 1 else low
         if i:
-            out *= block
-            out += digits
-        elif s == 1:
-            np.copyto(out, digits)
-        # the quotient is the next step's n; the old n is free scratch
-        n, q, spare = q, spare, q
+            revs *= block
+            revs += digits
+        else:
+            revs = digits
+    return revs
 
 
 def reverse_chunks(values: np.ndarray, g: int, L: int):
-    """Yield (lo, revs, scratch) for each _CHUNK-entry slice of values.
+    """Yield (lo, revs) for each _CHUNK-entry slice of values.
 
     revs is the reversal within L digits of values[lo : lo + revs.size]:
     digit i of n (i < L) lands at position L - 1 - i and digits at
     positions >= L are ignored, so on an n with exactly L digits it is
-    the plain reverse.  scratch is a free int64 buffer of its length;
-    both are views into one workspace of four chunk-sized int64 buffers
-    that the next slice reuses.  values is 1-d nonnegative int64 and g a
-    checked base; the callers check both.  When iteration starts, _CHUNK
-    is read, and ValueError is raised if values is not empty and
+    the plain reverse.  Each revs is a fresh int64 array that later
+    slices leave alone.  values is 1-d nonnegative int64 and g a checked
+    base; the callers check both.  When iteration starts, _CHUNK is
+    read, and ValueError is raised if values is not empty and
     g^L > 2^63 - 1.
     """
     if values.size and g**L > INT64_MAX:
         raise ValueError(f"{g}^{L} overflows int64")
     fits = not values.size or int(values.max()) < g**L
-    revs, *work = [np.empty(min(_CHUNK, values.size), dtype=np.int64) for _ in range(4)]
     for lo in range(0, values.size, _CHUNK):
-        size = min(_CHUNK, values.size - lo)
-        chunk = [w[:size] for w in work]
-        _reverse_into(values[lo : lo + size], g, L, revs[:size], chunk, fits)
-        yield lo, revs[:size], chunk[0]
+        yield lo, _reverse(values[lo : lo + _CHUNK], g, L, fits)
 
 
 def dist(x: float) -> float:

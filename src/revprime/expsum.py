@@ -381,13 +381,19 @@ def sigma(seed: Seed, lam: int, j: int) -> float:
     """
     if lam < 0 or j < 0:
         raise ValueError("window and shift must be nonnegative")
-    return sum(_gamma(seed, p) for p in range(j, j + lam))
+    return sum(_gammas(seed, int(j + lam).bit_length())[j : j + lam])
 
 
-# A weight is a pure function of the frozen, hashable seed and the
-# position, so seeds that compare equal share one entry.  It stays scalar:
-# Python's u ** 2 (libm pow) and numpy's u**2 round some u apart.
-@lru_cache(maxsize=1 << 16)
+# Row k holds the weights gamma_p for p < 2^k and extends row k - 1, so a
+# sigma call hashes its seed once and sums a slice in order.  A weight is a
+# pure function of the frozen seed and the position: equal seeds share rows.
+@lru_cache(maxsize=1 << 10)
+def _gammas(seed: Seed, k: int) -> tuple[float, ...]:
+    head = _gammas(seed, k - 1) if k else ()
+    return head + tuple(_gamma(seed, p) for p in range(len(head), 1 << k))
+
+
+# Scalar: Python's u ** 2 (libm pow) and numpy's u**2 round some u apart.
 def _gamma(seed: Seed, p: int) -> float:
     g = seed.base
     rows = seed.frac_rows(p, 2)

@@ -108,7 +108,7 @@ def zero_density_strays(g: int, L: int, a: int, q: int) -> int:
         if g ** (L - 1) <= r < g**L
     ]
     chunks = reverse_chunks(np.array(strays, dtype=np.int64), g, L)
-    return sum(rev % q == a % q for _, revs, _ in chunks for rev in revs.tolist())
+    return sum(rev % q == a % q for _, revs in chunks for rev in revs.tolist())
 
 
 @dataclass(frozen=True)
@@ -153,18 +153,18 @@ def _modulus_groups(moduli) -> list[tuple[int, list[int]]]:
     return groups
 
 
-def _mod_into(values: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
-    """values mod m into out, for nonnegative int64 values and m >= 1.
+def _mod(values: np.ndarray, m: int) -> np.ndarray:
+    """values mod m, for nonnegative int64 values and m >= 1.
 
     An m beyond int64 exceeds every entry: values is its own residues
-    and is returned.  Otherwise out gets values - (values // m) * m:
+    and is returned.  Otherwise values - (values // m) * m, a fresh array:
     numpy divides an int64 array by a scalar with a multiply and shift,
     and np.remainder, which has no such path, took 110 us on 2^15 entries
     against 48 us for these three passes (x86-64, numpy 2.4).
     """
     if m > INT64_MAX:
         return values
-    np.floor_divide(values, m, out=out)
+    out = values // m
     out *= m
     return np.subtract(values, out, out=out)
 
@@ -200,14 +200,14 @@ class _ClassCounts:
         self._hits = {m: np.zeros(w.size, dtype=np.int64) for m, w in self._wanted.items()}
         self._folded: dict[int, np.ndarray] = {}
 
-    def add(self, revs: np.ndarray, scratch: np.ndarray) -> None:
-        """Count one chunk of nonnegative int64 reverses; scratch has its length."""
+    def add(self, revs: np.ndarray) -> None:
+        """Count one chunk of nonnegative int64 reverses."""
         for lcm, bins in self._bins.items():
-            bins += np.bincount(_mod_into(revs, lcm, scratch), minlength=lcm)
+            bins += np.bincount(_mod(revs, lcm), minlength=lcm)
         for m, wanted in self._wanted.items():
             if not wanted.size:
                 continue
-            residues = _mod_into(revs, m, scratch)
+            residues = _mod(revs, m)
             at = np.minimum(wanted.searchsorted(residues), wanted.size - 1)
             self._hits[m] += np.bincount(at[wanted[at] == residues], minlength=wanted.size)
 
@@ -246,9 +246,9 @@ def census_grid(g: int, L: int, pairs, limit: int) -> list[CensusRecord]:
     Only the window [g^(L-1), g^L), which check_window holds under the
     sieve limit, is sieved.  Its primes all have exactly L digits, so
     their window reverses are the plain ones.  Each run of them from
-    arith.prime_segments goes through reverse_chunks and each chunk is
-    binned, its scratch buffer holding the residues.  Every requested
-    cell, q and sharp modulus alike, is read from those counts.
+    arith.prime_segments goes through reverse_chunks and each chunk of
+    reverses is binned.  Every requested cell, q and sharp modulus alike,
+    is read from those counts.
     """
     check_window(g, L, limit)
     pairs = list(pairs)
@@ -257,8 +257,8 @@ def census_grid(g: int, L: int, pairs, limit: int) -> list[CensusRecord]:
     sharp = [_sharp_modulus(g, L, q) for _, q in pairs]
     counts = _ClassCounts(pairs + [(a, m) for (a, _), m in zip(pairs, sharp)])
     for primes in prime_segments(g ** (L - 1), g**L):
-        for _, revs, scratch in reverse_chunks(primes, g, L):
-            counts.add(revs, scratch)
+        for _, revs in reverse_chunks(primes, g, L):
+            counts.add(revs)
     scale = g**L / (L * math.log(g))
     records = []
     for (a, q), modulus_sharp in zip(pairs, sharp):
@@ -306,9 +306,9 @@ def psi_theta_pi(
         powers, bases = (v[small.size :] for v in prime_powers(small, top))
         runs = itertools.chain(runs, [(bases, reverse_chunks(powers, g, L))])
     hits = (
-        (weights[lo : lo + revs.size], _mod_into(revs, modulus, scratch) == a % modulus)
+        (weights[lo : lo + revs.size], _mod(revs, modulus) == a % modulus)
         for weights, chunks in runs
-        for lo, revs, scratch in chunks
+        for lo, revs in chunks
     )
     if kind == "pi":
         return float(sum(np.count_nonzero(hit) for _, hit in hits))
@@ -337,7 +337,7 @@ def sharp_factor_deviation(g: int, x: float, a: int, q: int) -> float:
     counts = _ClassCounts([(a, q), (a, modulus)])
     for k in range(1, L + 1):
         for primes in prime_segments(g ** (k - 1), min(g**k, top + 1)):
-            for _, revs, scratch in reverse_chunks(primes, g, k):
-                counts.add(revs, scratch)
+            for _, revs in reverse_chunks(primes, g, k):
+                counts.add(revs)
     plain, sharp = counts.count(a, q), counts.count(a, modulus)
     return abs(plain - (modulus / q) * sharp) / x

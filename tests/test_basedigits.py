@@ -36,7 +36,7 @@ def chunk_reverse(ns, g, L):
     chunk from reverse_chunks as the counts of revcount read it."""
     values = np.array(ns, dtype=np.int64)
     out = []
-    for lo, revs, _ in reverse_chunks(values, g, L):
+    for lo, revs in reverse_chunks(values, g, L):
         assert lo == len(out) and revs.dtype == np.int64
         out += revs.tolist()
     assert len(out) == values.size
@@ -139,6 +139,34 @@ class TestReverseArray:
         ns = [0, 1200, 1000, 7, 123456]
         assert chunk_reverse(ns, 10, 3) == [0, 2, 0, 700, 654]
         assert chunk_reverse(ns, 10, 0) == [0] * 5
+
+    def test_chunks_outlive_the_next_chunk(self):
+        # every yielded array is its own: kept past the walk, the chunks
+        # still concatenate to the per-n reverses
+        values = np.arange(3 * basedigits._CHUNK + 5, dtype=np.int64) * 7919 + 10**6
+        for g, L in ((10, 8), (2, 30), (3, 19)):
+            chunks = list(reverse_chunks(values, g, L))
+            assert [lo for lo, _ in chunks] == list(range(0, values.size, basedigits._CHUNK))
+            got = np.concatenate([revs for _, revs in chunks]).tolist()
+            assert got == [window_reverse(n, g, L) for n in values.tolist()]
+
+    def test_chunk_buffers_stay_small(self):
+        # each chunk's fresh int64 buffers hold _CHUNK entries, 64 KiB,
+        # below glibc's mmap threshold (128 KiB at least), and a walk over
+        # many chunks holds a few of them at once (7 to 8 measured), never
+        # a buffer the size of values
+        buffer = basedigits._CHUNK * np.dtype(np.int64).itemsize
+        assert buffer <= 64 * 2**10
+        values = np.arange(16 * basedigits._CHUNK + 5, dtype=np.int64) * 7919 + 10**6
+        for g, L in ((10, 18), (2, 62), (3, 19), (10, 4)):
+            tracemalloc.start()
+            try:
+                for _, revs in reverse_chunks(values, g, L):
+                    assert revs.nbytes <= buffer
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 10 * buffer, (g, L, peak)
 
     def test_empty_input(self):
         # nothing to reverse yields no chunk, even where g^L overflows int64

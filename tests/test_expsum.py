@@ -8,8 +8,10 @@ same quantity through two independent evaluation routes.
 
 import math
 import random
+import sys
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from unittest import mock
 
@@ -26,6 +28,7 @@ from revprime.expsum import (
     F_direct,
     _cis,
     _gamma,
+    _gammas,
     _phase_tree,
     _phi_sums,
     _progression_abs,
@@ -504,9 +507,9 @@ class TestGammaSigma:
 
 
 class TestGammaMemo:
-    """The decay weights are cached on (seed, position), so seeds that
-    compare equal share entries: their rows and weights must agree bit
-    for bit, whichever of the two fills an entry."""
+    """The decay weights are cached in rows per seed, so seeds that
+    compare equal share rows: their digit rows and weights must agree bit
+    for bit, whichever of the two fills a row."""
 
     PAIRS = (
         (sod_seed(3, 0.0), sod_seed(3, -0.0)),
@@ -524,13 +527,49 @@ class TestGammaMemo:
             for p in (0, 1, 4, 9):
                 assert a.frac_rows(p, 5).tobytes() == b.frac_rows(p, 5).tobytes()
                 # each seed's own weight, computed past the shared cache
-                fresh = _gamma.__wrapped__(a, p).hex()
-                assert _gamma.__wrapped__(b, p).hex() == fresh
-                _gamma(a, p)
-                hits = _gamma.cache_info().hits
+                fresh = _gamma(a, p).hex()
                 assert _gamma(b, p).hex() == fresh
-                assert _gamma.cache_info().hits == hits + 1
+                _gammas(a, 4)
+                hits = _gammas.cache_info().hits
+                assert _gammas(b, 4)[p].hex() == fresh
+                assert _gammas.cache_info().hits == hits + 1
                 assert sigma(a, 1, p).hex() == sigma(b, 1, p).hex() == fresh
+
+    def test_sigma_sums_the_weights_in_order(self):
+        # sigma sums a slice of a cached row: the bits of a plain walk
+        # over the weights, on both sides of each row's power-of-two end
+        seed = reverse_seed(10, 40, 0.73)
+        for lam, j in ((0, 0), (0, 5), (1, 0), (15, 1), (16, 0), (17, 15), (100, 28)):
+            want = sum(_gamma(seed, p) for p in range(j, j + lam))
+            assert float(sigma(seed, lam, j)).hex() == float(want).hex()
+        # numpy integers index the row as Python ints do
+        assert sigma(seed, np.int64(5), np.int64(2)).hex() == sigma(seed, 5, 2).hex()
+
+    def test_a_warm_sigma_hashes_its_seed_once(self):
+        # one cache read per call, however long the window
+        seed = reverse_seed(10, 40, 0.73)
+        sigma(seed, 500, 7)
+        real, hashed = type(seed).__hash__, []
+        with mock.patch.object(type(seed), "__hash__", lambda s: hashed.append(s) or real(s)):
+            sigma(seed, 500, 7)
+        assert len(hashed) == 1
+
+    def test_threads_filling_rows_read_the_serial_sums(self):
+        # threads race to fill the shared rows; each must read the sums a
+        # lone thread reads
+        seed = reverse_seed(10, 40, 0.73)
+        sums = lambda: [sigma(seed, lam, j).hex() for lam in range(1, 80) for j in (0, 3)]
+        want = sums()
+        _gammas.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(sums) for _ in range(8)]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(g == want for g in got)
 
 
 class TestSigmaMonotonicity:

@@ -199,7 +199,7 @@ class TestCensus:
         # the window is sieved and walked in runs and chunks: 513,708
         # primes at (2, 24) and 586,081 at (10, 7) would take 4.1 and 4.7 MB
         # per int64 buffer; the peak holds one 1 MiB segment of flags, two
-        # quarter-segment runs of primes and the chunk workspace
+        # quarter-segment runs of primes and a chunk's few fresh buffers
         pairs = [(a, q) for q in moduli for a in range(q)]
         census_grid(g, L, pairs, limit)
         tracemalloc.start()
@@ -503,7 +503,7 @@ def fed(cells, revs, cuts):
     """_ClassCounts of cells fed revs in the chunks that the cut points make."""
     counts = _ClassCounts(cells)
     for chunk in np.split(revs, sorted(c % (revs.size + 1) for c in cuts)):
-        counts.add(chunk, np.empty_like(chunk))
+        counts.add(chunk)
     return counts
 
 
